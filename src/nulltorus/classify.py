@@ -168,7 +168,7 @@ def _rosatau_analysis(spec, family: str, n: int, tol: Tolerances
 
 def _sanchez_analysis(spec, family: str, n: int, tol: Tolerances
                       ) -> Optional[SCFCertificate]:
-    s1sig, s2sig = geometry._sanchez_signs(spec)
+    s1sig, s2sig = spec.frame_signs
     certified = "Y" if s1sig == s2sig else "X"
     if family == certified:
         # X2/R = (1/R, -E/(w R)) is divergence-free in closed form
@@ -724,16 +724,12 @@ def cross_validate(spec, structure: SpinStructure,
                    tol: Tolerances = DEFAULT) -> CrossValidationReport:
     """Geometric delta_plus against the exact spectral solver's count."""
     geometric = classify_delta_plus(spec, structure, tol)
-    if isinstance(spec, geometry.LeftInvariant):
-        spectral = spinorfield.solve_left_invariant(
-            spec, structure, family="X", chirality=1, tol=tol).count_class
-    elif geometry.is_closed_diagonal(spec, tol):
-        spectral = spinorfield.solve_closed_diagonal(
-            spec, structure, chirality=1, tol=tol).count_class
-    else:
+    solver = spinorfield.exact_solver(spec, tol)
+    if solver is None:
         raise WrongFamily(
             "spectral cross-validation needs constant or closed diagonal "
             f"coefficients; got {type(spec).__name__}")
+    spectral = solver(spec, structure, chirality=1, tol=tol).count_class
     return CrossValidationReport(structure=structure, geometric=geometric,
                                  spectral=spectral,
                                  agree=geometric.value == spectral)

@@ -19,12 +19,10 @@ from typing import Optional
 import click
 import numpy as np
 
-from . import catalog, classify, geometry, nullflow, spin, spinorfield, validation
+from . import catalog, classify, nullflow, spin, spinorfield, validation
 from .errors import ConfigError, Inconclusive, NullTorusError, WrongFamily
-from .spin import SpinStructure
+from .spin import STRUCTURES, SpinStructure
 from .tolerances import DEFAULT, Tolerances
-
-STRUCTURE_ORDER = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 _STRUCTURE_ALIASES = {
     "trivial": (1, 1), "++": (1, 1), "+-": (1, -1), "-+": (-1, 1),
@@ -449,7 +447,7 @@ def holonomy(ctx, metric, family, seed_w, n_returns, step, grid_n,
                                            step=h, tol=s.tol)
         table = spin.holonomy_table(spec, rec, tol=s.tol)
         rows = []
-        for ab in STRUCTURE_ORDER:
+        for ab in STRUCTURES:
             r = table[ab]
             rows.append({"a1": ab[0], "a2": ab[1],
                          "winding1": r.winding[0], "winding2": r.winding[1],
@@ -485,9 +483,13 @@ def solve(ctx, metric, structure, chirality, n_fields, grid_n,
         struct = s.structure(structure)
         chi = int(s.get("chirality", chirality, 1))
         nf = s.count("n_fields", n_fields, 4)
-        if isinstance(spec, geometry.LeftInvariant):
-            sol = spinorfield.solve_left_invariant(
-                spec, struct, chirality=chi, n_fields=nf, tol=s.tol)
+        solver = spinorfield.exact_solver(spec, s.tol)
+        if solver is None:
+            raise WrongFamily(
+                "solve handles constant-coefficient and closed diagonal "
+                f"metrics; got {type(spec).__name__}")
+        sol = solver(spec, struct, chirality=chi, n_fields=nf, tol=s.tol)
+        if isinstance(sol, spinorfield.HarmonicSolution):
             payload = {"command": "solve", "solver": "left_invariant",
                        "structure": struct.label, "chirality": chi,
                        "count_class": sol.count_class,
@@ -496,9 +498,7 @@ def solve(ctx, metric, structure, chirality, n_fields, grid_n,
                        "congruence_obstructed": sol.congruence_obstructed,
                        "modes": [list(m) for m in sol.modes],
                        "fields": [_field_summary(f) for f in sol.fields]}
-        elif geometry.is_closed_diagonal(spec, s.tol):
-            sol = spinorfield.solve_closed_diagonal(
-                spec, struct, chirality=chi, n_fields=nf, tol=s.tol)
+        else:
             payload = {"command": "solve", "solver": "closed_diagonal",
                        "structure": struct.label, "chirality": chi,
                        "count_class": sol.count_class,
@@ -511,10 +511,6 @@ def solve(ctx, metric, structure, chirality, n_fields, grid_n,
                        "t_parity": sol.t_parity,
                        "alphas": list(sol.alphas),
                        "fields": [_field_summary(f) for f in sol.fields]}
-        else:
-            raise WrongFamily(
-                "solve handles constant-coefficient and closed diagonal "
-                f"metrics; got {type(spec).__name__}")
         return "json", payload
     dispatch(ctx, worker)
 
@@ -544,22 +540,6 @@ def classify_cmd(ctx, metric, structure, quantity, grid_n,
     dispatch(ctx, worker)
 
 
-def _spectral_count(spec, structure: SpinStructure, quantity: str, tol
-                    ) -> Optional[str]:
-    family, chirality = classify.QUANTITIES[quantity]
-    if family != "X":
-        return None
-    if isinstance(spec, geometry.LeftInvariant):
-        return spinorfield.solve_left_invariant(
-            spec, structure, chirality=chirality, n_fields=0, tol=tol
-        ).count_class
-    if geometry.is_closed_diagonal(spec, tol):
-        return spinorfield.solve_closed_diagonal(
-            spec, structure, chirality=chirality, n_fields=0, tol=tol
-        ).count_class
-    return None
-
-
 @main.command()
 @click.option("--metric", default=None)
 @click.option("--quantity", "quantities", default=None,
@@ -581,17 +561,24 @@ def table(ctx, metric, quantities, grid_n,
                 raise ConfigError(f"unknown quantity {q!r}; choose from "
                                   + ", ".join(sorted(classify.QUANTITIES)))
         reports = classify.classify_table(spec, qs, tol=s.tol)
+        solver = None   # the exact solvers count X-parallel spinors only
+        if any(classify.QUANTITIES[q][0] == "X" for q in qs):
+            solver = spinorfield.exact_solver(spec, s.tol)
         rows = []
-        for ab in STRUCTURE_ORDER:
+        for ab in STRUCTURES:
             for q in qs:
                 rep = reports[ab][q]
+                family, chirality = classify.QUANTITIES[q]
+                spectral = None
+                if solver is not None and family == "X":
+                    spectral = solver(spec, SpinStructure(*ab),
+                                      chirality=chirality, n_fields=0,
+                                      tol=s.tol).count_class
                 rows.append({"a1": ab[0], "a2": ab[1], "quantity": q,
                              "value": rep.value,
                              "certificate": rep.certificate,
                              "family": rep.family,
-                             "spectral_count":
-                             _spectral_count(spec, SpinStructure(*ab), q,
-                                             s.tol)})
+                             "spectral_count": spectral})
         return "csv", (["a1", "a2", "quantity", "value", "certificate",
                         "family", "spectral_count"], rows)
     dispatch(ctx, worker)

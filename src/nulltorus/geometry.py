@@ -33,10 +33,9 @@ must be 1-periodic in each variable and numpy-vectorized.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -104,10 +103,39 @@ class VectorField:
 
 # ---------------------------------------------------------------------------
 # families
+#
+# Each family class owns its coefficients (A, B, C), their partials
+# (A1, A2, B1, B2, C1, C2) and its canonical frame (a1, a2, b1, b2); the
+# methods take float arrays, and the module functions of the same names
+# convert the inputs and dispatch to them.
+
+
+class _DiagonalMetric:
+    """Formulas shared by the families g = -lam1^2 dx1^2 + lam2^2 dx2^2."""
+
+    def coefficients(self, x1, x2):
+        l1, l2 = self.lambdas(x1, x2)
+        return -l1 * l1, np.zeros_like(l1), l2 * l2
+
+    def coefficient_partials(self, x1, x2, h: float):
+        l1, l2 = self.lambdas(x1, x2)
+        d11, d21, d12, d22 = self.lambda_partials(x1, x2, h)
+        z = np.zeros(np.broadcast_shapes(x1.shape, x2.shape))
+        return (-2 * l1 * d11, -2 * l1 * d21, z, z, 2 * l2 * d12, 2 * l2 * d22)
+
+    def frame(self, x1, x2):
+        l1, l2 = self.lambdas(x1, x2)
+        if np.any(l1 == 0) or np.any(l2 == 0):
+            raise DegenerateMetric("diagonal coefficient vanishes")
+        a1 = 1.0 / np.abs(l1)
+        a2 = np.zeros_like(a1)
+        b1 = np.zeros_like(a1)
+        b2 = np.sign(l1) / l2
+        return a1, a2, b1, b2
 
 
 @dataclass(frozen=True)
-class LeftInvariant:
+class LeftInvariant(_DiagonalMetric):
     """Flat metric -lam1^2 dx1^2 + lam2^2 dx2^2 with constant lam's.
 
     lam values may be given as int/Fraction to enable exact rational-ratio
@@ -125,7 +153,8 @@ class LeftInvariant:
         return (np.full(shape, float(self.lam1)),
                 np.full(shape, float(self.lam2)))
 
-    def lambda_partials(self, x1, x2):
+    def lambda_partials(self, x1, x2, h: float = DEFAULT.fd_step):
+        """All four partials vanish; ``h`` matches ``Diagonal.lambda_partials``."""
         shape = np.broadcast_shapes(np.shape(x1), np.shape(x2))
         z = np.zeros(shape)
         return (z, z, z, z)
@@ -137,7 +166,7 @@ class LeftInvariant:
 
 
 @dataclass(frozen=True)
-class Diagonal:
+class Diagonal(_DiagonalMetric):
     """g = -lam1(x)^2 dx1^2 + lam2(x)^2 dx2^2, lam_i nonvanishing.
 
     ``dlam``, if given, holds the four analytic partials
@@ -169,9 +198,12 @@ class Diagonal:
                     np.asarray(d21(x1, x2), dtype=float),
                     np.asarray(d12(x1, x2), dtype=float),
                     np.asarray(d22(x1, x2), dtype=float))
-        f1, f2 = self.lam1, self.lam2
-        return (_central(f1, x1, x2, 0, h), _central(f1, x1, x2, 1, h),
-                _central(f2, x1, x2, 0, h), _central(f2, x1, x2, 1, h))
+
+        def lams(a, b):
+            return self.lam1(a, b), self.lam2(a, b)
+        (d11, d12), (d21, d22) = (_central(lams, x1, x2, 0, h),
+                                  _central(lams, x1, x2, 1, h))
+        return d11, d21, d12, d22
 
     def exact_ratio(self) -> Optional[Fraction]:
         return None
@@ -218,18 +250,56 @@ class Sanchez:
                                    f"min value {float(np.min(R2)):.3e}")
         return E, F, G, np.sqrt(R2)
 
-    @property
+    @cached_property
     def eta0(self) -> int:
         f0 = float(np.asarray(self.F(np.asarray(0.0))))
         if f0 == 0.0:
             raise DegenerateMetric("sign(F(0)) undefined: F(0) = 0")
         return 1 if f0 > 0 else -1
 
+    @cached_property
+    def frame_signs(self) -> tuple[int, int]:
+        """Signs (of s1, of s2) against (X1 - X2, X1 + X2), fixed at x1 = 0."""
+        (X1c, X2c), (Y1c, Y2c) = self.null_fields(np.asarray(0.0))
+        T = (float(X1c - Y1c), float(X2c - Y2c))
+        s1sig = 1 if (T[0] > 0 or (T[0] == 0 and T[1] > 0)) else -1
+        U = (float(X1c + Y1c), float(X2c + Y2c))
+        det = T[0] * U[1] - T[1] * U[0]
+        s2sig = s1sig if det > 0 else -s1sig
+        return s1sig, s2sig
+
     def null_fields(self, x1):
         """Coordinate components of (X1, X2) at x1 (vectorized)."""
         E, F, G, R = self.efgr(x1)
         w = F + self.eta0 * R
         return (G, w), (np.ones_like(G), -E / w)
+
+    def coefficients(self, x1, x2):
+        E, F, G, _ = self.efgr(x1)
+        shape = np.broadcast_shapes(x1.shape, x2.shape)
+        return (np.broadcast_to(E, shape).copy(),
+                np.broadcast_to(F, shape).copy(),
+                np.broadcast_to(-G, shape).copy())
+
+    def coefficient_partials(self, x1, x2, h: float):
+        z = np.zeros(np.broadcast_shapes(x1.shape, x2.shape))
+        dA1, dB1, dC1 = _central(self.coefficients, x1, x2, 0, h)
+        return (dA1, z, dB1, z, dC1, z)
+
+    def frame(self, x1, x2):
+        (X1c, X2c), (Y1c, Y2c) = self.null_fields(x1)
+        # T = X1 - X2 is globally timelike (g(T,T) = -4R^2); U = X1 + X2 is
+        # spacelike.  Signs are frozen once at the base point.
+        _, _, _, R = self.efgr(x1)
+        T1, T2 = X1c - Y1c, X2c - Y2c
+        U1, U2 = X1c + Y1c, X2c + Y2c
+        s1sig, s2sig = self.frame_signs
+        shape = np.broadcast_shapes(x1.shape, x2.shape)
+        a1 = np.broadcast_to(s1sig * T1 / (2 * R), shape).copy()
+        a2 = np.broadcast_to(s1sig * T2 / (2 * R), shape).copy()
+        b1 = np.broadcast_to(s2sig * U1 / (2 * R), shape).copy()
+        b2 = np.broadcast_to(s2sig * U2 / (2 * R), shape).copy()
+        return a1, a2, b1, b2
 
 
 @dataclass(frozen=True)
@@ -257,6 +327,31 @@ class RosaTau:
             return np.asarray(self.dtau(x1), dtype=float)
         return (self.tau_at(x1 + h) - self.tau_at(x1 - h)) / (2 * h)
 
+    def coefficients(self, x1, x2):
+        t = self.tau_at(x1)
+        shape = np.broadcast_shapes(x1.shape, x2.shape)
+        return (np.zeros(shape),
+                np.ones(shape),
+                np.broadcast_to(-t, shape).copy())
+
+    def coefficient_partials(self, x1, x2, h: float):
+        z = np.zeros(np.broadcast_shapes(x1.shape, x2.shape))
+        dC1 = np.broadcast_to(-self.dtau_at(x1, h), z.shape).copy()
+        return (z, z, z, z, dC1, z)
+
+    def frame(self, x1, x2):
+        t = self.tau_at(x1)
+        if np.any(2.0 + t <= 0):
+            raise FrameUndefined("canonical RosaTau frame needs tau > -2 "
+                                 f"(min 2+tau = {float(np.min(2 + t)):.3e})")
+        den = np.sqrt(2.0 + t)
+        shape = np.broadcast_shapes(x1.shape, x2.shape)
+        a1 = np.broadcast_to(1.0 / den, shape).copy()
+        a2 = -a1
+        b1 = np.broadcast_to(-(1.0 + t) / den, shape).copy()
+        b2 = np.broadcast_to(-1.0 / den, shape).copy()
+        return a1, a2, b1, b2
+
 
 @dataclass(frozen=True)
 class ConformalRescale:
@@ -282,15 +377,36 @@ class ConformalRescale:
                                    f"min value {float(np.min(lam)):.3e}")
         return lam
 
+    def coefficients(self, x1, x2):
+        A, B, C = coefficients(self.inner, x1, x2)
+        lam = self.factor_at(x1, x2)
+        return lam * A, lam * B, lam * C
+
+    def coefficient_partials(self, x1, x2, h: float):
+        A, B, C = coefficients(self.inner, x1, x2)
+        dA1, dA2, dB1, dB2, dC1, dC2 = coefficient_partials(self.inner, x1, x2, h)
+        lam = self.factor_at(x1, x2)
+
+        def factor(a, b):
+            return (self.factor(a, b),)
+        (dl1,), (dl2,) = (_central(factor, x1, x2, 0, h),
+                          _central(factor, x1, x2, 1, h))
+        return (lam * dA1 + dl1 * A, lam * dA2 + dl2 * A,
+                lam * dB1 + dl1 * B, lam * dB2 + dl2 * B,
+                lam * dC1 + dl1 * C, lam * dC2 + dl2 * C)
+
+    def frame(self, x1, x2):
+        a1, a2, b1, b2 = frame_component_arrays(self.inner, x1, x2)
+        root = np.sqrt(self.factor_at(x1, x2))
+        return a1 / root, a2 / root, b1 / root, b2 / root
+
 
 MetricSpec = (LeftInvariant | Diagonal | ClosedDiagonal | Sanchez | RosaTau
               | ConformalRescale)
 
-_DIAGONAL_FAMILIES = (LeftInvariant, Diagonal)
-
 
 def is_diagonal(spec) -> bool:
-    return isinstance(spec, _DIAGONAL_FAMILIES)
+    return isinstance(spec, _DiagonalMetric)
 
 
 def base_spec(spec) -> "MetricSpec":
@@ -300,14 +416,25 @@ def base_spec(spec) -> "MetricSpec":
     return spec
 
 
+def _family(spec) -> "MetricSpec":
+    if not isinstance(spec, MetricSpec):
+        raise WrongFamily(f"unknown metric family: {type(spec).__name__}")
+    return spec
+
+
 def _central(f, x1, x2, axis: int, h: float):
+    """Central differences along ``axis`` of every component of f(x1, x2).
+
+    ``f`` returns a tuple of arrays and is evaluated once on each side.
+    """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     if axis == 0:
-        return (np.asarray(f(x1 + h, x2), dtype=float)
-                - np.asarray(f(x1 - h, x2), dtype=float)) / (2 * h)
-    return (np.asarray(f(x1, x2 + h), dtype=float)
-            - np.asarray(f(x1, x2 - h), dtype=float)) / (2 * h)
+        plus, minus = f(x1 + h, x2), f(x1 - h, x2)
+    else:
+        plus, minus = f(x1, x2 + h), f(x1, x2 - h)
+    return tuple((np.asarray(p, dtype=float) - np.asarray(m, dtype=float))
+                 / (2 * h) for p, m in zip(plus, minus))
 
 
 # ---------------------------------------------------------------------------
@@ -316,62 +443,14 @@ def _central(f, x1, x2, axis: int, h: float):
 
 def coefficients(spec, x1, x2):
     """(A, B, C) arrays at broadcast points."""
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    if is_diagonal(spec):
-        l1, l2 = spec.lambdas(x1, x2)
-        return -l1 * l1, np.zeros_like(l1), l2 * l2
-    if isinstance(spec, Sanchez):
-        E, F, G, _ = spec.efgr(x1)
-        shape = np.broadcast_shapes(x1.shape, x2.shape)
-        return (np.broadcast_to(E, shape).copy(),
-                np.broadcast_to(F, shape).copy(),
-                np.broadcast_to(-G, shape).copy())
-    if isinstance(spec, RosaTau):
-        t = spec.tau_at(x1)
-        shape = np.broadcast_shapes(x1.shape, x2.shape)
-        return (np.zeros(shape),
-                np.ones(shape),
-                np.broadcast_to(-t, shape).copy())
-    if isinstance(spec, ConformalRescale):
-        A, B, C = coefficients(spec.inner, x1, x2)
-        lam = spec.factor_at(x1, x2)
-        return lam * A, lam * B, lam * C
-    raise WrongFamily(f"unknown metric family: {type(spec).__name__}")
+    return _family(spec).coefficients(np.asarray(x1, dtype=float),
+                                      np.asarray(x2, dtype=float))
 
 
 def coefficient_partials(spec, x1, x2, h: float = DEFAULT.fd_step):
     """Partials (A1, A2, B1, B2, C1, C2) where suffix i means d/dx_i."""
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    if is_diagonal(spec):
-        l1, l2 = spec.lambdas(x1, x2)
-        d11, d21, d12, d22 = spec.lambda_partials(x1, x2) \
-            if isinstance(spec, LeftInvariant) else spec.lambda_partials(x1, x2, h)
-        z = np.zeros(np.broadcast_shapes(x1.shape, x2.shape))
-        return (-2 * l1 * d11, -2 * l1 * d21, z, z, 2 * l2 * d12, 2 * l2 * d22)
-    if isinstance(spec, RosaTau):
-        z = np.zeros(np.broadcast_shapes(x1.shape, x2.shape))
-        dC1 = np.broadcast_to(-spec.dtau_at(x1, h), z.shape).copy()
-        return (z, z, z, z, dC1, z)
-    if isinstance(spec, Sanchez):
-        def fA(a, b): return coefficients(spec, a, b)[0]
-        def fB(a, b): return coefficients(spec, a, b)[1]
-        def fC(a, b): return coefficients(spec, a, b)[2]
-        z = np.zeros(np.broadcast_shapes(x1.shape, x2.shape))
-        return (_central(fA, x1, x2, 0, h), z,
-                _central(fB, x1, x2, 0, h), z,
-                _central(fC, x1, x2, 0, h), z)
-    if isinstance(spec, ConformalRescale):
-        A, B, C = coefficients(spec.inner, x1, x2)
-        dA1, dA2, dB1, dB2, dC1, dC2 = coefficient_partials(spec.inner, x1, x2, h)
-        lam = spec.factor_at(x1, x2)
-        dl1 = _central(spec.factor, x1, x2, 0, h)
-        dl2 = _central(spec.factor, x1, x2, 1, h)
-        return (lam * dA1 + dl1 * A, lam * dA2 + dl2 * A,
-                lam * dB1 + dl1 * B, lam * dB2 + dl2 * B,
-                lam * dC1 + dl1 * C, lam * dC2 + dl2 * C)
-    raise WrongFamily(f"unknown metric family: {type(spec).__name__}")
+    return _family(spec).coefficient_partials(np.asarray(x1, dtype=float),
+                                              np.asarray(x2, dtype=float), h)
 
 
 def eval_metric(spec, p: Point) -> MetricEval:
@@ -394,59 +473,8 @@ def frame_component_arrays(spec, x1, x2):
     Smooth, periodic, vectorized; the per-family conventions are in the
     module docstring.
     """
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    if is_diagonal(spec):
-        l1, l2 = spec.lambdas(x1, x2)
-        if np.any(l1 == 0) or np.any(l2 == 0):
-            raise DegenerateMetric("diagonal coefficient vanishes")
-        a1 = 1.0 / np.abs(l1)
-        a2 = np.zeros_like(a1)
-        b1 = np.zeros_like(a1)
-        b2 = np.sign(l1) / l2
-        return a1, a2, b1, b2
-    if isinstance(spec, RosaTau):
-        t = spec.tau_at(x1)
-        if np.any(2.0 + t <= 0):
-            raise FrameUndefined("canonical RosaTau frame needs tau > -2 "
-                                 f"(min 2+tau = {float(np.min(2 + t)):.3e})")
-        den = np.sqrt(2.0 + t)
-        shape = np.broadcast_shapes(x1.shape, x2.shape)
-        a1 = np.broadcast_to(1.0 / den, shape).copy()
-        a2 = -a1
-        b1 = np.broadcast_to(-(1.0 + t) / den, shape).copy()
-        b2 = np.broadcast_to(-1.0 / den, shape).copy()
-        return a1, a2, b1, b2
-    if isinstance(spec, Sanchez):
-        (X1c, X2c), (Y1c, Y2c) = spec.null_fields(x1)
-        # T = X1 - X2 is globally timelike (g(T,T) = -4R^2); U = X1 + X2 is
-        # spacelike.  Signs are frozen once at the base point.
-        _, _, _, R = spec.efgr(x1)
-        T1, T2 = X1c - Y1c, X2c - Y2c
-        U1, U2 = X1c + Y1c, X2c + Y2c
-        s1sig, s2sig = _sanchez_signs(spec)
-        shape = np.broadcast_shapes(x1.shape, x2.shape)
-        a1 = np.broadcast_to(s1sig * T1 / (2 * R), shape).copy()
-        a2 = np.broadcast_to(s1sig * T2 / (2 * R), shape).copy()
-        b1 = np.broadcast_to(s2sig * U1 / (2 * R), shape).copy()
-        b2 = np.broadcast_to(s2sig * U2 / (2 * R), shape).copy()
-        return a1, a2, b1, b2
-    if isinstance(spec, ConformalRescale):
-        a1, a2, b1, b2 = frame_component_arrays(spec.inner, x1, x2)
-        root = np.sqrt(spec.factor_at(x1, x2))
-        return a1 / root, a2 / root, b1 / root, b2 / root
-    raise WrongFamily(f"unknown metric family: {type(spec).__name__}")
-
-
-@lru_cache(maxsize=None)
-def _sanchez_signs(spec: Sanchez) -> tuple[int, int]:
-    (X1c, X2c), (Y1c, Y2c) = spec.null_fields(np.asarray(0.0))
-    T = (float(X1c - Y1c), float(X2c - Y2c))
-    s1sig = 1 if (T[0] > 0 or (T[0] == 0 and T[1] > 0)) else -1
-    U = (float(X1c + Y1c), float(X2c + Y2c))
-    det = T[0] * U[1] - T[1] * U[0]
-    s2sig = s1sig if det > 0 else -s1sig
-    return s1sig, s2sig
+    return _family(spec).frame(np.asarray(x1, dtype=float),
+                               np.asarray(x2, dtype=float))
 
 
 def orthonormal_frame(spec, p: Point) -> Frame:
@@ -475,28 +503,26 @@ def null_direction_arrays(spec, x1, x2, family: str):
     raise ValueError(f"family must be 'X' or 'Y', got {family!r}")
 
 
-def frame_components_of(spec, p: Point, v) -> tuple[float, float]:
-    """Express a coordinate vector v at p as alpha*s1 + beta*s2."""
-    fr = orthonormal_frame(spec, p)
-    m = np.array([[fr.s1[0], fr.s2[0]], [fr.s1[1], fr.s2[1]]])
-    alpha, beta = np.linalg.solve(m, np.asarray(v, dtype=float))
-    return float(alpha), float(beta)
-
-
 # ---------------------------------------------------------------------------
-# grids (cached per spec)
+# grids (cached per spec and shared between callers, hence read-only)
+
+
+def _read_only(arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 @lru_cache(maxsize=64)
 def coefficient_grids(spec, n: int):
     X1, X2 = grid_points(n)
-    return coefficients(spec, X1, X2)
+    return _read_only(coefficients(spec, X1, X2))
 
 
 @lru_cache(maxsize=64)
 def frame_grids(spec, n: int):
     X1, X2 = grid_points(n)
-    return frame_component_arrays(spec, X1, X2)
+    return _read_only(frame_component_arrays(spec, X1, X2))
 
 
 @lru_cache(maxsize=64)
@@ -506,7 +532,9 @@ def christoffel_grids(spec, n: int):
     dA1, dA2 = spectral_derivatives(A)
     dB1, dB2 = spectral_derivatives(B)
     dC1, dC2 = spectral_derivatives(C)
-    return _christoffels(A, B, C, dA1, dA2, dB1, dB2, dC1, dC2)
+    gamma = _christoffels(A, B, C, dA1, dA2, dB1, dB2, dC1, dC2)
+    _read_only(gamma.values())
+    return gamma
 
 
 def _christoffels(A, B, C, dA1, dA2, dB1, dB2, dC1, dC2):
@@ -539,61 +567,21 @@ def christoffels_at(spec, x1, x2, h: float = DEFAULT.fd_step):
 # connection scalar and divergence
 
 
-def _frame_partials(spec, x1, x2, h: float):
-    """Central-difference partials of the four frame component functions."""
-    def comp(idx):
-        def f(a, b):
-            return frame_component_arrays(spec, a, b)[idx]
-        return f
-    out = []
-    for idx in range(4):
-        f = comp(idx)
-        out.append((_central(f, x1, x2, 0, h), _central(f, x1, x2, 1, h)))
-    return out  # [(da1_1, da1_2), (da2_1, da2_2), (db1_*, ...), (db2_*, ...)]
+def _connection_form(s1, ds1, s2, g, gam):
+    """[Gamma_1, Gamma_2] with Gamma_i = g(d_i s1 + Gamma^k_ij s1^j, s2).
 
-
-def connection_coeff(spec, V, p: Point, frame_field=None,
-                     h: float = DEFAULT.fd_step) -> float:
-    """Gamma(V) = g(nabla_V s1, s2) at p.
-
-    Only the value of V at p matters (the derivative falls on the frame).
-    ``V`` may be a VectorField, a callable pair, or a coordinate 2-vector.
-    ``frame_field`` defaults to the canonical frame; a custom field must be a
-    callable (x1, x2) -> (a1, a2, b1, b2) matching the canonical conventions.
+    ``ds1[i][k]`` is d_i of the k-th component of s1, ``g`` is (A, B, C)
+    and ``gam`` the Christoffel symbols; pointwise and grid routes share it.
     """
-    x1 = np.asarray(p[0], dtype=float)
-    x2 = np.asarray(p[1], dtype=float)
-    if isinstance(V, VectorField):
-        v1, v2 = V.at(x1, x2)
-    elif callable(V):
-        v1, v2 = V(x1, x2)
-    else:
-        v1, v2 = float(V[0]), float(V[1])
-
-    if frame_field is None:
-        frame_at = lambda a, b: frame_component_arrays(spec, a, b)
-    else:
-        frame_at = frame_field
-    a1, a2, b1, b2 = frame_at(x1, x2)
-    gam = christoffels_at(spec, x1, x2, h)
-
-    def d(fidx, axis):
-        def f(xa, xb):
-            return frame_at(xa, xb)[fidx]
-        return _central(f, x1, x2, axis, h)
-
-    # (nabla_{d_i} s1)^k = d_i a^k + Gamma^k_{ij} a^j
-    s1 = (a1, a2)
-    cov = {}
-    for i in (0, 1):
-        for k in (0, 1):
-            cov[(i, k)] = d(k, i) + sum(gam[(k, i, j)] * s1[j] for j in (0, 1))
-    A, B, C = coefficients(spec, x1, x2)
+    A, B, C = g
     g = {(0, 0): A, (0, 1): B, (1, 0): B, (1, 1): C}
-    s2 = (b1, b2)
-    gamma_i = [sum(g[(k, l)] * cov[(i, k)] * s2[l] for k in (0, 1) for l in (0, 1))
-               for i in (0, 1)]
-    return float(v1 * gamma_i[0] + v2 * gamma_i[1])
+    out = []
+    for i in (0, 1):
+        cov = [ds1[i][k] + sum(gam[(k, i, j)] * s1[j] for j in (0, 1))
+               for k in (0, 1)]
+        out.append(sum(g[(k, l)] * cov[k] * s2[l]
+                       for k in (0, 1) for l in (0, 1)))
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -604,40 +592,29 @@ def connection_one_form_grids(spec, n: int):
     spectral.  This is what the grid spinor operators consume.
     """
     a1, a2, b1, b2 = frame_grids(spec, n)
-    da1 = spectral_derivatives(a1)
-    da2 = spectral_derivatives(a2)
+    ds1 = tuple(zip(spectral_derivatives(a1), spectral_derivatives(a2)))
     gam = christoffel_grids(spec, n)
-    A, B, C = coefficient_grids(spec, n)
-    g = {(0, 0): A, (0, 1): B, (1, 0): B, (1, 1): C}
-    s1 = (a1, a2)
-    ds1 = (da1, da2)
-    s2 = (b1, b2)
-    out = []
-    for i in (0, 1):
-        cov = [ds1[k][i] + sum(gam[(k, i, j)] * s1[j] for j in (0, 1))
-               for k in (0, 1)]
-        out.append(sum(g[(k, l)] * cov[k] * s2[l]
-                       for k in (0, 1) for l in (0, 1)))
-    return out[0], out[1]
+    out = _connection_form((a1, a2), ds1, (b1, b2),
+                           coefficient_grids(spec, n), gam)
+    return _read_only(tuple(out))
 
 
 def connection_along(spec, x1, x2, v1, v2, h: float = DEFAULT.fd_step):
-    """Vectorized Gamma(V) at sample points (batched pointwise route)."""
+    """Vectorized Gamma(V) at sample points (batched pointwise route).
+
+    The frame partials are central differences: one frame evaluation at
+    each of the four shifted points.
+    """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     gam = christoffels_at(spec, x1, x2, h)
-    fp = _frame_partials(spec, x1, x2, h)
+
+    def frame(a, b):
+        return frame_component_arrays(spec, a, b)
+    ds1 = (_central(frame, x1, x2, 0, h), _central(frame, x1, x2, 1, h))
     a1, a2, b1, b2 = frame_component_arrays(spec, x1, x2)
-    A, B, C = coefficients(spec, x1, x2)
-    g = {(0, 0): A, (0, 1): B, (1, 0): B, (1, 1): C}
-    s1 = (a1, a2)
-    s2 = (b1, b2)
-    gamma_i = []
-    for i in (0, 1):
-        cov = [fp[k][i] + sum(gam[(k, i, j)] * s1[j] for j in (0, 1))
-               for k in (0, 1)]
-        gamma_i.append(sum(g[(k, l)] * cov[k] * s2[l]
-                           for k in (0, 1) for l in (0, 1)))
+    gamma_i = _connection_form((a1, a2), ds1, (b1, b2),
+                               coefficients(spec, x1, x2), gam)
     return v1 * gamma_i[0] + v2 * gamma_i[1]
 
 
@@ -646,8 +623,8 @@ def divergence(spec, V: VectorField, p: Point, h: float = DEFAULT.fd_step) -> fl
     x1 = np.asarray(p[0], dtype=float)
     x2 = np.asarray(p[1], dtype=float)
     v1, v2 = V.at(x1, x2)
-    dk1 = _central(V.k, x1, x2, 0, h)
-    dl2 = _central(V.l, x1, x2, 1, h)
+    (dk1,) = _central(lambda a, b: (V.k(a, b),), x1, x2, 0, h)
+    (dl2,) = _central(lambda a, b: (V.l(a, b),), x1, x2, 1, h)
     A, B, C = coefficients(spec, x1, x2)
     dA1, dA2, dB1, dB2, dC1, dC2 = coefficient_partials(spec, x1, x2, h)
     det = A * C - B * B

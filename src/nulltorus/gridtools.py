@@ -146,23 +146,3 @@ def wrap_unit(x) -> np.ndarray:
 def torus_delta(x, center) -> np.ndarray:
     """Signed distance x - center wrapped to [-1/2, 1/2)."""
     return (np.asarray(x, dtype=float) - center + 0.5) % 1.0 - 0.5
-
-
-def rk4_fixed(f, y0: np.ndarray, t0: float, n_steps: int, h: float,
-              callback=None) -> np.ndarray:
-    """Classical RK4 with a fixed step; y may be any ndarray (batched).
-
-    ``callback(i, t, y)`` — optional per-step hook (used to record samples).
-    """
-    y = np.array(y0, dtype=float, copy=True)
-    t = t0
-    for i in range(n_steps):
-        k1 = f(t, y)
-        k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = f(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = t0 + (i + 1) * h
-        if callback is not None:
-            callback(i, t, y)
-    return y

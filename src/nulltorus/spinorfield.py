@@ -498,6 +498,20 @@ def solve_closed_diagonal(spec, structure: SpinStructure, chirality: int = 1,
                                   False, t, alphas, "Infinite", tuple(fields))
 
 
+def exact_solver(spec, tol: Tolerances = DEFAULT) -> Optional[Callable]:
+    """The exact kernel solver for ``spec``, or None if it has none.
+
+    ``solve_left_invariant`` for constant coefficients and
+    ``solve_closed_diagonal`` for closed diagonal ones; both accept
+    ``(spec, structure, chirality=, n_fields=, tol=)``.
+    """
+    if isinstance(spec, geometry.LeftInvariant):
+        return solve_left_invariant
+    if geometry.is_closed_diagonal(spec, tol):
+        return solve_closed_diagonal
+    return None
+
+
 # ---------------------------------------------------------------------------
 # conformal rescaling of kernel fields
 

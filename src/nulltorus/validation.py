@@ -21,10 +21,8 @@ import numpy as np
 from . import catalog, classify, geometry, nullflow, spin, spinorfield
 from .errors import Inconclusive
 from .gridtools import grid_points, spectral_derivatives
-from .spin import SpinStructure, all_structures
+from .spin import STRUCTURES, SpinStructure, all_structures
 from .tolerances import DEFAULT, Tolerances
-
-STRUCTURE_ORDER = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
 @dataclass(frozen=True)
@@ -45,10 +43,6 @@ class CriterionResult:
         return {"index": self.index, "name": self.name, "passed": self.passed,
                 "seconds": self.seconds, "measured": self.measured,
                 "detail": self.detail}
-
-
-def _structures() -> tuple[SpinStructure, ...]:
-    return tuple(SpinStructure(a, b) for a, b in STRUCTURE_ORDER)
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +72,7 @@ def criterion_constant_table(step: Optional[float], grid_n: Optional[int],
     t0 = time.perf_counter()
     verdicts = tuple(
         spinorfield.solve_left_invariant(spec, s, grid_n=n, tol=tol).count_class
-        for s in _structures())
+        for s in all_structures())
     elapsed = time.perf_counter() - t0
     table_ok = verdicts == ("One", "Zero", "Zero", "Zero")
 
@@ -89,7 +83,7 @@ def criterion_constant_table(step: Optional[float], grid_n: Optional[int],
     for ratio in ratios:
         rspec = catalog.left_invariant(ratio, 1)
         row = []
-        for s in _structures():
+        for s in all_structures():
             sol = spinorfield.solve_left_invariant(rspec, s, grid_n=n, tol=tol)
             brute = _brute_mode_count(rspec, s, box=8, grid_n=64)
             row.append(brute)
@@ -172,14 +166,14 @@ def criterion_flat_holonomy(step, grid_n, tol) -> tuple[bool, dict, str]:
     rec = nullflow.closed_line_through(spec, "X", 0.25, est.rational, tol=tol)
     table = spin.holonomy_table(spec, rec, tol=tol)
     expected = {(1, 1): True, (1, -1): False, (-1, 1): False, (-1, -1): True}
-    got = {ab: table[ab].x_trivial for ab in STRUCTURE_ORDER}
+    got = {ab: table[ab].x_trivial for ab in STRUCTURES}
     winding_ok = rec.winding == (1, 1)
     boosts = {table[ab].structure.label: table[ab].boost
-              for ab in STRUCTURE_ORDER}
+              for ab in STRUCTURES}
     passed = winding_ok and got == expected
     detail = (f"winding {rec.winding}; transport-trivial: "
               + ", ".join(f"{SpinStructure(*ab).label}={got[ab]}"
-                          for ab in STRUCTURE_ORDER))
+                          for ab in STRUCTURES))
     return passed, {"winding": list(rec.winding or ()),
                     "x_trivial": {str(k): v for k, v in got.items()},
                     "boosts": boosts}, detail
@@ -205,7 +199,7 @@ def criterion_conformal_invariance(step, grid_n, tol) -> tuple[bool, dict, str]:
             phase=float(2 * np.pi * rng.random()))
         rescaled = catalog.conformal(base, factor)
         table = classify.classify_table(rescaled, ("delta_plus",), tol=tol)
-        for ab in STRUCTURE_ORDER:
+        for ab in STRUCTURES:
             before = base_table[ab]["delta_plus"].value
             after = table[ab]["delta_plus"].value
             if before != after:
@@ -323,7 +317,7 @@ def criterion_cross_validation(step, grid_n, tol) -> tuple[bool, dict, str]:
     agreements = 0
     for i, (b1, b2) in enumerate(pairs):
         spec = catalog.closed_diagonal_wave(b1, b2, amp=0.05)
-        structure = _structures()[i % 4]
+        structure = all_structures()[i % 4]
         report = classify.cross_validate(spec, structure, tol=tol)
         agreements += int(report.agree)
         rows.append({"l1": b1, "l2": b2, "structure": structure.label,
@@ -361,7 +355,7 @@ def _ppwave_expectation(spec, tol: Tolerances
     band = nullflow.closed_line_through(spec, "X", PPWAVE_BAND_LINE,
                                        rotation, tol=tol)
     characters, expected = {}, {}
-    for ab in STRUCTURE_ORDER:
+    for ab in STRUCTURES:
         hol = spin.holonomy_closed_line(spec, band, SpinStructure(*ab),
                                         tol=tol)
         characters[ab] = hol.character
@@ -375,8 +369,8 @@ def criterion_ppwave(step, grid_n, tol) -> tuple[bool, dict, str]:
     probe = nullflow.probe_completeness(spec, (0.3, 0.0), "X", affine=True,
                                         t_max=20.0, step=5e-3, tol=tol)
     table = classify.classify_table(spec, ("delta_plus",), tol=tol)
-    values = {ab: table[ab]["delta_plus"].value for ab in STRUCTURE_ORDER}
-    certs = {ab: table[ab]["delta_plus"].certificate for ab in STRUCTURE_ORDER}
+    values = {ab: table[ab]["delta_plus"].value for ab in STRUCTURES}
+    certs = {ab: table[ab]["delta_plus"].certificate for ab in STRUCTURES}
     cylinder_found = any(c == "XTrivialResonant" for c in certs.values())
     winding, characters, expected = _ppwave_expectation(spec, tol)
     as_expected = values == expected
@@ -396,7 +390,7 @@ def criterion_ppwave(step, grid_n, tol) -> tuple[bool, dict, str]:
 
     def per_structure(cells: dict) -> str:
         return ", ".join(f"{SpinStructure(*ab).label}={cells[ab]}"
-                         for ab in STRUCTURE_ORDER)
+                         for ab in STRUCTURES)
 
     detail = (f"blowup={probe.blowup_detected} (speed {probe.max_speed:.1e}); "
               f"transport-trivial resonant cylinder={cylinder_found}; "
@@ -459,7 +453,7 @@ def criterion_isomorphism(step, grid_n, tol) -> tuple[bool, dict, str]:
         certified.append(name)
         table = classify.classify_table(spec, ("delta_plus", "tau_minus"),
                                         tol=tol)
-        for ab in STRUCTURE_ORDER:
+        for ab in STRUCTURES:
             dp = table[ab]["delta_plus"].value
             tm = table[ab]["tau_minus"].value
             if dp != tm:

@@ -168,3 +168,27 @@ def test_orientation_signs(flat_spec, rosatau_spec, analex_spec):
     # as does the quasi-vertical convention of the pp-wave family
     assert geometry.orientation(analex_spec) == -1
     assert geometry.orientation(rosatau_spec) == -1
+
+
+@pytest.mark.parametrize("name", ZOO)
+def test_connection_grid_matches_pointwise(name, request):
+    """The spectral route to (Gamma_1, Gamma_2) against connection_along."""
+    spec = request.getfixturevalue(name)
+    n = 128
+    G1, G2 = geometry.connection_one_form_grids(spec, n)
+    # measured max error 5.8e-3 on rosatau, whose tau window is steep for a
+    # 128 grid (2.9e-4 at 256); at most 3.3e-9 on the other specs
+    tol = 1e-2 if name == "rosatau_spec" else 1e-8
+    for i, j in ((0, 0), (17, 3), (64, 100), (5, 90), (100, 37)):
+        x1, x2 = np.asarray(i / n), np.asarray(j / n)
+        assert G1[i, j] == pytest.approx(
+            float(geometry.connection_along(spec, x1, x2, 1.0, 0.0)), abs=tol)
+        assert G2[i, j] == pytest.approx(
+            float(geometry.connection_along(spec, x1, x2, 0.0, 1.0)), abs=tol)
+
+
+def test_cached_grids_are_read_only(analex_spec):
+    a1 = geometry.frame_grids(analex_spec, 64)[0]
+    with pytest.raises(ValueError):
+        a1[0, 0] = 2.0
+    assert geometry.frame_grids(analex_spec, 64)[0][0, 0] != 2.0
