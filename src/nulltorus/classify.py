@@ -29,8 +29,8 @@ from scipy.sparse.linalg import LinearOperator, lsqr
 from . import geometry, nullflow, spin, spinorfield
 from .errors import (DenseFlow, Inconclusive, NotHarmonic, NotSCF,
                      NotTransverse, WrongFamily)
-from .gridtools import TrigSeries1, TrigSeries2, grid_points, \
-    spectral_derivatives
+from .gridtools import (TrigSeries1, TrigSeries2, circular_zeros,
+                        grid_points, spectral_derivatives)
 from .spin import GAMMA1, GAMMA2, SpinStructure, all_structures
 from .spinorfield import HalfSpinorField, SpinorField, embed
 from .tolerances import DEFAULT, Tolerances
@@ -116,19 +116,6 @@ def _diagonal_analysis(spec, family: str, n: int, tol: Tolerances
     return _certify(spec, family, k, l, "analytic", n, tol)
 
 
-def _isolated_sign_zeros(xs: np.ndarray, vals: np.ndarray) -> list[float]:
-    """Zeros of a sampled periodic function where the sign strictly flips."""
-    zeros = []
-    n = len(xs)
-    for i in range(n):
-        a, b = vals[i], vals[(i + 1) % n]
-        if a * b < 0:
-            # secant refinement is plenty: callers re-evaluate derivatives
-            t = a / (a - b)
-            zeros.append(float((xs[i] + t / n) % 1.0))
-    return zeros
-
-
 def _rosatau_analysis(spec, family: str, n: int, tol: Tolerances
                       ) -> Optional[SCFCertificate]:
     if family == "Y":
@@ -137,23 +124,20 @@ def _rosatau_analysis(spec, family: str, n: int, tol: Tolerances
         return _certify(spec, family, lambda x1, x2: -1.0,
                         lambda x1, x2: 0.0, "analytic", n, tol)
     m = 8192
-    xs = np.arange(m) / m
-    t = spec.tau_at(xs)
+    t = spec.tau_at(np.arange(m) / m)
     atol = 1e-12 * max(1.0, float(np.max(np.abs(t))))
-    near_zero = np.abs(t) < atol
-    if bool(np.all(near_zero)):
+    runs, zeros = circular_zeros(t, atol, spec.tau_at, tol.bisection)
+    if runs == [(0.0, 1.0)]:
         return _certify(spec, family, lambda x1, x2: 0.0,
                         lambda x1, x2: 1.0, "analytic", n, tol)
-    if not bool(np.any(near_zero)):
-        flips = _isolated_sign_zeros(xs, t)
-        if not flips:
-            return _certify(spec, family, lambda x1, x2: 1.0,
-                            lambda x1, x2: 2.0 / spec.tau_at(x1),
-                            "analytic", n, tol)
+    if not runs and not zeros:
+        return _certify(spec, family, lambda x1, x2: 1.0,
+                        lambda x1, x2: 2.0 / spec.tau_at(x1),
+                        "analytic", n, tol)
     # tau vanishes somewhere: each simple zero x0 carries a closed vertical
     # line whose loop integral of div(X) is tau'(x0)/2
     obstructions = []
-    for z in _isolated_sign_zeros(xs, t):
+    for z in zeros:
         slope = float(spec.dtau_at(np.asarray(z)))
         if abs(slope) / 2 > tol.scf_reject:
             obstructions.append((abs(slope) / 2, z))
@@ -180,10 +164,11 @@ def _sanchez_analysis(spec, family: str, n: int, tol: Tolerances
 
         return _certify(spec, family, k, l, "analytic", n, tol)
     m = 8192
-    xs = np.arange(m) / m
-    E, F, G, R = spec.efgr(xs)
-    w = F + spec.eta0 * R
-    zeros = _isolated_sign_zeros(xs, G)
+    G = spec.efgr(np.arange(m) / m)[2]
+    # zeros of G may sit exactly on samples (analex_sanchez at c = 2 has
+    # them at 0, 1/4, 1/2, 3/4), so level 0: exact zeros count as zeros
+    _, zeros = circular_zeros(G, 0.0, lambda x: spec.G(np.asarray(x)),
+                              tol.bisection)
     near_zero = np.abs(G) < 1e-12 * max(1.0, float(np.max(np.abs(G))))
     if not zeros and not bool(np.any(near_zero)):
         # G nowhere zero: X1/(G R) = (1/R, w/(G R)) closes the divergence
@@ -242,43 +227,28 @@ def _conformal_analysis(spec, family: str, n: int, tol: Tolerances
 
 @lru_cache(maxsize=32)
 def _flow_loop_series(spec, family: str, axis: int, step: float
-                      ) -> tuple[TrigSeries1, TrigSeries1]:
-    """(D1, J1): one-return displacement and Gamma-integral as seed series.
+                      ) -> TrigSeries1:
+    """J1: the Gamma-integral over one return, as a series in the seed.
 
-    One batched RK4 sweep over an axis unit integrates, per seed w, the
-    graph ODE together with J' = Gamma(c'(u)); by Gamma(X) = div(X) the J
-    accumulated over a closed line equals the loop integral of div(X) in
-    the flow parametrization.  Both endpoint functions are smooth and
-    periodic in the seed, so their trigonometric interpolants let callers
-    iterate the return map without further integrations.
+    One batched RK4 sweep (``nullflow._march``) over an axis unit
+    integrates, per seed w, the graph ODE together with J' = Gamma(c'(u));
+    by Gamma(X) = div(X) the J accumulated over a closed line equals the
+    loop integral of div(X) in the flow parametrization.  J1 is smooth and
+    periodic in the seed, so summing it along orbits of the flow's return
+    map (``nullflow.q_return``) gives loop integrals without further
+    integrations.
     """
-    slope = nullflow.slope_function(spec, family, axis)
-    h, per_unit = nullflow._normalize_step(step)
-    seeds = np.arange(2048) / 2048.0
-    w = seeds.copy()
-    J = np.zeros_like(w)
-
-    def deriv(u, wv):
-        uu = np.full_like(wv, u)
-        m = slope(u, wv)
+    def gamma(u, w, m):
+        uu = np.full_like(w, u)
+        one = np.ones_like(w)
         if axis == 0:
-            x1, x2, v1, v2 = uu, wv, np.ones_like(wv), m
-        else:
-            x1, x2, v1, v2 = wv, uu, m, np.ones_like(wv)
-        gam = geometry.connection_along(spec, x1, x2, v1, v2)
-        return m, gam
+            return geometry.connection_along(spec, uu, w, one, m)
+        return geometry.connection_along(spec, w, uu, m, one)
 
-    u = 0.0
-    for _ in range(per_unit):
-        k1w, k1j = deriv(u, w)
-        k2w, k2j = deriv(u + h / 2, w + h / 2 * k1w)
-        k3w, k3j = deriv(u + h / 2, w + h / 2 * k2w)
-        k4w, k4j = deriv(u + h, w + h * k3w)
-        w = w + h / 6 * (k1w + 2 * k2w + 2 * k3w + k4w)
-        J = J + h / 6 * (k1j + 2 * k2j + 2 * k3j + k4j)
-        u += h
-    return (TrigSeries1.from_samples((w - seeds).astype(complex)),
-            TrigSeries1.from_samples(J.astype(complex)))
+    seeds = np.arange(2048) / 2048
+    _, J = nullflow._march(spec, family, axis, 0.0, seeds, 1.0, step,
+                           integrand=gamma)
+    return TrigSeries1.from_samples(J.astype(complex))
 
 
 def _weighted_birkhoff(D1: TrigSeries1, J1: TrigSeries1, w0: float = 0.0,
@@ -351,23 +321,17 @@ def _numeric_analysis(spec, family: str, n: int, tol: Tolerances
         raise Inconclusive(
             f"{family}-family admits no graph axis, the loop-integral test "
             f"cannot run: {exc}") from exc
-    D1, J1 = _flow_loop_series(spec, family, axis, tol.ode_step)
+    D1 = nullflow._return_displacement_series(spec, family, axis,
+                                              tol.ode_step)
+    J1 = _flow_loop_series(spec, family, axis, tol.ode_step)
     est = nullflow.rotation_number(spec, family, (0.0, 0.0), n_returns=512,
-                                   tol=tol)
+                                   step=tol.ode_step, tol=tol)
     cert = est.rational
-    credible = (cert is not None
-                and cert.q * cert.residual <= tol.closedness_reject
-                and cert.q <= 64)
     location = None
-    if credible:
+    if cert is not None and cert.q <= nullflow.MAX_PERIOD:
         ws = np.arange(1024) / 1024.0
-        cur = ws.copy()
-        J = np.zeros_like(ws)
-        for _ in range(cert.q):
-            J += np.real(J1(cur))
-            cur = cur + np.real(D1(cur))
-        disp = np.abs(cur - ws - cert.p)
-        closed = disp < tol.closedness_reject
+        disp, J = nullflow.q_return(D1, ws, cert.q, J1)
+        closed = np.abs(disp - cert.p) < tol.closedness_reject
         if bool(np.any(closed)):
             idx = int(np.argmax(np.where(closed, np.abs(J), -np.inf)))
             worst = float(abs(J[idx]))
@@ -576,30 +540,29 @@ def _family_context(spec, family: str, tol: Tolerances) -> dict:
         note = str(exc)
     ctx: dict = {"scf": scf, "family": family, "scf_note": note}
     try:
-        decomp = nullflow.cylinder_decomposition(spec, family, tol=tol)
+        decomp = nullflow.cylinder_decomposition(spec, family,
+                                                 step=tol.ode_step, tol=tol)
     except DenseFlow as exc:
         ctx["decomp"] = None
         ctx["dense_message"] = str(exc)
         return ctx
     ctx["decomp"] = decomp
-    resonant_tables = []
-    for iv in decomp.resonant_intervals:
-        tables = []
-        for w in iv.interior_points(5):
-            rec = nullflow.closed_line_through(spec, family,
-                                               float(w) % 1.0,
-                                               decomp.rotation, tol=tol)
-            tables.append((float(w) % 1.0, spin.holonomy_table(spec, rec,
-                                                               tol=tol)))
-        resonant_tables.append(((iv.lo, iv.hi), tables))
-    isolated_tables = []
-    for w in decomp.isolated_closed:
-        rec = nullflow.closed_line_through(spec, family, float(w),
-                                           decomp.rotation, tol=tol)
-        isolated_tables.append((float(w), spin.holonomy_table(spec, rec,
-                                                              tol=tol)))
-    ctx["resonant_tables"] = resonant_tables
-    ctx["isolated_tables"] = isolated_tables
+    # all sampled closed lines in one batch: five per resonant interval,
+    # then the isolated ones
+    per_interval = 5
+    seeds = [float(w) % 1.0 for iv in decomp.resonant_intervals
+             for w in iv.interior_points(per_interval)]
+    seeds += [float(w) for w in decomp.isolated_closed]
+    records = nullflow.closed_lines_through(spec, family, seeds,
+                                            decomp.rotation,
+                                            step=tol.ode_step, tol=tol)
+    tables = [(w, spin.holonomy_table(spec, rec, tol=tol))
+              for w, rec in zip(seeds, records)]
+    ctx["resonant_tables"] = [
+        ((iv.lo, iv.hi), tables[k * per_interval:(k + 1) * per_interval])
+        for k, iv in enumerate(decomp.resonant_intervals)]
+    ctx["isolated_tables"] = tables[len(decomp.resonant_intervals)
+                                    * per_interval:]
     return ctx
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
-import sys
 from typing import Optional
 
 import click
@@ -210,11 +209,16 @@ def emit(kind: str, result, settings: Settings):
 
 
 def dispatch(ctx: click.Context, worker):
+    """Run a worker returning (kind, result[, doubt]); a doubt still emits
+    the artifact, then goes to stderr with exit code 2 (Inconclusive)."""
     settings: Optional[Settings] = None
     try:
         settings = Settings(**ctx.obj)
-        kind, result = worker(settings)
+        kind, result, *doubt = worker(settings)
         emit(kind, result, settings)
+        if doubt:
+            click.echo(f"Inconclusive: {doubt[0]}", err=True)
+            ctx.exit(2)
     except Inconclusive as exc:
         payload = {"status": "inconclusive", "error": type(exc).__name__,
                    "message": str(exc)}
@@ -394,11 +398,9 @@ def decompose(ctx, metric, family, resolution, step, grid_n,
         spec = s.metric(metric, grid_n)
         fam = s.get("family", family, "X")
         res = s.count("resolution", resolution, 1024)
-        raw_step = s.get("step", step)
         try:
             dec = nullflow.cylinder_decomposition(
-                spec, fam, resolution=res,
-                step=None if raw_step is None else s.step(step), tol=s.tol)
+                spec, fam, resolution=res, step=s.step(step), tol=s.tol)
         except nullflow.DenseFlow as exc:
             return "json", {"command": "decompose", "family": fam,
                             "verdict": "Dense", "message": str(exc)}
@@ -410,7 +412,7 @@ def decompose(ctx, metric, family, resolution, step, grid_n,
             "intervals": [{"kind": iv.kind, "lo": iv.lo, "hi": iv.hi,
                            "width": iv.width} for iv in dec.intervals],
             "isolated_closed": list(dec.isolated_closed),
-            "resolution": dec.resolution, "scan_step": dec.scan_step,
+            "resolution": dec.resolution, "step": dec.step,
         }
         return "json", payload
     dispatch(ctx, worker)
@@ -549,7 +551,8 @@ def classify_cmd(ctx, metric, structure, quantity, grid_n,
 @click.pass_context
 def table(ctx, metric, quantities, grid_n,
           config_path, output, fmt, tol_overrides):
-    """Structure table: one row per spin structure and invariant."""
+    """Structure table: one row per spin structure and invariant (exit 2,
+    table still written, when a row contradicts its spectral count)."""
     _merge_obj(ctx, config_path, output, fmt, tol_overrides)
 
     def worker(s: Settings):
@@ -579,8 +582,15 @@ def table(ctx, metric, quantities, grid_n,
                              "certificate": rep.certificate,
                              "family": rep.family,
                              "spectral_count": spectral})
-        return "csv", (["a1", "a2", "quantity", "value", "certificate",
-                        "family", "spectral_count"], rows)
+        table = (["a1", "a2", "quantity", "value", "certificate", "family",
+                  "spectral_count"], rows)
+        clashes = "; ".join(
+            f"{r['a1']},{r['a2']} {r['quantity']}: {r['value']} "
+            f"({r['certificate']}) vs spectral {r['spectral_count']}"
+            for r in rows if r["spectral_count"] not in (None, r["value"]))
+        doubt = ["geometric verdicts contradict the exact spectral count: "
+                 + clashes] if clashes else []
+        return ("csv", table, *doubt)
     dispatch(ctx, worker)
 
 

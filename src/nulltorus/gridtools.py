@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 TWO_PI_I = 2j * np.pi
+PHASE_BLOCK = 1 << 16     # entries of the phase matrix per TrigSeries1 block
 
 
 def grid_points(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -68,9 +69,15 @@ class TrigSeries1:
         return cls(c[keep], f[keep])
 
     def __call__(self, x) -> np.ndarray:
+        """Values at x, in blocks of at most PHASE_BLOCK phase entries."""
         x = np.asarray(x, dtype=float)
-        phase = np.exp(TWO_PI_I * np.multiply.outer(x, self.freqs))
-        return phase @ self.coeffs
+        rows = max(1, PHASE_BLOCK // max(1, len(self.freqs)))
+        if x.size <= rows:
+            phase = np.exp(TWO_PI_I * np.multiply.outer(x, self.freqs))
+            return phase @ self.coeffs
+        flat = x.ravel()
+        parts = [self(flat[i:i + rows]) for i in range(0, flat.size, rows)]
+        return np.concatenate(parts).reshape(x.shape)
 
     def antiderivative(self) -> tuple[complex, "TrigSeries1"]:
         """Return (mean, P) with  int_0^x f = mean*x + P(x) - P(0)."""
@@ -126,6 +133,73 @@ class TrigSeries2:
         P = TrigSeries2(self.coeffs[osc] / (TWO_PI_I * self.k2[osc]),
                         self.k1[osc], self.k2[osc])
         return mean, P
+
+
+def _bisect(inside, out: float, inn: float, tol: float) -> float:
+    """Boundary of a predicate between a point where it fails and one where
+    it holds, halved until the bracket is narrower than tol."""
+    for _ in range(200):
+        if abs(inn - out) < tol:
+            break
+        mid = 0.5 * (out + inn)
+        if inside(mid):
+            inn = mid
+        else:
+            out = mid
+    return 0.5 * (out + inn)
+
+
+def circular_zeros(values, level: float = 0.0, fun=None, tol: float = 1e-10
+                   ) -> tuple[list[tuple[float, float]], list[float]]:
+    """Runs of |f| < level and isolated zeros of f, from values[i] = f(i/n).
+
+    A run is a maximal circular stretch of samples below the level, as an
+    arc (lo, hi) with hi possibly past 1 ((0, 1) when every sample is
+    below).  Samples start..stop-1 span [start/n, stop/n); given a
+    1-periodic ``fun``, each end is instead bisected to ``tol`` between the
+    last sample in the run and the first one outside.  Isolated zeros are
+    exact zero samples outside the runs, single samples below the level
+    whose neighbours have opposite signs, and strict sign flips between
+    neighbours outside the runs; they are bisected on ``fun`` when given
+    (linearly interpolated otherwise) and come back sorted, in [0, 1).
+    """
+    f = np.asarray(values, dtype=float)
+    n = len(f)
+    h = 1.0 / n
+    xs = np.arange(n) / n
+    nxt = np.roll(f, -1)
+    below = np.abs(f) < level
+    # one sample below the level between a sign flip is a transversal zero
+    # at (or next to) that sample, not a run
+    below &= ~((np.roll(f, 1) * nxt < 0.0) & ~np.roll(below, 1)
+               & ~np.roll(below, -1))
+    if below.all():
+        return [(0.0, 1.0)], []
+
+    def in_run(x):
+        return abs(fun(x % 1.0)) < level
+
+    runs: list[tuple[float, float]] = []
+    zeros = [float(xs[i]) for i in np.flatnonzero((f == 0.0) & ~below)]
+    for start in np.flatnonzero(below & ~np.roll(below, 1)):
+        stop = start + 1
+        while below[stop % n]:
+            stop += 1
+        if fun is None:
+            runs.append((float(start / n), float(stop / n)))
+            continue
+        lo, hi = float(xs[start]), float(xs[(stop - 1) % n])
+        hi += 1.0 if hi < lo else 0.0
+        runs.append((_bisect(in_run, lo - h, lo, tol),
+                     _bisect(in_run, hi + h, hi, tol)))
+    for i in np.flatnonzero((f * nxt < 0.0) & ~below & ~np.roll(below, -1)):
+        a, b, lo = f[i], nxt[i], float(xs[i])
+        if fun is None:
+            z = lo + a / (a - b) / n
+        else:
+            z = _bisect(lambda x: a * fun(x % 1.0) <= 0, lo, lo + h, tol)
+        zeros.append(float(z % 1.0))
+    return runs, sorted(zeros)
 
 
 def mollifier(t) -> np.ndarray:

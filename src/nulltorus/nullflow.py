@@ -7,19 +7,22 @@ dw/du = slope(u, w) with u = x1, and symmetrically for quasi-vertical
 families (RosaTau's X-family).  The axis is chosen automatically from the
 direction field sampled on a coarse grid.
 
-Rotation numbers honor the declared fixed RK4 step and return count, but are
-computed through the stroboscopic return map: one batched sweep over the
-transversal builds the displacement function D(w) = (one-period return) - w,
-whose trigonometric interpolant is then iterated.  Tests cross-validate this
-against direct long-trajectory integration.  Displacement scans used for
-resonance detection integrate at a refined step (2.5e-4) so integrator
-truncation noise stays well below the 1e-10 resonance threshold.
+Every flow question goes through one cached return map per (metric,
+family, step): a batched RK4 sweep of 2048 transversal seeds over one axis
+period, interpolated as D1(w) = (one-period return) - w.  Its q-fold
+composition on a seed grid certifies p/q (q <= 64) when the integer p lies
+between the least and greatest q-return displacement (the rotation-number
+bracket of a circle map), splits the transversal into resonant runs and
+isolated closed lines, and carries the SCF loop integrals of ``classify``.
+Rotation values average n_returns iterations of the map; tests
+cross-validate them against direct long-trajectory integration.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
@@ -29,11 +32,16 @@ import numpy as np
 from . import geometry
 from .errors import (DenseFlow, Inconclusive, NotTransverse, StepTooLarge,
                      WrongFamily)
-from .gridtools import (TrigSeries1, TrigSeries2, grid_points, torus_delta,
+from .gridtools import (TrigSeries1, TrigSeries2, circular_zeros, grid_points,
                         wrap_unit)
 from .tolerances import DEFAULT, Tolerances
 
 Point = tuple[float, float]
+
+#: longest closed-line period the flow code verifies by composition
+MAX_PERIOD = 64
+#: transversal seeds of the rotation-number bracket
+SECTION_SEEDS = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +124,7 @@ class CylinderDecomposition:
     intervals: tuple[Interval, ...]
     isolated_closed: tuple[float, ...]   # transversal values of isolated closed lines
     resolution: int
-    scan_step: float
+    step: float                          # RK4 step of the return map
 
     @property
     def resonant_intervals(self) -> tuple[Interval, ...]:
@@ -170,48 +178,81 @@ def slope_function(spec, family: str, axis: int):
     return slope
 
 
-def _normalize_step(step: float) -> tuple[float, int]:
-    per_unit = max(1, round(1.0 / step))
-    return 1.0 / per_unit, per_unit
-
-
 def _march(spec, family: str, axis: int, u0: float, w0, n_units: float,
-           step: float, record: bool = False):
-    """RK4 in the axis coordinate; w0 may be a batch.  Returns w_end
-    (and, when record=True, the full (ts, w-path) arrays)."""
+           step: float, record: bool = False, integrand=None):
+    """RK4 in the axis coordinate; w0 may be a batch.  Returns w_end, then
+    the (ts, w-path) arrays when record=True, then the RK4 integral of
+    integrand(u, w, dw/du) along each line when an integrand is given."""
     slope = slope_function(spec, family, axis)
-    h, per_unit = _normalize_step(step)
+    per_unit = max(1, round(1.0 / step))    # whole steps per axis unit
+    h = 1.0 / per_unit
     n_steps = int(round(n_units * per_unit))
     w = np.array(w0, dtype=float, copy=True)
+    total = 0.0
     path = None
     if record:
         path = np.empty((n_steps + 1,) + w.shape)
         path[0] = w
-    max_jump = 0.0
     for i in range(n_steps):
         u = u0 + i * h
         k1 = slope(u, w)
-        k2 = slope(u + 0.5 * h, w + 0.5 * h * k1)
-        k3 = slope(u + 0.5 * h, w + 0.5 * h * k2)
-        k4 = slope(u + h, w + h * k3)
+        w2 = w + 0.5 * h * k1
+        k2 = slope(u + 0.5 * h, w2)
+        w3 = w + 0.5 * h * k2
+        k3 = slope(u + 0.5 * h, w3)
+        w4 = w + h * k3
+        k4 = slope(u + h, w4)
         dw = (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         jump = float(np.max(np.abs(dw)))
         if jump > 0.25:
             raise StepTooLarge(
                 f"per-step displacement {jump:.3g} at u={u:.4f} "
                 f"(step {h:.2e}); refine the step")
-        max_jump = max(max_jump, jump)
+        if integrand is not None:
+            j1 = integrand(u, w, k1)
+            j2 = integrand(u + 0.5 * h, w2, k2)
+            j3 = integrand(u + 0.5 * h, w3, k3)
+            j4 = integrand(u + h, w4, k4)
+            total = total + (h / 6.0) * (j1 + 2 * j2 + 2 * j3 + j4)
         w = w + dw
         if record:
             path[i + 1] = w
+    out = (w,)
     if record:
-        ts = np.arange(n_steps + 1) * h
-        return w, ts, path
-    return w
+        out += (np.arange(n_steps + 1) * h, path)
+    if integrand is not None:
+        out += (total,)
+    return out if len(out) > 1 else w
 
 
 # ---------------------------------------------------------------------------
 # integration and records
+
+
+def _line_records(spec, family: str, axis: int, u0: float, w0s,
+                  t_max: float, step: float) -> list[NullLineRecord]:
+    """Records of the lines through (u0, w) for every w in w0s, all swept
+    in one batched march; each equals the record of its own sweep."""
+    w0s = np.atleast_1d(np.asarray(w0s, dtype=float))
+    # one line marches as a 0-d value: numpy scalar arithmetic is faster
+    _, ts, paths = _march(spec, family, axis, u0,
+                          w0s[0] if w0s.size == 1 else w0s, t_max, step,
+                          record=True)
+    paths = paths.reshape(len(ts), -1)
+    us = u0 + ts
+    slopes = np.asarray(slope_function(spec, family, axis)(us[:, None], paths),
+                        dtype=float)
+    records = []
+    for path, m in zip(paths.T, slopes.T):
+        if axis == 0:
+            points = np.column_stack([us, path])
+            velocities = np.column_stack([np.ones_like(m), m])
+        else:
+            points = np.column_stack([path, us])
+            velocities = np.column_stack([m, np.ones_like(m)])
+        records.append(NullLineRecord(family=family, axis=axis, ts=ts,
+                                      points=points, velocities=velocities))
+    return records
 
 
 def integrate_null_line(spec, p0: Point, family: str = "X",
@@ -223,22 +264,8 @@ def integrate_null_line(spec, p0: Point, family: str = "X",
     coordinate itself (velocity component along the axis is exactly 1).
     """
     axis = transversal_axis(spec, family)
-    u0 = float(p0[axis])
-    w0 = float(p0[1 - axis])
-    _, ts, path = _march(spec, family, axis, u0, w0, t_max, step, record=True)
-    us = u0 + ts
-    if axis == 0:
-        points = np.column_stack([us, path])
-    else:
-        points = np.column_stack([path, us])
-    slope = slope_function(spec, family, axis)
-    m = np.asarray(slope(us, path), dtype=float)
-    if axis == 0:
-        velocities = np.column_stack([np.ones_like(m), m])
-    else:
-        velocities = np.column_stack([m, np.ones_like(m)])
-    return NullLineRecord(family=family, axis=axis, ts=ts, points=points,
-                          velocities=velocities)
+    return _line_records(spec, family, axis, float(p0[axis]),
+                         float(p0[1 - axis]), t_max, step)[0]
 
 
 def best_rational(value: float, max_den: int, residual_tol: float
@@ -253,10 +280,72 @@ def best_rational(value: float, max_den: int, residual_tol: float
 @lru_cache(maxsize=128)
 def _return_displacement_series(spec, family: str, axis: int, step: float,
                                 n_seeds: int = 2048) -> TrigSeries1:
-    """Trig interpolant of D(w) = one-period return displacement from u=0."""
+    """Trig interpolant of D(w) = one-period return displacement from u=0:
+    the one return map that every certificate and scan composes."""
     seeds = np.arange(n_seeds) / n_seeds
     ends = _march(spec, family, axis, 0.0, seeds, 1.0, step)
     return TrigSeries1.from_samples(ends - seeds)
+
+
+def _return_orbits(D1: TrigSeries1, ws: np.ndarray,
+                   J1: Optional[TrigSeries1] = None):
+    """Yield (F^q(w) - w, sum of J1 over F^0(w) .. F^(q-1)(w)) for q = 1, 2,
+    ... where F(w) = w + D1(w) is the return map on the section u = 0."""
+    cur = np.asarray(ws, dtype=float)
+    total = np.zeros_like(cur)
+    while True:
+        if J1 is not None:
+            total = total + np.real(J1(cur))
+        cur = cur + np.real(D1(cur))
+        yield cur - ws, total
+
+
+def q_return(D1: TrigSeries1, ws: np.ndarray, q: int,
+             J1: Optional[TrigSeries1] = None
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """q-return displacement F^q(w) - w and the J1 sum along each orbit."""
+    return next(itertools.islice(_return_orbits(D1, ws, J1), q - 1, None))
+
+
+def _certify_rotation(D1: TrigSeries1, value: float, tol: Tolerances
+                      ) -> Optional[RationalCertificate]:
+    """Rational certificate of the rotation number, or None (dense).
+
+    A circle map has rotation number p/q exactly when F^q(w) - w - p has a
+    zero, so p/q (q <= MAX_PERIOD, the smallest such q) is certified when p
+    lies between the least and greatest q-return displacement, within the
+    resonance tolerance.  Beyond that, a best rational approximation of
+    ``value`` is credible only if its q-return drift q * residual stays
+    below the open threshold (an irrational value always has convergents
+    that fit the raw residual tolerance).
+    """
+    orbits = _return_orbits(D1, np.arange(SECTION_SEEDS) / SECTION_SEEDS)
+    for q, (disp, _) in zip(range(1, MAX_PERIOD + 1), orbits):
+        p = math.ceil(float(disp.min()) - tol.resonance)
+        if p <= float(disp.max()) + tol.resonance:
+            return RationalCertificate(p, q, abs(value - p / q))
+    cert = best_rational(value, tol.rational_cap, tol.rational_residual_flow)
+    if (cert is not None and cert.q > MAX_PERIOD
+            and cert.q * cert.residual <= tol.closedness_reject):
+        return cert
+    return None
+
+
+def _verifiable(est: RotationNumberEstimate, tol: Tolerances
+                ) -> RationalCertificate:
+    """The certificate, or DenseFlow / Inconclusive (period too long)."""
+    cert = est.rational
+    if cert is None:
+        raise DenseFlow(
+            f"rotation number {est.value:.9f} has no rational certificate: "
+            f"no period up to {MAX_PERIOD} brackets it and no credible "
+            f"rational approximation (cap {tol.rational_cap}) fits")
+    if cert.q > MAX_PERIOD:
+        raise Inconclusive(
+            f"closed-line period {cert.q} is beyond the decomposition's "
+            "practical range", measured=float(cert.q),
+            band=(1.0, float(MAX_PERIOD)))
+    return cert
 
 
 def rotation_number(spec, family: str = "X", p0: Point = (0.0, 0.0),
@@ -267,16 +356,17 @@ def rotation_number(spec, family: str = "X", p0: Point = (0.0, 0.0),
 
     'return-map': iterate the interpolated one-period return map (fast,
     default).  'direct': integrate a single long trajectory (slow; used for
-    cross-validation).
+    cross-validation).  Either way the rational certificate comes from the
+    return map (see ``_certify_rotation``).
     """
     axis = transversal_axis(spec, family)
     w0 = float(p0[1 - axis])
+    series = _return_displacement_series(spec, family, axis, step)
     if method == "direct":
         w_end = _march(spec, family, axis, float(p0[axis]), w0,
                        float(n_returns), step)
         value = (float(w_end) - w0) / n_returns
     else:
-        series = _return_displacement_series(spec, family, axis, step)
         w = w0
         # iterating from the p0 transversal: shift start to u=0 first
         if p0[axis] % 1.0 != 0.0:
@@ -286,10 +376,11 @@ def rotation_number(spec, family: str = "X", p0: Point = (0.0, 0.0),
         for _ in range(n_returns):
             w_cover += float(series(wrap_unit(w_cover)).real)
         value = (w_cover - w) / n_returns
-    rational = best_rational(value, tol.rational_cap, tol.rational_residual_flow)
     return RotationNumberEstimate(family=family, value=value,
                                   n_returns=n_returns, step=step,
-                                  rational=rational, method=method)
+                                  rational=_certify_rotation(series, value,
+                                                             tol),
+                                  method=method)
 
 
 def _winding(axis: int, q: int, p: int) -> tuple[int, int]:
@@ -301,90 +392,70 @@ def classify_line(spec, p0: Point, family: str = "X",
                   tol: Tolerances = DEFAULT) -> LineClass:
     """Closed / Dense / Asymptotic classification of the line through p0.
 
-    A rational rotation certificate is only trusted when its winding is
-    verifiable (q <= 64) and q * residual stays below the open threshold —
-    an irrational slope always has continued-fraction convergents that fit
-    the raw residual tolerance, so an unfiltered guess would misclassify
-    dense lines.  With a credible (p, q) the q-return displacement decides:
-    below the closedness tolerance closed, above the open threshold
-    asymptotic, in between Inconclusive.  Without one, the verdict comes
-    from locating p0 on the transversal in the cylinder decomposition
-    (whose fixed-point sign scan certifies the resonant set); a certified
-    dense flow is the remaining case.
+    Without a rational rotation certificate the flow is dense; a period
+    beyond MAX_PERIOD is Inconclusive.  Otherwise the q-return displacement
+    of the line itself decides: below the closedness tolerance closed,
+    above the open threshold asymptotic, in between Inconclusive.
     """
     axis = transversal_axis(spec, family)
     est = rotation_number(spec, family, p0, n_returns=n_returns, step=step,
                           tol=tol)
-    u0, w0 = float(p0[axis]), float(p0[1 - axis])
-    cert = est.rational
-    if (cert is not None and cert.q <= 64
-            and cert.q * cert.residual <= tol.closedness_reject):
-        p, q = cert.p, cert.q
-        w_end = _march(spec, family, axis, u0, w0, float(q), step)
-        disp = float(w_end) - w0 - p
-        if abs(disp) < tol.closedness:
-            return LineClass(kind="Closed", winding=_winding(axis, q, p),
-                             period=float(q), displacement=disp)
-        if abs(disp) > tol.closedness_reject:
-            return LineClass(kind="Asymptotic",
-                             limit_winding=_winding(axis, q, p),
-                             rotation=est.value, displacement=disp)
-        raise Inconclusive(
-            f"q-return displacement {abs(disp):.3e} falls between the closed "
-            f"({tol.closedness:.0e}) and open ({tol.closedness_reject:.0e}) "
-            "thresholds", measured=abs(disp),
-            band=(tol.closedness, tol.closedness_reject))
-    try:
-        dec = cylinder_decomposition(spec, family, step=step, tol=tol)
-    except DenseFlow:
+    if est.rational is None:
         return LineClass(kind="Dense", rotation=est.value)
-    # transversal value of p0 on the section u = 0
-    z0 = w0
-    if u0 % 1.0 != 0.0:
-        z0 = float(_march(spec, family, axis, u0, w0, 1.0 - (u0 % 1.0), step))
-    z0 = wrap_unit(z0)
-    p, q = dec.rotation.p, dec.rotation.q
+    cert = _verifiable(est, tol)
+    p, q = cert.p, cert.q
+    u0, w0 = float(p0[axis]), float(p0[1 - axis])
+    w_end = _march(spec, family, axis, u0, w0, float(q), step)
+    disp = float(w_end) - w0 - p
+    if abs(disp) < tol.closedness:
+        return LineClass(kind="Closed", winding=_winding(axis, q, p),
+                         period=float(q), displacement=disp)
+    if abs(disp) > tol.closedness_reject:
+        return LineClass(kind="Asymptotic",
+                         limit_winding=_winding(axis, q, p),
+                         rotation=est.value, displacement=disp)
+    raise Inconclusive(
+        f"q-return displacement {abs(disp):.3e} falls between the closed "
+        f"({tol.closedness:.0e}) and open ({tol.closedness_reject:.0e}) "
+        "thresholds", measured=abs(disp),
+        band=(tol.closedness, tol.closedness_reject))
+
+
+def closed_lines_through(spec, family: str, seeds,
+                         rotation: RationalCertificate,
+                         step: float = DEFAULT.ode_step,
+                         tol: Tolerances = DEFAULT) -> list[NullLineRecord]:
+    """Record one period of the closed line through each transversal seed.
+
+    The lines start at axis coordinate 0 and are swept in one batched
+    march; closure of each is verified to the open threshold (DenseFlow
+    otherwise) and the integer winding is attached.
+    """
+    axis = transversal_axis(spec, family)
+    p, q = rotation.p, rotation.q
     winding = _winding(axis, q, p)
-    for w_closed in dec.isolated_closed:
-        if abs(torus_delta(z0, w_closed)) <= tol.bisection:
-            return LineClass(kind="Closed", winding=winding, period=float(q))
-    for iv in dec.intervals:
-        if not iv.contains(z0):
-            continue
-        if iv.kind == "Resonant":
-            return LineClass(kind="Closed", winding=winding, period=float(q))
-        return LineClass(kind="Asymptotic", limit_winding=winding,
-                         rotation=est.value)
-    # z0 sits on an interval boundary: the boundary of the resonant set is
-    # itself made of closed lines
-    return LineClass(kind="Closed", winding=winding, period=float(q))
+    records = []
+    for seed_w, rec in zip(seeds, _line_records(spec, family, axis, 0.0,
+                                                seeds, float(q), step)):
+        disp = rec.points[-1, 1 - axis] - rec.points[0, 1 - axis] - p
+        if abs(disp) > tol.closedness_reject:
+            raise DenseFlow(
+                f"line through w={seed_w:.6f} does not close: displacement "
+                f"{disp:.3e} after {q} returns")
+        records.append(replace(rec, winding=winding, classification=LineClass(
+            kind="Closed", winding=winding, period=float(q),
+            displacement=float(disp))))
+    return records
 
 
 def closed_line_through(spec, family: str, seed_w: float,
                         rotation: RationalCertificate,
                         step: float = DEFAULT.ode_step,
                         tol: Tolerances = DEFAULT) -> NullLineRecord:
-    """Record one period of the closed line through transversal value seed_w.
-
-    The line starts at axis coordinate 0; closure is verified to the
-    closedness tolerance and the integer winding is attached.
-    """
-    axis = transversal_axis(spec, family)
-    p, q = rotation.p, rotation.q
-    p0 = (0.0, seed_w) if axis == 0 else (seed_w, 0.0)
-    rec = integrate_null_line(spec, p0, family, t_max=float(q), step=step,
-                              tol=tol)
-    disp = rec.points[-1, 1 - axis] - rec.points[0, 1 - axis] - p
-    if abs(disp) > tol.closedness_reject:
-        raise DenseFlow(
-            f"line through w={seed_w:.6f} does not close: displacement "
-            f"{disp:.3e} after {q} returns")
-    winding = _winding(axis, q, p)
-    cls = LineClass(kind="Closed", winding=winding, period=float(q),
-                    displacement=float(disp))
-    return NullLineRecord(family=family, axis=axis, ts=rec.ts,
-                          points=rec.points, velocities=rec.velocities,
-                          winding=winding, classification=cls)
+    """Record one period of the closed line through transversal value seed_w
+    (``closed_lines_through`` for one seed)."""
+    return closed_lines_through(spec, family, [seed_w], rotation, step,
+                                tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -442,40 +513,6 @@ def first_integral(spec, p: Point) -> float:
 # cylinder decomposition
 
 
-def _q_return_displacement(spec, family: str, axis: int, q: int, p: int,
-                           seeds: np.ndarray, step: float) -> np.ndarray:
-    ends = _march(spec, family, axis, 0.0, seeds, float(q), step)
-    return ends - seeds - p
-
-
-def _refine_zero(fun, lo: float, hi: float, tol: float) -> float:
-    flo = fun(lo)
-    for _ in range(200):
-        if hi - lo < tol:
-            break
-        mid = 0.5 * (lo + hi)
-        fm = fun(mid)
-        if flo * fm <= 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
-
-
-def _edge_bisect(fun, w_false: float, w_true: float, level: float,
-                 tol: float) -> float:
-    """Boundary of {|fun| < level} between w_false (outside) and w_true."""
-    for _ in range(200):
-        if abs(w_true - w_false) < tol:
-            break
-        mid = 0.5 * (w_true + w_false)
-        if abs(fun(mid)) < level:
-            w_true = mid
-        else:
-            w_false = mid
-    return 0.5 * (w_true + w_false)
-
-
 def cylinder_decomposition(spec, family: str = "X", resolution: int = 1024,
                            step: Optional[float] = None,
                            tol: Tolerances = DEFAULT) -> CylinderDecomposition:
@@ -483,142 +520,54 @@ def cylinder_decomposition(spec, family: str = "X", resolution: int = 1024,
 
     Maximal runs with |D| < 1e-10 (at every sampled point) become Resonant
     intervals; isolated zeros of D (located by bisection to 1e-10) are closed
-    lines bounding Asymptotic intervals.  A rational rotation number is
-    required (DenseFlow otherwise).  NonResonant is emitted only in the
-    degenerate case where D has no zero at all at this resolution.
+    lines bounding Asymptotic intervals.  A rational rotation number with
+    q <= MAX_PERIOD is required (DenseFlow without one, Inconclusive for a
+    longer period).  NonResonant is emitted only in the degenerate case
+    where D has no zero at all at this resolution.
 
-    D is measured at every seed in one batched sweep; boundary and zero
-    refinement bisect on the trigonometric interpolant of those samples
-    (D is a smooth periodic function of the seed, so the interpolant is
-    spectrally accurate and refinement costs no further integrations).
+    D is the return map of ``step`` (default ``tol.ode_step``) composed q
+    times at ``resolution`` seeds; run ends and zeros are bisected on the
+    trigonometric interpolant of those samples (D is a smooth periodic
+    function of the seed, so refinement costs no further integrations).
     """
+    step = step or tol.ode_step
     axis = transversal_axis(spec, family)
-    est = rotation_number(spec, family, (0.0, 0.0), n_returns=512, tol=tol)
-    if est.rational is None:
-        raise DenseFlow(f"rotation number {est.value:.9f} has no rational "
-                        f"certificate (cap {tol.rational_cap})")
-    cert = est.rational
-    # a certificate is only credible if its own residual predicts closure:
-    # after q returns the drift is ~ q * residual, which must sit below the
-    # closed/open discrimination threshold
-    if cert.q * cert.residual > tol.closedness_reject:
-        raise DenseFlow(
-            f"rotation {est.value:.9f} ~ {cert.p}/{cert.q} but the residual "
-            f"{cert.residual:.2e} predicts a {cert.q}-return drift of "
-            f"{cert.q * cert.residual:.2e}; lines do not close")
-    if cert.q > 64:
-        raise Inconclusive(
-            f"closed-line period {cert.q} is beyond the decomposition's "
-            "practical range", measured=float(cert.q), band=(1.0, 64.0))
-    scan = step or tol.scan_step
+    est = rotation_number(spec, family, (0.0, 0.0), n_returns=512, step=step,
+                          tol=tol)
+    cert = _verifiable(est, tol)
     seeds = np.arange(resolution) / resolution
-    D = _q_return_displacement(spec, family, axis, cert.q, cert.p, seeds, scan)
-
+    D1 = _return_displacement_series(spec, family, axis, step)
+    D = q_return(D1, seeds, cert.q)[0] - cert.p
     series = TrigSeries1.from_samples(D.astype(complex))
 
     def D_at(w: float) -> float:
         return float(np.real(series(w)))
 
-    flat_mask = np.abs(D) < tol.resonance
-    intervals: list[Interval] = []
-    isolated: list[float] = []
+    runs, zeros = circular_zeros(D, tol.resonance, D_at, tol.bisection)
 
-    if bool(np.all(flat_mask)):
-        intervals.append(Interval("Resonant", 0.0, 1.0))
-        return CylinderDecomposition(family, axis, cert, tuple(intervals), (),
-                                     resolution, scan)
-    if not np.any(flat_mask):
-        # only isolated zeros (or none): find sign changes
-        zeros = _sign_change_zeros(D, seeds, D_at, tol)
-        if not zeros:
-            intervals.append(Interval("NonResonant", 0.0, 1.0))
-            return CylinderDecomposition(family, axis, cert, tuple(intervals),
-                                         (), resolution, scan)
-        for a, b in zip(zeros, zeros[1:] + [zeros[0] + 1.0]):
-            intervals.append(Interval("Asymptotic", a, b))
+    def result(intervals, isolated=()):
         return CylinderDecomposition(family, axis, cert, tuple(intervals),
-                                     tuple(zeros), resolution, scan)
+                                     tuple(isolated), resolution, step)
 
-    # mixed case: resonant runs + isolated zeros in the complement
-    runs = _circular_runs(flat_mask)
-    h = 1.0 / resolution
-    refined_runs: list[tuple[float, float]] = []
-    for start, stop in runs:          # sample-index runs, stop exclusive
-        lo_guess = float(seeds[start % resolution])
-        hi_guess = float(seeds[(stop - 1) % resolution])
-        if hi_guess < lo_guess:
-            hi_guess += 1.0
-        if abs(D_at(lo_guess - h)) >= tol.resonance:
-            lo = _edge_bisect(D_at, lo_guess - h, lo_guess, tol.resonance,
-                              tol.bisection)
-        else:
-            lo = lo_guess - h
-        if abs(D_at(hi_guess + h)) >= tol.resonance:
-            hi = _edge_bisect(D_at, hi_guess + h, hi_guess, tol.resonance,
-                              tol.bisection)
-        else:
-            hi = hi_guess + h
-        refined_runs.append((lo, hi))
-
-    gaps: list[tuple[float, float]] = []
-    for (lo, hi), (nlo, _) in zip(refined_runs,
-                                  refined_runs[1:] + [(refined_runs[0][0] + 1.0,
-                                                       refined_runs[0][1])]):
-        gaps.append((hi, nlo))
-    for lo, hi in refined_runs:
-        intervals.append(Interval("Resonant", wrap_unit(lo), wrap_unit(lo) + (hi - lo)))
-    for lo, hi in gaps:
-        seg_pts = np.linspace(lo + 1e-6, hi - 1e-6, 64)
-        seg_vals = np.array([D_at(w % 1.0) for w in seg_pts])
-        zeros = []
-        for i in range(len(seg_pts) - 1):
-            # strict sign changes of macroscopic size only: interpolant
-            # wiggle (and threshold underflow) near run edges is not a
-            # closed line
-            if (seg_vals[i] * seg_vals[i + 1] < 0
-                    and max(abs(seg_vals[i]), abs(seg_vals[i + 1]))
-                    > 10 * tol.resonance):
-                zeros.append(_refine_zero(lambda w: D_at(w % 1.0),
-                                          seg_pts[i], seg_pts[i + 1],
-                                          tol.bisection))
-        bounds = [lo] + zeros + [hi]
-        for a, b in zip(bounds, bounds[1:]):
-            intervals.append(Interval("Asymptotic", a, b))
-        isolated.extend(wrap_unit(z) for z in zeros)
-    return CylinderDecomposition(family, axis, cert, tuple(intervals),
-                                 tuple(sorted(isolated)), resolution, scan)
-
-
-def _circular_runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    """Maximal runs of True in a circular boolean array, as (start, stop)."""
-    n = len(mask)
-    if np.all(mask):
-        return [(0, n)]
-    edges = np.flatnonzero(mask.astype(int) - np.roll(mask, 1).astype(int))
-    starts = [int(i) for i in edges if mask[i]]
-    runs = []
-    for s in starts:
-        e = s
-        while mask[e % n]:
-            e += 1
-        runs.append((s, e))
-    return runs
-
-
-def _sign_change_zeros(D: np.ndarray, seeds: np.ndarray, D_at, tol: Tolerances
-                       ) -> list[float]:
-    n = len(seeds)
-    zeros = []
-    for i in range(n):
-        a, b = D[i], D[(i + 1) % n]
-        if a == 0.0:
-            zeros.append(float(seeds[i]))
-        elif a * b < 0:
-            lo = float(seeds[i])
-            hi = float(seeds[i]) + 1.0 / n
-            zeros.append(wrap_unit(_refine_zero(lambda w: D_at(w % 1.0),
-                                                lo, hi, tol.bisection)))
-    return sorted(zeros)
+    if runs == [(0.0, 1.0)]:
+        return result([Interval("Resonant", 0.0, 1.0)])
+    if not runs:
+        if not zeros:
+            return result([Interval("NonResonant", 0.0, 1.0)])
+        return result([Interval("Asymptotic", a, b) for a, b in
+                       zip(zeros, zeros[1:] + [zeros[0] + 1.0])], zeros)
+    # resonant runs, with the isolated zeros in the gaps between them
+    intervals = [Interval("Resonant", wrap_unit(lo), wrap_unit(lo) + (hi - lo))
+                 for lo, hi in runs]
+    isolated: list[float] = []
+    for (_, a), (b, _) in zip(runs, runs[1:] + [(runs[0][0] + 1.0, None)]):
+        shifted = (a + (z - a) % 1.0 for z in zeros)
+        inside = sorted(z for z in shifted if z < b)
+        bounds = [a] + inside + [b]
+        intervals += [Interval("Asymptotic", lo, hi)
+                      for lo, hi in zip(bounds, bounds[1:])]
+        isolated += [wrap_unit(z) for z in inside]
+    return result(intervals, sorted(isolated))
 
 
 # ---------------------------------------------------------------------------

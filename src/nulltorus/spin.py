@@ -24,8 +24,7 @@ positive kernel elements exactly the sections parallel along the X-lines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.integrate import simpson
@@ -151,15 +150,33 @@ class HolonomyResult:
         return self.sheet * self.character * np.exp(self.boost)
 
 
-def _loop_connection_integral(spec, record: NullLineRecord,
-                              tol: Tolerances) -> float:
-    """Integral of Gamma(c'(t)) dt along the recorded loop (real-valued)."""
+def _winding_and_boost(spec, record: NullLineRecord, tol: Tolerances
+                       ) -> tuple[tuple[int, int], float]:
+    """Integer winding of a closed record and its boost -1/2 int Gamma(c')."""
+    disp = record.points[-1] - record.points[0]
+    winding = record.winding
+    if winding is None:
+        w = (round(float(disp[0])), round(float(disp[1])))
+        winding = (int(w[0]), int(w[1]))
+    closure = abs(disp[0] - winding[0]) + abs(disp[1] - winding[1])
+    if closure > tol.closedness_reject:
+        raise NotClosed(
+            f"record does not close up to integer winding: defect {closure:.3e}")
     x1 = record.points[:, 0]
     x2 = record.points[:, 1]
     v1 = record.velocities[:, 0]
     v2 = record.velocities[:, 1]
     gam = geometry.connection_along(spec, x1, x2, v1, v2)
-    return float(simpson(gam, x=record.ts))
+    return winding, -0.5 * float(simpson(gam, x=record.ts))
+
+
+def _holonomy(structure: SpinStructure, winding: tuple[int, int],
+              boost: float, tol: Tolerances) -> HolonomyResult:
+    sheet = 1
+    chi = structure.character(winding)
+    x_trivial = abs(boost) < tol.holonomy_boost and sheet * chi == 1
+    return HolonomyResult(structure=structure, winding=winding, boost=boost,
+                          sheet=sheet, character=chi, x_trivial=x_trivial)
 
 
 def holonomy_closed_line(spec, record: NullLineRecord,
@@ -176,29 +193,15 @@ def holonomy_closed_line(spec, record: NullLineRecord,
     The boost is a line invariant: it does not depend on the parametrization
     or the starting point of the record.
     """
-    axis = record.axis
-    disp = record.points[-1] - record.points[0]
-    winding = record.winding
-    if winding is None:
-        w = (round(float(disp[0])), round(float(disp[1])))
-        winding = (int(w[0]), int(w[1]))
-    closure = abs(disp[0] - winding[0]) + abs(disp[1] - winding[1])
-    if closure > tol.closedness_reject:
-        raise NotClosed(
-            f"record does not close up to integer winding: defect {closure:.3e}")
-    gam_int = _loop_connection_integral(spec, record, tol)
-    boost = -0.5 * gam_int
-    sheet = 1
-    chi = structure.character(winding)
-    x_trivial = abs(boost) < tol.holonomy_boost and sheet * chi == 1
-    return HolonomyResult(structure=structure, winding=winding, boost=boost,
-                          sheet=sheet, character=chi, x_trivial=x_trivial)
+    return _holonomy(structure, *_winding_and_boost(spec, record, tol), tol)
 
 
 def holonomy_table(spec, record: NullLineRecord, tol: Tolerances = DEFAULT
                    ) -> dict[tuple[int, int], HolonomyResult]:
-    """Holonomy of one closed line against all four spin structures."""
-    return {(s.a1, s.a2): holonomy_closed_line(spec, record, s, tol=tol)
+    """Holonomy of one closed line against all four spin structures; the
+    boost does not depend on the structure, so Gamma is integrated once."""
+    winding, boost = _winding_and_boost(spec, record, tol)
+    return {(s.a1, s.a2): _holonomy(s, winding, boost, tol)
             for s in all_structures()}
 
 

@@ -21,17 +21,16 @@ Exact solvers:
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
 import numpy as np
 
 from . import geometry, nullflow, spin
-from .errors import (DenseFlow, NotHarmonic, NotSCF, NotXTrivial,
-                     UnsupportedFamily, WrongFamily)
-from .gridtools import (TrigSeries2, grid_points, mollifier,
+from .errors import (DenseFlow, NotHarmonic, NotXTrivial, UnsupportedFamily,
+                     WrongFamily)
+from .gridtools import (TrigSeries2, circular_zeros, grid_points, mollifier,
                         spectral_derivatives, torus_delta, wrap_unit)
 from .spin import GAMMA1, GAMMA2, SpinStructure
 from .tolerances import DEFAULT, Tolerances
@@ -595,14 +594,12 @@ def _closed_diagonal_bumps(spec, structure: SpinStructure, count: int,
 def _vertical_band(spec, resolution: int = 4096) -> tuple[float, float]:
     """Widest arc of vanishing tau, as (lo, hi) with hi possibly > 1."""
     xs = np.arange(resolution) / resolution
-    mask = np.abs(np.asarray(spec.tau_at(xs), dtype=float)) <= 1e-13
-    runs = nullflow._circular_runs(mask) if np.any(mask) else []
+    runs, _ = circular_zeros(spec.tau_at(xs), 1e-13)
     if not runs:
         raise UnsupportedFamily(
             "tau vanishes nowhere on the sampling grid; the vertical-band "
             "construction needs an interval of zeros")
-    start, stop = max(runs, key=lambda r: r[1] - r[0])
-    lo, hi = start / resolution, stop / resolution
+    lo, hi = max(runs, key=lambda r: r[1] - r[0])
     if hi - lo < 16 / resolution:
         raise UnsupportedFamily(
             f"widest zero arc of tau has width {hi - lo:.4f}; too narrow "

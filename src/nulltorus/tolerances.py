@@ -23,7 +23,6 @@ class Tolerances:
     bisection: float = 1e-10          # isolated-zero refinement
     fd_step: float = 1e-5             # central differences for pointwise derivatives
     ode_step: float = 1e-3            # fixed RK4 step (transversal coordinate)
-    scan_step: float = 2.5e-4         # refined step for resonance/displacement scans
     velocity_blowup: float = 1e8      # geodesic incompleteness certificate
     scf_accept: float = 1e-6          # loop-integral route: |mean div| below -> certify
     scf_reject: float = 1e-4          # above -> obstructed; between -> Inconclusive

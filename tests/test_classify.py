@@ -37,6 +37,34 @@ def test_certificate_sanchez_sides(sanchez_spec):
         round(4 * exc.value.location), abs=1e-3)
 
 
+@pytest.fixture()
+def analytic_only(monkeypatch):
+    """Fail any test that falls through to the numeric loop-integral route."""
+    def numeric(*args, **kwargs):
+        raise AssertionError("numeric route taken")
+
+    monkeypatch.setattr(classify, "_numeric_analysis", numeric)
+
+
+def test_certificate_sanchez_analytic_obstruction(sanchez_spec, analytic_only):
+    """The G-zeros sit on the sampling grid; the closed form still sees them."""
+    with pytest.raises(NotSCF) as exc:
+        classify.semi_conformal_certificate(sanchez_spec, "X")
+    assert exc.value.obstruction == pytest.approx(0.4 * np.pi, rel=1e-8)
+    assert exc.value.location in sanchez_spec.zeros
+
+
+def test_certificate_rosatau_zero_on_a_sample(analytic_only):
+    """zero = 0.3125 = 2560/8192 is a sample of the analytic check."""
+    spec = catalog.rosatau_window(zero=0.3125)
+    with pytest.raises(NotSCF) as exc:
+        classify.semi_conformal_certificate(spec, "X")
+    assert exc.value.location == 0.3125
+    # loop integral tau'(x0)/2 of the closed line at the zero
+    assert exc.value.obstruction == pytest.approx(
+        float(spec.dtau_at(np.asarray(0.3125))) / 2, rel=1e-12)
+
+
 def test_certificate_rosatau_sides(rosatau_spec):
     cert = classify.semi_conformal_certificate(rosatau_spec, "Y")
     assert cert.kind == "analytic"
@@ -170,6 +198,20 @@ def test_cross_validate_wave(wave12_spec, ab):
     assert rep.agree
     # closed lines wind (2, 1), so the kernel is infinite exactly for a2 = 1
     assert rep.geometric.value == ("Infinite" if ab[1] == 1 else "Zero")
+
+
+@pytest.mark.parametrize("b1, b2", [(1, 1), (1, 2), (2, 3), (3, 2), (3, 5),
+                                    (5, 8)])
+def test_geometric_matches_spectral_all_structures(b1, b2):
+    """Every structure of one classify_table against solve_closed_diagonal."""
+    spec = catalog.closed_diagonal_wave(float(b1), float(b2))
+    table = classify.classify_table(spec, ("delta_plus",))
+    for s in all_structures():
+        report = table[(s.a1, s.a2)]["delta_plus"]
+        spectral = spinorfield.solve_closed_diagonal(
+            spec, s, chirality=1, n_fields=0).count_class
+        assert report.value == spectral, (s.label, report.certificate)
+        assert report.certificate != "DenseLine"
 
 
 def test_cross_validate_left_invariant(sqrt2_spec):

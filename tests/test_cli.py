@@ -5,6 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from nulltorus import spinorfield
 from nulltorus.cli import main, parse_point, parse_structure
 from nulltorus.errors import ConfigError
 from nulltorus.spin import SpinStructure
@@ -95,6 +96,39 @@ def test_table_csv_matches_spectral_column(runner):
                         (-1, 1): "Zero", (-1, -1): "Infinite"}
     for r in rows:
         assert r[6] == r[3]          # exact solver agrees with the verdict
+
+
+def test_table_closed_diagonal_23_agrees_with_spectral(runner):
+    """Rotation 2/3 used to go uncertified: DenseLine rows contradicting the
+    spectral column, with exit code 0."""
+    result = runner.invoke(main, ["table", "--metric", "closed_diagonal:2,3",
+                                  "--quantity", "delta_plus,tau_minus"])
+    assert result.exit_code == 0, result.output
+    lines = result.output.splitlines()
+    rows = [dict(zip(lines[1].split(","), line.split(",")))
+            for line in lines[2:]]
+    assert len(rows) == 8
+    for row in rows:
+        assert row["certificate"] != "DenseLine"
+        assert row["value"] == row["spectral_count"]
+
+
+def test_table_disagreement_is_exit_two(runner, monkeypatch):
+    class Wrong:
+        count_class = "Zero"
+
+    monkeypatch.setattr(spinorfield, "exact_solver",
+                        lambda spec, tol: lambda *a, **k: Wrong())
+    result = runner.invoke(main, ["table", "--metric", "left_invariant:1,1"])
+    assert result.exit_code == 2
+    lines = result.stdout.splitlines()
+    assert lines[1] == "a1,a2,quantity,value,certificate,family,spectral_count"
+    assert len(lines) == 6                       # the table is still emitted
+    assert result.stderr.startswith("Inconclusive")
+    # (1, -1) and (-1, 1) are Zero as well and agree; the others are named
+    named = [clash.split()[0] for clash in
+             result.stderr.split("count: ", 1)[1].split("; ")]
+    assert named == ["1,1", "-1,-1"]
 
 
 def test_holonomy_csv_rosatau(runner):

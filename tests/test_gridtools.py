@@ -1,0 +1,86 @@
+"""The circular zero/run finder shared by the flow and certificate code."""
+
+import math
+
+import numpy as np
+import pytest
+
+from nulltorus import catalog
+from nulltorus.gridtools import PHASE_BLOCK, TrigSeries1, circular_zeros
+
+
+def _samples(f, n):
+    return f(np.arange(n) / n)
+
+
+def test_zeros_on_sample_points():
+    """analex_sanchez (c = 2) has its G-zeros exactly on the samples."""
+    spec = catalog.analex_sanchez()
+    G = _samples(spec.G, 8192)
+    runs, zeros = circular_zeros(G, 0.0, spec.G)
+    assert runs == []
+    assert zeros == list(spec.zeros) == [0.0, 0.25, 0.5, 0.75]
+
+
+def test_sign_flips_bisected_or_interpolated():
+    f = lambda x: np.cos(2 * np.pi * x)
+    runs, zeros = circular_zeros(_samples(f, 10), 0.0, f, tol=1e-12)
+    assert runs == []
+    assert zeros == pytest.approx([0.25, 0.75], abs=1e-11)
+    _, rough = circular_zeros(_samples(f, 10))
+    assert rough == pytest.approx([0.25, 0.75], abs=1e-2)
+
+
+def test_transversal_zero_on_a_sample_is_not_a_run():
+    f = lambda x: np.sin(2 * np.pi * (x - 0.25))
+    assert circular_zeros(_samples(f, 64), 1e-3) == ([], [0.25, 0.75])
+    g = lambda x: f(x) + 1e-5        # below the level, but not exactly zero
+    runs, zeros = circular_zeros(_samples(g, 64), 1e-3, g, tol=1e-13)
+    edge = math.asin(1e-5) / (2 * np.pi)
+    assert runs == []
+    assert zeros == pytest.approx([0.25 - edge, 0.75 + edge], abs=1e-12)
+
+
+def test_tangential_zero():
+    """A double zero has no sign flip: found on a sample, else only as a run."""
+    on = lambda x: np.sin(np.pi * (x - 0.25)) ** 2
+    assert circular_zeros(_samples(on, 64)) == ([], [0.25])
+    off = lambda x: np.sin(np.pi * (x - 0.3)) ** 2
+    assert circular_zeros(_samples(off, 64)) == ([], [])
+    runs, zeros = circular_zeros(_samples(off, 64), 1e-2, off, tol=1e-12)
+    assert zeros == []
+    edge = math.asin(0.1) / math.pi          # |sin(pi d)|^2 = 1e-2
+    assert runs == [pytest.approx((0.3 - edge, 0.3 + edge), abs=1e-11)]
+
+
+def test_run_wrapping_across_zero():
+    f = lambda x: 1.0 - np.cos(2 * np.pi * x)
+    edge = math.acos(0.9) / (2 * math.pi)     # f = 0.1
+    runs, zeros = circular_zeros(_samples(f, 128), 0.1)
+    (lo, hi), = runs
+    assert lo < 1.0 < hi
+    assert (lo, hi) == pytest.approx((1 - edge, 1 + edge), abs=1 / 128)
+    runs, _ = circular_zeros(_samples(f, 128), 0.1, f, tol=1e-12)
+    assert runs == [pytest.approx((1 - edge, 1 + edge), abs=1e-11)]
+    assert zeros == []
+
+
+def test_all_true_and_all_false_masks():
+    flat = np.full(32, 1e-14)
+    assert circular_zeros(flat, 1e-10) == ([(0.0, 1.0)], [])
+    assert circular_zeros(flat, 1e-10, lambda x: 1e-14) == ([(0.0, 1.0)], [])
+    away = 2.0 + np.sin(2 * np.pi * np.arange(32) / 32)
+    assert circular_zeros(away, 1e-10) == ([], [])
+
+
+def test_trig_series_blocks_match_one_shot():
+    rng = np.random.default_rng(3)
+    series = TrigSeries1.from_samples(rng.standard_normal(2048))
+    x = rng.random(3 * PHASE_BLOCK // len(series.freqs) + 5)
+    one_shot = np.exp(2j * np.pi * np.multiply.outer(x, series.freqs)) \
+        @ series.coeffs
+    assert np.array_equal(series(x), one_shot)
+    assert series(x.reshape(-1, 1)).shape == (x.size, 1)
+    # a series with no terms (the oscillating part of a constant) is zero
+    _, empty = TrigSeries1.from_samples(np.ones(8)).antiderivative()
+    assert np.array_equal(empty(np.linspace(0, 1, 5)), np.zeros(5))

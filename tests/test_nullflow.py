@@ -52,11 +52,42 @@ def test_rotation_number_irrational():
     spec = catalog.left_invariant(math.sqrt(2.0), 1.0)
     est = nullflow.rotation_number(spec, "X", n_returns=500)
     assert abs(est.value - 1.0 / math.sqrt(2.0)) < 1e-9
-    # continued-fraction convergents of an irrational always fit the raw
-    # residual tolerance eventually; the credibility product rejects them
-    if est.rational is not None:
-        r = est.rational
-        assert r.q * r.residual > 1e-6 or r.q > 64
+    # no period up to 64 brackets the rotation number, and the convergents
+    # beyond (which always fit the raw residual tolerance) fail the
+    # credibility product q * residual <= 1e-6
+    assert est.rational is None
+
+
+def test_rotation_certificate_needs_no_lucky_return_count():
+    """q = 3 does not divide 1000 returns; the bracket certifies 2/3 anyway."""
+    spec = catalog.closed_diagonal_wave(2.0, 3.0)
+    est = nullflow.rotation_number(spec, "X", n_returns=1000)
+    assert (est.rational.p, est.rational.q) == (2, 3)
+    # the average itself is off by the q-periodic residue
+    assert 1e-6 < abs(est.value - 2.0 / 3.0) < 1e-5
+
+
+@pytest.mark.parametrize("spec_name, p, q", [("rosatau", 0, 1),
+                                             ("wave35", 3, 5)])
+def test_composed_return_matches_fine_scan(rosatau_spec, spec_name, p, q):
+    """q-fold composition of the cached 1e-3 return map against a direct
+    q-period march of the seeds at the old refined scan step 2.5e-4.
+
+    Measured worst difference: 2.0e-14 (rosatau, q = 1) and 1.0e-13 (3/5
+    wave, q = 5); the bound is the 1e-10 resonance tolerance the
+    decomposition applies to these values.
+    """
+    spec = (rosatau_spec if spec_name == "rosatau"
+            else catalog.closed_diagonal_wave(3.0, 5.0))
+    axis = nullflow.transversal_axis(spec, "X")
+    seeds = np.arange(0, 1024, 4) / 1024
+    D1 = nullflow._return_displacement_series(spec, "X", axis, 1e-3)
+    composed, _ = nullflow.q_return(D1, seeds, q)
+    direct = nullflow._march(spec, "X", axis, 0.0, seeds, float(q),
+                             2.5e-4) - seeds
+    assert np.max(np.abs(composed - direct)) < 1e-10
+    est = nullflow.rotation_number(spec, "X")
+    assert (est.rational.p, est.rational.q) == (p, q)
 
 
 def test_classify_line_kinds(flat_spec):
