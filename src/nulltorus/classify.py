@@ -230,24 +230,42 @@ def _flow_loop_series(spec, family: str, axis: int, step: float
                       ) -> TrigSeries1:
     """J1: the Gamma-integral over one return, as a series in the seed.
 
-    One batched RK4 sweep (``nullflow._march``) over an axis unit
-    integrates, per seed w, the graph ODE together with J' = Gamma(c'(u));
-    by Gamma(X) = div(X) the J accumulated over a closed line equals the
-    loop integral of div(X) in the flow parametrization.  J1 is smooth and
-    periodic in the seed, so summing it along orbits of the flow's return
-    map (``nullflow.q_return``) gives loop integrals without further
-    integrations.
+    With N the family's null field, a the graph axis and c' = N/N^a the
+    velocity of the line c(u) (so c'^a = 1), nabla_V X = Gamma(V) X and
+    nabla_V Y = -Gamma(V) Y give, from the a-component of nabla_{c'} c',
+
+        Gamma(c') = eps (Gamma^a_ij c'^i c'^j + d/du log|N^a(c(u))|),
+
+    eps = +1 for X and -1 for Y.  So one batched RK4 sweep
+    (``nullflow._march``) over an axis unit integrates the Christoffel
+    contraction alongside the graph ODE, and the exact endpoint term
+    log|N^a(c(1))| - log|N^a(c(0))| completes J1 per seed w: no frame
+    derivative is taken.  By Gamma(X) = div(X) the J accumulated over a
+    closed line equals the loop integral of div(X) in the flow
+    parametrization.  J1 is smooth and periodic in the seed, so summing it
+    along orbits of the flow's return map (``nullflow.q_return``) gives
+    loop integrals without further integrations.
     """
-    def gamma(u, w, m):
+    def points(u, w):
         uu = np.full_like(w, u)
-        one = np.ones_like(w)
-        if axis == 0:
-            return geometry.connection_along(spec, uu, w, one, m)
-        return geometry.connection_along(spec, w, uu, m, one)
+        return (uu, w) if axis == 0 else (w, uu)
+
+    def bend(u, w, m):
+        gam = geometry.christoffels_at(spec, *points(u, w))
+        c = (1.0, m) if axis == 0 else (m, 1.0)
+        return sum(gam[(axis, i, j)] * c[i] * c[j]
+                   for i in (0, 1) for j in (0, 1))
+
+    def log_axis(u, w):
+        n = geometry.null_direction_arrays(spec, *points(u, w), family)
+        return np.log(np.abs(n[axis]))
 
     seeds = np.arange(2048) / 2048
-    _, J = nullflow._march(spec, family, axis, 0.0, seeds, 1.0, step,
-                           integrand=gamma)
+    w_end, J = nullflow._march(spec, family, axis, 0.0, seeds, 1.0, step,
+                               integrand=bend)
+    J = J + log_axis(1.0, w_end) - log_axis(0.0, seeds)
+    if family == "Y":
+        J = -J
     return TrigSeries1.from_samples(J.astype(complex))
 
 
@@ -272,7 +290,8 @@ def _weighted_birkhoff(D1: TrigSeries1, J1: TrigSeries1, w0: float = 0.0,
 def _solve_rescaling(spec, family: str, n: int, tol: Tolerances):
     """Least-squares spectral solve of X(f) = -div(X) on the grid.
 
-    Returns (f, field, residual) with residual = sup |div(e^f X)|.  The
+    Returns (f, field, residual, (istop, itn)) with residual =
+    sup |div(e^f X)| and LSQR's stop code and iteration count.  The
     operator has a large kernel (anything constant along the lines), so
     LSQR's minimum-norm behavior is exactly what is needed; an
     unsolvable right-hand side simply leaves a macroscopic residual.
@@ -295,8 +314,9 @@ def _solve_rescaling(spec, family: str, n: int, tol: Tolerances):
 
     op = LinearOperator((n * n, n * n), matvec=matvec, rmatvec=rmatvec,
                         dtype=float)
-    f = lsqr(op, rhs.ravel(), atol=1e-13, btol=1e-13,
-             iter_lim=4000)[0].reshape(n, n)
+    x, istop, itn = lsqr(op, rhs.ravel(), atol=1e-13, btol=1e-13,
+                         iter_lim=4000)[:3]
+    f = x.reshape(n, n)
     f = f - f.mean()
     series = TrigSeries2.from_samples(f.astype(complex))
 
@@ -310,7 +330,7 @@ def _solve_rescaling(spec, family: str, n: int, tol: Tolerances):
 
     V = geometry.VectorField(k, l)
     residual = _field_divergence_residual(spec, V, n)
-    return f, V, residual
+    return f, V, residual, (istop, itn)
 
 
 def _numeric_analysis(spec, family: str, n: int, tol: Tolerances
@@ -354,13 +374,14 @@ def _numeric_analysis(spec, family: str, n: int, tol: Tolerances
             f"{family}-family loop test landed between thresholds: {source} "
             f"is {worst:.3e}", measured=worst,
             band=(tol.scf_accept, tol.scf_reject))
-    f, V, residual = _solve_rescaling(spec, family, n, tol)
+    f, V, residual, (istop, itn) = _solve_rescaling(spec, family, n, tol)
     if residual < tol.scf_certificate:
         return SCFCertificate(family, V, residual, "rescaling", n, f)
     raise Inconclusive(
         f"loop integrals vanish ({source} = {worst:.3e}) but the transport "
         f"solve for the rescaling exponent stalled at divergence residual "
-        f"{residual:.3e}", measured=residual, band=(0.0, tol.scf_certificate))
+        f"{residual:.3e} (LSQR istop {istop} after {itn} iterations)",
+        measured=residual, band=(0.0, tol.scf_certificate))
 
 
 def semi_conformal_certificate(spec, family: str = "X",

@@ -607,14 +607,14 @@ def connection_along(spec, x1, x2, v1, v2, h: float = DEFAULT.fd_step):
     """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    gam = christoffels_at(spec, x1, x2, h)
+    g = coefficients(spec, x1, x2)
+    gam = _christoffels(*g, *coefficient_partials(spec, x1, x2, h))
 
     def frame(a, b):
         return frame_component_arrays(spec, a, b)
     ds1 = (_central(frame, x1, x2, 0, h), _central(frame, x1, x2, 1, h))
     a1, a2, b1, b2 = frame_component_arrays(spec, x1, x2)
-    gamma_i = _connection_form((a1, a2), ds1, (b1, b2),
-                               coefficients(spec, x1, x2), gam)
+    gamma_i = _connection_form((a1, a2), ds1, (b1, b2), g, gam)
     return v1 * gamma_i[0] + v2 * gamma_i[1]
 
 

@@ -8,6 +8,11 @@ from nulltorus import catalog
 # of rebuilding (catalog constructors capture fresh closures each call).
 
 
+#: fixture names of the whole zoo, for tests parametrized over every spec
+ZOO = ("flat_spec", "sqrt2_spec", "analex_spec", "sanchez_spec",
+       "rosatau_spec", "wave12_spec", "conformal_spec")
+
+
 @pytest.fixture(scope="session")
 def flat_spec():
     return catalog.flat()

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from nulltorus import catalog, classify, geometry, spinorfield
-from nulltorus.errors import NotHarmonic, NotSCF, WrongFamily
+from conftest import ZOO
+from nulltorus import catalog, classify, geometry, nullflow, spinorfield
+from nulltorus.errors import Inconclusive, NotHarmonic, NotSCF, WrongFamily
 from nulltorus.gridtools import grid_points
 from nulltorus.spin import SpinStructure, all_structures
 
@@ -96,16 +97,73 @@ def test_certificate_conformal_propagates_obstruction(rosatau_spec):
     assert exc.value.obstruction == pytest.approx(0.5, abs=1e-6)
 
 
-def test_certificate_numeric_rescaling_route():
+@pytest.fixture(scope="module")
+def conformally_flat_diagonal():
     # conformally flat but with non-closed coefficients, so no analytic
     # shortcut applies and the loop test + least-squares transport solve run
     f = lambda x1, x2: np.exp(0.15 * np.sin(2 * np.pi * x1)
                               * np.sin(2 * np.pi * x2))
-    spec = geometry.Diagonal(lam1=f, lam2=f, grid_n=128)
-    cert = classify.semi_conformal_certificate(spec, "X")
+    return geometry.Diagonal(lam1=f, lam2=f, grid_n=128)
+
+
+def test_certificate_numeric_rescaling_route(conformally_flat_diagonal):
+    cert = classify.semi_conformal_certificate(conformally_flat_diagonal, "X")
     assert cert.kind == "rescaling"
     assert cert.residual < 1e-8
     assert cert.exponent is not None
+
+
+def test_stalled_transport_solve_names_lsqr_stop(conformally_flat_diagonal,
+                                                 monkeypatch):
+    def stalled(op, b, **kwargs):
+        # LSQR's 10-tuple: x, istop, itn, then seven norms and estimates
+        return (np.zeros_like(b), 7, 4000) + (0.0,) * 7
+    monkeypatch.setattr(classify, "lsqr", stalled)
+    with pytest.raises(Inconclusive) as exc:
+        classify.semi_conformal_certificate(conformally_flat_diagonal, "X")
+    assert "stalled" in str(exc.value)
+    assert "istop 7 after 4000 iterations" in str(exc.value)
+
+
+#: |J1 - J1 from the Gamma(c') integrand| at step 1e-2: at most 1.1e-8
+#: (conformal Y) for every family but rosatau Y, where it is 3.0e-5.  There
+#: the Christoffel route is exact (on the horizontal lines the contraction
+#: is Gamma^1_11 = 0, as g_11 = 0 and g_12 = 1, and the endpoint term
+#: cancels) and the Gamma(c') integrand carries RK4 error across the steep
+#: tau window (4.5e-7 at step 5e-3, 1.7e-14 at 1e-3).
+LOOP_SERIES_BOUND = {("rosatau_spec", "Y"): 1e-4}
+
+
+@pytest.mark.parametrize("family", ("X", "Y"))
+@pytest.mark.parametrize("name", ZOO)
+def test_flow_loop_series_matches_connection_integrand(name, family,
+                                                       request):
+    spec = request.getfixturevalue(name)
+    axis = nullflow.transversal_axis(spec, family)
+    step = 1e-2
+
+    def gamma(u, w, m):
+        uu = np.full_like(w, u)
+        one = np.ones_like(w)
+        if axis == 0:
+            return geometry.connection_along(spec, uu, w, one, m)
+        return geometry.connection_along(spec, w, uu, m, one)
+
+    seeds = np.arange(2048) / 2048
+    _, reference = nullflow._march(spec, family, axis, 0.0, seeds, 1.0, step,
+                                   integrand=gamma)
+    J1 = classify._flow_loop_series.__wrapped__(spec, family, axis, step)
+    error = np.max(np.abs(np.real(J1(seeds)) - reference))
+    assert error < LOOP_SERIES_BOUND.get((name, family), 1e-7)
+
+
+def test_flow_loop_series_takes_no_frame_derivative(wave12_spec,
+                                                    monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("connection_along called")
+    monkeypatch.setattr(geometry, "connection_along", forbidden)
+    J1 = classify._flow_loop_series.__wrapped__(wave12_spec, "Y", 0, 1e-2)
+    assert np.all(np.isfinite(np.real(J1(np.arange(16) / 16))))
 
 
 def test_is_x_conformally_flat(analex_spec, rosatau_spec, flat_spec):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ZOO
 from nulltorus import catalog, geometry
 from nulltorus.errors import DegenerateMetric
 from nulltorus.gridtools import grid_points
@@ -52,10 +53,6 @@ def test_sanchez_null_fields(sanchez_spec):
         ev = geometry.eval_metric(sanchez_spec, (x1, 0.0))
         assert abs(ev.inner((a1, b1), (a1, b1))) < 1e-9 * max(1.0, a1 * a1)
         assert abs(ev.inner((a2, b2), (a2, b2))) < 1e-9
-
-
-ZOO = ("flat_spec", "sqrt2_spec", "analex_spec", "sanchez_spec",
-       "rosatau_spec", "wave12_spec", "conformal_spec")
 
 
 @pytest.mark.parametrize("name", ZOO)
