@@ -96,15 +96,10 @@ def _certify(spec, family: str, k, l, kind: str, n: int, tol: Tolerances,
 def _diagonal_analysis(spec, family: str, n: int, tol: Tolerances
                        ) -> Optional[SCFCertificate]:
     """X certifies when the coefficients are closed, Y when anti-closed."""
-    m = min(spec.grid_n, 256)
-    X1, X2 = grid_points(m)
-    l1, l2 = spec.lambdas(X1, X2)
-    _, d2l1 = spectral_derivatives(l1)
-    d1l2, _ = spectral_derivatives(l2)
-    combo = d2l1 + d1l2 if family == "X" else d2l1 - d1l2
-    if float(np.max(np.abs(combo))) >= tol.closedness:
+    if geometry.closedness_residual(spec, min(spec.grid_n, 256),
+                                    family) >= tol.closedness:
         return None
-    sgn = 1.0 if float(l1.ravel()[0]) > 0 else -1.0
+    sgn = 1.0 if float(spec.lambdas(0.0, 0.0)[0]) > 0 else -1.0
     front = 1.0 if family == "X" else -1.0
 
     def k(x1, x2):

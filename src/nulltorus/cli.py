@@ -564,24 +564,24 @@ def table(ctx, metric, quantities, grid_n,
                 raise ConfigError(f"unknown quantity {q!r}; choose from "
                                   + ", ".join(sorted(classify.QUANTITIES)))
         reports = classify.classify_table(spec, qs, tol=s.tol)
-        solver = None   # the exact solvers count X-parallel spinors only
-        if any(classify.QUANTITIES[q][0] == "X" for q in qs):
-            solver = spinorfield.exact_solver(spec, s.tol)
+        # the count class depends on the structure and family, not on the
+        # chirality: one exact count per (structure, family)
+        spectral = {}
+        for family in dict.fromkeys(classify.QUANTITIES[q][0] for q in qs):
+            solver = spinorfield.exact_solver(spec, s.tol, family)
+            for ab in STRUCTURES:
+                spectral[ab, family] = None if solver is None else solver(
+                    spec, SpinStructure(*ab), n_fields=0,
+                    tol=s.tol).count_class
         rows = []
         for ab in STRUCTURES:
             for q in qs:
                 rep = reports[ab][q]
-                family, chirality = classify.QUANTITIES[q]
-                spectral = None
-                if solver is not None and family == "X":
-                    spectral = solver(spec, SpinStructure(*ab),
-                                      chirality=chirality, n_fields=0,
-                                      tol=s.tol).count_class
                 rows.append({"a1": ab[0], "a2": ab[1], "quantity": q,
                              "value": rep.value,
                              "certificate": rep.certificate,
                              "family": rep.family,
-                             "spectral_count": spectral})
+                             "spectral_count": spectral[ab, rep.family]})
         table = (["a1", "a2", "quantity", "value", "certificate", "family",
                   "spectral_count"], rows)
         clashes = "; ".join(
@@ -596,9 +596,11 @@ def table(ctx, metric, quantities, grid_n,
 
 @main.command()
 @click.option("--step", type=float, default=None,
-              help="Degrade the integrator step used by criterion 3.")
+              help="Integrator step of criterion 3's rotation numbers and "
+                   "criterion 9's completeness probe.")
 @click.option("--grid-n", type=int, default=None,
-              help="Truncation for the criterion-1 solver grid.")
+              help="Grid of criterion 1's solver and criterion 9's bump "
+                   "fields.")
 @click.option("--criterion", type=int, default=None,
               help="Run a single criterion (1-10) instead of the suite.")
 @artifact_options

@@ -409,13 +409,6 @@ def is_diagonal(spec) -> bool:
     return isinstance(spec, _DiagonalMetric)
 
 
-def base_spec(spec) -> "MetricSpec":
-    """Strip conformal rescalings (they do not move null lines)."""
-    while isinstance(spec, ConformalRescale):
-        spec = spec.inner
-    return spec
-
-
 def _family(spec) -> "MetricSpec":
     if not isinstance(spec, MetricSpec):
         raise WrongFamily(f"unknown metric family: {type(spec).__name__}")
@@ -648,23 +641,33 @@ def divergence_grids(spec, v1_grid, v2_grid, n: int):
 # closed diagonal structure
 
 
-def closedness_residual(spec, n: Optional[int] = None) -> float:
-    """sup |d2 lam1 + d1 lam2| on the grid (spectral derivatives)."""
+def closedness_residual(spec, n: Optional[int] = None,
+                        family: str = "X") -> float:
+    """sup |d2 lam1 + d1 lam2| (X) or sup |d2 lam1 - d1 lam2| (Y) on the grid.
+
+    X is closed when the first vanishes, Y when the second does (the
+    "anti-closed" sign); spectral derivatives on the n x n grid.
+    """
     if not is_diagonal(spec):
         raise WrongFamily("closedness is defined for diagonal families only; "
                           f"got {type(spec).__name__}")
-    n = n or spec.grid_n
+    if family not in ("X", "Y"):
+        raise ValueError(f"family must be 'X' or 'Y', got {family!r}")
+    return _closedness_residual(spec, n or spec.grid_n, family)
+
+
+@lru_cache(maxsize=64)
+def _closedness_residual(spec, n: int, family: str) -> float:
     X1, X2 = grid_points(n)
     l1, l2 = spec.lambdas(X1, X2)
     _, d2l1 = spectral_derivatives(l1)
     d1l2, _ = spectral_derivatives(l2)
-    return float(np.max(np.abs(d2l1 + d1l2)))
+    combo = d2l1 + d1l2 if family == "X" else d2l1 - d1l2
+    return float(np.max(np.abs(combo)))
 
 
 def is_closed_diagonal(spec, tol: Optional[Tolerances] = None) -> bool:
     tol = tol or DEFAULT
-    if isinstance(spec, ConformalRescale):
-        return False
     if not is_diagonal(spec):
         return False
     if isinstance(spec, LeftInvariant):

@@ -575,31 +575,20 @@ def cylinder_decomposition(spec, family: str = "X", resolution: int = 1024,
 
 
 def probe_completeness(spec, p0: Point, family: str = "X",
-                       affine: bool = True, t_max: float = 20.0,
-                       step: float = DEFAULT.ode_step, adaptive: bool = True,
+                       t_max: float = 20.0, step: float = DEFAULT.ode_step,
                        tol: Tolerances = DEFAULT) -> CompletenessProbe:
     """Integrate the null geodesic through p0 in both time directions.
 
-    With ``affine=True`` the geodesic equation is solved in an affine
-    parameter; a blowup certificate is issued when the coordinate speed
-    exceeds 1e8 while the affine parameter stays below t_max.  The step
-    adapts as 1/(1+|v|) so each step moves a bounded coordinate distance
-    (StepTooLarge if adaptivity is disabled and the motion outruns the step).
-    With ``affine=False`` the normalized direction field is integrated
-    instead, which is complete on the torus; the probe then just reports
-    t_max.
+    The geodesic equation is solved in an affine parameter; a blowup
+    certificate is issued when the coordinate speed exceeds 1e8 while the
+    affine parameter stays below t_max.  The step shrinks as
+    step/max(1, |v|), so each step moves a bounded coordinate distance.
     """
-    if not affine:
-        integrate_null_line(spec, p0, family, t_max=t_max, step=step, tol=tol)
-        d = {"reached": t_max, "blowup": False, "final_speed": 1.0}
-        return CompletenessProbe(family, p0, t_max, False, None, 1.0, (d, d))
-
     v0 = np.array(geometry.null_directions(spec, p0)[0 if family == "X" else 1],
                   dtype=float)
     results = []
     for sign in (+1.0, -1.0):
-        results.append(_geodesic_leg(spec, p0, sign * v0, t_max, step,
-                                     adaptive, tol))
+        results.append(_geodesic_leg(spec, p0, sign * v0, t_max, step, tol))
     blow = results[0]["blowup"] or results[1]["blowup"]
     blow_t = None
     for r in results:
@@ -613,7 +602,7 @@ def probe_completeness(spec, p0: Point, family: str = "X",
 
 
 def _geodesic_leg(spec, p0: Point, v0: np.ndarray, t_max: float, step: float,
-                  adaptive: bool, tol: Tolerances) -> dict:
+                  tol: Tolerances) -> dict:
     x = np.array([p0[0], p0[1]], dtype=float)
     v = np.array(v0, dtype=float)
     t = 0.0
@@ -633,12 +622,7 @@ def _geodesic_leg(spec, p0: Point, v0: np.ndarray, t_max: float, step: float,
         if speed >= tol.velocity_blowup:
             blowup = True
             break
-        h = step / max(1.0, speed) if adaptive else step
-        if not adaptive and speed * step > 0.25:
-            raise StepTooLarge(
-                f"geodesic speed {speed:.3g} outruns fixed step {step:.1e}; "
-                "enable adaptive stepping")
-        h = min(h, t_max - t)
+        h = min(step / max(1.0, speed), t_max - t)
         k1x, k1v = v, acc(x, v)
         k2x, k2v = v + 0.5 * h * k1v, acc(x + 0.5 * h * k1x, v + 0.5 * h * k1v)
         k3x, k3v = v + 0.5 * h * k2v, acc(x + 0.5 * h * k2x, v + 0.5 * h * k2v)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -151,40 +152,22 @@ def embed(f: HalfSpinorField) -> SpinorField:
 # covariant operators on grids
 
 
-def _direction_grids(spec, direction, n: int):
-    """Coordinate components of a direction on the n x n grid.
-
-    Accepts 'X'/'Y'/'s1'/'s2', a VectorField, a (v1, v2) pair of callables,
-    constants, or grids.
-    """
-    if isinstance(direction, str):
-        a1, a2, b1, b2 = geometry.frame_grids(spec, n)
-        if direction == "X":
-            return a1 + b1, a2 + b2
-        if direction == "Y":
-            return -a1 + b1, -a2 + b2
-        if direction == "s1":
-            return a1, a2
-        if direction == "s2":
-            return b1, b2
-        raise ValueError(f"unknown direction {direction!r}")
-    if isinstance(direction, geometry.VectorField):
-        X1, X2 = grid_points(n)
-        v1, v2 = direction.at(X1, X2)
-        shape = (n, n)
-        return (np.broadcast_to(np.asarray(v1, dtype=float), shape),
-                np.broadcast_to(np.asarray(v2, dtype=float), shape))
-    v1, v2 = direction
-    if callable(v1):
-        X1, X2 = grid_points(n)
-        v1, v2 = v1(X1, X2), v2(X1, X2)
-    shape = (n, n)
-    return (np.broadcast_to(np.asarray(v1, dtype=float), shape),
-            np.broadcast_to(np.asarray(v2, dtype=float), shape))
+def _direction_grids(spec, direction: str, n: int):
+    """Coordinate components of 'X', 'Y', 's1' or 's2' on the n x n grid."""
+    a1, a2, b1, b2 = geometry.frame_grids(spec, n)
+    if direction == "X":
+        return a1 + b1, a2 + b2
+    if direction == "Y":
+        return -a1 + b1, -a2 + b2
+    if direction == "s1":
+        return a1, a2
+    if direction == "s2":
+        return b1, b2
+    raise ValueError(f"unknown direction {direction!r}")
 
 
-def nabla_along(f: HalfSpinorField, direction) -> HalfSpinorField:
-    """Covariant derivative of the half-spinor along a direction field.
+def nabla_along(f: HalfSpinorField, direction: str) -> HalfSpinorField:
+    """Covariant derivative of the half-spinor along a frame or null field.
 
     Acts on the periodic representative as
     dh(V) + (chirality/2 * Gamma(V) + omega_a(V)) h.
@@ -238,37 +221,26 @@ def twistor_apply(phi: Union[SpinorField, HalfSpinorField]
 
 
 def residual_norm(phi: Union[SpinorField, HalfSpinorField],
-                  operator: str = "harmonic", norm: str = "sup") -> float:
-    """Size of the field's defect under the named equation.
+                  operator: str = "harmonic") -> float:
+    """Sup norm of the field's defect under the named equation.
 
-    harmonic: Dirac kernel residual; twistor: Penrose kernel residual
-    (max over the two frame components); transport: plain nabla along the
-    chirality's own null family (X for positive, Y for negative).
+    transport: plain nabla along the chirality's own null family (X for
+    positive, Y for negative); harmonic: Dirac kernel residual, which is the
+    same number because (D phi)^- = i nabla_X phi^+, (D phi)^+ = i nabla_Y
+    phi^- and |i z| = |z|; twistor: Penrose kernel residual (max over the
+    two frame components).
     """
-    def reduce(arrs) -> float:
-        stacked = np.concatenate([np.abs(np.asarray(a)).ravel() for a in arrs])
-        if norm == "sup":
-            return float(stacked.max())
-        if norm == "l2":
-            return float(np.sqrt(np.mean(stacked ** 2)))
-        raise ValueError(f"unknown norm {norm!r}")
-
-    if operator == "harmonic":
-        d = dirac_apply(phi)
-        return reduce([d.negative.values, d.positive.values])
     if operator == "twistor":
-        p1, p2 = twistor_apply(phi)
-        return reduce([p1.negative.values, p1.positive.values,
-                       p2.negative.values, p2.positive.values])
-    if operator == "transport":
-        psi = embed(phi) if isinstance(phi, HalfSpinorField) else phi
-        arrs = []
-        if np.any(psi.positive.values):
-            arrs.append(nabla_along(psi.positive, "X").values)
-        if np.any(psi.negative.values):
-            arrs.append(nabla_along(psi.negative, "Y").values)
-        return reduce(arrs) if arrs else 0.0
-    raise ValueError(f"unknown operator {operator!r}")
+        arrs = [half.values for p in twistor_apply(phi)
+                for half in (p.negative, p.positive)]
+    elif operator in ("harmonic", "transport"):
+        halves = ((phi,) if isinstance(phi, HalfSpinorField)
+                  else (phi.positive, phi.negative))
+        arrs = [nabla_along(h, "X" if h.chirality == 1 else "Y").values
+                for h in halves if np.any(h.values)]
+    else:
+        raise ValueError(f"unknown operator {operator!r}")
+    return max((float(np.max(np.abs(a))) for a in arrs), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -462,11 +434,8 @@ def solve_closed_diagonal(spec, structure: SpinStructure, chirality: int = 1,
     congruence; no parity works exactly when the structure's character on
     the winding is -1.
     """
-    if not geometry.is_closed_diagonal(spec, tol):
-        raise WrongFamily("solve_closed_diagonal requires closed diagonal "
-                          "coefficients")
     n = grid_n or spec.grid_n
-    l1, l2 = geometry.mean_coefficients(spec, tol)
+    l1, l2 = geometry.mean_coefficients(spec, tol)  # WrongFamily if not closed
     cert = nullflow.best_rational(l1 / l2, tol.rational_cap,
                                   tol.rational_residual_solver)
     if cert is None:
@@ -485,28 +454,31 @@ def solve_closed_diagonal(spec, structure: SpinStructure, chirality: int = 1,
                                       False, True, None, (), "Zero", ())
     ss = sorted(range(-n_alphas, n_alphas + 1), key=abs)[:n_alphas]
     alphas = tuple((t + 2 * s) * p / (2 * l1) for s in ss)
-    G = phase_exponent_grid(spec, n)
-    X1, X2 = grid_points(n)
-    conj_twist = np.conj(structure.twist(X1, X2))
-    fields = []
-    for alpha in alphas[:n_fields]:
-        vals = conj_twist * np.exp(1j * np.pi * alpha * G)
-        fields.append(HalfSpinorField(spec, structure, chirality, vals,
-                                      meta={"alpha": alpha}))
+    fields = ()
+    if alphas[:n_fields]:
+        G = phase_exponent_grid(spec, n)
+        X1, X2 = grid_points(n)
+        conj_twist = np.conj(structure.twist(X1, X2))
+        fields = tuple(
+            HalfSpinorField(spec, structure, chirality,
+                            conj_twist * np.exp(1j * np.pi * alpha * G),
+                            meta={"alpha": alpha})
+            for alpha in alphas[:n_fields])
     return ClosedDiagonalSolution(structure, chirality, l1, l2, cert, True,
-                                  False, t, alphas, "Infinite", tuple(fields))
+                                  False, t, alphas, "Infinite", fields)
 
 
-def exact_solver(spec, tol: Tolerances = DEFAULT) -> Optional[Callable]:
-    """The exact kernel solver for ``spec``, or None if it has none.
+def exact_solver(spec, tol: Tolerances = DEFAULT, family: str = "X"
+                 ) -> Optional[Callable]:
+    """The exact kernel solver for ``spec`` and the family, or None.
 
-    ``solve_left_invariant`` for constant coefficients and
-    ``solve_closed_diagonal`` for closed diagonal ones; both accept
-    ``(spec, structure, chirality=, n_fields=, tol=)``.
+    ``solve_left_invariant`` for constant coefficients (either family) and
+    ``solve_closed_diagonal`` for closed diagonal ones (X only); the solver
+    accepts ``(spec, structure, chirality=, n_fields=, tol=)``.
     """
     if isinstance(spec, geometry.LeftInvariant):
-        return solve_left_invariant
-    if geometry.is_closed_diagonal(spec, tol):
+        return partial(solve_left_invariant, family=family)
+    if family == "X" and geometry.is_closed_diagonal(spec, tol):
         return solve_closed_diagonal
     return None
 

@@ -366,8 +366,8 @@ def _ppwave_expectation(spec, tol: Tolerances
 
 def criterion_ppwave(step, grid_n, tol) -> tuple[bool, dict, str]:
     spec = catalog.rosatau_window()
-    probe = nullflow.probe_completeness(spec, (0.3, 0.0), "X", affine=True,
-                                        t_max=20.0, step=5e-3, tol=tol)
+    probe = nullflow.probe_completeness(spec, (0.3, 0.0), "X", t_max=20.0,
+                                        step=step or 5e-3, tol=tol)
     table = classify.classify_table(spec, ("delta_plus",), tol=tol)
     values = {ab: table[ab]["delta_plus"].value for ab in STRUCTURES}
     certs = {ab: table[ab]["delta_plus"].certificate for ab in STRUCTURES}
@@ -375,7 +375,7 @@ def criterion_ppwave(step, grid_n, tol) -> tuple[bool, dict, str]:
     winding, characters, expected = _ppwave_expectation(spec, tol)
     as_expected = values == expected
     fields = spinorfield.construct_resonant_spinors(
-        spec, SpinStructure(1, 1), count=5, grid_n=2048, tol=tol)
+        spec, SpinStructure(1, 1), count=5, grid_n=grid_n or 2048, tol=tol)
     worst_residual = max(spinorfield.residual_norm(f, "harmonic")
                          for f in fields)
     overlaps = []

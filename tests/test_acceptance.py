@@ -94,3 +94,29 @@ def test_criterion_09_verdicts_are_forced():
     assert len(fields) == 3
     for f in fields:
         assert spinorfield.residual_norm(f, "harmonic") < 1e-6
+
+
+@pytest.mark.parametrize("overrides,expected", [
+    ({}, {"step": 5e-3, "grid_n": 2048}),
+    ({"step": 1e-2, "grid_n": 64}, {"step": 1e-2, "grid_n": 64}),
+])
+def test_criterion_09_honours_overrides(monkeypatch, overrides, expected):
+    """validate --step/--grid-n reach the completeness probe and the bumps."""
+    seen = {}
+
+    def probe(*args, **kwargs):
+        seen["step"] = kwargs["step"]
+
+    def bumps(*args, **kwargs):
+        seen["grid_n"] = kwargs["grid_n"]
+        return ()
+
+    row = {"delta_plus": SimpleNamespace(value="Zero", certificate="-")}
+    monkeypatch.setattr(nullflow, "probe_completeness", probe)
+    monkeypatch.setattr(classify, "classify_table",
+                        lambda *a, **k: {ab: row for ab in STRUCTURES})
+    monkeypatch.setattr(validation, "_ppwave_expectation",
+                        lambda *a, **k: ((0, 1), {}, {}))
+    monkeypatch.setattr(spinorfield, "construct_resonant_spinors", bumps)
+    validation.run_criterion(9, **overrides)
+    assert seen == expected

@@ -118,7 +118,7 @@ def test_table_disagreement_is_exit_two(runner, monkeypatch):
         count_class = "Zero"
 
     monkeypatch.setattr(spinorfield, "exact_solver",
-                        lambda spec, tol: lambda *a, **k: Wrong())
+                        lambda spec, tol, family: lambda *a, **k: Wrong())
     result = runner.invoke(main, ["table", "--metric", "left_invariant:1,1"])
     assert result.exit_code == 2
     lines = result.stdout.splitlines()
@@ -129,6 +129,44 @@ def test_table_disagreement_is_exit_two(runner, monkeypatch):
     named = [clash.split()[0] for clash in
              result.stderr.split("count: ", 1)[1].split("; ")]
     assert named == ["1,1", "-1,-1"]
+
+
+@pytest.mark.parametrize("ratio", ["1,1", "1,2", "2,3", "3,5", "sqrt2,1"])
+def test_table_y_rows_carry_spectral_count(runner, ratio):
+    result = runner.invoke(main, ["table", "--metric",
+                                  f"left_invariant:{ratio}", "--quantity",
+                                  "delta_minus,tau_plus"])
+    assert result.exit_code == 0, result.output
+    lines = result.output.splitlines()
+    rows = [dict(zip(lines[1].split(","), line.split(",")))
+            for line in lines[2:]]
+    assert len(rows) == 8
+    for row in rows:
+        assert row["family"] == "Y"
+        assert row["spectral_count"] == row["value"]
+
+
+@pytest.mark.parametrize("metric,quantities,solver,expected", [
+    ("closed_diagonal:2,3", "delta_plus,tau_minus", "solve_closed_diagonal",
+     ["X"] * 4),
+    ("left_invariant:1,2", "delta_plus,delta_minus,tau_plus,tau_minus",
+     "solve_left_invariant", ["X"] * 4 + ["Y"] * 4),
+])
+def test_table_counts_once_per_structure_and_family(runner, monkeypatch,
+                                                    metric, quantities,
+                                                    solver, expected):
+    families = []
+    solve = getattr(spinorfield, solver)
+
+    def counting(*args, **kwargs):
+        families.append(kwargs.get("family", "X"))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(spinorfield, solver, counting)
+    result = runner.invoke(main, ["table", "--metric", metric,
+                                  "--quantity", quantities])
+    assert result.exit_code == 0, result.output
+    assert families == expected
 
 
 def test_holonomy_csv_rosatau(runner):

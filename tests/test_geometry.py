@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ZOO
-from nulltorus import catalog, geometry
+from nulltorus import catalog, classify, geometry
 from nulltorus.errors import DegenerateMetric
 from nulltorus.gridtools import grid_points
+from nulltorus.tolerances import DEFAULT
 
 
 def test_analex_coefficients_at_origin(analex_spec):
@@ -111,6 +112,27 @@ def test_closedness_residual(analex_spec, wave12_spec):
         lambda x1, x2: 1.0 + 0.1 * np.cos(2 * np.pi * (x1 + x2)),
         lambda x1, x2: 2.0 + 0.1 * np.cos(2 * np.pi * (x1 + x2)))
     assert geometry.closedness_residual(bad) > 1e-2
+
+
+def test_closedness_residual_y_sign(sqrt2_spec, analex_spec):
+    """Y tests d2 lam1 - d1 lam2: anti-closed coefficients certify Y."""
+    tol = DEFAULT.closedness
+    assert geometry.closedness_residual(sqrt2_spec, family="Y") == 0.0
+    assert geometry.closedness_residual(analex_spec, family="Y") > tol
+    anti = geometry.Diagonal(
+        lambda x1, x2: 1.0 + 0.1 * np.cos(2 * np.pi * (x1 + x2)),
+        lambda x1, x2: 2.0 + 0.1 * np.cos(2 * np.pi * (x1 + x2)))
+    assert geometry.closedness_residual(anti, family="Y") < 1e-12
+    assert geometry.closedness_residual(anti, family="X") > 1e-2
+    assert classify.semi_conformal_certificate(anti, "Y").kind == "analytic"
+    with pytest.raises(ValueError):
+        geometry.closedness_residual(anti, family="Z")
+
+
+def test_closedness_residual_is_cached(analex_spec, monkeypatch):
+    first = geometry.closedness_residual(analex_spec, 64, "Y")
+    monkeypatch.setattr(geometry, "spectral_derivatives", None)
+    assert geometry.closedness_residual(analex_spec, 64, "Y") == first
 
 
 def test_validate_spec_rejects_degenerate():

@@ -1,0 +1,60 @@
+"""Static hygiene of the package: no unused imports, no unreferenced code."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nulltorus"
+MODULES = {path.stem: ast.parse(path.read_text(), filename=str(path))
+           for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _used_names(tree) -> set[str]:
+    """Every name a module reads: bare names, attributes and imports."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def _bound_imports(tree) -> dict[str, int]:
+    """Names bound by the module's imports, with their line numbers."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    return bound
+
+
+def test_every_import_is_used():
+    unused = []
+    for name, tree in MODULES.items():
+        if name == "__init__":
+            continue
+        reads = {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name)}
+        unused += [f"{name}.py:{line} {imported}"
+                   for imported, line in _bound_imports(tree).items()
+                   if imported not in reads]
+    assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def test_every_top_level_definition_is_referenced():
+    exported = _used_names(MODULES["__init__"])
+    referenced = set().union(*(_used_names(tree) for name, tree
+                               in MODULES.items() if name != "__init__"))
+    dead = [f"{name}.{node.name}"
+            for name, tree in MODULES.items() for node in tree.body
+            if (isinstance(node, ast.ClassDef)
+                or isinstance(node, ast.FunctionDef)
+                and not node.decorator_list)
+            and node.name not in referenced | exported]
+    assert not dead, "definitions nothing references: " + ", ".join(dead)

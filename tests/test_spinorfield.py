@@ -53,10 +53,39 @@ def test_residual_norm_equivalences(analex_spec):
     s = SpinStructure(1, 1)
     f = spinorfield.fourier_mode_field(analex_spec, s, (1, 1), chirality=1)
     # for a pure positive half, the Dirac residual is the X-transport defect
-    assert spinorfield.residual_norm(f, "harmonic") == pytest.approx(
-        spinorfield.residual_norm(f, "transport"), rel=1e-12)
+    assert spinorfield.residual_norm(f, "harmonic") == \
+        spinorfield.residual_norm(f, "transport")
     with pytest.raises(ValueError):
         spinorfield.residual_norm(f, "heat")
+
+
+def test_harmonic_residual_transports_only_nonzero_halves(analex_spec,
+                                                          monkeypatch):
+    s = SpinStructure(1, -1)
+    pos = spinorfield.fourier_mode_field(analex_spec, s, (2, 1), chirality=1)
+    neg = spinorfield.fourier_mode_field(analex_spec, s, (0, 3), chirality=-1)
+    both = spinorfield.SpinorField(positive=pos, negative=neg)
+    d = spinorfield.dirac_apply(both)
+    dirac_sup = max(float(np.max(np.abs(d.negative.values))),
+                    float(np.max(np.abs(d.positive.values))))
+    assert spinorfield.residual_norm(both, "harmonic") == dirac_sup
+
+    calls = []
+    nabla = spinorfield.nabla_along
+
+    def counting(f, direction):
+        calls.append(direction)
+        return nabla(f, direction)
+
+    monkeypatch.setattr(spinorfield, "nabla_along", counting)
+    spinorfield.residual_norm(neg, "harmonic")
+    assert calls == ["Y"]
+
+
+def test_nabla_along_names_only(analex_spec):
+    f = spinorfield.constant_field(analex_spec, SpinStructure(1, 1))
+    with pytest.raises(ValueError):
+        spinorfield.nabla_along(f, "Z")
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +217,28 @@ def test_closed_diagonal_alphas_are_equivariant(analex_spec):
         # shifting the parity by one breaks equivariance
         bad = sol.alphas[0] + sol.ratio.p / (2 * sol.l1)
         assert abs(s.a1 * np.exp(2j * np.pi * bad * sol.l1) - 1.0) > 1.0
+
+
+def test_closed_diagonal_count_builds_no_phase_grid(analex_spec,
+                                                   monkeypatch):
+    monkeypatch.setattr(spinorfield, "phase_exponent_grid", None)
+    sol = spinorfield.solve_closed_diagonal(analex_spec, SpinStructure(1, 1),
+                                            n_fields=0)
+    assert sol.count_class == "Infinite" and sol.fields == ()
+
+
+def test_exact_solver_per_family(analex_spec, sqrt2_spec, monkeypatch):
+    spec = catalog.left_invariant(1, 2)
+    for family in ("X", "Y"):
+        solver = spinorfield.exact_solver(spec, family=family)
+        sol = solver(spec, SpinStructure(1, 1), n_fields=0)
+        assert sol.family == family
+    assert spinorfield.exact_solver(analex_spec) is \
+        spinorfield.solve_closed_diagonal
+    # no Y solver for closed diagonal metrics, decided without a grid check
+    monkeypatch.setattr(geometry, "is_closed_diagonal", None)
+    assert spinorfield.exact_solver(analex_spec, family="Y") is None
+    assert spinorfield.exact_solver(sqrt2_spec, family="Y") is not None
 
 
 def test_closed_diagonal_rejects_non_diagonal(sanchez_spec):
