@@ -176,7 +176,7 @@ def _sanchez_analysis(spec, family: str, n: int, tol: Tolerances
 
         return _certify(spec, family, k, l, "analytic", n, tol)
     obstructions = []
-    h = tol.fd_step
+    h = geometry.FD_STEP
     for z in zeros:
         dG = float((spec.G(np.asarray(z + h)) - spec.G(np.asarray(z - h)))
                    / (2 * h))
@@ -255,7 +255,7 @@ def _flow_loop_series(spec, family: str, axis: int, step: float
         n = geometry.null_direction_arrays(spec, *points(u, w), family)
         return np.log(np.abs(n[axis]))
 
-    seeds = np.arange(2048) / 2048
+    seeds = np.arange(nullflow.RETURN_SEEDS) / nullflow.RETURN_SEEDS
     w_end, J = nullflow._march(spec, family, axis, 0.0, seeds, 1.0, step,
                                integrand=bend)
     J = J + log_axis(1.0, w_end) - log_axis(0.0, seeds)
@@ -264,17 +264,18 @@ def _flow_loop_series(spec, family: str, axis: int, step: float
     return TrigSeries1.from_samples(J.astype(complex))
 
 
-def _weighted_birkhoff(D1: TrigSeries1, J1: TrigSeries1, w0: float = 0.0,
-                       n: int = 1024) -> float:
-    """Exponentially weighted Birkhoff average of J1 along the return orbit.
+def _weighted_birkhoff(D1: TrigSeries1, J1: TrigSeries1) -> float:
+    """Exponentially weighted Birkhoff average of J1 along the return orbit
+    of w = 0 (1024 returns).
 
     The bump weighting converges superpolynomially for Diophantine rotation
     numbers, which makes the 1e-6 accept threshold reachable where the
     plain average would be stuck at O(1/n).
     """
+    n = 1024
     t = (np.arange(n) + 0.5) / n
     weights = np.exp(-1.0 / (t * (1.0 - t)))
-    w = w0
+    w = 0.0
     total = 0.0
     for j in range(n):
         total += weights[j] * float(np.real(J1(w)))
@@ -344,7 +345,7 @@ def _numeric_analysis(spec, family: str, n: int, tol: Tolerances
     cert = est.rational
     location = None
     if cert is not None and cert.q <= nullflow.MAX_PERIOD:
-        ws = np.arange(1024) / 1024.0
+        ws = np.arange(nullflow.SECTION_SEEDS) / nullflow.SECTION_SEEDS
         disp, J = nullflow.q_return(D1, ws, cert.q, J1)
         closed = np.abs(disp - cert.p) < tol.closedness_reject
         if bool(np.any(closed)):
@@ -458,8 +459,7 @@ class MassFunctional:
 
 def mass_functional(spec, scf: SCFCertificate,
                     phi: Union[SpinorField, HalfSpinorField],
-                    tol: Tolerances = DEFAULT, drift_lines: int = 3
-                    ) -> MassFunctional:
+                    tol: Tolerances = DEFAULT) -> MassFunctional:
     """Mass functional of a positive-harmonic field on an SCF surface."""
     if scf.residual >= tol.scf_certificate:
         raise NotSCF("the supplied certificate does not meet the divergence "
@@ -476,7 +476,7 @@ def mass_functional(spec, scf: SCFCertificate,
     mu = np.real(np.einsum("aij,ab,bij->ij", np.conj(ycomp), GAMMA1, comps))
     mu_series = TrigSeries2.from_samples(mu.astype(complex))
     drift = 0.0
-    for seed in np.linspace(0.05, 0.95, drift_lines):
+    for seed in np.linspace(0.05, 0.95, 3):
         rec = nullflow.integrate_null_line(spec, (seed, seed), "X",
                                            t_max=1.0, step=tol.ode_step,
                                            tol=tol)

@@ -47,15 +47,14 @@ def parse_structure(text: str) -> SpinStructure:
 
 
 def parse_point(text) -> tuple[float, float]:
-    if isinstance(text, (list, tuple)) and len(text) == 2:
-        return (float(text[0]), float(text[1]))
-    parts = str(text).split(",")
-    if len(parts) != 2:
-        raise ConfigError(f"point must be 'x1,x2', got {text!r}")
+    parts = (list(text) if isinstance(text, (list, tuple))
+             else str(text).split(","))
     try:
-        return (float(parts[0]), float(parts[1]))
-    except ValueError:
-        raise ConfigError(f"point must be 'x1,x2', got {text!r}") from None
+        if len(parts) == 2:
+            return (float(parts[0]), float(parts[1]))
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"point must be 'x1,x2', got {text!r}")
 
 
 class Settings:
@@ -113,25 +112,40 @@ class Settings:
             return self.file[key]
         return default
 
+    def number(self, key: str, flag, default, kind=float):
+        """The setting ``key`` as ``kind``, or ConfigError naming the key."""
+        value = self.get(key, flag, default)
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            what = "an integer" if kind is int else "a number"
+            raise ConfigError(f"{key} must be {what}, got {value!r}") from None
+
     def step(self, flag: Optional[float]) -> float:
-        value = float(self.get("step", flag, self.tol.ode_step))
+        value = self.number("step", flag, self.tol.ode_step)
         if not 0.0 < value <= 0.1:
             raise ConfigError(f"step must lie in (0, 0.1], got {value}")
         return value
 
     def count(self, key: str, flag: Optional[int], default: int) -> int:
-        value = int(self.get(key, flag, default))
+        value = self.number(key, flag, default, int)
         if not 1 <= value <= 4096:
             raise ConfigError(f"{key} must lie in [1, 4096], got {value}")
         return value
 
-    def metric(self, flag: Optional[str], grid_n_flag: Optional[int]):
+    def chirality(self, flag: Optional[str]) -> int:
+        value = self.number("chirality", flag, 1, int)
+        if value not in (-1, 1):
+            raise ConfigError(f"chirality must be 1 or -1, got {value}")
+        return value
+
+    def metric(self, flag: Optional[str], grid_n_flag: Optional[int] = None):
         source = self.get("metric", flag)
         if source is None:
             raise ConfigError("a metric is required (--metric or config key)")
         grid_n = self.get("grid_n", grid_n_flag)
         if grid_n is not None:
-            grid_n = self.count("grid_n", int(grid_n), 256)
+            grid_n = self.count("grid_n", grid_n, 256)
         return catalog.load_metric(source, grid_n=grid_n)
 
     def structure(self, flag: Optional[str]) -> SpinStructure:
@@ -293,19 +307,18 @@ def main(ctx, config_path, output, fmt, tol_overrides):
 @click.option("--tmax", type=float, default=None,
               help="Axis-coordinate length of the sweep (default 10).")
 @click.option("--step", type=float, default=None)
-@click.option("--grid-n", type=int, default=None)
 @artifact_options
 @click.pass_context
-def flow(ctx, metric, from_, family, tmax, step, grid_n,
+def flow(ctx, metric, from_, family, tmax, step,
          config_path, output, fmt, tol_overrides):
     """Integrate one null line; emit the trajectory as CSV."""
     _merge_obj(ctx, config_path, output, fmt, tol_overrides)
 
     def worker(s: Settings):
-        spec = s.metric(metric, grid_n)
+        spec = s.metric(metric)
         p0 = parse_point(s.get("from", from_, "0,0"))
         fam = s.get("family", family, "X")
-        t_max = float(s.get("tmax", tmax, 10.0))
+        t_max = s.number("tmax", tmax, 10.0)
         rec = nullflow.integrate_null_line(spec, p0, fam, t_max=t_max,
                                            step=s.step(step), tol=s.tol)
         rows = [{"t": float(t),
@@ -323,16 +336,15 @@ def flow(ctx, metric, from_, family, tmax, step, grid_n,
 @click.option("--family", type=click.Choice(["X", "Y"]), default=None)
 @click.option("--n-returns", type=int, default=None)
 @click.option("--step", type=float, default=None)
-@click.option("--grid-n", type=int, default=None)
 @artifact_options
 @click.pass_context
-def rotation(ctx, metric, from_, family, n_returns, step, grid_n,
+def rotation(ctx, metric, from_, family, n_returns, step,
              config_path, output, fmt, tol_overrides):
     """Rotation number of the null flow, with a rational certificate."""
     _merge_obj(ctx, config_path, output, fmt, tol_overrides)
 
     def worker(s: Settings):
-        spec = s.metric(metric, grid_n)
+        spec = s.metric(metric)
         fam = s.get("family", family, "X")
         p0 = parse_point(s.get("from", from_, "0,0"))
         est = nullflow.rotation_number(
@@ -354,16 +366,15 @@ def rotation(ctx, metric, from_, family, n_returns, step, grid_n,
 @click.option("--family", type=click.Choice(["X", "Y"]), default=None)
 @click.option("--n-returns", type=int, default=None)
 @click.option("--step", type=float, default=None)
-@click.option("--grid-n", type=int, default=None)
 @artifact_options
 @click.pass_context
-def classify_line(ctx, metric, from_, family, n_returns, step, grid_n,
+def classify_line(ctx, metric, from_, family, n_returns, step,
                   config_path, output, fmt, tol_overrides):
     """Closed / Dense / Asymptotic verdict for one null line."""
     _merge_obj(ctx, config_path, output, fmt, tol_overrides)
 
     def worker(s: Settings):
-        spec = s.metric(metric, grid_n)
+        spec = s.metric(metric)
         fam = s.get("family", family, "X")
         p0 = parse_point(s.get("from", from_, "0,0"))
         cls = nullflow.classify_line(
@@ -386,16 +397,15 @@ def classify_line(ctx, metric, from_, family, n_returns, step, grid_n,
 @click.option("--resolution", type=int, default=None,
               help="Transversal seeds scanned (default 1024).")
 @click.option("--step", type=float, default=None)
-@click.option("--grid-n", type=int, default=None)
 @artifact_options
 @click.pass_context
-def decompose(ctx, metric, family, resolution, step, grid_n,
+def decompose(ctx, metric, family, resolution, step,
               config_path, output, fmt, tol_overrides):
     """Cylinder decomposition of the torus under one null family."""
     _merge_obj(ctx, config_path, output, fmt, tol_overrides)
 
     def worker(s: Settings):
-        spec = s.metric(metric, grid_n)
+        spec = s.metric(metric)
         fam = s.get("family", family, "X")
         res = s.count("resolution", resolution, 1024)
         try:
@@ -425,18 +435,17 @@ def decompose(ctx, metric, family, resolution, step, grid_n,
               help="Transversal coordinate of the closed line (default 0).")
 @click.option("--n-returns", type=int, default=None)
 @click.option("--step", type=float, default=None)
-@click.option("--grid-n", type=int, default=None)
 @artifact_options
 @click.pass_context
-def holonomy(ctx, metric, family, seed_w, n_returns, step, grid_n,
+def holonomy(ctx, metric, family, seed_w, n_returns, step,
              config_path, output, fmt, tol_overrides):
     """Spin holonomy table of a closed null line (one row per structure)."""
     _merge_obj(ctx, config_path, output, fmt, tol_overrides)
 
     def worker(s: Settings):
-        spec = s.metric(metric, grid_n)
+        spec = s.metric(metric)
         fam = s.get("family", family, "X")
-        w = float(s.get("seed_w", seed_w, 0.0))
+        w = s.number("seed_w", seed_w, 0.0)
         h = s.step(step)
         est = nullflow.rotation_number(
             spec, fam, n_returns=s.count("n_returns", n_returns, 1000),
@@ -483,7 +492,7 @@ def solve(ctx, metric, structure, chirality, n_fields, grid_n,
     def worker(s: Settings):
         spec = s.metric(metric, grid_n)
         struct = s.structure(structure)
-        chi = int(s.get("chirality", chirality, 1))
+        chi = s.chirality(chirality)
         nf = s.count("n_fields", n_fields, 4)
         solver = spinorfield.exact_solver(spec, s.tol)
         if solver is None:
@@ -616,13 +625,14 @@ def validate(ctx, step, grid_n, criterion,
             h = s.step(step)
         n = s.get("grid_n", grid_n)
         if n is not None:
-            n = s.count("grid_n", int(n), 64)
+            n = s.count("grid_n", n, 64)
         which = s.get("criterion", criterion)
         if which is None:
             results = validation.run_all(step=h, grid_n=n, tol=s.tol)
         else:
-            results = [validation.run_criterion(int(which), step=h,
-                                                grid_n=n, tol=s.tol)]
+            results = [validation.run_criterion(
+                s.number("criterion", which, None, int), step=h, grid_n=n,
+                tol=s.tol)]
         for r in results:
             click.echo(r.line, err=(s.output is None))
         passed = sum(r.passed for r in results)

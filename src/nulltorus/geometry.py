@@ -46,6 +46,9 @@ from .tolerances import DEFAULT, Tolerances
 
 Point = tuple[float, float]
 
+#: step of every pointwise central difference
+FD_STEP = 1e-5
+
 
 # ---------------------------------------------------------------------------
 # result types
@@ -117,9 +120,9 @@ class _DiagonalMetric:
         l1, l2 = self.lambdas(x1, x2)
         return -l1 * l1, np.zeros_like(l1), l2 * l2
 
-    def coefficient_partials(self, x1, x2, h: float):
+    def coefficient_partials(self, x1, x2):
         l1, l2 = self.lambdas(x1, x2)
-        d11, d21, d12, d22 = self.lambda_partials(x1, x2, h)
+        d11, d21, d12, d22 = self.lambda_partials(x1, x2)
         z = np.zeros(np.broadcast_shapes(x1.shape, x2.shape))
         return (-2 * l1 * d11, -2 * l1 * d21, z, z, 2 * l2 * d12, 2 * l2 * d22)
 
@@ -146,15 +149,13 @@ class LeftInvariant(_DiagonalMetric):
     lam2: float | Fraction
     grid_n: int = 256
 
-    family = "left_invariant"
-
     def lambdas(self, x1, x2):
         shape = np.broadcast_shapes(np.shape(x1), np.shape(x2))
         return (np.full(shape, float(self.lam1)),
                 np.full(shape, float(self.lam2)))
 
-    def lambda_partials(self, x1, x2, h: float = DEFAULT.fd_step):
-        """All four partials vanish; ``h`` matches ``Diagonal.lambda_partials``."""
+    def lambda_partials(self, x1, x2):
+        """All four partials vanish."""
         shape = np.broadcast_shapes(np.shape(x1), np.shape(x2))
         z = np.zeros(shape)
         return (z, z, z, z)
@@ -179,8 +180,6 @@ class Diagonal(_DiagonalMetric):
     dlam: Optional[tuple[Callable, Callable, Callable, Callable]] = None
     grid_n: int = 256
 
-    family = "diagonal"
-
     def lambdas(self, x1, x2):
         x1 = np.asarray(x1, dtype=float)
         x2 = np.asarray(x2, dtype=float)
@@ -189,7 +188,7 @@ class Diagonal(_DiagonalMetric):
         l2 = np.broadcast_to(np.asarray(self.lam2(x1, x2), dtype=float), shape)
         return l1.copy(), l2.copy()
 
-    def lambda_partials(self, x1, x2, h: float = DEFAULT.fd_step):
+    def lambda_partials(self, x1, x2):
         if self.dlam is not None:
             d11, d21, d12, d22 = self.dlam
             x1 = np.asarray(x1, dtype=float)
@@ -201,8 +200,8 @@ class Diagonal(_DiagonalMetric):
 
         def lams(a, b):
             return self.lam1(a, b), self.lam2(a, b)
-        (d11, d12), (d21, d22) = (_central(lams, x1, x2, 0, h),
-                                  _central(lams, x1, x2, 1, h))
+        (d11, d12), (d21, d22) = (_central(lams, x1, x2, 0),
+                                  _central(lams, x1, x2, 1))
         return d11, d21, d12, d22
 
     def exact_ratio(self) -> Optional[Fraction]:
@@ -211,9 +210,8 @@ class Diagonal(_DiagonalMetric):
 
 @dataclass(frozen=True)
 class ClosedDiagonal(Diagonal):
-    """Diagonal metric with d2 lam1 + d1 lam2 = 0 (verified on the grid)."""
-
-    family = "closed_diagonal"
+    """Diagonal metric meant to have d2 lam1 + d1 lam2 = 0; the type checks
+    nothing, ``is_closed_diagonal`` measures closedness on the grid."""
 
 
 @dataclass(frozen=True)
@@ -236,8 +234,6 @@ class Sanchez:
     G: Callable
     zeros: tuple[float, ...] = ()
     grid_n: int = 256
-
-    family = "sanchez"
 
     def efgr(self, x1):
         x1 = np.asarray(x1, dtype=float)
@@ -281,9 +277,9 @@ class Sanchez:
                 np.broadcast_to(F, shape).copy(),
                 np.broadcast_to(-G, shape).copy())
 
-    def coefficient_partials(self, x1, x2, h: float):
+    def coefficient_partials(self, x1, x2):
         z = np.zeros(np.broadcast_shapes(x1.shape, x2.shape))
-        dA1, dB1, dC1 = _central(self.coefficients, x1, x2, 0, h)
+        dA1, dB1, dC1 = _central(self.coefficients, x1, x2, 0)
         return (dA1, z, dB1, z, dC1, z)
 
     def frame(self, x1, x2):
@@ -316,15 +312,14 @@ class RosaTau:
     dtau: Optional[Callable] = None
     grid_n: int = 256
 
-    family = "rosatau"
-
     def tau_at(self, x1):
         return np.asarray(self.tau(np.asarray(x1, dtype=float)), dtype=float)
 
-    def dtau_at(self, x1, h: float = DEFAULT.fd_step):
+    def dtau_at(self, x1):
         x1 = np.asarray(x1, dtype=float)
         if self.dtau is not None:
             return np.asarray(self.dtau(x1), dtype=float)
+        h = FD_STEP
         return (self.tau_at(x1 + h) - self.tau_at(x1 - h)) / (2 * h)
 
     def coefficients(self, x1, x2):
@@ -334,9 +329,9 @@ class RosaTau:
                 np.ones(shape),
                 np.broadcast_to(-t, shape).copy())
 
-    def coefficient_partials(self, x1, x2, h: float):
+    def coefficient_partials(self, x1, x2):
         z = np.zeros(np.broadcast_shapes(x1.shape, x2.shape))
-        dC1 = np.broadcast_to(-self.dtau_at(x1, h), z.shape).copy()
+        dC1 = np.broadcast_to(-self.dtau_at(x1), z.shape).copy()
         return (z, z, z, z, dC1, z)
 
     def frame(self, x1, x2):
@@ -366,8 +361,6 @@ class ConformalRescale:
     factor: Callable
     grid_n: int = 256
 
-    family = "conformal_rescale"
-
     def factor_at(self, x1, x2):
         x1 = np.asarray(x1, dtype=float)
         x2 = np.asarray(x2, dtype=float)
@@ -382,15 +375,15 @@ class ConformalRescale:
         lam = self.factor_at(x1, x2)
         return lam * A, lam * B, lam * C
 
-    def coefficient_partials(self, x1, x2, h: float):
+    def coefficient_partials(self, x1, x2):
         A, B, C = coefficients(self.inner, x1, x2)
-        dA1, dA2, dB1, dB2, dC1, dC2 = coefficient_partials(self.inner, x1, x2, h)
+        dA1, dA2, dB1, dB2, dC1, dC2 = coefficient_partials(self.inner, x1, x2)
         lam = self.factor_at(x1, x2)
 
         def factor(a, b):
             return (self.factor(a, b),)
-        (dl1,), (dl2,) = (_central(factor, x1, x2, 0, h),
-                          _central(factor, x1, x2, 1, h))
+        (dl1,), (dl2,) = (_central(factor, x1, x2, 0),
+                          _central(factor, x1, x2, 1))
         return (lam * dA1 + dl1 * A, lam * dA2 + dl2 * A,
                 lam * dB1 + dl1 * B, lam * dB2 + dl2 * B,
                 lam * dC1 + dl1 * C, lam * dC2 + dl2 * C)
@@ -415,7 +408,7 @@ def _family(spec) -> "MetricSpec":
     return spec
 
 
-def _central(f, x1, x2, axis: int, h: float):
+def _central(f, x1, x2, axis: int):
     """Central differences along ``axis`` of every component of f(x1, x2).
 
     ``f`` returns a tuple of arrays and is evaluated once on each side.
@@ -423,11 +416,11 @@ def _central(f, x1, x2, axis: int, h: float):
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     if axis == 0:
-        plus, minus = f(x1 + h, x2), f(x1 - h, x2)
+        plus, minus = f(x1 + FD_STEP, x2), f(x1 - FD_STEP, x2)
     else:
-        plus, minus = f(x1, x2 + h), f(x1, x2 - h)
+        plus, minus = f(x1, x2 + FD_STEP), f(x1, x2 - FD_STEP)
     return tuple((np.asarray(p, dtype=float) - np.asarray(m, dtype=float))
-                 / (2 * h) for p, m in zip(plus, minus))
+                 / (2 * FD_STEP) for p, m in zip(plus, minus))
 
 
 # ---------------------------------------------------------------------------
@@ -440,10 +433,10 @@ def coefficients(spec, x1, x2):
                                       np.asarray(x2, dtype=float))
 
 
-def coefficient_partials(spec, x1, x2, h: float = DEFAULT.fd_step):
+def coefficient_partials(spec, x1, x2):
     """Partials (A1, A2, B1, B2, C1, C2) where suffix i means d/dx_i."""
     return _family(spec).coefficient_partials(np.asarray(x1, dtype=float),
-                                              np.asarray(x2, dtype=float), h)
+                                              np.asarray(x2, dtype=float))
 
 
 def eval_metric(spec, p: Point) -> MetricEval:
@@ -549,10 +542,10 @@ def _christoffels(A, B, C, dA1, dA2, dB1, dB2, dC1, dC2):
     return gamma
 
 
-def christoffels_at(spec, x1, x2, h: float = DEFAULT.fd_step):
+def christoffels_at(spec, x1, x2):
     """Pointwise Christoffel symbols via (analytic or central-diff) partials."""
     A, B, C = coefficients(spec, x1, x2)
-    dA1, dA2, dB1, dB2, dC1, dC2 = coefficient_partials(spec, x1, x2, h)
+    dA1, dA2, dB1, dB2, dC1, dC2 = coefficient_partials(spec, x1, x2)
     return _christoffels(A, B, C, dA1, dA2, dB1, dB2, dC1, dC2)
 
 
@@ -592,7 +585,7 @@ def connection_one_form_grids(spec, n: int):
     return _read_only(tuple(out))
 
 
-def connection_along(spec, x1, x2, v1, v2, h: float = DEFAULT.fd_step):
+def connection_along(spec, x1, x2, v1, v2):
     """Vectorized Gamma(V) at sample points (batched pointwise route).
 
     The frame partials are central differences: one frame evaluation at
@@ -601,25 +594,25 @@ def connection_along(spec, x1, x2, v1, v2, h: float = DEFAULT.fd_step):
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     g = coefficients(spec, x1, x2)
-    gam = _christoffels(*g, *coefficient_partials(spec, x1, x2, h))
+    gam = _christoffels(*g, *coefficient_partials(spec, x1, x2))
 
     def frame(a, b):
         return frame_component_arrays(spec, a, b)
-    ds1 = (_central(frame, x1, x2, 0, h), _central(frame, x1, x2, 1, h))
+    ds1 = (_central(frame, x1, x2, 0), _central(frame, x1, x2, 1))
     a1, a2, b1, b2 = frame_component_arrays(spec, x1, x2)
     gamma_i = _connection_form((a1, a2), ds1, (b1, b2), g, gam)
     return v1 * gamma_i[0] + v2 * gamma_i[1]
 
 
-def divergence(spec, V: VectorField, p: Point, h: float = DEFAULT.fd_step) -> float:
+def divergence(spec, V: VectorField, p: Point) -> float:
     """div V = d1 V^1 + d2 V^2 + (1/2) V(log |det g|) at p."""
     x1 = np.asarray(p[0], dtype=float)
     x2 = np.asarray(p[1], dtype=float)
     v1, v2 = V.at(x1, x2)
-    (dk1,) = _central(lambda a, b: (V.k(a, b),), x1, x2, 0, h)
-    (dl2,) = _central(lambda a, b: (V.l(a, b),), x1, x2, 1, h)
+    (dk1,) = _central(lambda a, b: (V.k(a, b),), x1, x2, 0)
+    (dl2,) = _central(lambda a, b: (V.l(a, b),), x1, x2, 1)
     A, B, C = coefficients(spec, x1, x2)
-    dA1, dA2, dB1, dB2, dC1, dC2 = coefficient_partials(spec, x1, x2, h)
+    dA1, dA2, dB1, dB2, dC1, dC2 = coefficient_partials(spec, x1, x2)
     det = A * C - B * B
     ddet1 = dA1 * C + A * dC1 - 2 * B * dB1
     ddet2 = dA2 * C + A * dC2 - 2 * B * dB2
@@ -699,9 +692,10 @@ def mean_coefficients(spec, tol: Optional[Tolerances] = None) -> tuple[float, fl
     return float(col_means.mean()), float(row_means.mean())
 
 
-def validate_spec(spec, n: Optional[int] = None) -> None:
-    """Raise DegenerateMetric/FrameUndefined if the family data is unusable."""
-    n = n or min(spec.grid_n, 128)
+def validate_spec(spec) -> None:
+    """Raise DegenerateMetric/FrameUndefined if the family data is unusable
+    on the grid of min(grid_n, 128) points a side."""
+    n = min(spec.grid_n, 128)
     X1, X2 = grid_points(n)
     A, B, C = coefficients(spec, X1, X2)
     det = A * C - B * B

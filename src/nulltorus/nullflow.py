@@ -42,6 +42,8 @@ Point = tuple[float, float]
 MAX_PERIOD = 64
 #: transversal seeds of the rotation-number bracket
 SECTION_SEEDS = 1024
+#: transversal seeds of the swept one-period return map
+RETURN_SEEDS = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -89,14 +91,6 @@ class NullLineRecord:
     winding: Optional[tuple[int, int]] = None
     classification: Optional[LineClass] = None
 
-    @property
-    def start(self) -> tuple[float, float]:
-        return (float(self.points[0, 0]), float(self.points[0, 1]))
-
-    @property
-    def end(self) -> tuple[float, float]:
-        return (float(self.points[-1, 0]), float(self.points[-1, 1]))
-
 
 @dataclass(frozen=True)
 class Interval:
@@ -111,8 +105,8 @@ class Interval:
     def contains(self, w: float) -> bool:
         return self.lo <= w <= self.hi or self.lo <= w + 1.0 <= self.hi
 
-    def interior_points(self, count: int, margin: float = 0.05) -> np.ndarray:
-        pad = margin * self.width
+    def interior_points(self, count: int) -> np.ndarray:
+        pad = 0.05 * self.width
         return np.linspace(self.lo + pad, self.hi - pad, count)
 
 
@@ -278,11 +272,11 @@ def best_rational(value: float, max_den: int, residual_tol: float
 
 
 @lru_cache(maxsize=128)
-def _return_displacement_series(spec, family: str, axis: int, step: float,
-                                n_seeds: int = 2048) -> TrigSeries1:
+def _return_displacement_series(spec, family: str, axis: int, step: float
+                                ) -> TrigSeries1:
     """Trig interpolant of D(w) = one-period return displacement from u=0:
     the one return map that every certificate and scan composes."""
-    seeds = np.arange(n_seeds) / n_seeds
+    seeds = np.arange(RETURN_SEEDS) / RETURN_SEEDS
     ends = _march(spec, family, axis, 0.0, seeds, 1.0, step)
     return TrigSeries1.from_samples(ends - seeds)
 

@@ -121,7 +121,7 @@ def all_structures() -> tuple[SpinStructure, ...]:
 
 
 def spin_connection_scalar(spec, structure: SpinStructure, v1, v2, x1, x2,
-                           chirality: int, h: float = DEFAULT.fd_step):
+                           chirality: int):
     """Connection scalar for the chiral component along (v1, v2) at (x1, x2).
 
     Covariant derivative of a half-spinor of the given chirality (+1 or -1)
@@ -131,7 +131,7 @@ def spin_connection_scalar(spec, structure: SpinStructure, v1, v2, x1, x2,
 
     where Gamma(V) = g(nabla_V s1, s2) and omega_a is the twist form.
     """
-    gam = geometry.connection_along(spec, x1, x2, v1, v2, h=h)
+    gam = geometry.connection_along(spec, x1, x2, v1, v2)
     return 0.5 * chirality * gam + structure.twist_form(v1, v2)
 
 

@@ -76,14 +76,6 @@ class HalfSpinorField:
         """Periodic representative, trig-interpolated off the grid."""
         return self.series()(x1, x2)
 
-    def section_at(self, x1, x2) -> np.ndarray:
-        """Value of the actual (twisted) section's scalar coefficient."""
-        return self.structure.twist(x1, x2) * self.at(x1, x2)
-
-    def scaled(self, factor) -> "HalfSpinorField":
-        return HalfSpinorField(self.spec, self.structure, self.chirality,
-                               self.values * factor, dict(self.meta))
-
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
 
@@ -182,6 +174,14 @@ def nabla_along(f: HalfSpinorField, direction: str) -> HalfSpinorField:
     return HalfSpinorField(f.spec, f.structure, f.chirality, vals)
 
 
+def _nabla_values(f: HalfSpinorField, direction: str) -> np.ndarray:
+    """``nabla_along(f, direction).values``; an identically zero f's own
+    values (not a copy: the callers only read them) when f is zero."""
+    if not np.any(f.values):
+        return f.values
+    return nabla_along(f, direction).values
+
+
 def dirac_apply(phi: Union[SpinorField, HalfSpinorField]) -> SpinorField:
     """Dirac operator D = -gamma(s1) nabla_1 + gamma(s2) nabla_2.
 
@@ -190,11 +190,13 @@ def dirac_apply(phi: Union[SpinorField, HalfSpinorField]) -> SpinorField:
     X-parallel line and the negative kernel the Y-parallel one.
     """
     psi = embed(phi) if isinstance(phi, HalfSpinorField) else phi
-    neg_out = nabla_along(psi.positive, "X").values * 1j
-    pos_out = nabla_along(psi.negative, "Y").values * 1j
+    # both derivatives before either output: the first nabla_along may build
+    # the cached connection grids, the memory peak, with no output alive
+    dx = _nabla_values(psi.positive, "X")
+    dy = _nabla_values(psi.negative, "Y")
     return SpinorField(
-        negative=HalfSpinorField(psi.spec, psi.structure, -1, neg_out),
-        positive=HalfSpinorField(psi.spec, psi.structure, 1, pos_out))
+        negative=HalfSpinorField(psi.spec, psi.structure, -1, dx * 1j),
+        positive=HalfSpinorField(psi.spec, psi.structure, 1, dy * 1j))
 
 
 def twistor_apply(phi: Union[SpinorField, HalfSpinorField]
@@ -210,8 +212,8 @@ def twistor_apply(phi: Union[SpinorField, HalfSpinorField]
     dpsi = dirac_apply(psi).component_grids()
     out = []
     for direction, gam_mat in (("s1", GAMMA1), ("s2", GAMMA2)):
-        grad = np.stack([nabla_along(psi.positive, direction).values,
-                         nabla_along(psi.negative, direction).values])
+        grad = np.stack([_nabla_values(psi.positive, direction),
+                         _nabla_values(psi.negative, direction)])
         corr = 0.5 * np.einsum("ab,b...->a...", gam_mat, dpsi)
         comp = grad + corr
         out.append(SpinorField(
@@ -236,11 +238,11 @@ def residual_norm(phi: Union[SpinorField, HalfSpinorField],
     elif operator in ("harmonic", "transport"):
         halves = ((phi,) if isinstance(phi, HalfSpinorField)
                   else (phi.positive, phi.negative))
-        arrs = [nabla_along(h, "X" if h.chirality == 1 else "Y").values
-                for h in halves if np.any(h.values)]
+        arrs = [_nabla_values(h, "X" if h.chirality == 1 else "Y")
+                for h in halves]
     else:
         raise ValueError(f"unknown operator {operator!r}")
-    return max((float(np.max(np.abs(a))) for a in arrs), default=0.0)
+    return max(float(np.max(np.abs(a))) for a in arrs)
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +424,7 @@ def closed_diagonal_congruence(structure: SpinStructure, p: int, q: int
 
 
 def solve_closed_diagonal(spec, structure: SpinStructure, chirality: int = 1,
-                          n_fields: int = 2, n_alphas: int = 8,
-                          grid_n: Optional[int] = None,
+                          n_fields: int = 2, grid_n: Optional[int] = None,
                           tol: Tolerances = DEFAULT) -> ClosedDiagonalSolution:
     """Kernel of the X-transport equation on a closed diagonal metric.
 
@@ -452,7 +453,7 @@ def solve_closed_diagonal(spec, structure: SpinStructure, chirality: int = 1,
     if t is None:
         return ClosedDiagonalSolution(structure, chirality, l1, l2, cert,
                                       False, True, None, (), "Zero", ())
-    ss = sorted(range(-n_alphas, n_alphas + 1), key=abs)[:n_alphas]
+    ss = sorted(range(-8, 9), key=abs)[:8]      # the eight smallest |s|
     alphas = tuple((t + 2 * s) * p / (2 * l1) for s in ss)
     fields = ()
     if alphas[:n_fields]:
@@ -563,8 +564,10 @@ def _closed_diagonal_bumps(spec, structure: SpinStructure, count: int,
     return tuple(fields)
 
 
-def _vertical_band(spec, resolution: int = 4096) -> tuple[float, float]:
-    """Widest arc of vanishing tau, as (lo, hi) with hi possibly > 1."""
+def _vertical_band(spec) -> tuple[float, float]:
+    """Widest arc of vanishing tau on 4096 samples, as (lo, hi) with hi
+    possibly > 1."""
+    resolution = 4096
     xs = np.arange(resolution) / resolution
     runs, _ = circular_zeros(spec.tau_at(xs), 1e-13)
     if not runs:

@@ -1,9 +1,10 @@
 """Default numeric policy, overridable per call or via CLI config.
 
-The three-tier scheme: algebraic identities are checked at 1e-12, quantities
-obtained through differentiation or quadrature at 1e-6, and line-closedness
-at 1e-9 (with an explicit Inconclusive band up to 1e-6 — see
-``nullflow.classify_line``).
+Quantities obtained through differentiation or quadrature are checked at
+1e-6 and line-closedness at 1e-9 (with an explicit Inconclusive band up to
+1e-6 — see ``nullflow.classify_line``).  Every field is read somewhere in
+the package (``tests/test_hygiene.py`` checks it), so the tolerance set an
+artifact embeds is the one that produced it.
 """
 
 from dataclasses import dataclass, replace
@@ -11,7 +12,6 @@ from dataclasses import dataclass, replace
 
 @dataclass(frozen=True)
 class Tolerances:
-    algebraic: float = 1e-12
     differential: float = 1e-6
     closedness: float = 1e-9
     closedness_reject: float = 1e-6   # displacements above this are "open"
@@ -21,7 +21,6 @@ class Tolerances:
     rational_residual_flow: float = 1e-6   # |rho - p/q| accepted from flow data
     rational_residual_solver: float = 1e-9  # accepted when classifying ratios
     bisection: float = 1e-10          # isolated-zero refinement
-    fd_step: float = 1e-5             # central differences for pointwise derivatives
     ode_step: float = 1e-3            # fixed RK4 step (transversal coordinate)
     velocity_blowup: float = 1e8      # geodesic incompleteness certificate
     scf_accept: float = 1e-6          # loop-integral route: |mean div| below -> certify

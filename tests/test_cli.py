@@ -232,21 +232,46 @@ def test_inconclusive_is_exit_two_with_evidence(runner):
     assert payload["band"] == [1.0, 64.0]
 
 
-def test_config_errors_are_exit_one(runner):
+def test_config_errors_are_exit_one(runner, tmp_path):
+    def config(command, **doc):
+        path = tmp_path / f"{len(list(tmp_path.iterdir()))}.json"
+        path.write_text(json.dumps({"metric": "flat", **doc}))
+        return [command, "--config", str(path)]
+
     cases = [
         ["flow", "--metric", "flat", "--from", "1;2"],
         ["solve", "--metric", "flat", "--structure", "2,5"],
         ["rotation", "--metric", "no_such_metric"],
         ["rotation", "--metric", "flat", "--tol", "warp_factor=9"],
+        ["rotation", "--metric", "flat", "--tol", "fd_step=1e-3"],
+        ["rotation", "--metric", "flat", "--tol", "algebraic=1e-12"],
         ["rotation", "--metric", "flat", "--step", "7"],
         ["rotation", "--metric", "flat", "--format", "csv"],
         ["solve"],
+        config("rotation", n_returns="many"),
+        config("rotation", step="tiny"),
+        config("rotation", grid_n="fine"),
+        config("flow", tmax="long"),
+        config("flow", **{"from": ["a", 0]}),
+        config("holonomy", seed_w="middle"),
+        config("solve", chirality="plus"),
+        config("solve", chirality=2),
+        config("validate", criterion="first"),
     ]
     for args in cases:
         result = runner.invoke(main, args)
         payload = _json_out(result)
         assert result.exit_code == 1, args
         assert payload["error"] == "ConfigError", args
+
+
+@pytest.mark.parametrize("command", ["flow", "rotation", "classify-line",
+                                     "decompose", "holonomy"])
+def test_flow_commands_take_no_grid_n(runner, command):
+    result = runner.invoke(main, [command, "--metric", "flat",
+                                  "--grid-n", "64"])
+    assert result.exit_code == 2
+    assert "No such option" in result.output
 
 
 # ---------------------------------------------------------------------------

@@ -58,3 +58,17 @@ def test_every_top_level_definition_is_referenced():
                 and not node.decorator_list)
             and node.name not in referenced | exported]
     assert not dead, "definitions nothing references: " + ", ".join(dead)
+
+
+def test_every_tolerance_is_read():
+    """A tolerance nothing reads would be reported in every artifact without
+    acting on any of them."""
+    cls = next(node for node in MODULES["tolerances"].body
+               if isinstance(node, ast.ClassDef) and node.name == "Tolerances")
+    fields = [node.target.id for node in cls.body
+              if isinstance(node, ast.AnnAssign)]
+    read = {node.attr for name, tree in MODULES.items()
+            if name != "tolerances" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+    unread = [f for f in fields if f not in read]
+    assert not unread, "tolerances nothing reads: " + ", ".join(unread)

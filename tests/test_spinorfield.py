@@ -82,6 +82,31 @@ def test_harmonic_residual_transports_only_nonzero_halves(analex_spec,
     assert calls == ["Y"]
 
 
+@pytest.mark.parametrize("chirality", [1, -1])
+def test_operators_differentiate_only_nonzero_halves(analex_spec, monkeypatch,
+                                                     chirality):
+    f = spinorfield.fourier_mode_field(analex_spec, SpinStructure(1, -1),
+                                       (2, 1), chirality=chirality)
+    calls = []
+    nabla = spinorfield.nabla_along
+
+    def counting(field, direction):
+        calls.append(direction)
+        return nabla(field, direction)
+
+    monkeypatch.setattr(spinorfield, "nabla_along", counting)
+    d = spinorfield.dirac_apply(f)
+    assert calls == ["X" if chirality == 1 else "Y"]
+    zero_half = d.positive if chirality == 1 else d.negative
+    assert not np.any(zero_half.values)
+    calls.clear()
+    spinorfield.twistor_apply(f)
+    assert len(calls) == 3
+    calls.clear()
+    spinorfield.residual_norm(f, "twistor")
+    assert len(calls) == 3
+
+
 def test_nabla_along_names_only(analex_spec):
     f = spinorfield.constant_field(analex_spec, SpinStructure(1, 1))
     with pytest.raises(ValueError):
