@@ -20,7 +20,6 @@ spectral solvers where one exists.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
@@ -73,11 +72,13 @@ class SCFCertificate:
 
 
 def _field_divergence_residual(spec, V: geometry.VectorField, n: int) -> float:
-    X1, X2 = grid_points(n)
-    v1, v2 = V.at(X1, X2)
-    shape = (n, n)
-    v1 = np.broadcast_to(v1, shape)
-    v2 = np.broadcast_to(v2, shape)
+    return _divergence_sup(spec, *V.at(*grid_points(n)), n)
+
+
+def _divergence_sup(spec, v1, v2, n: int) -> float:
+    """sup |div| of the field with components v1, v2 on the n x n grid."""
+    v1 = np.broadcast_to(v1, (n, n))
+    v2 = np.broadcast_to(v2, (n, n))
     return float(np.max(np.abs(geometry.divergence_grids(spec, v1, v2, n))))
 
 
@@ -220,50 +221,6 @@ def _conformal_analysis(spec, family: str, n: int, tol: Tolerances
 # numeric route: loop integrals, Birkhoff averages, transport solve
 
 
-@lru_cache(maxsize=32)
-def _flow_loop_series(spec, family: str, axis: int, step: float
-                      ) -> TrigSeries1:
-    """J1: the Gamma-integral over one return, as a series in the seed.
-
-    With N the family's null field, a the graph axis and c' = N/N^a the
-    velocity of the line c(u) (so c'^a = 1), nabla_V X = Gamma(V) X and
-    nabla_V Y = -Gamma(V) Y give, from the a-component of nabla_{c'} c',
-
-        Gamma(c') = eps (Gamma^a_ij c'^i c'^j + d/du log|N^a(c(u))|),
-
-    eps = +1 for X and -1 for Y.  So one batched RK4 sweep
-    (``nullflow._march``) over an axis unit integrates the Christoffel
-    contraction alongside the graph ODE, and the exact endpoint term
-    log|N^a(c(1))| - log|N^a(c(0))| completes J1 per seed w: no frame
-    derivative is taken.  By Gamma(X) = div(X) the J accumulated over a
-    closed line equals the loop integral of div(X) in the flow
-    parametrization.  J1 is smooth and periodic in the seed, so summing it
-    along orbits of the flow's return map (``nullflow.q_return``) gives
-    loop integrals without further integrations.
-    """
-    def points(u, w):
-        uu = np.full_like(w, u)
-        return (uu, w) if axis == 0 else (w, uu)
-
-    def bend(u, w, m):
-        gam = geometry.christoffels_at(spec, *points(u, w))
-        c = (1.0, m) if axis == 0 else (m, 1.0)
-        return sum(gam[(axis, i, j)] * c[i] * c[j]
-                   for i in (0, 1) for j in (0, 1))
-
-    def log_axis(u, w):
-        n = geometry.null_direction_arrays(spec, *points(u, w), family)
-        return np.log(np.abs(n[axis]))
-
-    seeds = np.arange(nullflow.RETURN_SEEDS) / nullflow.RETURN_SEEDS
-    w_end, J = nullflow._march(spec, family, axis, 0.0, seeds, 1.0, step,
-                               integrand=bend)
-    J = J + log_axis(1.0, w_end) - log_axis(0.0, seeds)
-    if family == "Y":
-        J = -J
-    return TrigSeries1.from_samples(J.astype(complex))
-
-
 def _weighted_birkhoff(D1: TrigSeries1, J1: TrigSeries1) -> float:
     """Exponentially weighted Birkhoff average of J1 along the return orbit
     of w = 0 (1024 returns).
@@ -324,9 +281,11 @@ def _solve_rescaling(spec, family: str, n: int, tol: Tolerances):
         d = geometry.null_direction_arrays(spec, x1, x2, family)[1]
         return np.exp(np.real(series(x1, x2))) * d
 
-    V = geometry.VectorField(k, l)
-    residual = _field_divergence_residual(spec, V, n)
-    return f, V, residual, (istop, itn)
+    # the residual of V on the grid, with the series evaluated once for
+    # both components
+    scale = np.exp(np.real(series(X1, X2)))
+    residual = _divergence_sup(spec, scale * v1, scale * v2, n)
+    return f, geometry.VectorField(k, l), residual, (istop, itn)
 
 
 def _numeric_analysis(spec, family: str, n: int, tol: Tolerances
@@ -337,9 +296,10 @@ def _numeric_analysis(spec, family: str, n: int, tol: Tolerances
         raise Inconclusive(
             f"{family}-family admits no graph axis, the loop-integral test "
             f"cannot run: {exc}") from exc
-    D1 = nullflow._return_displacement_series(spec, family, axis,
-                                              tol.ode_step)
-    J1 = _flow_loop_series(spec, family, axis, tol.ode_step)
+    # J1 first: its sweep fills D1 too
+    sweep = nullflow._return_sweep(spec, family, axis, tol.ode_step)
+    J1 = sweep.loop_series()
+    D1 = sweep.displacement()
     est = nullflow.rotation_number(spec, family, (0.0, 0.0), n_returns=512,
                                    step=tol.ode_step, tol=tol)
     cert = est.rational

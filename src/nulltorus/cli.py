@@ -121,6 +121,14 @@ class Settings:
             what = "an integer" if kind is int else "a number"
             raise ConfigError(f"{key} must be {what}, got {value!r}") from None
 
+    def choice(self, key: str, flag, default, choices):
+        """The setting ``key``, or ConfigError when it is not a choice."""
+        value = self.get(key, flag, default)
+        if value not in choices:
+            raise ConfigError(f"{key} must be one of "
+                              f"{', '.join(map(str, choices))}, got {value!r}")
+        return value
+
     def step(self, flag: Optional[float]) -> float:
         value = self.number("step", flag, self.tol.ode_step)
         if not 0.0 < value <= 0.1:
@@ -317,7 +325,7 @@ def flow(ctx, metric, from_, family, tmax, step,
     def worker(s: Settings):
         spec = s.metric(metric)
         p0 = parse_point(s.get("from", from_, "0,0"))
-        fam = s.get("family", family, "X")
+        fam = s.choice("family", family, "X", ("X", "Y"))
         t_max = s.number("tmax", tmax, 10.0)
         rec = nullflow.integrate_null_line(spec, p0, fam, t_max=t_max,
                                            step=s.step(step), tol=s.tol)
@@ -345,7 +353,7 @@ def rotation(ctx, metric, from_, family, n_returns, step,
 
     def worker(s: Settings):
         spec = s.metric(metric)
-        fam = s.get("family", family, "X")
+        fam = s.choice("family", family, "X", ("X", "Y"))
         p0 = parse_point(s.get("from", from_, "0,0"))
         est = nullflow.rotation_number(
             spec, fam, p0, n_returns=s.count("n_returns", n_returns, 1000),
@@ -375,7 +383,7 @@ def classify_line(ctx, metric, from_, family, n_returns, step,
 
     def worker(s: Settings):
         spec = s.metric(metric)
-        fam = s.get("family", family, "X")
+        fam = s.choice("family", family, "X", ("X", "Y"))
         p0 = parse_point(s.get("from", from_, "0,0"))
         cls = nullflow.classify_line(
             spec, p0, fam, step=s.step(step),
@@ -406,7 +414,7 @@ def decompose(ctx, metric, family, resolution, step,
 
     def worker(s: Settings):
         spec = s.metric(metric)
-        fam = s.get("family", family, "X")
+        fam = s.choice("family", family, "X", ("X", "Y"))
         res = s.count("resolution", resolution, 1024)
         try:
             dec = nullflow.cylinder_decomposition(
@@ -444,7 +452,7 @@ def holonomy(ctx, metric, family, seed_w, n_returns, step,
 
     def worker(s: Settings):
         spec = s.metric(metric)
-        fam = s.get("family", family, "X")
+        fam = s.choice("family", family, "X", ("X", "Y"))
         w = s.number("seed_w", seed_w, 0.0)
         h = s.step(step)
         est = nullflow.rotation_number(
@@ -542,7 +550,8 @@ def classify_cmd(ctx, metric, structure, quantity, grid_n,
     def worker(s: Settings):
         spec = s.metric(metric, grid_n)
         struct = s.structure(structure)
-        q = s.get("quantity", quantity, "delta_plus")
+        q = s.choice("quantity", quantity, "delta_plus",
+                     sorted(classify.QUANTITIES))
         report = classify.classify_dimension(spec, struct, q, tol=s.tol)
         payload = report.as_dict()
         payload["command"] = "classify"
@@ -630,9 +639,11 @@ def validate(ctx, step, grid_n, criterion,
         if which is None:
             results = validation.run_all(step=h, grid_n=n, tol=s.tol)
         else:
-            results = [validation.run_criterion(
-                s.number("criterion", which, None, int), step=h, grid_n=n,
-                tol=s.tol)]
+            index = s.choice("criterion",
+                             s.number("criterion", which, None, int), None,
+                             [idx for idx, _, _ in validation.SUITE])
+            results = [validation.run_criterion(index, step=h, grid_n=n,
+                                                tol=s.tol)]
         for r in results:
             click.echo(r.line, err=(s.output is None))
         passed = sum(r.passed for r in results)

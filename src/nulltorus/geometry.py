@@ -107,10 +107,10 @@ class VectorField:
 # ---------------------------------------------------------------------------
 # families
 #
-# Each family class owns its coefficients (A, B, C), their partials
-# (A1, A2, B1, B2, C1, C2) and its canonical frame (a1, a2, b1, b2); the
-# methods take float arrays, and the module functions of the same names
-# convert the inputs and dispatch to them.
+# Each family class owns its coefficients (A, B, C), their jet (A, B, C and
+# the partials A1, A2, B1, B2, C1, C2 at the same points) and its canonical
+# frame (a1, a2, b1, b2); the methods take float arrays, and the module
+# functions convert the inputs and dispatch to them.
 
 
 class _DiagonalMetric:
@@ -120,11 +120,13 @@ class _DiagonalMetric:
         l1, l2 = self.lambdas(x1, x2)
         return -l1 * l1, np.zeros_like(l1), l2 * l2
 
-    def coefficient_partials(self, x1, x2):
+    def jet(self, x1, x2):
+        """One lambdas call serves the coefficients and their partials."""
         l1, l2 = self.lambdas(x1, x2)
         d11, d21, d12, d22 = self.lambda_partials(x1, x2)
         z = np.zeros(np.broadcast_shapes(x1.shape, x2.shape))
-        return (-2 * l1 * d11, -2 * l1 * d21, z, z, 2 * l2 * d12, 2 * l2 * d22)
+        return (-l1 * l1, np.zeros_like(l1), l2 * l2, -2 * l1 * d11,
+                -2 * l1 * d21, z, z, 2 * l2 * d12, 2 * l2 * d22)
 
     def frame(self, x1, x2):
         l1, l2 = self.lambdas(x1, x2)
@@ -277,10 +279,10 @@ class Sanchez:
                 np.broadcast_to(F, shape).copy(),
                 np.broadcast_to(-G, shape).copy())
 
-    def coefficient_partials(self, x1, x2):
+    def jet(self, x1, x2):
         z = np.zeros(np.broadcast_shapes(x1.shape, x2.shape))
         dA1, dB1, dC1 = _central(self.coefficients, x1, x2, 0)
-        return (dA1, z, dB1, z, dC1, z)
+        return (*self.coefficients(x1, x2), dA1, z, dB1, z, dC1, z)
 
     def frame(self, x1, x2):
         (X1c, X2c), (Y1c, Y2c) = self.null_fields(x1)
@@ -329,10 +331,10 @@ class RosaTau:
                 np.ones(shape),
                 np.broadcast_to(-t, shape).copy())
 
-    def coefficient_partials(self, x1, x2):
+    def jet(self, x1, x2):
         z = np.zeros(np.broadcast_shapes(x1.shape, x2.shape))
         dC1 = np.broadcast_to(-self.dtau_at(x1), z.shape).copy()
-        return (z, z, z, z, dC1, z)
+        return (*self.coefficients(x1, x2), z, z, z, z, dC1, z)
 
     def frame(self, x1, x2):
         t = self.tau_at(x1)
@@ -375,16 +377,17 @@ class ConformalRescale:
         lam = self.factor_at(x1, x2)
         return lam * A, lam * B, lam * C
 
-    def coefficient_partials(self, x1, x2):
-        A, B, C = coefficients(self.inner, x1, x2)
-        dA1, dA2, dB1, dB2, dC1, dC2 = coefficient_partials(self.inner, x1, x2)
+    def jet(self, x1, x2):
+        A, B, C, dA1, dA2, dB1, dB2, dC1, dC2 = coefficient_jet(self.inner,
+                                                               x1, x2)
         lam = self.factor_at(x1, x2)
 
         def factor(a, b):
             return (self.factor(a, b),)
         (dl1,), (dl2,) = (_central(factor, x1, x2, 0),
                           _central(factor, x1, x2, 1))
-        return (lam * dA1 + dl1 * A, lam * dA2 + dl2 * A,
+        return (lam * A, lam * B, lam * C,
+                lam * dA1 + dl1 * A, lam * dA2 + dl2 * A,
                 lam * dB1 + dl1 * B, lam * dB2 + dl2 * B,
                 lam * dC1 + dl1 * C, lam * dC2 + dl2 * C)
 
@@ -433,10 +436,11 @@ def coefficients(spec, x1, x2):
                                       np.asarray(x2, dtype=float))
 
 
-def coefficient_partials(spec, x1, x2):
-    """Partials (A1, A2, B1, B2, C1, C2) where suffix i means d/dx_i."""
-    return _family(spec).coefficient_partials(np.asarray(x1, dtype=float),
-                                              np.asarray(x2, dtype=float))
+def coefficient_jet(spec, x1, x2):
+    """(A, B, C, A1, A2, B1, B2, C1, C2): the coefficients and their
+    partials at the same points, where suffix i means d/dx_i."""
+    return _family(spec).jet(np.asarray(x1, dtype=float),
+                             np.asarray(x2, dtype=float))
 
 
 def eval_metric(spec, p: Point) -> MetricEval:
@@ -523,7 +527,9 @@ def christoffel_grids(spec, n: int):
     return gamma
 
 
-def _christoffels(A, B, C, dA1, dA2, dB1, dB2, dC1, dC2):
+def _christoffels(A, B, C, dA1, dA2, dB1, dB2, dC1, dC2, rows=(0, 1)):
+    """Gamma^k_ij for k in ``rows``; Gamma^k_10 is Gamma^k_01 (the same
+    array: the sum below is symmetric in i, j bit for bit)."""
     det = A * C - B * B
     inv00, inv01, inv11 = C / det, -B / det, A / det
     # dg[i][j][k] = d_k g_ij
@@ -531,9 +537,12 @@ def _christoffels(A, B, C, dA1, dA2, dB1, dB2, dC1, dC2):
           (1, 0): (dB1, dB2), (1, 1): (dC1, dC2)}
     inv = {(0, 0): inv00, (0, 1): inv01, (1, 0): inv01, (1, 1): inv11}
     gamma = {}
-    for k in (0, 1):
+    for k in rows:
         for i in (0, 1):
             for j in (0, 1):
+                if j < i:
+                    gamma[(k, i, j)] = gamma[(k, j, i)]
+                    continue
                 total = 0.0
                 for m in (0, 1):
                     total = total + inv[(k, m)] * (
@@ -544,9 +553,13 @@ def _christoffels(A, B, C, dA1, dA2, dB1, dB2, dC1, dC2):
 
 def christoffels_at(spec, x1, x2):
     """Pointwise Christoffel symbols via (analytic or central-diff) partials."""
-    A, B, C = coefficients(spec, x1, x2)
-    dA1, dA2, dB1, dB2, dC1, dC2 = coefficient_partials(spec, x1, x2)
-    return _christoffels(A, B, C, dA1, dA2, dB1, dB2, dC1, dC2)
+    return _christoffels(*coefficient_jet(spec, x1, x2))
+
+
+def _christoffel_row(spec, a: int, x1, x2):
+    """Gamma^a_ij at broadcast points, keyed (a, i, j): the row a of
+    ``christoffels_at``, bit for bit."""
+    return _christoffels(*coefficient_jet(spec, x1, x2), rows=(a,))
 
 
 # ---------------------------------------------------------------------------
@@ -593,8 +606,8 @@ def connection_along(spec, x1, x2, v1, v2):
     """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    g = coefficients(spec, x1, x2)
-    gam = _christoffels(*g, *coefficient_partials(spec, x1, x2))
+    jet = coefficient_jet(spec, x1, x2)
+    g, gam = jet[:3], _christoffels(*jet)
 
     def frame(a, b):
         return frame_component_arrays(spec, a, b)
@@ -611,8 +624,7 @@ def divergence(spec, V: VectorField, p: Point) -> float:
     v1, v2 = V.at(x1, x2)
     (dk1,) = _central(lambda a, b: (V.k(a, b),), x1, x2, 0)
     (dl2,) = _central(lambda a, b: (V.l(a, b),), x1, x2, 1)
-    A, B, C = coefficients(spec, x1, x2)
-    dA1, dA2, dB1, dB2, dC1, dC2 = coefficient_partials(spec, x1, x2)
+    A, B, C, dA1, dA2, dB1, dB2, dC1, dC2 = coefficient_jet(spec, x1, x2)
     det = A * C - B * B
     ddet1 = dA1 * C + A * dC1 - 2 * B * dB1
     ddet2 = dA2 * C + A * dC2 - 2 * B * dB2

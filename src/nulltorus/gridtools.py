@@ -20,10 +20,12 @@ amplified by the spectral derivative in those checks).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 TWO_PI_I = 2j * np.pi
-PHASE_BLOCK = 1 << 16     # entries of the phase matrix per TrigSeries1 block
+PHASE_BLOCK = 1 << 16     # entries of a series' phase matrix per block
 
 
 def grid_points(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -37,6 +39,20 @@ def _wavenumbers(n: int) -> np.ndarray:
     if n % 2 == 0:
         k[n // 2] = 0.0
     return k
+
+
+def _in_blocks(evaluate, n_modes: int, *xs: np.ndarray) -> np.ndarray:
+    """evaluate(*xs) when its phase matrix has at most PHASE_BLOCK entries;
+    otherwise evaluate on flat runs of the broadcast points that each stay
+    within that bound, reassembled in the broadcast shape."""
+    shape = np.broadcast_shapes(*(x.shape for x in xs))
+    rows = max(1, PHASE_BLOCK // max(1, n_modes))
+    if math.prod(shape) <= rows:
+        return evaluate(*xs)
+    flat = [np.broadcast_to(x, shape).ravel() for x in xs]
+    parts = [evaluate(*(f[i:i + rows] for f in flat))
+             for i in range(0, flat[0].size, rows)]
+    return np.concatenate(parts).reshape(shape)
 
 
 def spectral_derivatives(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -70,14 +86,11 @@ class TrigSeries1:
 
     def __call__(self, x) -> np.ndarray:
         """Values at x, in blocks of at most PHASE_BLOCK phase entries."""
-        x = np.asarray(x, dtype=float)
-        rows = max(1, PHASE_BLOCK // max(1, len(self.freqs)))
-        if x.size <= rows:
-            phase = np.exp(TWO_PI_I * np.multiply.outer(x, self.freqs))
-            return phase @ self.coeffs
-        flat = x.ravel()
-        parts = [self(flat[i:i + rows]) for i in range(0, flat.size, rows)]
-        return np.concatenate(parts).reshape(x.shape)
+        return _in_blocks(self._values, len(self.freqs),
+                          np.asarray(x, dtype=float))
+
+    def _values(self, x):
+        return np.exp(TWO_PI_I * np.multiply.outer(x, self.freqs)) @ self.coeffs
 
     def antiderivative(self) -> tuple[complex, "TrigSeries1"]:
         """Return (mean, P) with  int_0^x f = mean*x + P(x) - P(0)."""
@@ -107,15 +120,19 @@ class TrigSeries2:
         return cls(c[keep], K1[keep], K2[keep])
 
     def __call__(self, x1, x2) -> np.ndarray:
-        x1 = np.asarray(x1, dtype=float)
-        x2 = np.asarray(x2, dtype=float)
+        """Values at broadcast (x1, x2), in blocks of at most PHASE_BLOCK
+        phase entries."""
+        return _in_blocks(self._values, len(self.coeffs),
+                          np.asarray(x1, dtype=float),
+                          np.asarray(x2, dtype=float))
+
+    def _values(self, x1, x2):
         shape = np.broadcast_shapes(x1.shape, x2.shape)
         x1 = np.broadcast_to(x1, shape).ravel()
         x2 = np.broadcast_to(x2, shape).ravel()
         phase = np.exp(TWO_PI_I * (np.multiply.outer(x1, self.k1)
                                    + np.multiply.outer(x2, self.k2)))
-        out = phase @ self.coeffs
-        return out.reshape(shape)
+        return (phase @ self.coeffs).reshape(shape)
 
     def antiderivative_x1(self) -> tuple["TrigSeries1", "TrigSeries2"]:
         """(m, P) with  int_0^{x1} f(s, x2) ds = x1*m(x2) + P(x1,x2) - P(0,x2)."""

@@ -271,14 +271,78 @@ def best_rational(value: float, max_den: int, residual_tol: float
     return None
 
 
-@lru_cache(maxsize=128)
-def _return_displacement_series(spec, family: str, axis: int, step: float
-                                ) -> TrigSeries1:
-    """Trig interpolant of D(w) = one-period return displacement from u=0:
-    the one return map that every certificate and scan composes."""
-    seeds = np.arange(RETURN_SEEDS) / RETURN_SEEDS
-    ends = _march(spec, family, axis, 0.0, seeds, 1.0, step)
-    return TrigSeries1.from_samples(ends - seeds)
+@dataclass(eq=False)
+class _ReturnSweep:
+    """One-period return of RETURN_SEEDS seeds from u = 0, swept on first use.
+
+    ``D1`` interpolates D(w) = (return) - w: the one return map that every
+    certificate and scan composes.  ``J1`` interpolates the Gamma-integral
+    over one return, for the SCF loop test of ``classify``.  With N the
+    family's null field, a the graph axis and c' = N/N^a the
+    velocity of the line c(u) (so c'^a = 1), nabla_V X = Gamma(V) X and
+    nabla_V Y = -Gamma(V) Y give, from the a-component of nabla_{c'} c',
+
+        Gamma(c') = eps (Gamma^a_ij c'^i c'^j + d/du log|N^a(c(u))|),
+
+    eps = +1 for X and -1 for Y.  So the sweep for J1 integrates the
+    Christoffel contraction alongside the graph ODE, and the exact endpoint
+    term log|N^a(c(1))| - log|N^a(c(0))| completes J1 per seed w: no frame
+    derivative is taken.  By Gamma(X) = div(X) the J accumulated over a
+    closed line equals the loop integral of div(X) in the flow
+    parametrization; summed along orbits of the return map (``q_return``)
+    J1 gives loop integrals without further integrations.  The integrand
+    leaves the w arithmetic untouched, so the one batched ``_march`` that
+    gives J1 also gives D1, bit for bit the slope-only one.
+    """
+
+    spec: object
+    family: str
+    axis: int
+    step: float
+    D1: Optional[TrigSeries1] = None
+    J1: Optional[TrigSeries1] = None
+
+    def displacement(self) -> TrigSeries1:
+        if self.D1 is None:
+            seeds = np.arange(RETURN_SEEDS) / RETURN_SEEDS
+            ends = _march(self.spec, self.family, self.axis, 0.0, seeds, 1.0,
+                          self.step)
+            self.D1 = TrigSeries1.from_samples(ends - seeds)
+        return self.D1
+
+    def loop_series(self) -> TrigSeries1:
+        if self.J1 is not None:
+            return self.J1
+        spec, family, axis = self.spec, self.family, self.axis
+
+        def points(u, w):
+            uu = np.full_like(w, u)
+            return (uu, w) if axis == 0 else (w, uu)
+
+        def bend(u, w, m):
+            gam = geometry._christoffel_row(spec, axis, *points(u, w))
+            c = (1.0, m) if axis == 0 else (m, 1.0)
+            return sum(gam[(axis, i, j)] * c[i] * c[j]
+                       for i in (0, 1) for j in (0, 1))
+
+        def log_axis(u, w):
+            n = geometry.null_direction_arrays(spec, *points(u, w), family)
+            return np.log(np.abs(n[axis]))
+
+        seeds = np.arange(RETURN_SEEDS) / RETURN_SEEDS
+        w_end, J = _march(spec, family, axis, 0.0, seeds, 1.0, self.step,
+                          integrand=bend)
+        if self.D1 is None:
+            self.D1 = TrigSeries1.from_samples(w_end - seeds)
+        J = J + log_axis(1.0, w_end) - log_axis(0.0, seeds)
+        if family == "Y":
+            J = -J
+        self.J1 = TrigSeries1.from_samples(J.astype(complex))
+        return self.J1
+
+
+#: the one sweep of each (spec, family, axis, step)
+_return_sweep = lru_cache(maxsize=128)(_ReturnSweep)
 
 
 def _return_orbits(D1: TrigSeries1, ws: np.ndarray,
@@ -355,7 +419,7 @@ def rotation_number(spec, family: str = "X", p0: Point = (0.0, 0.0),
     """
     axis = transversal_axis(spec, family)
     w0 = float(p0[1 - axis])
-    series = _return_displacement_series(spec, family, axis, step)
+    series = _return_sweep(spec, family, axis, step).displacement()
     if method == "direct":
         w_end = _march(spec, family, axis, float(p0[axis]), w0,
                        float(n_returns), step)
@@ -530,7 +594,7 @@ def cylinder_decomposition(spec, family: str = "X", resolution: int = 1024,
                           tol=tol)
     cert = _verifiable(est, tol)
     seeds = np.arange(resolution) / resolution
-    D1 = _return_displacement_series(spec, family, axis, step)
+    D1 = _return_sweep(spec, family, axis, step).displacement()
     D = q_return(D1, seeds, cert.q)[0] - cert.p
     series = TrigSeries1.from_samples(D.astype(complex))
 

@@ -1,5 +1,7 @@
 """Flatness certificates, mass functionals, and the dimension classification."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from nulltorus import catalog, classify, geometry, nullflow, spinorfield
 from nulltorus.errors import Inconclusive, NotHarmonic, NotSCF, WrongFamily
 from nulltorus.gridtools import grid_points
 from nulltorus.spin import SpinStructure, all_structures
+from nulltorus.tolerances import DEFAULT
 
 
 # ---------------------------------------------------------------------------
@@ -97,13 +100,17 @@ def test_certificate_conformal_propagates_obstruction(rosatau_spec):
     assert exc.value.obstruction == pytest.approx(0.5, abs=1e-6)
 
 
-@pytest.fixture(scope="module")
-def conformally_flat_diagonal():
+def _conformally_flat_diagonal():
     # conformally flat but with non-closed coefficients, so no analytic
     # shortcut applies and the loop test + least-squares transport solve run
     f = lambda x1, x2: np.exp(0.15 * np.sin(2 * np.pi * x1)
                               * np.sin(2 * np.pi * x2))
     return geometry.Diagonal(lam1=f, lam2=f, grid_n=128)
+
+
+@pytest.fixture(scope="module")
+def conformally_flat_diagonal():
+    return _conformally_flat_diagonal()
 
 
 def test_certificate_numeric_rescaling_route(conformally_flat_diagonal):
@@ -123,6 +130,21 @@ def test_stalled_transport_solve_names_lsqr_stop(conformally_flat_diagonal,
         classify.semi_conformal_certificate(conformally_flat_diagonal, "X")
     assert "stalled" in str(exc.value)
     assert "istop 7 after 4000 iterations" in str(exc.value)
+
+
+def test_rescaling_exponent_stays_blocked():
+    """The 128^2 exponent series (hundreds of modes) is evaluated in blocks,
+    once, and the returned residual is the certificate field's own."""
+    spec = catalog.closed_diagonal_wave(1.0, 2.0, amp=0.09)
+    tracemalloc.start()
+    try:
+        _, field, residual, _ = classify._solve_rescaling(spec, "Y", 128,
+                                                          DEFAULT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    assert residual == classify._field_divergence_residual(spec, field, 128)
 
 
 #: |J1 - J1 from the Gamma(c') integrand| at step 1e-2: at most 1.1e-8
@@ -152,7 +174,7 @@ def test_flow_loop_series_matches_connection_integrand(name, family,
     seeds = np.arange(2048) / 2048
     _, reference = nullflow._march(spec, family, axis, 0.0, seeds, 1.0, step,
                                    integrand=gamma)
-    J1 = classify._flow_loop_series.__wrapped__(spec, family, axis, step)
+    J1 = nullflow._ReturnSweep(spec, family, axis, step).loop_series()
     error = np.max(np.abs(np.real(J1(seeds)) - reference))
     assert error < LOOP_SERIES_BOUND.get((name, family), 1e-7)
 
@@ -162,8 +184,68 @@ def test_flow_loop_series_takes_no_frame_derivative(wave12_spec,
     def forbidden(*args, **kwargs):
         raise AssertionError("connection_along called")
     monkeypatch.setattr(geometry, "connection_along", forbidden)
-    J1 = classify._flow_loop_series.__wrapped__(wave12_spec, "Y", 0, 1e-2)
+    J1 = nullflow._ReturnSweep(wave12_spec, "Y", 0, 1e-2).loop_series()
     assert np.all(np.isfinite(np.real(J1(np.arange(16) / 16))))
+
+
+@pytest.mark.parametrize("family", ("X", "Y"))
+@pytest.mark.parametrize("name", ZOO)
+def test_loop_sweep_return_map_is_the_slope_only_one(name, family, request):
+    spec = request.getfixturevalue(name)
+    axis = nullflow.transversal_axis(spec, family)
+    fused = nullflow._ReturnSweep(spec, family, axis, 1e-2)
+    fused.loop_series()
+    alone = nullflow._ReturnSweep(spec, family, axis, 1e-2).displacement()
+    assert np.array_equal(fused.D1.coeffs, alone.coeffs)
+    assert np.array_equal(fused.D1.freqs, alone.freqs)
+
+
+@pytest.mark.parametrize("family, build", [
+    ("X", _conformally_flat_diagonal),
+    ("Y", lambda: catalog.closed_diagonal_wave(1.0, 2.0, amp=0.08)),
+], ids=["conformally-flat-diagonal", "wave12"])
+def test_numeric_route_sweeps_the_seeds_once(family, build, monkeypatch):
+    """One batched march of the return seeds gives both D1 and J1."""
+    spec = build()     # a fresh spec, so no cached sweep is reused
+    sweeps = []
+    march = nullflow._march
+
+    def counting(spec, family, axis, u0, w0, *args, **kwargs):
+        if np.size(w0) == nullflow.RETURN_SEEDS:
+            sweeps.append(family)
+        return march(spec, family, axis, u0, w0, *args, **kwargs)
+    monkeypatch.setattr(nullflow, "_march", counting)
+    cert = classify.semi_conformal_certificate(spec, family, grid_n=32)
+    assert cert.kind == "rescaling"
+    assert sweeps == [family]
+
+
+@pytest.mark.parametrize("name", ZOO)
+def test_christoffel_row_is_the_christoffels_at_row(name, request, rng):
+    spec = request.getfixturevalue(name)
+    x1, x2 = rng.random(257), rng.random(257)
+    full = geometry.christoffels_at(spec, x1, x2)
+    for a in (0, 1):
+        row = geometry._christoffel_row(spec, a, x1, x2)
+        assert sorted(row) == [(a, i, j) for i in (0, 1) for j in (0, 1)]
+        for key, values in row.items():
+            assert np.array_equal(values, full[key])
+
+
+@pytest.mark.parametrize("name", ("flat_spec", "sqrt2_spec", "analex_spec",
+                                  "wave12_spec", "conformally_flat_diagonal"))
+def test_christoffel_row_evaluates_lambdas_once(name, request, monkeypatch):
+    spec = request.getfixturevalue(name)
+    calls = []
+    lambdas = type(spec).lambdas
+
+    def counting(self, x1, x2):
+        calls.append(1)
+        return lambdas(self, x1, x2)
+    monkeypatch.setattr(type(spec), "lambdas", counting)
+    for u in (0.1, 0.5, 0.9):
+        geometry._christoffel_row(spec, 1, u, np.linspace(0, 1, 9))
+    assert len(calls) == 3
 
 
 def test_is_x_conformally_flat(analex_spec, rosatau_spec, flat_spec):

@@ -257,7 +257,12 @@ def test_config_errors_are_exit_one(runner, tmp_path):
         config("solve", chirality="plus"),
         config("solve", chirality=2),
         config("validate", criterion="first"),
-    ]
+        config("validate", criterion=99),
+        ["validate", "--criterion", "0"],
+        config("classify", quantity="delta_zero"),
+        config("table", quantity="delta_zero"),
+    ] + [config(command, family="Z") for command in (
+        "flow", "rotation", "classify-line", "decompose", "holonomy")]
     for args in cases:
         result = runner.invoke(main, args)
         payload = _json_out(result)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from nulltorus import catalog
-from nulltorus.gridtools import PHASE_BLOCK, TrigSeries1, circular_zeros
+from nulltorus.gridtools import (PHASE_BLOCK, TrigSeries1, TrigSeries2,
+                                 circular_zeros, grid_points)
 
 
 def _samples(f, n):
@@ -84,3 +85,28 @@ def test_trig_series_blocks_match_one_shot():
     # a series with no terms (the oscillating part of a constant) is zero
     _, empty = TrigSeries1.from_samples(np.ones(8)).antiderivative()
     assert np.array_equal(empty(np.linspace(0, 1, 5)), np.zeros(5))
+
+
+#: (points, modes): one block, then point counts that end mid-block
+SERIES2_SIZES = [(7, 5), (5000, 317), (3000, 64), (4097, 200)]
+
+
+@pytest.mark.parametrize("n_points, n_modes", SERIES2_SIZES)
+def test_trig_series2_blocks_match_one_shot(n_points, n_modes):
+    rng = np.random.default_rng(n_points)
+    k1, k2 = rng.integers(-20, 21, (2, n_modes))
+    series = TrigSeries2(rng.standard_normal(n_modes)
+                         + 1j * rng.standard_normal(n_modes), k1, k2)
+    x1, x2 = rng.random((2, n_points))
+    one_shot = np.exp(2j * np.pi * (np.multiply.outer(x1, k1)
+                                    + np.multiply.outer(x2, k2))) \
+        @ series.coeffs
+    rows = PHASE_BLOCK // n_modes
+    assert n_points <= rows or n_points % rows != 0
+    assert np.array_equal(series(x1, x2), one_shot)
+    # broadcast points keep their shape and give the same values
+    X1, X2 = grid_points(67)
+    grid = series(X1, X2)
+    assert grid.shape == X1.shape
+    assert np.array_equal(series(X1, X2[0]), grid)
+    assert np.array_equal(series(X1.ravel(), X2.ravel()), grid.ravel())

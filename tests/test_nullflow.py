@@ -81,7 +81,7 @@ def test_composed_return_matches_fine_scan(rosatau_spec, spec_name, p, q):
             else catalog.closed_diagonal_wave(3.0, 5.0))
     axis = nullflow.transversal_axis(spec, "X")
     seeds = np.arange(0, 1024, 4) / 1024
-    D1 = nullflow._return_displacement_series(spec, "X", axis, 1e-3)
+    D1 = nullflow._return_sweep(spec, "X", axis, 1e-3).displacement()
     composed, _ = nullflow.q_return(D1, seeds, q)
     direct = nullflow._march(spec, "X", axis, 0.0, seeds, float(q),
                              2.5e-4) - seeds
