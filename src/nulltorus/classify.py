@@ -23,13 +23,13 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, lsqr
 
 from . import geometry, nullflow, spin, spinorfield
 from .errors import (DenseFlow, Inconclusive, NotHarmonic, NotSCF,
                      NotTransverse, WrongFamily)
 from .gridtools import (TrigSeries1, TrigSeries2, circular_zeros,
-                        grid_points, spectral_derivatives)
+                        grid_points, spectral_derivative,
+                        spectral_derivatives)
 from .spin import GAMMA1, GAMMA2, SpinStructure, all_structures
 from .spinorfield import HalfSpinorField, SpinorField, embed
 from .tolerances import DEFAULT, Tolerances
@@ -240,6 +240,13 @@ def _weighted_birkhoff(D1: TrigSeries1, J1: TrigSeries1) -> float:
     return total / float(weights.sum())
 
 
+def lsqr(*args, **kwargs):
+    """scipy's LSQR, imported on the first call: the rescaling solve is the
+    only user of scipy, so no other route pays for loading it."""
+    from scipy.sparse.linalg import lsqr as scipy_lsqr
+    return scipy_lsqr(*args, **kwargs)
+
+
 def _solve_rescaling(spec, family: str, n: int, tol: Tolerances):
     """Least-squares spectral solve of X(f) = -div(X) on the grid.
 
@@ -262,9 +269,10 @@ def _solve_rescaling(spec, family: str, n: int, tol: Tolerances):
 
     def rmatvec(y):
         g = y.reshape(n, n)
-        return -(spectral_derivatives(v1 * g)[0]
-                 + spectral_derivatives(v2 * g)[1]).ravel()
+        return -(spectral_derivative(v1 * g, 0)
+                 + spectral_derivative(v2 * g, 1)).ravel()
 
+    from scipy.sparse.linalg import LinearOperator
     op = LinearOperator((n * n, n * n), matvec=matvec, rmatvec=rmatvec,
                         dtype=float)
     x, istop, itn = lsqr(op, rhs.ravel(), atol=1e-13, btol=1e-13,

@@ -55,17 +55,63 @@ def _in_blocks(evaluate, n_modes: int, *xs: np.ndarray) -> np.ndarray:
     return np.concatenate(parts).reshape(shape)
 
 
+def _derivative_from_modes(vhat: np.ndarray, axis: int, real: bool
+                           ) -> np.ndarray:
+    k = _wavenumbers(vhat.shape[axis])
+    k = k[:, None] if axis == 0 else k[None, :]
+    d = np.fft.ifft2(vhat * (TWO_PI_I * k))
+    return d.real if real else d
+
+
 def spectral_derivatives(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(d/dx1, d/dx2) of a periodic grid field, spectrally."""
-    n0, n1 = values.shape
     vhat = np.fft.fft2(values)
-    k0 = _wavenumbers(n0)[:, None]
-    k1 = _wavenumbers(n1)[None, :]
-    d0 = np.fft.ifft2(vhat * (TWO_PI_I * k0))
-    d1 = np.fft.ifft2(vhat * (TWO_PI_I * k1))
-    if np.isrealobj(values):
-        return d0.real, d1.real
-    return d0, d1
+    real = np.isrealobj(values)
+    return (_derivative_from_modes(vhat, 0, real),
+            _derivative_from_modes(vhat, 1, real))
+
+
+def spectral_derivative(values: np.ndarray, axis: int) -> np.ndarray:
+    """d/dx1 (axis 0) or d/dx2 (axis 1) alone: the matching output of
+    ``spectral_derivatives`` with one inverse transform instead of two."""
+    return _derivative_from_modes(np.fft.fft2(values), axis,
+                                  np.isrealobj(values))
+
+
+def _guarded_divide(num, den):
+    """num / den, and 0 where den is 0."""
+    return np.true_divide(num, den, out=np.zeros_like(den), where=den != 0)
+
+
+def simpson(y, x) -> float:
+    """Composite Simpson rule for samples y at the points x (any spacing).
+
+    The arithmetic is scipy.integrate.simpson's, step for step, so both give
+    the same bits: the non-uniform three-point rule on the first N - 1 points
+    when N is even (on all N when odd), then Cartwright's correction for the
+    last interval; the trapezoid when N = 2.
+    """
+    y = np.asarray(y)
+    h = np.diff(np.asarray(x, dtype=float))
+    n = len(y)
+    # the 0.0 terms are scipy's zero start value: they turn -0.0 into 0.0
+    if n == 2:
+        return 0.0 + 0.5 * h[-1] * (y[-1] + y[-2])
+    m = n - 1 + n % 2           # points under the three-point rule
+    h0, h1 = h[0:m - 2:2], h[1:m - 1:2]
+    hsum, hprod = h0 + h1, h0 * h1
+    ratio = _guarded_divide(h0, h1)
+    total = np.sum(hsum / 6.0 * (
+        y[0:m - 2:2] * (2.0 - _guarded_divide(1.0, ratio))
+        + y[1:m - 1:2] * (hsum * _guarded_divide(hsum, hprod))
+        + y[2:m:2] * (2.0 - ratio)))
+    if n % 2:
+        return total
+    a, b = h[-2, ...], h[-1, ...]   # 0-d arrays: b ** 3 takes numpy's power
+    alpha = _guarded_divide(2 * b ** 2 + 3 * a * b, 6 * (b + a))
+    beta = _guarded_divide(b ** 2 + 3.0 * a * b, 6 * a)
+    eta = _guarded_divide(b ** 3, 6 * a * (a + b))
+    return total + (alpha * y[-1] + beta * y[-2] - eta * y[-3]) + 0.0
 
 
 class TrigSeries1:

@@ -27,10 +27,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import simpson
 
 from . import geometry
 from .errors import NotClosed
+from .gridtools import simpson
 from .nullflow import NullLineRecord
 from .tolerances import DEFAULT, Tolerances
 

@@ -1,6 +1,9 @@
 """End-to-end checks of the command-line interface and its artifacts."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -348,3 +351,43 @@ def test_validate_single_criterion(runner):
     assert criterion["index"] == 6
     assert criterion["passed"] is True
     assert "criterion  6: PASS" in result.stderr
+
+
+# ---------------------------------------------------------------------------
+# cold start
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: run in a fresh interpreter: the analytic commands never load scipy, and
+#: the numeric rescaling route loads LSQR when it calls it
+IMPORT_PATH_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+
+import nulltorus.cli
+assert "scipy" not in sys.modules, "import nulltorus.cli"
+
+from click.testing import CliRunner
+for argv in (["table", "--metric", "analex",
+              "--quantity", "delta_plus,tau_minus"],
+             ["holonomy", "--metric", "closed_diagonal:5,8"]):
+    result = CliRunner().invoke(nulltorus.cli.main, argv)
+    assert result.exit_code == 0, result.output
+    assert "scipy" not in sys.modules, argv[0]
+
+import numpy as np
+from nulltorus import classify, geometry
+f = lambda x1, x2: np.exp(0.15 * np.sin(2 * np.pi * x1)
+                          * np.sin(2 * np.pi * x2))
+spec = geometry.Diagonal(lam1=f, lam2=f, grid_n=128)
+cert = classify.semi_conformal_certificate(spec, "X", grid_n=32)
+assert "scipy.sparse.linalg" in sys.modules
+print(cert.kind)
+"""
+
+
+def test_scipy_loads_only_for_the_rescaling_solve():
+    done = subprocess.run([sys.executable, "-c", IMPORT_PATH_SCRIPT,
+                           str(SRC)], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["rescaling"]

@@ -1,4 +1,5 @@
-"""Static hygiene of the package: no unused imports, no unreferenced code."""
+"""Static hygiene of the package: no unused imports, no unreferenced code,
+no scipy at import time."""
 
 import ast
 from pathlib import Path
@@ -72,3 +73,31 @@ def test_every_tolerance_is_read():
             if isinstance(node, ast.Attribute)}
     unread = [f for f in fields if f not in read]
     assert not unread, "tolerances nothing reads: " + ", ".join(unread)
+
+
+def _runs_at_import(tree):
+    """Every node outside function bodies: what importing the module runs."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_level_scipy_import():
+    """scipy is imported inside the one function that calls it (the
+    rescaling solve's LSQR), so no other command pays for loading it."""
+    found = []
+    for name, tree in MODULES.items():
+        for node in _runs_at_import(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "scipy" for m in modules):
+                found.append(f"{name}.py:{node.lineno}")
+    assert not found, "module-level scipy imports: " + ", ".join(sorted(found))

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import ZOO
 from nulltorus import catalog, geometry, nullflow, spin
-from nulltorus.errors import NotClosed
+from nulltorus.errors import DenseFlow, NotClosed
 from nulltorus.nullflow import NullLineRecord, RationalCertificate
 from nulltorus.spin import SpinStructure
+from nulltorus.tolerances import DEFAULT
 
 coord = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
 
@@ -116,6 +118,41 @@ def test_flat_holonomy_table(flat_spec):
         assert res.character == SpinStructure(*ab).character((1, 1))
         assert res.x_trivial == expected_trivial[ab]
         assert res.transport_factor == pytest.approx(res.character)
+
+
+def _recorded_closed_lines(spec):
+    """The closed lines the classification records, both families: five
+    per resonant interval, then the isolated ones."""
+    records = []
+    for family in ("X", "Y"):
+        try:
+            dec = nullflow.cylinder_decomposition(spec, family,
+                                                  step=DEFAULT.ode_step)
+        except DenseFlow:
+            continue
+        seeds = [float(w) % 1.0 for iv in dec.resonant_intervals
+                 for w in iv.interior_points(5)]
+        seeds += [float(w) for w in dec.isolated_closed]
+        records += nullflow.closed_lines_through(spec, family, seeds,
+                                                 dec.rotation,
+                                                 step=DEFAULT.ode_step)
+    return records
+
+
+@pytest.mark.parametrize("name", ZOO)
+def test_holonomy_boosts_are_scipys_simpson_bitwise(name, request,
+                                                    monkeypatch):
+    """The in-package Simpson rule leaves every recorded boost as scipy's
+    rule gave it, bit for bit."""
+    from scipy.integrate import simpson as reference
+    spec = request.getfixturevalue(name)
+    records = _recorded_closed_lines(spec)
+    assert records or name == "sqrt2_spec"     # irrational: dense both ways
+    ours = [spin.holonomy_table(spec, rec)[(1, 1)].boost for rec in records]
+    monkeypatch.setattr(spin, "simpson", reference)
+    theirs = [spin.holonomy_table(spec, rec)[(1, 1)].boost
+              for rec in records]
+    assert [b.hex() for b in ours] == [b.hex() for b in theirs]
 
 
 def test_rosatau_isolated_line_boost(rosatau_spec):
