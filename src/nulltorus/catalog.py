@@ -25,14 +25,15 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import (ClosedDiagonal, ConformalRescale, LeftInvariant,
-                       MetricSpec, RosaTau, Sanchez)
+from .geometry import (ConformalRescale, LeftInvariant, MetricSpec, RosaTau,
+                       Sanchez, _DiagonalMetric)
 from .gridtools import mollifier, torus_delta
 
 TWO_PI = 2.0 * math.pi
@@ -46,40 +47,44 @@ def left_invariant(lam1, lam2, grid_n: int = 256) -> LeftInvariant:
     return LeftInvariant(lam1, lam2, grid_n=grid_n)
 
 
-def _analex_profile():
-    def f(u):
-        return np.cos(TWO_PI * (u + 0.25)) / 10.0 - 1.0
-
-    def df(u):
-        return -TWO_PI * np.sin(TWO_PI * (u + 0.25)) / 10.0
-
-    return f, df
+def _analex_profile(u):
+    return np.cos(TWO_PI * (u + 0.25)) / 10.0 - 1.0
 
 
-def analex(c: float = 2.0, grid_n: int = 256) -> ClosedDiagonal:
-    f, df = _analex_profile()
-    lam1 = lambda x1, x2: -f(x1 - x2)
-    lam2 = lambda x1, x2: -f(x1 - x2) - c
-    d1l1 = lambda x1, x2: -df(x1 - x2)
-    d2l1 = lambda x1, x2: df(x1 - x2)
-    return ClosedDiagonal(lam1, lam2, dlam=(d1l1, d2l1, d1l1, d2l1),
-                          grid_n=grid_n)
+@dataclass(frozen=True, eq=False)
+class Analex(_DiagonalMetric):
+    """lam1 = -_analex_profile(x1 - x2) and lam2 = lam1 - c: one profile
+    evaluation per call serves both coefficients."""
+
+    c: float
+    grid_n: int = 256
+
+    def lambdas(self, x1, x2):
+        l1 = -_analex_profile(x1 - x2)
+        return l1, l1 - self.c
+
+    def lambda_partials(self, x1, x2):
+        d = -TWO_PI * np.sin(TWO_PI * (x1 - x2 + 0.25)) / 10.0
+        return -d, d, -d, d
+
+
+def analex(c: float = 2.0, grid_n: int = 256) -> Analex:
+    return Analex(c, grid_n=grid_n)
 
 
 def analex_sanchez(c: float = 2.0, grid_n: int = 256) -> Sanchez:
-    f, _ = _analex_profile()
-
     def E(x):
-        return 2.0 * c * f(2.0 * x) + c * c
+        return 2.0 * c * _analex_profile(2.0 * x) + c * c
 
     def F(x):
-        fv = f(2.0 * x)
+        fv = _analex_profile(2.0 * x)
         return -(fv * fv + (fv + c) ** 2)
 
     def G(x):
         return -E(x)
 
-    # G(x) = 0 where f(2x) = -c/2, i.e. cos(2 pi (2x + 1/4)) = 10(1 - c/2).
+    # G(x) = 0 where the profile at 2x is -c/2, i.e.
+    # cos(2 pi (2x + 1/4)) = 10(1 - c/2).
     rhs = 10.0 * (1.0 - c / 2.0)
     if abs(rhs) >= 1:
         zeros: tuple[float, ...] = ()
@@ -122,23 +127,38 @@ def rosatau_window(support: tuple[float, float] = (0.15, 0.45),
     return RosaTau(tau, dtau=dtau, grid_n=grid_n)
 
 
+@dataclass(frozen=True, eq=False)
+class Wave(_DiagonalMetric):
+    """lam1 = base1 + amp*cos(phase), lam2 = base2 - amp*(l/k)*cos(phase)
+    with phase = 2*pi*(k x1 + l x2), evaluated once per call."""
+
+    base1: float
+    base2: float
+    amp: float
+    k: int
+    l: int
+    grid_n: int = 256
+
+    def _phase(self, x1, x2):
+        return TWO_PI * (self.k * x1 + self.l * x2)
+
+    def lambdas(self, x1, x2):
+        c = np.cos(self._phase(x1, x2))
+        return (self.base1 + self.amp * c,
+                self.base2 - self.amp * (self.l / self.k) * c)
+
+    def lambda_partials(self, x1, x2):
+        s = np.sin(self._phase(x1, x2))
+        a1, a2 = -self.amp * TWO_PI, self.amp * (self.l / self.k) * TWO_PI
+        return (a1 * self.k * s, a1 * self.l * s,
+                a2 * self.k * s, a2 * self.l * s)
+
+
 def closed_diagonal_wave(base1: float, base2: float, amp: float = 0.1,
-                         k: int = 1, l: int = 1, grid_n: int = 256) -> ClosedDiagonal:
+                         k: int = 1, l: int = 1, grid_n: int = 256) -> Wave:
     if k == 0:
         raise ConfigError("closed_diagonal_wave needs k != 0")
-    ratio = l / k
-
-    def phase(x1, x2):
-        return TWO_PI * (k * x1 + l * x2)
-
-    lam1 = lambda x1, x2: base1 + amp * np.cos(phase(x1, x2))
-    lam2 = lambda x1, x2: base2 - amp * ratio * np.cos(phase(x1, x2))
-    d1l1 = lambda x1, x2: -amp * TWO_PI * k * np.sin(phase(x1, x2))
-    d2l1 = lambda x1, x2: -amp * TWO_PI * l * np.sin(phase(x1, x2))
-    d1l2 = lambda x1, x2: amp * ratio * TWO_PI * k * np.sin(phase(x1, x2))
-    d2l2 = lambda x1, x2: amp * ratio * TWO_PI * l * np.sin(phase(x1, x2))
-    return ClosedDiagonal(lam1, lam2, dlam=(d1l1, d2l1, d1l2, d2l2),
-                          grid_n=grid_n)
+    return Wave(base1, base2, amp, k, l, grid_n=grid_n)
 
 
 def exp_sine_factor(amp: float = 0.3, k: int = 1, l: int = 1,

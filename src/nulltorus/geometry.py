@@ -29,6 +29,10 @@ on the orientation; each family below fixes a deliberate, documented choice:
 Frames are time-oriented by fixing the sign of s1 once at the base point
 (0, 0) (positive d1-component when that is nonzero).  All family callbacks
 must be 1-periodic in each variable and numpy-vectorized.
+
+Each family also owns its null directions: diagonal and RosaTau families
+form the X/Y components from their coefficients directly, bit for bit the
+frame sums above, and the other families add up their frame.
 """
 
 from __future__ import annotations
@@ -108,9 +112,19 @@ class VectorField:
 # families
 #
 # Each family class owns its coefficients (A, B, C), their jet (A, B, C and
-# the partials A1, A2, B1, B2, C1, C2 at the same points) and its canonical
-# frame (a1, a2, b1, b2); the methods take float arrays, and the module
-# functions convert the inputs and dispatch to them.
+# the partials A1, A2, B1, B2, C1, C2 at the same points), its canonical
+# frame (a1, a2, b1, b2) and its null directions; the methods take float
+# arrays, and the module functions convert the inputs and dispatch to them.
+
+
+class _FrameNullDirections:
+    """Null directions as frame sums: X = s1 + s2, Y = -s1 + s2."""
+
+    def null_direction(self, x1, x2, family):
+        a1, a2, b1, b2 = frame_component_arrays(self, x1, x2)
+        if family == "X":
+            return a1 + b1, a2 + b2
+        return -a1 + b1, -a2 + b2
 
 
 class _DiagonalMetric:
@@ -137,6 +151,15 @@ class _DiagonalMetric:
         b1 = np.zeros_like(a1)
         b2 = np.sign(l1) / l2
         return a1, a2, b1, b2
+
+    def null_direction(self, x1, x2, family):
+        """X = (1/|lam1|, sign(lam1)/lam2), Y = (-1/|lam1|, sign(lam1)/lam2):
+        the frame sums without their exact zero terms."""
+        l1, l2 = self.lambdas(x1, x2)
+        if not (l1.all() and l2.all()):
+            raise DegenerateMetric("diagonal coefficient vanishes")
+        a1 = 1.0 / np.abs(l1)
+        return (a1 if family == "X" else -a1), np.sign(l1) / l2
 
 
 @dataclass(frozen=True)
@@ -172,42 +195,32 @@ class LeftInvariant(_DiagonalMetric):
 class Diagonal(_DiagonalMetric):
     """g = -lam1(x)^2 dx1^2 + lam2(x)^2 dx2^2, lam_i nonvanishing.
 
-    ``dlam``, if given, holds the four analytic partials
-    (d1 lam1, d2 lam1, d1 lam2, d2 lam2); otherwise central differences
-    are used for pointwise derivative work (grids always go through FFT).
+    Pointwise partials are central differences (grids always go through
+    FFT); a family with analytic partials defines ``lambda_partials``.
     """
 
     lam1: Callable
     lam2: Callable
-    dlam: Optional[tuple[Callable, Callable, Callable, Callable]] = None
     grid_n: int = 256
 
     def lambdas(self, x1, x2):
         x1 = np.asarray(x1, dtype=float)
         x2 = np.asarray(x2, dtype=float)
         shape = np.broadcast_shapes(x1.shape, x2.shape)
-        l1 = np.broadcast_to(np.asarray(self.lam1(x1, x2), dtype=float), shape)
-        l2 = np.broadcast_to(np.asarray(self.lam2(x1, x2), dtype=float), shape)
-        return l1.copy(), l2.copy()
+
+        def full(lam):
+            value = np.asarray(lam(x1, x2), dtype=float)
+            if value.shape == shape:
+                return value
+            return np.broadcast_to(value, shape).copy()
+        return full(self.lam1), full(self.lam2)
 
     def lambda_partials(self, x1, x2):
-        if self.dlam is not None:
-            d11, d21, d12, d22 = self.dlam
-            x1 = np.asarray(x1, dtype=float)
-            x2 = np.asarray(x2, dtype=float)
-            return (np.asarray(d11(x1, x2), dtype=float),
-                    np.asarray(d21(x1, x2), dtype=float),
-                    np.asarray(d12(x1, x2), dtype=float),
-                    np.asarray(d22(x1, x2), dtype=float))
-
         def lams(a, b):
             return self.lam1(a, b), self.lam2(a, b)
         (d11, d12), (d21, d22) = (_central(lams, x1, x2, 0),
                                   _central(lams, x1, x2, 1))
         return d11, d21, d12, d22
-
-    def exact_ratio(self) -> Optional[Fraction]:
-        return None
 
 
 @dataclass(frozen=True)
@@ -217,7 +230,7 @@ class ClosedDiagonal(Diagonal):
 
 
 @dataclass(frozen=True)
-class Sanchez:
+class Sanchez(_FrameNullDirections):
     """g = E(x1) dx1^2 + 2 F(x1) dx1 dx2 - G(x1) dx2^2, E*G + F^2 > 0.
 
     ``zeros`` lists the zeros of G in [0, 1); at those lines one null family
@@ -336,12 +349,16 @@ class RosaTau:
         dC1 = np.broadcast_to(-self.dtau_at(x1), z.shape).copy()
         return (*self.coefficients(x1, x2), z, z, z, z, dC1, z)
 
-    def frame(self, x1, x2):
+    def _tau_root(self, x1):
+        """(tau, sqrt(2 + tau)) at x1; the frame seed needs tau > -2."""
         t = self.tau_at(x1)
         if np.any(2.0 + t <= 0):
             raise FrameUndefined("canonical RosaTau frame needs tau > -2 "
                                  f"(min 2+tau = {float(np.min(2 + t)):.3e})")
-        den = np.sqrt(2.0 + t)
+        return t, np.sqrt(2.0 + t)
+
+    def frame(self, x1, x2):
+        t, den = self._tau_root(x1)
         shape = np.broadcast_shapes(x1.shape, x2.shape)
         a1 = np.broadcast_to(1.0 / den, shape).copy()
         a2 = -a1
@@ -349,9 +366,18 @@ class RosaTau:
         b2 = np.broadcast_to(-1.0 / den, shape).copy()
         return a1, a2, b1, b2
 
+    def null_direction(self, x1, x2, family):
+        """The frame sums +-s1 + s2 with s1 = a1 (d1 - d2), formed on tau's
+        shape (a scalar when x1 is one) and broadcast at the end."""
+        t, den = self._tau_root(x1)
+        a1 = 1.0 / den if family == "X" else -(1.0 / den)
+        shape = np.broadcast_shapes(x1.shape, x2.shape)
+        return (np.broadcast_to(a1 - (1.0 + t) / den, shape),
+                np.broadcast_to(-a1 - 1.0 / den, shape))
+
 
 @dataclass(frozen=True)
-class ConformalRescale:
+class ConformalRescale(_FrameNullDirections):
     """lam * g for a positive factor lam(x1, x2); inherits inner's labels.
 
     Null line fields coincide with the inner metric's; the canonical frame is
@@ -397,8 +423,7 @@ class ConformalRescale:
         return a1 / root, a2 / root, b1 / root, b2 / root
 
 
-MetricSpec = (LeftInvariant | Diagonal | ClosedDiagonal | Sanchez | RosaTau
-              | ConformalRescale)
+MetricSpec = _DiagonalMetric | Sanchez | RosaTau | ConformalRescale
 
 
 def is_diagonal(spec) -> bool:
@@ -479,18 +504,17 @@ def orientation(spec) -> int:
 
 def null_directions(spec, p: Point):
     """(xdir, ydir) coordinate components of the two null directions at p."""
-    fr = orthonormal_frame(spec, p)
-    return (np.array(fr.x_direction), np.array(fr.y_direction))
+    return tuple(np.array([float(c) for c in null_direction_arrays(
+        spec, p[0], p[1], family)]) for family in ("X", "Y"))
 
 
 def null_direction_arrays(spec, x1, x2, family: str):
     """Vectorized coordinate components of the X or Y direction field."""
-    a1, a2, b1, b2 = frame_component_arrays(spec, x1, x2)
-    if family == "X":
-        return a1 + b1, a2 + b2
-    if family == "Y":
-        return -a1 + b1, -a2 + b2
-    raise ValueError(f"family must be 'X' or 'Y', got {family!r}")
+    spec = _family(spec)
+    if family not in ("X", "Y"):
+        raise ValueError(f"family must be 'X' or 'Y', got {family!r}")
+    return spec.null_direction(np.asarray(x1, dtype=float),
+                               np.asarray(x2, dtype=float), family)
 
 
 # ---------------------------------------------------------------------------

@@ -440,10 +440,12 @@ def criterion_isomorphism(step, grid_n, tol) -> tuple[bool, dict, str]:
                 catalog.analex(), catalog.closed_diagonal_wave(1.0, 2.0, amp=0.05),
                 catalog.analex_sanchez(), catalog.rosatau_window(),
                 catalog.conformal(catalog.analex(), catalog.exp_sine_factor()))
+    # the metric family of each built-in, as the report names it
+    names = (("LeftInvariant",) * 2 + ("ClosedDiagonal",) * 2
+             + ("Sanchez", "RosaTau", "ConformalRescale"))
     mismatches = []
     certified = []
-    for spec in builtins:
-        name = type(spec).__name__
+    for name, spec in zip(names, builtins):
         try:
             scf = classify.is_x_conformally_flat(spec, tol=tol)
         except Inconclusive:

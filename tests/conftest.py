@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nulltorus import catalog
+from nulltorus import catalog, geometry
 
 # Session-scoped metric zoo: frozen specs are hashable and the flow/series
 # caches key on the instance, so every test must reuse these objects instead
@@ -11,6 +11,15 @@ from nulltorus import catalog
 #: fixture names of the whole zoo, for tests parametrized over every spec
 ZOO = ("flat_spec", "sqrt2_spec", "analex_spec", "sanchez_spec",
        "rosatau_spec", "wave12_spec", "conformal_spec")
+
+
+def frame_direction(spec, x1, x2, family):
+    """Reference X = s1 + s2 or Y = -s1 + s2, summed from the canonical
+    frame."""
+    a1, a2, b1, b2 = geometry.frame_component_arrays(spec, x1, x2)
+    if family == "X":
+        return a1 + b1, a2 + b2
+    return -a1 + b1, -a2 + b2
 
 
 @pytest.fixture(scope="session")

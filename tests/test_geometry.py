@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ZOO
-from nulltorus import catalog, classify, geometry
-from nulltorus.errors import DegenerateMetric
+from conftest import ZOO, frame_direction
+from nulltorus import catalog, classify, geometry, nullflow
+from nulltorus.errors import DegenerateMetric, FrameUndefined
 from nulltorus.gridtools import grid_points
 from nulltorus.tolerances import DEFAULT
 
@@ -211,3 +211,45 @@ def test_cached_grids_are_read_only(analex_spec):
     with pytest.raises(ValueError):
         a1[0, 0] = 2.0
     assert geometry.frame_grids(analex_spec, 64)[0][0, 0] != 2.0
+
+
+@pytest.mark.parametrize("name", ZOO)
+def test_null_direction_is_the_frame_sum_bitwise(name, request):
+    """Each family's own X/Y components equal the frame sums bit for bit,
+    in value and in shape, on every point layout the flow code uses."""
+    spec = request.getfixturevalue(name)
+    w = np.arange(2048) / 2048
+    X1, X2 = grid_points(64)
+    layouts = ((0.3, 0.7), (0.3, w), (w, 0.3), (X1, X2))
+    for family in ("X", "Y"):
+        for x1, x2 in layouts:
+            got = geometry.null_direction_arrays(spec, x1, x2, family)
+            want = frame_direction(spec, x1, x2, family)
+            for g, f in zip(got, want):
+                assert np.shape(g) == np.shape(f)
+                assert np.array_equal(g, f)
+    fr = geometry.orthonormal_frame(spec, (0.3, 0.7))
+    X, Y = geometry.null_directions(spec, (0.3, 0.7))
+    assert np.array_equal(X, np.array(fr.x_direction))
+    assert np.array_equal(Y, np.array(fr.y_direction))
+    with pytest.raises(ValueError):
+        geometry.null_direction_arrays(spec, 0.3, 0.7, "Z")
+
+
+def test_direction_guards_survive():
+    """A vanishing lam1 and a tau below -2 still fail loudly on the flow
+    path, not with an infinite slope."""
+    degenerate = geometry.Diagonal(lambda x1, x2: np.sin(2 * np.pi * x1),
+                                   lambda x1, x2: 1.0 + 0 * x2)
+    for family in ("X", "Y"):
+        with pytest.raises(DegenerateMetric):
+            geometry.null_direction_arrays(degenerate, 0.0, 0.3, family)
+        with pytest.raises(DegenerateMetric):
+            nullflow.integrate_null_line(degenerate, (0.1, 0.2), family,
+                                         t_max=1.0)
+    deep = geometry.RosaTau(lambda x: 3.0 * np.cos(2 * np.pi * x))
+    for family in ("X", "Y"):
+        with pytest.raises(FrameUndefined):
+            geometry.null_direction_arrays(deep, 0.5, 0.3, family)
+        with pytest.raises(FrameUndefined):
+            nullflow.integrate_null_line(deep, (0.1, 0.2), family, t_max=1.0)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import ZOO, frame_direction
 from nulltorus import catalog, geometry, nullflow
 from nulltorus.errors import DenseFlow
 
@@ -195,3 +196,49 @@ def test_completeness_flat_vs_ppwave(flat_spec, rosatau_spec):
     # the blowup happens within finite affine parameter in one direction
     assert probe.blowup_parameter is not None
     assert probe.blowup_parameter < 20.0
+
+
+@pytest.mark.parametrize("name", ZOO)
+def test_march_matches_frame_slope_march(name, request, monkeypatch):
+    """2048 seeds over one period end where a march whose slope sums the
+    canonical frame ends, bit for bit."""
+    spec = request.getfixturevalue(name)
+    seeds = np.arange(2048) / 2048
+    for family in ("X", "Y"):
+        axis = nullflow.transversal_axis(spec, family)
+        ends = nullflow._march(spec, family, axis, 0.0, seeds, 1.0, 0.01)
+        with monkeypatch.context() as m:
+            m.setattr(geometry, "null_direction_arrays", frame_direction)
+            reference = nullflow._march(spec, family, axis, 0.0, seeds, 1.0,
+                                        0.01)
+        assert np.array_equal(ends, reference)
+
+
+@pytest.mark.parametrize("name, profile", [("wave12_spec", "lambdas"),
+                                           ("analex_spec", "lambdas"),
+                                           ("flat_spec", "lambdas"),
+                                           ("rosatau_spec", "tau_at")])
+def test_march_slope_takes_one_profile_evaluation(name, profile, request,
+                                                  monkeypatch):
+    """Each RK4 slope evaluates the family profile once and builds no
+    frame: 100 steps make 400 slopes."""
+    spec = request.getfixturevalue(name)
+    axes = {family: nullflow.transversal_axis(spec, family)
+            for family in ("X", "Y")}
+    counts = {}
+
+    def count(key, owner, attr):
+        fn = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, wrapper)
+    count("frame", geometry, "frame_component_arrays")
+    count("slope", geometry, "null_direction_arrays")
+    count("profile", type(spec), profile)
+    seeds = np.arange(2048) / 2048
+    for family, axis in axes.items():
+        counts.update(frame=0, slope=0, profile=0)
+        nullflow._march(spec, family, axis, 0.0, seeds, 1.0, 0.01)
+        assert counts == {"frame": 0, "slope": 400, "profile": 400}
