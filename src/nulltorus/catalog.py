@@ -69,7 +69,8 @@ class Analex(_DiagonalMetric):
 
 
 def analex(c: float = 2.0, grid_n: int = 256) -> Analex:
-    return Analex(c, grid_n=grid_n)
+    # float(): a shorthand Fraction ('c=5/2') would give object lam grids
+    return Analex(float(c), grid_n=grid_n)
 
 
 def analex_sanchez(c: float = 2.0, grid_n: int = 256) -> Sanchez:
@@ -158,7 +159,7 @@ def closed_diagonal_wave(base1: float, base2: float, amp: float = 0.1,
                          k: int = 1, l: int = 1, grid_n: int = 256) -> Wave:
     if k == 0:
         raise ConfigError("closed_diagonal_wave needs k != 0")
-    return Wave(base1, base2, amp, k, l, grid_n=grid_n)
+    return Wave(float(base1), float(base2), float(amp), k, l, grid_n=grid_n)
 
 
 def exp_sine_factor(amp: float = 0.3, k: int = 1, l: int = 1,

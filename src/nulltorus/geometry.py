@@ -207,13 +207,9 @@ class Diagonal(_DiagonalMetric):
         x1 = np.asarray(x1, dtype=float)
         x2 = np.asarray(x2, dtype=float)
         shape = np.broadcast_shapes(x1.shape, x2.shape)
-
-        def full(lam):
-            value = np.asarray(lam(x1, x2), dtype=float)
-            if value.shape == shape:
-                return value
-            return np.broadcast_to(value, shape).copy()
-        return full(self.lam1), full(self.lam2)
+        l1 = np.broadcast_to(np.asarray(self.lam1(x1, x2), dtype=float), shape)
+        l2 = np.broadcast_to(np.asarray(self.lam2(x1, x2), dtype=float), shape)
+        return l1.copy(), l2.copy()
 
     def lambda_partials(self, x1, x2):
         def lams(a, b):

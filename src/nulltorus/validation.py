@@ -436,16 +436,19 @@ def criterion_isomorphism(step, grid_n, tol) -> tuple[bool, dict, str]:
                               / scale)
     roundtrip_ok = worst_roundtrip < 1e-10
 
-    builtins = (catalog.flat(), catalog.left_invariant(math.sqrt(2.0), 1.0),
-                catalog.analex(), catalog.closed_diagonal_wave(1.0, 2.0, amp=0.05),
-                catalog.analex_sanchez(), catalog.rosatau_window(),
-                catalog.conformal(catalog.analex(), catalog.exp_sine_factor()))
-    # the metric family of each built-in, as the report names it
-    names = (("LeftInvariant",) * 2 + ("ClosedDiagonal",) * 2
-             + ("Sanchez", "RosaTau", "ConformalRescale"))
+    # each built-in with its metric family, as the report names it
+    builtins = (
+        ("LeftInvariant", catalog.flat()),
+        ("LeftInvariant", catalog.left_invariant(math.sqrt(2.0), 1.0)),
+        ("ClosedDiagonal", catalog.analex()),
+        ("ClosedDiagonal", catalog.closed_diagonal_wave(1.0, 2.0, amp=0.05)),
+        ("Sanchez", catalog.analex_sanchez()),
+        ("RosaTau", catalog.rosatau_window()),
+        ("ConformalRescale",
+         catalog.conformal(catalog.analex(), catalog.exp_sine_factor())))
     mismatches = []
     certified = []
-    for name, spec in zip(names, builtins):
+    for name, spec in builtins:
         try:
             scf = classify.is_x_conformally_flat(spec, tol=tol)
         except Inconclusive:

@@ -253,3 +253,26 @@ def test_direction_guards_survive():
             geometry.null_direction_arrays(deep, 0.5, 0.3, family)
         with pytest.raises(FrameUndefined):
             nullflow.integrate_null_line(deep, (0.1, 0.2), family, t_max=1.0)
+
+
+@pytest.mark.parametrize("exact, decimal", [
+    ("analex:c=5/2", "analex:c=2.5"),
+    ("closed_diagonal:3/2,1,amp=1/10", "closed_diagonal:1.5,1,amp=0.1")])
+def test_fraction_parameters_give_float_profiles(exact, decimal):
+    """A fraction in the shorthand gives the float metric bit for bit: float
+    lam values, at one point and on a grid, and the same null directions."""
+    a, b = catalog.load_metric(exact), catalog.load_metric(decimal)
+    X1, X2 = grid_points(64)
+    for x1, x2 in ((np.float64(0.3), np.float64(0.7)), (X1, X2)):
+        for got, want in zip(a.lambdas(x1, x2), b.lambdas(x1, x2)):
+            assert np.asarray(got).dtype == np.float64
+            assert np.array_equal(got, want)
+        for family in ("X", "Y"):
+            for got, want in zip(
+                    geometry.null_direction_arrays(a, x1, x2, family),
+                    geometry.null_direction_arrays(b, x1, x2, family)):
+                assert np.asarray(got).dtype == np.float64
+                assert np.array_equal(got, want)
+    assert all(np.array_equal(p, q) for p, q in
+               zip(geometry.null_directions(a, (0.3, 0.7)),
+                   geometry.null_directions(b, (0.3, 0.7))))
