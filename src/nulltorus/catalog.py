@@ -1,5 +1,12 @@
 """Built-in example metrics and the config/shorthand loaders the CLI uses.
 
+``FAMILIES`` maps each family name to its constructor for both spellings
+of a metric: the shorthand ``name:1,2,key=value`` and the JSON config
+``{"family": name, "params": {...}, "grid_n": n}``.  Text values go through
+``_num`` ('3/2', 'sqrt2'); an argument the constructor rejects (unknown,
+missing, stray or non-numeric) is a ConfigError naming the family.  A
+caller's ``grid_n`` beats the document's; a nested ``inner`` keeps its own.
+
 Everything here is constructed from a handful of closed-form ingredients so
 tests have exact reference values:
 
@@ -39,11 +46,11 @@ from .gridtools import mollifier, torus_delta
 TWO_PI = 2.0 * math.pi
 
 
-def flat(grid_n: int = 256) -> LeftInvariant:
+def flat(*, grid_n: int = 256) -> LeftInvariant:
     return LeftInvariant(1, 1, grid_n=grid_n)
 
 
-def left_invariant(lam1, lam2, grid_n: int = 256) -> LeftInvariant:
+def left_invariant(lam1, lam2, *, grid_n: int = 256) -> LeftInvariant:
     return LeftInvariant(lam1, lam2, grid_n=grid_n)
 
 
@@ -68,12 +75,12 @@ class Analex(_DiagonalMetric):
         return -d, d, -d, d
 
 
-def analex(c: float = 2.0, grid_n: int = 256) -> Analex:
+def analex(c: float = 2.0, *, grid_n: int = 256) -> Analex:
     # float(): a shorthand Fraction ('c=5/2') would give object lam grids
     return Analex(float(c), grid_n=grid_n)
 
 
-def analex_sanchez(c: float = 2.0, grid_n: int = 256) -> Sanchez:
+def analex_sanchez(c: float = 2.0, *, grid_n: int = 256) -> Sanchez:
     def E(x):
         return 2.0 * c * _analex_profile(2.0 * x) + c * c
 
@@ -99,10 +106,11 @@ def analex_sanchez(c: float = 2.0, grid_n: int = 256) -> Sanchez:
     return Sanchez(E, F, G, zeros=zeros, grid_n=grid_n)
 
 
-def rosatau_window(support: tuple[float, float] = (0.15, 0.45),
+def rosatau_window(*, support: tuple[float, float] = (0.15, 0.45),
                    zero: float = 0.3, amplitude: float = 1.0,
                    grid_n: int = 256) -> RosaTau:
-    lo, hi = support
+    lo, hi = map(float, support)
+    zero, amplitude = float(zero), float(amplitude)
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
 
@@ -156,7 +164,7 @@ class Wave(_DiagonalMetric):
 
 
 def closed_diagonal_wave(base1: float, base2: float, amp: float = 0.1,
-                         k: int = 1, l: int = 1, grid_n: int = 256) -> Wave:
+                         k: int = 1, l: int = 1, *, grid_n: int = 256) -> Wave:
     if k == 0:
         raise ConfigError("closed_diagonal_wave needs k != 0")
     return Wave(float(base1), float(base2), float(amp), k, l, grid_n=grid_n)
@@ -174,13 +182,31 @@ def conformal(inner: MetricSpec, factor: Callable,
     return ConformalRescale(inner, factor, grid_n=grid_n or inner.grid_n)
 
 
+def conformal_rescale(inner: dict, factor: dict | None = None, *,
+                      grid_n: int = 256) -> ConformalRescale:
+    """The JSON family: ``inner`` is a metric config, which keeps its own
+    ``grid_n``, and ``factor`` holds the keywords of ``exp_sine_factor``."""
+    return conformal(from_config(inner), exp_sine_factor(
+        **{key: _num(val) for key, val in dict(factor or {}).items()}),
+        grid_n=grid_n)
+
+
+FAMILIES = {"flat": flat, "left_invariant": left_invariant, "analex": analex,
+            "analex_sanchez": analex_sanchez, "rosatau": rosatau_window,
+            "closed_diagonal": closed_diagonal_wave,
+            "conformal_rescale": conformal_rescale}
+
+
 # ---------------------------------------------------------------------------
 # config / shorthand parsing
 
 
-def _num(text: str):
-    """Parse '3', '3/2', '1.5', 'sqrt2' — exact types where possible."""
-    text = text.strip()
+def _num(value):
+    """Parse '3', '3/2', '1.5', 'sqrt2' — exact types where possible; a
+    value that is not text (a JSON number) passes through."""
+    if not isinstance(value, str):
+        return value
+    text = value.strip()
     if text == "sqrt2":
         return math.sqrt(2.0)
     if "/" in text:
@@ -191,89 +217,56 @@ def _num(text: str):
         return float(text)
 
 
+def _build(family: str, args, kwargs, grid_n) -> MetricSpec:
+    """The table's constructor on parsed values; bad arguments name the
+    family in a ConfigError."""
+    try:
+        return FAMILIES[family](
+            *map(_num, args), grid_n=int(grid_n),
+            **{key: _num(val) for key, val in dict(kwargs).items()})
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"bad arguments for metric {family!r}: {exc}") from exc
+
+
 def from_shorthand(text: str, grid_n: int = 256) -> MetricSpec:
     """Parse CLI shorthand like 'flat', 'left_invariant:1,2', 'analex:c=2'."""
     name, _, argstr = text.partition(":")
-    kwargs: dict = {}
-    positional: list = []
-    if argstr:
-        for piece in argstr.split(","):
-            if "=" in piece:
-                key, val = piece.split("=", 1)
-                kwargs[key.strip()] = _num(val)
-            else:
-                positional.append(_num(piece))
-    try:
-        if name == "flat":
-            return flat(grid_n=grid_n)
-        if name == "left_invariant":
-            return left_invariant(*positional, grid_n=grid_n, **kwargs)
-        if name == "analex":
-            return analex(*positional, grid_n=grid_n, **kwargs)
-        if name == "analex_sanchez":
-            return analex_sanchez(*positional, grid_n=grid_n, **kwargs)
-        if name == "rosatau":
-            return rosatau_window(grid_n=grid_n, **kwargs)
-        if name == "closed_diagonal":
-            return closed_diagonal_wave(*positional, grid_n=grid_n, **kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad arguments for metric {name!r}: {exc}") from exc
-    raise ConfigError(f"unknown metric shorthand {text!r}")
+    if name not in FAMILIES:
+        raise ConfigError(f"unknown metric shorthand {text!r}")
+    args, kwargs = [], {}
+    for piece in argstr.split(",") if argstr else ():
+        key, sep, val = piece.partition("=")
+        if sep:
+            kwargs[key.strip()] = val
+        else:
+            args.append(piece)
+    return _build(name, args, kwargs, grid_n)
 
 
-def from_config(config: dict) -> MetricSpec:
-    """Build a metric from the JSON config schema {family, params, grid_n}."""
+def from_config(config: dict, grid_n: int | None = None) -> MetricSpec:
+    """Build a metric from the JSON config schema {family, params, grid_n};
+    a given ``grid_n`` overrides the document's."""
     if not isinstance(config, dict) or "family" not in config:
         raise ConfigError("metric config must be an object with a 'family' key")
     family = config["family"]
-    params = dict(config.get("params", {}))
-    grid_n = int(config.get("grid_n", 256))
-    if family == "left_invariant":
-        try:
-            lam1 = params.pop("lam1")
-            lam2 = params.pop("lam2")
-        except KeyError as exc:
-            raise ConfigError("left_invariant needs params lam1, lam2") from exc
-        lam1 = _num(str(lam1)) if isinstance(lam1, str) else lam1
-        lam2 = _num(str(lam2)) if isinstance(lam2, str) else lam2
-        return left_invariant(lam1, lam2, grid_n=grid_n)
-    if family == "flat":
-        return flat(grid_n=grid_n)
-    if family == "analex":
-        return analex(c=float(params.pop("c", 2.0)), grid_n=grid_n)
-    if family == "analex_sanchez":
-        return analex_sanchez(c=float(params.pop("c", 2.0)), grid_n=grid_n)
-    if family == "rosatau":
-        kwargs = {}
-        if "support" in params:
-            kwargs["support"] = tuple(params.pop("support"))
-        for key in ("zero", "amplitude"):
-            if key in params:
-                kwargs[key] = float(params.pop(key))
-        return rosatau_window(grid_n=grid_n, **kwargs)
-    if family == "closed_diagonal":
-        return closed_diagonal_wave(
-            base1=float(params.pop("base1")), base2=float(params.pop("base2")),
-            amp=float(params.pop("amp", 0.1)), k=int(params.pop("k", 1)),
-            l=int(params.pop("l", 1)), grid_n=grid_n)
-    if family == "conformal_rescale":
-        inner = from_config(params.pop("inner"))
-        fac = params.pop("factor", {})
-        factor = exp_sine_factor(amp=float(fac.get("amp", 0.3)),
-                                 k=int(fac.get("k", 1)), l=int(fac.get("l", 1)),
-                                 phase=float(fac.get("phase", 0.0)))
-        return conformal(inner, factor, grid_n=grid_n)
-    raise ConfigError(f"unknown metric family {family!r}")
+    if not isinstance(family, str) or family not in FAMILIES:
+        raise ConfigError(f"unknown metric family {family!r}")
+    return _build(family, (), config.get("params", {}),
+                  grid_n or config.get("grid_n", 256))
 
 
 def load_metric(source: str | dict, grid_n: int | None = None) -> MetricSpec:
-    """Accept shorthand text, a JSON object, or a path to a JSON file."""
+    """Accept shorthand text, a JSON object, or a path to a JSON file;
+    ``grid_n`` overrides a JSON document's own."""
     if isinstance(source, dict):
-        return from_config(source)
+        return from_config(source, grid_n)
     text = source.strip()
-    if text.startswith("{"):
-        return from_config(json.loads(text))
-    if text.endswith(".json"):
-        with open(text) as fh:
-            return from_config(json.load(fh))
+    try:
+        if text.startswith("{"):
+            return from_config(json.loads(text), grid_n)
+        if text.endswith(".json"):
+            with open(text) as fh:
+                return from_config(json.load(fh), grid_n)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read metric {text!r}: {exc}") from exc
     return from_shorthand(text, grid_n=grid_n or 256)

@@ -266,30 +266,6 @@ def dispatch(ctx: click.Context, worker):
 # the command group
 
 
-def artifact_options(fn):
-    """--config/--output/--format/--tol, accepted before or after the command."""
-    fn = click.option("--tol", "tol_overrides", multiple=True,
-                      metavar="KEY=VALUE", help="Override a tolerance.")(fn)
-    fn = click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-                      default=None)(fn)
-    fn = click.option("--output", "-o", "output", default=None,
-                      help="Write the artifact to this path.")(fn)
-    fn = click.option("--config", "config_path", type=click.Path(),
-                      default=None, help="JSON config document.")(fn)
-    return fn
-
-
-def _merge_obj(ctx, config_path, output, fmt, tol_overrides):
-    if config_path is not None:
-        ctx.obj["config_path"] = config_path
-    if output is not None:
-        ctx.obj["output"] = output
-    if fmt is not None:
-        ctx.obj["fmt"] = fmt
-    if tol_overrides:
-        ctx.obj["tol_overrides"] += tuple(tol_overrides)
-
-
 @click.group()
 @click.option("--config", "config_path", type=click.Path(), default=None,
               help="JSON config document; flags override its fields.")
@@ -307,7 +283,37 @@ def main(ctx, config_path, output, fmt, tol_overrides):
                "tol_overrides": tuple(tol_overrides)}
 
 
-@main.command()
+def command(name: Optional[str] = None):
+    """Register ``body(s: Settings, **options)`` as a subcommand of ``main``.
+
+    The command takes the artifact options (--config/--output/--format/--tol)
+    after its own, merges them over the group's, so they are accepted before
+    or after the command name, and dispatches what ``body`` returns:
+    (kind, result[, doubt]).
+    """
+    def register(body):
+        @click.option("--config", "config_path", type=click.Path(),
+                      default=None, help="JSON config document.")
+        @click.option("--output", "-o", "output", default=None,
+                      help="Write the artifact to this path.")
+        @click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
+                      default=None)
+        @click.option("--tol", "tol_overrides", multiple=True,
+                      metavar="KEY=VALUE", help="Override a tolerance.")
+        def run(config_path, output, fmt, tol_overrides, **options):
+            ctx = click.get_current_context()
+            given = {"config_path": config_path, "output": output, "fmt": fmt}
+            ctx.obj.update((k, v) for k, v in given.items() if v is not None)
+            ctx.obj["tol_overrides"] += tol_overrides
+            dispatch(ctx, lambda s: body(s, **options))
+        # click lists decorator options last-applied first: the command's
+        # own options, then the artifact options
+        run.__click_params__ += body.__click_params__
+        return main.command(name or body.__name__, help=body.__doc__)(run)
+    return register
+
+
+@command()
 @click.option("--metric", default=None, help="Shorthand, inline JSON or path.")
 @click.option("--from", "from_", default=None, metavar="X1,X2",
               help="Starting point on the torus (default 0,0).")
@@ -315,166 +321,131 @@ def main(ctx, config_path, output, fmt, tol_overrides):
 @click.option("--tmax", type=float, default=None,
               help="Axis-coordinate length of the sweep (default 10).")
 @click.option("--step", type=float, default=None)
-@artifact_options
-@click.pass_context
-def flow(ctx, metric, from_, family, tmax, step,
-         config_path, output, fmt, tol_overrides):
+def flow(s: Settings, metric, from_, family, tmax, step):
     """Integrate one null line; emit the trajectory as CSV."""
-    _merge_obj(ctx, config_path, output, fmt, tol_overrides)
-
-    def worker(s: Settings):
-        spec = s.metric(metric)
-        p0 = parse_point(s.get("from", from_, "0,0"))
-        fam = s.choice("family", family, "X", ("X", "Y"))
-        t_max = s.number("tmax", tmax, 10.0)
-        rec = nullflow.integrate_null_line(spec, p0, fam, t_max=t_max,
-                                           step=s.step(step), tol=s.tol)
-        rows = [{"t": float(t),
-                 "x1_cover": float(p[0]), "x2_cover": float(p[1]),
-                 "x1_torus": float(p[0] % 1.0), "x2_torus": float(p[1] % 1.0)}
-                for t, p in zip(rec.ts, rec.points)]
-        return "csv", (["t", "x1_cover", "x2_cover", "x1_torus", "x2_torus"],
-                       rows)
-    dispatch(ctx, worker)
+    spec = s.metric(metric)
+    p0 = parse_point(s.get("from", from_, "0,0"))
+    fam = s.choice("family", family, "X", ("X", "Y"))
+    t_max = s.number("tmax", tmax, 10.0)
+    rec = nullflow.integrate_null_line(spec, p0, fam, t_max=t_max,
+                                       step=s.step(step), tol=s.tol)
+    rows = [{"t": float(t),
+             "x1_cover": float(p[0]), "x2_cover": float(p[1]),
+             "x1_torus": float(p[0] % 1.0), "x2_torus": float(p[1] % 1.0)}
+            for t, p in zip(rec.ts, rec.points)]
+    return "csv", (["t", "x1_cover", "x2_cover", "x1_torus", "x2_torus"],
+                   rows)
 
 
-@main.command()
+@command()
 @click.option("--metric", default=None)
 @click.option("--from", "from_", default=None, metavar="X1,X2")
 @click.option("--family", type=click.Choice(["X", "Y"]), default=None)
 @click.option("--n-returns", type=int, default=None)
 @click.option("--step", type=float, default=None)
-@artifact_options
-@click.pass_context
-def rotation(ctx, metric, from_, family, n_returns, step,
-             config_path, output, fmt, tol_overrides):
+def rotation(s: Settings, metric, from_, family, n_returns, step):
     """Rotation number of the null flow, with a rational certificate."""
-    _merge_obj(ctx, config_path, output, fmt, tol_overrides)
-
-    def worker(s: Settings):
-        spec = s.metric(metric)
-        fam = s.choice("family", family, "X", ("X", "Y"))
-        p0 = parse_point(s.get("from", from_, "0,0"))
-        est = nullflow.rotation_number(
-            spec, fam, p0, n_returns=s.count("n_returns", n_returns, 1000),
-            step=s.step(step), tol=s.tol)
-        payload = {"command": "rotation", "family": est.family,
-                   "value": est.value, "n_returns": est.n_returns,
-                   "step": est.step, "method": est.method,
-                   "rational": None if est.rational is None else
-                   {"p": est.rational.p, "q": est.rational.q,
-                    "residual": est.rational.residual}}
-        return "json", payload
-    dispatch(ctx, worker)
+    spec = s.metric(metric)
+    fam = s.choice("family", family, "X", ("X", "Y"))
+    p0 = parse_point(s.get("from", from_, "0,0"))
+    est = nullflow.rotation_number(
+        spec, fam, p0, n_returns=s.count("n_returns", n_returns, 1000),
+        step=s.step(step), tol=s.tol)
+    payload = {"command": "rotation", "family": est.family,
+               "value": est.value, "n_returns": est.n_returns,
+               "step": est.step, "method": est.method,
+               "rational": None if est.rational is None else
+               {"p": est.rational.p, "q": est.rational.q,
+                "residual": est.rational.residual}}
+    return "json", payload
 
 
-@main.command("classify-line")
+@command("classify-line")
 @click.option("--metric", default=None)
 @click.option("--from", "from_", default=None, metavar="X1,X2")
 @click.option("--family", type=click.Choice(["X", "Y"]), default=None)
 @click.option("--n-returns", type=int, default=None)
 @click.option("--step", type=float, default=None)
-@artifact_options
-@click.pass_context
-def classify_line(ctx, metric, from_, family, n_returns, step,
-                  config_path, output, fmt, tol_overrides):
+def classify_line(s: Settings, metric, from_, family, n_returns, step):
     """Closed / Dense / Asymptotic verdict for one null line."""
-    _merge_obj(ctx, config_path, output, fmt, tol_overrides)
-
-    def worker(s: Settings):
-        spec = s.metric(metric)
-        fam = s.choice("family", family, "X", ("X", "Y"))
-        p0 = parse_point(s.get("from", from_, "0,0"))
-        cls = nullflow.classify_line(
-            spec, p0, fam, step=s.step(step),
-            n_returns=s.count("n_returns", n_returns, 256), tol=s.tol)
-        payload = {"command": "classify-line", "family": fam,
-                   "from": list(p0), "kind": cls.kind}
-        for name in ("winding", "period", "rotation", "limit_winding",
-                     "displacement"):
-            value = getattr(cls, name)
-            if value is not None:
-                payload[name] = list(value) if isinstance(value, tuple) else value
-        return "json", payload
-    dispatch(ctx, worker)
+    spec = s.metric(metric)
+    fam = s.choice("family", family, "X", ("X", "Y"))
+    p0 = parse_point(s.get("from", from_, "0,0"))
+    cls = nullflow.classify_line(
+        spec, p0, fam, step=s.step(step),
+        n_returns=s.count("n_returns", n_returns, 256), tol=s.tol)
+    payload = {"command": "classify-line", "family": fam,
+               "from": list(p0), "kind": cls.kind}
+    for name in ("winding", "period", "rotation", "limit_winding",
+                 "displacement"):
+        value = getattr(cls, name)
+        if value is not None:
+            payload[name] = list(value) if isinstance(value, tuple) else value
+    return "json", payload
 
 
-@main.command()
+@command()
 @click.option("--metric", default=None)
 @click.option("--family", type=click.Choice(["X", "Y"]), default=None)
 @click.option("--resolution", type=int, default=None,
               help="Transversal seeds scanned (default 1024).")
 @click.option("--step", type=float, default=None)
-@artifact_options
-@click.pass_context
-def decompose(ctx, metric, family, resolution, step,
-              config_path, output, fmt, tol_overrides):
+def decompose(s: Settings, metric, family, resolution, step):
     """Cylinder decomposition of the torus under one null family."""
-    _merge_obj(ctx, config_path, output, fmt, tol_overrides)
-
-    def worker(s: Settings):
-        spec = s.metric(metric)
-        fam = s.choice("family", family, "X", ("X", "Y"))
-        res = s.count("resolution", resolution, 1024)
-        try:
-            dec = nullflow.cylinder_decomposition(
-                spec, fam, resolution=res, step=s.step(step), tol=s.tol)
-        except nullflow.DenseFlow as exc:
-            return "json", {"command": "decompose", "family": fam,
-                            "verdict": "Dense", "message": str(exc)}
-        payload = {
-            "command": "decompose", "family": dec.family, "axis": dec.axis,
-            "verdict": "CylinderDecomposition",
-            "rotation": {"p": dec.rotation.p, "q": dec.rotation.q,
-                         "residual": dec.rotation.residual},
-            "intervals": [{"kind": iv.kind, "lo": iv.lo, "hi": iv.hi,
-                           "width": iv.width} for iv in dec.intervals],
-            "isolated_closed": list(dec.isolated_closed),
-            "resolution": dec.resolution, "step": dec.step,
-        }
-        return "json", payload
-    dispatch(ctx, worker)
+    spec = s.metric(metric)
+    fam = s.choice("family", family, "X", ("X", "Y"))
+    res = s.count("resolution", resolution, 1024)
+    try:
+        dec = nullflow.cylinder_decomposition(
+            spec, fam, resolution=res, step=s.step(step), tol=s.tol)
+    except nullflow.DenseFlow as exc:
+        return "json", {"command": "decompose", "family": fam,
+                        "verdict": "Dense", "message": str(exc)}
+    payload = {
+        "command": "decompose", "family": dec.family, "axis": dec.axis,
+        "verdict": "CylinderDecomposition",
+        "rotation": {"p": dec.rotation.p, "q": dec.rotation.q,
+                     "residual": dec.rotation.residual},
+        "intervals": [{"kind": iv.kind, "lo": iv.lo, "hi": iv.hi,
+                       "width": iv.width} for iv in dec.intervals],
+        "isolated_closed": list(dec.isolated_closed),
+        "resolution": dec.resolution, "step": dec.step,
+    }
+    return "json", payload
 
 
-@main.command()
+@command()
 @click.option("--metric", default=None)
 @click.option("--family", type=click.Choice(["X", "Y"]), default=None)
 @click.option("--seed-w", type=float, default=None,
               help="Transversal coordinate of the closed line (default 0).")
 @click.option("--n-returns", type=int, default=None)
 @click.option("--step", type=float, default=None)
-@artifact_options
-@click.pass_context
-def holonomy(ctx, metric, family, seed_w, n_returns, step,
-             config_path, output, fmt, tol_overrides):
+def holonomy(s: Settings, metric, family, seed_w, n_returns, step):
     """Spin holonomy table of a closed null line (one row per structure)."""
-    _merge_obj(ctx, config_path, output, fmt, tol_overrides)
-
-    def worker(s: Settings):
-        spec = s.metric(metric)
-        fam = s.choice("family", family, "X", ("X", "Y"))
-        w = s.number("seed_w", seed_w, 0.0)
-        h = s.step(step)
-        est = nullflow.rotation_number(
-            spec, fam, n_returns=s.count("n_returns", n_returns, 1000),
-            step=h, tol=s.tol)
-        if est.rational is None:
-            raise WrongFamily(
-                f"the {fam} flow has irrational rotation number "
-                f"{est.value:.9f}; no closed lines to transport around")
-        rec = nullflow.closed_line_through(spec, fam, w, est.rational,
-                                           step=h, tol=s.tol)
-        table = spin.holonomy_table(spec, rec, tol=s.tol)
-        rows = []
-        for ab in STRUCTURES:
-            r = table[ab]
-            rows.append({"a1": ab[0], "a2": ab[1],
-                         "winding1": r.winding[0], "winding2": r.winding[1],
-                         "character": r.character, "sheet": r.sheet,
-                         "boost": r.boost, "x_trivial": r.x_trivial})
-        return "csv", (["a1", "a2", "winding1", "winding2", "character",
-                        "sheet", "boost", "x_trivial"], rows)
-    dispatch(ctx, worker)
+    spec = s.metric(metric)
+    fam = s.choice("family", family, "X", ("X", "Y"))
+    w = s.number("seed_w", seed_w, 0.0)
+    h = s.step(step)
+    est = nullflow.rotation_number(
+        spec, fam, n_returns=s.count("n_returns", n_returns, 1000),
+        step=h, tol=s.tol)
+    if est.rational is None:
+        raise WrongFamily(
+            f"the {fam} flow has irrational rotation number "
+            f"{est.value:.9f}; no closed lines to transport around")
+    rec = nullflow.closed_line_through(spec, fam, w, est.rational,
+                                       step=h, tol=s.tol)
+    table = spin.holonomy_table(spec, rec, tol=s.tol)
+    rows = []
+    for ab in STRUCTURES:
+        r = table[ab]
+        rows.append({"a1": ab[0], "a2": ab[1],
+                     "winding1": r.winding[0], "winding2": r.winding[1],
+                     "character": r.character, "sheet": r.sheet,
+                     "boost": r.boost, "x_trivial": r.x_trivial})
+    return "csv", (["a1", "a2", "winding1", "winding2", "character",
+                    "sheet", "boost", "x_trivial"], rows)
 
 
 def _field_summary(f) -> dict:
@@ -484,135 +455,114 @@ def _field_summary(f) -> dict:
                                                   else "twistor")}
 
 
-@main.command()
+@command()
 @click.option("--metric", default=None)
 @click.option("--structure", default=None)
 @click.option("--chirality", type=click.Choice(["1", "-1"]), default=None)
 @click.option("--n-fields", type=int, default=None)
 @click.option("--grid-n", type=int, default=None)
-@artifact_options
-@click.pass_context
-def solve(ctx, metric, structure, chirality, n_fields, grid_n,
-          config_path, output, fmt, tol_overrides):
+def solve(s: Settings, metric, structure, chirality, n_fields, grid_n):
     """Kernel of the transport equation (constant or closed diagonal)."""
-    _merge_obj(ctx, config_path, output, fmt, tol_overrides)
-
-    def worker(s: Settings):
-        spec = s.metric(metric, grid_n)
-        struct = s.structure(structure)
-        chi = s.chirality(chirality)
-        nf = s.count("n_fields", n_fields, 4)
-        solver = spinorfield.exact_solver(spec, s.tol)
-        if solver is None:
-            raise WrongFamily(
-                "solve handles constant-coefficient and closed diagonal "
-                f"metrics; got {type(spec).__name__}")
-        sol = solver(spec, struct, chirality=chi, n_fields=nf, tol=s.tol)
-        if isinstance(sol, spinorfield.HarmonicSolution):
-            payload = {"command": "solve", "solver": "left_invariant",
-                       "structure": struct.label, "chirality": chi,
-                       "count_class": sol.count_class,
-                       "ratio": None if sol.ratio is None else str(sol.ratio),
-                       "exact": sol.exact,
-                       "congruence_obstructed": sol.congruence_obstructed,
-                       "modes": [list(m) for m in sol.modes],
-                       "fields": [_field_summary(f) for f in sol.fields]}
-        else:
-            payload = {"command": "solve", "solver": "closed_diagonal",
-                       "structure": struct.label, "chirality": chi,
-                       "count_class": sol.count_class,
-                       "l1": sol.l1, "l2": sol.l2,
-                       "ratio": None if sol.ratio is None else
-                       {"p": sol.ratio.p, "q": sol.ratio.q,
-                        "residual": sol.ratio.residual},
-                       "solvable": sol.solvable,
-                       "congruence_obstructed": sol.congruence_obstructed,
-                       "t_parity": sol.t_parity,
-                       "alphas": list(sol.alphas),
-                       "fields": [_field_summary(f) for f in sol.fields]}
-        return "json", payload
-    dispatch(ctx, worker)
+    spec = s.metric(metric, grid_n)
+    struct = s.structure(structure)
+    chi = s.chirality(chirality)
+    nf = s.count("n_fields", n_fields, 4)
+    solver = spinorfield.exact_solver(spec, s.tol)
+    if solver is None:
+        raise WrongFamily(
+            "solve handles constant-coefficient and closed diagonal "
+            f"metrics; got {type(spec).__name__}")
+    sol = solver(spec, struct, chirality=chi, n_fields=nf, tol=s.tol)
+    if isinstance(sol, spinorfield.HarmonicSolution):
+        payload = {"command": "solve", "solver": "left_invariant",
+                   "structure": struct.label, "chirality": chi,
+                   "count_class": sol.count_class,
+                   "ratio": None if sol.ratio is None else str(sol.ratio),
+                   "exact": sol.exact,
+                   "congruence_obstructed": sol.congruence_obstructed,
+                   "modes": [list(m) for m in sol.modes],
+                   "fields": [_field_summary(f) for f in sol.fields]}
+    else:
+        payload = {"command": "solve", "solver": "closed_diagonal",
+                   "structure": struct.label, "chirality": chi,
+                   "count_class": sol.count_class,
+                   "l1": sol.l1, "l2": sol.l2,
+                   "ratio": None if sol.ratio is None else
+                   {"p": sol.ratio.p, "q": sol.ratio.q,
+                    "residual": sol.ratio.residual},
+                   "solvable": sol.solvable,
+                   "congruence_obstructed": sol.congruence_obstructed,
+                   "t_parity": sol.t_parity,
+                   "alphas": list(sol.alphas),
+                   "fields": [_field_summary(f) for f in sol.fields]}
+    return "json", payload
 
 
-@main.command("classify")
+@command("classify")
 @click.option("--metric", default=None)
 @click.option("--structure", default=None)
 @click.option("--quantity", default=None,
               type=click.Choice(sorted(classify.QUANTITIES)))
 @click.option("--grid-n", type=int, default=None)
-@artifact_options
-@click.pass_context
-def classify_cmd(ctx, metric, structure, quantity, grid_n,
-                 config_path, output, fmt, tol_overrides):
+def classify_cmd(s: Settings, metric, structure, quantity, grid_n):
     """Dimension report for one conformal invariant and spin structure."""
-    _merge_obj(ctx, config_path, output, fmt, tol_overrides)
-
-    def worker(s: Settings):
-        spec = s.metric(metric, grid_n)
-        struct = s.structure(structure)
-        q = s.choice("quantity", quantity, "delta_plus",
-                     sorted(classify.QUANTITIES))
-        report = classify.classify_dimension(spec, struct, q, tol=s.tol)
-        payload = report.as_dict()
-        payload["command"] = "classify"
-        payload["metric"] = str(s.get("metric", metric))
-        return "json", payload
-    dispatch(ctx, worker)
+    spec = s.metric(metric, grid_n)
+    struct = s.structure(structure)
+    q = s.choice("quantity", quantity, "delta_plus",
+                 sorted(classify.QUANTITIES))
+    report = classify.classify_dimension(spec, struct, q, tol=s.tol)
+    payload = report.as_dict()
+    payload["command"] = "classify"
+    payload["metric"] = str(s.get("metric", metric))
+    return "json", payload
 
 
-@main.command()
+@command()
 @click.option("--metric", default=None)
 @click.option("--quantity", "quantities", default=None,
               help="Comma list of invariants (default delta_plus).")
 @click.option("--grid-n", type=int, default=None)
-@artifact_options
-@click.pass_context
-def table(ctx, metric, quantities, grid_n,
-          config_path, output, fmt, tol_overrides):
+def table(s: Settings, metric, quantities, grid_n):
     """Structure table: one row per spin structure and invariant (exit 2,
     table still written, when a row contradicts its spectral count)."""
-    _merge_obj(ctx, config_path, output, fmt, tol_overrides)
-
-    def worker(s: Settings):
-        spec = s.metric(metric, grid_n)
-        raw = s.get("quantity", quantities, "delta_plus")
-        qs = tuple(q.strip() for q in str(raw).split(",") if q.strip())
-        for q in qs:
-            if q not in classify.QUANTITIES:
-                raise ConfigError(f"unknown quantity {q!r}; choose from "
-                                  + ", ".join(sorted(classify.QUANTITIES)))
-        reports = classify.classify_table(spec, qs, tol=s.tol)
-        # the count class depends on the structure and family, not on the
-        # chirality: one exact count per (structure, family)
-        spectral = {}
-        for family in dict.fromkeys(classify.QUANTITIES[q][0] for q in qs):
-            solver = spinorfield.exact_solver(spec, s.tol, family)
-            for ab in STRUCTURES:
-                spectral[ab, family] = None if solver is None else solver(
-                    spec, SpinStructure(*ab), n_fields=0,
-                    tol=s.tol).count_class
-        rows = []
+    spec = s.metric(metric, grid_n)
+    raw = s.get("quantity", quantities, "delta_plus")
+    qs = tuple(q.strip() for q in str(raw).split(",") if q.strip())
+    for q in qs:
+        if q not in classify.QUANTITIES:
+            raise ConfigError(f"unknown quantity {q!r}; choose from "
+                              + ", ".join(sorted(classify.QUANTITIES)))
+    reports = classify.classify_table(spec, qs, tol=s.tol)
+    # the count class depends on the structure and family, not on the
+    # chirality: one exact count per (structure, family)
+    spectral = {}
+    for family in dict.fromkeys(classify.QUANTITIES[q][0] for q in qs):
+        solver = spinorfield.exact_solver(spec, s.tol, family)
         for ab in STRUCTURES:
-            for q in qs:
-                rep = reports[ab][q]
-                rows.append({"a1": ab[0], "a2": ab[1], "quantity": q,
-                             "value": rep.value,
-                             "certificate": rep.certificate,
-                             "family": rep.family,
-                             "spectral_count": spectral[ab, rep.family]})
-        table = (["a1", "a2", "quantity", "value", "certificate", "family",
-                  "spectral_count"], rows)
-        clashes = "; ".join(
-            f"{r['a1']},{r['a2']} {r['quantity']}: {r['value']} "
-            f"({r['certificate']}) vs spectral {r['spectral_count']}"
-            for r in rows if r["spectral_count"] not in (None, r["value"]))
-        doubt = ["geometric verdicts contradict the exact spectral count: "
-                 + clashes] if clashes else []
-        return ("csv", table, *doubt)
-    dispatch(ctx, worker)
+            spectral[ab, family] = None if solver is None else solver(
+                spec, SpinStructure(*ab), n_fields=0,
+                tol=s.tol).count_class
+    rows = []
+    for ab in STRUCTURES:
+        for q in qs:
+            rep = reports[ab][q]
+            rows.append({"a1": ab[0], "a2": ab[1], "quantity": q,
+                         "value": rep.value,
+                         "certificate": rep.certificate,
+                         "family": rep.family,
+                         "spectral_count": spectral[ab, rep.family]})
+    table = (["a1", "a2", "quantity", "value", "certificate", "family",
+              "spectral_count"], rows)
+    clashes = "; ".join(
+        f"{r['a1']},{r['a2']} {r['quantity']}: {r['value']} "
+        f"({r['certificate']}) vs spectral {r['spectral_count']}"
+        for r in rows if r["spectral_count"] not in (None, r["value"]))
+    doubt = ["geometric verdicts contradict the exact spectral count: "
+             + clashes] if clashes else []
+    return ("csv", table, *doubt)
 
 
-@main.command()
+@command()
 @click.option("--step", type=float, default=None,
               help="Integrator step of criterion 3's rotation numbers and "
                    "criterion 9's completeness probe.")
@@ -621,38 +571,31 @@ def table(ctx, metric, quantities, grid_n,
                    "fields.")
 @click.option("--criterion", type=int, default=None,
               help="Run a single criterion (1-10) instead of the suite.")
-@artifact_options
-@click.pass_context
-def validate(ctx, step, grid_n, criterion,
-             config_path, output, fmt, tol_overrides):
+def validate(s: Settings, step, grid_n, criterion):
     """Run the acceptance suite; failures are reported, never raised."""
-    _merge_obj(ctx, config_path, output, fmt, tol_overrides)
-
-    def worker(s: Settings):
-        h = None
-        if s.get("step", step) is not None:
-            h = s.step(step)
-        n = s.get("grid_n", grid_n)
-        if n is not None:
-            n = s.count("grid_n", n, 64)
-        which = s.get("criterion", criterion)
-        if which is None:
-            results = validation.run_all(step=h, grid_n=n, tol=s.tol)
-        else:
-            index = s.choice("criterion",
-                             s.number("criterion", which, None, int), None,
-                             [idx for idx, _, _ in validation.SUITE])
-            results = [validation.run_criterion(index, step=h, grid_n=n,
-                                                tol=s.tol)]
-        for r in results:
-            click.echo(r.line, err=(s.output is None))
-        passed = sum(r.passed for r in results)
-        payload = {"command": "validate", "passed": passed,
-                   "failed": len(results) - passed,
-                   "overrides": {"step": h, "grid_n": n},
-                   "criteria": [r.as_dict() for r in results]}
-        return "json", payload
-    dispatch(ctx, worker)
+    h = None
+    if s.get("step", step) is not None:
+        h = s.step(step)
+    n = s.get("grid_n", grid_n)
+    if n is not None:
+        n = s.count("grid_n", n, 64)
+    which = s.get("criterion", criterion)
+    if which is None:
+        results = validation.run_all(step=h, grid_n=n, tol=s.tol)
+    else:
+        index = s.choice("criterion",
+                         s.number("criterion", which, None, int), None,
+                         [idx for idx, _, _ in validation.SUITE])
+        results = [validation.run_criterion(index, step=h, grid_n=n,
+                                            tol=s.tol)]
+    for r in results:
+        click.echo(r.line, err=(s.output is None))
+    passed = sum(r.passed for r in results)
+    payload = {"command": "validate", "passed": passed,
+               "failed": len(results) - passed,
+               "overrides": {"step": h, "grid_n": n},
+               "criteria": [r.as_dict() for r in results]}
+    return "json", payload
 
 
 if __name__ == "__main__":

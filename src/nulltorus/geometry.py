@@ -267,7 +267,7 @@ class Sanchez(_FrameNullDirections):
     @cached_property
     def frame_signs(self) -> tuple[int, int]:
         """Signs (of s1, of s2) against (X1 - X2, X1 + X2), fixed at x1 = 0."""
-        (X1c, X2c), (Y1c, Y2c) = self.null_fields(np.asarray(0.0))
+        (X1c, X2c), (Y1c, Y2c), _ = self.null_fields(np.asarray(0.0))
         T = (float(X1c - Y1c), float(X2c - Y2c))
         s1sig = 1 if (T[0] > 0 or (T[0] == 0 and T[1] > 0)) else -1
         U = (float(X1c + Y1c), float(X2c + Y2c))
@@ -276,10 +276,10 @@ class Sanchez(_FrameNullDirections):
         return s1sig, s2sig
 
     def null_fields(self, x1):
-        """Coordinate components of (X1, X2) at x1 (vectorized)."""
+        """Coordinate components of (X1, X2) at x1 (vectorized), and R."""
         E, F, G, R = self.efgr(x1)
         w = F + self.eta0 * R
-        return (G, w), (np.ones_like(G), -E / w)
+        return (G, w), (np.ones_like(G), -E / w), R
 
     def coefficients(self, x1, x2):
         E, F, G, _ = self.efgr(x1)
@@ -294,10 +294,9 @@ class Sanchez(_FrameNullDirections):
         return (*self.coefficients(x1, x2), dA1, z, dB1, z, dC1, z)
 
     def frame(self, x1, x2):
-        (X1c, X2c), (Y1c, Y2c) = self.null_fields(x1)
+        (X1c, X2c), (Y1c, Y2c), R = self.null_fields(x1)
         # T = X1 - X2 is globally timelike (g(T,T) = -4R^2); U = X1 + X2 is
         # spacelike.  Signs are frozen once at the base point.
-        _, _, _, R = self.efgr(x1)
         T1, T2 = X1c - Y1c, X2c - Y2c
         U1, U2 = X1c + Y1c, X2c + Y2c
         s1sig, s2sig = self.frame_signs

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from nulltorus import spinorfield
+from nulltorus import catalog, spinorfield
 from nulltorus.cli import main, parse_point, parse_structure
 from nulltorus.errors import ConfigError
 from nulltorus.spin import SpinStructure
@@ -264,6 +264,18 @@ def test_config_errors_are_exit_one(runner, tmp_path):
         ["validate", "--criterion", "0"],
         config("classify", quantity="delta_zero"),
         config("table", quantity="delta_zero"),
+        # malformed metrics: unknown, missing or stray parameters,
+        # non-numeric values and unknown families
+        ["solve", "--metric", '{"family":"closed_diagonal","params":'
+         '{"base1":1,"base2":2,"ampl":0.3}}'],
+        ["solve", "--metric", '{"family":"closed_diagonal","params":{}}'],
+        ["table", "--metric", '{"family":"conformal_rescale"}'],
+        ["rotation", "--metric", "rosatau:0.25"],
+        ["rotation", "--metric", "flat:3"],
+        ["rotation", "--metric", '{"family":"rosatau","params":{"zero":"a"}}'],
+        ["rotation", "--metric", '{"family":"no_such_family"}'],
+        ["rotation", "--metric", '{"family":'],
+        ["rotation", "--metric", str(tmp_path / "no_such_metric.json")],
     ] + [config(command, family="Z") for command in (
         "flow", "rotation", "classify-line", "decompose", "holonomy")]
     for args in cases:
@@ -284,6 +296,29 @@ def test_flow_commands_take_no_grid_n(runner, command):
 
 # ---------------------------------------------------------------------------
 # configuration precedence
+
+
+def test_grid_n_overrides_the_metric_document(runner, tmp_path):
+    """--grid-n, or the run config's grid_n, beats a JSON metric's own
+    grid_n; without either the document's value stands."""
+    def solve(*args):
+        result = runner.invoke(main, ["solve", "--n-fields", "1", *args])
+        assert result.exit_code == 0, result.output
+        return result.output
+
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"metric": {"family": "analex"}, "grid_n": 32}))
+    at_32 = solve("--metric", "analex", "--grid-n", "32")
+    assert solve("--metric", '{"family":"analex"}', "--grid-n", "32") == at_32
+    assert solve("--metric", '{"family":"analex","grid_n":64}',
+                 "--grid-n", "32") == at_32
+    assert solve("--config", str(cfg)) == at_32
+    assert solve("--metric", '{"family":"analex","grid_n":32}') == at_32
+    assert solve("--metric", '{"family":"analex","grid_n":64}') != at_32
+    # a nested inner config keeps its own grid
+    spec = catalog.load_metric({"family": "conformal_rescale", "params": {
+        "inner": {"family": "analex", "grid_n": 48}}}, grid_n=32)
+    assert (spec.grid_n, spec.inner.grid_n) == (32, 48)
 
 
 def test_config_file_and_flag_precedence(runner, tmp_path):

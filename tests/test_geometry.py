@@ -50,7 +50,7 @@ def test_sanchez_null_fields(sanchez_spec):
         E, F, G, R = sanchez_spec.efgr(x1)
         assert E * G + F * F > 0.0
         assert R == pytest.approx(math.sqrt(E * G + F * F), abs=1e-14)
-        (a1, b1), (a2, b2) = sanchez_spec.null_fields(x1)
+        (a1, b1), (a2, b2), _ = sanchez_spec.null_fields(x1)
         ev = geometry.eval_metric(sanchez_spec, (x1, 0.0))
         assert abs(ev.inner((a1, b1), (a1, b1))) < 1e-9 * max(1.0, a1 * a1)
         assert abs(ev.inner((a2, b2), (a2, b2))) < 1e-9
@@ -276,3 +276,44 @@ def test_fraction_parameters_give_float_profiles(exact, decimal):
     assert all(np.array_equal(p, q) for p, q in
                zip(geometry.null_directions(a, (0.3, 0.7)),
                    geometry.null_directions(b, (0.3, 0.7))))
+
+
+@pytest.mark.parametrize("shorthand, family, params", [
+    ("flat", "flat", {}),
+    ("left_invariant:3/2,sqrt2", "left_invariant",
+     {"lam1": "3/2", "lam2": "sqrt2"}),
+    ("analex:c=5/2", "analex", {"c": 2.5}),
+    ("analex_sanchez:c=2", "analex_sanchez", {"c": 2}),
+    ("rosatau:zero=0.3125,amplitude=1.1", "rosatau",
+     {"zero": 0.3125, "amplitude": 1.1}),
+    ("closed_diagonal:1,2,amp=0.1,k=1,l=2", "closed_diagonal",
+     {"base1": 1, "base2": 2, "amp": 0.1, "k": 1, "l": 2})])
+def test_shorthand_and_json_build_the_same_metric(shorthand, family, params):
+    """One family table: the shorthand and the JSON spelling of a metric
+    give the same coefficient grids, bit for bit."""
+    a = catalog.load_metric(shorthand, grid_n=32)
+    b = catalog.load_metric({"family": family, "params": params,
+                             "grid_n": 32})
+    assert a.grid_n == b.grid_n == 32
+    X1, X2 = grid_points(32)
+    for got, want in zip(geometry.coefficients(a, X1, X2),
+                         geometry.coefficients(b, X1, X2)):
+        assert np.array_equal(got, want)
+
+
+def test_sanchez_frame_evaluates_efgr_once(monkeypatch):
+    spec = catalog.analex_sanchez()
+    calls = []
+    efgr = geometry.Sanchez.efgr
+
+    def counting(self, x1):
+        calls.append(1)
+        return efgr(self, x1)
+
+    monkeypatch.setattr(geometry.Sanchez, "efgr", counting)
+    X1, X2 = grid_points(16)
+    geometry.null_direction_arrays(spec, X1, X2, "X")   # fixes frame_signs
+    for family in ("X", "Y"):
+        calls.clear()
+        geometry.null_direction_arrays(spec, X1, X2, family)
+        assert len(calls) == 1

@@ -101,3 +101,14 @@ def test_no_module_level_scipy_import():
             if any(m.split(".")[0] == "scipy" for m in modules):
                 found.append(f"{name}.py:{node.lineno}")
     assert not found, "module-level scipy imports: " + ", ".join(sorted(found))
+
+
+def test_every_command_takes_the_artifact_options():
+    """Every subcommand goes through the one command runner, which adds
+    --config/--output/--format/--tol and dispatches the artifact."""
+    from nulltorus.cli import main
+    artifact = {"config_path", "output", "fmt", "tol_overrides"}
+    missing = [name for name, cmd in main.commands.items()
+               if not artifact <= {param.name for param in cmd.params}]
+    assert main.commands and not missing, (
+        "commands without the artifact options: " + ", ".join(missing))
