@@ -81,6 +81,8 @@ def analex(c: float = 2.0, *, grid_n: int = 256) -> Analex:
 
 
 def analex_sanchez(c: float = 2.0, *, grid_n: int = 256) -> Sanchez:
+    c = float(c)    # as in analex: a Fraction would give object E, F, G
+
     def E(x):
         return 2.0 * c * _analex_profile(2.0 * x) + c * c
 
@@ -218,11 +220,14 @@ def _num(value):
 
 
 def _build(family: str, args, kwargs, grid_n) -> MetricSpec:
-    """The table's constructor on parsed values; bad arguments name the
-    family in a ConfigError."""
+    """The table's constructor on parsed values; bad arguments, or a grid
+    outside [1, 4096], name the family in a ConfigError."""
     try:
+        grid_n = int(grid_n)
+        if not 1 <= grid_n <= 4096:
+            raise ValueError(f"grid_n must lie in [1, 4096], got {grid_n}")
         return FAMILIES[family](
-            *map(_num, args), grid_n=int(grid_n),
+            *map(_num, args), grid_n=grid_n,
             **{key: _num(val) for key, val in dict(kwargs).items()})
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad arguments for metric {family!r}: {exc}") from exc
@@ -260,6 +265,8 @@ def load_metric(source: str | dict, grid_n: int | None = None) -> MetricSpec:
     ``grid_n`` overrides a JSON document's own."""
     if isinstance(source, dict):
         return from_config(source, grid_n)
+    if not isinstance(source, str):
+        raise ConfigError(f"metric must be text or an object, got {source!r}")
     text = source.strip()
     try:
         if text.startswith("{"):

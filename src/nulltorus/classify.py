@@ -82,9 +82,10 @@ def _divergence_sup(spec, v1, v2, n: int) -> float:
     return float(np.max(np.abs(geometry.divergence_grids(spec, v1, v2, n))))
 
 
-def _certify(spec, family: str, k, l, kind: str, n: int, tol: Tolerances,
-             exponent: Optional[np.ndarray] = None) -> SCFCertificate:
-    V = geometry.VectorField(k, l)
+def _certify(spec, family: str, components, kind: str, n: int,
+             tol: Tolerances, exponent: Optional[np.ndarray] = None
+             ) -> SCFCertificate:
+    V = geometry.VectorField(components)
     res = _field_divergence_residual(spec, V, n)
     if res >= tol.scf_certificate:
         raise Inconclusive(
@@ -96,20 +97,14 @@ def _certify(spec, family: str, k, l, kind: str, n: int, tol: Tolerances,
 
 def _diagonal_analysis(spec, family: str, n: int, tol: Tolerances
                        ) -> Optional[SCFCertificate]:
-    """X certifies when the coefficients are closed, Y when anti-closed."""
+    """X certifies when the coefficients are closed, Y when anti-closed;
+    the null direction (+-1/|lam1|, sign(lam1)/lam2) is then the field."""
     if geometry.closedness_residual(spec, min(spec.grid_n, 256),
                                     family) >= tol.closedness:
         return None
-    sgn = 1.0 if float(spec.lambdas(0.0, 0.0)[0]) > 0 else -1.0
-    front = 1.0 if family == "X" else -1.0
-
-    def k(x1, x2):
-        return front / np.abs(spec.lambdas(x1, x2)[0])
-
-    def l(x1, x2):
-        return sgn / spec.lambdas(x1, x2)[1]
-
-    return _certify(spec, family, k, l, "analytic", n, tol)
+    return _certify(spec, family,
+                    lambda x1, x2: geometry.null_direction_arrays(
+                        spec, x1, x2, family), "analytic", n, tol)
 
 
 def _rosatau_analysis(spec, family: str, n: int, tol: Tolerances
@@ -117,18 +112,18 @@ def _rosatau_analysis(spec, family: str, n: int, tol: Tolerances
     if family == "Y":
         # the horizontal family; det g = -1 so constant fields are
         # divergence-free
-        return _certify(spec, family, lambda x1, x2: -1.0,
-                        lambda x1, x2: 0.0, "analytic", n, tol)
+        return _certify(spec, family, lambda x1, x2: (-1.0, 0.0), "analytic",
+                        n, tol)
     m = 8192
     t = spec.tau_at(np.arange(m) / m)
     atol = 1e-12 * max(1.0, float(np.max(np.abs(t))))
     runs, zeros = circular_zeros(t, atol, spec.tau_at, tol.bisection)
     if runs == [(0.0, 1.0)]:
-        return _certify(spec, family, lambda x1, x2: 0.0,
-                        lambda x1, x2: 1.0, "analytic", n, tol)
+        return _certify(spec, family, lambda x1, x2: (0.0, 1.0), "analytic",
+                        n, tol)
     if not runs and not zeros:
-        return _certify(spec, family, lambda x1, x2: 1.0,
-                        lambda x1, x2: 2.0 / spec.tau_at(x1),
+        return _certify(spec, family,
+                        lambda x1, x2: (1.0, 2.0 / spec.tau_at(x1)),
                         "analytic", n, tol)
     # tau vanishes somewhere: each simple zero x0 carries a closed vertical
     # line whose loop integral of div(X) is tau'(x0)/2
@@ -152,13 +147,11 @@ def _sanchez_analysis(spec, family: str, n: int, tol: Tolerances
     certified = "Y" if s1sig == s2sig else "X"
     if family == certified:
         # X2/R = (1/R, -E/(w R)) is divergence-free in closed form
-        def k(x1, x2):
-            return 1.0 / spec.efgr(x1)[3]
+        def field(x1, x2):
+            E, F, _, R = spec.efgr(x1)
+            return 1.0 / R, -E / (F + spec.eta0 * R) / R
 
-        def l(x1, x2):
-            return spec.null_fields(x1)[1][1] / spec.efgr(x1)[3]
-
-        return _certify(spec, family, k, l, "analytic", n, tol)
+        return _certify(spec, family, field, "analytic", n, tol)
     m = 8192
     G = spec.efgr(np.arange(m) / m)[2]
     # zeros of G may sit exactly on samples (analex_sanchez at c = 2 has
@@ -168,14 +161,11 @@ def _sanchez_analysis(spec, family: str, n: int, tol: Tolerances
     near_zero = np.abs(G) < 1e-12 * max(1.0, float(np.max(np.abs(G))))
     if not zeros and not bool(np.any(near_zero)):
         # G nowhere zero: X1/(G R) = (1/R, w/(G R)) closes the divergence
-        def k(x1, x2):
-            return 1.0 / spec.efgr(x1)[3]
+        def field(x1, x2):
+            _, F, G, R = spec.efgr(x1)
+            return 1.0 / R, (F + spec.eta0 * R) / (G * R)
 
-        def l(x1, x2):
-            _, Fv, Gv, Rv = spec.efgr(x1)
-            return (Fv + spec.eta0 * Rv) / (Gv * Rv)
-
-        return _certify(spec, family, k, l, "analytic", n, tol)
+        return _certify(spec, family, field, "analytic", n, tol)
     obstructions = []
     h = geometry.FD_STEP
     for z in zeros:
@@ -207,13 +197,12 @@ def _conformal_analysis(spec, family: str, n: int, tol: Tolerances
                      obstruction=exc.obstruction,
                      location=exc.location) from exc
 
-    def k(x1, x2):
-        return inner.field.at(x1, x2)[0] / spec.factor_at(x1, x2)
+    def field(x1, x2):
+        v1, v2 = inner.field.at(x1, x2)
+        lam = spec.factor_at(x1, x2)
+        return v1 / lam, v2 / lam
 
-    def l(x1, x2):
-        return inner.field.at(x1, x2)[1] / spec.factor_at(x1, x2)
-
-    return _certify(spec, family, k, l, "conformal", n, tol,
+    return _certify(spec, family, field, "conformal", n, tol,
                     exponent=inner.exponent)
 
 
@@ -281,19 +270,15 @@ def _solve_rescaling(spec, family: str, n: int, tol: Tolerances):
     f = f - f.mean()
     series = TrigSeries2.from_samples(f.astype(complex))
 
-    def k(x1, x2):
-        d = geometry.null_direction_arrays(spec, x1, x2, family)[0]
-        return np.exp(np.real(series(x1, x2))) * d
+    def field(x1, x2):
+        d1, d2 = geometry.null_direction_arrays(spec, x1, x2, family)
+        scale = np.exp(np.real(series(x1, x2)))
+        return scale * d1, scale * d2
 
-    def l(x1, x2):
-        d = geometry.null_direction_arrays(spec, x1, x2, family)[1]
-        return np.exp(np.real(series(x1, x2))) * d
-
-    # the residual of V on the grid, with the series evaluated once for
-    # both components
+    # the residual of V on the grid, from the direction already sampled
     scale = np.exp(np.real(series(X1, X2)))
     residual = _divergence_sup(spec, scale * v1, scale * v2, n)
-    return f, geometry.VectorField(k, l), residual, (istop, itn)
+    return f, geometry.VectorField(field), residual, (istop, itn)
 
 
 def _numeric_analysis(spec, family: str, n: int, tol: Tolerances
@@ -311,23 +296,20 @@ def _numeric_analysis(spec, family: str, n: int, tol: Tolerances
     est = nullflow.rotation_number(spec, family, (0.0, 0.0), n_returns=512,
                                    step=tol.ode_step, tol=tol)
     cert = est.rational
-    location = None
+    worst = location = None
+    source = "weighted Birkhoff average along the dense line"
     if cert is not None and cert.q <= nullflow.MAX_PERIOD:
         ws = np.arange(nullflow.SECTION_SEEDS) / nullflow.SECTION_SEEDS
         disp, J = nullflow.q_return(D1, ws, cert.q, J1)
         closed = np.abs(disp - cert.p) < tol.closedness_reject
+        source = "weighted Birkhoff average (no line closes at resolution)"
         if bool(np.any(closed)):
             idx = int(np.argmax(np.where(closed, np.abs(J), -np.inf)))
-            worst = float(abs(J[idx]))
-            location = float(ws[idx])
+            worst, location = float(abs(J[idx])), float(ws[idx])
             source = (f"worst loop integral over {int(closed.sum())} sampled "
                       f"closed lines")
-        else:
-            worst = abs(_weighted_birkhoff(D1, J1))
-            source = "weighted Birkhoff average (no line closes at resolution)"
-    else:
+    if worst is None:
         worst = abs(_weighted_birkhoff(D1, J1))
-        source = "weighted Birkhoff average along the dense line"
     if worst > tol.scf_reject:
         raise NotSCF(
             f"{family}-family loop obstruction: {source} is {worst:.3e} "
@@ -593,27 +575,25 @@ def classify_dimension(spec, structure: SpinStructure,
         return report("One" if structure.trivial else "Zero", "DenseLine",
                       {"seed": [0.0, 0.0], "flow": ctx["dense_message"]})
     decomp = ctx["decomp"]
+
+    def failures_among(tables) -> list[dict]:
+        """The lines not transport-trivial for the structure."""
+        holonomies = ((w, table[(structure.a1, structure.a2)])
+                      for w, table in tables)
+        return [{"w": w, "boost": hol.boost, "character": hol.character,
+                 "winding": list(hol.winding)}
+                for w, hol in holonomies if not hol.x_trivial]
+
     failures: list[dict] = []
     for (lo, hi), tables in ctx["resonant_tables"]:
-        interval_failures = []
-        for w, table in tables:
-            hol = table[(structure.a1, structure.a2)]
-            if not hol.x_trivial:
-                interval_failures.append(
-                    {"w": w, "boost": hol.boost, "character": hol.character,
-                     "winding": list(hol.winding)})
+        interval_failures = failures_among(tables)
         if not interval_failures:
             return report("Infinite", "XTrivialResonant",
                           {"cylinder": [lo, hi], "sampled_lines": len(tables),
                            "rotation": [decomp.rotation.p,
                                         decomp.rotation.q]})
         failures.extend(interval_failures)
-    for w, table in ctx["isolated_tables"]:
-        hol = table[(structure.a1, structure.a2)]
-        if not hol.x_trivial:
-            failures.append({"w": w, "boost": hol.boost,
-                             "character": hol.character,
-                             "winding": list(hol.winding)})
+    failures.extend(failures_among(ctx["isolated_tables"]))
     kinds = {iv.kind for iv in decomp.intervals}
     if kinds == {"NonResonant"}:
         # rational rotation but no line closes at this resolution: behaves
@@ -676,7 +656,8 @@ def cross_validate(spec, structure: SpinStructure,
         raise WrongFamily(
             "spectral cross-validation needs constant or closed diagonal "
             f"coefficients; got {type(spec).__name__}")
-    spectral = solver(spec, structure, chirality=1, tol=tol).count_class
+    spectral = solver(spec, structure, chirality=1, n_fields=0,
+                      tol=tol).count_class
     return CrossValidationReport(structure=structure, geometric=geometric,
                                  spectral=spectral,
                                  agree=geometric.value == spectral)

@@ -351,13 +351,7 @@ def rotation(s: Settings, metric, from_, family, n_returns, step):
     est = nullflow.rotation_number(
         spec, fam, p0, n_returns=s.count("n_returns", n_returns, 1000),
         step=s.step(step), tol=s.tol)
-    payload = {"command": "rotation", "family": est.family,
-               "value": est.value, "n_returns": est.n_returns,
-               "step": est.step, "method": est.method,
-               "rational": None if est.rational is None else
-               {"p": est.rational.p, "q": est.rational.q,
-                "residual": est.rational.residual}}
-    return "json", payload
+    return "json", {"command": "rotation", **dataclasses.asdict(est)}
 
 
 @command("classify-line")
@@ -374,14 +368,9 @@ def classify_line(s: Settings, metric, from_, family, n_returns, step):
     cls = nullflow.classify_line(
         spec, p0, fam, step=s.step(step),
         n_returns=s.count("n_returns", n_returns, 256), tol=s.tol)
-    payload = {"command": "classify-line", "family": fam,
-               "from": list(p0), "kind": cls.kind}
-    for name in ("winding", "period", "rotation", "limit_winding",
-                 "displacement"):
-        value = getattr(cls, name)
-        if value is not None:
-            payload[name] = list(value) if isinstance(value, tuple) else value
-    return "json", payload
+    found = {k: v for k, v in dataclasses.asdict(cls).items() if v is not None}
+    return "json", {"command": "classify-line", "family": fam,
+                    "from": list(p0), **found}
 
 
 @command()
@@ -401,16 +390,10 @@ def decompose(s: Settings, metric, family, resolution, step):
     except nullflow.DenseFlow as exc:
         return "json", {"command": "decompose", "family": fam,
                         "verdict": "Dense", "message": str(exc)}
-    payload = {
-        "command": "decompose", "family": dec.family, "axis": dec.axis,
-        "verdict": "CylinderDecomposition",
-        "rotation": {"p": dec.rotation.p, "q": dec.rotation.q,
-                     "residual": dec.rotation.residual},
-        "intervals": [{"kind": iv.kind, "lo": iv.lo, "hi": iv.hi,
-                       "width": iv.width} for iv in dec.intervals],
-        "isolated_closed": list(dec.isolated_closed),
-        "resolution": dec.resolution, "step": dec.step,
-    }
+    payload = {"command": "decompose", "verdict": "CylinderDecomposition",
+               **dataclasses.asdict(dec)}
+    for row, iv in zip(payload["intervals"], dec.intervals):
+        row["width"] = iv.width
     return "json", payload
 
 

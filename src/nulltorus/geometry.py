@@ -98,14 +98,14 @@ class Frame:
 
 @dataclass(frozen=True)
 class VectorField:
-    """Vector field V = k d1 + l d2 with vectorized component callbacks."""
+    """Vector field V = v1 d1 + v2 d2; the vectorized ``components(x1, x2)``
+    returns (v1, v2) from one evaluation."""
 
-    k: Callable
-    l: Callable
+    components: Callable
 
     def at(self, x1, x2):
-        return (np.asarray(self.k(x1, x2), dtype=float),
-                np.asarray(self.l(x1, x2), dtype=float))
+        v1, v2 = self.components(x1, x2)
+        return np.asarray(v1, dtype=float), np.asarray(v2, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -641,8 +641,8 @@ def divergence(spec, V: VectorField, p: Point) -> float:
     x1 = np.asarray(p[0], dtype=float)
     x2 = np.asarray(p[1], dtype=float)
     v1, v2 = V.at(x1, x2)
-    (dk1,) = _central(lambda a, b: (V.k(a, b),), x1, x2, 0)
-    (dl2,) = _central(lambda a, b: (V.l(a, b),), x1, x2, 1)
+    dk1 = _central(V.at, x1, x2, 0)[0]
+    dl2 = _central(V.at, x1, x2, 1)[1]
     A, B, C, dA1, dA2, dB1, dB2, dC1, dC2 = coefficient_jet(spec, x1, x2)
     det = A * C - B * B
     ddet1 = dA1 * C + A * dC1 - 2 * B * dB1

@@ -172,6 +172,21 @@ def slope_function(spec, family: str, axis: int):
     return slope
 
 
+def _rk4(f, t, y, h):
+    """One classical RK4 step of y' = f(t, y): the increment, and the four
+    stages (t, y, k) at which f was evaluated."""
+    k1 = f(t, y)
+    y2 = y + 0.5 * h * k1
+    k2 = f(t + 0.5 * h, y2)
+    y3 = y + 0.5 * h * k2
+    k3 = f(t + 0.5 * h, y3)
+    y4 = y + h * k3
+    k4 = f(t + h, y4)
+    return ((h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4),
+            ((t, y, k1), (t + 0.5 * h, y2, k2), (t + 0.5 * h, y3, k3),
+             (t + h, y4, k4)))
+
+
 def _march(spec, family: str, axis: int, u0: float, w0, n_units: float,
            step: float, record: bool = False, integrand=None):
     """RK4 in the axis coordinate; w0 may be a batch.  Returns w_end, then
@@ -189,24 +204,14 @@ def _march(spec, family: str, axis: int, u0: float, w0, n_units: float,
         path[0] = w
     for i in range(n_steps):
         u = u0 + i * h
-        k1 = slope(u, w)
-        w2 = w + 0.5 * h * k1
-        k2 = slope(u + 0.5 * h, w2)
-        w3 = w + 0.5 * h * k2
-        k3 = slope(u + 0.5 * h, w3)
-        w4 = w + h * k3
-        k4 = slope(u + h, w4)
-        dw = (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        dw, stages = _rk4(slope, u, w, h)
         jump = float(np.max(np.abs(dw)))
         if jump > 0.25:
             raise StepTooLarge(
                 f"per-step displacement {jump:.3g} at u={u:.4f} "
                 f"(step {h:.2e}); refine the step")
         if integrand is not None:
-            j1 = integrand(u, w, k1)
-            j2 = integrand(u + 0.5 * h, w2, k2)
-            j3 = integrand(u + 0.5 * h, w3, k3)
-            j4 = integrand(u + h, w4, k4)
+            j1, j2, j3, j4 = (integrand(*stage) for stage in stages)
             total = total + (h / 6.0) * (j1 + 2 * j2 + 2 * j3 + j4)
         w = w + dw
         if record:
@@ -644,48 +649,36 @@ def probe_completeness(spec, p0: Point, family: str = "X",
     """
     v0 = np.array(geometry.null_directions(spec, p0)[0 if family == "X" else 1],
                   dtype=float)
-    results = []
-    for sign in (+1.0, -1.0):
-        results.append(_geodesic_leg(spec, p0, sign * v0, t_max, step, tol))
-    blow = results[0]["blowup"] or results[1]["blowup"]
-    blow_t = None
-    for r in results:
-        if r["blowup"]:
-            blow_t = r["reached"] if blow_t is None else min(blow_t, r["reached"])
-    complete_up_to = min(r["reached"] for r in results if not r["blowup"]) \
-        if not blow else min(r["reached"] for r in results)
-    max_speed = max(r["final_speed"] for r in results)
-    return CompletenessProbe(family, p0, complete_up_to, blow, blow_t,
-                             max_speed, (results[0], results[1]))
+    legs = tuple(_geodesic_leg(spec, p0, sign * v0, t_max, step, tol)
+                 for sign in (+1.0, -1.0))
+    blowups = [leg["reached"] for leg in legs if leg["blowup"]]
+    return CompletenessProbe(family, p0, min(leg["reached"] for leg in legs),
+                             bool(blowups), min(blowups, default=None),
+                             max(leg["final_speed"] for leg in legs), legs)
 
 
 def _geodesic_leg(spec, p0: Point, v0: np.ndarray, t_max: float, step: float,
                   tol: Tolerances) -> dict:
-    x = np.array([p0[0], p0[1]], dtype=float)
-    v = np.array(v0, dtype=float)
+    """RK4 of the stacked state (x1, x2, v1, v2) under x' = v and
+    v' = -Gamma(v, v), the step shrunk to step/max(1, |v|)."""
+
+    def rate(t, y):
+        gam = geometry.christoffels_at(spec, y[0], y[1])
+        v = y[2:]
+        a = [-(gam[(k, 0, 0)] * v[0] * v[0] + 2 * gam[(k, 0, 1)] * v[0] * v[1]
+               + gam[(k, 1, 1)] * v[1] * v[1]) for k in (0, 1)]
+        return np.concatenate((v, [float(a[0]), float(a[1])]))
+
+    y = np.array([p0[0], p0[1], v0[0], v0[1]], dtype=float)
     t = 0.0
-
-    def acc(xx, vv):
-        gam = geometry.christoffels_at(spec, xx[0], xx[1])
-        a0 = -(gam[(0, 0, 0)] * vv[0] * vv[0] + 2 * gam[(0, 0, 1)] * vv[0] * vv[1]
-               + gam[(0, 1, 1)] * vv[1] * vv[1])
-        a1 = -(gam[(1, 0, 0)] * vv[0] * vv[0] + 2 * gam[(1, 0, 1)] * vv[0] * vv[1]
-               + gam[(1, 1, 1)] * vv[1] * vv[1])
-        return np.array([float(a0), float(a1)])
-
     blowup = False
-    speed = float(np.hypot(v[0], v[1]))
+    speed = float(np.hypot(y[2], y[3]))
     while t < t_max:
-        speed = float(np.hypot(v[0], v[1]))
+        speed = float(np.hypot(y[2], y[3]))
         if speed >= tol.velocity_blowup:
             blowup = True
             break
         h = min(step / max(1.0, speed), t_max - t)
-        k1x, k1v = v, acc(x, v)
-        k2x, k2v = v + 0.5 * h * k1v, acc(x + 0.5 * h * k1x, v + 0.5 * h * k1v)
-        k3x, k3v = v + 0.5 * h * k2v, acc(x + 0.5 * h * k2x, v + 0.5 * h * k2v)
-        k4x, k4v = v + h * k3v, acc(x + h * k3x, v + h * k3v)
-        x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+        y = y + _rk4(rate, t, y, h)[0]
         t += h
     return {"reached": t, "blowup": blowup, "final_speed": speed}

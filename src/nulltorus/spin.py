@@ -150,6 +150,12 @@ class HolonomyResult:
         return self.sheet * self.character * np.exp(self.boost)
 
 
+def _gamma_along(spec, record: NullLineRecord):
+    """Gamma(c') at the points of a record, c' its recorded velocity."""
+    return geometry.connection_along(spec, *record.points.T,
+                                     *record.velocities.T)
+
+
 def _winding_and_boost(spec, record: NullLineRecord, tol: Tolerances
                        ) -> tuple[tuple[int, int], float]:
     """Integer winding of a closed record and its boost -1/2 int Gamma(c')."""
@@ -162,12 +168,8 @@ def _winding_and_boost(spec, record: NullLineRecord, tol: Tolerances
     if closure > tol.closedness_reject:
         raise NotClosed(
             f"record does not close up to integer winding: defect {closure:.3e}")
-    x1 = record.points[:, 0]
-    x2 = record.points[:, 1]
-    v1 = record.velocities[:, 0]
-    v2 = record.velocities[:, 1]
-    gam = geometry.connection_along(spec, x1, x2, v1, v2)
-    return winding, -0.5 * float(simpson(gam, x=record.ts))
+    return winding, -0.5 * float(simpson(_gamma_along(spec, record),
+                                         x=record.ts))
 
 
 def _holonomy(structure: SpinStructure, winding: tuple[int, int],
@@ -217,12 +219,8 @@ def parallel_transport_spin(spec, record: NullLineRecord,
     Works per chiral component (the connection is diagonal in the chiral
     splitting); the record's own parametrization is used.
     """
-    x1 = record.points[:, 0]
-    x2 = record.points[:, 1]
-    v1 = record.velocities[:, 0]
-    v2 = record.velocities[:, 1]
-    gam = geometry.connection_along(spec, x1, x2, v1, v2)
-    twist = structure.twist_form(v1, v2)
+    gam = _gamma_along(spec, record)
+    twist = structure.twist_form(*record.velocities.T)
     phi0 = np.asarray(phi0, dtype=complex)
     out = np.empty(2, dtype=complex)
     for comp, chir in ((0, +1), (1, -1)):

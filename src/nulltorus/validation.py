@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -40,9 +40,7 @@ class CriterionResult:
         return f"criterion {self.index:2d}: {tag} [{self.seconds:6.1f}s] {self.name} — {self.detail}"
 
     def as_dict(self) -> dict:
-        return {"index": self.index, "name": self.name, "passed": self.passed,
-                "seconds": self.seconds, "measured": self.measured,
-                "detail": self.detail}
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -251,19 +249,16 @@ def criterion_clifford(step, grid_n, tol) -> tuple[bool, dict, str]:
 
 
 def _random_trig_field(rng) -> geometry.VectorField:
-    def component():
-        c = float(rng.uniform(-1.0, 1.0))
-        a = float(rng.uniform(0.3, 1.0))
-        k = int(rng.integers(-2, 3))
-        l = int(rng.integers(-2, 3))
-        ph = float(2 * np.pi * rng.random())
+    """Components c + a cos(2 pi (k x1 + l x2) + ph), drawn per component."""
+    params = [(float(rng.uniform(-1.0, 1.0)), float(rng.uniform(0.3, 1.0)),
+               int(rng.integers(-2, 3)), int(rng.integers(-2, 3)),
+               float(2 * np.pi * rng.random())) for _ in range(2)]
 
-        def f(x1, x2, c=c, a=a, k=k, l=l, ph=ph):
-            return c + a * np.cos(2 * np.pi * (k * x1 + l * x2) + ph)
+    def components(x1, x2):
+        return tuple(c + a * np.cos(2 * np.pi * (k * x1 + l * x2) + ph)
+                     for c, a, k, l, ph in params)
 
-        return f
-
-    return geometry.VectorField(component(), component())
+    return geometry.VectorField(components)
 
 
 def criterion_divergence_oracle(step, grid_n, tol) -> tuple[bool, dict, str]:

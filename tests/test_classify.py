@@ -93,6 +93,64 @@ def test_certificate_conformal_invariance(analex_spec, conformal_spec):
                        np.asarray(inner.field.at(*p)) / lam)
 
 
+def _tau_cosine(x1):
+    return 0.5 + 0.2 * np.cos(2 * np.pi * np.asarray(x1))
+
+
+def _dtau_cosine(x1):
+    return -0.4 * np.pi * np.sin(2 * np.pi * np.asarray(x1))
+
+
+@pytest.mark.parametrize("make", [
+    # G has no zero at c = 2.5: the X1/(G R) field
+    lambda: catalog.analex_sanchez(c=2.5),
+    # tau vanishes identically: the (0, 1) field
+    lambda: catalog.rosatau_window(amplitude=0.0),
+    # tau nowhere zero: the (1, 2/tau) field
+    lambda: geometry.RosaTau(_tau_cosine, dtau=_dtau_cosine)],
+    ids=["sanchez-x1-over-gr", "rosatau-zero-tau", "rosatau-two-over-tau"])
+def test_analytic_certificate_witness(make, analytic_only):
+    spec = make()
+    cert = classify.semi_conformal_certificate(spec, "X")
+    assert cert.kind == "analytic"
+    assert cert.residual < DEFAULT.scf_certificate
+    for p in [(0.1, 0.2), (0.37, 0.81), (0.66, 0.05), (0.9, 0.45)]:
+        assert geometry.divergence(spec, cert.field, p) == pytest.approx(
+            0.0, abs=1e-8)
+
+
+def test_sanchez_certificate_evaluates_efgr_once(sanchez_spec, monkeypatch):
+    """The X2/R field reads E, F, G and R from one efgr call."""
+    cert = classify.semi_conformal_certificate(sanchez_spec, "Y")
+    calls = []
+    efgr = geometry.Sanchez.efgr
+
+    def counting(self, x1):
+        calls.append(1)
+        return efgr(self, x1)
+
+    monkeypatch.setattr(geometry.Sanchez, "efgr", counting)
+    X1, X2 = grid_points(16)
+    cert.field.at(X1, X2)
+    assert len(calls) == 1
+
+
+def test_conformal_certificate_evaluates_inner_field_once(conformal_spec,
+                                                          monkeypatch):
+    cert = classify.semi_conformal_certificate(conformal_spec, "X")
+    calls = []
+    at = geometry.VectorField.at
+
+    def counting(self, x1, x2):
+        calls.append(self)
+        return at(self, x1, x2)
+
+    monkeypatch.setattr(geometry.VectorField, "at", counting)
+    cert.field.at(0.41, 0.13)
+    # the conformal field itself, then its inner field once
+    assert len(calls) == 2 and calls[0] is cert.field
+
+
 def test_certificate_conformal_propagates_obstruction(rosatau_spec):
     rescaled = catalog.conformal(rosatau_spec, catalog.exp_sine_factor(0.2))
     with pytest.raises(NotSCF) as exc:

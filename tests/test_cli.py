@@ -12,6 +12,7 @@ from nulltorus import catalog, spinorfield
 from nulltorus.cli import main, parse_point, parse_structure
 from nulltorus.errors import ConfigError
 from nulltorus.spin import SpinStructure
+from nulltorus.tolerances import DEFAULT
 
 
 @pytest.fixture()
@@ -172,6 +173,52 @@ def test_table_counts_once_per_structure_and_family(runner, monkeypatch,
     assert families == expected
 
 
+def test_decompose_json_rosatau(runner):
+    """One resonant band of closed vertical lines, and the isolated closed
+    line at the zero of tau between two asymptotic gaps."""
+    result = runner.invoke(main, ["decompose", "--metric", "rosatau"])
+    payload = _json_out(result)
+    assert result.exit_code == 0
+    assert sorted(payload) == ["axis", "command", "family", "intervals",
+                               "isolated_closed", "resolution", "rotation",
+                               "step", "tolerances", "verdict"]
+    assert payload["command"] == "decompose"
+    assert payload["verdict"] == "CylinderDecomposition"
+    assert (payload["family"], payload["axis"]) == ("X", 1)
+    assert (payload["resolution"], payload["step"]) == (1024, 1e-3)
+    assert sorted(payload["rotation"]) == ["p", "q", "residual"]
+    assert (payload["rotation"]["p"], payload["rotation"]["q"]) == (0, 1)
+    intervals = payload["intervals"]
+    assert all(sorted(iv) == ["hi", "kind", "lo", "width"]
+               for iv in intervals)
+    assert [iv["kind"] for iv in intervals] == ["Resonant", "Asymptotic",
+                                                "Asymptotic"]
+    band = intervals[0]
+    assert band["lo"] == pytest.approx(0.446, abs=1e-3)
+    assert band["hi"] == pytest.approx(1.154, abs=1e-3)
+    for iv in intervals:
+        assert iv["width"] == iv["hi"] - iv["lo"]
+    assert payload["isolated_closed"] == [pytest.approx(0.3, abs=1e-9)]
+    # the gaps meet at the isolated line, one period above the seed value
+    assert intervals[1]["hi"] == intervals[2]["lo"] == pytest.approx(
+        1.3, abs=1e-9)
+
+
+def test_classify_line_json_analex(runner):
+    result = runner.invoke(main, ["classify-line", "--metric", "analex",
+                                  "--from", "0.3,0.7"])
+    payload = _json_out(result)
+    assert result.exit_code == 0
+    assert sorted(payload) == ["command", "displacement", "family", "from",
+                               "kind", "period", "tolerances", "winding"]
+    assert payload["command"] == "classify-line"
+    assert (payload["family"], payload["from"]) == ("X", [0.3, 0.7])
+    assert payload["kind"] == "Closed"
+    assert payload["winding"] == [1, -1]
+    assert payload["period"] == 1.0
+    assert abs(payload["displacement"]) < DEFAULT.closedness
+
+
 def test_holonomy_csv_rosatau(runner):
     result = runner.invoke(main, ["holonomy", "--metric", "rosatau",
                                   "--seed-w", "0.3"])
@@ -276,6 +323,13 @@ def test_config_errors_are_exit_one(runner, tmp_path):
         ["rotation", "--metric", '{"family":"no_such_family"}'],
         ["rotation", "--metric", '{"family":'],
         ["rotation", "--metric", str(tmp_path / "no_such_metric.json")],
+        # a document's own grid_n is range-checked; this flow command
+        # builds no grid, so an unchecked value would simply run
+        ["solve", "--metric", '{"family":"analex","grid_n":0}'],
+        ["rotation", "--metric", '{"family":"flat","grid_n":5000}'],
+        ["rotation", "--metric", '{"family":"conformal_rescale","params":'
+         '{"inner":{"family":"flat","grid_n":5000}}}'],
+        config("rotation", metric=5),
     ] + [config(command, family="Z") for command in (
         "flow", "rotation", "classify-line", "decompose", "holonomy")]
     for args in cases:

@@ -147,8 +147,8 @@ def test_validate_spec_rejects_degenerate():
 def test_divergence_grid_matches_pointwise(name, request):
     spec = request.getfixturevalue(name)
     V = geometry.VectorField(
-        lambda x1, x2: 0.4 + 0.2 * np.sin(2 * np.pi * x1),
-        lambda x1, x2: -0.3 + 0.1 * np.cos(2 * np.pi * (x1 + x2)))
+        lambda x1, x2: (0.4 + 0.2 * np.sin(2 * np.pi * x1),
+                        -0.3 + 0.1 * np.cos(2 * np.pi * (x1 + x2))))
     n = 128
     X1, X2 = grid_points(n)
     v1, v2 = V.at(X1, X2)
@@ -170,9 +170,7 @@ def test_family_divergence_equals_connection_rate(name, request, rng):
                 spec, np.asarray(p[0]), np.asarray(p[1]), family)
             V = geometry.VectorField(
                 lambda x1, x2, fam=family: geometry.null_direction_arrays(
-                    spec, x1, x2, fam)[0],
-                lambda x1, x2, fam=family: geometry.null_direction_arrays(
-                    spec, x1, x2, fam)[1])
+                    spec, x1, x2, fam))
             div = geometry.divergence(spec, V, p)
             gam = geometry.connection_along(spec, np.asarray(p[0]),
                                             np.asarray(p[1]),
@@ -276,6 +274,22 @@ def test_fraction_parameters_give_float_profiles(exact, decimal):
     assert all(np.array_equal(p, q) for p, q in
                zip(geometry.null_directions(a, (0.3, 0.7)),
                    geometry.null_directions(b, (0.3, 0.7))))
+
+
+def test_sanchez_fraction_parameter_gives_float_coefficients():
+    """analex_sanchez:c=5/2 keeps c as a float, as analex does: float64 E,
+    F and G, and the grids of c=2.5 bit for bit."""
+    a = catalog.load_metric("analex_sanchez:c=5/2")
+    b = catalog.load_metric("analex_sanchez:c=2.5")
+    x = np.linspace(0.0, 1.0, 9)
+    for name in ("E", "F", "G"):
+        assert getattr(a, name)(x).dtype == np.float64
+    X1, X2 = grid_points(64)
+    for got, want in zip(geometry.coefficients(a, X1, X2),
+                         geometry.coefficients(b, X1, X2)):
+        assert got.dtype == np.float64
+        assert np.array_equal(got, want)
+    assert a.zeros == b.zeros
 
 
 @pytest.mark.parametrize("shorthand, family, params", [
