@@ -219,11 +219,20 @@ def _num(value):
         return float(text)
 
 
+def integer(key: str, value) -> int:
+    """``value`` as an int: an integral number or integer text; a bool or a
+    fraction is a ValueError naming ``key``."""
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _build(family: str, args, kwargs, grid_n) -> MetricSpec:
     """The table's constructor on parsed values; bad arguments, or a grid
-    outside [1, 4096], name the family in a ConfigError."""
+    that is not an integer in [1, 4096], name the family in a ConfigError."""
     try:
-        grid_n = int(grid_n)
+        grid_n = integer("grid_n", grid_n)
         if not 1 <= grid_n <= 4096:
             raise ValueError(f"grid_n must lie in [1, 4096], got {grid_n}")
         return FAMILIES[family](

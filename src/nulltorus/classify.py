@@ -13,8 +13,8 @@ On an SCF metric the dimension of each chiral kernel (harmonic or twistor)
 is 0, 1 or infinite, decided by the cylinder decomposition of the family's
 flow and the spin holonomy of its closed lines.  ``classify_dimension``
 implements that case analysis and returns a report carrying the certificate
-it used; ``cross_validate`` checks the geometric verdict against the exact
-spectral solvers where one exists.
+it used; ``spectral_count`` reads the exact spectral solvers where one
+exists, and ``cross_validate`` checks the geometric verdict against it.
 """
 
 from __future__ import annotations
@@ -647,17 +647,24 @@ def classify_table(spec, quantities: tuple[str, ...] = ("delta_plus",
     return out
 
 
+def spectral_count(spec, structure: SpinStructure, family: str = "X",
+                   tol: Tolerances = DEFAULT) -> Optional[str]:
+    """The exact solver's count class for the family's transport, or None
+    where no exact solver exists; the count does not depend on chirality."""
+    solver = spinorfield.exact_solver(spec, tol, family)
+    return None if solver is None else solver(
+        spec, structure, n_fields=0, tol=tol).count_class
+
+
 def cross_validate(spec, structure: SpinStructure,
                    tol: Tolerances = DEFAULT) -> CrossValidationReport:
     """Geometric delta_plus against the exact spectral solver's count."""
     geometric = classify_delta_plus(spec, structure, tol)
-    solver = spinorfield.exact_solver(spec, tol)
-    if solver is None:
+    spectral = spectral_count(spec, structure, "X", tol)
+    if spectral is None:
         raise WrongFamily(
             "spectral cross-validation needs constant or closed diagonal "
             f"coefficients; got {type(spec).__name__}")
-    spectral = solver(spec, structure, chirality=1, n_fields=0,
-                      tol=tol).count_class
     return CrossValidationReport(structure=structure, geometric=geometric,
                                  spectral=spectral,
                                  agree=geometric.value == spectral)

@@ -116,7 +116,7 @@ class Settings:
         """The setting ``key`` as ``kind``, or ConfigError naming the key."""
         value = self.get(key, flag, default)
         try:
-            return kind(value)
+            return catalog.integer(key, value) if kind is int else kind(value)
         except (TypeError, ValueError):
             what = "an integer" if kind is int else "a number"
             raise ConfigError(f"{key} must be {what}, got {value!r}") from None
@@ -283,15 +283,35 @@ def main(ctx, config_path, output, fmt, tol_overrides):
                "tol_overrides": tuple(tol_overrides)}
 
 
-def command(name: Optional[str] = None):
+#: the inputs every flow command shares, resolved before the command's own
+FLOW_OPTIONS = (
+    click.option("--metric", default=None,
+                 help="Shorthand, inline JSON or path."),
+    click.option("--family", type=click.Choice(["X", "Y"]), default=None,
+                 help="Null family (default X)."),
+    click.option("--step", type=float, default=None,
+                 help="Integrator step (default the ode_step tolerance)."),
+)
+
+
+def _flow_inputs(s: Settings, metric, family, step, **options) -> dict:
+    return dict(spec=s.metric(metric),
+                family=s.choice("family", family, "X", ("X", "Y")),
+                step=s.step(step), **options)
+
+
+def command(name: Optional[str] = None, flow: bool = False):
     """Register ``body(s: Settings, **options)`` as a subcommand of ``main``.
 
     The command takes the artifact options (--config/--output/--format/--tol)
     after its own, merges them over the group's, so they are accepted before
     or after the command name, and dispatches what ``body`` returns:
-    (kind, result[, doubt]).
+    (kind, result[, doubt]).  A ``flow`` command also takes FLOW_OPTIONS
+    first, and ``body`` gets the resolved ``spec``, ``family`` and ``step``.
     """
     def register(body):
+        for option in reversed(FLOW_OPTIONS) if flow else ():
+            body = option(body)
         @click.option("--config", "config_path", type=click.Path(),
                       default=None, help="JSON config document.")
         @click.option("--output", "-o", "output", default=None,
@@ -305,30 +325,26 @@ def command(name: Optional[str] = None):
             given = {"config_path": config_path, "output": output, "fmt": fmt}
             ctx.obj.update((k, v) for k, v in given.items() if v is not None)
             ctx.obj["tol_overrides"] += tol_overrides
-            dispatch(ctx, lambda s: body(s, **options))
-        # click lists decorator options last-applied first: the command's
-        # own options, then the artifact options
+            dispatch(ctx, lambda s: body(
+                s, **(_flow_inputs(s, **options) if flow else options)))
+        # click lists decorator options last-applied first: the flow
+        # options, the command's own, then the artifact options
         run.__click_params__ += body.__click_params__
         return main.command(name or body.__name__, help=body.__doc__)(run)
     return register
 
 
-@command()
-@click.option("--metric", default=None, help="Shorthand, inline JSON or path.")
+@command(flow=True)
 @click.option("--from", "from_", default=None, metavar="X1,X2",
               help="Starting point on the torus (default 0,0).")
-@click.option("--family", type=click.Choice(["X", "Y"]), default=None)
 @click.option("--tmax", type=float, default=None,
               help="Axis-coordinate length of the sweep (default 10).")
-@click.option("--step", type=float, default=None)
-def flow(s: Settings, metric, from_, family, tmax, step):
+def flow(s: Settings, spec, family, step, from_, tmax):
     """Integrate one null line; emit the trajectory as CSV."""
-    spec = s.metric(metric)
     p0 = parse_point(s.get("from", from_, "0,0"))
-    fam = s.choice("family", family, "X", ("X", "Y"))
-    t_max = s.number("tmax", tmax, 10.0)
-    rec = nullflow.integrate_null_line(spec, p0, fam, t_max=t_max,
-                                       step=s.step(step), tol=s.tol)
+    rec = nullflow.integrate_null_line(spec, p0, family,
+                                       t_max=s.number("tmax", tmax, 10.0),
+                                       step=step, tol=s.tol)
     rows = [{"t": float(t),
              "x1_cover": float(p[0]), "x2_cover": float(p[1]),
              "x1_torus": float(p[0] % 1.0), "x2_torus": float(p[1] % 1.0)}
@@ -337,58 +353,43 @@ def flow(s: Settings, metric, from_, family, tmax, step):
                    rows)
 
 
-@command()
-@click.option("--metric", default=None)
+@command(flow=True)
 @click.option("--from", "from_", default=None, metavar="X1,X2")
-@click.option("--family", type=click.Choice(["X", "Y"]), default=None)
 @click.option("--n-returns", type=int, default=None)
-@click.option("--step", type=float, default=None)
-def rotation(s: Settings, metric, from_, family, n_returns, step):
+def rotation(s: Settings, spec, family, step, from_, n_returns):
     """Rotation number of the null flow, with a rational certificate."""
-    spec = s.metric(metric)
-    fam = s.choice("family", family, "X", ("X", "Y"))
     p0 = parse_point(s.get("from", from_, "0,0"))
     est = nullflow.rotation_number(
-        spec, fam, p0, n_returns=s.count("n_returns", n_returns, 1000),
-        step=s.step(step), tol=s.tol)
+        spec, family, p0, n_returns=s.count("n_returns", n_returns, 1000),
+        step=step, tol=s.tol)
     return "json", {"command": "rotation", **dataclasses.asdict(est)}
 
 
-@command("classify-line")
-@click.option("--metric", default=None)
+@command("classify-line", flow=True)
 @click.option("--from", "from_", default=None, metavar="X1,X2")
-@click.option("--family", type=click.Choice(["X", "Y"]), default=None)
 @click.option("--n-returns", type=int, default=None)
-@click.option("--step", type=float, default=None)
-def classify_line(s: Settings, metric, from_, family, n_returns, step):
+def classify_line(s: Settings, spec, family, step, from_, n_returns):
     """Closed / Dense / Asymptotic verdict for one null line."""
-    spec = s.metric(metric)
-    fam = s.choice("family", family, "X", ("X", "Y"))
     p0 = parse_point(s.get("from", from_, "0,0"))
     cls = nullflow.classify_line(
-        spec, p0, fam, step=s.step(step),
+        spec, p0, family, step=step,
         n_returns=s.count("n_returns", n_returns, 256), tol=s.tol)
     found = {k: v for k, v in dataclasses.asdict(cls).items() if v is not None}
-    return "json", {"command": "classify-line", "family": fam,
+    return "json", {"command": "classify-line", "family": family,
                     "from": list(p0), **found}
 
 
-@command()
-@click.option("--metric", default=None)
-@click.option("--family", type=click.Choice(["X", "Y"]), default=None)
+@command(flow=True)
 @click.option("--resolution", type=int, default=None,
               help="Transversal seeds scanned (default 1024).")
-@click.option("--step", type=float, default=None)
-def decompose(s: Settings, metric, family, resolution, step):
+def decompose(s: Settings, spec, family, step, resolution):
     """Cylinder decomposition of the torus under one null family."""
-    spec = s.metric(metric)
-    fam = s.choice("family", family, "X", ("X", "Y"))
     res = s.count("resolution", resolution, 1024)
     try:
         dec = nullflow.cylinder_decomposition(
-            spec, fam, resolution=res, step=s.step(step), tol=s.tol)
+            spec, family, resolution=res, step=step, tol=s.tol)
     except nullflow.DenseFlow as exc:
-        return "json", {"command": "decompose", "family": fam,
+        return "json", {"command": "decompose", "family": family,
                         "verdict": "Dense", "message": str(exc)}
     payload = {"command": "decompose", "verdict": "CylinderDecomposition",
                **dataclasses.asdict(dec)}
@@ -397,28 +398,22 @@ def decompose(s: Settings, metric, family, resolution, step):
     return "json", payload
 
 
-@command()
-@click.option("--metric", default=None)
-@click.option("--family", type=click.Choice(["X", "Y"]), default=None)
+@command(flow=True)
 @click.option("--seed-w", type=float, default=None,
               help="Transversal coordinate of the closed line (default 0).")
 @click.option("--n-returns", type=int, default=None)
-@click.option("--step", type=float, default=None)
-def holonomy(s: Settings, metric, family, seed_w, n_returns, step):
+def holonomy(s: Settings, spec, family, step, seed_w, n_returns):
     """Spin holonomy table of a closed null line (one row per structure)."""
-    spec = s.metric(metric)
-    fam = s.choice("family", family, "X", ("X", "Y"))
     w = s.number("seed_w", seed_w, 0.0)
-    h = s.step(step)
     est = nullflow.rotation_number(
-        spec, fam, n_returns=s.count("n_returns", n_returns, 1000),
-        step=h, tol=s.tol)
+        spec, family, n_returns=s.count("n_returns", n_returns, 1000),
+        step=step, tol=s.tol)
     if est.rational is None:
         raise WrongFamily(
-            f"the {fam} flow has irrational rotation number "
+            f"the {family} flow has irrational rotation number "
             f"{est.value:.9f}; no closed lines to transport around")
-    rec = nullflow.closed_line_through(spec, fam, w, est.rational,
-                                       step=h, tol=s.tol)
+    rec = nullflow.closed_line_through(spec, family, w, est.rational,
+                                       step=step, tol=s.tol)
     table = spin.holonomy_table(spec, rec, tol=s.tol)
     rows = []
     for ab in STRUCTURES:
@@ -436,6 +431,17 @@ def _field_summary(f) -> dict:
             "residual": spinorfield.residual_norm(f, "harmonic"
                                                   if f.chirality == 1
                                                   else "twistor")}
+
+
+def _contradictions(checked) -> list[str]:
+    """[doubt] naming every report that contradicts its spectral count
+    (None: no exact solver), or [] when none does."""
+    clashes = "; ".join(
+        f"{r.structure.a1},{r.structure.a2} {r.quantity}: {r.value} "
+        f"({r.certificate}) vs spectral {count}"
+        for r, count in checked if count not in (None, r.value))
+    return ["geometric verdicts contradict the exact spectral count: "
+            + clashes] if clashes else []
 
 
 @command()
@@ -456,28 +462,20 @@ def solve(s: Settings, metric, structure, chirality, n_fields, grid_n):
             "solve handles constant-coefficient and closed diagonal "
             f"metrics; got {type(spec).__name__}")
     sol = solver(spec, struct, chirality=chi, n_fields=nf, tol=s.tol)
+    payload = {"command": "solve", "structure": struct.label,
+               "chirality": chi, "count_class": sol.count_class,
+               "congruence_obstructed": sol.congruence_obstructed,
+               "fields": [_field_summary(f) for f in sol.fields]}
     if isinstance(sol, spinorfield.HarmonicSolution):
-        payload = {"command": "solve", "solver": "left_invariant",
-                   "structure": struct.label, "chirality": chi,
-                   "count_class": sol.count_class,
-                   "ratio": None if sol.ratio is None else str(sol.ratio),
-                   "exact": sol.exact,
-                   "congruence_obstructed": sol.congruence_obstructed,
-                   "modes": [list(m) for m in sol.modes],
-                   "fields": [_field_summary(f) for f in sol.fields]}
+        payload.update(solver="left_invariant", exact=sol.exact,
+                       ratio=None if sol.ratio is None else str(sol.ratio),
+                       modes=sol.modes)
     else:
-        payload = {"command": "solve", "solver": "closed_diagonal",
-                   "structure": struct.label, "chirality": chi,
-                   "count_class": sol.count_class,
-                   "l1": sol.l1, "l2": sol.l2,
-                   "ratio": None if sol.ratio is None else
-                   {"p": sol.ratio.p, "q": sol.ratio.q,
-                    "residual": sol.ratio.residual},
-                   "solvable": sol.solvable,
-                   "congruence_obstructed": sol.congruence_obstructed,
-                   "t_parity": sol.t_parity,
-                   "alphas": list(sol.alphas),
-                   "fields": [_field_summary(f) for f in sol.fields]}
+        payload.update(solver="closed_diagonal", l1=sol.l1, l2=sol.l2,
+                       ratio=None if sol.ratio is None
+                       else dataclasses.asdict(sol.ratio),
+                       solvable=sol.solvable, t_parity=sol.t_parity,
+                       alphas=sol.alphas)
     return "json", payload
 
 
@@ -488,16 +486,18 @@ def solve(s: Settings, metric, structure, chirality, n_fields, grid_n):
               type=click.Choice(sorted(classify.QUANTITIES)))
 @click.option("--grid-n", type=int, default=None)
 def classify_cmd(s: Settings, metric, structure, quantity, grid_n):
-    """Dimension report for one conformal invariant and spin structure."""
+    """Dimension report for one conformal invariant and spin structure
+    (exit 2, report still written, when it contradicts its spectral
+    count)."""
     spec = s.metric(metric, grid_n)
     struct = s.structure(structure)
     q = s.choice("quantity", quantity, "delta_plus",
                  sorted(classify.QUANTITIES))
     report = classify.classify_dimension(spec, struct, q, tol=s.tol)
-    payload = report.as_dict()
-    payload["command"] = "classify"
-    payload["metric"] = str(s.get("metric", metric))
-    return "json", payload
+    payload = {**report.as_dict(), "command": "classify",
+               "metric": str(s.get("metric", metric))}
+    count = classify.spectral_count(spec, struct, report.family, s.tol)
+    return ("json", payload, *_contradictions([(report, count)]))
 
 
 @command()
@@ -516,33 +516,20 @@ def table(s: Settings, metric, quantities, grid_n):
             raise ConfigError(f"unknown quantity {q!r}; choose from "
                               + ", ".join(sorted(classify.QUANTITIES)))
     reports = classify.classify_table(spec, qs, tol=s.tol)
-    # the count class depends on the structure and family, not on the
-    # chirality: one exact count per (structure, family)
-    spectral = {}
-    for family in dict.fromkeys(classify.QUANTITIES[q][0] for q in qs):
-        solver = spinorfield.exact_solver(spec, s.tol, family)
-        for ab in STRUCTURES:
-            spectral[ab, family] = None if solver is None else solver(
-                spec, SpinStructure(*ab), n_fields=0,
-                tol=s.tol).count_class
-    rows = []
-    for ab in STRUCTURES:
-        for q in qs:
-            rep = reports[ab][q]
-            rows.append({"a1": ab[0], "a2": ab[1], "quantity": q,
-                         "value": rep.value,
-                         "certificate": rep.certificate,
-                         "family": rep.family,
-                         "spectral_count": spectral[ab, rep.family]})
-    table = (["a1", "a2", "quantity", "value", "certificate", "family",
-              "spectral_count"], rows)
-    clashes = "; ".join(
-        f"{r['a1']},{r['a2']} {r['quantity']}: {r['value']} "
-        f"({r['certificate']}) vs spectral {r['spectral_count']}"
-        for r in rows if r["spectral_count"] not in (None, r["value"]))
-    doubt = ["geometric verdicts contradict the exact spectral count: "
-             + clashes] if clashes else []
-    return ("csv", table, *doubt)
+    # one exact count per (structure, family): it does not hang on chirality
+    spectral = {(ab, family): classify.spectral_count(
+        spec, SpinStructure(*ab), family, s.tol)
+        for family in dict.fromkeys(classify.QUANTITIES[q][0] for q in qs)
+        for ab in STRUCTURES}
+    checked = [(reports[ab][q], spectral[ab, classify.QUANTITIES[q][0]])
+               for ab in STRUCTURES for q in qs]
+    rows = [{"a1": rep.structure.a1, "a2": rep.structure.a2,
+             "quantity": rep.quantity, "value": rep.value,
+             "certificate": rep.certificate, "family": rep.family,
+             "spectral_count": count} for rep, count in checked]
+    return ("csv", (["a1", "a2", "quantity", "value", "certificate", "family",
+                     "spectral_count"], rows), *_contradictions(checked))
+
 
 
 @command()
@@ -556,12 +543,9 @@ def table(s: Settings, metric, quantities, grid_n):
               help="Run a single criterion (1-10) instead of the suite.")
 def validate(s: Settings, step, grid_n, criterion):
     """Run the acceptance suite; failures are reported, never raised."""
-    h = None
-    if s.get("step", step) is not None:
-        h = s.step(step)
+    h = None if s.get("step", step) is None else s.step(step)
     n = s.get("grid_n", grid_n)
-    if n is not None:
-        n = s.count("grid_n", n, 64)
+    n = None if n is None else s.count("grid_n", n, 64)
     which = s.get("criterion", criterion)
     if which is None:
         results = validation.run_all(step=h, grid_n=n, tol=s.tol)

@@ -534,18 +534,6 @@ def frame_grids(spec, n: int):
     return _read_only(frame_component_arrays(spec, X1, X2))
 
 
-@lru_cache(maxsize=64)
-def christoffel_grids(spec, n: int):
-    """Gamma[k][i][j] grids from spectral derivatives of the coefficients."""
-    A, B, C = coefficient_grids(spec, n)
-    dA1, dA2 = spectral_derivatives(A)
-    dB1, dB2 = spectral_derivatives(B)
-    dC1, dC2 = spectral_derivatives(C)
-    gamma = _christoffels(A, B, C, dA1, dA2, dB1, dB2, dC1, dC2)
-    _read_only(gamma.values())
-    return gamma
-
-
 def _christoffels(A, B, C, dA1, dA2, dB1, dB2, dC1, dC2, rows=(0, 1)):
     """Gamma^k_ij for k in ``rows``; Gamma^k_10 is Gamma^k_01 (the same
     array: the sum below is symmetric in i, j bit for bit)."""
@@ -611,9 +599,9 @@ def connection_one_form_grids(spec, n: int):
     """
     a1, a2, b1, b2 = frame_grids(spec, n)
     ds1 = tuple(zip(spectral_derivatives(a1), spectral_derivatives(a2)))
-    gam = christoffel_grids(spec, n)
-    out = _connection_form((a1, a2), ds1, (b1, b2),
-                           coefficient_grids(spec, n), gam)
+    g = coefficient_grids(spec, n)
+    gam = _christoffels(*g, *(d for c in g for d in spectral_derivatives(c)))
+    out = _connection_form((a1, a2), ds1, (b1, b2), g, gam)
     return _read_only(tuple(out))
 
 

@@ -11,8 +11,8 @@ Exact solvers:
   constant coefficients).
 * ``solve_closed_diagonal`` builds the phase family exp(i pi alpha G) where
   G combines four explicit quadratures of the metric coefficients; the
-  admissible alphas come from a congruence on the winding of the closed
-  null lines.
+  alphas exist when the structure's character on the winding of the closed
+  null lines is +1.
 * ``construct_resonant_spinors`` produces bump-localized kernel elements
   with pairwise disjoint supports on resonant cylinders (first-integral
   bump trains for closed diagonal metrics, vertical-band bumps for the
@@ -289,18 +289,6 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _rational_ratio(spec, tol: Tolerances) -> tuple[Optional[Fraction], bool]:
-    """(lam1/lam2 as a Fraction or None, exactness flag)."""
-    exact = spec.exact_ratio()
-    if exact is not None:
-        return exact, True
-    val = float(spec.lam1) / float(spec.lam2)
-    cand = Fraction(val).limit_denominator(tol.rational_cap)
-    if abs(val - float(cand)) < tol.rational_residual_solver:
-        return cand, False
-    return None, False
-
-
 def solve_left_invariant(spec, structure: SpinStructure, family: str = "X",
                          chirality: int = 1, n_fields: int = 4,
                          grid_n: int = 64, tol: Tolerances = DEFAULT
@@ -313,9 +301,9 @@ def solve_left_invariant(spec, structure: SpinStructure, family: str = "X",
         (4k + 1 - a1) * lam2  +-  (4l + 1 - a2) * lam1 = 0
 
     (+ for the X family, - for Y).  With lam1/lam2 = p/q in lowest terms the
-    condition is solvable iff q(1-a1) + p(1-a2) = 0 mod 4, equivalently the
-    structure's character on the closed-line winding is +1; the solutions
-    then fill an affine line in the mode lattice (infinite dimension).  An
+    condition is solvable iff the structure's character on the closed-line
+    winding (q, p) is +1 (then q(1-a1) +- p(1-a2) = 0 mod 4); the solutions
+    fill an affine line in the mode lattice (infinite dimension).  An
     irrational ratio admits only the constant section of the trivial
     structure.
     """
@@ -324,9 +312,13 @@ def solve_left_invariant(spec, structure: SpinStructure, family: str = "X",
                           f"got {type(spec).__name__}")
     if family not in ("X", "Y"):
         raise ValueError(f"family must be 'X' or 'Y', got {family!r}")
-    c1, c2 = 1 - structure.a1, 1 - structure.a2
-    ratio, exact = _rational_ratio(spec, tol)
-
+    ratio = spec.exact_ratio()
+    exact = ratio is not None
+    if not exact:
+        cert = nullflow.best_rational(float(spec.lam1) / float(spec.lam2),
+                                      tol.rational_cap,
+                                      tol.rational_residual_solver)
+        ratio = None if cert is None else Fraction(cert.p, cert.q)
     if ratio is None:
         if structure.trivial:
             fields = (fourier_mode_field(spec, structure, (0, 0), chirality,
@@ -338,12 +330,11 @@ def solve_left_invariant(spec, structure: SpinStructure, family: str = "X",
                                 None, False, False, (), None, ())
 
     p, q = ratio.numerator, ratio.denominator
-    sign = 1 if family == "X" else -1
-    total = c1 * q + sign * c2 * p
-    if total % 4 != 0:
+    if structure.character((q, p)) == -1:
         return HarmonicSolution(structure, family, chirality, "Zero",
                                 ratio, exact, True, (), None, ())
-    m = total // 4
+    sign = 1 if family == "X" else -1
+    m = ((1 - structure.a1) * q + sign * (1 - structure.a2) * p) // 4
     # solve k*q + sign*l*p = -m on the integer lattice
     g, u, v = _egcd(q, sign * p)
     assert g == 1
@@ -413,16 +404,6 @@ def phase_exponent_grid(spec, n: int) -> np.ndarray:
     return i1 + i1o - i3 - i4
 
 
-def closed_diagonal_congruence(structure: SpinStructure, p: int, q: int
-                               ) -> Optional[int]:
-    """Parity t with t*p = (1-a1)/2 and t*q = (1-a2)/2 mod 2, if any."""
-    r1, r2 = (1 - structure.a1) // 2, (1 - structure.a2) // 2
-    for t in (0, 1):
-        if (t * p - r1) % 2 == 0 and (t * q - r2) % 2 == 0:
-            return t
-    return None
-
-
 def solve_closed_diagonal(spec, structure: SpinStructure, chirality: int = 1,
                           n_fields: int = 2, grid_n: Optional[int] = None,
                           tol: Tolerances = DEFAULT) -> ClosedDiagonalSolution:
@@ -431,9 +412,9 @@ def solve_closed_diagonal(spec, structure: SpinStructure, chirality: int = 1,
     Kernel elements are the phases exp(i pi alpha G): G is constant along
     the X-lines, and alpha must make the phase equivariant for the
     structure.  With the closed-line rotation l1/l2 = p/q the admissible
-    alphas are (t + 2Z) p / (2 l1) where the parity t solves the winding
-    congruence; no parity works exactly when the structure's character on
-    the winding is -1.
+    alphas are (t + 2Z) p / (2 l1), the parity t being 0 for the trivial
+    structure and 1 otherwise; none exists exactly when the structure's
+    character on the winding (q, p) is -1.
     """
     n = grid_n or spec.grid_n
     l1, l2 = geometry.mean_coefficients(spec, tol)  # WrongFamily if not closed
@@ -449,10 +430,10 @@ def solve_closed_diagonal(spec, structure: SpinStructure, chirality: int = 1,
         return ClosedDiagonalSolution(structure, chirality, l1, l2, None,
                                       False, False, None, (), "Zero", ())
     p, q = cert.p, cert.q
-    t = closed_diagonal_congruence(structure, p, q)
-    if t is None:
+    if structure.character((q, p)) == -1:
         return ClosedDiagonalSolution(structure, chirality, l1, l2, cert,
                                       False, True, None, (), "Zero", ())
+    t = 0 if structure.trivial else 1
     ss = sorted(range(-8, 9), key=abs)[:8]      # the eight smallest |s|
     alphas = tuple((t + 2 * s) * p / (2 * l1) for s in ss)
     fields = ()
@@ -543,7 +524,7 @@ def _closed_diagonal_bumps(spec, structure: SpinStructure, count: int,
     g = l1 / p                       # first-integral shift of one line lattice
     D = abs(g)
     _, u, v = _egcd(p, q)            # u*p + v*q = 1
-    psi = (structure.a1 if u % 2 else 1) * (structure.a2 if v % 2 else 1)
+    psi = structure.character((u, v))
     first = nullflow.first_integral_function(spec)
     X1, X2 = grid_points(grid_n)
     F = first(X1, X2)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from nulltorus import catalog, spinorfield
+from nulltorus import catalog, classify, spinorfield
 from nulltorus.cli import main, parse_point, parse_structure
 from nulltorus.errors import ConfigError
 from nulltorus.spin import SpinStructure
@@ -245,6 +245,23 @@ def test_classify_json(runner):
     assert payload["scf"]["kind"] == "analytic"
 
 
+def test_classify_contradiction_is_exit_two(runner, monkeypatch):
+    """classify writes its report unchanged, then names a clash with the
+    exact spectral count on stderr and exits 2, as table does."""
+    args = ["classify", "--metric", "left_invariant:1,1"]
+    agreed = runner.invoke(main, args)
+    assert agreed.exit_code == 0 and agreed.stderr == ""
+    monkeypatch.setattr(classify, "spectral_count",
+                        lambda spec, structure, family, tol: "Zero")
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == agreed.stdout
+    assert json.loads(result.stdout)["value"] == "Infinite"
+    assert result.stderr.startswith("Inconclusive")
+    assert "delta_plus: Infinite (XTrivialResonant) vs spectral Zero" in \
+        result.stderr
+
+
 def test_solve_left_invariant_json(runner):
     result = runner.invoke(main, ["solve", "--metric", "left_invariant:1,2",
                                   "--structure", "-+"])
@@ -332,11 +349,27 @@ def test_config_errors_are_exit_one(runner, tmp_path):
         config("rotation", metric=5),
     ] + [config(command, family="Z") for command in (
         "flow", "rotation", "classify-line", "decompose", "holonomy")]
-    for args in cases:
+    # a count that is a bool or not integral is refused, not truncated
+    counts = [
+        ("grid_n", ["solve", "--metric",
+                    '{"family":"analex","grid_n":32.9}']),
+        ("grid_n", ["solve", "--metric", '{"family":"analex","grid_n":true}']),
+        ("n_returns", config("rotation", n_returns=10.5)),
+        ("chirality", config("solve", chirality=-1.5)),
+    ]
+    for args in cases + [args for _, args in counts]:
         result = runner.invoke(main, args)
         payload = _json_out(result)
         assert result.exit_code == 1, args
         assert payload["error"] == "ConfigError", args
+    for key, args in counts:
+        assert key in _json_out(runner.invoke(main, args))["message"], args
+    # an integral float is an integer
+    at_64 = [runner.invoke(main, ["solve", "--n-fields", "1", "--metric",
+                                  f'{{"family":"analex","grid_n":{n}}}'])
+             for n in ("64", "64.0")]
+    assert at_64[0].exit_code == at_64[1].exit_code == 0
+    assert at_64[0].output == at_64[1].output
 
 
 @pytest.mark.parametrize("command", ["flow", "rotation", "classify-line",

@@ -112,3 +112,15 @@ def test_every_command_takes_the_artifact_options():
                if not artifact <= {param.name for param in cmd.params}]
     assert main.commands and not missing, (
         "commands without the artifact options: " + ", ".join(missing))
+
+
+def test_every_flow_command_takes_the_flow_options():
+    """The five flow commands share --metric/--family/--step through the
+    runner's one prologue, with the same help."""
+    from nulltorus.cli import main
+    flow = ("flow", "rotation", "classify-line", "decompose", "holonomy")
+    shared = {"metric", "family", "step"}
+    for name in flow:
+        params = {p.name: p for p in main.commands[name].params}
+        assert shared <= set(params), name
+        assert all(params[key].help for key in shared), name

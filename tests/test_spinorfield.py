@@ -266,6 +266,22 @@ def test_exact_solver_per_family(analex_spec, sqrt2_spec, monkeypatch):
     assert spinorfield.exact_solver(sqrt2_spec, family="Y") is not None
 
 
+@pytest.mark.parametrize("lams", [
+    (1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (3, 5), (5, 8), (1, -1), (-1, 2),
+    (3, -4), (np.sqrt(2.0), 1)], ids=lambda lams: "%g/%g" % lams)
+def test_left_invariant_count_matches_closed_diagonal(lams):
+    """Both exact solvers count by the one character rule: on constant
+    coefficients (a closed diagonal metric too) they agree for either
+    family and every structure."""
+    spec = catalog.left_invariant(*lams)
+    for s in all_structures():
+        closed = spinorfield.solve_closed_diagonal(spec, s, n_fields=0)
+        for family in ("X", "Y"):
+            sol = spinorfield.solve_left_invariant(spec, s, family=family,
+                                                   n_fields=0)
+            assert sol.count_class == closed.count_class, (s, family)
+
+
 def test_closed_diagonal_rejects_non_diagonal(sanchez_spec):
     with pytest.raises(WrongFamily):
         spinorfield.solve_closed_diagonal(sanchez_spec, SpinStructure(1, 1))
