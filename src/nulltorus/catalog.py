@@ -3,9 +3,12 @@
 ``FAMILIES`` maps each family name to its constructor for both spellings
 of a metric: the shorthand ``name:1,2,key=value`` and the JSON config
 ``{"family": name, "params": {...}, "grid_n": n}``.  Text values go through
-``_num`` ('3/2', 'sqrt2'); an argument the constructor rejects (unknown,
-missing, stray or non-numeric) is a ConfigError naming the family.  A
-caller's ``grid_n`` beats the document's; a nested ``inner`` keeps its own.
+``_num`` ('3/2', 'sqrt2'); counts must be integers (``integer``) and reals
+numbers (``real``).  An argument the constructor rejects (unknown, missing,
+stray or non-numeric) is a ConfigError naming the family.  A caller's
+``grid_n`` beats the document's; a nested ``inner`` keeps its own.  Every
+spec built here is a value, its profiles frozen dataclasses too: equal
+parameters in either spelling give equal specs, which share every cache.
 
 Everything here is constructed from a handful of closed-form ingredients so
 tests have exact reference values:
@@ -58,7 +61,7 @@ def _analex_profile(u):
     return np.cos(TWO_PI * (u + 0.25)) / 10.0 - 1.0
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Analex(_DiagonalMetric):
     """lam1 = -_analex_profile(x1 - x2) and lam2 = lam1 - c: one profile
     evaluation per call serves both coefficients."""
@@ -76,69 +79,70 @@ class Analex(_DiagonalMetric):
 
 
 def analex(c: float = 2.0, *, grid_n: int = 256) -> Analex:
-    # float(): a shorthand Fraction ('c=5/2') would give object lam grids
-    return Analex(float(c), grid_n=grid_n)
+    return Analex(real("c", c), grid_n=grid_n)
+
+
+@dataclass(frozen=True)
+class SanchezProfile:
+    """E, F or G (``which``) of analex(c) in Sanchez form."""
+
+    c: float
+    which: str
+
+    def __call__(self, x):
+        fv = _analex_profile(2.0 * x)
+        if self.which == "F":
+            return -(fv * fv + (fv + self.c) ** 2)
+        e = 2.0 * self.c * fv + self.c * self.c
+        return e if self.which == "E" else -e
 
 
 def analex_sanchez(c: float = 2.0, *, grid_n: int = 256) -> Sanchez:
-    c = float(c)    # as in analex: a Fraction would give object E, F, G
-
-    def E(x):
-        return 2.0 * c * _analex_profile(2.0 * x) + c * c
-
-    def F(x):
-        fv = _analex_profile(2.0 * x)
-        return -(fv * fv + (fv + c) ** 2)
-
-    def G(x):
-        return -E(x)
-
-    # G(x) = 0 where the profile at 2x is -c/2, i.e.
-    # cos(2 pi (2x + 1/4)) = 10(1 - c/2).
+    c = real("c", c)
+    # G(x) = 0 where the profile at 2x is -c/2, i.e. where
+    # cos(2 pi (2x + 1/4)) = 10(1 - c/2): 2x + 1/4 = +-t (mod 1).
     rhs = 10.0 * (1.0 - c / 2.0)
-    if abs(rhs) >= 1:
-        zeros: tuple[float, ...] = ()
-    else:
-        t = math.acos(rhs) / TWO_PI   # 2x + 1/4 = +-t (mod 1)
-        xs = set()
-        for base in (t, -t):
-            for k in range(4):
-                xs.add(round(((base - 0.25 + k) / 2.0) % 1.0, 12))
-        zeros = tuple(sorted(xs))
-    return Sanchez(E, F, G, zeros=zeros, grid_n=grid_n)
+    ts = (math.acos(rhs) / TWO_PI,) if abs(rhs) < 1 else ()
+    zeros = tuple(sorted({round(((sign * t - 0.25 + k) / 2.0) % 1.0, 12)
+                          for t in ts for sign in (1, -1) for k in range(4)}))
+    return Sanchez(*(SanchezProfile(c, which) for which in "EFG"),
+                   zeros=zeros, grid_n=grid_n)
+
+
+@dataclass(frozen=True)
+class WindowProfile:
+    """amplitude * window(x) * torus_delta(x, zero), the window being the
+    mollifier on mid +- half; with ``derivative``, its x-derivative."""
+
+    mid: float
+    half: float
+    zero: float
+    amplitude: float
+    derivative: bool = False
+
+    def __call__(self, x):
+        t = np.asarray(torus_delta(x, self.mid) / self.half, dtype=float)
+        window, offset = mollifier(t), torus_delta(x, self.zero)
+        if not self.derivative:
+            return self.amplitude * window * offset
+        inside = np.abs(t) < 1.0
+        ti, dwindow = t[inside], np.zeros_like(t)
+        dwindow[inside] = (window[inside] * (-2.0 * ti / (1.0 - ti * ti) ** 2)
+                           / self.half)
+        return self.amplitude * (dwindow * offset + window)
 
 
 def rosatau_window(*, support: tuple[float, float] = (0.15, 0.45),
                    zero: float = 0.3, amplitude: float = 1.0,
                    grid_n: int = 256) -> RosaTau:
-    lo, hi = map(float, support)
-    zero, amplitude = float(zero), float(amplitude)
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-
-    def window(x):
-        return mollifier(torus_delta(x, mid) / half)
-
-    def dwindow(x):
-        t = torus_delta(x, mid) / half
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        inside = np.abs(t) < 1.0
-        ti = t[inside]
-        out[inside] = (np.exp(1.0 - 1.0 / (1.0 - ti * ti))
-                       * (-2.0 * ti / (1.0 - ti * ti) ** 2) / half)
-        return out
-
-    def tau(x):
-        return amplitude * window(x) * torus_delta(x, zero)
-
-    def dtau(x):
-        return amplitude * (dwindow(x) * torus_delta(x, zero) + window(x))
-
-    return RosaTau(tau, dtau=dtau, grid_n=grid_n)
+    lo, hi = (real("support", end) for end in support)
+    args = (0.5 * (lo + hi), 0.5 * (hi - lo), real("zero", zero),
+            real("amplitude", amplitude))
+    return RosaTau(WindowProfile(*args),
+                   dtau=WindowProfile(*args, derivative=True), grid_n=grid_n)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Wave(_DiagonalMetric):
     """lam1 = base1 + amp*cos(phase), lam2 = base2 - amp*(l/k)*cos(phase)
     with phase = 2*pi*(k x1 + l x2), evaluated once per call."""
@@ -150,16 +154,13 @@ class Wave(_DiagonalMetric):
     l: int
     grid_n: int = 256
 
-    def _phase(self, x1, x2):
-        return TWO_PI * (self.k * x1 + self.l * x2)
-
     def lambdas(self, x1, x2):
-        c = np.cos(self._phase(x1, x2))
+        c = np.cos(TWO_PI * (self.k * x1 + self.l * x2))
         return (self.base1 + self.amp * c,
                 self.base2 - self.amp * (self.l / self.k) * c)
 
     def lambda_partials(self, x1, x2):
-        s = np.sin(self._phase(x1, x2))
+        s = np.sin(TWO_PI * (self.k * x1 + self.l * x2))
         a1, a2 = -self.amp * TWO_PI, self.amp * (self.l / self.k) * TWO_PI
         return (a1 * self.k * s, a1 * self.l * s,
                 a2 * self.k * s, a2 * self.l * s)
@@ -167,16 +168,31 @@ class Wave(_DiagonalMetric):
 
 def closed_diagonal_wave(base1: float, base2: float, amp: float = 0.1,
                          k: int = 1, l: int = 1, *, grid_n: int = 256) -> Wave:
+    k, l = integer("k", k), integer("l", l)
     if k == 0:
         raise ConfigError("closed_diagonal_wave needs k != 0")
-    return Wave(float(base1), float(base2), float(amp), k, l, grid_n=grid_n)
+    return Wave(real("base1", base1), real("base2", base2), real("amp", amp),
+                k, l, grid_n=grid_n)
+
+
+@dataclass(frozen=True)
+class ExpSineFactor:
+    """The conformal factor exp(amp * sin(2*pi*(k x1 + l x2) + phase))."""
+
+    amp: float
+    k: int
+    l: int
+    phase: float
+
+    def __call__(self, x1, x2):
+        return np.exp(self.amp * np.sin(TWO_PI * (self.k * x1 + self.l * x2)
+                                        + self.phase))
 
 
 def exp_sine_factor(amp: float = 0.3, k: int = 1, l: int = 1,
-                    phase: float = 0.0) -> Callable:
-    def factor(x1, x2):
-        return np.exp(amp * np.sin(TWO_PI * (k * x1 + l * x2) + phase))
-    return factor
+                    phase: float = 0.0) -> ExpSineFactor:
+    return ExpSineFactor(real("amp", amp), integer("k", k), integer("l", l),
+                         real("phase", phase))
 
 
 def conformal(inner: MetricSpec, factor: Callable,
@@ -222,10 +238,21 @@ def _num(value):
 def integer(key: str, value) -> int:
     """``value`` as an int: an integral number or integer text; a bool or a
     fraction is a ValueError naming ``key``."""
-    if isinstance(value, bool) or (isinstance(value, float)
-                                   and not value.is_integer()):
+    if isinstance(value, bool) or (isinstance(value, (float, Fraction))
+                                   and value % 1):
         raise ValueError(f"{key} must be an integer, got {value!r}")
     return int(value)
+
+
+def real(key: str, value) -> float:
+    """``value`` as a float: a number or numeric text; a bool or other text
+    is a ValueError naming ``key``."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{key} must be a number, got {value!r}")
 
 
 def _build(family: str, args, kwargs, grid_n) -> MetricSpec:

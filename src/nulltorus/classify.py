@@ -167,13 +167,10 @@ def _sanchez_analysis(spec, family: str, n: int, tol: Tolerances
 
         return _certify(spec, family, field, "analytic", n, tol)
     obstructions = []
-    h = geometry.FD_STEP
     for z in zeros:
-        dG = float((spec.G(np.asarray(z + h)) - spec.G(np.asarray(z - h)))
-                   / (2 * h))
+        dG = float(geometry._central(lambda a, _: (spec.G(a),), z, z, 0)[0])
         _, Fz, _, Rz = spec.efgr(np.asarray(z))
-        wz = float(Fz + spec.eta0 * Rz)
-        J = abs(dG / wz)
+        J = abs(dG / float(Fz + spec.eta0 * Rz))
         if J > tol.scf_reject:
             obstructions.append((J, z))
     if obstructions:

@@ -116,7 +116,7 @@ class Settings:
         """The setting ``key`` as ``kind``, or ConfigError naming the key."""
         value = self.get(key, flag, default)
         try:
-            return catalog.integer(key, value) if kind is int else kind(value)
+            return (catalog.integer if kind is int else catalog.real)(key, value)
         except (TypeError, ValueError):
             what = "an integer" if kind is int else "a number"
             raise ConfigError(f"{key} must be {what}, got {value!r}") from None

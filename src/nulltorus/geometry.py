@@ -212,10 +212,9 @@ class Diagonal(_DiagonalMetric):
         return l1.copy(), l2.copy()
 
     def lambda_partials(self, x1, x2):
-        def lams(a, b):
-            return self.lam1(a, b), self.lam2(a, b)
-        (d11, d12), (d21, d22) = (_central(lams, x1, x2, 0),
-                                  _central(lams, x1, x2, 1))
+        (d11, d12), (d21, d22) = (_central(
+            lambda a, b: (self.lam1(a, b), self.lam2(a, b)), x1, x2, axis)
+            for axis in (0, 1))
         return d11, d21, d12, d22
 
 
@@ -248,9 +247,8 @@ class Sanchez(_FrameNullDirections):
 
     def efgr(self, x1):
         x1 = np.asarray(x1, dtype=float)
-        E = np.asarray(self.E(x1), dtype=float)
-        F = np.asarray(self.F(x1), dtype=float)
-        G = np.asarray(self.G(x1), dtype=float)
+        E, F, G = (np.asarray(f(x1), dtype=float)
+                   for f in (self.E, self.F, self.G))
         R2 = E * G + F * F
         if np.any(R2 <= 0):
             raise DegenerateMetric("Sanchez family requires E*G + F^2 > 0; "
@@ -326,11 +324,9 @@ class RosaTau:
         return np.asarray(self.tau(np.asarray(x1, dtype=float)), dtype=float)
 
     def dtau_at(self, x1):
-        x1 = np.asarray(x1, dtype=float)
-        if self.dtau is not None:
-            return np.asarray(self.dtau(x1), dtype=float)
-        h = FD_STEP
-        return (self.tau_at(x1 + h) - self.tau_at(x1 - h)) / (2 * h)
+        if self.dtau is None:
+            return _central(lambda a, _: (self.tau_at(a),), x1, x1, 0)[0]
+        return np.asarray(self.dtau(np.asarray(x1, dtype=float)), dtype=float)
 
     def coefficients(self, x1, x2):
         t = self.tau_at(x1)
@@ -385,9 +381,8 @@ class ConformalRescale(_FrameNullDirections):
     grid_n: int = 256
 
     def factor_at(self, x1, x2):
-        x1 = np.asarray(x1, dtype=float)
-        x2 = np.asarray(x2, dtype=float)
-        lam = np.asarray(self.factor(x1, x2), dtype=float)
+        lam = np.asarray(self.factor(np.asarray(x1, dtype=float),
+                                     np.asarray(x2, dtype=float)), dtype=float)
         if np.any(lam <= 0):
             raise DegenerateMetric("conformal factor must be positive; "
                                    f"min value {float(np.min(lam)):.3e}")
@@ -402,11 +397,8 @@ class ConformalRescale(_FrameNullDirections):
         A, B, C, dA1, dA2, dB1, dB2, dC1, dC2 = coefficient_jet(self.inner,
                                                                x1, x2)
         lam = self.factor_at(x1, x2)
-
-        def factor(a, b):
-            return (self.factor(a, b),)
-        (dl1,), (dl2,) = (_central(factor, x1, x2, 0),
-                          _central(factor, x1, x2, 1))
+        (dl1,), (dl2,) = (_central(lambda a, b: (self.factor(a, b),), x1, x2,
+                                   axis) for axis in (0, 1))
         return (lam * A, lam * B, lam * C,
                 lam * dA1 + dl1 * A, lam * dA2 + dl2 * A,
                 lam * dB1 + dl1 * B, lam * dB2 + dl2 * B,
@@ -513,7 +505,9 @@ def null_direction_arrays(spec, x1, x2, family: str):
 
 
 # ---------------------------------------------------------------------------
-# grids (cached per spec and shared between callers, hence read-only)
+# grids (cached per spec and shared between callers, hence read-only).  Equal
+# specs share a cache entry, so a cached result may depend only on what spec
+# equality compares: the dataclass fields of the spec and of its profiles.
 
 
 def _read_only(arrays):
@@ -611,14 +605,11 @@ def connection_along(spec, x1, x2, v1, v2):
     The frame partials are central differences: one frame evaluation at
     each of the four shifted points.
     """
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
+    x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
     jet = coefficient_jet(spec, x1, x2)
     g, gam = jet[:3], _christoffels(*jet)
-
-    def frame(a, b):
-        return frame_component_arrays(spec, a, b)
-    ds1 = (_central(frame, x1, x2, 0), _central(frame, x1, x2, 1))
+    ds1 = tuple(_central(lambda a, b: frame_component_arrays(spec, a, b),
+                         x1, x2, axis) for axis in (0, 1))
     a1, a2, b1, b2 = frame_component_arrays(spec, x1, x2)
     gamma_i = _connection_form((a1, a2), ds1, (b1, b2), g, gam)
     return v1 * gamma_i[0] + v2 * gamma_i[1]

@@ -3,9 +3,9 @@ import pytest
 
 from nulltorus import catalog, geometry
 
-# Session-scoped metric zoo: frozen specs are hashable and the flow/series
-# caches key on the instance, so every test must reuse these objects instead
-# of rebuilding (catalog constructors capture fresh closures each call).
+# Session-scoped metric zoo.  Specs compare by value, so equal specs share
+# every flow, series and grid cache, whether a test takes them from here or
+# builds them again; a test that counts work must clear the caches it reads.
 
 
 #: fixture names of the whole zoo, for tests parametrized over every spec

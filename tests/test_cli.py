@@ -349,13 +349,25 @@ def test_config_errors_are_exit_one(runner, tmp_path):
         config("rotation", metric=5),
     ] + [config(command, family="Z") for command in (
         "flow", "rotation", "classify-line", "decompose", "holonomy")]
-    # a count that is a bool or not integral is refused, not truncated
+    # a count that is a bool or not integral is refused, not truncated;
+    # so is a real that is a bool
     counts = [
         ("grid_n", ["solve", "--metric",
                     '{"family":"analex","grid_n":32.9}']),
         ("grid_n", ["solve", "--metric", '{"family":"analex","grid_n":true}']),
         ("n_returns", config("rotation", n_returns=10.5)),
         ("chirality", config("solve", chirality=-1.5)),
+        # wavenumbers are counts too: a non-integral one is no torus metric
+        ("k", ["rotation", "--metric", "closed_diagonal:1,2,k=0.5"]),
+        ("l", ["rotation", "--metric", "closed_diagonal:1,2,l=1.5"]),
+        ("k", ["rotation", "--metric", "closed_diagonal:1,2,k=1/2"]),
+        ("k", ["rotation", "--metric", '{"family":"conformal_rescale",'
+               '"params":{"inner":{"family":"analex"},"factor":{"k":0.5}}}']),
+        # and a real is a number, never a bool
+        ("c", ["rotation", "--metric",
+               '{"family":"analex","params":{"c":true}}']),
+        ("tmax", config("flow", tmax=True)),
+        ("seed_w", config("holonomy", seed_w=True)),
     ]
     for args in cases + [args for _, args in counts]:
         result = runner.invoke(main, args)

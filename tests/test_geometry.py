@@ -1,5 +1,6 @@
 """Metric families, frames, null directions, and divergence."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -301,18 +302,82 @@ def test_sanchez_fraction_parameter_gives_float_coefficients():
     ("rosatau:zero=0.3125,amplitude=1.1", "rosatau",
      {"zero": 0.3125, "amplitude": 1.1}),
     ("closed_diagonal:1,2,amp=0.1,k=1,l=2", "closed_diagonal",
-     {"base1": 1, "base2": 2, "amp": 0.1, "k": 1, "l": 2})])
+     {"base1": 1, "base2": 2, "amp": 0.1, "k": 1, "l": 2}),
+    # no shorthand reaches a nested inner, so the JSON text spells it
+    ('{"family":"conformal_rescale","params":{"inner":{"family":"analex",'
+     '"params":{"c":"5/2"}},"factor":{"amp":"1/4","k":2.0,"phase":0}}}',
+     "conformal_rescale", {"inner": {"family": "analex", "params": {"c": 2.5}},
+                           "factor": {"amp": 0.25, "k": 2, "phase": 0.0}})])
 def test_shorthand_and_json_build_the_same_metric(shorthand, family, params):
     """One family table: the shorthand and the JSON spelling of a metric
-    give the same coefficient grids, bit for bit."""
+    build equal specs with equal hashes and the same coefficient grids,
+    bit for bit."""
     a = catalog.load_metric(shorthand, grid_n=32)
     b = catalog.load_metric({"family": family, "params": params,
                              "grid_n": 32})
     assert a.grid_n == b.grid_n == 32
+    assert a == b and hash(a) == hash(b)
     X1, X2 = grid_points(32)
     for got, want in zip(geometry.coefficients(a, X1, X2),
                          geometry.coefficients(b, X1, X2)):
         assert np.array_equal(got, want)
+
+
+#: (family, params, variants): each variant changes one parameter
+FAMILY_PARAMS = [
+    ("flat", {}, []),
+    ("left_invariant", {"lam1": 1, "lam2": 2}, [{"lam1": 3}, {"lam2": 3}]),
+    ("analex", {"c": 2.5}, [{"c": 3}]),
+    ("analex_sanchez", {"c": 2}, [{"c": 2.5}]),
+    ("rosatau", {"support": [0.15, 0.45], "zero": 0.3, "amplitude": 1.0},
+     [{"support": [0.1, 0.45]}, {"support": [0.15, 0.5]}, {"zero": 0.31},
+      {"amplitude": 0.9}]),
+    ("closed_diagonal", {"base1": 1, "base2": 2, "amp": 0.1, "k": 1, "l": 2},
+     [{"base1": 3}, {"base2": 3}, {"amp": 0.2}, {"k": 2}, {"l": 1}]),
+    ("conformal_rescale",
+     {"inner": {"family": "analex"},
+      "factor": {"amp": 0.2, "k": 1, "l": 2, "phase": 0.5}},
+     [{"inner": {"family": "analex", "params": {"c": 2.5}}},
+      {"inner": {"family": "analex", "grid_n": 128}}]
+     + [{"factor": {"amp": 0.2, "k": 1, "l": 2, "phase": 0.5, key: value}}
+        for key, value in (("amp", 0.3), ("k", 2), ("l", 1),
+                           ("phase", 0.6))]),
+]
+
+
+def test_family_params_cover_the_table():
+    assert sorted(family for family, _, _ in FAMILY_PARAMS) == sorted(
+        catalog.FAMILIES)
+
+
+@pytest.mark.parametrize("family, params, variants", FAMILY_PARAMS,
+                         ids=[family for family, _, _ in FAMILY_PARAMS])
+def test_specs_compare_by_their_parameters(family, params, variants):
+    """Two builds of one metric, in either spelling, are equal with equal
+    hashes; changing one parameter or grid_n makes them unequal."""
+    def build(source, grid_n=None):
+        return catalog.load_metric(source, grid_n=grid_n)
+
+    doc = {"family": family, "params": params}
+    a = build(doc)
+    for b in (build(doc), build(json.dumps(doc)), build(doc, grid_n=256)):
+        assert a == b and hash(a) == hash(b) and a is not b
+    assert a != build(doc, grid_n=128)
+    for change in variants:
+        assert a != build({"family": family, "params": {**params, **change}})
+
+
+def test_equal_builds_share_the_grid_caches():
+    """A second, equal build hits the connection grids of the first."""
+    info = geometry.connection_one_form_grids.cache_info
+    for source in ("rosatau:zero=0.3125", "analex_sanchez:c=5/2",
+                   "closed_diagonal:1,3,amp=0.07,k=2"):
+        first = geometry.connection_one_form_grids(
+            catalog.load_metric(source, grid_n=16), 16)
+        hits = info().hits
+        again = geometry.connection_one_form_grids(
+            catalog.load_metric(source, grid_n=16), 16)
+        assert info().hits == hits + 1 and again is first
 
 
 def test_sanchez_frame_evaluates_efgr_once(monkeypatch):
