@@ -54,6 +54,8 @@ def flat(*, grid_n: int = 256) -> LeftInvariant:
 
 
 def left_invariant(lam1, lam2, *, grid_n: int = 256) -> LeftInvariant:
+    for key, lam in (("lam1", lam1), ("lam2", lam2)):
+        real(key, lam)          # a number, not a bool; int/Fraction stay exact
     return LeftInvariant(lam1, lam2, grid_n=grid_n)
 
 

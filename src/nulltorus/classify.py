@@ -291,7 +291,7 @@ def _numeric_analysis(spec, family: str, n: int, tol: Tolerances
     J1 = sweep.loop_series()
     D1 = sweep.displacement()
     est = nullflow.rotation_number(spec, family, (0.0, 0.0), n_returns=512,
-                                   step=tol.ode_step, tol=tol)
+                                   tol=tol)
     cert = est.rational
     worst = location = None
     source = "weighted Birkhoff average along the dense line"
@@ -425,8 +425,7 @@ def mass_functional(spec, scf: SCFCertificate,
     drift = 0.0
     for seed in np.linspace(0.05, 0.95, 3):
         rec = nullflow.integrate_null_line(spec, (seed, seed), "X",
-                                           t_max=1.0, step=tol.ode_step,
-                                           tol=tol)
+                                           t_max=1.0, tol=tol)
         vals = np.real(mu_series(rec.points[:, 0], rec.points[:, 1]))
         drift = max(drift, float(vals.max() - vals.min()))
     return MassFunctional(values=mu, grid_n=psi.grid_n, drift=drift)
@@ -503,8 +502,7 @@ def _family_context(spec, family: str, tol: Tolerances) -> dict:
         note = str(exc)
     ctx: dict = {"scf": scf, "family": family, "scf_note": note}
     try:
-        decomp = nullflow.cylinder_decomposition(spec, family,
-                                                 step=tol.ode_step, tol=tol)
+        decomp = nullflow.cylinder_decomposition(spec, family, tol=tol)
     except DenseFlow as exc:
         ctx["decomp"] = None
         ctx["dense_message"] = str(exc)
@@ -517,8 +515,7 @@ def _family_context(spec, family: str, tol: Tolerances) -> dict:
              for w in iv.interior_points(per_interval)]
     seeds += [float(w) for w in decomp.isolated_closed]
     records = nullflow.closed_lines_through(spec, family, seeds,
-                                            decomp.rotation,
-                                            step=tol.ode_step, tol=tol)
+                                            decomp.rotation, tol=tol)
     tables = [(w, spin.holonomy_table(spec, rec, tol=tol))
               for w, rec in zip(seeds, records)]
     ctx["resonant_tables"] = [

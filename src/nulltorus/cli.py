@@ -57,6 +57,29 @@ def parse_point(text) -> tuple[float, float]:
     raise ConfigError(f"point must be 'x1,x2', got {text!r}")
 
 
+def _number(key: str, value, kind=float):
+    """``value`` by catalog.integer or .real, or ConfigError naming ``key``."""
+    try:
+        return (catalog.integer if kind is int else catalog.real)(key, value)
+    except (TypeError, ValueError):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {what}, got {value!r}") from None
+
+
+def _tolerance(field: str, value, key: Optional[str] = None):
+    """``value`` as the tolerance ``field``, of the field's type, the RK4
+    step ``ode_step`` in (0, 0.1]; a ConfigError names ``key`` (the field
+    unless given)."""
+    key = key or field
+    kind = {f.name: f.type for f in dataclasses.fields(Tolerances)}.get(field)
+    if kind is None:
+        raise ConfigError(f"unknown tolerance {key!r}")
+    value = _number(key, value, kind)
+    if field == "ode_step" and not 0.0 < value <= 0.1:
+        raise ConfigError(f"{key} must lie in (0, 0.1], got {value}")
+    return value
+
+
 class Settings:
     """Resolved run configuration (flags > config file > defaults)."""
 
@@ -91,19 +114,8 @@ class Settings:
             if not sep:
                 raise ConfigError(f"--tol expects KEY=VALUE, got {item!r}")
             merged[key.strip()] = val
-        if not merged:
-            return DEFAULT
-        valid = {f.name for f in dataclasses.fields(Tolerances)}
-        clean = {}
-        for key, val in merged.items():
-            if key not in valid:
-                raise ConfigError(f"unknown tolerance {key!r}")
-            try:
-                clean[key] = int(val) if key == "rational_cap" else float(val)
-            except (TypeError, ValueError):
-                raise ConfigError(
-                    f"tolerance {key} must be numeric, got {val!r}") from None
-        return DEFAULT.with_(**clean)
+        return DEFAULT.with_(**{key: _tolerance(key, val)
+                                for key, val in merged.items()})
 
     def get(self, key: str, flag=None, default=None):
         if flag is not None:
@@ -114,12 +126,7 @@ class Settings:
 
     def number(self, key: str, flag, default, kind=float):
         """The setting ``key`` as ``kind``, or ConfigError naming the key."""
-        value = self.get(key, flag, default)
-        try:
-            return (catalog.integer if kind is int else catalog.real)(key, value)
-        except (TypeError, ValueError):
-            what = "an integer" if kind is int else "a number"
-            raise ConfigError(f"{key} must be {what}, got {value!r}") from None
+        return _number(key, self.get(key, flag, default), kind)
 
     def choice(self, key: str, flag, default, choices):
         """The setting ``key``, or ConfigError when it is not a choice."""
@@ -127,12 +134,6 @@ class Settings:
         if value not in choices:
             raise ConfigError(f"{key} must be one of "
                               f"{', '.join(map(str, choices))}, got {value!r}")
-        return value
-
-    def step(self, flag: Optional[float]) -> float:
-        value = self.number("step", flag, self.tol.ode_step)
-        if not 0.0 < value <= 0.1:
-            raise ConfigError(f"step must lie in (0, 0.1], got {value}")
         return value
 
     def count(self, key: str, flag: Optional[int], default: int) -> int:
@@ -290,14 +291,18 @@ FLOW_OPTIONS = (
     click.option("--family", type=click.Choice(["X", "Y"]), default=None,
                  help="Null family (default X)."),
     click.option("--step", type=float, default=None,
-                 help="Integrator step (default the ode_step tolerance)."),
+                 help="Integrator step: sets the ode_step tolerance."),
 )
 
 
 def _flow_inputs(s: Settings, metric, family, step, **options) -> dict:
-    return dict(spec=s.metric(metric),
-                family=s.choice("family", family, "X", ("X", "Y")),
-                step=s.step(step), **options)
+    """Spec and family; a given step becomes the run's ode_step tolerance."""
+    inputs = dict(spec=s.metric(metric),
+                  family=s.choice("family", family, "X", ("X", "Y")), **options)
+    step = s.get("step", step)
+    if step is not None:
+        s.tol = s.tol.with_(ode_step=_tolerance("ode_step", step, "step"))
+    return inputs
 
 
 def command(name: Optional[str] = None, flow: bool = False):
@@ -307,7 +312,8 @@ def command(name: Optional[str] = None, flow: bool = False):
     after its own, merges them over the group's, so they are accepted before
     or after the command name, and dispatches what ``body`` returns:
     (kind, result[, doubt]).  A ``flow`` command also takes FLOW_OPTIONS
-    first, and ``body`` gets the resolved ``spec``, ``family`` and ``step``.
+    first, and ``body`` gets the resolved ``spec`` and ``family``; the step
+    is in ``s.tol``.
     """
     def register(body):
         for option in reversed(FLOW_OPTIONS) if flow else ():
@@ -339,12 +345,12 @@ def command(name: Optional[str] = None, flow: bool = False):
               help="Starting point on the torus (default 0,0).")
 @click.option("--tmax", type=float, default=None,
               help="Axis-coordinate length of the sweep (default 10).")
-def flow(s: Settings, spec, family, step, from_, tmax):
+def flow(s: Settings, spec, family, from_, tmax):
     """Integrate one null line; emit the trajectory as CSV."""
     p0 = parse_point(s.get("from", from_, "0,0"))
     rec = nullflow.integrate_null_line(spec, p0, family,
                                        t_max=s.number("tmax", tmax, 10.0),
-                                       step=step, tol=s.tol)
+                                       tol=s.tol)
     rows = [{"t": float(t),
              "x1_cover": float(p[0]), "x2_cover": float(p[1]),
              "x1_torus": float(p[0] % 1.0), "x2_torus": float(p[1] % 1.0)}
@@ -356,24 +362,24 @@ def flow(s: Settings, spec, family, step, from_, tmax):
 @command(flow=True)
 @click.option("--from", "from_", default=None, metavar="X1,X2")
 @click.option("--n-returns", type=int, default=None)
-def rotation(s: Settings, spec, family, step, from_, n_returns):
+def rotation(s: Settings, spec, family, from_, n_returns):
     """Rotation number of the null flow, with a rational certificate."""
     p0 = parse_point(s.get("from", from_, "0,0"))
     est = nullflow.rotation_number(
         spec, family, p0, n_returns=s.count("n_returns", n_returns, 1000),
-        step=step, tol=s.tol)
+        tol=s.tol)
     return "json", {"command": "rotation", **dataclasses.asdict(est)}
 
 
 @command("classify-line", flow=True)
 @click.option("--from", "from_", default=None, metavar="X1,X2")
 @click.option("--n-returns", type=int, default=None)
-def classify_line(s: Settings, spec, family, step, from_, n_returns):
+def classify_line(s: Settings, spec, family, from_, n_returns):
     """Closed / Dense / Asymptotic verdict for one null line."""
     p0 = parse_point(s.get("from", from_, "0,0"))
     cls = nullflow.classify_line(
-        spec, p0, family, step=step,
-        n_returns=s.count("n_returns", n_returns, 256), tol=s.tol)
+        spec, p0, family, n_returns=s.count("n_returns", n_returns, 256),
+        tol=s.tol)
     found = {k: v for k, v in dataclasses.asdict(cls).items() if v is not None}
     return "json", {"command": "classify-line", "family": family,
                     "from": list(p0), **found}
@@ -382,12 +388,12 @@ def classify_line(s: Settings, spec, family, step, from_, n_returns):
 @command(flow=True)
 @click.option("--resolution", type=int, default=None,
               help="Transversal seeds scanned (default 1024).")
-def decompose(s: Settings, spec, family, step, resolution):
+def decompose(s: Settings, spec, family, resolution):
     """Cylinder decomposition of the torus under one null family."""
     res = s.count("resolution", resolution, 1024)
     try:
-        dec = nullflow.cylinder_decomposition(
-            spec, family, resolution=res, step=step, tol=s.tol)
+        dec = nullflow.cylinder_decomposition(spec, family, resolution=res,
+                                              tol=s.tol)
     except nullflow.DenseFlow as exc:
         return "json", {"command": "decompose", "family": family,
                         "verdict": "Dense", "message": str(exc)}
@@ -402,18 +408,18 @@ def decompose(s: Settings, spec, family, step, resolution):
 @click.option("--seed-w", type=float, default=None,
               help="Transversal coordinate of the closed line (default 0).")
 @click.option("--n-returns", type=int, default=None)
-def holonomy(s: Settings, spec, family, step, seed_w, n_returns):
+def holonomy(s: Settings, spec, family, seed_w, n_returns):
     """Spin holonomy table of a closed null line (one row per structure)."""
     w = s.number("seed_w", seed_w, 0.0)
     est = nullflow.rotation_number(
         spec, family, n_returns=s.count("n_returns", n_returns, 1000),
-        step=step, tol=s.tol)
+        tol=s.tol)
     if est.rational is None:
         raise WrongFamily(
             f"the {family} flow has irrational rotation number "
             f"{est.value:.9f}; no closed lines to transport around")
     rec = nullflow.closed_line_through(spec, family, w, est.rational,
-                                       step=step, tol=s.tol)
+                                       tol=s.tol)
     table = spin.holonomy_table(spec, rec, tol=s.tol)
     rows = []
     for ab in STRUCTURES:
@@ -543,7 +549,8 @@ def table(s: Settings, metric, quantities, grid_n):
               help="Run a single criterion (1-10) instead of the suite.")
 def validate(s: Settings, step, grid_n, criterion):
     """Run the acceptance suite; failures are reported, never raised."""
-    h = None if s.get("step", step) is None else s.step(step)
+    h = s.get("step", step)
+    h = None if h is None else _tolerance("ode_step", h, "step")
     n = s.get("grid_n", grid_n)
     n = None if n is None else s.count("grid_n", n, 64)
     which = s.get("criterion", criterion)

@@ -8,14 +8,15 @@ families (RosaTau's X-family).  The axis is chosen automatically from the
 direction field sampled on a coarse grid.
 
 Every flow question goes through one cached return map per (metric,
-family, step): a batched RK4 sweep of 2048 transversal seeds over one axis
-period, interpolated as D1(w) = (one-period return) - w.  Its q-fold
-composition on a seed grid certifies p/q (q <= 64) when the integer p lies
-between the least and greatest q-return displacement (the rotation-number
-bracket of a circle map), splits the transversal into resonant runs and
-isolated closed lines, and carries the SCF loop integrals of ``classify``.
-Rotation values average n_returns iterations of the map; tests
-cross-validate them against direct long-trajectory integration.
+family, step), the step being the ``ode_step`` tolerance: a batched RK4
+sweep of 2048 transversal seeds over one axis period, interpolated as
+D1(w) = (one-period return) - w.  Its q-fold composition on a seed grid
+certifies p/q (q <= 64) when the integer p lies between the least and
+greatest q-return displacement (the rotation-number bracket of a circle
+map), splits the transversal into resonant runs and isolated closed lines,
+and carries the SCF loop integrals of ``classify``.  Rotation values
+average n_returns iterations of the map; tests cross-validate them against
+direct long-trajectory integration.
 """
 
 from __future__ import annotations
@@ -255,7 +256,7 @@ def _line_records(spec, family: str, axis: int, u0: float, w0s,
 
 
 def integrate_null_line(spec, p0: Point, family: str = "X",
-                        t_max: float = 1.0, step: float = DEFAULT.ode_step,
+                        t_max: float = 1.0,
                         tol: Tolerances = DEFAULT) -> NullLineRecord:
     """Sweep the null line through p0 for t_max units of the axis coordinate.
 
@@ -264,7 +265,7 @@ def integrate_null_line(spec, p0: Point, family: str = "X",
     """
     axis = transversal_axis(spec, family)
     return _line_records(spec, family, axis, float(p0[axis]),
-                         float(p0[1 - axis]), t_max, step)[0]
+                         float(p0[1 - axis]), t_max, tol.ode_step)[0]
 
 
 def best_rational(value: float, max_den: int, residual_tol: float
@@ -412,9 +413,8 @@ def _verifiable(est: RotationNumberEstimate, tol: Tolerances
 
 
 def rotation_number(spec, family: str = "X", p0: Point = (0.0, 0.0),
-                    n_returns: int = 1000, step: float = DEFAULT.ode_step,
-                    tol: Tolerances = DEFAULT, method: str = "return-map"
-                    ) -> RotationNumberEstimate:
+                    n_returns: int = 1000, tol: Tolerances = DEFAULT,
+                    method: str = "return-map") -> RotationNumberEstimate:
     """Average displacement per unit of the axis coordinate.
 
     'return-map': iterate the interpolated one-period return map (fast,
@@ -424,23 +424,23 @@ def rotation_number(spec, family: str = "X", p0: Point = (0.0, 0.0),
     """
     axis = transversal_axis(spec, family)
     w0 = float(p0[1 - axis])
-    series = _return_sweep(spec, family, axis, step).displacement()
+    series = _return_sweep(spec, family, axis, tol.ode_step).displacement()
     if method == "direct":
         w_end = _march(spec, family, axis, float(p0[axis]), w0,
-                       float(n_returns), step)
+                       float(n_returns), tol.ode_step)
         value = (float(w_end) - w0) / n_returns
     else:
         w = w0
         # iterating from the p0 transversal: shift start to u=0 first
         if p0[axis] % 1.0 != 0.0:
             w = float(_march(spec, family, axis, float(p0[axis]), w0,
-                             1.0 - (p0[axis] % 1.0), step))
+                             1.0 - (p0[axis] % 1.0), tol.ode_step))
         w_cover = w
         for _ in range(n_returns):
             w_cover += float(series(wrap_unit(w_cover)).real)
         value = (w_cover - w) / n_returns
     return RotationNumberEstimate(family=family, value=value,
-                                  n_returns=n_returns, step=step,
+                                  n_returns=n_returns, step=tol.ode_step,
                                   rational=_certify_rotation(series, value,
                                                              tol),
                                   method=method)
@@ -450,8 +450,7 @@ def _winding(axis: int, q: int, p: int) -> tuple[int, int]:
     return (q, p) if axis == 0 else (p, q)
 
 
-def classify_line(spec, p0: Point, family: str = "X",
-                  step: float = DEFAULT.ode_step, n_returns: int = 256,
+def classify_line(spec, p0: Point, family: str = "X", n_returns: int = 256,
                   tol: Tolerances = DEFAULT) -> LineClass:
     """Closed / Dense / Asymptotic classification of the line through p0.
 
@@ -461,14 +460,13 @@ def classify_line(spec, p0: Point, family: str = "X",
     above the open threshold asymptotic, in between Inconclusive.
     """
     axis = transversal_axis(spec, family)
-    est = rotation_number(spec, family, p0, n_returns=n_returns, step=step,
-                          tol=tol)
+    est = rotation_number(spec, family, p0, n_returns=n_returns, tol=tol)
     if est.rational is None:
         return LineClass(kind="Dense", rotation=est.value)
     cert = _verifiable(est, tol)
     p, q = cert.p, cert.q
     u0, w0 = float(p0[axis]), float(p0[1 - axis])
-    w_end = _march(spec, family, axis, u0, w0, float(q), step)
+    w_end = _march(spec, family, axis, u0, w0, float(q), tol.ode_step)
     disp = float(w_end) - w0 - p
     if abs(disp) < tol.closedness:
         return LineClass(kind="Closed", winding=_winding(axis, q, p),
@@ -486,7 +484,6 @@ def classify_line(spec, p0: Point, family: str = "X",
 
 def closed_lines_through(spec, family: str, seeds,
                          rotation: RationalCertificate,
-                         step: float = DEFAULT.ode_step,
                          tol: Tolerances = DEFAULT) -> list[NullLineRecord]:
     """Record one period of the closed line through each transversal seed.
 
@@ -498,8 +495,8 @@ def closed_lines_through(spec, family: str, seeds,
     p, q = rotation.p, rotation.q
     winding = _winding(axis, q, p)
     records = []
-    for seed_w, rec in zip(seeds, _line_records(spec, family, axis, 0.0,
-                                                seeds, float(q), step)):
+    for seed_w, rec in zip(seeds, _line_records(
+            spec, family, axis, 0.0, seeds, float(q), tol.ode_step)):
         disp = rec.points[-1, 1 - axis] - rec.points[0, 1 - axis] - p
         if abs(disp) > tol.closedness_reject:
             raise DenseFlow(
@@ -513,12 +510,10 @@ def closed_lines_through(spec, family: str, seeds,
 
 def closed_line_through(spec, family: str, seed_w: float,
                         rotation: RationalCertificate,
-                        step: float = DEFAULT.ode_step,
                         tol: Tolerances = DEFAULT) -> NullLineRecord:
     """Record one period of the closed line through transversal value seed_w
     (``closed_lines_through`` for one seed)."""
-    return closed_lines_through(spec, family, [seed_w], rotation, step,
-                                tol)[0]
+    return closed_lines_through(spec, family, [seed_w], rotation, tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +572,6 @@ def first_integral(spec, p: Point) -> float:
 
 
 def cylinder_decomposition(spec, family: str = "X", resolution: int = 1024,
-                           step: Optional[float] = None,
                            tol: Tolerances = DEFAULT) -> CylinderDecomposition:
     """Split the transversal circle by the q-return displacement D.
 
@@ -588,18 +582,16 @@ def cylinder_decomposition(spec, family: str = "X", resolution: int = 1024,
     longer period).  NonResonant is emitted only in the degenerate case
     where D has no zero at all at this resolution.
 
-    D is the return map of ``step`` (default ``tol.ode_step``) composed q
-    times at ``resolution`` seeds; run ends and zeros are bisected on the
+    D is the return map of the step ``tol.ode_step`` composed q times at
+    ``resolution`` seeds; run ends and zeros are bisected on the
     trigonometric interpolant of those samples (D is a smooth periodic
     function of the seed, so refinement costs no further integrations).
     """
-    step = step or tol.ode_step
     axis = transversal_axis(spec, family)
-    est = rotation_number(spec, family, (0.0, 0.0), n_returns=512, step=step,
-                          tol=tol)
+    est = rotation_number(spec, family, (0.0, 0.0), n_returns=512, tol=tol)
     cert = _verifiable(est, tol)
     seeds = np.arange(resolution) / resolution
-    D1 = _return_sweep(spec, family, axis, step).displacement()
+    D1 = _return_sweep(spec, family, axis, tol.ode_step).displacement()
     D = q_return(D1, seeds, cert.q)[0] - cert.p
     series = TrigSeries1.from_samples(D.astype(complex))
 
@@ -610,7 +602,8 @@ def cylinder_decomposition(spec, family: str = "X", resolution: int = 1024,
 
     def result(intervals, isolated=()):
         return CylinderDecomposition(family, axis, cert, tuple(intervals),
-                                     tuple(isolated), resolution, step)
+                                     tuple(isolated), resolution,
+                                     tol.ode_step)
 
     if runs == [(0.0, 1.0)]:
         return result([Interval("Resonant", 0.0, 1.0)])
@@ -638,18 +631,18 @@ def cylinder_decomposition(spec, family: str = "X", resolution: int = 1024,
 
 
 def probe_completeness(spec, p0: Point, family: str = "X",
-                       t_max: float = 20.0, step: float = DEFAULT.ode_step,
+                       t_max: float = 20.0,
                        tol: Tolerances = DEFAULT) -> CompletenessProbe:
     """Integrate the null geodesic through p0 in both time directions.
 
     The geodesic equation is solved in an affine parameter; a blowup
     certificate is issued when the coordinate speed exceeds 1e8 while the
     affine parameter stays below t_max.  The step shrinks as
-    step/max(1, |v|), so each step moves a bounded coordinate distance.
+    ode_step/max(1, |v|), so each step moves a bounded coordinate distance.
     """
     v0 = np.array(geometry.null_directions(spec, p0)[0 if family == "X" else 1],
                   dtype=float)
-    legs = tuple(_geodesic_leg(spec, p0, sign * v0, t_max, step, tol)
+    legs = tuple(_geodesic_leg(spec, p0, sign * v0, t_max, tol.ode_step, tol)
                  for sign in (+1.0, -1.0))
     blowups = [leg["reached"] for leg in legs if leg["blowup"]]
     return CompletenessProbe(family, p0, min(leg["reached"] for leg in legs),

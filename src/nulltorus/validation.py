@@ -138,7 +138,7 @@ def criterion_closed_diagonal_example(step, grid_n, tol) -> tuple[bool, dict, st
 
 
 def criterion_rotation_number(step, grid_n, tol) -> tuple[bool, dict, str]:
-    h = step or 1e-3
+    tol = tol.with_(ode_step=step or tol.ode_step)
     cases = (catalog.analex(),
              catalog.closed_diagonal_wave(1.0, 2.0, amp=0.08),
              catalog.closed_diagonal_wave(2.0, 3.0, amp=0.06))
@@ -146,12 +146,12 @@ def criterion_rotation_number(step, grid_n, tol) -> tuple[bool, dict, str]:
     for spec in cases:
         l1, l2 = geometry.mean_coefficients(spec, tol)
         est = nullflow.rotation_number(spec, "X", (0.0, 0.0),
-                                       n_returns=1000, step=h, tol=tol)
+                                       n_returns=1000, tol=tol)
         errors.append(abs(est.value - l1 / l2))
     worst = max(errors)
     detail = (f"worst |rho - l1/l2| = {worst:.2e} over {len(cases)} metrics "
-              f"at step {h:g}, 1000 returns")
-    return worst < 1e-3, {"errors": errors, "step": h}, detail
+              f"at step {tol.ode_step:g}, 1000 returns")
+    return worst < 1e-3, {"errors": errors, "step": tol.ode_step}, detail
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +362,7 @@ def _ppwave_expectation(spec, tol: Tolerances
 def criterion_ppwave(step, grid_n, tol) -> tuple[bool, dict, str]:
     spec = catalog.rosatau_window()
     probe = nullflow.probe_completeness(spec, (0.3, 0.0), "X", t_max=20.0,
-                                        step=step or 5e-3, tol=tol)
+                                        tol=tol.with_(ode_step=step or 5e-3))
     table = classify.classify_table(spec, ("delta_plus",), tol=tol)
     values = {ab: table[ab]["delta_plus"].value for ab in STRUCTURES}
     certs = {ab: table[ab]["delta_plus"].certificate for ab in STRUCTURES}

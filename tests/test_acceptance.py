@@ -19,6 +19,7 @@ import pytest
 
 from nulltorus import catalog, classify, nullflow, spinorfield, validation
 from nulltorus.spin import STRUCTURES, SpinStructure
+from nulltorus.tolerances import DEFAULT
 
 _NAMES = {idx: name for idx, name, _ in validation.SUITE}
 
@@ -105,7 +106,7 @@ def test_criterion_09_honours_overrides(monkeypatch, overrides, expected):
     seen = {}
 
     def probe(*args, **kwargs):
-        seen["step"] = kwargs["step"]
+        seen["step"] = kwargs["tol"].ode_step
 
     def bumps(*args, **kwargs):
         seen["grid_n"] = kwargs["grid_n"]
@@ -120,3 +121,27 @@ def test_criterion_09_honours_overrides(monkeypatch, overrides, expected):
     monkeypatch.setattr(spinorfield, "construct_resonant_spinors", bumps)
     validation.run_criterion(9, **overrides)
     assert seen == expected
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda tol: spinorfield.construct_resonant_spinors(
+        catalog.analex(), SpinStructure(1, 1), grid_n=32, tol=tol),
+    lambda tol: spinorfield.construct_resonant_spinors(
+        catalog.rosatau_window(), SpinStructure(1, 1), grid_n=32, tol=tol),
+    lambda tol: validation.criterion_flat_holonomy(None, None, tol),
+    lambda tol: validation._ppwave_expectation(catalog.rosatau_window(), tol),
+], ids=["closed-diagonal-bumps", "rosatau-bumps", "criterion-04",
+        "ppwave-expectation"])
+def test_ode_step_reaches_every_sweep(monkeypatch, sweep):
+    """Every RK4 march of these callers runs at the given tol.ode_step."""
+    steps = set()
+    march = nullflow._march
+
+    def spy(*args, **kwargs):
+        steps.add(args[6])
+        return march(*args, **kwargs)
+
+    monkeypatch.setattr(nullflow, "_march", spy)
+    nullflow._return_sweep.cache_clear()     # sweep again, not from cache
+    sweep(DEFAULT.with_(ode_step=2e-3))
+    assert steps == {2e-3}

@@ -368,6 +368,15 @@ def test_config_errors_are_exit_one(runner, tmp_path):
                '{"family":"analex","params":{"c":true}}']),
         ("tmax", config("flow", tmax=True)),
         ("seed_w", config("holonomy", seed_w=True)),
+        # a left-invariant coefficient is kept exact, but never a bool
+        ("lam1", ["rotation", "--metric", '{"family":"left_invariant",'
+                  '"params":{"lam1":true,"lam2":2}}']),
+        # tolerances follow the same two rules, and the step its range
+        ("bisection", config("rotation", tol={"bisection": True})),
+        ("rational_cap", config("rotation", tol={"rational_cap": 50.5})),
+        ("ode_step", ["table", "--metric", "flat", "--tol", "ode_step=0"]),
+        ("ode_step", ["rotation", "--metric", "flat",
+                      "--tol", "ode_step=-0.001"]),
     ]
     for args in cases + [args for _, args in counts]:
         result = runner.invoke(main, args)
@@ -449,6 +458,10 @@ def test_tol_override_lands_in_artifact(runner):
     payload = _json_out(result)
     assert payload["tolerances"]["ode_step"] == 0.002
     assert payload["step"] == 0.002      # the override actually drives the run
+    # --step sets the same tolerance, so the artifact embeds the step that ran
+    payload = _json_out(runner.invoke(main, ["rotation", "--metric", "flat",
+                                             "--step", "0.002"]))
+    assert payload["step"] == payload["tolerances"]["ode_step"] == 0.002
 
 
 def test_output_file_and_json_format(runner, tmp_path):

@@ -1,7 +1,8 @@
 """Static hygiene of the package: no unused imports, no unreferenced code,
-no scipy at import time."""
+no scipy at import time, one RK4 step setting."""
 
 import ast
+import inspect
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nulltorus"
@@ -73,6 +74,21 @@ def test_every_tolerance_is_read():
             if isinstance(node, ast.Attribute)}
     unread = [f for f in fields if f not in read]
     assert not unread, "tolerances nothing reads: " + ", ".join(unread)
+
+
+def test_the_rk4_step_is_only_a_tolerance():
+    """No public flow function takes a step of its own: each reads the
+    tol.ode_step it is given, never the default set's."""
+    from nulltorus import nullflow
+    knobs = [name for name, fn in vars(nullflow).items()
+             if inspect.isfunction(fn) and fn.__module__ == nullflow.__name__
+             and not name.startswith("_")
+             and "step" in inspect.signature(fn).parameters]
+    assert not knobs, f"flow functions with a step parameter: {knobs}"
+    pinned = [f"{path.name}:{k + 1}" for path in sorted(PACKAGE.glob("*.py"))
+              for k, line in enumerate(path.read_text().splitlines())
+              if "DEFAULT.ode_step" in line]
+    assert not pinned, f"DEFAULT.ode_step read at {pinned}"
 
 
 def _runs_at_import(tree):

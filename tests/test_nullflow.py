@@ -8,6 +8,7 @@ import pytest
 from conftest import ZOO, frame_direction
 from nulltorus import catalog, geometry, nullflow
 from nulltorus.errors import DenseFlow
+from nulltorus.tolerances import DEFAULT
 
 
 def test_flat_diagonal_line(flat_spec):
@@ -190,7 +191,8 @@ def test_completeness_flat_vs_ppwave(flat_spec, rosatau_spec):
     assert ok.complete_up_to == pytest.approx(5.0)
 
     probe = nullflow.probe_completeness(rosatau_spec, (0.3, 0.0), "X",
-                                        t_max=20.0, step=5e-3)
+                                        t_max=20.0,
+                                        tol=DEFAULT.with_(ode_step=5e-3))
     assert probe.blowup_detected
     assert probe.max_speed >= 1e8
     # the blowup happens within finite affine parameter in one direction

@@ -126,16 +126,14 @@ def _recorded_closed_lines(spec):
     records = []
     for family in ("X", "Y"):
         try:
-            dec = nullflow.cylinder_decomposition(spec, family,
-                                                  step=DEFAULT.ode_step)
+            dec = nullflow.cylinder_decomposition(spec, family, tol=DEFAULT)
         except DenseFlow:
             continue
         seeds = [float(w) % 1.0 for iv in dec.resonant_intervals
                  for w in iv.interior_points(5)]
         seeds += [float(w) for w in dec.isolated_closed]
         records += nullflow.closed_lines_through(spec, family, seeds,
-                                                 dec.rotation,
-                                                 step=DEFAULT.ode_step)
+                                                 dec.rotation, tol=DEFAULT)
     return records
 
 
