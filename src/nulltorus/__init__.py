@@ -12,12 +12,12 @@ of the kernel dimensions with semi-conformal-flatness certificates
 from .catalog import (analex, analex_sanchez, closed_diagonal_wave, conformal,
                       exp_sine_factor, flat, from_config, from_shorthand,
                       left_invariant, load_metric, rosatau_window)
-from .classify import (CrossValidationReport, DimensionReport, MassFunctional,
-                       SCFCertificate, associated_vector_field,
-                       classify_delta_plus, classify_dimension,
+from .classify import (DimensionReport, MassFunctional, SCFCertificate,
+                       associated_vector_field, classify_dimension,
                        classify_table, conformal_flatness_test,
-                       cross_validate, is_x_conformally_flat, mass_functional,
-                       semi_conformal_certificate)
+                       contradictions, is_x_conformally_flat, mass_functional,
+                       semi_conformal_certificate, spectral_checks,
+                       spectral_count)
 from .errors import (ConfigError, DegenerateMetric, DenseFlow, FrameUndefined,
                      Inconclusive, NotClosed, NotHarmonic, NotSCF,
                      NotTransverse, NotXTrivial, NullTorusError, StepTooLarge,

@@ -11,10 +11,12 @@ X(f) = -div(X) by a spectral least-squares transport solve.
 
 On an SCF metric the dimension of each chiral kernel (harmonic or twistor)
 is 0, 1 or infinite, decided by the cylinder decomposition of the family's
-flow and the spin holonomy of its closed lines.  ``classify_dimension``
-implements that case analysis and returns a report carrying the certificate
-it used; ``spectral_count`` reads the exact spectral solvers where one
-exists, and ``cross_validate`` checks the geometric verdict against it.
+flow and the spin holonomy of its closed lines.  ``classify_table`` runs
+that case analysis for all four structures and returns reports carrying the
+certificate they used (``classify_dimension`` reads one cell);
+``spectral_count`` reads the exact spectral solver where one exists,
+``spectral_checks`` pairs each report with it and ``contradictions`` names
+every report that disagrees.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import geometry, nullflow, spin, spinorfield
 from .errors import (DenseFlow, Inconclusive, NotHarmonic, NotSCF,
-                     NotTransverse, WrongFamily)
+                     NotTransverse)
 from .gridtools import (TrigSeries1, TrigSeries2, circular_zeros,
                         grid_points, spectral_derivative,
                         spectral_derivatives)
@@ -99,8 +101,7 @@ def _diagonal_analysis(spec, family: str, n: int, tol: Tolerances
                        ) -> Optional[SCFCertificate]:
     """X certifies when the coefficients are closed, Y when anti-closed;
     the null direction (+-1/|lam1|, sign(lam1)/lam2) is then the field."""
-    if geometry.closedness_residual(spec, min(spec.grid_n, 256),
-                                    family) >= tol.closedness:
+    if not geometry.is_closed_diagonal(spec, tol, family):
         return None
     return _certify(spec, family,
                     lambda x1, x2: geometry.null_direction_arrays(
@@ -477,14 +478,6 @@ class DimensionReport:
                 "details": self.details}
 
 
-@dataclass(frozen=True)
-class CrossValidationReport:
-    structure: SpinStructure
-    geometric: DimensionReport
-    spectral: str
-    agree: bool
-
-
 def _family_context(spec, family: str, tol: Tolerances) -> dict:
     """Everything the per-structure classification shares for one family.
 
@@ -500,7 +493,7 @@ def _family_context(spec, family: str, tol: Tolerances) -> dict:
     except NotSCF as exc:
         scf = None
         note = str(exc)
-    ctx: dict = {"scf": scf, "family": family, "scf_note": note}
+    ctx: dict = {"scf": scf, "scf_note": note}
     try:
         decomp = nullflow.cylinder_decomposition(spec, family, tol=tol)
     except DenseFlow as exc:
@@ -526,11 +519,10 @@ def _family_context(spec, family: str, tol: Tolerances) -> dict:
     return ctx
 
 
-def classify_dimension(spec, structure: SpinStructure,
-                       quantity: str = "delta_plus",
-                       tol: Tolerances = DEFAULT,
-                       _context: Optional[dict] = None) -> DimensionReport:
-    """Dimension (Zero/One/Infinite) of one chiral kernel, with certificate.
+def _verdict(ctx: dict, structure: SpinStructure, quantity: str
+             ) -> DimensionReport:
+    """Dimension (Zero/One/Infinite) of one chiral kernel, with certificate,
+    from the family context of the quantity.
 
     Case analysis on the family's flow:
 
@@ -544,17 +536,9 @@ def classify_dimension(spec, structure: SpinStructure,
     The semi-conformal-flatness certificate is attached when the family
     admits one; when it is obstructed the report carries the obstruction
     note instead (case 2 is constructive and stands without it, the other
-    cases are then decided by the same holonomy evidence).  Inconclusive
-    propagates from the certificate search and from resonance detection.
+    cases are then decided by the same holonomy evidence).
     """
-    if quantity not in QUANTITIES:
-        raise ValueError(f"unknown quantity {quantity!r}; "
-                         f"expected one of {sorted(QUANTITIES)}")
     family, chirality = QUANTITIES[quantity]
-    ctx = _context if _context is not None else _family_context(spec, family,
-                                                                tol)
-    if ctx["family"] != family:
-        raise ValueError("context family does not match the quantity")
     base = dict(structure=structure, quantity=quantity, family=family,
                 scf=ctx["scf"])
 
@@ -611,12 +595,6 @@ def classify_dimension(spec, structure: SpinStructure,
                    "rotation": [decomp.rotation.p, decomp.rotation.q]})
 
 
-def classify_delta_plus(spec, structure: SpinStructure,
-                        tol: Tolerances = DEFAULT) -> DimensionReport:
-    """Dimension of the positive-harmonic space (X-family transport)."""
-    return classify_dimension(spec, structure, "delta_plus", tol)
-
-
 def classify_table(spec, quantities: tuple[str, ...] = ("delta_plus",
                                                         "tau_minus"),
                    tol: Tolerances = DEFAULT
@@ -625,20 +603,27 @@ def classify_table(spec, quantities: tuple[str, ...] = ("delta_plus",
 
     The flow decomposition and the line records are computed once per null
     family and shared across structures (the boost is structure-independent;
-    only the character changes).
+    only the character changes).  Inconclusive propagates from the
+    certificate search and from resonance detection.
     """
-    contexts: dict[str, dict] = {}
-    for q in quantities:
-        fam = QUANTITIES[q][0]
-        if fam not in contexts:
-            contexts[fam] = _family_context(spec, fam, tol)
-    out: dict[tuple[int, int], dict[str, DimensionReport]] = {}
-    for s in all_structures():
-        out[(s.a1, s.a2)] = {
-            q: classify_dimension(spec, s, q, tol,
-                                  _context=contexts[QUANTITIES[q][0]])
-            for q in quantities}
-    return out
+    unknown = [q for q in quantities if q not in QUANTITIES]
+    if unknown:
+        raise ValueError(f"unknown quantity {unknown[0]!r}; "
+                         f"expected one of {sorted(QUANTITIES)}")
+    contexts = {family: _family_context(spec, family, tol) for family
+                in dict.fromkeys(QUANTITIES[q][0] for q in quantities)}
+    return {(s.a1, s.a2): {q: _verdict(contexts[QUANTITIES[q][0]], s, q)
+                           for q in quantities}
+            for s in all_structures()}
+
+
+def classify_dimension(spec, structure: SpinStructure,
+                       quantity: str = "delta_plus",
+                       tol: Tolerances = DEFAULT) -> DimensionReport:
+    """One cell of ``classify_table``: the report of one quantity for one
+    structure."""
+    return classify_table(spec, (quantity,), tol)[
+        (structure.a1, structure.a2)][quantity]
 
 
 def spectral_count(spec, structure: SpinStructure, family: str = "X",
@@ -650,15 +635,29 @@ def spectral_count(spec, structure: SpinStructure, family: str = "X",
         spec, structure, n_fields=0, tol=tol).count_class
 
 
-def cross_validate(spec, structure: SpinStructure,
-                   tol: Tolerances = DEFAULT) -> CrossValidationReport:
-    """Geometric delta_plus against the exact spectral solver's count."""
-    geometric = classify_delta_plus(spec, structure, tol)
-    spectral = spectral_count(spec, structure, "X", tol)
-    if spectral is None:
-        raise WrongFamily(
-            "spectral cross-validation needs constant or closed diagonal "
-            f"coefficients; got {type(spec).__name__}")
-    return CrossValidationReport(structure=structure, geometric=geometric,
-                                 spectral=spectral,
-                                 agree=geometric.value == spectral)
+def spectral_checks(table: dict, spec, tol: Tolerances = DEFAULT
+                    ) -> list[tuple[DimensionReport, Optional[str]]]:
+    """Every report of a ``classify_table`` (or some of its rows), in row
+    order, paired with its ``spectral_count``.
+
+    The count does not hang on chirality, so it is read once per family and
+    structure, family by family.
+    """
+    families = dict.fromkeys(QUANTITIES[q][0] for row in table.values()
+                             for q in row)
+    counts = {(family, ab): spectral_count(spec, SpinStructure(*ab), family,
+                                           tol)
+              for family in families for ab in table}
+    return [(report, counts[report.family, ab])
+            for ab, row in table.items() for report in row.values()]
+
+
+def contradictions(checked) -> list[str]:
+    """[doubt] naming every report of ``spectral_checks`` that contradicts
+    its spectral count (None: no exact solver), or [] when none does."""
+    clashes = "; ".join(
+        f"{r.structure.a1},{r.structure.a2} {r.quantity}: {r.value} "
+        f"({r.certificate}) vs spectral {count}"
+        for r, count in checked if count not in (None, r.value))
+    return ["geometric verdicts contradict the exact spectral count: "
+            + clashes] if clashes else []

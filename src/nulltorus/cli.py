@@ -67,9 +67,9 @@ def _number(key: str, value, kind=float):
 
 
 def _tolerance(field: str, value, key: Optional[str] = None):
-    """``value`` as the tolerance ``field``, of the field's type, the RK4
-    step ``ode_step`` in (0, 0.1]; a ConfigError names ``key`` (the field
-    unless given)."""
+    """``value`` as the tolerance ``field``, of the field's type, positive
+    and finite, the RK4 step ``ode_step`` in (0, 0.1]; a ConfigError names
+    ``key`` (the field unless given)."""
     key = key or field
     kind = {f.name: f.type for f in dataclasses.fields(Tolerances)}.get(field)
     if kind is None:
@@ -77,6 +77,8 @@ def _tolerance(field: str, value, key: Optional[str] = None):
     value = _number(key, value, kind)
     if field == "ode_step" and not 0.0 < value <= 0.1:
         raise ConfigError(f"{key} must lie in (0, 0.1], got {value}")
+    if not 0.0 < value < float("inf"):
+        raise ConfigError(f"{key} must be positive and finite, got {value}")
     return value
 
 
@@ -439,17 +441,6 @@ def _field_summary(f) -> dict:
                                                   else "twistor")}
 
 
-def _contradictions(checked) -> list[str]:
-    """[doubt] naming every report that contradicts its spectral count
-    (None: no exact solver), or [] when none does."""
-    clashes = "; ".join(
-        f"{r.structure.a1},{r.structure.a2} {r.quantity}: {r.value} "
-        f"({r.certificate}) vs spectral {count}"
-        for r, count in checked if count not in (None, r.value))
-    return ["geometric verdicts contradict the exact spectral count: "
-            + clashes] if clashes else []
-
-
 @command()
 @click.option("--metric", default=None)
 @click.option("--structure", default=None)
@@ -499,11 +490,12 @@ def classify_cmd(s: Settings, metric, structure, quantity, grid_n):
     struct = s.structure(structure)
     q = s.choice("quantity", quantity, "delta_plus",
                  sorted(classify.QUANTITIES))
-    report = classify.classify_dimension(spec, struct, q, tol=s.tol)
-    payload = {**report.as_dict(), "command": "classify",
+    ab = (struct.a1, struct.a2)
+    row = {ab: classify.classify_table(spec, (q,), tol=s.tol)[ab]}
+    payload = {**row[ab][q].as_dict(), "command": "classify",
                "metric": str(s.get("metric", metric))}
-    count = classify.spectral_count(spec, struct, report.family, s.tol)
-    return ("json", payload, *_contradictions([(report, count)]))
+    return ("json", payload, *classify.contradictions(
+        classify.spectral_checks(row, spec, s.tol)))
 
 
 @command()
@@ -521,20 +513,15 @@ def table(s: Settings, metric, quantities, grid_n):
         if q not in classify.QUANTITIES:
             raise ConfigError(f"unknown quantity {q!r}; choose from "
                               + ", ".join(sorted(classify.QUANTITIES)))
-    reports = classify.classify_table(spec, qs, tol=s.tol)
-    # one exact count per (structure, family): it does not hang on chirality
-    spectral = {(ab, family): classify.spectral_count(
-        spec, SpinStructure(*ab), family, s.tol)
-        for family in dict.fromkeys(classify.QUANTITIES[q][0] for q in qs)
-        for ab in STRUCTURES}
-    checked = [(reports[ab][q], spectral[ab, classify.QUANTITIES[q][0]])
-               for ab in STRUCTURES for q in qs]
+    checked = classify.spectral_checks(
+        classify.classify_table(spec, qs, tol=s.tol), spec, s.tol)
     rows = [{"a1": rep.structure.a1, "a2": rep.structure.a2,
              "quantity": rep.quantity, "value": rep.value,
              "certificate": rep.certificate, "family": rep.family,
              "spectral_count": count} for rep, count in checked]
     return ("csv", (["a1", "a2", "quantity", "value", "certificate", "family",
-                     "spectral_count"], rows), *_contradictions(checked))
+                     "spectral_count"], rows),
+            *classify.contradictions(checked))
 
 
 

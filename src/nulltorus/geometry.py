@@ -669,13 +669,17 @@ def _closedness_residual(spec, n: int, family: str) -> float:
     return float(np.max(np.abs(combo)))
 
 
-def is_closed_diagonal(spec, tol: Optional[Tolerances] = None) -> bool:
+def is_closed_diagonal(spec, tol: Optional[Tolerances] = None,
+                       family: str = "X") -> bool:
+    """Diagonal with coefficients closed for the family (anti-closed for Y),
+    measured on the grid of min(grid_n, 256) points a side."""
     tol = tol or DEFAULT
     if not is_diagonal(spec):
         return False
     if isinstance(spec, LeftInvariant):
         return True
-    return closedness_residual(spec) < tol.closedness
+    return closedness_residual(spec, min(spec.grid_n, 256),
+                               family) < tol.closedness
 
 
 def mean_coefficients(spec, tol: Optional[Tolerances] = None) -> tuple[float, float]:

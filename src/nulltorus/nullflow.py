@@ -90,7 +90,6 @@ class NullLineRecord:
     points: np.ndarray        # (M, 2) cover coordinates
     velocities: np.ndarray    # (M, 2) coordinate velocity dpoint/dt
     winding: Optional[tuple[int, int]] = None
-    classification: Optional[LineClass] = None
 
 
 @dataclass(frozen=True)
@@ -502,9 +501,7 @@ def closed_lines_through(spec, family: str, seeds,
             raise DenseFlow(
                 f"line through w={seed_w:.6f} does not close: displacement "
                 f"{disp:.3e} after {q} returns")
-        records.append(replace(rec, winding=winding, classification=LineClass(
-            kind="Closed", winding=winding, period=float(q),
-            displacement=float(disp))))
+        records.append(replace(rec, winding=winding))
     return records
 
 

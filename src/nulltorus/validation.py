@@ -114,7 +114,7 @@ def criterion_closed_diagonal_example(step, grid_n, tol) -> tuple[bool, dict, st
     lam1, lam2 = spec.lambdas(X1, X2)
     pde_residual = float(np.max(np.abs(-lam2 * d1 - lam1 * d2)))
     periodic = max(abs(l1 - round(l1)), abs(l2 - round(l2))) < 1e-9
-    report = classify.classify_delta_plus(spec, SpinStructure(1, 1), tol)
+    report = classify.classify_dimension(spec, SpinStructure(1, 1), tol=tol)
     elapsed = time.perf_counter() - t0
     checks = {
         "closedness": closedness < 1e-9,
@@ -313,11 +313,15 @@ def criterion_cross_validation(step, grid_n, tol) -> tuple[bool, dict, str]:
     for i, (b1, b2) in enumerate(pairs):
         spec = catalog.closed_diagonal_wave(b1, b2, amp=0.05)
         structure = all_structures()[i % 4]
-        report = classify.cross_validate(spec, structure, tol=tol)
-        agreements += int(report.agree)
+        ab = (structure.a1, structure.a2)
+        table = classify.classify_table(spec, ("delta_plus",), tol)
+        checked = classify.spectral_checks({ab: table[ab]}, spec, tol)
+        [(report, spectral)] = checked
+        agree = spectral is not None and not classify.contradictions(checked)
+        agreements += int(agree)
         rows.append({"l1": b1, "l2": b2, "structure": structure.label,
-                     "geometric": report.geometric.value,
-                     "spectral": report.spectral, "agree": report.agree})
+                     "geometric": report.value, "spectral": spectral,
+                     "agree": agree})
     passed = agreements == len(pairs)
     detail = f"{agreements}/{len(pairs)} metrics agree (rational and irrational ratios)"
     return passed, {"rows": rows}, detail

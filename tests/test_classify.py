@@ -7,7 +7,7 @@ import pytest
 
 from conftest import ZOO
 from nulltorus import catalog, classify, geometry, nullflow, spinorfield
-from nulltorus.errors import Inconclusive, NotHarmonic, NotSCF, WrongFamily
+from nulltorus.errors import Inconclusive, NotHarmonic, NotSCF
 from nulltorus.gridtools import grid_points
 from nulltorus.spin import SpinStructure, all_structures
 from nulltorus.tolerances import DEFAULT
@@ -376,16 +376,14 @@ def test_classify_quantity_pairing(analex_spec):
 
 
 def test_classify_argument_validation(analex_spec):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'mass'"):
         classify.classify_dimension(analex_spec, SpinStructure(1, 1), "mass")
-    ctx = classify._family_context(analex_spec, "Y", classify.DEFAULT)
-    with pytest.raises(ValueError):
-        classify.classify_dimension(analex_spec, SpinStructure(1, 1),
-                                    "delta_plus", _context=ctx)
+    with pytest.raises(ValueError, match="'bogus'"):
+        classify.classify_table(analex_spec, ("delta_plus", "bogus"))
 
 
 def test_classify_report_as_dict(analex_spec):
-    rep = classify.classify_delta_plus(analex_spec, SpinStructure(1, 1))
+    rep = classify.classify_dimension(analex_spec, SpinStructure(1, 1))
     d = rep.as_dict()
     assert d["structure"] == [1, 1]
     assert d["value"] == "Infinite"
@@ -393,12 +391,26 @@ def test_classify_report_as_dict(analex_spec):
     assert "cylinder" in d["details"]
 
 
-@pytest.mark.parametrize("ab", [(1, 1), (1, -1)])
-def test_cross_validate_wave(wave12_spec, ab):
-    rep = classify.cross_validate(wave12_spec, SpinStructure(*ab))
-    assert rep.agree
-    # closed lines wind (2, 1), so the kernel is infinite exactly for a2 = 1
-    assert rep.geometric.value == ("Infinite" if ab[1] == 1 else "Zero")
+def test_spectral_checks_agree_on_the_zoo(flat_spec, sqrt2_spec, analex_spec,
+                                          wave12_spec, sanchez_spec):
+    """Every geometric report meets its exact count on all four structures:
+    X and Y for the constant metrics, X for the closed diagonal ones."""
+    both = ("delta_plus", "delta_minus")
+    for spec, quantities in ((flat_spec, both), (sqrt2_spec, both),
+                             (analex_spec, ("delta_plus",)),
+                             (wave12_spec, ("delta_plus",))):
+        checked = classify.spectral_checks(
+            classify.classify_table(spec, quantities), spec)
+        assert len(checked) == 4 * len(quantities)
+        assert all(count is not None for _, count in checked)
+        assert classify.contradictions(checked) == []
+        if spec is sqrt2_spec:      # dense in both families
+            assert all(r.value == ("One" if r.structure.trivial else "Zero")
+                       for r, _ in checked)
+        if spec is wave12_spec:     # closed X-lines wind (2, 1)
+            assert all(r.value == ("Infinite" if r.structure.a2 == 1
+                                   else "Zero") for r, _ in checked)
+    assert classify.spectral_count(sanchez_spec, SpinStructure(1, 1)) is None
 
 
 @pytest.mark.parametrize("b1, b2", [(1, 1), (1, 2), (2, 3), (3, 2), (3, 5),
@@ -413,18 +425,6 @@ def test_geometric_matches_spectral_all_structures(b1, b2):
             spec, s, chirality=1, n_fields=0).count_class
         assert report.value == spectral, (s.label, report.certificate)
         assert report.certificate != "DenseLine"
-
-
-def test_cross_validate_left_invariant(sqrt2_spec):
-    for s in all_structures():
-        rep = classify.cross_validate(sqrt2_spec, s)
-        assert rep.agree
-        assert rep.spectral == ("One" if s.trivial else "Zero")
-
-
-def test_cross_validate_needs_exact_solver(sanchez_spec):
-    with pytest.raises(WrongFamily):
-        classify.cross_validate(sanchez_spec, SpinStructure(1, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -377,6 +377,18 @@ def test_config_errors_are_exit_one(runner, tmp_path):
         ("ode_step", ["table", "--metric", "flat", "--tol", "ode_step=0"]),
         ("ode_step", ["rotation", "--metric", "flat",
                       "--tol", "ode_step=-0.001"]),
+        # every real tolerance is finite and positive, a cap at least 1:
+        # resonance=-1 used to answer Dense for the all-resonant flat flow,
+        # rational_cap=0 to end in a limit_denominator traceback
+        ("resonance", ["decompose", "--metric", "flat",
+                       "--tol", "resonance=-1"]),
+        ("rational_cap", ["rotation", "--metric", "left_invariant:sqrt2,1",
+                          "--tol", "rational_cap=0"]),
+        ("bisection", config("rotation", tol={"bisection": 0})),
+        ("scf_accept", ["rotation", "--metric", "flat",
+                        "--tol", "scf_accept=nan"]),
+        ("closedness", ["rotation", "--metric", "flat",
+                        "--tol", "closedness=inf"]),
     ]
     for args in cases + [args for _, args in counts]:
         result = runner.invoke(main, args)

@@ -1,5 +1,6 @@
 """Static hygiene of the package: no unused imports, no unreferenced code,
-no scipy at import time, one RK4 step setting."""
+no private parameters on public functions, no scipy at import time, one RK4
+step setting."""
 
 import ast
 import inspect
@@ -89,6 +90,19 @@ def test_the_rk4_step_is_only_a_tolerance():
               for k, line in enumerate(path.read_text().splitlines())
               if "DEFAULT.ode_step" in line]
     assert not pinned, f"DEFAULT.ode_step read at {pinned}"
+
+
+def test_no_public_function_takes_a_private_parameter():
+    """A public function has no back door: every parameter it takes is part
+    of its interface."""
+    private = [f"{name}.{node.name}({arg.arg})"
+               for name, tree in MODULES.items() for node in tree.body
+               if isinstance(node, ast.FunctionDef)
+               and not node.name.startswith("_")
+               for arg in ast.walk(node.args) if isinstance(arg, ast.arg)
+               and arg.arg.startswith("_")]
+    assert not private, "private parameters of public functions: " + (
+        ", ".join(private))
 
 
 def _runs_at_import(tree):

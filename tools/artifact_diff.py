@@ -96,6 +96,11 @@ CASES = [
     ["classify", "--metric", "rosatau", "--quantity", "tau_minus"],
     ["classify", "--metric", "flat", "--quantity", "tau_plus",
      "--structure", "-1,-1"],
+    ["classify", "--metric", "analex_sanchez", "--structure", "1,1"],
+    ["classify", "--metric", "left_invariant:sqrt2,1", "--structure", "1,-1"],
+    ["classify", "--metric", "left_invariant:1,2", "--quantity", "tau_plus",
+     "--structure", "-1,-1"],
+    ["table", "--metric", "closed_diagonal:1,2", "--grid-n", "512"],
     ["decompose", "--metric", "rosatau"],
     ["decompose", "--metric", "left_invariant:99,100"],
     ["decompose", "--metric", "analex", "--family", "Y"],
