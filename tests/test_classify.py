@@ -413,6 +413,31 @@ def test_spectral_checks_agree_on_the_zoo(flat_spec, sqrt2_spec, analex_spec,
     assert classify.spectral_count(sanchez_spec, SpinStructure(1, 1)) is None
 
 
+@pytest.mark.parametrize("ab", [(1, 1), (1, -1)])
+def test_cross_validate_wave(wave12_spec, ab):
+    table = classify.classify_table(wave12_spec, ("delta_plus",))
+    [(report, count)] = classify.spectral_checks({ab: table[ab]}, wave12_spec)
+    assert classify.contradictions([(report, count)]) == []
+    # closed lines wind (2, 1), so the kernel is infinite exactly for a2 = 1
+    assert report.value == count == ("Infinite" if ab[1] == 1 else "Zero")
+
+
+def test_cross_validate_left_invariant(sqrt2_spec):
+    checked = classify.spectral_checks(
+        classify.classify_table(sqrt2_spec, ("delta_plus",)), sqrt2_spec)
+    assert classify.contradictions(checked) == []
+    for report, count in checked:
+        assert count == ("One" if report.structure.trivial else "Zero")
+
+
+def test_cross_validate_needs_exact_solver(sanchez_spec):
+    """No exact solver: the count is None, which contradicts nothing."""
+    s = SpinStructure(1, 1)
+    assert classify.spectral_count(sanchez_spec, s) is None
+    report = classify.classify_dimension(sanchez_spec, s)
+    assert classify.contradictions([(report, None)]) == []
+
+
 @pytest.mark.parametrize("b1, b2", [(1, 1), (1, 2), (2, 3), (3, 2), (3, 5),
                                     (5, 8)])
 def test_geometric_matches_spectral_all_structures(b1, b2):
