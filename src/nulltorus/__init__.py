@@ -22,17 +22,17 @@ from .errors import (ConfigError, DegenerateMetric, DenseFlow, FrameUndefined,
                      Inconclusive, NotClosed, NotHarmonic, NotSCF,
                      NotTransverse, NotXTrivial, NullTorusError, StepTooLarge,
                      UnsupportedFamily, WrongFamily)
-from .geometry import (ClosedDiagonal, ConformalRescale, Diagonal, Frame,
-                       LeftInvariant, MetricEval, RosaTau, Sanchez,
-                       VectorField, divergence, eval_metric, null_directions,
-                       orientation, orthonormal_frame, validate_spec)
+from .geometry import (ConformalRescale, Diagonal, Frame, LeftInvariant,
+                       MetricEval, RosaTau, Sanchez, VectorField, divergence,
+                       eval_metric, null_directions, orientation,
+                       orthonormal_frame, validate_spec)
 from .nullflow import (CompletenessProbe, CylinderDecomposition,
                        FirstIntegral, Interval, LineClass, NullLineRecord,
                        RationalCertificate, RotationNumberEstimate,
                        classify_line, closed_line_through,
-                       cylinder_decomposition, first_integral,
-                       first_integral_function, integrate_null_line,
-                       probe_completeness, rotation_number)
+                       cylinder_decomposition, first_integral_function,
+                       integrate_null_line, probe_completeness,
+                       rotation_number)
 from .spin import (HolonomyResult, SpinStructure, all_structures, gamma,
                    holonomy_closed_line, holonomy_table, indefinite_product,
                    parallel_transport_spin, spin_connection_scalar,

@@ -108,80 +108,49 @@ def _diagonal_analysis(spec, family: str, n: int, tol: Tolerances
                         spec, x1, x2, family), "analytic", n, tol)
 
 
-def _rosatau_analysis(spec, family: str, n: int, tol: Tolerances
+def _killing_analysis(spec, family: str, n: int, tol: Tolerances
                       ) -> Optional[SCFCertificate]:
-    if family == "Y":
-        # the horizontal family; det g = -1 so constant fields are
-        # divergence-free
-        return _certify(spec, family, lambda x1, x2: (-1.0, 0.0), "analytic",
-                        n, tol)
+    """Coefficients of x1 alone (see ``geometry``): the graph family is
+    certified by (n1, n2)/rho; the other family's f is scanned for zeros,
+    giving (0, 1)/rho when f vanishes identically, (1, h/f)/rho when it has
+    no zero, and NotSCF when a simple zero z carries loop integral
+    |f'(z)/h(z)| of div, f' = -C'."""
+    if family == spec.graph_family:
+        def field(x1, x2):
+            _, (n1, n2), rho = spec.null_fields(x1)
+            return n1 / rho, n2 / rho
+
+        return _certify(spec, family, field, "analytic", n, tol)
+
+    # a zero on a sample (analex_sanchez at c = 2 has four) between samples
+    # of opposite signs is a zero, not a run
     m = 8192
-    t = spec.tau_at(np.arange(m) / m)
-    atol = 1e-12 * max(1.0, float(np.max(np.abs(t))))
-    runs, zeros = circular_zeros(t, atol, spec.tau_at, tol.bisection)
+    f = spec.null_fields(np.arange(m) / m)[0][0]
+    level = 1e-12 * max(1.0, float(np.max(np.abs(f))))
+    runs, zeros = circular_zeros(f, level, lambda x: spec.null_fields(x)[0][0],
+                                 tol.bisection)
     if runs == [(0.0, 1.0)]:
-        return _certify(spec, family, lambda x1, x2: (0.0, 1.0), "analytic",
-                        n, tol)
-    if not runs and not zeros:
         return _certify(spec, family,
-                        lambda x1, x2: (1.0, 2.0 / spec.tau_at(x1)),
+                        lambda x1, x2: (0.0, 1.0 / spec.null_fields(x1)[2]),
                         "analytic", n, tol)
-    # tau vanishes somewhere: each simple zero x0 carries a closed vertical
-    # line whose loop integral of div(X) is tau'(x0)/2
-    obstructions = []
-    for z in zeros:
-        slope = float(spec.dtau_at(np.asarray(z)))
-        if abs(slope) / 2 > tol.scf_reject:
-            obstructions.append((abs(slope) / 2, z))
-    if obstructions:
-        worst, where = max(obstructions)
-        raise NotSCF(
-            f"the quasi-vertical family is obstructed: tau has a simple zero "
-            f"at x1 = {where:.6f} whose closed line carries loop integral "
-            f"{worst:.6f} of div(X)", obstruction=worst, location=where)
+    if not runs and not zeros:
+        def field(x1, x2):
+            (f, h), _, rho = spec.null_fields(x1)
+            return 1.0 / rho, h / (f * rho)
+
+        return _certify(spec, family, field, "analytic", n, tol)
+
+    def loop(z):
+        """|f'(z)/h(z)| with f' = -C': the closed line's loop integral."""
+        z = np.asarray(z)
+        return abs(float(spec.profile_partials(z)[2]
+                         / spec.null_fields(z)[0][1]))
+
+    worst, where = max(((loop(z), z) for z in zeros), default=(0.0, None))
+    if worst > tol.scf_reject:
+        raise NotSCF(spec.obstruction.format(where=where, worst=worst),
+                     obstruction=worst, location=where)
     return None   # bands or degenerate zeros only: defer to the numeric route
-
-
-def _sanchez_analysis(spec, family: str, n: int, tol: Tolerances
-                      ) -> Optional[SCFCertificate]:
-    s1sig, s2sig = spec.frame_signs
-    certified = "Y" if s1sig == s2sig else "X"
-    if family == certified:
-        # X2/R = (1/R, -E/(w R)) is divergence-free in closed form
-        def field(x1, x2):
-            E, F, _, R = spec.efgr(x1)
-            return 1.0 / R, -E / (F + spec.eta0 * R) / R
-
-        return _certify(spec, family, field, "analytic", n, tol)
-    m = 8192
-    G = spec.efgr(np.arange(m) / m)[2]
-    # zeros of G may sit exactly on samples (analex_sanchez at c = 2 has
-    # them at 0, 1/4, 1/2, 3/4), so level 0: exact zeros count as zeros
-    _, zeros = circular_zeros(G, 0.0, lambda x: spec.G(np.asarray(x)),
-                              tol.bisection)
-    near_zero = np.abs(G) < 1e-12 * max(1.0, float(np.max(np.abs(G))))
-    if not zeros and not bool(np.any(near_zero)):
-        # G nowhere zero: X1/(G R) = (1/R, w/(G R)) closes the divergence
-        def field(x1, x2):
-            _, F, G, R = spec.efgr(x1)
-            return 1.0 / R, (F + spec.eta0 * R) / (G * R)
-
-        return _certify(spec, family, field, "analytic", n, tol)
-    obstructions = []
-    for z in zeros:
-        dG = float(geometry._central(lambda a, _: (spec.G(a),), z, z, 0)[0])
-        _, Fz, _, Rz = spec.efgr(np.asarray(z))
-        J = abs(dG / float(Fz + spec.eta0 * Rz))
-        if J > tol.scf_reject:
-            obstructions.append((J, z))
-    if obstructions:
-        worst, where = max(obstructions)
-        raise NotSCF(
-            f"the G d1 + w d2 family is obstructed: G has a simple zero at "
-            f"x1 = {where:.6f} whose closed vertical line carries loop "
-            f"integral {worst:.6f} of div(X)", obstruction=worst,
-            location=where)
-    return None
 
 
 def _conformal_analysis(spec, family: str, n: int, tol: Tolerances
@@ -343,14 +312,9 @@ def semi_conformal_certificate(spec, family: str = "X",
     n = grid_n or min(spec.grid_n, 256)
     if isinstance(spec, geometry.ConformalRescale):
         return _conformal_analysis(spec, family, n, tol)
-    if isinstance(spec, geometry.RosaTau):
-        out = _rosatau_analysis(spec, family, n, tol)
-    elif isinstance(spec, geometry.Sanchez):
-        out = _sanchez_analysis(spec, family, n, tol)
-    elif geometry.is_diagonal(spec):
-        out = _diagonal_analysis(spec, family, n, tol)
-    else:
-        out = None
+    analysis = (_killing_analysis if geometry.is_killing(spec)
+                else _diagonal_analysis)
+    out = analysis(spec, family, n, tol)
     if out is not None:
         return out
     return _numeric_analysis(spec, family, min(n, 128), tol)
@@ -654,10 +618,17 @@ def spectral_checks(table: dict, spec, tol: Tolerances = DEFAULT
 
 def contradictions(checked) -> list[str]:
     """[doubt] naming every report of ``spectral_checks`` that contradicts
-    its spectral count (None: no exact solver), or [] when none does."""
-    clashes = "; ".join(
-        f"{r.structure.a1},{r.structure.a2} {r.quantity}: {r.value} "
-        f"({r.certificate}) vs spectral {count}"
-        for r, count in checked if count not in (None, r.value))
-    return ["geometric verdicts contradict the exact spectral count: "
-            + clashes] if clashes else []
+    its spectral count (None: no exact solver) or carries a caveat, or []
+    when none does."""
+    def row(r):
+        return (f"{r.structure.a1},{r.structure.a2} {r.quantity}: {r.value} "
+                f"({r.certificate})")
+
+    clashes = "; ".join(f"{row(r)} vs spectral {count}" for r, count in checked
+                        if count not in (None, r.value))
+    caveats = "; ".join(f"{row(r)}, {r.details['caveat']}"
+                        for r, _ in checked if "caveat" in r.details)
+    parts = [f"{head}: {rows}" for head, rows in (
+        ("geometric verdicts contradict the exact spectral count", clashes),
+        ("geometric verdicts carry a caveat", caveats)) if rows]
+    return ["; ".join(parts)] if parts else []

@@ -485,7 +485,7 @@ def solve(s: Settings, metric, structure, chirality, n_fields, grid_n):
 def classify_cmd(s: Settings, metric, structure, quantity, grid_n):
     """Dimension report for one conformal invariant and spin structure
     (exit 2, report still written, when it contradicts its spectral
-    count)."""
+    count or carries a caveat)."""
     spec = s.metric(metric, grid_n)
     struct = s.structure(structure)
     q = s.choice("quantity", quantity, "delta_plus",
@@ -505,7 +505,8 @@ def classify_cmd(s: Settings, metric, structure, quantity, grid_n):
 @click.option("--grid-n", type=int, default=None)
 def table(s: Settings, metric, quantities, grid_n):
     """Structure table: one row per spin structure and invariant (exit 2,
-    table still written, when a row contradicts its spectral count)."""
+    table still written, when a row contradicts its spectral count or
+    carries a caveat)."""
     spec = s.metric(metric, grid_n)
     raw = s.get("quantity", quantities, "delta_plus")
     qs = tuple(q.strip() for q in str(raw).split(",") if q.strip())

@@ -33,6 +33,13 @@ must be 1-periodic in each variable and numpy-vectorized.
 Each family also owns its null directions: diagonal and RosaTau families
 form the X/Y components from their coefficients directly, bit for bit the
 frame sums above, and the other families add up their frame.
+
+RosaTau and Sanchez coefficients depend on x1 alone, so d2 is a Killing
+field.  Each names a null field (f, h) with f = -C, vertical exactly at the
+zeros of C = g22, a null field (n1, n2) that is a graph over x1, and
+rho = sqrt|det g|.  The graph family is certified by (n1, n2)/rho; a closed
+vertical line at a simple zero of g22 carries loop integral
+|C'/h| = |Gamma^2_22| of div.
 """
 
 from __future__ import annotations
@@ -218,14 +225,24 @@ class Diagonal(_DiagonalMetric):
         return d11, d21, d12, d22
 
 
-@dataclass(frozen=True)
-class ClosedDiagonal(Diagonal):
-    """Diagonal metric meant to have d2 lam1 + d1 lam2 = 0; the type checks
-    nothing, ``is_closed_diagonal`` measures closedness on the grid."""
+class _KillingMetric:
+    """Coefficients of x1 alone: a family supplies ``profile(x1)`` =
+    (A, B, C), its x1-partials ``profile_partials(x1)``, ``null_fields(x1)``
+    = ((f, h), (n1, n2), rho), the label ``graph_family`` of (n1, n2) and
+    the ``obstruction`` message (fields ``where`` and ``worst``)."""
+
+    def coefficients(self, x1, x2):
+        return _spread(np.broadcast_shapes(x1.shape, x2.shape),
+                       self.profile(x1))
+
+    def jet(self, x1, x2):
+        z = np.zeros(np.broadcast_shapes(x1.shape, x2.shape))
+        dA1, dB1, dC1 = _spread(z.shape, self.profile_partials(x1))
+        return (*self.coefficients(x1, x2), dA1, z, dB1, z, dC1, z)
 
 
 @dataclass(frozen=True)
-class Sanchez(_FrameNullDirections):
+class Sanchez(_KillingMetric, _FrameNullDirections):
     """g = E(x1) dx1^2 + 2 F(x1) dx1 dx2 - G(x1) dx2^2, E*G + F^2 > 0.
 
     ``zeros`` lists the zeros of G in [0, 1); at those lines one null family
@@ -244,6 +261,10 @@ class Sanchez(_FrameNullDirections):
     G: Callable
     zeros: tuple[float, ...] = ()
     grid_n: int = 256
+
+    obstruction = ("the G d1 + w d2 family is obstructed: G has a simple "
+                   "zero at x1 = {where:.6f} whose closed vertical line "
+                   "carries loop integral {worst:.6f} of div(X)")
 
     def efgr(self, x1):
         x1 = np.asarray(x1, dtype=float)
@@ -273,41 +294,39 @@ class Sanchez(_FrameNullDirections):
         s2sig = s1sig if det > 0 else -s1sig
         return s1sig, s2sig
 
+    @property
+    def graph_family(self) -> str:
+        """X2 is Y when the frame keeps both signs, X otherwise."""
+        s1sig, s2sig = self.frame_signs
+        return "Y" if s1sig == s2sig else "X"
+
     def null_fields(self, x1):
         """Coordinate components of (X1, X2) at x1 (vectorized), and R."""
         E, F, G, R = self.efgr(x1)
         w = F + self.eta0 * R
         return (G, w), (np.ones_like(G), -E / w), R
 
-    def coefficients(self, x1, x2):
+    def profile(self, x1):
         E, F, G, _ = self.efgr(x1)
-        shape = np.broadcast_shapes(x1.shape, x2.shape)
-        return (np.broadcast_to(E, shape).copy(),
-                np.broadcast_to(F, shape).copy(),
-                np.broadcast_to(-G, shape).copy())
+        return E, F, -G
 
-    def jet(self, x1, x2):
-        z = np.zeros(np.broadcast_shapes(x1.shape, x2.shape))
-        dA1, dB1, dC1 = _central(self.coefficients, x1, x2, 0)
-        return (*self.coefficients(x1, x2), dA1, z, dB1, z, dC1, z)
+    def profile_partials(self, x1):
+        return _central(lambda a, _: self.profile(a), x1, x1, 0)
 
     def frame(self, x1, x2):
         (X1c, X2c), (Y1c, Y2c), R = self.null_fields(x1)
         # T = X1 - X2 is globally timelike (g(T,T) = -4R^2); U = X1 + X2 is
         # spacelike.  Signs are frozen once at the base point.
-        T1, T2 = X1c - Y1c, X2c - Y2c
-        U1, U2 = X1c + Y1c, X2c + Y2c
         s1sig, s2sig = self.frame_signs
-        shape = np.broadcast_shapes(x1.shape, x2.shape)
-        a1 = np.broadcast_to(s1sig * T1 / (2 * R), shape).copy()
-        a2 = np.broadcast_to(s1sig * T2 / (2 * R), shape).copy()
-        b1 = np.broadcast_to(s2sig * U1 / (2 * R), shape).copy()
-        b2 = np.broadcast_to(s2sig * U2 / (2 * R), shape).copy()
-        return a1, a2, b1, b2
+        return _spread(np.broadcast_shapes(x1.shape, x2.shape),
+                       (s1sig * (X1c - Y1c) / (2 * R),
+                        s1sig * (X2c - Y2c) / (2 * R),
+                        s2sig * (X1c + Y1c) / (2 * R),
+                        s2sig * (X2c + Y2c) / (2 * R)))
 
 
 @dataclass(frozen=True)
-class RosaTau:
+class RosaTau(_KillingMetric):
     """g = 2 dx1 dx2 - tau(x1) dx2^2 with tau 1-periodic.
 
     Carries the reversed orientation (see module docstring): X is the family
@@ -320,6 +339,11 @@ class RosaTau:
     dtau: Optional[Callable] = None
     grid_n: int = 256
 
+    graph_family = "Y"
+    obstruction = ("the quasi-vertical family is obstructed: tau has a simple "
+                   "zero at x1 = {where:.6f} whose closed line carries loop "
+                   "integral {worst:.6f} of div(X)")
+
     def tau_at(self, x1):
         return np.asarray(self.tau(np.asarray(x1, dtype=float)), dtype=float)
 
@@ -328,17 +352,17 @@ class RosaTau:
             return _central(lambda a, _: (self.tau_at(a),), x1, x1, 0)[0]
         return np.asarray(self.dtau(np.asarray(x1, dtype=float)), dtype=float)
 
-    def coefficients(self, x1, x2):
-        t = self.tau_at(x1)
-        shape = np.broadcast_shapes(x1.shape, x2.shape)
-        return (np.zeros(shape),
-                np.ones(shape),
-                np.broadcast_to(-t, shape).copy())
+    def null_fields(self, x1):
+        """X = (tau, 2) and Y = (-1, 0); det g = -1."""
+        return (self.tau_at(x1), 2.0), (-1.0, 0.0), 1.0
 
-    def jet(self, x1, x2):
-        z = np.zeros(np.broadcast_shapes(x1.shape, x2.shape))
-        dC1 = np.broadcast_to(-self.dtau_at(x1), z.shape).copy()
-        return (*self.coefficients(x1, x2), z, z, z, z, dC1, z)
+    def profile(self, x1):
+        t = self.tau_at(x1)
+        return np.zeros_like(t), np.ones_like(t), -t
+
+    def profile_partials(self, x1):
+        dt = self.dtau_at(x1)
+        return np.zeros_like(dt), np.zeros_like(dt), -dt
 
     def _tau_root(self, x1):
         """(tau, sqrt(2 + tau)) at x1; the frame seed needs tau > -2."""
@@ -350,12 +374,9 @@ class RosaTau:
 
     def frame(self, x1, x2):
         t, den = self._tau_root(x1)
-        shape = np.broadcast_shapes(x1.shape, x2.shape)
-        a1 = np.broadcast_to(1.0 / den, shape).copy()
-        a2 = -a1
-        b1 = np.broadcast_to(-(1.0 + t) / den, shape).copy()
-        b2 = np.broadcast_to(-1.0 / den, shape).copy()
-        return a1, a2, b1, b2
+        a1 = 1.0 / den
+        return _spread(np.broadcast_shapes(x1.shape, x2.shape),
+                       (a1, -a1, -(1.0 + t) / den, -1.0 / den))
 
     def null_direction(self, x1, x2, family):
         """The frame sums +-s1 + s2 with s1 = a1 (d1 - d2), formed on tau's
@@ -410,17 +431,26 @@ class ConformalRescale(_FrameNullDirections):
         return a1 / root, a2 / root, b1 / root, b2 / root
 
 
-MetricSpec = _DiagonalMetric | Sanchez | RosaTau | ConformalRescale
+MetricSpec = _DiagonalMetric | _KillingMetric | ConformalRescale
 
 
 def is_diagonal(spec) -> bool:
     return isinstance(spec, _DiagonalMetric)
 
 
+def is_killing(spec) -> bool:
+    return isinstance(spec, _KillingMetric)
+
+
 def _family(spec) -> "MetricSpec":
     if not isinstance(spec, MetricSpec):
         raise WrongFamily(f"unknown metric family: {type(spec).__name__}")
     return spec
+
+
+def _spread(shape, arrays):
+    """Each array broadcast to ``shape``, as its own writeable copy."""
+    return tuple(np.broadcast_to(a, shape).copy() for a in arrays)
 
 
 def _central(f, x1, x2, axis: int):

@@ -560,10 +560,6 @@ def first_integral_function(spec, n: Optional[int] = None) -> FirstIntegral:
     return FirstIntegral(spec, n)
 
 
-def first_integral(spec, p: Point) -> float:
-    return float(first_integral_function(spec)(p[0], p[1]))
-
-
 # ---------------------------------------------------------------------------
 # cylinder decomposition
 

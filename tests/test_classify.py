@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import ZOO
-from nulltorus import catalog, classify, geometry, nullflow, spinorfield
+from nulltorus import (catalog, classify, geometry, nullflow, spin,
+                       spinorfield)
 from nulltorus.errors import Inconclusive, NotHarmonic, NotSCF
 from nulltorus.gridtools import grid_points
 from nulltorus.spin import SpinStructure, all_structures
@@ -79,6 +80,26 @@ def test_certificate_rosatau_sides(rosatau_spec):
         classify.semi_conformal_certificate(rosatau_spec, "X")
     assert exc.value.obstruction == pytest.approx(0.5, abs=1e-6)
     assert exc.value.location == pytest.approx(0.3, abs=1e-6)
+
+
+@pytest.mark.parametrize("name, zeros", [
+    ("rosatau_spec", ()),
+    ("sanchez_spec", (0.0, 0.25, 0.5, 0.75))])
+def test_killing_obstruction_is_twice_the_holonomy_boost(name, zeros,
+                                                         request):
+    """The closed vertical line at a simple zero of g22 carries loop integral
+    |Gamma^2_22| of div(X) and spin holonomy boost of half of it: the RK4 and
+    Simpson route along each line (the obstructed one, and every zero of G)
+    against the closed form."""
+    spec = request.getfixturevalue(name)
+    with pytest.raises(NotSCF) as exc:
+        classify.semi_conformal_certificate(spec, "X")
+    rotation = nullflow.rotation_number(spec, "X").rational
+    seeds = sorted({exc.value.location, *zeros})
+    for w, rec in zip(seeds, nullflow.closed_lines_through(spec, "X", seeds,
+                                                           rotation)):
+        boost = spin.holonomy_table(spec, rec)[(1, 1)].boost
+        assert abs(abs(boost) - exc.value.obstruction / 2) < 1e-6, w
 
 
 def test_certificate_conformal_invariance(analex_spec, conformal_spec):
@@ -431,11 +452,14 @@ def test_cross_validate_left_invariant(sqrt2_spec):
 
 
 def test_cross_validate_needs_exact_solver(sanchez_spec):
-    """No exact solver: the count is None, which contradicts nothing."""
-    s = SpinStructure(1, 1)
-    assert classify.spectral_count(sanchez_spec, s) is None
-    report = classify.classify_dimension(sanchez_spec, s)
-    assert classify.contradictions([(report, None)]) == []
+    """No exact solver: the count is None, which contradicts nothing, but a
+    report's caveat is still a doubt."""
+    assert classify.spectral_count(sanchez_spec, SpinStructure(1, 1)) is None
+    table = classify.classify_table(sanchez_spec, ("delta_plus",))
+    trivial = table[(1, 1)]["delta_plus"]
+    [doubt] = classify.contradictions([(trivial, None)])
+    assert "1,1 delta_plus" in doubt and trivial.details["caveat"] in doubt
+    assert classify.contradictions([(table[(1, -1)]["delta_plus"], None)]) == []
 
 
 @pytest.mark.parametrize("b1, b2", [(1, 1), (1, 2), (2, 3), (3, 2), (3, 5),

@@ -109,7 +109,7 @@ def test_closedness_residual(analex_spec, wave12_spec):
     assert geometry.is_closed_diagonal(analex_spec)
     assert geometry.is_closed_diagonal(wave12_spec)
     # breaking the wave's amplitude coupling breaks closedness
-    bad = geometry.ClosedDiagonal(
+    bad = geometry.Diagonal(
         lambda x1, x2: 1.0 + 0.1 * np.cos(2 * np.pi * (x1 + x2)),
         lambda x1, x2: 2.0 + 0.1 * np.cos(2 * np.pi * (x1 + x2)))
     assert geometry.closedness_residual(bad) > 1e-2

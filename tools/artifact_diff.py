@@ -97,6 +97,10 @@ CASES = [
     ["classify", "--metric", "flat", "--quantity", "tau_plus",
      "--structure", "-1,-1"],
     ["classify", "--metric", "analex_sanchez", "--structure", "1,1"],
+    ["classify", "--metric", "rosatau", "--quantity", "delta_minus"],
+    ["classify", "--metric", "analex_sanchez", "--quantity", "delta_minus"],
+    ["classify", "--metric", "analex_sanchez:c=2.5"],
+    ["classify", "--metric", "rosatau:amplitude=0"],
     ["classify", "--metric", "left_invariant:sqrt2,1", "--structure", "1,-1"],
     ["classify", "--metric", "left_invariant:1,2", "--quantity", "tau_plus",
      "--structure", "-1,-1"],
