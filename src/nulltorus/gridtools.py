@@ -189,14 +189,6 @@ class TrigSeries2:
                         self.k1[osc], self.k2[osc])
         return mean, P
 
-    def antiderivative_x2(self) -> tuple["TrigSeries1", "TrigSeries2"]:
-        zero = self.k2 == 0
-        mean = TrigSeries1(self.coeffs[zero], self.k1[zero])
-        osc = ~zero
-        P = TrigSeries2(self.coeffs[osc] / (TWO_PI_I * self.k2[osc]),
-                        self.k1[osc], self.k2[osc])
-        return mean, P
-
 
 def _bisect(inside, out: float, inn: float, tol: float) -> float:
     """Boundary of a predicate between a point where it fails and one where

@@ -523,41 +523,45 @@ class FirstIntegral:
     dF = lam1 dx1 - lam2 dx2 vanishes nowhere and kills the X-direction, so
     F is constant along X-lines and strictly monotone across them; it is
     quasi-periodic with offsets (l1, -l2) under full coordinate periods.
+    The one quadrature of the closed diagonal kernels, read by
+    ``spinorfield.solve_closed_diagonal`` (phases exp(2 pi i alpha F)), the
+    resonant bump trains of ``spinorfield.construct_resonant_spinors`` and
+    criterion 2's transport check.  Closedness is decided with the caller's
+    ``tol``; the series come from the n x n grid.
     """
 
-    def __init__(self, spec, n: Optional[int] = None):
-        if not geometry.is_closed_diagonal(spec):
+    def __init__(self, spec, n: Optional[int] = None,
+                 tol: Tolerances = DEFAULT):
+        if not geometry.is_closed_diagonal(spec, tol):
             raise WrongFamily("first integral requires a closed diagonal metric")
         n = n or spec.grid_n
         X1, X2 = grid_points(n)
         l1g, l2g = spec.lambdas(X1, X2)
-        s2 = TrigSeries2.from_samples(l1g)
-        mean1, osc1 = s2.antiderivative_x1()
-        row = TrigSeries1.from_samples(l2g[0, :])   # lam2 along x1 = 0
-        mean2, osc2 = row.antiderivative()
-        self._mean1 = mean1
-        self._osc1 = osc1
-        self._mean2 = complex(mean2)
-        self._osc2 = osc2
-        self.l1, self.l2 = geometry.mean_coefficients(spec)
+        self._mean1, self._osc1 = TrigSeries2.from_samples(
+            l1g).antiderivative_x1()
+        # lam2 along x1 = 0
+        mean2, self._osc2 = TrigSeries1.from_samples(l2g[0, :]).antiderivative()
+        self._mean2 = mean2.real
 
     def __call__(self, x1, x2):
         x1 = np.asarray(x1, dtype=float)
         x2 = np.asarray(x2, dtype=float)
         i1 = x1 * self._mean1(x2).real + (self._osc1(x1, x2)
                                           - self._osc1(np.zeros_like(x1), x2)).real
-        i2 = x2 * self._mean2.real + (self._osc2(x2) - self._osc2(0.0)).real
+        i2 = x2 * self._mean2 + (self._osc2(x2) - self._osc2(0.0)).real
         return i1 - i2
 
     @property
     def quasi_periods(self) -> tuple[float, float]:
-        """(shift under x1 -> x1+1, shift under x2 -> x2+1) = (l1, -l2)."""
-        return (self.l1, -self.l2)
+        """(shift under x1 -> x1+1, shift under x2 -> x2+1), read off the
+        series at x2 = 0; (l1, -l2) for a closed metric."""
+        return (float(self._mean1(0.0).real), -self._mean2)
 
 
 @lru_cache(maxsize=32)
-def first_integral_function(spec, n: Optional[int] = None) -> FirstIntegral:
-    return FirstIntegral(spec, n)
+def first_integral_function(spec, n: Optional[int] = None,
+                            tol: Tolerances = DEFAULT) -> FirstIntegral:
+    return FirstIntegral(spec, n, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ Exact solvers:
 * ``solve_left_invariant`` reduces the transport equation to a Diophantine
   condition on Fourier modes (the connection form vanishes identically for
   constant coefficients).
-* ``solve_closed_diagonal`` builds the phase family exp(i pi alpha G) where
-  G combines four explicit quadratures of the metric coefficients; the
+* ``solve_closed_diagonal`` builds the phase family exp(2 pi i alpha F) from
+  the first integral F of the X-lines (``nullflow.FirstIntegral``); the
   alphas exist when the structure's character on the winding of the closed
   null lines is +1.
 * ``construct_resonant_spinors`` produces bump-localized kernel elements
@@ -354,7 +354,7 @@ def solve_left_invariant(spec, structure: SpinStructure, family: str = "X",
 
 
 # ---------------------------------------------------------------------------
-# closed diagonal solver (phase family from quadratures)
+# closed diagonal solver (phase family of the first integral)
 
 
 @dataclass(frozen=True)
@@ -372,45 +372,14 @@ class ClosedDiagonalSolution:
     fields: tuple[HalfSpinorField, ...]
 
 
-def phase_exponent_grid(spec, n: int) -> np.ndarray:
-    """G(x) = I1 + I1o - I3 - I4 on the grid, from four exact quadratures.
-
-    I1 = int_0^{x1} lam1(s, x2) ds     I1o = int_0^{x1} lam1(s, 0) ds
-    I3 = int_0^{x2} lam2(x1, s) ds     I4  = int_0^{x2} lam2(0, s) ds
-
-    For closed diagonal coefficients G is twice the first integral; both
-    routes are kept separate so they can check each other.
-    """
-    X1, X2 = grid_points(n)
-    l1g, l2g = spec.lambdas(X1, X2)
-    l1g = np.broadcast_to(np.asarray(l1g, dtype=float), (n, n))
-    l2g = np.broadcast_to(np.asarray(l2g, dtype=float), (n, n))
-    s1 = TrigSeries2.from_samples(l1g)
-    m1, P1 = s1.antiderivative_x1()
-    s2 = TrigSeries2.from_samples(l2g)
-    m2, P2 = s2.antiderivative_x2()
-    zeros = np.zeros_like(X1)
-
-    def int1(x1, x2):
-        return (x1 * m1(x2) + P1(x1, x2) - P1(zeros, x2)).real
-
-    def int2(x1, x2):
-        return (x2 * m2(x1) + P2(x1, x2) - P2(x1, zeros)).real
-
-    i1 = int1(X1, X2)
-    i1o = int1(X1, zeros)
-    i3 = int2(X1, X2)
-    i4 = int2(zeros, X2)
-    return i1 + i1o - i3 - i4
-
-
 def solve_closed_diagonal(spec, structure: SpinStructure, chirality: int = 1,
                           n_fields: int = 2, grid_n: Optional[int] = None,
                           tol: Tolerances = DEFAULT) -> ClosedDiagonalSolution:
     """Kernel of the X-transport equation on a closed diagonal metric.
 
-    Kernel elements are the phases exp(i pi alpha G): G is constant along
-    the X-lines, and alpha must make the phase equivariant for the
+    Kernel elements are the phases exp(2 pi i alpha F), F the first
+    integral ``nullflow.FirstIntegral`` on the field grid: F is constant
+    along the X-lines, and alpha must make the phase equivariant for the
     structure.  With the closed-line rotation l1/l2 = p/q the admissible
     alphas are (t + 2Z) p / (2 l1), the parity t being 0 for the trivial
     structure and 1 otherwise; none exists exactly when the structure's
@@ -438,12 +407,12 @@ def solve_closed_diagonal(spec, structure: SpinStructure, chirality: int = 1,
     alphas = tuple((t + 2 * s) * p / (2 * l1) for s in ss)
     fields = ()
     if alphas[:n_fields]:
-        G = phase_exponent_grid(spec, n)
         X1, X2 = grid_points(n)
+        F = nullflow.first_integral_function(spec, n, tol)(X1, X2)
         conj_twist = np.conj(structure.twist(X1, X2))
         fields = tuple(
             HalfSpinorField(spec, structure, chirality,
-                            conj_twist * np.exp(1j * np.pi * alpha * G),
+                            conj_twist * np.exp(2j * np.pi * alpha * F),
                             meta={"alpha": alpha})
             for alpha in alphas[:n_fields])
     return ClosedDiagonalSolution(structure, chirality, l1, l2, cert, True,
@@ -525,9 +494,8 @@ def _closed_diagonal_bumps(spec, structure: SpinStructure, count: int,
     D = abs(g)
     _, u, v = _egcd(p, q)            # u*p + v*q = 1
     psi = structure.character((u, v))
-    first = nullflow.first_integral_function(spec)
     X1, X2 = grid_points(grid_n)
-    F = first(X1, X2)
+    F = nullflow.first_integral_function(spec, grid_n, tol)(X1, X2)
     conj_twist = np.conj(structure.twist(X1, X2))
     width = 0.4 * D / count
     fields = []

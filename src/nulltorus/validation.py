@@ -107,10 +107,9 @@ def criterion_closed_diagonal_example(step, grid_n, tol) -> tuple[bool, dict, st
     closedness = geometry.closedness_residual(spec)
     l1, l2 = geometry.mean_coefficients(spec, tol)
     n = 256
-    G = spinorfield.phase_exponent_grid(spec, n)
-    f1 = np.exp(1j * np.pi * G)
-    d1, d2 = spectral_derivatives(f1)
     X1, X2 = grid_points(n)
+    F = nullflow.first_integral_function(spec, n, tol)(X1, X2)
+    d1, d2 = spectral_derivatives(np.exp(2j * np.pi * F))
     lam1, lam2 = spec.lambdas(X1, X2)
     pde_residual = float(np.max(np.abs(-lam2 * d1 - lam1 * d2)))
     periodic = max(abs(l1 - round(l1)), abs(l2 - round(l2))) < 1e-9

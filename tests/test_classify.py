@@ -1,4 +1,38 @@
-"""Flatness certificates, mass functionals, and the dimension classification."""
+"""Flatness certificates, mass functionals, and the dimension classification.
+
+Exits of ``classify.semi_conformal_certificate`` and their witnesses:
+
+* closed diagonal coefficients: analytic certificate
+  (``test_certificate_closed_diagonal_analytic``);
+* Killing rule (coefficients of x1 alone): the graph family certifies
+  (``test_certificate_sanchez_sides``, ``test_certificate_rosatau_sides``);
+  the other family certifies when its f vanishes identically or nowhere
+  (``test_analytic_certificate_witness``), is NotSCF at a simple zero
+  (``test_certificate_sanchez_analytic_obstruction``,
+  ``test_certificate_rosatau_zero_on_a_sample``) and defers to the numeric
+  route on bands and flat zeros
+  (``test_killing_rule_defers_to_the_loop_integrals``);
+* conformal rescalings: the inner certificate over the factor
+  (``test_certificate_conformal_invariance``) or the inner NotSCF
+  (``test_certificate_conformal_propagates_obstruction``);
+* numeric route: NotSCF from loop integrals over sampled closed lines
+  (``test_killing_rule_defers_to_the_loop_integrals``), Inconclusive
+  between the thresholds
+  (``test_loop_integral_between_thresholds_is_inconclusive``), a rescaling
+  certificate after closed lines (``test_certificate_numeric_rescaling_route``)
+  or after the weighted Birkhoff average of a dense line
+  (``test_numeric_route_sweeps_the_seeds_once[wave12]``), and Inconclusive
+  when LSQR stalls (``test_stalled_transport_solve_names_lsqr_stop``).
+
+No test reaches the Inconclusive of a candidate field that misses
+``scf_certificate``, nor that of a family without a graph axis.
+
+Exits of ``classify._verdict``: DenseLine (``test_classify_dense_table``),
+XTrivialResonant and NoXTrivialResonant (``test_classify_rosatau_table``),
+NoXTrivialResonant with a caveat on the trivial structure
+(``test_cross_validate_needs_exact_solver``).  No test reaches either
+NonResonant exit.
+"""
 
 import tracemalloc
 
@@ -9,7 +43,7 @@ from conftest import ZOO
 from nulltorus import (catalog, classify, geometry, nullflow, spin,
                        spinorfield)
 from nulltorus.errors import Inconclusive, NotHarmonic, NotSCF
-from nulltorus.gridtools import grid_points
+from nulltorus.gridtools import grid_points, mollifier, torus_delta
 from nulltorus.spin import SpinStructure, all_structures
 from nulltorus.tolerances import DEFAULT
 
@@ -128,8 +162,11 @@ def _dtau_cosine(x1):
     # tau vanishes identically: the (0, 1) field
     lambda: catalog.rosatau_window(amplitude=0.0),
     # tau nowhere zero: the (1, 2/tau) field
-    lambda: geometry.RosaTau(_tau_cosine, dtau=_dtau_cosine)],
-    ids=["sanchez-x1-over-gr", "rosatau-zero-tau", "rosatau-two-over-tau"])
+    lambda: geometry.RosaTau(_tau_cosine, dtau=_dtau_cosine),
+    # the same, with tau' from RosaTau's central-difference fallback
+    lambda: geometry.RosaTau(_tau_cosine)],
+    ids=["sanchez-x1-over-gr", "rosatau-zero-tau", "rosatau-two-over-tau",
+         "rosatau-central-difference"])
 def test_analytic_certificate_witness(make, analytic_only):
     spec = make()
     cert = classify.semi_conformal_certificate(spec, "X")
@@ -209,6 +246,37 @@ def test_stalled_transport_solve_names_lsqr_stop(conformally_flat_diagonal,
         classify.semi_conformal_certificate(conformally_flat_diagonal, "X")
     assert "stalled" in str(exc.value)
     assert "istop 7 after 4000 iterations" in str(exc.value)
+
+
+def _tau_band(x1):
+    """tau >= 0 on a bump over (0.15, 0.45) and zero on the band around it:
+    its only zeros are flat, so no simple zero decides the Killing rule.
+    Off the band X = (tau, 2) pushes x1 towards the band edge, where a
+    divergence-free w X needs w ~ 1/tau: the family is not SCF."""
+    return 0.5 * mollifier(torus_delta(x1, 0.3) / 0.15)
+
+
+#: a RosaTau with a band of zeros of tau, at a coarse step
+BAND, BAND_TOL = geometry.RosaTau(_tau_band), DEFAULT.with_(ode_step=1e-2)
+
+
+def test_killing_rule_defers_to_the_loop_integrals():
+    assert classify._killing_analysis(BAND, "X", 32, BAND_TOL) is None
+    with pytest.raises(NotSCF) as exc:
+        classify.semi_conformal_certificate(BAND, "X", grid_n=32,
+                                            tol=BAND_TOL)
+    assert exc.value.obstruction == pytest.approx(2.184e-3, rel=1e-3)
+    assert "over 729 sampled closed lines" in str(exc.value)
+
+
+def test_loop_integral_between_thresholds_is_inconclusive():
+    """The band metric's loop integral, 2.184e-3, lies inside a reject
+    threshold raised to 1e-2; the cached sweep decides it again."""
+    tol = BAND_TOL.with_(scf_reject=1e-2)
+    with pytest.raises(Inconclusive) as exc:
+        classify.semi_conformal_certificate(BAND, "X", grid_n=32, tol=tol)
+    assert exc.value.band == (1e-6, 1e-2)
+    assert exc.value.measured == pytest.approx(2.184e-3, rel=1e-3)
 
 
 def test_rescaling_exponent_stays_blocked():

@@ -51,6 +51,9 @@ def test_every_import_is_used():
 
 
 def test_every_top_level_definition_is_referenced():
+    """A top-level class or function is read by the package or exported; a
+    method of a package class (dunders aside) is read by the package or
+    its tests."""
     exported = _used_names(MODULES["__init__"])
     referenced = set().union(*(_used_names(tree) for name, tree
                                in MODULES.items() if name != "__init__"))
@@ -60,6 +63,15 @@ def test_every_top_level_definition_is_referenced():
                 or isinstance(node, ast.FunctionDef)
                 and not node.decorator_list)
             and node.name not in referenced | exported]
+    tests = Path(__file__).resolve().parent
+    read = referenced.union(exported, *(
+        _used_names(ast.parse(path.read_text()))
+        for path in sorted(tests.glob("*.py"))))
+    dead += [f"{name}.{cls.name}.{node.name}"
+             for name, tree in MODULES.items() for cls in tree.body
+             if isinstance(cls, ast.ClassDef) for node in cls.body
+             if isinstance(node, ast.FunctionDef)
+             and not node.name.startswith("__") and node.name not in read]
     assert not dead, "definitions nothing references: " + ", ".join(dead)
 
 

@@ -165,24 +165,25 @@ def test_decomposition_interval_bookkeeping(rosatau_spec):
         assert all(iv.contains(p % 1.0) for p in pts)
 
 
-def test_first_integral_analex(analex_spec, rng):
-    F = nullflow.first_integral_function(analex_spec)
-    # quasi-periods are (l1, -l2) = (1, 1) for this metric: both integral,
-    # so exp(2 pi i F) descends to the torus
-    assert F.quasi_periods == pytest.approx((1.0, 1.0), abs=1e-10)
+@pytest.mark.parametrize("metric", [
+    "analex", "closed_diagonal:1,2,k=1,l=2", "closed_diagonal:3,5,k=2,l=1"])
+def test_first_integral_analex(metric, rng):
+    """F is constant along RK4 X-lines and shifts by the mean coefficients
+    (l1, -l2) under the coordinate periods: two oracles outside the
+    quadrature."""
+    spec = catalog.from_shorthand(metric)
+    F = nullflow.first_integral_function(spec)
+    l1, l2 = geometry.mean_coefficients(spec)
+    assert F.quasi_periods == pytest.approx((l1, -l2), abs=1e-10)
 
-    # constant along X lines
-    rec = nullflow.integrate_null_line(analex_spec, (0.1, 0.55), "X",
-                                       t_max=2.0)
-    vals = [F(float(p[0]), float(p[1])) for p in rec.points[::100]]
-    assert max(vals) - min(vals) < 1e-6
+    rec = nullflow.integrate_null_line(spec, (0.1, 0.55), "X", t_max=2.0)
+    vals = F(rec.points[::100, 0], rec.points[::100, 1])
+    assert np.ptp(vals) < 1e-6
 
-    # integer quasi-periods make exp(2 pi i F) a well-defined torus function
-    for _ in range(5):
-        x1, x2 = float(rng.random()), float(rng.random())
-        base = F(x1, x2)
-        assert F(x1 + 1.0, x2) - base == pytest.approx(1.0, abs=1e-10)
-        assert F(x1, x2 + 1.0) - base == pytest.approx(1.0, abs=1e-10)
+    x1, x2 = rng.random(5), rng.random(5)
+    base = F(x1, x2)
+    assert F(x1 + 1.0, x2) - base == pytest.approx(l1, abs=1e-10)
+    assert F(x1, x2 + 1.0) - base == pytest.approx(-l2, abs=1e-10)
 
 
 def test_completeness_flat_vs_ppwave(flat_spec, rosatau_spec):

@@ -9,6 +9,7 @@ from nulltorus import catalog, classify, geometry, nullflow, spinorfield
 from nulltorus.errors import (DenseFlow, NotHarmonic, NotXTrivial,
                               UnsupportedFamily, WrongFamily)
 from nulltorus.spin import GAMMA1, GAMMA2, SpinStructure, all_structures
+from nulltorus.tolerances import DEFAULT
 
 
 # ---------------------------------------------------------------------------
@@ -188,15 +189,6 @@ def test_left_invariant_rejects_other_families(analex_spec):
 # closed diagonal solver
 
 
-def test_phase_exponent_is_twice_first_integral(analex_spec):
-    n = 256
-    G = spinorfield.phase_exponent_grid(analex_spec, n)
-    first = nullflow.first_integral_function(analex_spec, n)
-    from nulltorus.gridtools import grid_points
-    X1, X2 = grid_points(n)
-    assert np.max(np.abs(G - 2.0 * first(X1, X2))) < 1e-10
-
-
 def test_closed_diagonal_solvability_pattern(analex_spec):
     # closed X-lines wind (1, -1), so the character test picks a1 == a2
     for s in all_structures():
@@ -246,7 +238,7 @@ def test_closed_diagonal_alphas_are_equivariant(analex_spec):
 
 def test_closed_diagonal_count_builds_no_phase_grid(analex_spec,
                                                    monkeypatch):
-    monkeypatch.setattr(spinorfield, "phase_exponent_grid", None)
+    monkeypatch.setattr(nullflow, "first_integral_function", None)
     sol = spinorfield.solve_closed_diagonal(analex_spec, SpinStructure(1, 1),
                                             n_fields=0)
     assert sol.count_class == "Infinite" and sol.fields == ()
@@ -368,6 +360,35 @@ def test_resonant_bumps_conformal_pushforward(conformal_spec):
     assert _max_support_overlap(fields) == 0.0
     for f in fields:
         assert f.spec is conformal_spec
+        assert spinorfield.residual_norm(f, "harmonic") < 1e-6
+
+
+def _analex_lam1(x1, x2):
+    return catalog.analex().lambdas(x1, x2)[0]
+
+
+def _analex_lam2_tilted(x1, x2):
+    return (catalog.analex().lambdas(x1, x2)[1]
+            + 1e-8 * np.sin(2 * np.pi * np.asarray(x1)))
+
+
+def test_closed_diagonal_kernels_read_the_callers_tol():
+    """A metric closed only to the caller's closedness tolerance (residual
+    6.3e-8 against 1e-6) gets its first integral, bumps and phases under
+    that tolerance, not the default's 1e-9."""
+    spec = geometry.Diagonal(_analex_lam1, _analex_lam2_tilted)
+    tol = DEFAULT.with_(closedness=1e-6)
+    assert not geometry.is_closed_diagonal(spec)
+    assert geometry.is_closed_diagonal(spec, tol)
+    fields = spinorfield.construct_resonant_spinors(
+        spec, SpinStructure(1, 1), count=2, grid_n=1024, tol=tol)
+    assert len(fields) == 2
+    for f in fields:
+        assert spinorfield.residual_norm(f, "harmonic") < 1e-6
+    sol = spinorfield.solve_closed_diagonal(spec, SpinStructure(1, 1),
+                                            n_fields=4, grid_n=128, tol=tol)
+    assert sol.count_class == "Infinite" and len(sol.fields) == 4
+    for f in sol.fields:
         assert spinorfield.residual_norm(f, "harmonic") < 1e-6
 
 
