@@ -79,6 +79,9 @@ class Analex(_DiagonalMetric):
         d = -TWO_PI * np.sin(TWO_PI * (x1 - x2 + 0.25)) / 10.0
         return -d, d, -d, d
 
+    def phase(self):
+        return 1, -1
+
 
 def analex(c: float = 2.0, *, grid_n: int = 256) -> Analex:
     return Analex(real("c", c), grid_n=grid_n)
@@ -166,6 +169,10 @@ class Wave(_DiagonalMetric):
         a1, a2 = -self.amp * TWO_PI, self.amp * (self.l / self.k) * TWO_PI
         return (a1 * self.k * s, a1 * self.l * s,
                 a2 * self.k * s, a2 * self.l * s)
+
+    def phase(self):
+        g = math.gcd(self.k, self.l)
+        return self.k // g, self.l // g
 
 
 def closed_diagonal_wave(base1: float, base2: float, amp: float = 0.1,

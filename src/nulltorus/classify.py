@@ -3,9 +3,10 @@
 The geometric side of the package: a metric is *semi-conformally flat* (SCF)
 for a null family when some nowhere-zero divergence-free vector field spans
 that family.  Certificates are produced analytically for the built-in
-families whenever a closed form exists and numerically otherwise; the
-numeric route decides through loop integrals of div(X) along closed null
-lines (the cohomological obstruction) and, for dense flows, a weighted
+families whenever a closed form exists (on a single-phase metric, through
+its lattice basis) and numerically otherwise; the numeric route decides
+through loop integrals of div(X) along closed null lines (the
+cohomological obstruction) and, for dense flows, a weighted
 Birkhoff average, then tries to construct the rescaling exponent f with
 X(f) = -div(X) by a spectral least-squares transport solve.
 
@@ -27,8 +28,8 @@ from typing import Optional, Union
 import numpy as np
 
 from . import geometry, nullflow, spin, spinorfield
-from .errors import (DenseFlow, Inconclusive, NotHarmonic, NotSCF,
-                     NotTransverse)
+from .errors import (DegenerateMetric, DenseFlow, Inconclusive, NotHarmonic,
+                     NotSCF, NotTransverse)
 from .gridtools import (TrigSeries1, TrigSeries2, circular_zeros,
                         grid_points, spectral_derivative,
                         spectral_derivatives)
@@ -56,7 +57,8 @@ class SCFCertificate:
     """A divergence-free vector field spanning one null family.
 
     ``kind`` records how it was obtained: "analytic" (closed form for the
-    family), "conformal" (inner certificate divided by the factor), or
+    family), "conformal" (inner certificate divided by the factor), "lattice"
+    (analytic on the pullback to the phase's lattice basis, pushed back) or
     "rescaling" (numeric exponent f with X(f) = -div X, stored in
     ``exponent`` on the certificate grid).
     """
@@ -89,7 +91,7 @@ def _certify(spec, family: str, components, kind: str, n: int,
              ) -> SCFCertificate:
     V = geometry.VectorField(components)
     res = _field_divergence_residual(spec, V, n)
-    if res >= tol.scf_certificate:
+    if not res < tol.scf_certificate:
         raise Inconclusive(
             f"candidate {family}-certificate missed the divergence tolerance "
             f"({res:.3e} on the {n}x{n} grid)", measured=res,
@@ -99,10 +101,10 @@ def _certify(spec, family: str, components, kind: str, n: int,
 
 def _diagonal_analysis(spec, family: str, n: int, tol: Tolerances
                        ) -> Optional[SCFCertificate]:
-    """X certifies when the coefficients are closed, Y when anti-closed;
-    the null direction (+-1/|lam1|, sign(lam1)/lam2) is then the field."""
+    """Closed coefficients certify X and anti-closed ones Y, by the null
+    direction (+-1/|lam1|, sign(lam1)/lam2); else the lattice route."""
     if not geometry.is_closed_diagonal(spec, tol, family):
-        return None
+        return _lattice_analysis(spec, family, n, tol)
     return _certify(spec, family,
                     lambda x1, x2: geometry.null_direction_arrays(
                         spec, x1, x2, family), "analytic", n, tol)
@@ -151,6 +153,43 @@ def _killing_analysis(spec, family: str, n: int, tol: Tolerances
         raise NotSCF(spec.obstruction.format(where=where, worst=worst),
                      obstruction=worst, location=where)
     return None   # bands or degenerate zeros only: defer to the numeric route
+
+
+def _sine(u, v):
+    """|sin| of the angle between the vectors u and v, pointwise."""
+    return np.abs(u[0] * v[1] - u[1] * v[0]) / (np.hypot(*u) * np.hypot(*v))
+
+
+def _lattice_analysis(spec, family: str, n: int, tol: Tolerances
+                      ) -> Optional[SCFCertificate]:
+    """The Killing rule on the x1-only pullback of a single-phase metric, its
+    field V' pushed back as V(x) = A V'(A^-1 x); None where no family
+    matches, the rule defers or is obstructed, or V fails a check on spec."""
+    if not (geometry.is_diagonal(spec) and spec.phase()):
+        return None
+    A = (a, b), (c, d) = geometry.lattice_basis(*spec.phase())
+    X1, X2 = grid_points(n)
+    try:
+        pull = geometry.Sanchez(*(geometry.LatticeProfile(spec, A, which)
+                                  for which in "EFG"), grid_n=spec.grid_n)
+        target = np.linalg.solve(A, geometry.null_direction_arrays(
+            spec, 0.0, 0.0, family))
+        match = [f for f in ("X", "Y") if _sine(target, geometry.
+                 null_direction_arrays(pull, 0.0, 0.0, f)) < tol.scf_certificate]
+        inner = match and _killing_analysis(pull, match[0], n, tol)
+        if not inner:
+            return None
+
+        def field(x1, x2):
+            v1, v2 = inner.field.at(d * x1 - b * x2, a * x2 - c * x1)
+            return a * v1 + b * v2, c * v1 + d * v2
+
+        cert = _certify(spec, family, field, "lattice", n, tol)
+        sine = np.max(_sine(cert.field.at(X1, X2), geometry.
+                            null_direction_arrays(spec, X1, X2, family)))
+    except (DegenerateMetric, NotSCF, Inconclusive):
+        return None
+    return cert if sine < tol.scf_certificate else None
 
 
 def _conformal_analysis(spec, family: str, n: int, tol: Tolerances
@@ -282,7 +321,7 @@ def _numeric_analysis(spec, family: str, n: int, tol: Tolerances
             f"{family}-family loop obstruction: {source} is {worst:.3e} "
             f"(reject threshold {tol.scf_reject:.0e})", obstruction=worst,
             location=location)
-    if worst > tol.scf_accept:
+    if not worst <= tol.scf_accept:
         raise Inconclusive(
             f"{family}-family loop test landed between thresholds: {source} "
             f"is {worst:.3e}", measured=worst,
@@ -304,8 +343,9 @@ def semi_conformal_certificate(spec, family: str = "X",
 
     Analytic shortcuts cover the built-in families (closed diagonal
     coefficients, the x1-only metrics on their explicitly integrable side,
-    conformal rescalings); everything else goes through the numeric
-    loop-integral decision plus a constructive transport solve.
+    single-phase metrics in their lattice basis, conformal rescalings);
+    everything else goes through the numeric loop-integral decision plus a
+    constructive transport solve.
     """
     if family not in ("X", "Y"):
         raise ValueError(f"family must be 'X' or 'Y', got {family!r}")
@@ -373,13 +413,13 @@ def mass_functional(spec, scf: SCFCertificate,
                     phi: Union[SpinorField, HalfSpinorField],
                     tol: Tolerances = DEFAULT) -> MassFunctional:
     """Mass functional of a positive-harmonic field on an SCF surface."""
-    if scf.residual >= tol.scf_certificate:
+    if not scf.residual < tol.scf_certificate:
         raise NotSCF("the supplied certificate does not meet the divergence "
                      f"tolerance (residual {scf.residual:.3e})")
     psi = embed(phi) if isinstance(phi, HalfSpinorField) else phi
     res = spinorfield.residual_norm(psi, operator="harmonic")
     scale = max(psi.positive.sup_norm(), psi.negative.sup_norm(), 1.0)
-    if res > 100 * tol.differential * scale:
+    if not res <= 100 * tol.differential * scale:
         raise NotHarmonic(
             f"field is not in the Dirac kernel: residual {res:.3e}")
     comps = psi.component_grids()

@@ -52,7 +52,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DegenerateMetric, FrameUndefined, WrongFamily
-from .gridtools import grid_points, spectral_derivatives
+from .gridtools import grid_points, spectral_derivative, spectral_derivatives
 from .tolerances import DEFAULT, Tolerances
 
 Point = tuple[float, float]
@@ -136,6 +136,10 @@ class _FrameNullDirections:
 
 class _DiagonalMetric:
     """Formulas shared by the families g = -lam1^2 dx1^2 + lam2^2 dx2^2."""
+
+    def phase(self) -> Optional[tuple[int, int]]:
+        """(k, l), gcd 1, when lam1, lam2 depend on k x1 + l x2 alone."""
+        return None
 
     def coefficients(self, x1, x2):
         l1, l2 = self.lambdas(x1, x2)
@@ -323,6 +327,36 @@ class Sanchez(_KillingMetric, _FrameNullDirections):
                         s1sig * (X2c - Y2c) / (2 * R),
                         s2sig * (X1c + Y1c) / (2 * R),
                         s2sig * (X2c + Y2c) / (2 * R)))
+
+
+def lattice_basis(k: int, l: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """A in SL(2, Z) with (k, l) A = (1, 0): A = [[s, -l], [t, k]] with
+    k s + l t = 1 by extended Euclid; ValueError unless gcd(k, l) = 1."""
+    old, new = (k, 1, 0), (l, 0, 1)         # rows (r, s, t), r = k s + l t
+    while new[0]:
+        q = old[0] // new[0]
+        old, new = new, tuple(o - q * m for o, m in zip(old, new))
+    r, s, t = old
+    if abs(r) != 1:
+        raise ValueError(f"({k}, {l}) is not a primitive lattice vector")
+    return (r * s, -l), (r * t, k)
+
+
+@dataclass(frozen=True)
+class LatticeProfile:
+    """E, F or G (``which``) of the Sanchez pullback of ``spec`` by x = A y:
+    A^T g A at A (y1, 0), exact for A = lattice_basis(*spec.phase())."""
+
+    spec: "MetricSpec"
+    A: tuple[tuple[int, int], tuple[int, int]]
+    which: str
+
+    def __call__(self, y1):
+        (a, b), (c, d) = self.A
+        g11, g12, g22 = coefficients(self.spec, a * y1, c * y1)
+        return {"E": a * a * g11 + 2 * a * c * g12 + c * c * g22,
+                "F": a * b * g11 + (a * d + b * c) * g12 + c * d * g22,
+                "G": -(b * b * g11 + 2 * b * d * g12 + d * d * g22)}[self.which]
 
 
 @dataclass(frozen=True)
@@ -664,10 +698,9 @@ def divergence_grids(spec, v1_grid, v2_grid, n: int):
     A, B, C = coefficient_grids(spec, n)
     det = A * C - B * B
     logdet = np.log(np.abs(det))
-    dk1, _ = spectral_derivatives(v1_grid)
-    _, dl2 = spectral_derivatives(v2_grid)
     dld1, dld2 = spectral_derivatives(logdet)
-    return dk1 + dl2 + 0.5 * (v1_grid * dld1 + v2_grid * dld2)
+    return (spectral_derivative(v1_grid, 0) + spectral_derivative(v2_grid, 1)
+            + 0.5 * (v1_grid * dld1 + v2_grid * dld2))
 
 
 # ---------------------------------------------------------------------------

@@ -15,17 +15,30 @@ Exits of ``classify.semi_conformal_certificate`` and their witnesses:
 * conformal rescalings: the inner certificate over the factor
   (``test_certificate_conformal_invariance``) or the inner NotSCF
   (``test_certificate_conformal_propagates_obstruction``);
-* numeric route: NotSCF from loop integrals over sampled closed lines
+* lattice route (a diagonal metric of one phase, through the Killing rule
+  on its pullback): a "lattice" certificate
+  (``test_lattice_certificate_is_a_multiple_of_the_rescaling_field``,
+  ``test_lattice_route_corrects_a_birkhoff_misread``), or None, handing
+  over to the numeric route, when the pulled-back rule is NotSCF, F(0) = 0
+  leaves eta0 undefined (DegenerateMetric), or a wrong phase makes the
+  pushed field miss ``scf_certificate`` (Inconclusive)
+  (``test_lattice_route_declines``).  No test reaches the None of a
+  deferring rule, of a pullback with no matching family, or of a pushed
+  field that fails the parallelism check;
+* numeric route, entered directly by the tests of its certificates:
+  NotSCF from loop integrals over sampled closed lines
   (``test_killing_rule_defers_to_the_loop_integrals``), Inconclusive
   between the thresholds
-  (``test_loop_integral_between_thresholds_is_inconclusive``), a rescaling
-  certificate after closed lines (``test_certificate_numeric_rescaling_route``)
-  or after the weighted Birkhoff average of a dense line
+  (``test_loop_integral_between_thresholds_is_inconclusive``) or on a NaN
+  (``test_loop_test_refuses_nan``), a rescaling certificate after closed
+  lines (``test_certificate_numeric_rescaling_route``) or after the
+  weighted Birkhoff average of a dense line
   (``test_numeric_route_sweeps_the_seeds_once[wave12]``), and Inconclusive
   when LSQR stalls (``test_stalled_transport_solve_names_lsqr_stop``).
 
-No test reaches the Inconclusive of a candidate field that misses
-``scf_certificate``, nor that of a family without a graph axis.
+A candidate field that misses ``scf_certificate`` is Inconclusive, a NaN
+residual included (``test_certify_refuses_nan``).  No test reaches the
+Inconclusive of a family without a graph axis.
 
 Exits of ``classify._verdict``: DenseLine (``test_classify_dense_table``),
 XTrivialResonant and NoXTrivialResonant (``test_classify_rosatau_table``),
@@ -42,7 +55,8 @@ import pytest
 from conftest import ZOO
 from nulltorus import (catalog, classify, geometry, nullflow, spin,
                        spinorfield)
-from nulltorus.errors import Inconclusive, NotHarmonic, NotSCF
+from nulltorus.errors import (DegenerateMetric, Inconclusive, NotHarmonic,
+                              NotSCF)
 from nulltorus.gridtools import grid_points, mollifier, torus_delta
 from nulltorus.spin import SpinStructure, all_structures
 from nulltorus.tolerances import DEFAULT
@@ -365,7 +379,8 @@ def test_numeric_route_sweeps_the_seeds_once(family, build, monkeypatch):
             sweeps.append(family)
         return march(spec, family, axis, u0, w0, *args, **kwargs)
     monkeypatch.setattr(nullflow, "_march", counting)
-    cert = classify.semi_conformal_certificate(spec, family, grid_n=32)
+    # the wave's Y family certifies on the lattice route first
+    cert = classify._numeric_analysis(spec, family, 32, DEFAULT)
     assert cert.kind == "rescaling"
     assert sweeps == [family]
 
@@ -396,6 +411,78 @@ def test_christoffel_row_evaluates_lambdas_once(name, request, monkeypatch):
     for u in (0.1, 0.5, 0.9):
         geometry._christoffel_row(spec, 1, u, np.linspace(0, 1, 9))
     assert len(calls) == 3
+
+
+def test_loop_test_refuses_nan(monkeypatch):
+    """A NaN loop integral lies below neither threshold: Inconclusive."""
+    monkeypatch.setattr(classify, "_weighted_birkhoff", lambda D1, J1: np.nan)
+    spec = catalog.closed_diagonal_wave(1.0, 2.0, amp=0.08)
+    with pytest.raises(Inconclusive, match="nan"):
+        classify._numeric_analysis(spec, "Y", 32, DEFAULT)
+
+
+def test_certify_refuses_nan(analex_spec):
+    def field(x1, x2):
+        v1, v2 = geometry.null_direction_arrays(analex_spec, x1, x2, "X")
+        return np.where((x1 == 0) & (x2 == 0), np.nan, v1), v2
+
+    with pytest.raises(Inconclusive, match="nan"):
+        classify._certify(analex_spec, "X", field, "analytic", 32, DEFAULT)
+
+
+# ---------------------------------------------------------------------------
+# the lattice route
+
+
+@pytest.mark.parametrize("amp", (0.06, 0.09, 0.105))
+def test_lattice_certificate_is_a_multiple_of_the_rescaling_field(amp):
+    """The Y waves of the numeric-scf benchmark: the lattice field and the
+    numeric route's rescaling field are both divergence-free sections of
+    the family, so their ratio is constant along its dense lines."""
+    spec = catalog.closed_diagonal_wave(1.0, 2.0, amp=amp)
+    cert = classify.semi_conformal_certificate(spec, "Y")
+    assert cert.kind == "lattice" and cert.residual < 1e-8
+    rescaling = classify._numeric_analysis(spec, "Y", 32, DEFAULT)
+    X1, X2 = grid_points(32)
+    ratio = rescaling.field.at(X1, X2)[0] / cert.field.at(X1, X2)[0]
+    assert np.ptp(ratio) / abs(np.mean(ratio)) < 1e-8
+
+
+def test_lattice_route_corrects_a_birkhoff_misread():
+    """The numeric route read this wave's Y family as NotSCF from a weighted
+    Birkhoff average of 1.179e-4 at rotation -0.49917, so classify printed
+    One next to an scf_obstruction."""
+    spec = catalog.closed_diagonal_wave(1.0, 2.0, amp=0.1, k=3, l=-2)
+    report = classify.classify_dimension(spec, SpinStructure(1, 1),
+                                         "delta_minus")
+    assert report.scf.kind == "lattice" and report.scf.residual < 1e-8
+    assert "scf_obstruction" not in report.details
+    assert (report.value, report.certificate) == ("One", "DenseLine")
+
+
+def _pullback(spec, A):
+    """The Sanchez pullback that the lattice route builds."""
+    return geometry.Sanchez(*(geometry.LatticeProfile(spec, A, which)
+                              for which in "EFG"))
+
+
+def test_lattice_route_declines(analex_spec, monkeypatch):
+    """Each exit hands the family to the numeric route with None."""
+    # analex Y: the pulled-back rule finds a simple zero of G
+    pull = _pullback(analex_spec, geometry.lattice_basis(
+        *analex_spec.phase()))
+    with pytest.raises(NotSCF):
+        classify._killing_analysis(pull, "X", 32, DEFAULT)
+    assert classify._lattice_analysis(analex_spec, "Y", 32, DEFAULT) is None
+    # phase (1, 0): A is the identity and F = g12 = 0, so eta0 is undefined
+    flat_f = catalog.closed_diagonal_wave(1.0, 2.0, k=1, l=0)
+    with pytest.raises(DegenerateMetric):
+        _pullback(flat_f, ((1, 0), (0, 1))).eta0
+    assert classify._lattice_analysis(flat_f, "Y", 32, DEFAULT) is None
+    # a wrong phase: the pullback certifies, the pushed field does not
+    wave = catalog.closed_diagonal_wave(1.0, 2.0, amp=0.08)
+    monkeypatch.setattr(catalog.Wave, "phase", lambda self: (2, 1))
+    assert classify._lattice_analysis(wave, "Y", 32, DEFAULT) is None
 
 
 def test_is_x_conformally_flat(analex_spec, rosatau_spec, flat_spec):
@@ -600,3 +687,19 @@ def test_mass_functional_gates_inputs(analex_spec):
                                              grid_n=128).fields[0]
     with pytest.raises(NotSCF):
         classify.mass_functional(analex_spec, bad_cert, good)
+
+
+def test_mass_functional_refuses_nan(analex_spec):
+    """A NaN certificate residual is not below the tolerance, and a NaN
+    harmonic residual is not within its bound."""
+    cert = classify.semi_conformal_certificate(analex_spec, "X")
+    s = SpinStructure(1, 1)
+    nan_cert = classify.SCFCertificate("X", cert.field, np.nan, "analytic",
+                                       cert.grid_n)
+    good = spinorfield.constant_field(analex_spec, s, 1, 1.0, grid_n=32)
+    with pytest.raises(NotSCF):
+        classify.mass_functional(analex_spec, nan_cert, good)
+    nan_field = spinorfield.HalfSpinorField(
+        analex_spec, s, 1, np.full((32, 32), np.nan + 0j))
+    with pytest.raises(NotHarmonic):
+        classify.mass_functional(analex_spec, cert, nan_field)

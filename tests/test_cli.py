@@ -150,6 +150,23 @@ def test_table_y_rows_carry_spectral_count(runner, ratio):
         assert row["spectral_count"] == row["value"]
 
 
+def test_table_wave_y_is_definite(runner):
+    """The numeric route left this Y family Inconclusive (a loop integral of
+    1.298e-6 between the thresholds, exit 2); the lattice route certifies
+    it, and the dense Y-lines give definite rows."""
+    result = runner.invoke(main, ["table", "--metric",
+                                  "closed_diagonal:1,2,amp=0.1,k=1,l=-1",
+                                  "--quantity", "delta_minus,tau_plus"])
+    assert result.exit_code == 0, result.output
+    lines = result.output.splitlines()
+    rows = [dict(zip(lines[1].split(","), line.split(",")))
+            for line in lines[2:]]
+    assert len(rows) == 8
+    assert {row["certificate"] for row in rows} == {"DenseLine"}
+    assert all(row["value"] == ("One" if row["a1"] == row["a2"] == "1"
+                                else "Zero") for row in rows)
+
+
 @pytest.mark.parametrize("metric,quantities,solver,expected", [
     ("closed_diagonal:2,3", "delta_plus,tau_minus", "solve_closed_diagonal",
      ["X"] * 4),

@@ -6,13 +6,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ZOO, frame_direction
 from nulltorus import catalog, classify, geometry, nullflow
 from nulltorus.errors import DegenerateMetric, FrameUndefined
-from nulltorus.gridtools import grid_points
+from nulltorus.gridtools import grid_points, spectral_derivatives
 from nulltorus.tolerances import DEFAULT
 
 
@@ -157,6 +157,56 @@ def test_divergence_grid_matches_pointwise(name, request):
     for i, j in ((0, 0), (17, 3), (64, 100), (5, 90)):
         point = geometry.divergence(spec, V, (i / n, j / n))
         assert grid[i, j] == pytest.approx(point, abs=2e-5)
+
+
+@pytest.mark.parametrize("name", ZOO)
+def test_divergence_grids_keeps_the_bits_of_both_partials(name, request):
+    """One partial of each component, each with one inverse FFT: the same
+    bits as taking both partials of each and dropping one."""
+    spec = request.getfixturevalue(name)
+    n = 64
+    X1, X2 = grid_points(n)
+    v1, v2 = (np.broadcast_to(v, (n, n)) for v in
+              geometry.null_direction_arrays(spec, X1, X2, "Y"))
+    A, B, C = geometry.coefficient_grids(spec, n)
+    dld1, dld2 = spectral_derivatives(np.log(np.abs(A * C - B * B)))
+    both = (spectral_derivatives(v1)[0] + spectral_derivatives(v2)[1]
+            + 0.5 * (v1 * dld1 + v2 * dld2))
+    assert np.array_equal(geometry.divergence_grids(spec, v1, v2, n), both)
+
+
+@given(k=st.integers(-60, 60), l=st.integers(-60, 60))
+@example(k=0, l=1)
+@example(k=0, l=-1)
+@example(k=-1, l=0)
+@example(k=-7, l=-5)
+@settings(max_examples=200, deadline=None)
+def test_lattice_basis(k, l):
+    """det A = 1 and (k, l) A = (1, 0) for every primitive (k, l);
+    ValueError for the others."""
+    if math.gcd(k, l) != 1:
+        with pytest.raises(ValueError):
+            geometry.lattice_basis(k, l)
+        return
+    (a, b), (c, d) = geometry.lattice_basis(k, l)
+    assert a * d - b * c == 1
+    assert (k * a + l * c, k * b + l * d) == (1, 0)
+
+
+def test_single_phase_pullback_is_x1_only(analex_spec, wave12_spec):
+    """Along A = lattice_basis(phase), the pullback's coefficients A^T g A
+    at (y1, y2) equal the Sanchez profile at y1."""
+    y1, y2 = grid_points(16)
+    for spec in (analex_spec, wave12_spec,
+                 catalog.closed_diagonal_wave(3.0, 5.0, amp=0.2, k=4, l=-6)):
+        A = (a, b), (c, d) = geometry.lattice_basis(*spec.phase())
+        g11, g12, g22 = geometry.coefficients(spec, a * y1 + b * y2,
+                                              c * y1 + d * y2)
+        E, F, G, _ = geometry.Sanchez(*(geometry.LatticeProfile(
+            spec, A, which) for which in "EFG")).efgr(y1)
+        assert np.allclose(a * a * g11 + c * c * g22, E, rtol=0, atol=1e-12)
+        assert np.allclose(a * b * g11 + c * d * g22, F, rtol=0, atol=1e-12)
+        assert np.allclose(b * b * g11 + d * d * g22, -G, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("name", ZOO)

@@ -105,6 +105,13 @@ CASES = [
     ["classify", "--metric", "left_invariant:1,2", "--quantity", "tau_plus",
      "--structure", "-1,-1"],
     ["table", "--metric", "closed_diagonal:1,2", "--grid-n", "512"],
+    # single-phase Y families that the lattice route certifies
+    ["classify", "--metric", "closed_diagonal:1,2,amp=0.1,k=3,l=-2",
+     "--quantity", "delta_minus", "--structure", "1,1"],
+    ["table", "--metric", "closed_diagonal:1,2,amp=0.1,k=1,l=-1",
+     "--quantity", Y_Q],
+    ["classify", "--metric", "closed_diagonal:1,2,amp=0.09,k=1,l=1",
+     "--quantity", "delta_minus"],
     ["decompose", "--metric", "rosatau"],
     ["decompose", "--metric", "left_invariant:99,100"],
     ["decompose", "--metric", "analex", "--family", "Y"],
