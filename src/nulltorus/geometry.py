@@ -196,6 +196,10 @@ class LeftInvariant(_DiagonalMetric):
         z = np.zeros(shape)
         return (z, z, z, z)
 
+    def phase(self) -> tuple[int, int]:
+        """(1, 0): constant coefficients depend on x1 alone, trivially."""
+        return 1, 0
+
     def exact_ratio(self) -> Optional[Fraction]:
         if isinstance(self.lam1, (int, Fraction)) and isinstance(self.lam2, (int, Fraction)):
             return Fraction(self.lam1) / Fraction(self.lam2)

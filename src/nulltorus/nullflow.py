@@ -7,16 +7,20 @@ dw/du = slope(u, w) with u = x1, and symmetrically for quasi-vertical
 families (RosaTau's X-family).  The axis is chosen automatically from the
 direction field sampled on a coarse grid.
 
-Every flow question goes through one cached return map per (metric,
-family, step), the step being the ``ode_step`` tolerance: a batched RK4
-sweep of 2048 transversal seeds over one axis period, interpolated as
-D1(w) = (one-period return) - w.  Its q-fold composition on a seed grid
-certifies p/q (q <= 64) when the integer p lies between the least and
-greatest q-return displacement (the rotation-number bracket of a circle
-map), splits the transversal into resonant runs and isolated closed lines,
-and carries the SCF loop integrals of ``classify``.  Rotation values
-average n_returns iterations of the map; tests cross-validate them against
-direct long-trajectory integration.
+A family whose direction depends on one lattice phase (x1-only,
+single-phase diagonal and left-invariant metrics) is decided by one
+quadrature in the basis y = A^-1 x where it depends on y1 alone
+(``_LatticeFlow``).  Every other flow question goes through one cached
+return map per (metric, family, step), the step being the ``ode_step``
+tolerance: a batched RK4 sweep of 2048 transversal seeds over one axis
+period, interpolated as D1(w) = (one-period return) - w.  Its q-fold
+composition on a seed grid (a constant for the quadrature) certifies p/q
+(q <= 64) when the integer p lies between the least and greatest q-return
+displacement (the rotation-number bracket of a circle map), splits the
+transversal into resonant runs and isolated closed lines, and carries the
+SCF loop integrals of ``classify``.  Rotation values average n_returns
+iterations of the map; tests cross-validate them against direct
+long-trajectory integration and the quadrature.
 """
 
 from __future__ import annotations
@@ -118,7 +122,7 @@ class CylinderDecomposition:
     intervals: tuple[Interval, ...]
     isolated_closed: tuple[float, ...]   # transversal values of isolated closed lines
     resolution: int
-    step: float                          # RK4 step of the return map
+    step: float                          # ode_step: the sweep's or the records' step
 
     @property
     def resonant_intervals(self) -> tuple[Interval, ...]:
@@ -394,6 +398,96 @@ def _certify_rotation(D1: TrigSeries1, value: float, tol: Tolerances
     return None
 
 
+# ---------------------------------------------------------------------------
+# the lattice quadrature
+
+
+class _LatticeFlow:
+    """A family whose direction V is a function of y1 alone, y = A^-1 x.
+
+    Graph branch (theta set): V'^1 = (A^-1 V)^1 has no zero and every line
+    solves dy2/dy1 = m = V'^2/V'^1, so y2 = c + Theta y1 + M(y1) (M the
+    zero-mean antiderivative) and a y1-period moves each line by
+    d = A (1, Theta): a rigid rotation by rho = d^(1-a)/d^a.  Vertical
+    branch (A = I): the lines solve dx1/dx2 = s(x1) = V^1/V^2, whose zeros
+    are closed lines and runs resonant bands; rho = 0.
+    """
+
+    def __init__(self, spec, family: str, axis: int, A, theta=None, M=None):
+        self.spec, self.family, self.axis, self.A = spec, family, axis, A
+        self.theta, self.M, self.rho = theta, M, 0.0
+        if theta is not None:
+            (a, b), (c, d) = A
+            self.shift = (a + b * theta, c + d * theta)
+            self.rho = self.shift[1 - axis] / self.shift[axis]
+
+    def slope(self, w):
+        """s at x1 = w (vertical branch)."""
+        w = np.asarray(w, dtype=float)
+        return slope_function(self.spec, self.family, 1)(0.0 * w, w)
+
+    def records(self, seeds, q: int, step: float) -> list[NullLineRecord]:
+        """Lines from axis coordinate 0 through the seeds, q axis units
+        forward, sampled at ``step`` of y1 (graph branch: x = A y, velocity
+        dx/dy1 = V/V'^1) or of x2 (vertical: x1 = w + s(w) x2)."""
+        per_unit = max(1, round(1.0 / step))
+        h = 1.0 / per_unit
+        seeds = np.atleast_1d(np.asarray(seeds, dtype=float))
+        if self.theta is None:
+            ts = np.arange(q * per_unit + 1) * h
+            return [NullLineRecord(
+                self.family, 1, ts, np.column_stack([w + s * ts, ts]),
+                np.column_stack([np.full_like(ts, s), np.ones_like(ts)]))
+                for w, s in zip(seeds, self.slope(seeds))]
+        (a, b), (c, d) = self.A
+        sign = math.copysign(1.0, self.shift[self.axis])
+        periods = max(1, round(q / abs(self.shift[self.axis])))
+        ts = np.arange(periods * per_unit + 1) * h
+        x0 = np.zeros((2, seeds.size))
+        x0[1 - self.axis] = seeds
+        y01, y02 = d * x0[0] - b * x0[1], a * x0[1] - c * x0[0]
+        y1 = y01 + sign * ts[:, None]
+        y2 = y02 + self.theta * (y1 - y01) + np.real(self.M(y1) - self.M(y01))
+        x1, x2 = a * y1 + b * y2, c * y1 + d * y2
+        v1, v2 = geometry.null_direction_arrays(self.spec, x1, x2, self.family)
+        rate = sign / (d * v1 - b * v2)
+        return [NullLineRecord(self.family, self.axis, ts,
+                               np.column_stack(p), np.column_stack(v))
+                for p, v in zip(zip(x1.T, x2.T), zip((rate * v1).T,
+                                                     (rate * v2).T))]
+
+
+@lru_cache(maxsize=128)
+def _lattice_flow(spec, family: str, tol: Tolerances):
+    """The family's ``_LatticeFlow``, or None for the swept route: with A
+    the identity (x1-only metrics) or the lattice basis of a diagonal
+    spec's phase, V'^1 sampled at RETURN_SEEDS phases.  Declined: a zero of
+    V'^1 (sign flip or zero sample) with A != I or a graph axis x1, and a
+    coefficient of m at |k| >= RETURN_SEEDS/4 above tol.resonance max |m|."""
+    if geometry.is_killing(spec):
+        A = (1, 0), (0, 1)
+    elif geometry.is_diagonal(spec) and spec.phase():
+        A = geometry.lattice_basis(*spec.phase())
+    else:
+        return None
+    (a, b), (c, d) = A
+    axis = transversal_axis(spec, family)
+    y1 = np.arange(RETURN_SEEDS) / RETURN_SEEDS
+    v1, v2 = geometry.null_direction_arrays(spec, a * y1, c * y1, family)
+    phase_velocity = np.broadcast_to(d * v1 - b * v2, y1.shape)
+    if circular_zeros(phase_velocity)[1]:
+        vertical = A == ((1, 0), (0, 1)) and axis == 1
+        return _LatticeFlow(spec, family, axis, A) if vertical else None
+    m = (a * v2 - c * v1) / phase_velocity
+    series = TrigSeries1.from_samples(m)
+    tail = np.abs(series.coeffs[np.abs(series.freqs) >= RETURN_SEEDS // 4])
+    if not tail.max(initial=0.0) <= tol.resonance * np.max(np.abs(m)):
+        return None
+    theta, M = series.antiderivative()
+    flow = _LatticeFlow(spec, family, axis, A, theta.real, M)
+    return flow if flow.shift[axis] != 0.0 else None
+
+
 def _verifiable(est: RotationNumberEstimate, tol: Tolerances
                 ) -> RationalCertificate:
     """The certificate, or DenseFlow / Inconclusive (period too long)."""
@@ -416,11 +510,18 @@ def rotation_number(spec, family: str = "X", p0: Point = (0.0, 0.0),
                     method: str = "return-map") -> RotationNumberEstimate:
     """Average displacement per unit of the axis coordinate.
 
-    'return-map': iterate the interpolated one-period return map (fast,
-    default).  'direct': integrate a single long trajectory (slow; used for
-    cross-validation).  Either way the rational certificate comes from the
-    return map (see ``_certify_rotation``).
+    'return-map' (default): the lattice quadrature's exact value where it
+    applies (``method`` "lattice"; p0 and n_returns are then unused), else
+    n_returns iterations of the swept return map from p0.  'direct':
+    integrate a single long trajectory (slow; used for cross-validation).
+    Either way ``_certify_rotation`` gives the rational certificate.
     """
+    flow = _lattice_flow(spec, family, tol) if method == "return-map" else None
+    if flow is not None:
+        return RotationNumberEstimate(
+            family, flow.rho, n_returns, tol.ode_step, _certify_rotation(
+                TrigSeries1(np.array([flow.rho]), np.array([0])), flow.rho,
+                tol), "lattice")
     axis = transversal_axis(spec, family)
     w0 = float(p0[1 - axis])
     series = _return_sweep(spec, family, axis, tol.ode_step).displacement()
@@ -456,7 +557,8 @@ def classify_line(spec, p0: Point, family: str = "X", n_returns: int = 256,
     Without a rational rotation certificate the flow is dense; a period
     beyond MAX_PERIOD is Inconclusive.  Otherwise the q-return displacement
     of the line itself decides: below the closedness tolerance closed,
-    above the open threshold asymptotic, in between Inconclusive.
+    above the open threshold asymptotic, in between Inconclusive.  Under
+    the quadrature's rigid rotation it is q rho - p for every line.
     """
     axis = transversal_axis(spec, family)
     est = rotation_number(spec, family, p0, n_returns=n_returns, tol=tol)
@@ -464,9 +566,13 @@ def classify_line(spec, p0: Point, family: str = "X", n_returns: int = 256,
         return LineClass(kind="Dense", rotation=est.value)
     cert = _verifiable(est, tol)
     p, q = cert.p, cert.q
-    u0, w0 = float(p0[axis]), float(p0[1 - axis])
-    w_end = _march(spec, family, axis, u0, w0, float(q), tol.ode_step)
-    disp = float(w_end) - w0 - p
+    flow = _lattice_flow(spec, family, tol)
+    if flow is not None and flow.theta is not None:
+        disp = q * flow.rho - p
+    else:
+        u0, w0 = float(p0[axis]), float(p0[1 - axis])
+        w_end = _march(spec, family, axis, u0, w0, float(q), tol.ode_step)
+        disp = float(w_end) - w0 - p
     if abs(disp) < tol.closedness:
         return LineClass(kind="Closed", winding=_winding(axis, q, p),
                          period=float(q), displacement=disp)
@@ -486,17 +592,21 @@ def closed_lines_through(spec, family: str, seeds,
                          tol: Tolerances = DEFAULT) -> list[NullLineRecord]:
     """Record one period of the closed line through each transversal seed.
 
-    The lines start at axis coordinate 0 and are swept in one batched
-    march; closure of each is verified to the open threshold (DenseFlow
+    The lines start at axis coordinate 0 and come from the lattice
+    quadrature or one batched march; closure of each (its displacement
+    against the winding) is verified to the open threshold (DenseFlow
     otherwise) and the integer winding is attached.
     """
     axis = transversal_axis(spec, family)
     p, q = rotation.p, rotation.q
     winding = _winding(axis, q, p)
+    flow = _lattice_flow(spec, family, tol)
+    lines = (flow.records(seeds, q, tol.ode_step) if flow is not None else
+             _line_records(spec, family, axis, 0.0, seeds, float(q),
+                           tol.ode_step))
     records = []
-    for seed_w, rec in zip(seeds, _line_records(
-            spec, family, axis, 0.0, seeds, float(q), tol.ode_step)):
-        disp = rec.points[-1, 1 - axis] - rec.points[0, 1 - axis] - p
+    for seed_w, rec in zip(seeds, lines):
+        disp = max(rec.points[-1] - rec.points[0] - winding, key=abs)
         if abs(disp) > tol.closedness_reject:
             raise DenseFlow(
                 f"line through w={seed_w:.6f} does not close: displacement "
@@ -583,14 +693,23 @@ def cylinder_decomposition(spec, family: str = "X", resolution: int = 1024,
     ``resolution`` seeds; run ends and zeros are bisected on the
     trigonometric interpolant of those samples (D is a smooth periodic
     function of the seed, so refinement costs no further integrations).
+    Under the lattice quadrature D is the constant q rho - p, or the slope
+    s = dx1/dx2 (same zeros and runs) where the lines turn vertical.
     """
     axis = transversal_axis(spec, family)
     est = rotation_number(spec, family, (0.0, 0.0), n_returns=512, tol=tol)
     cert = _verifiable(est, tol)
     seeds = np.arange(resolution) / resolution
-    D1 = _return_sweep(spec, family, axis, tol.ode_step).displacement()
-    D = q_return(D1, seeds, cert.q)[0] - cert.p
-    series = TrigSeries1.from_samples(D.astype(complex))
+    flow = _lattice_flow(spec, family, tol)
+    if flow is None:
+        D1 = _return_sweep(spec, family, axis, tol.ode_step).displacement()
+        D = q_return(D1, seeds, cert.q)[0] - cert.p
+        series = TrigSeries1.from_samples(D.astype(complex))
+    elif flow.theta is None:
+        D, series = flow.slope(seeds), flow.slope
+    else:
+        D = np.full(resolution, cert.q * flow.rho - cert.p)
+        series = TrigSeries1(D[:1], np.array([0]))
 
     def D_at(w: float) -> float:
         return float(np.real(series(w)))

@@ -339,9 +339,12 @@ def _ppwave_expectation(spec, tol: Tolerances
                         ) -> tuple[tuple[int, int], dict, dict]:
     """delta_plus per structure as the closed X-lines force it.
 
-    Evidence from nullflow and spin only, never from classify.  Every
-    closed X-line winds like the certified rotation number, so one band
-    line fixes the winding and the spin character shared by all of them.
+    Evidence from nullflow and spin only, never from classify, and from
+    the swept RK4 route (the return map's certificate, with the band line's
+    own return as the value, and one marched line), which the table's
+    lattice quadrature does not use.  Every closed X-line
+    winds like the certified rotation number, so one band line fixes the
+    winding and the spin character shared by all of them.
     A positive kernel element is parallel along the X-lines: where
     transport around the band line is trivial, disjoint bump sections
     across the band give Infinite; where the character is -1, every closed
@@ -349,9 +352,12 @@ def _ppwave_expectation(spec, tol: Tolerances
     structure is left undetermined (None), which no table matches.
     Returns (winding, characters, expected), keyed by the (a1, a2) pairs.
     """
-    rotation = nullflow.rotation_number(spec, "X", tol=tol).rational
-    band = nullflow.closed_line_through(spec, "X", PPWAVE_BAND_LINE,
-                                       rotation, tol=tol)
+    # the X-lines are graphs over x2: the band line is x1 = PPWAVE_BAND_LINE
+    D1 = nullflow._return_sweep(spec, "X", 1, tol.ode_step).displacement()
+    rotation = nullflow._certify_rotation(
+        D1, float(np.real(D1(PPWAVE_BAND_LINE))), tol)
+    band = nullflow.integrate_null_line(spec, (PPWAVE_BAND_LINE, 0.0), "X",
+                                        t_max=float(rotation.q), tol=tol)
     characters, expected = {}, {}
     for ab in STRUCTURES:
         hol = spin.holonomy_closed_line(spec, band, SpinStructure(*ab),
@@ -359,7 +365,7 @@ def _ppwave_expectation(spec, tol: Tolerances
         characters[ab] = hol.character
         expected[ab] = ("Infinite" if hol.x_trivial
                         else "Zero" if hol.character == -1 else None)
-    return band.winding, characters, expected
+    return hol.winding, characters, expected
 
 
 def criterion_ppwave(step, grid_n, tol) -> tuple[bool, dict, str]:

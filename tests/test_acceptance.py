@@ -123,25 +123,41 @@ def test_criterion_09_honours_overrides(monkeypatch, overrides, expected):
     assert seen == expected
 
 
-@pytest.mark.parametrize("sweep", [
-    lambda tol: spinorfield.construct_resonant_spinors(
-        catalog.analex(), SpinStructure(1, 1), grid_n=32, tol=tol),
-    lambda tol: spinorfield.construct_resonant_spinors(
+@pytest.mark.parametrize("sweep, marched", [
+    (lambda tol: spinorfield.construct_resonant_spinors(
+        catalog.analex(), SpinStructure(1, 1), grid_n=32, tol=tol), False),
+    (lambda tol: spinorfield.construct_resonant_spinors(
         catalog.rosatau_window(), SpinStructure(1, 1), grid_n=32, tol=tol),
-    lambda tol: validation.criterion_flat_holonomy(None, None, tol),
-    lambda tol: validation._ppwave_expectation(catalog.rosatau_window(), tol),
+     True),
+    (lambda tol: validation.criterion_flat_holonomy(None, None, tol), False),
+    (lambda tol: validation._ppwave_expectation(catalog.rosatau_window(),
+                                                tol), True),
 ], ids=["closed-diagonal-bumps", "rosatau-bumps", "criterion-04",
         "ppwave-expectation"])
-def test_ode_step_reaches_every_sweep(monkeypatch, sweep):
-    """Every RK4 march of these callers runs at the given tol.ode_step."""
-    steps = set()
+def test_ode_step_reaches_every_sweep(monkeypatch, sweep, marched):
+    """Every RK4 march of these callers runs at the given tol.ode_step, and
+    the closed lines of the callers on the lattice quadrature are sampled
+    at it."""
+    steps, records = set(), []
     march = nullflow._march
+    closed_lines = nullflow.closed_lines_through
 
     def spy(*args, **kwargs):
         steps.add(args[6])
         return march(*args, **kwargs)
 
+    def recorded(*args, **kwargs):
+        lines = closed_lines(*args, **kwargs)
+        records.extend(lines)
+        return lines
+
     monkeypatch.setattr(nullflow, "_march", spy)
+    monkeypatch.setattr(nullflow, "closed_lines_through", recorded)
     nullflow._return_sweep.cache_clear()     # sweep again, not from cache
     sweep(DEFAULT.with_(ode_step=2e-3))
-    assert steps == {2e-3}
+    if marched:
+        assert steps == {2e-3}
+    else:
+        assert steps == set() and records
+    for rec in records:
+        assert np.allclose(np.diff(rec.ts), 2e-3, rtol=1e-9, atol=0.0)

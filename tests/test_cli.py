@@ -117,6 +117,47 @@ def test_table_closed_diagonal_23_agrees_with_spectral(runner):
         assert row["value"] == row["spectral_count"]
 
 
+def test_rotation_is_exact_where_the_quadrature_covers(runner):
+    """analex_sanchez at c = 2.5: rotation prints 1/Theta, the lattice
+    quadrature's value, and the DenseFlow message quotes the same."""
+    payload = _json_out(runner.invoke(main, [
+        "rotation", "--metric", "analex_sanchez:c=2.5"]))
+    assert payload["method"] == "lattice"
+    assert payload["rational"] is None
+    assert abs(payload["value"] - 0.183303028) < 1e-9
+    dense = _json_out(runner.invoke(main, [
+        "decompose", "--metric", "analex_sanchez:c=2.5"]))
+    assert dense["verdict"] == "Dense"
+    assert "rotation number 0.183303028 has" in dense["message"]
+    # analex's Y family is declined: its phase velocity has zeros
+    swept = _json_out(runner.invoke(main, ["rotation", "--metric", "analex",
+                                           "--family", "Y"]))
+    assert swept["method"] == "return-map"
+
+
+def test_table_at_the_period_cap_agrees_with_spectral(runner):
+    """closed_diagonal:37,64 closes at q = 64, the longest period the flow
+    code verifies: every row equals its spectral count."""
+    result = runner.invoke(main, ["table", "--metric", "closed_diagonal:37,64",
+                                  "--quantity", "delta_plus,tau_minus"])
+    assert result.exit_code == 0, result.output
+    lines = result.output.splitlines()
+    rows = [dict(zip(lines[1].split(","), line.split(",")))
+            for line in lines[2:]]
+    assert len(rows) == 8
+    assert all(row["value"] == row["spectral_count"] for row in rows)
+
+
+@pytest.mark.parametrize("command", ["decompose", "table"])
+def test_period_past_the_cap_is_inconclusive(runner, command):
+    """left_invariant:1,65 closes at q = 65: beyond the cap, exit 2."""
+    result = runner.invoke(main, [command, "--metric", "left_invariant:1,65"])
+    payload = _json_out(result)
+    assert result.exit_code == 2
+    assert payload["error"] == "Inconclusive"
+    assert payload["measured"] == 65.0
+
+
 def test_table_disagreement_is_exit_two(runner, monkeypatch):
     class Wrong:
         count_class = "Zero"

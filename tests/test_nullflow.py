@@ -1,13 +1,17 @@
 """Null line integration, rotation numbers, and cylinder decompositions."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import ZOO, frame_direction
-from nulltorus import catalog, geometry, nullflow
-from nulltorus.errors import DenseFlow
+from nulltorus import catalog, geometry, nullflow, spin
+from nulltorus.errors import DenseFlow, Inconclusive
+from nulltorus.gridtools import torus_delta
 from nulltorus.tolerances import DEFAULT
 
 
@@ -60,13 +64,19 @@ def test_rotation_number_irrational():
     assert est.rational is None
 
 
-def test_rotation_certificate_needs_no_lucky_return_count():
-    """q = 3 does not divide 1000 returns; the bracket certifies 2/3 anyway."""
+def test_rotation_certificate_needs_no_lucky_return_count(monkeypatch):
+    """q = 3 does not divide 1000 returns; the bracket certifies 2/3 anyway,
+    on the lattice quadrature and on the swept return map."""
     spec = catalog.closed_diagonal_wave(2.0, 3.0)
     est = nullflow.rotation_number(spec, "X", n_returns=1000)
     assert (est.rational.p, est.rational.q) == (2, 3)
+    assert est.method == "lattice"
+    assert abs(est.value - 2.0 / 3.0) < 1e-12
+    monkeypatch.setattr(nullflow, "_lattice_flow", lambda *args: None)
+    swept = nullflow.rotation_number(spec, "X", n_returns=1000)
+    assert (swept.rational.p, swept.rational.q) == (2, 3)
     # the average itself is off by the q-periodic residue
-    assert 1e-6 < abs(est.value - 2.0 / 3.0) < 1e-5
+    assert 1e-6 < abs(swept.value - 2.0 / 3.0) < 1e-5
 
 
 @pytest.mark.parametrize("spec_name, p, q", [("rosatau", 0, 1),
@@ -245,3 +255,152 @@ def test_march_slope_takes_one_profile_evaluation(name, profile, request,
         counts.update(frame=0, slope=0, profile=0)
         nullflow._march(spec, family, axis, 0.0, seeds, 1.0, 0.01)
         assert counts == {"frame": 0, "slope": 400, "profile": 400}
+
+
+# ---------------------------------------------------------------------------
+# the lattice quadrature against the swept RK4 route
+
+#: the seeded zoo-table metrics of tools/artifact_diff.py the quadrature
+#: covers, after the other amplitude and c of the x1-only examples
+SEEDED = (
+    "rosatau:amplitude=0", "analex_sanchez:c=2.5",
+    "closed_diagonal:1,2,amp=0.0632,k=1,l=1",
+    "closed_diagonal:3,2,amp=0.1083,k=2,l=1",
+    "closed_diagonal:3,5,amp=0.1033,k=2,l=1",
+    "closed_diagonal:5,8,amp=0.0624,k=1,l=2",
+    "closed_diagonal:1,2,amp=0.0816,k=2,l=1",
+    "closed_diagonal:3,2,amp=0.0774,k=1,l=2",
+    "closed_diagonal:3,5,amp=0.1258,k=2,l=1",
+    "closed_diagonal:5,8,amp=0.0986,k=1,l=1",
+    '{"family":"rosatau","params":{"support":[0.1678,0.4529],'
+    '"zero":0.2826,"amplitude":0.9946}}',
+    '{"family":"rosatau","params":{"support":[0.1612,0.4396],'
+    '"zero":0.2805,"amplitude":0.8624}}')
+#: the ZOO families the quadrature declines: a conformal rescaling, and
+#: analex's Y family, whose phase velocity has zeros off the identity basis
+DECLINED = {("conformal_spec", "X"), ("conformal_spec", "Y"),
+            ("analex_spec", "Y")}
+
+
+def _flow_summary(spec, family):
+    """The decomposition and, per recorded closed line, its winding and
+    (character, x_trivial) per structure; or the exception's name."""
+    try:
+        dec = nullflow.cylinder_decomposition(spec, family)
+    except (DenseFlow, Inconclusive) as exc:
+        return type(exc).__name__, []
+    seeds = [float(w) % 1.0 for iv in dec.resonant_intervals
+             for w in iv.interior_points(5)] + list(dec.isolated_closed)
+    lines = nullflow.closed_lines_through(spec, family, seeds, dec.rotation)
+    holonomy = []
+    for rec in lines:
+        table = spin.holonomy_table(spec, rec)
+        holonomy.append((rec.winding, {ab: (r.character, r.x_trivial)
+                                       for ab, r in table.items()}))
+    return dec, holonomy
+
+
+@pytest.mark.parametrize("family", ("X", "Y"))
+@pytest.mark.parametrize("name", [n for n in ZOO] + list(SEEDED))
+def test_lattice_quadrature_agrees_with_the_swept_route(name, family,
+                                                        request,
+                                                        monkeypatch):
+    """Where the quadrature applies, the RK4 sweep gives the same
+    certificate (or the same DenseFlow / Inconclusive), interval kinds and
+    isolated lines (to 1e-6, band ends to 1e-3), and the same winding,
+    character and x_trivial on every recorded closed line."""
+    spec = (request.getfixturevalue(name) if name in ZOO
+            else catalog.load_metric(name))
+    covered = nullflow._lattice_flow(spec, family, DEFAULT) is not None
+    assert covered == ((name, family) not in DECLINED)
+    if not covered:
+        return
+    lattice, lattice_lines = _flow_summary(spec, family)
+    assert nullflow.rotation_number(spec, family).method == "lattice"
+    monkeypatch.setattr(nullflow, "_lattice_flow", lambda *args: None)
+    swept, swept_lines = _flow_summary(spec, family)
+    assert nullflow.rotation_number(spec, family).method == "return-map"
+    if isinstance(swept, str):
+        assert lattice == swept
+        return
+    assert (lattice.rotation.p, lattice.rotation.q) == (swept.rotation.p,
+                                                        swept.rotation.q)
+    assert ([iv.kind for iv in lattice.intervals]
+            == [iv.kind for iv in swept.intervals])
+    for a, b in zip(lattice.intervals, swept.intervals):
+        assert abs(torus_delta(a.lo, b.lo)) < 1e-3
+        assert abs(torus_delta(a.hi, b.hi)) < 1e-3
+    assert len(lattice.isolated_closed) == len(swept.isolated_closed)
+    for a, b in zip(lattice.isolated_closed, swept.isolated_closed):
+        assert abs(torus_delta(a, b)) < 1e-6
+    assert lattice_lines == swept_lines
+
+
+def test_lattice_route_declines():
+    """A generic diagonal metric names no phase, and an x1-only metric with
+    a kink in its graph slope leaves a Fourier tail above the resonance
+    tolerance: both stay on the swept route."""
+    generic = geometry.Diagonal(lambda x1, x2: 1.0 + 0.0 * x1,
+                                lambda x1, x2: 2.0 + 0.0 * x2)
+    kinked = geometry.Sanchez(lambda x1: 1.0 + 0.5 * np.abs(np.sin(
+        2 * np.pi * x1)), lambda x1: 1.0 + 0.0 * x1, lambda x1: 1.0 + 0.0 * x1)
+    assert nullflow._lattice_flow(generic, "X", DEFAULT) is None
+    family = kinked.graph_family
+    assert nullflow.transversal_axis(kinked, family) == 0
+    assert nullflow._lattice_flow(kinked, family, DEFAULT) is None
+    # the kink-free profile is covered
+    smooth = geometry.Sanchez(lambda x1: 1.0 + 0.5 * np.sin(2 * np.pi * x1),
+                              kinked.F, kinked.G)
+    assert nullflow._lattice_flow(smooth, smooth.graph_family,
+                                  DEFAULT) is not None
+
+
+@given(b1=st.integers(1, 9), b2=st.integers(1, 9),
+       amp=st.floats(0.01, 0.3), k=st.integers(1, 4), l=st.integers(-4, 4))
+@example(b1=37, b2=64, amp=0.1, k=1, l=1)
+@settings(max_examples=40, deadline=None)
+def test_lattice_certificate_is_the_mean_coefficient_ratio(b1, b2, amp, k, l):
+    """The X certificate of a closed wave is best_rational(l1/l2) of the
+    mean coefficients, the exact solvers' ratio, read along the winding."""
+    # nonvanishing coefficients, and a phase velocity k/lam1 + l/lam2 =
+    # (k b2 + l b1)/(lam1 lam2) that is not identically zero
+    assume(abs(amp * l / k) < 0.9 * b2 and amp < 0.9 * b1)
+    assume(k * b2 + l * b1 != 0)
+    spec = catalog.closed_diagonal_wave(b1, b2, amp=amp, k=k, l=l)
+    l1, l2 = geometry.mean_coefficients(spec)
+    expected = nullflow.best_rational(l1 / l2, nullflow.MAX_PERIOD,
+                                      DEFAULT.rational_residual_solver)
+    est = nullflow.rotation_number(spec, "X")
+    assert est.method == "lattice"
+    axis = nullflow.transversal_axis(spec, "X")
+    w1, w2 = nullflow._winding(axis, est.rational.q, est.rational.p)
+    assert Fraction(w2, w1) == Fraction(expected.p, expected.q)
+
+
+def test_lattice_rotation_is_exact_on_analex_sanchez():
+    """c = 2.5: the X flow's rotation is 1/Theta with Theta = int_0^1 m, and
+    has no certificate (the return-map average was 0.183236851)."""
+    spec = catalog.analex_sanchez(2.5)
+    est = nullflow.rotation_number(spec, "X")
+    assert est.method == "lattice" and est.rational is None
+    assert abs(est.value - 0.183303028) < 1e-9
+    with pytest.raises(DenseFlow, match="0.183303028"):
+        nullflow.cylinder_decomposition(spec, "X")
+
+
+def test_lattice_closed_lines_are_records_of_the_flow(analex_spec):
+    """The quadrature's closed analex X-line through (0, 0.4): its velocity
+    is the null direction, its points stay on one line of the first
+    integral, and it closes with winding (1, -1)."""
+    rec = nullflow.closed_line_through(analex_spec, "X", 0.4,
+                                       nullflow.RationalCertificate(-1, 1, 0))
+    assert rec.winding == (1, -1)
+    assert np.array_equal(rec.points[0], [0.0, 0.4])
+    np.testing.assert_allclose(rec.points[-1] - rec.points[0], (1, -1),
+                               atol=1e-12)
+    d1, d2 = geometry.null_direction_arrays(analex_spec, *rec.points.T, "X")
+    assert np.max(np.abs(rec.velocities[:, 0] * d2
+                         - rec.velocities[:, 1] * d1)) < 1e-12
+    F = nullflow.first_integral_function(analex_spec)
+    assert np.ptp(F(*rec.points.T)) < 1e-9
+    assert np.allclose(np.diff(rec.ts), DEFAULT.ode_step)

@@ -114,6 +114,15 @@ CASES = [
      "--quantity", "delta_minus"],
     ["decompose", "--metric", "rosatau"],
     ["decompose", "--metric", "left_invariant:99,100"],
+    # the lattice quadrature: exact rotation, four isolated zeros of an
+    # x1-only slope, an asymptotic line off them, the period cap; analex's
+    # Y family (and the rosatau holonomy below) stay as they were
+    ["rotation", "--metric", "analex_sanchez:c=2.5"],
+    ["decompose", "--metric", "analex_sanchez"],
+    ["classify-line", "--metric", "rosatau", "--from", "0.2,0"],
+    ["table", "--metric", "closed_diagonal:37,64", "--quantity", X_Q],
+    ["decompose", "--metric", "left_invariant:1,65"],
+    ["table", "--metric", "left_invariant:1,65"],
     ["decompose", "--metric", "analex", "--family", "Y"],
     ["decompose", "--metric", "left_invariant:sqrt2,1"],
     ["decompose", "--metric", "closed_diagonal:1,2", "--resolution", "256",
