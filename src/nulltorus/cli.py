@@ -219,28 +219,24 @@ def emit_csv(fieldnames: list[str], rows: list[dict], settings: Settings):
     _write(buf.getvalue(), settings.output)
 
 
-def emit(kind: str, result, settings: Settings):
-    if kind == "json":
-        if settings.fmt == "csv":
-            raise ConfigError("this command produces a JSON report; "
-                              "csv format is not available")
-        emit_json(result, settings)
-    else:
-        fieldnames, rows = result
-        if settings.fmt == "json":
-            emit_json({"columns": fieldnames, "rows": rows}, settings)
-        else:
-            emit_csv(fieldnames, rows, settings)
-
-
-def dispatch(ctx: click.Context, worker):
-    """Run a worker returning (kind, result[, doubt]); a doubt still emits
-    the artifact, then goes to stderr with exit code 2 (Inconclusive)."""
+def dispatch(ctx: click.Context, kind: str, worker):
+    """Run a worker returning its result, or (result, doubt); a doubt still
+    emits the artifact, then goes to stderr with exit code 2 (Inconclusive).
+    A "json" result is the report; a "csv" result is {"columns", "rows"},
+    written as CSV unless JSON is asked for.  A JSON-only command refuses
+    --format csv before the worker runs."""
     settings: Optional[Settings] = None
     try:
         settings = Settings(**ctx.obj)
-        kind, result, *doubt = worker(settings)
-        emit(kind, result, settings)
+        if kind == "json" and settings.fmt == "csv":
+            raise ConfigError("this command produces a JSON report; "
+                              "csv format is not available")
+        out = worker(settings)
+        result, *doubt = out if isinstance(out, tuple) else (out,)
+        if kind == "csv" and settings.fmt != "json":
+            emit_csv(result["columns"], result["rows"], settings)
+        else:
+            emit_json(result, settings)
         if doubt:
             click.echo(f"Inconclusive: {doubt[0]}", err=True)
             ctx.exit(2)
@@ -307,15 +303,16 @@ def _flow_inputs(s: Settings, metric, family, step, **options) -> dict:
     return inputs
 
 
-def command(name: Optional[str] = None, flow: bool = False):
+def command(name: Optional[str] = None, flow: bool = False,
+            kind: str = "json"):
     """Register ``body(s: Settings, **options)`` as a subcommand of ``main``.
 
     The command takes the artifact options (--config/--output/--format/--tol)
     after its own, merges them over the group's, so they are accepted before
-    or after the command name, and dispatches what ``body`` returns:
-    (kind, result[, doubt]).  A ``flow`` command also takes FLOW_OPTIONS
-    first, and ``body`` gets the resolved ``spec`` and ``family``; the step
-    is in ``s.tol``.
+    or after the command name, and dispatches the artifact of ``kind``
+    ("json" or "csv") that ``body`` returns: result or (result, doubt).  A
+    ``flow`` command also takes FLOW_OPTIONS first, and ``body`` gets the
+    resolved ``spec`` and ``family``; the step is in ``s.tol``.
     """
     def register(body):
         for option in reversed(FLOW_OPTIONS) if flow else ():
@@ -333,7 +330,7 @@ def command(name: Optional[str] = None, flow: bool = False):
             given = {"config_path": config_path, "output": output, "fmt": fmt}
             ctx.obj.update((k, v) for k, v in given.items() if v is not None)
             ctx.obj["tol_overrides"] += tol_overrides
-            dispatch(ctx, lambda s: body(
+            dispatch(ctx, kind, lambda s: body(
                 s, **(_flow_inputs(s, **options) if flow else options)))
         # click lists decorator options last-applied first: the flow
         # options, the command's own, then the artifact options
@@ -342,7 +339,7 @@ def command(name: Optional[str] = None, flow: bool = False):
     return register
 
 
-@command(flow=True)
+@command(flow=True, kind="csv")
 @click.option("--from", "from_", default=None, metavar="X1,X2",
               help="Starting point on the torus (default 0,0).")
 @click.option("--tmax", type=float, default=None,
@@ -357,8 +354,8 @@ def flow(s: Settings, spec, family, from_, tmax):
              "x1_cover": float(p[0]), "x2_cover": float(p[1]),
              "x1_torus": float(p[0] % 1.0), "x2_torus": float(p[1] % 1.0)}
             for t, p in zip(rec.ts, rec.points)]
-    return "csv", (["t", "x1_cover", "x2_cover", "x1_torus", "x2_torus"],
-                   rows)
+    return {"columns": ["t", "x1_cover", "x2_cover", "x1_torus", "x2_torus"],
+            "rows": rows}
 
 
 @command(flow=True)
@@ -370,7 +367,7 @@ def rotation(s: Settings, spec, family, from_, n_returns):
     est = nullflow.rotation_number(
         spec, family, p0, n_returns=s.count("n_returns", n_returns, 1000),
         tol=s.tol)
-    return "json", {"command": "rotation", **dataclasses.asdict(est)}
+    return {"command": "rotation", **dataclasses.asdict(est)}
 
 
 @command("classify-line", flow=True)
@@ -383,8 +380,8 @@ def classify_line(s: Settings, spec, family, from_, n_returns):
         spec, p0, family, n_returns=s.count("n_returns", n_returns, 256),
         tol=s.tol)
     found = {k: v for k, v in dataclasses.asdict(cls).items() if v is not None}
-    return "json", {"command": "classify-line", "family": family,
-                    "from": list(p0), **found}
+    return {"command": "classify-line", "family": family, "from": list(p0),
+            **found}
 
 
 @command(flow=True)
@@ -397,16 +394,16 @@ def decompose(s: Settings, spec, family, resolution):
         dec = nullflow.cylinder_decomposition(spec, family, resolution=res,
                                               tol=s.tol)
     except nullflow.DenseFlow as exc:
-        return "json", {"command": "decompose", "family": family,
-                        "verdict": "Dense", "message": str(exc)}
+        return {"command": "decompose", "family": family,
+                "verdict": "Dense", "message": str(exc)}
     payload = {"command": "decompose", "verdict": "CylinderDecomposition",
                **dataclasses.asdict(dec)}
     for row, iv in zip(payload["intervals"], dec.intervals):
         row["width"] = iv.width
-    return "json", payload
+    return payload
 
 
-@command(flow=True)
+@command(flow=True, kind="csv")
 @click.option("--seed-w", type=float, default=None,
               help="Transversal coordinate of the closed line (default 0).")
 @click.option("--n-returns", type=int, default=None)
@@ -430,8 +427,8 @@ def holonomy(s: Settings, spec, family, seed_w, n_returns):
                      "winding1": r.winding[0], "winding2": r.winding[1],
                      "character": r.character, "sheet": r.sheet,
                      "boost": r.boost, "x_trivial": r.x_trivial})
-    return "csv", (["a1", "a2", "winding1", "winding2", "character",
-                    "sheet", "boost", "x_trivial"], rows)
+    return {"columns": ["a1", "a2", "winding1", "winding2", "character",
+                        "sheet", "boost", "x_trivial"], "rows": rows}
 
 
 def _field_summary(f) -> dict:
@@ -473,7 +470,7 @@ def solve(s: Settings, metric, structure, chirality, n_fields, grid_n):
                        else dataclasses.asdict(sol.ratio),
                        solvable=sol.solvable, t_parity=sol.t_parity,
                        alphas=sol.alphas)
-    return "json", payload
+    return payload
 
 
 @command("classify")
@@ -494,11 +491,11 @@ def classify_cmd(s: Settings, metric, structure, quantity, grid_n):
     row = {ab: classify.classify_table(spec, (q,), tol=s.tol)[ab]}
     payload = {**row[ab][q].as_dict(), "command": "classify",
                "metric": str(s.get("metric", metric))}
-    return ("json", payload, *classify.contradictions(
+    return (payload, *classify.contradictions(
         classify.spectral_checks(row, spec, s.tol)))
 
 
-@command()
+@command(kind="csv")
 @click.option("--metric", default=None)
 @click.option("--quantity", "quantities", default=None,
               help="Comma list of invariants (default delta_plus).")
@@ -520,8 +517,8 @@ def table(s: Settings, metric, quantities, grid_n):
              "quantity": rep.quantity, "value": rep.value,
              "certificate": rep.certificate, "family": rep.family,
              "spectral_count": count} for rep, count in checked]
-    return ("csv", (["a1", "a2", "quantity", "value", "certificate", "family",
-                     "spectral_count"], rows),
+    return ({"columns": ["a1", "a2", "quantity", "value", "certificate",
+                         "family", "spectral_count"], "rows": rows},
             *classify.contradictions(checked))
 
 
@@ -557,7 +554,7 @@ def validate(s: Settings, step, grid_n, criterion):
                "failed": len(results) - passed,
                "overrides": {"step": h, "grid_n": n},
                "criteria": [r.as_dict() for r in results]}
-    return "json", payload
+    return payload
 
 
 if __name__ == "__main__":

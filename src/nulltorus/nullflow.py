@@ -8,19 +8,19 @@ families (RosaTau's X-family).  The axis is chosen automatically from the
 direction field sampled on a coarse grid.
 
 A family whose direction depends on one lattice phase (x1-only,
-single-phase diagonal and left-invariant metrics) is decided by one
-quadrature in the basis y = A^-1 x where it depends on y1 alone
-(``_LatticeFlow``).  Every other flow question goes through one cached
-return map per (metric, family, step), the step being the ``ode_step``
-tolerance: a batched RK4 sweep of 2048 transversal seeds over one axis
-period, interpolated as D1(w) = (one-period return) - w.  Its q-fold
-composition on a seed grid (a constant for the quadrature) certifies p/q
-(q <= 64) when the integer p lies between the least and greatest q-return
-displacement (the rotation-number bracket of a circle map), splits the
-transversal into resonant runs and isolated closed lines, and carries the
-SCF loop integrals of ``classify``.  Rotation values average n_returns
-iterations of the map; tests cross-validate them against direct
-long-trajectory integration and the quadrature.
+single-phase diagonal and left-invariant metrics, and their conformal
+rescalings) is decided by one quadrature in the basis y = A^-1 x where it
+depends on y1 alone (``_LatticeFlow``).  Every other flow question goes
+through one cached return map per (metric, family, step), the step being
+the ``ode_step`` tolerance: a batched RK4 sweep of 2048 transversal seeds
+over one axis period, interpolated as D1(w) = (one-period return) - w.
+Its q-fold composition on a seed grid (a constant for the quadrature)
+certifies p/q (q <= 64) when the integer p lies between the least and
+greatest q-return displacement (the rotation-number bracket of a circle
+map), splits the transversal into resonant runs and isolated closed lines,
+and carries the SCF loop integrals of ``classify``.  Rotation values
+average n_returns iterations of the map; tests cross-validate them against
+direct long-trajectory integration and the quadrature.
 """
 
 from __future__ import annotations
@@ -374,7 +374,8 @@ def q_return(D1: TrigSeries1, ws: np.ndarray, q: int,
     return next(itertools.islice(_return_orbits(D1, ws, J1), q - 1, None))
 
 
-def _certify_rotation(D1: TrigSeries1, value: float, tol: Tolerances
+def _certify_rotation(D1: TrigSeries1, value: float, tol: Tolerances,
+                      error: Optional[float] = None
                       ) -> Optional[RationalCertificate]:
     """Rational certificate of the rotation number, or None (dense).
 
@@ -382,9 +383,11 @@ def _certify_rotation(D1: TrigSeries1, value: float, tol: Tolerances
     zero, so p/q (q <= MAX_PERIOD, the smallest such q) is certified when p
     lies between the least and greatest q-return displacement, within the
     resonance tolerance.  Beyond that, a best rational approximation of
-    ``value`` is credible only if its q-return drift q * residual stays
-    below the open threshold (an irrational value always has convergents
-    that fit the raw residual tolerance).
+    ``value`` is credible only if its residual is within ``error``, the
+    value's own error where it is known (the lattice quadrature), else if
+    its q-return drift q * residual stays below the open threshold (an
+    irrational value always has convergents that fit the raw residual
+    tolerance).
     """
     orbits = _return_orbits(D1, np.arange(SECTION_SEEDS) / SECTION_SEEDS)
     for q, (disp, _) in zip(range(1, MAX_PERIOD + 1), orbits):
@@ -392,10 +395,11 @@ def _certify_rotation(D1: TrigSeries1, value: float, tol: Tolerances
         if p <= float(disp.max()) + tol.resonance:
             return RationalCertificate(p, q, abs(value - p / q))
     cert = best_rational(value, tol.rational_cap, tol.rational_residual_flow)
-    if (cert is not None and cert.q > MAX_PERIOD
-            and cert.q * cert.residual <= tol.closedness_reject):
-        return cert
-    return None
+    if cert is None or cert.q <= MAX_PERIOD:
+        return None
+    credible = (cert.residual <= error if error is not None
+                else cert.q * cert.residual <= tol.closedness_reject)
+    return cert if credible else None
 
 
 # ---------------------------------------------------------------------------
@@ -408,18 +412,23 @@ class _LatticeFlow:
     Graph branch (theta set): V'^1 = (A^-1 V)^1 has no zero and every line
     solves dy2/dy1 = m = V'^2/V'^1, so y2 = c + Theta y1 + M(y1) (M the
     zero-mean antiderivative) and a y1-period moves each line by
-    d = A (1, Theta): a rigid rotation by rho = d^(1-a)/d^a.  Vertical
-    branch (A = I): the lines solve dx1/dx2 = s(x1) = V^1/V^2, whose zeros
-    are closed lines and runs resonant bands; rho = 0.
+    d = A (1, Theta): a rigid rotation by rho = d^(1-a)/d^a.  Its error
+    is a few ulps of rho plus that of Theta (``theta_error``) carried
+    through |d rho / d Theta| = 1/(d^a)^2 (det A = 1).  Vertical branch
+    (A = I): the lines solve dx1/dx2 = s(x1) = V^1/V^2, whose zeros are
+    closed lines and runs resonant bands; rho = 0 exactly.
     """
 
-    def __init__(self, spec, family: str, axis: int, A, theta=None, M=None):
+    def __init__(self, spec, family: str, axis: int, A, theta=None, M=None,
+                 theta_error: float = 0.0):
         self.spec, self.family, self.axis, self.A = spec, family, axis, A
-        self.theta, self.M, self.rho = theta, M, 0.0
+        self.theta, self.M, self.rho, self.error = theta, M, 0.0, 0.0
         if theta is not None:
             (a, b), (c, d) = A
             self.shift = (a + b * theta, c + d * theta)
             self.rho = self.shift[1 - axis] / self.shift[axis]
+            self.error = (4 * np.spacing(abs(self.rho))
+                          + theta_error / self.shift[axis] ** 2)
 
     def slope(self, w):
         """s at x1 = w (vertical branch)."""
@@ -463,7 +472,16 @@ def _lattice_flow(spec, family: str, tol: Tolerances):
     the identity (x1-only metrics) or the lattice basis of a diagonal
     spec's phase, V'^1 sampled at RETURN_SEEDS phases.  Declined: a zero of
     V'^1 (sign flip or zero sample) with A != I or a graph axis x1, and a
-    coefficient of m at |k| >= RETURN_SEEDS/4 above tol.resonance max |m|."""
+    coefficient of m at |k| >= RETURN_SEEDS/4 above tol.resonance max |m|.
+
+    A conformal rescaling has its inner metric's null directions, so it
+    takes the inner flow (and its records), unless that is declined or the
+    two transversal axes differ; holonomy still reads the outer Gamma."""
+    if isinstance(spec, geometry.ConformalRescale):
+        flow = _lattice_flow(spec.inner, family, tol)
+        if flow is None or transversal_axis(spec, family) != flow.axis:
+            return None
+        return flow
     if geometry.is_killing(spec):
         A = (1, 0), (0, 1)
     elif geometry.is_diagonal(spec) and spec.phase():
@@ -481,10 +499,15 @@ def _lattice_flow(spec, family: str, tol: Tolerances):
     m = (a * v2 - c * v1) / phase_velocity
     series = TrigSeries1.from_samples(m)
     tail = np.abs(series.coeffs[np.abs(series.freqs) >= RETURN_SEEDS // 4])
-    if not tail.max(initial=0.0) <= tol.resonance * np.max(np.abs(m)):
+    scale = np.max(np.abs(m))
+    if not tail.max(initial=0.0) <= tol.resonance * scale:
         return None
     theta, M = series.antiderivative()
-    flow = _LatticeFlow(spec, family, axis, A, theta.real, M)
+    # Theta is a sum of RETURN_SEEDS samples: a few ulps of its terms per
+    # halving, plus the tail that aliases onto the mean
+    theta_error = (RETURN_SEEDS.bit_length() * np.spacing(scale)
+                   + float(tail.sum()))
+    flow = _LatticeFlow(spec, family, axis, A, theta.real, M, theta_error)
     return flow if flow.shift[axis] != 0.0 else None
 
 
@@ -521,7 +544,7 @@ def rotation_number(spec, family: str = "X", p0: Point = (0.0, 0.0),
         return RotationNumberEstimate(
             family, flow.rho, n_returns, tol.ode_step, _certify_rotation(
                 TrigSeries1(np.array([flow.rho]), np.array([0])), flow.rho,
-                tol), "lattice")
+                tol, flow.error), "lattice")
     axis = transversal_axis(spec, family)
     w0 = float(p0[1 - axis])
     series = _return_sweep(spec, family, axis, tol.ode_step).displacement()

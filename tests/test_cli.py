@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from nulltorus import catalog, classify, spinorfield
+from nulltorus import catalog, classify, spinorfield, validation
 from nulltorus.cli import main, parse_point, parse_structure
 from nulltorus.errors import ConfigError
 from nulltorus.spin import SpinStructure
@@ -156,6 +156,26 @@ def test_period_past_the_cap_is_inconclusive(runner, command):
     assert result.exit_code == 2
     assert payload["error"] == "Inconclusive"
     assert payload["measured"] == 65.0
+
+
+@pytest.mark.parametrize("metric", ["closed_diagonal:2,3",
+                                    "closed_diagonal:3,5,amp=0.2,k=2,l=1"])
+def test_table_y_without_a_credible_period_is_dense(runner, metric):
+    """The quadrature's exact Y rotations (-0.6722978797 and -0.6014877800)
+    have convergents of period 5801 and 941 whose residuals (6.1e-11,
+    9.9e-10) are far above the quadrature's own error: the flows are dense,
+    so the rows are definite DenseLine rows, not a long-period Inconclusive.
+    The true periods 1/65 and 37/64 keep their verdicts (the two tests
+    above)."""
+    result = runner.invoke(main, ["table", "--metric", metric,
+                                  "--quantity", "delta_minus,tau_plus"])
+    assert result.exit_code == 0, result.output
+    lines = result.output.splitlines()
+    rows = [dict(zip(lines[1].split(","), line.split(",")))
+            for line in lines[2:]]
+    assert len(rows) == 8
+    assert {row["certificate"] for row in rows} == {"DenseLine"}
+    assert all(row["family"] == "Y" for row in rows)
 
 
 def test_table_disagreement_is_exit_two(runner, monkeypatch):
@@ -568,6 +588,22 @@ def test_validate_single_criterion(runner):
     assert criterion["index"] == 6
     assert criterion["passed"] is True
     assert "criterion  6: PASS" in result.stderr
+
+
+def test_json_command_refuses_csv_before_it_runs(runner, monkeypatch):
+    """validate --format csv is refused before the criterion runs."""
+    def never(*args, **kwargs):
+        raise AssertionError("the criterion ran")
+
+    monkeypatch.setattr(validation, "run_criterion", never)
+    monkeypatch.setattr(validation, "run_all", never)
+    for args in (["validate", "--criterion", "5", "--format", "csv"],
+                 ["--format", "csv", "validate"]):
+        result = runner.invoke(main, args)
+        payload = _json_out(result)
+        assert result.exit_code == 1, result.output
+        assert payload["error"] == "ConfigError"
+        assert "csv format is not available" in payload["message"]
 
 
 # ---------------------------------------------------------------------------

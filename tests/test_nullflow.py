@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ZOO, frame_direction
-from nulltorus import catalog, geometry, nullflow, spin
+from nulltorus import catalog, classify, geometry, nullflow, spin
 from nulltorus.errors import DenseFlow, Inconclusive
 from nulltorus.gridtools import torus_delta
 from nulltorus.tolerances import DEFAULT
@@ -276,10 +276,18 @@ SEEDED = (
     '"zero":0.2826,"amplitude":0.9946}}',
     '{"family":"rosatau","params":{"support":[0.1612,0.4396],'
     '"zero":0.2805,"amplitude":0.8624}}')
-#: the ZOO families the quadrature declines: a conformal rescaling, and
-#: analex's Y family, whose phase velocity has zeros off the identity basis
-DECLINED = {("conformal_spec", "X"), ("conformal_spec", "Y"),
-            ("analex_spec", "Y")}
+#: the seeded conformal rescalings of analex
+CONFORMAL = (
+    '{"family":"conformal_rescale","params":{"inner":{"family":"analex"},'
+    '"factor":{"amp":0.3958,"k":1,"l":2,"phase":2.9308}}}',
+    '{"family":"conformal_rescale","params":{"inner":{"family":"analex"},'
+    '"factor":{"amp":0.3842,"k":2,"l":2,"phase":5.8605}}}')
+SEEDED += CONFORMAL
+#: the families the quadrature declines: analex's Y family, whose phase
+#: velocity has zeros off the identity basis, and so (a conformal
+#: rescaling takes its inner flow) the Y family of every rescaled analex
+DECLINED = ({("conformal_spec", "Y"), ("analex_spec", "Y")}
+            | {(name, "Y") for name in CONFORMAL})
 
 
 def _flow_summary(spec, family):
@@ -336,6 +344,62 @@ def test_lattice_quadrature_agrees_with_the_swept_route(name, family,
     assert lattice_lines == swept_lines
 
 
+@pytest.mark.parametrize("metric,family,expected", [
+    ("left_invariant:1,65", "X", (1, 65)),
+    ("closed_diagonal:37,64", "X", (37, 64)),
+    ("closed_diagonal:2,3", "Y", None),
+    ("closed_diagonal:3,5,amp=0.2,k=2,l=1", "Y", None)])
+def test_lattice_certificate_past_the_cap_needs_the_quadrature_error(
+        metric, family, expected):
+    """A best rational with q > 64 is credible on the lattice route only
+    within the quadrature's error: the true 1/65 passes, while the
+    convergents 3900/5801 and 566/941 of the two exact Y rotations miss by
+    6.1e-11 and 9.9e-10, so those flows are dense.  37/64 is bracketed."""
+    spec = catalog.load_metric(metric)
+    est = nullflow.rotation_number(spec, family)
+    flow = nullflow._lattice_flow(spec, family, DEFAULT)
+    assert est.method == "lattice" and flow.error < 1e-13
+    got = est.rational and (abs(est.rational.p), est.rational.q)
+    assert got == expected
+    if expected is None:
+        assert nullflow.best_rational(
+            est.value, DEFAULT.rational_cap,
+            DEFAULT.rational_residual_flow).residual > 1e4 * flow.error
+
+
+def test_conformal_rescaling_takes_the_inner_flow(conformal_spec,
+                                                  monkeypatch):
+    """The lines of lam g are those of g: the conformal X table reads the
+    inner quadrature and marches no RK4 line."""
+    marches = []
+    march = nullflow._march
+
+    def counting(*args, **kwargs):
+        marches.append(args[:3])
+        return march(*args, **kwargs)
+
+    monkeypatch.setattr(nullflow, "_march", counting)
+    nullflow._return_sweep.cache_clear()     # a cached sweep hides a march
+    inner = nullflow._lattice_flow(conformal_spec.inner, "X", DEFAULT)
+    assert nullflow._lattice_flow(conformal_spec, "X", DEFAULT) is inner
+    table = classify.classify_table(conformal_spec,
+                                    ("delta_plus", "tau_minus"))
+    assert len(table) == 4 and not marches
+    assert nullflow.rotation_number(conformal_spec, "X").method == "lattice"
+
+
+def test_conformal_rescaling_of_a_generic_metric_sweeps():
+    """A generic diagonal metric names no phase, so neither does its
+    conformal rescaling: the rotation comes from the swept return map."""
+    generic = geometry.Diagonal(
+        lambda x1, x2: 1.0 + 0.1 * np.sin(2 * np.pi * x1) * np.cos(
+            2 * np.pi * x2), lambda x1, x2: 2.0 + 0.0 * x2, grid_n=64)
+    spec = catalog.conformal(generic, catalog.exp_sine_factor(amp=0.2))
+    assert nullflow._lattice_flow(spec, "X", DEFAULT) is None
+    assert nullflow.rotation_number(spec, "X", n_returns=50).method == (
+        "return-map")
+
+
 def test_lattice_route_declines():
     """A generic diagonal metric names no phase, and an x1-only metric with
     a kink in its graph slope leaves a Fourier tail above the resonance
@@ -358,10 +422,12 @@ def test_lattice_route_declines():
 @given(b1=st.integers(1, 9), b2=st.integers(1, 9),
        amp=st.floats(0.01, 0.3), k=st.integers(1, 4), l=st.integers(-4, 4))
 @example(b1=37, b2=64, amp=0.1, k=1, l=1)
+@example(b1=3, b2=5, amp=0.2, k=2, l=1)
 @settings(max_examples=40, deadline=None)
 def test_lattice_certificate_is_the_mean_coefficient_ratio(b1, b2, amp, k, l):
     """The X certificate of a closed wave is best_rational(l1/l2) of the
-    mean coefficients, the exact solvers' ratio, read along the winding."""
+    mean coefficients, the exact solvers' ratio, read along the winding;
+    the exact Y value takes no convergent past the period cap."""
     # nonvanishing coefficients, and a phase velocity k/lam1 + l/lam2 =
     # (k b2 + l b1)/(lam1 lam2) that is not identically zero
     assume(abs(amp * l / k) < 0.9 * b2 and amp < 0.9 * b1)
@@ -375,6 +441,9 @@ def test_lattice_certificate_is_the_mean_coefficient_ratio(b1, b2, amp, k, l):
     axis = nullflow.transversal_axis(spec, "X")
     w1, w2 = nullflow._winding(axis, est.rational.q, est.rational.p)
     assert Fraction(w2, w1) == Fraction(expected.p, expected.q)
+    est = nullflow.rotation_number(spec, "Y")
+    if est.method == "lattice" and est.rational is not None:
+        assert est.rational.q <= nullflow.MAX_PERIOD
 
 
 def test_lattice_rotation_is_exact_on_analex_sanchez():

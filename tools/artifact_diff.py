@@ -124,6 +124,14 @@ CASES = [
     ["decompose", "--metric", "left_invariant:1,65"],
     ["table", "--metric", "left_invariant:1,65"],
     ["decompose", "--metric", "analex", "--family", "Y"],
+    # a conformal rescaling takes its inner flow (X); its Y family sweeps
+    ["table", "--metric", CONFORMAL_1, "--quantity", Y_Q],
+    ["rotation", "--metric", CONFORMAL_1],
+    ["decompose", "--metric", CONFORMAL_1],
+    # exact Y rotations whose long-period convergents miss the value
+    ["table", "--metric", "closed_diagonal:2,3", "--quantity", Y_Q],
+    ["table", "--metric", "closed_diagonal:3,5,amp=0.2,k=2,l=1",
+     "--quantity", Y_Q],
     ["decompose", "--metric", "left_invariant:sqrt2,1"],
     ["decompose", "--metric", "closed_diagonal:1,2", "--resolution", "256",
      "--step", "0.002"],
