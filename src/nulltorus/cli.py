@@ -459,6 +459,7 @@ def solve(s: Settings, metric, structure, chirality, n_fields, grid_n):
     payload = {"command": "solve", "structure": struct.label,
                "chirality": chi, "count_class": sol.count_class,
                "congruence_obstructed": sol.congruence_obstructed,
+               "grid_n": sol.fields[0].grid_n if sol.fields else None,
                "fields": [_field_summary(f) for f in sol.fields]}
     if isinstance(sol, spinorfield.HarmonicSolution):
         payload.update(solver="left_invariant", exact=sol.exact,

@@ -41,6 +41,11 @@ def _wavenumbers(n: int) -> np.ndarray:
     return k
 
 
+def _frequency_bins(freqs: np.ndarray, n: int) -> np.ndarray:
+    """FFT bin of each integer frequency on an n-point grid."""
+    return np.rint(freqs).astype(int) % n
+
+
 def _in_blocks(evaluate, n_modes: int, *xs: np.ndarray) -> np.ndarray:
     """evaluate(*xs) when its phase matrix has at most PHASE_BLOCK entries;
     otherwise evaluate on flat runs of the broadcast points that each stay
@@ -138,6 +143,13 @@ class TrigSeries1:
     def _values(self, x):
         return np.exp(TWO_PI_I * np.multiply.outer(x, self.freqs)) @ self.coeffs
 
+    def on_grid(self, n: int) -> np.ndarray:
+        """Values at x = j/n by one inverse FFT: each coefficient lands on
+        its frequency mod n (aliased modes add up, as the samples do)."""
+        spectrum = np.zeros(n, dtype=complex)
+        np.add.at(spectrum, _frequency_bins(self.freqs, n), self.coeffs)
+        return np.fft.ifft(spectrum, norm="forward")
+
     def antiderivative(self) -> tuple[complex, "TrigSeries1"]:
         """Return (mean, P) with  int_0^x f = mean*x + P(x) - P(0)."""
         mean = complex(self.coeffs[self.freqs == 0].sum())
@@ -179,6 +191,14 @@ class TrigSeries2:
         phase = np.exp(TWO_PI_I * (np.multiply.outer(x1, self.k1)
                                    + np.multiply.outer(x2, self.k2)))
         return (phase @ self.coeffs).reshape(shape)
+
+    def on_grid(self, n: int) -> np.ndarray:
+        """Values on the n x n grid by one inverse FFT (``TrigSeries1.on_grid``
+        per axis)."""
+        spectrum = np.zeros((n, n), dtype=complex)
+        np.add.at(spectrum, (_frequency_bins(self.k1, n),
+                             _frequency_bins(self.k2, n)), self.coeffs)
+        return np.fft.ifft2(spectrum, norm="forward")
 
     def antiderivative_x1(self) -> tuple["TrigSeries1", "TrigSeries2"]:
         """(m, P) with  int_0^{x1} f(s, x2) ds = x1*m(x2) + P(x1,x2) - P(0,x2)."""

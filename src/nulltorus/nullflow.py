@@ -656,18 +656,21 @@ class FirstIntegral:
     dF = lam1 dx1 - lam2 dx2 vanishes nowhere and kills the X-direction, so
     F is constant along X-lines and strictly monotone across them; it is
     quasi-periodic with offsets (l1, -l2) under full coordinate periods.
-    The one quadrature of the closed diagonal kernels, read by
-    ``spinorfield.solve_closed_diagonal`` (phases exp(2 pi i alpha F)), the
-    resonant bump trains of ``spinorfield.construct_resonant_spinors`` and
-    criterion 2's transport check.  Closedness is decided with the caller's
-    ``tol``; the series come from the n x n grid.
+    The one quadrature of the closed diagonal kernels.  Its series come
+    from the n x n grid, and ``grid()`` sums them back on that grid by
+    inverse FFT; ``spinorfield.solve_closed_diagonal`` (phases
+    exp(2 pi i alpha F)), the resonant bump trains of
+    ``spinorfield.construct_resonant_spinors`` and criterion 2's transport
+    check read that grid.  The pointwise call serves points off the grid
+    (the flow tests check it against RK4 lines).  Closedness is decided
+    with the caller's ``tol``.
     """
 
     def __init__(self, spec, n: Optional[int] = None,
                  tol: Tolerances = DEFAULT):
         if not geometry.is_closed_diagonal(spec, tol):
             raise WrongFamily("first integral requires a closed diagonal metric")
-        n = n or spec.grid_n
+        self.n = n = n or spec.grid_n
         X1, X2 = grid_points(n)
         l1g, l2g = spec.lambdas(X1, X2)
         self._mean1, self._osc1 = TrigSeries2.from_samples(
@@ -683,6 +686,16 @@ class FirstIntegral:
                                           - self._osc1(np.zeros_like(x1), x2)).real
         i2 = x2 * self._mean2 + (self._osc2(x2) - self._osc2(0.0)).real
         return i1 - i2
+
+    def grid(self) -> np.ndarray:
+        """F on the n x n grid x = j/n it was built from (``__call__`` at
+        ``grid_points(n)``), each series summed by one inverse FFT."""
+        x = np.arange(self.n) / self.n
+        osc1 = self._osc1.on_grid(self.n).real
+        osc2 = self._osc2.on_grid(self.n).real
+        i2 = x * self._mean2 + (osc2 - osc2[0])
+        return (np.multiply.outer(x, self._mean1.on_grid(self.n).real)
+                + (osc1 - osc1[0]) - i2)
 
     @property
     def quasi_periods(self) -> tuple[float, float]:

@@ -2,7 +2,10 @@
 
 Fields are stored through their periodic representative: a complex grid h
 with the actual section being eps_a * h * u_c (u_c the chiral basis spinor,
-eps_a the spin-structure twist).  All derivatives on grids are spectral.
+eps_a the spin-structure twist).  All derivatives on grids are spectral, and
+an operator takes one derivative pair per nonzero half-spinor: nabla is
+linear in the direction, so nabla_X and nabla_Y of the null families are
+nabla_s1 + nabla_s2 and nabla_s2 - nabla_s1 of the frame.
 
 Exact solvers:
 
@@ -10,13 +13,14 @@ Exact solvers:
   condition on Fourier modes (the connection form vanishes identically for
   constant coefficients).
 * ``solve_closed_diagonal`` builds the phase family exp(2 pi i alpha F) from
-  the first integral F of the X-lines (``nullflow.FirstIntegral``); the
-  alphas exist when the structure's character on the winding of the closed
-  null lines is +1.
+  the first integral F of the X-lines (``nullflow.FirstIntegral``, read on
+  the field grid); the alphas exist when the structure's character on the
+  winding of the closed null lines is +1.
 * ``construct_resonant_spinors`` produces bump-localized kernel elements
   with pairwise disjoint supports on resonant cylinders (first-integral
   bump trains for closed diagonal metrics, vertical-band bumps for the
-  pp-wave family, conformal pushforward through a rescaling).
+  pp-wave family, whose band line is the flow's lattice record, conformal
+  pushforward through a rescaling).
 """
 
 from __future__ import annotations
@@ -158,28 +162,40 @@ def _direction_grids(spec, direction: str, n: int):
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def nabla_along(f: HalfSpinorField, direction: str) -> HalfSpinorField:
-    """Covariant derivative of the half-spinor along a frame or null field.
+def _nablas(f: HalfSpinorField, directions) -> list[np.ndarray]:
+    """Values of nabla_V f for each named direction V, all from one spectral
+    derivative pair; an identically zero f's own values (not a copy: the
+    callers only read them) for every direction when f is zero.
 
     Acts on the periodic representative as
     dh(V) + (chirality/2 * Gamma(V) + omega_a(V)) h.
     """
+    if not np.any(f.values):
+        return [f.values for _ in directions]
     n = f.grid_n
-    v1, v2 = _direction_grids(f.spec, direction, n)
     d1, d2 = spectral_derivatives(f.values)
     G1, G2 = geometry.connection_one_form_grids(f.spec, n)
-    gam = v1 * G1 + v2 * G2
-    tw = f.structure.twist_form(v1, v2)
-    vals = v1 * d1 + v2 * d2 + (0.5 * f.chirality * gam + tw) * f.values
-    return HalfSpinorField(f.spec, f.structure, f.chirality, vals)
+    out = []
+    for direction in directions:
+        v1, v2 = _direction_grids(f.spec, direction, n)
+        potential = (0.5 * f.chirality * (v1 * G1 + v2 * G2)
+                     + f.structure.twist_form(v1, v2))
+        out.append(v1 * d1 + v2 * d2 + potential * f.values)
+    return out
 
 
-def _nabla_values(f: HalfSpinorField, direction: str) -> np.ndarray:
-    """``nabla_along(f, direction).values``; an identically zero f's own
-    values (not a copy: the callers only read them) when f is zero."""
-    if not np.any(f.values):
-        return f.values
-    return nabla_along(f, direction).values
+def nabla_along(f: HalfSpinorField, direction: str) -> HalfSpinorField:
+    """Covariant derivative of the half-spinor along a frame or null field
+    ('X', 'Y', 's1' or 's2')."""
+    if direction not in ("X", "Y", "s1", "s2"):
+        raise ValueError(f"unknown direction {direction!r}")
+    return HalfSpinorField(f.spec, f.structure, f.chirality,
+                           _nablas(f, (direction,))[0])
+
+
+def _own_family(f: HalfSpinorField) -> str:
+    """The null family whose transport is f's harmonic equation."""
+    return "X" if f.chirality == 1 else "Y"
 
 
 def dirac_apply(phi: Union[SpinorField, HalfSpinorField]) -> SpinorField:
@@ -190,10 +206,10 @@ def dirac_apply(phi: Union[SpinorField, HalfSpinorField]) -> SpinorField:
     X-parallel line and the negative kernel the Y-parallel one.
     """
     psi = embed(phi) if isinstance(phi, HalfSpinorField) else phi
-    # both derivatives before either output: the first nabla_along may build
-    # the cached connection grids, the memory peak, with no output alive
-    dx = _nabla_values(psi.positive, "X")
-    dy = _nabla_values(psi.negative, "Y")
+    # both derivatives before either output: the first one may build the
+    # cached connection grids, the memory peak, with no output alive
+    [dx], [dy] = (_nablas(half, (_own_family(half),))
+                  for half in (psi.positive, psi.negative))
     return SpinorField(
         negative=HalfSpinorField(psi.spec, psi.structure, -1, dx * 1j),
         positive=HalfSpinorField(psi.spec, psi.structure, 1, dy * 1j))
@@ -206,16 +222,19 @@ def twistor_apply(phi: Union[SpinorField, HalfSpinorField]
     P_i phi = nabla_{s_i} phi + 1/2 gamma(s_i) D phi (the gamma-trace-free
     part of nabla); a half-spinor of chirality c is in the twistor kernel
     exactly when its transport along the chirality's *opposite* null family
-    vanishes (X for negative, Y for positive).
+    vanishes (X for negative, Y for positive).  Each half is differentiated
+    once: nabla is linear in the direction, so D reads
+    nabla_X = nabla_s1 + nabla_s2 and nabla_Y = nabla_s2 - nabla_s1.
     """
     psi = embed(phi) if isinstance(phi, HalfSpinorField) else phi
-    dpsi = dirac_apply(psi).component_grids()
+    (p1, p2), (m1, m2) = (_nablas(half, ("s1", "s2"))
+                          for half in (psi.positive, psi.negative))
+    # 1/2 D psi: (D psi)^+ = i nabla_Y psi^-, (D psi)^- = i nabla_X psi^+
+    half_dpsi = np.stack([m2 - m1, p1 + p2])
+    half_dpsi *= 0.5j
     out = []
-    for direction, gam_mat in (("s1", GAMMA1), ("s2", GAMMA2)):
-        grad = np.stack([_nabla_values(psi.positive, direction),
-                         _nabla_values(psi.negative, direction)])
-        corr = 0.5 * np.einsum("ab,b...->a...", gam_mat, dpsi)
-        comp = grad + corr
+    for grad, gam_mat in (((p1, m1), GAMMA1), ((p2, m2), GAMMA2)):
+        comp = np.stack(grad) + np.einsum("ab,b...->a...", gam_mat, half_dpsi)
         out.append(SpinorField(
             positive=HalfSpinorField(psi.spec, psi.structure, 1, comp[0]),
             negative=HalfSpinorField(psi.spec, psi.structure, -1, comp[1])))
@@ -238,8 +257,7 @@ def residual_norm(phi: Union[SpinorField, HalfSpinorField],
     elif operator in ("harmonic", "transport"):
         halves = ((phi,) if isinstance(phi, HalfSpinorField)
                   else (phi.positive, phi.negative))
-        arrs = [_nabla_values(h, "X" if h.chirality == 1 else "Y")
-                for h in halves]
+        arrs = [a for h in halves for a in _nablas(h, (_own_family(h),))]
     else:
         raise ValueError(f"unknown operator {operator!r}")
     return max(float(np.max(np.abs(a))) for a in arrs)
@@ -291,8 +309,8 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
 
 def solve_left_invariant(spec, structure: SpinStructure, family: str = "X",
                          chirality: int = 1, n_fields: int = 4,
-                         grid_n: int = 64, tol: Tolerances = DEFAULT
-                         ) -> HarmonicSolution:
+                         grid_n: Optional[int] = None,
+                         tol: Tolerances = DEFAULT) -> HarmonicSolution:
     """Kernel of the null transport equation for constant coefficients.
 
     The connection form vanishes, so the Fourier mode (k, l) is parallel
@@ -305,13 +323,14 @@ def solve_left_invariant(spec, structure: SpinStructure, family: str = "X",
     winding (q, p) is +1 (then q(1-a1) +- p(1-a2) = 0 mod 4); the solutions
     fill an affine line in the mode lattice (infinite dimension).  An
     irrational ratio admits only the constant section of the trivial
-    structure.
+    structure.  Fields live on the spec's ``grid_n`` unless one is given.
     """
     if not isinstance(spec, geometry.LeftInvariant):
         raise WrongFamily("solve_left_invariant needs a LeftInvariant metric; "
                           f"got {type(spec).__name__}")
     if family not in ("X", "Y"):
         raise ValueError(f"family must be 'X' or 'Y', got {family!r}")
+    grid_n = grid_n or spec.grid_n
     ratio = spec.exact_ratio()
     exact = ratio is not None
     if not exact:
@@ -391,8 +410,7 @@ def solve_closed_diagonal(spec, structure: SpinStructure, chirality: int = 1,
                                   tol.rational_residual_solver)
     if cert is None:
         if structure.trivial:
-            fields = (constant_field(spec, structure, chirality, 1.0,
-                                     min(n, 64)),)
+            fields = (constant_field(spec, structure, chirality, 1.0, n),)
             return ClosedDiagonalSolution(structure, chirality, l1, l2, None,
                                           True, False, None, (0.0,), "One",
                                           fields)
@@ -408,7 +426,7 @@ def solve_closed_diagonal(spec, structure: SpinStructure, chirality: int = 1,
     fields = ()
     if alphas[:n_fields]:
         X1, X2 = grid_points(n)
-        F = nullflow.first_integral_function(spec, n, tol)(X1, X2)
+        F = nullflow.first_integral_function(spec, n, tol).grid()
         conj_twist = np.conj(structure.twist(X1, X2))
         fields = tuple(
             HalfSpinorField(spec, structure, chirality,
@@ -495,7 +513,7 @@ def _closed_diagonal_bumps(spec, structure: SpinStructure, count: int,
     _, u, v = _egcd(p, q)            # u*p + v*q = 1
     psi = structure.character((u, v))
     X1, X2 = grid_points(grid_n)
-    F = nullflow.first_integral_function(spec, grid_n, tol)(X1, X2)
+    F = nullflow.first_integral_function(spec, grid_n, tol).grid()
     conj_twist = np.conj(structure.twist(X1, X2))
     width = 0.4 * D / count
     fields = []
@@ -535,8 +553,10 @@ def _rosatau_bumps(spec, structure: SpinStructure, count: int, grid_n: int,
                    tol: Tolerances) -> tuple[HalfSpinorField, ...]:
     lo, hi = _vertical_band(spec)
     mid = wrap_unit(0.5 * (lo + hi))
-    record = nullflow.integrate_null_line(spec, (float(mid), 0.0), "X",
-                                          t_max=1.0, tol=tol)
+    # tau vanishes on the band, so the X-line through mid is vertical: the
+    # lattice record of rotation 0/1 (the vertical branch)
+    record = nullflow.closed_line_through(
+        spec, "X", float(mid), nullflow.RationalCertificate(0, 1, 0.0), tol)
     hol = spin.holonomy_closed_line(spec, record, structure, tol=tol)
     if not hol.x_trivial:
         raise NotXTrivial(

@@ -108,7 +108,7 @@ def criterion_closed_diagonal_example(step, grid_n, tol) -> tuple[bool, dict, st
     l1, l2 = geometry.mean_coefficients(spec, tol)
     n = 256
     X1, X2 = grid_points(n)
-    F = nullflow.first_integral_function(spec, n, tol)(X1, X2)
+    F = nullflow.first_integral_function(spec, n, tol).grid()
     d1, d2 = spectral_derivatives(np.exp(2j * np.pi * F))
     lam1, lam2 = spec.lambdas(X1, X2)
     pde_residual = float(np.max(np.abs(-lam2 * d1 - lam1 * d2)))

@@ -128,7 +128,7 @@ def test_criterion_09_honours_overrides(monkeypatch, overrides, expected):
         catalog.analex(), SpinStructure(1, 1), grid_n=32, tol=tol), False),
     (lambda tol: spinorfield.construct_resonant_spinors(
         catalog.rosatau_window(), SpinStructure(1, 1), grid_n=32, tol=tol),
-     True),
+     False),
     (lambda tol: validation.criterion_flat_holonomy(None, None, tol), False),
     (lambda tol: validation._ppwave_expectation(catalog.rosatau_window(),
                                                 tol), True),

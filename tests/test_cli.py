@@ -352,6 +352,19 @@ def test_solve_left_invariant_json(runner):
     assert all(f["residual"] < 1e-9 for f in payload["fields"])
 
 
+@pytest.mark.parametrize("metric,n_fields", [("left_invariant:1,2", 4),
+                                              ("closed_diagonal:sqrt2,1", 1)])
+def test_solve_honours_grid_n(runner, metric, n_fields):
+    """The fields of a solve are built and checked on the requested grid,
+    and the payload names it (also the constant field of a dense flow)."""
+    result = runner.invoke(main, ["solve", "--metric", metric,
+                                  "--grid-n", "256"])
+    payload = _json_out(result)
+    assert result.exit_code == 0
+    assert payload["grid_n"] == 256 and len(payload["fields"]) == n_fields
+    assert all(f["residual"] < 1e-9 for f in payload["fields"])
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 

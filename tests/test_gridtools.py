@@ -140,3 +140,18 @@ def test_simpson_is_scipys_bitwise():
             if ours.hex() != theirs.hex():
                 differ.append((n, ours, theirs))
     assert not differ
+
+
+@pytest.mark.parametrize("n", [7, 8, 64])
+def test_series_on_grid_is_the_pointwise_sum(n):
+    """``on_grid`` sums each series by inverse FFT at x = j/n; modes past
+    the grid's band alias onto their bins mod n, as the samples do."""
+    rng = np.random.default_rng(5)
+    freqs = np.array([0, 1, -3, n - 1, n + 2, -2 * n + 1])
+    s1 = TrigSeries1(rng.normal(size=6) + 1j * rng.normal(size=6), freqs)
+    x = np.arange(n) / n
+    assert np.max(np.abs(s1.on_grid(n) - s1(x))) < 1e-12
+    s2 = TrigSeries2(rng.normal(size=6) + 1j * rng.normal(size=6), freqs,
+                     np.roll(freqs, 2))
+    X1, X2 = grid_points(n)
+    assert np.max(np.abs(s2.on_grid(n) - s2(X1, X2))) < 1e-12

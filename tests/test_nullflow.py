@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import ZOO, frame_direction
 from nulltorus import catalog, classify, geometry, nullflow, spin
 from nulltorus.errors import DenseFlow, Inconclusive
-from nulltorus.gridtools import torus_delta
+from nulltorus.gridtools import grid_points, torus_delta
 from nulltorus.tolerances import DEFAULT
 
 
@@ -194,6 +194,20 @@ def test_first_integral_analex(metric, rng):
     base = F(x1, x2)
     assert F(x1 + 1.0, x2) - base == pytest.approx(l1, abs=1e-10)
     assert F(x1, x2 + 1.0) - base == pytest.approx(-l2, abs=1e-10)
+
+
+@pytest.mark.parametrize("n", [63, 64, 256, 512])
+@pytest.mark.parametrize("metric", [
+    "analex", "closed_diagonal:1,2,amp=0.08", "closed_diagonal:1,2,k=1,l=2",
+    "closed_diagonal:3,5,amp=0.2,k=2,l=1"])
+def test_first_integral_grid_is_the_pointwise_value(metric, n):
+    """The inverse-FFT grid of F equals the pointwise series at the grid
+    points (n = 63 has no Nyquist bin)."""
+    F = nullflow.FirstIntegral(catalog.from_shorthand(metric), n)
+    X1, X2 = grid_points(n)
+    grid = F.grid()
+    assert grid.shape == (n, n) and np.isrealobj(grid)
+    assert np.max(np.abs(grid - F(X1, X2))) < 1e-13
 
 
 def test_completeness_flat_vs_ppwave(flat_spec, rosatau_spec):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nulltorus import catalog, classify, geometry, nullflow, spinorfield
+from nulltorus import catalog, classify, geometry, nullflow, spin, spinorfield
 from nulltorus.errors import (DenseFlow, NotHarmonic, NotXTrivial,
                               UnsupportedFamily, WrongFamily)
 from nulltorus.spin import GAMMA1, GAMMA2, SpinStructure, all_structures
@@ -71,41 +71,90 @@ def test_harmonic_residual_transports_only_nonzero_halves(analex_spec,
                     float(np.max(np.abs(d.positive.values))))
     assert spinorfield.residual_norm(both, "harmonic") == dirac_sup
 
-    calls = []
-    nabla = spinorfield.nabla_along
-
-    def counting(f, direction):
-        calls.append(direction)
-        return nabla(f, direction)
-
-    monkeypatch.setattr(spinorfield, "nabla_along", counting)
+    transforms, directions = _count_transforms(monkeypatch)
     spinorfield.residual_norm(neg, "harmonic")
-    assert calls == ["Y"]
+    assert len(transforms) == 1 and directions == ["Y"]
+
+
+def _count_transforms(monkeypatch):
+    """Lists that record each spectral derivative pair the operators take
+    (by the shape of its input) and each direction they assemble."""
+    transforms, directions = [], []
+    derivatives = spinorfield.spectral_derivatives
+    direction_grids = spinorfield._direction_grids
+
+    def counting_derivatives(values):
+        transforms.append(values.shape)
+        return derivatives(values)
+
+    def counting_directions(spec, direction, n):
+        directions.append(direction)
+        return direction_grids(spec, direction, n)
+
+    monkeypatch.setattr(spinorfield, "spectral_derivatives",
+                        counting_derivatives)
+    monkeypatch.setattr(spinorfield, "_direction_grids", counting_directions)
+    return transforms, directions
 
 
 @pytest.mark.parametrize("chirality", [1, -1])
 def test_operators_differentiate_only_nonzero_halves(analex_spec, monkeypatch,
                                                      chirality):
+    """One spectral derivative pair per nonzero half and application."""
     f = spinorfield.fourier_mode_field(analex_spec, SpinStructure(1, -1),
                                        (2, 1), chirality=chirality)
-    calls = []
-    nabla = spinorfield.nabla_along
-
-    def counting(field, direction):
-        calls.append(direction)
-        return nabla(field, direction)
-
-    monkeypatch.setattr(spinorfield, "nabla_along", counting)
+    transforms, directions = _count_transforms(monkeypatch)
     d = spinorfield.dirac_apply(f)
-    assert calls == ["X" if chirality == 1 else "Y"]
+    assert transforms == [f.values.shape]
+    assert directions == ["X" if chirality == 1 else "Y"]
     zero_half = d.positive if chirality == 1 else d.negative
     assert not np.any(zero_half.values)
-    calls.clear()
-    spinorfield.twistor_apply(f)
-    assert len(calls) == 3
-    calls.clear()
-    spinorfield.residual_norm(f, "twistor")
-    assert len(calls) == 3
+    for apply in (spinorfield.twistor_apply,
+                  lambda g: spinorfield.residual_norm(g, "twistor")):
+        transforms.clear()
+        apply(f)
+        assert transforms == [f.values.shape]
+    g = spinorfield.fourier_mode_field(analex_spec, SpinStructure(1, -1),
+                                       (0, 3), chirality=-chirality)
+    pos, neg = (f, g) if chirality == 1 else (g, f)
+    both = spinorfield.SpinorField(positive=pos, negative=neg)
+    for apply in (spinorfield.dirac_apply, spinorfield.twistor_apply,
+                  lambda g: spinorfield.residual_norm(g, "twistor")):
+        transforms.clear()
+        apply(both)
+        assert len(transforms) == 2
+
+
+CLOSED_ZOO = ("flat_spec", "sqrt2_spec", "analex_spec", "wave12_spec")
+
+
+@pytest.mark.parametrize("chirality", [1, -1])
+@pytest.mark.parametrize("name", CLOSED_ZOO)
+def test_operators_are_their_per_direction_composition(name, chirality,
+                                                       request):
+    """D and P_i, with nabla_X and nabla_Y read off one derivative pair as
+    nabla_s1 +- nabla_s2, equal their definitions composed from
+    ``nabla_along`` per direction, on every structure and chirality."""
+    spec = request.getfixturevalue(name)
+    assert geometry.is_closed_diagonal(spec)
+    for s in all_structures():
+        f = spinorfield.fourier_mode_field(spec, s, (2, 1), chirality,
+                                           grid_n=64)
+        f.values += 0.5 * spinorfield.fourier_mode_field(
+            spec, s, (-1, 3), chirality, grid_n=64).values
+        bound = 1e-12 * f.sup_norm()
+        pos, neg = ((f, spinorfield.zero_like(f, 1)) if chirality == 1
+                    else (spinorfield.zero_like(f, -1), f))
+        dirac = np.stack([1j * spinorfield.nabla_along(neg, "Y").values,
+                          1j * spinorfield.nabla_along(pos, "X").values])
+        got = spinorfield.dirac_apply(f).component_grids()
+        assert np.max(np.abs(got - dirac)) <= bound
+        for p, direction, gam in zip(spinorfield.twistor_apply(f),
+                                     ("s1", "s2"), (GAMMA1, GAMMA2)):
+            want = (np.stack([spinorfield.nabla_along(pos, direction).values,
+                              spinorfield.nabla_along(neg, direction).values])
+                    + 0.5 * np.einsum("ab,b...->a...", gam, dirac))
+            assert np.max(np.abs(p.component_grids() - want)) <= bound
 
 
 def test_nabla_along_names_only(analex_spec):
@@ -352,6 +401,32 @@ def test_resonant_bumps_rosatau(rosatau_spec):
     with pytest.raises(NotXTrivial):
         spinorfield.construct_resonant_spinors(
             rosatau_spec, SpinStructure(1, -1), count=2, grid_n=256)
+
+
+def _seeded_window(seed):
+    rng = np.random.default_rng(seed)
+    lo, hi = rng.uniform(0.13, 0.17), rng.uniform(0.43, 0.47)
+    return catalog.rosatau_window(support=(lo, hi),
+                                  zero=rng.uniform(0.28, 0.32),
+                                  amplitude=rng.uniform(0.8, 1.2))
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])
+def test_band_line_record_holds_the_marched_holonomy(seed):
+    """The vertical band line that the pp-wave bumps read from the lattice
+    record carries the holonomy of the RK4 line through the same point."""
+    spec = catalog.rosatau_window() if seed is None else _seeded_window(seed)
+    lo, hi = spinorfield._vertical_band(spec)
+    mid = float((0.5 * (lo + hi)) % 1.0)
+    record = nullflow.closed_line_through(
+        spec, "X", mid, nullflow.RationalCertificate(0, 1, 0.0))
+    marched = nullflow.integrate_null_line(spec, (mid, 0.0), "X", t_max=1.0)
+    for s in all_structures():
+        got = spin.holonomy_closed_line(spec, record, s)
+        want = spin.holonomy_closed_line(spec, marched, s)
+        assert (got.winding, got.character, got.x_trivial) == \
+            (want.winding, want.character, want.x_trivial)
+        assert got.boost == pytest.approx(want.boost, abs=1e-12)
 
 
 def test_resonant_bumps_conformal_pushforward(conformal_spec):
