@@ -2,13 +2,16 @@
 
 The geometric side of the package: a metric is *semi-conformally flat* (SCF)
 for a null family when some nowhere-zero divergence-free vector field spans
-that family.  Certificates are produced analytically for the built-in
-families whenever a closed form exists (on a single-phase metric, through
-its lattice basis) and numerically otherwise; the numeric route decides
-through loop integrals of div(X) along closed null lines (the
-cohomological obstruction) and, for dense flows, a weighted
-Birkhoff average, then tries to construct the rescaling exponent f with
-X(f) = -div(X) by a spectral least-squares transport solve.
+that family.  Certificates are analytic wherever a closed form exists:
+closed diagonal coefficients, the Killing rule of the x1-only families
+(which is also the obstruction: a loop integral of div(X) along a closed
+null line, infinite where lines accumulate on one), the same rule on the
+x1-only pullback of a single-phase metric (certificate pushed back,
+obstruction located in the original coordinates), and conformal
+rescalings of these.  Any other family falls
+back to a spectral least-squares transport solve for the rescaling
+exponent f with X(f) = -div(X), checked by its divergence residual; when
+the residual misses, the answer is Inconclusive.
 
 On an SCF metric the dimension of each chiral kernel (harmonic or twistor)
 is 0, 1 or infinite, decided by the cylinder decomposition of the family's
@@ -22,6 +25,7 @@ every report that disagrees.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -29,10 +33,9 @@ import numpy as np
 
 from . import geometry, nullflow, spin, spinorfield
 from .errors import (DegenerateMetric, DenseFlow, Inconclusive, NotHarmonic,
-                     NotSCF, NotTransverse)
-from .gridtools import (TrigSeries1, TrigSeries2, circular_zeros,
-                        grid_points, spectral_derivative,
-                        spectral_derivatives)
+                     NotSCF)
+from .gridtools import (TrigSeries2, circular_zeros, grid_points,
+                        spectral_derivative, spectral_derivatives, wrap_unit)
 from .spin import GAMMA1, GAMMA2, SpinStructure, all_structures
 from .spinorfield import HalfSpinorField, SpinorField, embed
 from .tolerances import DEFAULT, Tolerances
@@ -111,12 +114,15 @@ def _diagonal_analysis(spec, family: str, n: int, tol: Tolerances
 
 
 def _killing_analysis(spec, family: str, n: int, tol: Tolerances
-                      ) -> Optional[SCFCertificate]:
+                      ) -> SCFCertificate:
     """Coefficients of x1 alone (see ``geometry``): the graph family is
     certified by (n1, n2)/rho; the other family's f is scanned for zeros,
     giving (0, 1)/rho when f vanishes identically, (1, h/f)/rho when it has
-    no zero, and NotSCF when a simple zero z carries loop integral
-    |f'(z)/h(z)| of div, f' = -C'."""
+    no zero, and NotSCF otherwise.  A simple zero z carries loop integral
+    |f'(z)/h(z)| of div, f' = -C'.  Where the zeros are flat (bands,
+    degenerate zeros), the lines between them wind ever faster towards a
+    closed line x1 = z, so a divergence-free w X needs w constant along
+    them and w ~ 1/|f|, unbounded at z: the obstruction is infinite."""
     if family == spec.graph_family:
         def field(x1, x2):
             _, (n1, n2), rho = spec.null_fields(x1)
@@ -152,7 +158,12 @@ def _killing_analysis(spec, family: str, n: int, tol: Tolerances
     if worst > tol.scf_reject:
         raise NotSCF(spec.obstruction.format(where=where, worst=worst),
                      obstruction=worst, location=where)
-    return None   # bands or degenerate zeros only: defer to the numeric route
+    where = float(runs[0][0] % 1.0) if runs else where
+    raise NotSCF(
+        f"the {family}-family is obstructed: its lines accumulate on the "
+        f"closed line x1 = {where:.6f} at a flat zero of f in X = (f, h), "
+        "so a divergence-free multiple w X needs w ~ 1/|f| there, which is "
+        "unbounded", obstruction=math.inf, location=where)
 
 
 def _sine(u, v):
@@ -164,8 +175,10 @@ def _lattice_analysis(spec, family: str, n: int, tol: Tolerances
                       ) -> Optional[SCFCertificate]:
     """The Killing rule on the x1-only pullback of a single-phase metric, its
     field V' pushed back as V(x) = A V'(A^-1 x); None where no family
-    matches, the rule defers or is obstructed, or V fails a check on spec."""
-    if not (geometry.is_diagonal(spec) and spec.phase()):
+    matches or V fails a check on spec.  An obstruction at the pullback's
+    line y1 = z is NotSCF at the point x = A (z, 0) of the closed line, of
+    winding A e2: its loop integral is a line invariant."""
+    if not spec.phase():
         return None
     A = (a, b), (c, d) = geometry.lattice_basis(*spec.phase())
     X1, X2 = grid_points(n)
@@ -176,7 +189,17 @@ def _lattice_analysis(spec, family: str, n: int, tol: Tolerances
             spec, 0.0, 0.0, family))
         match = [f for f in ("X", "Y") if _sine(target, geometry.
                  null_direction_arrays(pull, 0.0, 0.0, f)) < tol.scf_certificate]
-        inner = match and _killing_analysis(pull, match[0], n, tol)
+        try:
+            inner = match and _killing_analysis(pull, match[0], n, tol)
+        except NotSCF as exc:
+            z = exc.location
+            where = (float(wrap_unit(a * z)), float(wrap_unit(c * z)))
+            raise NotSCF(
+                f"the {family}-family is obstructed: in the lattice basis "
+                f"A = {A} its closed line through x = ({where[0]:.6f}, "
+                f"{where[1]:.6f}), of winding ({b}, {d}), is the pullback's "
+                f"line x1 = {z:.6f}, where {exc}",
+                obstruction=exc.obstruction, location=where) from exc
         if not inner:
             return None
 
@@ -187,7 +210,7 @@ def _lattice_analysis(spec, family: str, n: int, tol: Tolerances
         cert = _certify(spec, family, field, "lattice", n, tol)
         sine = np.max(_sine(cert.field.at(X1, X2), geometry.
                             null_direction_arrays(spec, X1, X2, family)))
-    except (DegenerateMetric, NotSCF, Inconclusive):
+    except (DegenerateMetric, Inconclusive):
         return None
     return cert if sine < tol.scf_certificate else None
 
@@ -213,26 +236,7 @@ def _conformal_analysis(spec, family: str, n: int, tol: Tolerances
 
 
 # ---------------------------------------------------------------------------
-# numeric route: loop integrals, Birkhoff averages, transport solve
-
-
-def _weighted_birkhoff(D1: TrigSeries1, J1: TrigSeries1) -> float:
-    """Exponentially weighted Birkhoff average of J1 along the return orbit
-    of w = 0 (1024 returns).
-
-    The bump weighting converges superpolynomially for Diophantine rotation
-    numbers, which makes the 1e-6 accept threshold reachable where the
-    plain average would be stuck at O(1/n).
-    """
-    n = 1024
-    t = (np.arange(n) + 0.5) / n
-    weights = np.exp(-1.0 / (t * (1.0 - t)))
-    w = 0.0
-    total = 0.0
-    for j in range(n):
-        total += weights[j] * float(np.real(J1(w)))
-        w += float(np.real(D1(w)))
-    return total / float(weights.sum())
+# fallback: the transport solve
 
 
 def lsqr(*args, **kwargs):
@@ -287,50 +291,16 @@ def _solve_rescaling(spec, family: str, n: int, tol: Tolerances):
     return f, geometry.VectorField(field), residual, (istop, itn)
 
 
-def _numeric_analysis(spec, family: str, n: int, tol: Tolerances
-                      ) -> SCFCertificate:
-    try:
-        axis = nullflow.transversal_axis(spec, family)
-    except NotTransverse as exc:
-        raise Inconclusive(
-            f"{family}-family admits no graph axis, the loop-integral test "
-            f"cannot run: {exc}") from exc
-    # J1 first: its sweep fills D1 too
-    sweep = nullflow._return_sweep(spec, family, axis, tol.ode_step)
-    J1 = sweep.loop_series()
-    D1 = sweep.displacement()
-    est = nullflow.rotation_number(spec, family, (0.0, 0.0), n_returns=512,
-                                   tol=tol)
-    cert = est.rational
-    worst = location = None
-    source = "weighted Birkhoff average along the dense line"
-    if cert is not None and cert.q <= nullflow.MAX_PERIOD:
-        ws = np.arange(nullflow.SECTION_SEEDS) / nullflow.SECTION_SEEDS
-        disp, J = nullflow.q_return(D1, ws, cert.q, J1)
-        closed = np.abs(disp - cert.p) < tol.closedness_reject
-        source = "weighted Birkhoff average (no line closes at resolution)"
-        if bool(np.any(closed)):
-            idx = int(np.argmax(np.where(closed, np.abs(J), -np.inf)))
-            worst, location = float(abs(J[idx])), float(ws[idx])
-            source = (f"worst loop integral over {int(closed.sum())} sampled "
-                      f"closed lines")
-    if worst is None:
-        worst = abs(_weighted_birkhoff(D1, J1))
-    if worst > tol.scf_reject:
-        raise NotSCF(
-            f"{family}-family loop obstruction: {source} is {worst:.3e} "
-            f"(reject threshold {tol.scf_reject:.0e})", obstruction=worst,
-            location=location)
-    if not worst <= tol.scf_accept:
-        raise Inconclusive(
-            f"{family}-family loop test landed between thresholds: {source} "
-            f"is {worst:.3e}", measured=worst,
-            band=(tol.scf_accept, tol.scf_reject))
+def _rescaling_analysis(spec, family: str, n: int, tol: Tolerances
+                        ) -> SCFCertificate:
+    """The rescaling certificate e^f X where no closed form applies, or
+    Inconclusive when its divergence residual misses the tolerance (the
+    solve cannot tell an obstructed family from a stalled one)."""
     f, V, residual, (istop, itn) = _solve_rescaling(spec, family, n, tol)
     if residual < tol.scf_certificate:
         return SCFCertificate(family, V, residual, "rescaling", n, f)
     raise Inconclusive(
-        f"loop integrals vanish ({source} = {worst:.3e}) but the transport "
+        f"no closed-form rule decides the {family}-family, and the transport "
         f"solve for the rescaling exponent stalled at divergence residual "
         f"{residual:.3e} (LSQR istop {istop} after {itn} iterations)",
         measured=residual, band=(0.0, tol.scf_certificate))
@@ -341,10 +311,9 @@ def semi_conformal_certificate(spec, family: str = "X",
                                tol: Tolerances = DEFAULT) -> SCFCertificate:
     """Divergence-free field spanning the family, or NotSCF/Inconclusive.
 
-    Analytic shortcuts cover the built-in families (closed diagonal
-    coefficients, the x1-only metrics on their explicitly integrable side,
-    single-phase metrics in their lattice basis, conformal rescalings);
-    everything else goes through the numeric loop-integral decision plus a
+    Analytic rules cover the built-in families (closed diagonal
+    coefficients, the x1-only metrics, single-phase metrics in their
+    lattice basis, conformal rescalings); everything else goes to the
     constructive transport solve.
     """
     if family not in ("X", "Y"):
@@ -357,15 +326,15 @@ def semi_conformal_certificate(spec, family: str = "X",
     out = analysis(spec, family, n, tol)
     if out is not None:
         return out
-    return _numeric_analysis(spec, family, min(n, 128), tol)
+    return _rescaling_analysis(spec, family, min(n, 128), tol)
 
 
 def is_x_conformally_flat(spec, tol: Tolerances = DEFAULT
                           ) -> Optional[SCFCertificate]:
     """Certificate for the X-family, or None when obstructed.
 
-    Inconclusive propagates: a loop integral between the accept and reject
-    thresholds is evidence of neither.
+    Inconclusive propagates: a stalled transport solve is evidence of
+    neither.
     """
     try:
         return semi_conformal_certificate(spec, "X", tol=tol)

@@ -273,7 +273,7 @@ def dispatch(ctx: click.Context, kind: str, worker):
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
               default=None, help="Force the artifact format where sensible.")
 @click.option("--tol", "tol_overrides", multiple=True, metavar="KEY=VALUE",
-              help="Override a tolerance, e.g. --tol scf_accept=1e-5.")
+              help="Override a tolerance, e.g. --tol scf_reject=1e-3.")
 @click.version_option(package_name="nulltorus")
 @click.pass_context
 def main(ctx, config_path, output, fmt, tol_overrides):
@@ -359,26 +359,18 @@ def flow(s: Settings, spec, family, from_, tmax):
 
 
 @command(flow=True)
-@click.option("--from", "from_", default=None, metavar="X1,X2")
-@click.option("--n-returns", type=int, default=None)
-def rotation(s: Settings, spec, family, from_, n_returns):
+def rotation(s: Settings, spec, family):
     """Rotation number of the null flow, with a rational certificate."""
-    p0 = parse_point(s.get("from", from_, "0,0"))
-    est = nullflow.rotation_number(
-        spec, family, p0, n_returns=s.count("n_returns", n_returns, 1000),
-        tol=s.tol)
+    est = nullflow.rotation_number(spec, family, s.tol)
     return {"command": "rotation", **dataclasses.asdict(est)}
 
 
 @command("classify-line", flow=True)
 @click.option("--from", "from_", default=None, metavar="X1,X2")
-@click.option("--n-returns", type=int, default=None)
-def classify_line(s: Settings, spec, family, from_, n_returns):
+def classify_line(s: Settings, spec, family, from_):
     """Closed / Dense / Asymptotic verdict for one null line."""
     p0 = parse_point(s.get("from", from_, "0,0"))
-    cls = nullflow.classify_line(
-        spec, p0, family, n_returns=s.count("n_returns", n_returns, 256),
-        tol=s.tol)
+    cls = nullflow.classify_line(spec, p0, family, tol=s.tol)
     found = {k: v for k, v in dataclasses.asdict(cls).items() if v is not None}
     return {"command": "classify-line", "family": family, "from": list(p0),
             **found}
@@ -406,13 +398,10 @@ def decompose(s: Settings, spec, family, resolution):
 @command(flow=True, kind="csv")
 @click.option("--seed-w", type=float, default=None,
               help="Transversal coordinate of the closed line (default 0).")
-@click.option("--n-returns", type=int, default=None)
-def holonomy(s: Settings, spec, family, seed_w, n_returns):
+def holonomy(s: Settings, spec, family, seed_w):
     """Spin holonomy table of a closed null line (one row per structure)."""
     w = s.number("seed_w", seed_w, 0.0)
-    est = nullflow.rotation_number(
-        spec, family, n_returns=s.count("n_returns", n_returns, 1000),
-        tol=s.tol)
+    est = nullflow.rotation_number(spec, family, s.tol)
     if est.rational is None:
         raise WrongFamily(
             f"the {family} flow has irrational rotation number "

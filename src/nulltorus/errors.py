@@ -54,12 +54,14 @@ class NotSCF(NullTorusError):
     """No semi-conformal-flatness certificate is available for the family.
 
     ``obstruction`` is the worst offending loop integral of the divergence
-    along a closed null line; ``location`` the transversal coordinate of
-    that line (when known).
+    along a closed null line (infinite where the lines off a flat zero
+    accumulate on it); ``location`` where that line lies (when
+    known): x1 of a vertical line, or a point (x1, x2) of a line found in
+    a lattice basis.
     """
 
     def __init__(self, message: str, obstruction: float | None = None,
-                 location: float | None = None):
+                 location: float | tuple[float, float] | None = None):
         super().__init__(message)
         self.obstruction = obstruction
         self.location = location

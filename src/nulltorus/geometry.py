@@ -239,6 +239,10 @@ class _KillingMetric:
     = ((f, h), (n1, n2), rho), the label ``graph_family`` of (n1, n2) and
     the ``obstruction`` message (fields ``where`` and ``worst``)."""
 
+    def phase(self) -> tuple[int, int]:
+        """(1, 0): the coefficients depend on x1 alone."""
+        return 1, 0
+
     def coefficients(self, x1, x2):
         return _spread(np.broadcast_shapes(x1.shape, x2.shape),
                        self.profile(x1))
@@ -596,9 +600,9 @@ def frame_grids(spec, n: int):
     return _read_only(frame_component_arrays(spec, X1, X2))
 
 
-def _christoffels(A, B, C, dA1, dA2, dB1, dB2, dC1, dC2, rows=(0, 1)):
-    """Gamma^k_ij for k in ``rows``; Gamma^k_10 is Gamma^k_01 (the same
-    array: the sum below is symmetric in i, j bit for bit)."""
+def _christoffels(A, B, C, dA1, dA2, dB1, dB2, dC1, dC2):
+    """Gamma^k_ij; Gamma^k_10 is Gamma^k_01 (the same array: the sum below
+    is symmetric in i, j bit for bit)."""
     det = A * C - B * B
     inv00, inv01, inv11 = C / det, -B / det, A / det
     # dg[i][j][k] = d_k g_ij
@@ -606,7 +610,7 @@ def _christoffels(A, B, C, dA1, dA2, dB1, dB2, dC1, dC2, rows=(0, 1)):
           (1, 0): (dB1, dB2), (1, 1): (dC1, dC2)}
     inv = {(0, 0): inv00, (0, 1): inv01, (1, 0): inv01, (1, 1): inv11}
     gamma = {}
-    for k in rows:
+    for k in (0, 1):
         for i in (0, 1):
             for j in (0, 1):
                 if j < i:
@@ -623,12 +627,6 @@ def _christoffels(A, B, C, dA1, dA2, dB1, dB2, dC1, dC2, rows=(0, 1)):
 def christoffels_at(spec, x1, x2):
     """Pointwise Christoffel symbols via (analytic or central-diff) partials."""
     return _christoffels(*coefficient_jet(spec, x1, x2))
-
-
-def _christoffel_row(spec, a: int, x1, x2):
-    """Gamma^a_ij at broadcast points, keyed (a, i, j): the row a of
-    ``christoffels_at``, bit for bit."""
-    return _christoffels(*coefficient_jet(spec, x1, x2), rows=(a,))
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ amplified by the spectral derivative in those checks).
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 import numpy as np
 
@@ -68,8 +69,20 @@ def _derivative_from_modes(vhat: np.ndarray, axis: int, real: bool
     return d.real if real else d
 
 
+def _constant_derivative(values: np.ndarray) -> Optional[np.ndarray]:
+    """Exact zeros, without a transform, when every sample equals the first;
+    else None."""
+    if not np.all(values == values.flat[0]):
+        return None
+    return np.zeros(values.shape, float if np.isrealobj(values) else complex)
+
+
 def spectral_derivatives(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(d/dx1, d/dx2) of a periodic grid field, spectrally."""
+    """(d/dx1, d/dx2) of a periodic grid field, spectrally (exact zeros for
+    a constant field)."""
+    zero = _constant_derivative(values)
+    if zero is not None:
+        return zero, zero.copy()
     vhat = np.fft.fft2(values)
     real = np.isrealobj(values)
     return (_derivative_from_modes(vhat, 0, real),
@@ -79,6 +92,9 @@ def spectral_derivatives(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def spectral_derivative(values: np.ndarray, axis: int) -> np.ndarray:
     """d/dx1 (axis 0) or d/dx2 (axis 1) alone: the matching output of
     ``spectral_derivatives`` with one inverse transform instead of two."""
+    zero = _constant_derivative(values)
+    if zero is not None:
+        return zero
     return _derivative_from_modes(np.fft.fft2(values), axis,
                                   np.isrealobj(values))
 

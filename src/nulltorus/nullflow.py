@@ -1,31 +1,25 @@
 """Flows of the null line fields: rotation numbers, closed lines, cylinders.
 
 Both null families are nowhere vertical *or* nowhere horizontal on every
-supported metric, so each family is integrated as a graph over a transversal
-coordinate (the "axis"): for a family with bounded slope over x1 we integrate
-dw/du = slope(u, w) with u = x1, and symmetrically for quasi-vertical
-families (RosaTau's X-family).  The axis is chosen automatically from the
-direction field sampled on a coarse grid.
+supported metric, so each family is a graph over a transversal coordinate
+(the "axis"): x1 for a family with bounded slope over x1, x2 for a
+quasi-vertical family (RosaTau's X-family).  The axis is chosen
+automatically from the direction field sampled on a coarse grid.
 
-A family whose direction depends on one lattice phase (x1-only,
-single-phase diagonal and left-invariant metrics, and their conformal
-rescalings) is decided by one quadrature in the basis y = A^-1 x where it
-depends on y1 alone (``_LatticeFlow``).  Every other flow question goes
-through one cached return map per (metric, family, step), the step being
-the ``ode_step`` tolerance: a batched RK4 sweep of 2048 transversal seeds
-over one axis period, interpolated as D1(w) = (one-period return) - w.
-Its q-fold composition on a seed grid (a constant for the quadrature)
-certifies p/q (q <= 64) when the integer p lies between the least and
-greatest q-return displacement (the rotation-number bracket of a circle
-map), splits the transversal into resonant runs and isolated closed lines,
-and carries the SCF loop integrals of ``classify``.  Rotation values
-average n_returns iterations of the map; tests cross-validate them against
-direct long-trajectory integration and the quadrature.
+Every flow question is decided by one quadrature (``_LatticeFlow``): the
+direction of a family depends on one lattice phase on every catalog metric
+(x1-only, single-phase diagonal and left-invariant metrics, and their
+conformal rescalings), so it depends on y1 alone in the basis y = A^-1 x
+of that phase.  The flow is then a rigid rotation of the transversal
+section, exact to a stated error, or has its closed lines at the zeros of
+one function of y1.  A flow that no lattice rule covers (a hand-built
+metric with no phase) is Inconclusive.  RK4 (``_march``) integrates single
+lines (``integrate_null_line``, ``classify_line`` off a rigid rotation)
+and gives the direct rotation estimate that cross-checks the quadrature.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -43,12 +37,10 @@ from .tolerances import DEFAULT, Tolerances
 
 Point = tuple[float, float]
 
-#: longest closed-line period the flow code verifies by composition
+#: longest closed-line period the flow code certifies
 MAX_PERIOD = 64
-#: transversal seeds of the rotation-number bracket
-SECTION_SEEDS = 1024
-#: transversal seeds of the swept one-period return map
-RETURN_SEEDS = 2048
+#: phases at which the lattice quadrature samples the direction field
+LATTICE_SAMPLES = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -70,10 +62,9 @@ class RationalCertificate:
 class RotationNumberEstimate:
     family: str
     value: float
-    n_returns: int
     step: float
     rational: Optional[RationalCertificate]
-    method: str = "return-map"
+    method: str = "lattice"
 
 
 @dataclass(frozen=True)
@@ -122,7 +113,7 @@ class CylinderDecomposition:
     intervals: tuple[Interval, ...]
     isolated_closed: tuple[float, ...]   # transversal values of isolated closed lines
     resolution: int
-    step: float                          # ode_step: the sweep's or the records' step
+    step: float                          # ode_step: the records' step
 
     @property
     def resonant_intervals(self) -> tuple[Interval, ...]:
@@ -234,8 +225,8 @@ def _march(spec, family: str, axis: int, u0: float, w0, n_units: float,
 
 def _line_records(spec, family: str, axis: int, u0: float, w0s,
                   t_max: float, step: float) -> list[NullLineRecord]:
-    """Records of the lines through (u0, w) for every w in w0s, all swept
-    in one batched march; each equals the record of its own sweep."""
+    """Records of the lines through (u0, w) for every w in w0s, all in one
+    batched march; each equals the record of its own march."""
     w0s = np.atleast_1d(np.asarray(w0s, dtype=float))
     # one line marches as a 0-d value: numpy scalar arithmetic is faster
     _, ts, paths = _march(spec, family, axis, u0,
@@ -261,7 +252,7 @@ def _line_records(spec, family: str, axis: int, u0: float, w0s,
 def integrate_null_line(spec, p0: Point, family: str = "X",
                         t_max: float = 1.0,
                         tol: Tolerances = DEFAULT) -> NullLineRecord:
-    """Sweep the null line through p0 for t_max units of the axis coordinate.
+    """March the null line through p0 for t_max units of the axis coordinate.
 
     The record stores cover coordinates; the parametrization is the axis
     coordinate itself (velocity component along the axis is exactly 1).
@@ -280,126 +271,26 @@ def best_rational(value: float, max_den: int, residual_tol: float
     return None
 
 
-@dataclass(eq=False)
-class _ReturnSweep:
-    """One-period return of RETURN_SEEDS seeds from u = 0, swept on first use.
-
-    ``D1`` interpolates D(w) = (return) - w: the one return map that every
-    certificate and scan composes.  ``J1`` interpolates the Gamma-integral
-    over one return, for the SCF loop test of ``classify``.  With N the
-    family's null field, a the graph axis and c' = N/N^a the
-    velocity of the line c(u) (so c'^a = 1), nabla_V X = Gamma(V) X and
-    nabla_V Y = -Gamma(V) Y give, from the a-component of nabla_{c'} c',
-
-        Gamma(c') = eps (Gamma^a_ij c'^i c'^j + d/du log|N^a(c(u))|),
-
-    eps = +1 for X and -1 for Y.  So the sweep for J1 integrates the
-    Christoffel contraction alongside the graph ODE, and the exact endpoint
-    term log|N^a(c(1))| - log|N^a(c(0))| completes J1 per seed w: no frame
-    derivative is taken.  By Gamma(X) = div(X) the J accumulated over a
-    closed line equals the loop integral of div(X) in the flow
-    parametrization; summed along orbits of the return map (``q_return``)
-    J1 gives loop integrals without further integrations.  The integrand
-    leaves the w arithmetic untouched, so the one batched ``_march`` that
-    gives J1 also gives D1, bit for bit the slope-only one.
-    """
-
-    spec: object
-    family: str
-    axis: int
-    step: float
-    D1: Optional[TrigSeries1] = None
-    J1: Optional[TrigSeries1] = None
-
-    def displacement(self) -> TrigSeries1:
-        if self.D1 is None:
-            seeds = np.arange(RETURN_SEEDS) / RETURN_SEEDS
-            ends = _march(self.spec, self.family, self.axis, 0.0, seeds, 1.0,
-                          self.step)
-            self.D1 = TrigSeries1.from_samples(ends - seeds)
-        return self.D1
-
-    def loop_series(self) -> TrigSeries1:
-        if self.J1 is not None:
-            return self.J1
-        spec, family, axis = self.spec, self.family, self.axis
-
-        def points(u, w):
-            uu = np.full_like(w, u)
-            return (uu, w) if axis == 0 else (w, uu)
-
-        def bend(u, w, m):
-            gam = geometry._christoffel_row(spec, axis, *points(u, w))
-            c = (1.0, m) if axis == 0 else (m, 1.0)
-            return sum(gam[(axis, i, j)] * c[i] * c[j]
-                       for i in (0, 1) for j in (0, 1))
-
-        def log_axis(u, w):
-            n = geometry.null_direction_arrays(spec, *points(u, w), family)
-            return np.log(np.abs(n[axis]))
-
-        seeds = np.arange(RETURN_SEEDS) / RETURN_SEEDS
-        w_end, J = _march(spec, family, axis, 0.0, seeds, 1.0, self.step,
-                          integrand=bend)
-        if self.D1 is None:
-            self.D1 = TrigSeries1.from_samples(w_end - seeds)
-        J = J + log_axis(1.0, w_end) - log_axis(0.0, seeds)
-        if family == "Y":
-            J = -J
-        self.J1 = TrigSeries1.from_samples(J.astype(complex))
-        return self.J1
-
-
-#: the one sweep of each (spec, family, axis, step)
-_return_sweep = lru_cache(maxsize=128)(_ReturnSweep)
-
-
-def _return_orbits(D1: TrigSeries1, ws: np.ndarray,
-                   J1: Optional[TrigSeries1] = None):
-    """Yield (F^q(w) - w, sum of J1 over F^0(w) .. F^(q-1)(w)) for q = 1, 2,
-    ... where F(w) = w + D1(w) is the return map on the section u = 0."""
-    cur = np.asarray(ws, dtype=float)
-    total = np.zeros_like(cur)
-    while True:
-        if J1 is not None:
-            total = total + np.real(J1(cur))
-        cur = cur + np.real(D1(cur))
-        yield cur - ws, total
-
-
-def q_return(D1: TrigSeries1, ws: np.ndarray, q: int,
-             J1: Optional[TrigSeries1] = None
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """q-return displacement F^q(w) - w and the J1 sum along each orbit."""
-    return next(itertools.islice(_return_orbits(D1, ws, J1), q - 1, None))
-
-
-def _certify_rotation(D1: TrigSeries1, value: float, tol: Tolerances,
-                      error: Optional[float] = None
+def _certify_rotation(value: float, error: float, tol: Tolerances
                       ) -> Optional[RationalCertificate]:
-    """Rational certificate of the rotation number, or None (dense).
+    """Rational certificate of the rotation number ``value``, known to
+    within ``error``, or None (dense).
 
-    A circle map has rotation number p/q exactly when F^q(w) - w - p has a
-    zero, so p/q (q <= MAX_PERIOD, the smallest such q) is certified when p
-    lies between the least and greatest q-return displacement, within the
-    resonance tolerance.  Beyond that, a best rational approximation of
-    ``value`` is credible only if its residual is within ``error``, the
-    value's own error where it is known (the lattice quadrature), else if
-    its q-return drift q * residual stays below the open threshold (an
-    irrational value always has convergents that fit the raw residual
-    tolerance).
+    p/q (q <= MAX_PERIOD, the smallest such q) is certified when q * value
+    lies within the resonance tolerance of the integer p: the q-return
+    displacement of a rigid rotation by the value.  Beyond that, a best
+    rational approximation of ``value`` is credible only if its residual is
+    within ``error`` (an irrational value always has convergents that fit
+    the raw residual tolerance).
     """
-    orbits = _return_orbits(D1, np.arange(SECTION_SEEDS) / SECTION_SEEDS)
-    for q, (disp, _) in zip(range(1, MAX_PERIOD + 1), orbits):
-        p = math.ceil(float(disp.min()) - tol.resonance)
-        if p <= float(disp.max()) + tol.resonance:
+    for q in range(1, MAX_PERIOD + 1):
+        p = math.ceil(q * value - tol.resonance)
+        if p <= q * value + tol.resonance:
             return RationalCertificate(p, q, abs(value - p / q))
     cert = best_rational(value, tol.rational_cap, tol.rational_residual_flow)
-    if cert is None or cert.q <= MAX_PERIOD:
+    if cert is None or cert.q <= MAX_PERIOD or not cert.residual <= error:
         return None
-    credible = (cert.residual <= error if error is not None
-                else cert.q * cert.residual <= tol.closedness_reject)
-    return cert if credible else None
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -409,51 +300,63 @@ def _certify_rotation(D1: TrigSeries1, value: float, tol: Tolerances,
 class _LatticeFlow:
     """A family whose direction V is a function of y1 alone, y = A^-1 x.
 
-    Graph branch (theta set): V'^1 = (A^-1 V)^1 has no zero and every line
-    solves dy2/dy1 = m = V'^2/V'^1, so y2 = c + Theta y1 + M(y1) (M the
-    zero-mean antiderivative) and a y1-period moves each line by
-    d = A (1, Theta): a rigid rotation by rho = d^(1-a)/d^a.  Its error
-    is a few ulps of rho plus that of Theta (``theta_error``) carried
-    through |d rho / d Theta| = 1/(d^a)^2 (det A = 1).  Vertical branch
-    (A = I): the lines solve dx1/dx2 = s(x1) = V^1/V^2, whose zeros are
-    closed lines and runs resonant bands; rho = 0 exactly.
+    With V' = A^-1 V, the rotation number on the section x^a = 0 (a the
+    graph axis) is rho = d^(1-a)/d^a for a winding vector d.  Graph
+    branch (theta set): V'^1 has no zero and every line solves dy2/dy1 =
+    m = V'^2/V'^1, so y2 = c + Theta y1 + M(y1) (M the zero-mean
+    antiderivative) and a y1-period moves each line by d = A (1, Theta).
+    Its error is a few ulps of rho plus that of Theta (``theta_error``)
+    carried through |d rho / d Theta| = 1/(d^a)^2 (det A = 1).  Vertical
+    branch: the lines solve dy1/dy2 = s'(y1) = V'^1/V'^2; a zero z of s' is
+    the closed line x = A (z, t) of winding d = A e2, a run of zeros a
+    resonant band, and every other line is asymptotic to them; rho is a
+    ratio of integers.
     """
 
     def __init__(self, spec, family: str, axis: int, A, theta=None, M=None,
                  theta_error: float = 0.0):
         self.spec, self.family, self.axis, self.A = spec, family, axis, A
-        self.theta, self.M, self.rho, self.error = theta, M, 0.0, 0.0
-        if theta is not None:
-            (a, b), (c, d) = A
-            self.shift = (a + b * theta, c + d * theta)
-            self.rho = self.shift[1 - axis] / self.shift[axis]
-            self.error = (4 * np.spacing(abs(self.rho))
-                          + theta_error / self.shift[axis] ** 2)
+        self.theta, self.M = theta, M
+        (a, b), (c, d) = A
+        self.shift = (b, d) if theta is None else (a + b * theta,
+                                                   c + d * theta)
+        self.rho = self.shift[1 - axis] / self.shift[axis]
+        self.error = 0.0 if theta is None else (
+            4 * np.spacing(abs(self.rho)) + theta_error / self.shift[axis] ** 2)
 
     def slope(self, w):
-        """s at x1 = w (vertical branch)."""
+        """s' at the section point of transversal coordinate w (vertical
+        branch): zero exactly on the closed lines through it."""
         w = np.asarray(w, dtype=float)
-        return slope_function(self.spec, self.family, 1)(0.0 * w, w)
+        x = (w, 0.0 * w) if self.axis == 1 else (0.0 * w, w)
+        v1, v2 = geometry.null_direction_arrays(self.spec, *x, self.family)
+        (a, b), (c, d) = self.A
+        return (d * v1 - b * v2) / (a * v2 - c * v1)
 
     def records(self, seeds, q: int, step: float) -> list[NullLineRecord]:
         """Lines from axis coordinate 0 through the seeds, q axis units
         forward, sampled at ``step`` of y1 (graph branch: x = A y, velocity
-        dx/dy1 = V/V'^1) or of x2 (vertical: x1 = w + s(w) x2)."""
+        dx/dy1 = V/V'^1) or of the axis (vertical branch: the line
+        y1 = y1(x0) + s' y2 through the section point x0, which is
+        x0 + t A e2/(A e2)^a on a closed line)."""
         per_unit = max(1, round(1.0 / step))
         h = 1.0 / per_unit
         seeds = np.atleast_1d(np.asarray(seeds, dtype=float))
+        (a, b), (c, d) = self.A
+        x0 = np.zeros((2, seeds.size))
+        x0[1 - self.axis] = seeds
         if self.theta is None:
             ts = np.arange(q * per_unit + 1) * h
+            s = self.slope(seeds)
+            rate = np.array([a * s + b, c * s + d])
+            rate = rate / rate[self.axis]
             return [NullLineRecord(
-                self.family, 1, ts, np.column_stack([w + s * ts, ts]),
-                np.column_stack([np.full_like(ts, s), np.ones_like(ts)]))
-                for w, s in zip(seeds, self.slope(seeds))]
-        (a, b), (c, d) = self.A
+                self.family, self.axis, ts, p + np.multiply.outer(ts, v),
+                np.broadcast_to(v, (ts.size, 2)).copy())
+                for p, v in zip(x0.T, rate.T)]
         sign = math.copysign(1.0, self.shift[self.axis])
         periods = max(1, round(q / abs(self.shift[self.axis])))
         ts = np.arange(periods * per_unit + 1) * h
-        x0 = np.zeros((2, seeds.size))
-        x0[1 - self.axis] = seeds
         y01, y02 = d * x0[0] - b * x0[1], a * x0[1] - c * x0[0]
         y1 = y01 + sign * ts[:, None]
         y2 = y02 + self.theta * (y1 - y01) + np.real(self.M(y1) - self.M(y01))
@@ -468,11 +371,13 @@ class _LatticeFlow:
 
 @lru_cache(maxsize=128)
 def _lattice_flow(spec, family: str, tol: Tolerances):
-    """The family's ``_LatticeFlow``, or None for the swept route: with A
-    the identity (x1-only metrics) or the lattice basis of a diagonal
-    spec's phase, V'^1 sampled at RETURN_SEEDS phases.  Declined: a zero of
-    V'^1 (sign flip or zero sample) with A != I or a graph axis x1, and a
-    coefficient of m at |k| >= RETURN_SEEDS/4 above tol.resonance max |m|.
+    """The family's ``_LatticeFlow``, or None where no lattice rule covers
+    it: A = lattice_basis(*spec.phase()) (the identity on x1-only and
+    left-invariant metrics), V sampled at LATTICE_SAMPLES phases.
+    Declined: a spec with no phase; where V'^1 has a zero (sign flip or
+    zero sample), a zero of V'^2 or closed lines parallel to the section;
+    else a coefficient of m at |k| >= LATTICE_SAMPLES/4 above
+    tol.resonance max |m|.
 
     A conformal rescaling has its inner metric's null directions, so it
     takes the inner flow (and its records), unless that is declined or the
@@ -482,33 +387,42 @@ def _lattice_flow(spec, family: str, tol: Tolerances):
         if flow is None or transversal_axis(spec, family) != flow.axis:
             return None
         return flow
-    if geometry.is_killing(spec):
-        A = (1, 0), (0, 1)
-    elif geometry.is_diagonal(spec) and spec.phase():
-        A = geometry.lattice_basis(*spec.phase())
-    else:
+    if not spec.phase():
         return None
-    (a, b), (c, d) = A
+    A = (a, b), (c, d) = geometry.lattice_basis(*spec.phase())
     axis = transversal_axis(spec, family)
-    y1 = np.arange(RETURN_SEEDS) / RETURN_SEEDS
+    y1 = np.arange(LATTICE_SAMPLES) / LATTICE_SAMPLES
     v1, v2 = geometry.null_direction_arrays(spec, a * y1, c * y1, family)
     phase_velocity = np.broadcast_to(d * v1 - b * v2, y1.shape)
     if circular_zeros(phase_velocity)[1]:
-        vertical = A == ((1, 0), (0, 1)) and axis == 1
+        across = np.broadcast_to(a * v2 - c * v1, y1.shape)
+        vertical = (b, d)[axis] != 0 and not circular_zeros(across)[1]
         return _LatticeFlow(spec, family, axis, A) if vertical else None
     m = (a * v2 - c * v1) / phase_velocity
     series = TrigSeries1.from_samples(m)
-    tail = np.abs(series.coeffs[np.abs(series.freqs) >= RETURN_SEEDS // 4])
+    tail = np.abs(series.coeffs[np.abs(series.freqs) >= LATTICE_SAMPLES // 4])
     scale = np.max(np.abs(m))
     if not tail.max(initial=0.0) <= tol.resonance * scale:
         return None
     theta, M = series.antiderivative()
-    # Theta is a sum of RETURN_SEEDS samples: a few ulps of its terms per
+    # Theta is a sum of LATTICE_SAMPLES samples: a few ulps of its terms per
     # halving, plus the tail that aliases onto the mean
-    theta_error = (RETURN_SEEDS.bit_length() * np.spacing(scale)
+    theta_error = (LATTICE_SAMPLES.bit_length() * np.spacing(scale)
                    + float(tail.sum()))
     flow = _LatticeFlow(spec, family, axis, A, theta.real, M, theta_error)
     return flow if flow.shift[axis] != 0.0 else None
+
+
+def _covering_flow(spec, family: str, tol: Tolerances) -> _LatticeFlow:
+    """The family's lattice flow, or Inconclusive where no rule covers it."""
+    flow = _lattice_flow(spec, family, tol)
+    if flow is None:
+        raise Inconclusive(
+            f"no lattice rule covers the {family}-family of this "
+            f"{type(spec).__name__}: the flow route needs a direction of one "
+            "lattice phase (spec.phase(), or the inner metric's for a "
+            "conformal rescaling) whose slope series the quadrature resolves")
+    return flow
 
 
 def _verifiable(est: RotationNumberEstimate, tol: Tolerances
@@ -528,52 +442,36 @@ def _verifiable(est: RotationNumberEstimate, tol: Tolerances
     return cert
 
 
-def rotation_number(spec, family: str = "X", p0: Point = (0.0, 0.0),
-                    n_returns: int = 1000, tol: Tolerances = DEFAULT,
-                    method: str = "return-map") -> RotationNumberEstimate:
-    """Average displacement per unit of the axis coordinate.
+def rotation_number(spec, family: str = "X", tol: Tolerances = DEFAULT
+                    ) -> RotationNumberEstimate:
+    """Average displacement per unit of the axis coordinate: the lattice
+    quadrature's exact value, certified within its error; Inconclusive
+    where no lattice rule covers the family."""
+    flow = _covering_flow(spec, family, tol)
+    return RotationNumberEstimate(family, flow.rho, tol.ode_step,
+                                  _certify_rotation(flow.rho, flow.error, tol))
 
-    'return-map' (default): the lattice quadrature's exact value where it
-    applies (``method`` "lattice"; p0 and n_returns are then unused), else
-    n_returns iterations of the swept return map from p0.  'direct':
-    integrate a single long trajectory (slow; used for cross-validation).
-    Either way ``_certify_rotation`` gives the rational certificate.
-    """
-    flow = _lattice_flow(spec, family, tol) if method == "return-map" else None
-    if flow is not None:
-        return RotationNumberEstimate(
-            family, flow.rho, n_returns, tol.ode_step, _certify_rotation(
-                TrigSeries1(np.array([flow.rho]), np.array([0])), flow.rho,
-                tol, flow.error), "lattice")
+
+def direct_rotation_number(spec, family: str = "X", p0: Point = (0.0, 0.0),
+                           n_returns: int = 1000, tol: Tolerances = DEFAULT
+                           ) -> RotationNumberEstimate:
+    """One RK4 trajectory from p0 over n_returns axis units, the cross-check
+    of the quadrature.  A long average states no error, so it carries no
+    certificate: off a rigid rotation (asymptotic or banded lines) it is
+    within about 1/n_returns of the lattice value."""
     axis = transversal_axis(spec, family)
     w0 = float(p0[1 - axis])
-    series = _return_sweep(spec, family, axis, tol.ode_step).displacement()
-    if method == "direct":
-        w_end = _march(spec, family, axis, float(p0[axis]), w0,
-                       float(n_returns), tol.ode_step)
-        value = (float(w_end) - w0) / n_returns
-    else:
-        w = w0
-        # iterating from the p0 transversal: shift start to u=0 first
-        if p0[axis] % 1.0 != 0.0:
-            w = float(_march(spec, family, axis, float(p0[axis]), w0,
-                             1.0 - (p0[axis] % 1.0), tol.ode_step))
-        w_cover = w
-        for _ in range(n_returns):
-            w_cover += float(series(wrap_unit(w_cover)).real)
-        value = (w_cover - w) / n_returns
-    return RotationNumberEstimate(family=family, value=value,
-                                  n_returns=n_returns, step=tol.ode_step,
-                                  rational=_certify_rotation(series, value,
-                                                             tol),
-                                  method=method)
+    w_end = _march(spec, family, axis, float(p0[axis]), w0, float(n_returns),
+                   tol.ode_step)
+    return RotationNumberEstimate(family, (float(w_end) - w0) / n_returns,
+                                  tol.ode_step, None, "direct")
 
 
 def _winding(axis: int, q: int, p: int) -> tuple[int, int]:
     return (q, p) if axis == 0 else (p, q)
 
 
-def classify_line(spec, p0: Point, family: str = "X", n_returns: int = 256,
+def classify_line(spec, p0: Point, family: str = "X",
                   tol: Tolerances = DEFAULT) -> LineClass:
     """Closed / Dense / Asymptotic classification of the line through p0.
 
@@ -584,13 +482,13 @@ def classify_line(spec, p0: Point, family: str = "X", n_returns: int = 256,
     the quadrature's rigid rotation it is q rho - p for every line.
     """
     axis = transversal_axis(spec, family)
-    est = rotation_number(spec, family, p0, n_returns=n_returns, tol=tol)
+    est = rotation_number(spec, family, tol)
     if est.rational is None:
         return LineClass(kind="Dense", rotation=est.value)
     cert = _verifiable(est, tol)
     p, q = cert.p, cert.q
     flow = _lattice_flow(spec, family, tol)
-    if flow is not None and flow.theta is not None:
+    if flow.theta is not None:
         disp = q * flow.rho - p
     else:
         u0, w0 = float(p0[axis]), float(p0[1 - axis])
@@ -616,17 +514,14 @@ def closed_lines_through(spec, family: str, seeds,
     """Record one period of the closed line through each transversal seed.
 
     The lines start at axis coordinate 0 and come from the lattice
-    quadrature or one batched march; closure of each (its displacement
-    against the winding) is verified to the open threshold (DenseFlow
-    otherwise) and the integer winding is attached.
+    quadrature (Inconclusive where no rule covers the family); closure of
+    each (its displacement against the winding) is verified to the open
+    threshold (DenseFlow otherwise) and the integer winding is attached.
     """
-    axis = transversal_axis(spec, family)
+    flow = _covering_flow(spec, family, tol)
     p, q = rotation.p, rotation.q
-    winding = _winding(axis, q, p)
-    flow = _lattice_flow(spec, family, tol)
-    lines = (flow.records(seeds, q, tol.ode_step) if flow is not None else
-             _line_records(spec, family, axis, 0.0, seeds, float(q),
-                           tol.ode_step))
+    winding = _winding(flow.axis, q, p)
+    lines = flow.records(seeds, q, tol.ode_step)
     records = []
     for seed_w, rec in zip(seeds, lines):
         disp = max(rec.points[-1] - rec.points[0] - winding, key=abs)
@@ -725,23 +620,16 @@ def cylinder_decomposition(spec, family: str = "X", resolution: int = 1024,
     longer period).  NonResonant is emitted only in the degenerate case
     where D has no zero at all at this resolution.
 
-    D is the return map of the step ``tol.ode_step`` composed q times at
-    ``resolution`` seeds; run ends and zeros are bisected on the
-    trigonometric interpolant of those samples (D is a smooth periodic
-    function of the seed, so refinement costs no further integrations).
-    Under the lattice quadrature D is the constant q rho - p, or the slope
-    s = dx1/dx2 (same zeros and runs) where the lines turn vertical.
+    D comes from the lattice quadrature: the constant q rho - p under a
+    rigid rotation, or where the lines turn vertical in the lattice basis
+    the slope s' at the section point, whose zeros and runs are those of
+    the q-return displacement.  Run ends and zeros are bisected on it.
     """
-    axis = transversal_axis(spec, family)
-    est = rotation_number(spec, family, (0.0, 0.0), n_returns=512, tol=tol)
+    est = rotation_number(spec, family, tol)
     cert = _verifiable(est, tol)
     seeds = np.arange(resolution) / resolution
     flow = _lattice_flow(spec, family, tol)
-    if flow is None:
-        D1 = _return_sweep(spec, family, axis, tol.ode_step).displacement()
-        D = q_return(D1, seeds, cert.q)[0] - cert.p
-        series = TrigSeries1.from_samples(D.astype(complex))
-    elif flow.theta is None:
+    if flow.theta is None:
         D, series = flow.slope(seeds), flow.slope
     else:
         D = np.full(resolution, cert.q * flow.rho - cert.p)
@@ -753,7 +641,8 @@ def cylinder_decomposition(spec, family: str = "X", resolution: int = 1024,
     runs, zeros = circular_zeros(D, tol.resonance, D_at, tol.bisection)
 
     def result(intervals, isolated=()):
-        return CylinderDecomposition(family, axis, cert, tuple(intervals),
+        return CylinderDecomposition(family, flow.axis, cert,
+                                     tuple(intervals),
                                      tuple(isolated), resolution,
                                      tol.ode_step)
 

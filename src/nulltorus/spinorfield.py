@@ -500,7 +500,11 @@ def _closed_diagonal_bumps(spec, structure: SpinStructure, count: int,
     if cert is None:
         raise DenseFlow(f"X-lines are dense (rotation {l1 / l2:.9f} has no "
                         f"rational certificate); no resonant cylinder exists")
-    record = nullflow.closed_line_through(spec, "X", 0.0, cert, tol=tol)
+    if nullflow._lattice_flow(spec, "X", tol) is not None:
+        record = nullflow.closed_line_through(spec, "X", 0.0, cert, tol=tol)
+    else:   # a hand-built closed metric with no phase: march its one line
+        record = nullflow.integrate_null_line(spec, (0.0, 0.0), "X",
+                                              t_max=float(cert.q), tol=tol)
     hol = spin.holonomy_closed_line(spec, record, structure, tol=tol)
     if not hol.x_trivial:
         raise NotXTrivial(

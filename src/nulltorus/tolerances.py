@@ -23,8 +23,7 @@ class Tolerances:
     bisection: float = 1e-10          # isolated-zero refinement
     ode_step: float = 1e-3            # fixed RK4 step (transversal coordinate)
     velocity_blowup: float = 1e8      # geodesic incompleteness certificate
-    scf_accept: float = 1e-6          # loop-integral route: |mean div| below -> certify
-    scf_reject: float = 1e-4          # above -> obstructed; between -> Inconclusive
+    scf_reject: float = 1e-4          # loop integral above this -> obstructed
     scf_certificate: float = 1e-8     # grid divergence residual a certified field must meet
 
     def with_(self, **kw) -> "Tolerances":

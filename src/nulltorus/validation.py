@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import catalog, classify, geometry, nullflow, spin, spinorfield
-from .errors import Inconclusive
+from .errors import DenseFlow, Inconclusive
 from .gridtools import grid_points, spectral_derivatives
 from .spin import STRUCTURES, SpinStructure, all_structures
 from .tolerances import DEFAULT, Tolerances
@@ -144,12 +144,11 @@ def criterion_rotation_number(step, grid_n, tol) -> tuple[bool, dict, str]:
     errors = []
     for spec in cases:
         l1, l2 = geometry.mean_coefficients(spec, tol)
-        est = nullflow.rotation_number(spec, "X", (0.0, 0.0),
-                                       n_returns=1000, tol=tol)
+        est = nullflow.rotation_number(spec, "X", tol)
         errors.append(abs(est.value - l1 / l2))
     worst = max(errors)
     detail = (f"worst |rho - l1/l2| = {worst:.2e} over {len(cases)} metrics "
-              f"at step {tol.ode_step:g}, 1000 returns")
+              f"at step {tol.ode_step:g}")
     return worst < 1e-3, {"errors": errors, "step": tol.ode_step}, detail
 
 
@@ -340,11 +339,11 @@ def _ppwave_expectation(spec, tol: Tolerances
     """delta_plus per structure as the closed X-lines force it.
 
     Evidence from nullflow and spin only, never from classify, and from
-    the swept RK4 route (the return map's certificate, with the band line's
-    own return as the value, and one marched line), which the table's
-    lattice quadrature does not use.  Every closed X-line
-    winds like the certified rotation number, so one band line fixes the
-    winding and the spin character shared by all of them.
+    one RK4 line, which the table's lattice quadrature does not use: the
+    band line, marched one unit, must close (rotation number 0/1, else
+    DenseFlow fails the criterion) and gives the holonomy.  Every closed
+    X-line winds like it, so one band line fixes the winding and the spin
+    character shared by all of them.
     A positive kernel element is parallel along the X-lines: where
     transport around the band line is trivial, disjoint bump sections
     across the band give Infinite; where the character is -1, every closed
@@ -353,11 +352,12 @@ def _ppwave_expectation(spec, tol: Tolerances
     Returns (winding, characters, expected), keyed by the (a1, a2) pairs.
     """
     # the X-lines are graphs over x2: the band line is x1 = PPWAVE_BAND_LINE
-    D1 = nullflow._return_sweep(spec, "X", 1, tol.ode_step).displacement()
-    rotation = nullflow._certify_rotation(
-        D1, float(np.real(D1(PPWAVE_BAND_LINE))), tol)
     band = nullflow.integrate_null_line(spec, (PPWAVE_BAND_LINE, 0.0), "X",
-                                        t_max=float(rotation.q), tol=tol)
+                                        t_max=1.0, tol=tol)
+    drift = float(band.points[-1, 0]) - PPWAVE_BAND_LINE
+    if not abs(drift) < tol.closedness:
+        raise DenseFlow(f"the band line x1 = {PPWAVE_BAND_LINE} does not "
+                        f"close after one unit: drift {drift:.3e}")
     characters, expected = {}, {}
     for ab in STRUCTURES:
         hol = spin.holonomy_closed_line(spec, band, SpinStructure(*ab),

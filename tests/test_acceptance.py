@@ -153,7 +153,6 @@ def test_ode_step_reaches_every_sweep(monkeypatch, sweep, marched):
 
     monkeypatch.setattr(nullflow, "_march", spy)
     monkeypatch.setattr(nullflow, "closed_lines_through", recorded)
-    nullflow._return_sweep.cache_clear()     # sweep again, not from cache
     sweep(DEFAULT.with_(ode_step=2e-3))
     if marched:
         assert steps == {2e-3}

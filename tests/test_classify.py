@@ -9,36 +9,29 @@ Exits of ``classify.semi_conformal_certificate`` and their witnesses:
   the other family certifies when its f vanishes identically or nowhere
   (``test_analytic_certificate_witness``), is NotSCF at a simple zero
   (``test_certificate_sanchez_analytic_obstruction``,
-  ``test_certificate_rosatau_zero_on_a_sample``) and defers to the numeric
-  route on bands and flat zeros
-  (``test_killing_rule_defers_to_the_loop_integrals``);
+  ``test_certificate_rosatau_zero_on_a_sample``) and NotSCF with an
+  infinite obstruction where its zeros are flat
+  (``test_killing_rule_obstructs_flat_zeros``);
 * conformal rescalings: the inner certificate over the factor
   (``test_certificate_conformal_invariance``) or the inner NotSCF
   (``test_certificate_conformal_propagates_obstruction``);
 * lattice route (a diagonal metric of one phase, through the Killing rule
   on its pullback): a "lattice" certificate
   (``test_lattice_certificate_is_a_multiple_of_the_rescaling_field``,
-  ``test_lattice_route_corrects_a_birkhoff_misread``), or None, handing
-  over to the numeric route, when the pulled-back rule is NotSCF, F(0) = 0
-  leaves eta0 undefined (DegenerateMetric), or a wrong phase makes the
-  pushed field miss ``scf_certificate`` (Inconclusive)
-  (``test_lattice_route_declines``).  No test reaches the None of a
-  deferring rule, of a pullback with no matching family, or of a pushed
-  field that fails the parallelism check;
-* numeric route, entered directly by the tests of its certificates:
-  NotSCF from loop integrals over sampled closed lines
-  (``test_killing_rule_defers_to_the_loop_integrals``), Inconclusive
-  between the thresholds
-  (``test_loop_integral_between_thresholds_is_inconclusive``) or on a NaN
-  (``test_loop_test_refuses_nan``), a rescaling certificate after closed
-  lines (``test_certificate_numeric_rescaling_route``) or after the
-  weighted Birkhoff average of a dense line
-  (``test_numeric_route_sweeps_the_seeds_once[wave12]``), and Inconclusive
-  when LSQR stalls (``test_stalled_transport_solve_names_lsqr_stop``).
+  ``test_lattice_route_corrects_a_birkhoff_misread``), NotSCF located in
+  the original coordinates when the pulled-back rule is obstructed
+  (``test_lattice_obstruction_is_twice_the_holonomy_boost``), or None,
+  handing over to the transport solve, when F(0) = 0 leaves eta0 undefined
+  (DegenerateMetric) or a wrong phase makes the pushed field miss
+  ``scf_certificate`` (Inconclusive) (``test_lattice_route_declines``).
+  No test reaches the None of a pullback with no matching family, or of a
+  pushed field that fails the parallelism check;
+* transport solve, where no rule decides: a rescaling certificate
+  (``test_certificate_numeric_rescaling_route``), or Inconclusive when
+  LSQR stalls (``test_stalled_transport_solve_names_lsqr_stop``).
 
 A candidate field that misses ``scf_certificate`` is Inconclusive, a NaN
-residual included (``test_certify_refuses_nan``).  No test reaches the
-Inconclusive of a family without a graph axis.
+residual included (``test_certify_refuses_nan``).
 
 Exits of ``classify._verdict``: DenseLine (``test_classify_dense_table``),
 XTrivialResonant and NoXTrivialResonant (``test_classify_rosatau_table``),
@@ -47,16 +40,18 @@ NoXTrivialResonant with a caveat on the trivial structure
 NonResonant exit.
 """
 
+import importlib.util
+import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import ZOO
 from nulltorus import (catalog, classify, geometry, nullflow, spin,
                        spinorfield)
-from nulltorus.errors import (DegenerateMetric, Inconclusive, NotHarmonic,
-                              NotSCF)
+from nulltorus.errors import (ConfigError, DegenerateMetric, Inconclusive,
+                              NotHarmonic, NotSCF)
 from nulltorus.gridtools import grid_points, mollifier, torus_delta
 from nulltorus.spin import SpinStructure, all_structures
 from nulltorus.tolerances import DEFAULT
@@ -92,11 +87,11 @@ def test_certificate_sanchez_sides(sanchez_spec):
 
 @pytest.fixture()
 def analytic_only(monkeypatch):
-    """Fail any test that falls through to the numeric loop-integral route."""
-    def numeric(*args, **kwargs):
-        raise AssertionError("numeric route taken")
+    """Fail any test that falls through to the transport solve."""
+    def solve(*args, **kwargs):
+        raise AssertionError("transport solve taken")
 
-    monkeypatch.setattr(classify, "_numeric_analysis", numeric)
+    monkeypatch.setattr(classify, "_solve_rescaling", solve)
 
 
 def test_certificate_sanchez_analytic_obstruction(sanchez_spec, analytic_only):
@@ -270,27 +265,19 @@ def _tau_band(x1):
     return 0.5 * mollifier(torus_delta(x1, 0.3) / 0.15)
 
 
-#: a RosaTau with a band of zeros of tau, at a coarse step
-BAND, BAND_TOL = geometry.RosaTau(_tau_band), DEFAULT.with_(ode_step=1e-2)
-
-
-def test_killing_rule_defers_to_the_loop_integrals():
-    assert classify._killing_analysis(BAND, "X", 32, BAND_TOL) is None
-    with pytest.raises(NotSCF) as exc:
-        classify.semi_conformal_certificate(BAND, "X", grid_n=32,
-                                            tol=BAND_TOL)
-    assert exc.value.obstruction == pytest.approx(2.184e-3, rel=1e-3)
-    assert "over 729 sampled closed lines" in str(exc.value)
-
-
-def test_loop_integral_between_thresholds_is_inconclusive():
-    """The band metric's loop integral, 2.184e-3, lies inside a reject
-    threshold raised to 1e-2; the cached sweep decides it again."""
-    tol = BAND_TOL.with_(scf_reject=1e-2)
-    with pytest.raises(Inconclusive) as exc:
-        classify.semi_conformal_certificate(BAND, "X", grid_n=32, tol=tol)
-    assert exc.value.band == (1e-6, 1e-2)
-    assert exc.value.measured == pytest.approx(2.184e-3, rel=1e-3)
+@pytest.mark.parametrize("spec", [geometry.RosaTau(_tau_band),
+                                  catalog.load_metric("rosatau:zero=0.55")],
+                         ids=["band", "rosatau:zero=0.55"])
+def test_killing_rule_obstructs_flat_zeros(spec, analytic_only):
+    """tau is one-signed on (0.15, 0.45) and vanishes flatly off it: the
+    lines there accumulate on the band edge x1 = 0.45, so the Killing rule
+    answers NotSCF in closed form, with an infinite obstruction located at
+    that edge (where |tau| falls to 1e-12 max |tau|, bisected)."""
+    with pytest.raises(NotSCF, match="accumulate on the closed line") as exc:
+        classify.semi_conformal_certificate(spec, "X")
+    assert exc.value.obstruction == math.inf
+    assert 0.44 < exc.value.location <= 0.45
+    assert abs(float(spec.tau_at(exc.value.location))) < 2e-12
 
 
 def test_rescaling_exponent_stays_blocked():
@@ -306,119 +293,6 @@ def test_rescaling_exponent_stays_blocked():
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20
     assert residual == classify._field_divergence_residual(spec, field, 128)
-
-
-#: |J1 - J1 from the Gamma(c') integrand| at step 1e-2: at most 1.1e-8
-#: (conformal Y) for every family but rosatau Y, where it is 3.0e-5.  There
-#: the Christoffel route is exact (on the horizontal lines the contraction
-#: is Gamma^1_11 = 0, as g_11 = 0 and g_12 = 1, and the endpoint term
-#: cancels) and the Gamma(c') integrand carries RK4 error across the steep
-#: tau window (4.5e-7 at step 5e-3, 1.7e-14 at 1e-3).
-LOOP_SERIES_BOUND = {("rosatau_spec", "Y"): 1e-4}
-
-
-@pytest.mark.parametrize("family", ("X", "Y"))
-@pytest.mark.parametrize("name", ZOO)
-def test_flow_loop_series_matches_connection_integrand(name, family,
-                                                       request):
-    spec = request.getfixturevalue(name)
-    axis = nullflow.transversal_axis(spec, family)
-    step = 1e-2
-
-    def gamma(u, w, m):
-        uu = np.full_like(w, u)
-        one = np.ones_like(w)
-        if axis == 0:
-            return geometry.connection_along(spec, uu, w, one, m)
-        return geometry.connection_along(spec, w, uu, m, one)
-
-    seeds = np.arange(2048) / 2048
-    _, reference = nullflow._march(spec, family, axis, 0.0, seeds, 1.0, step,
-                                   integrand=gamma)
-    J1 = nullflow._ReturnSweep(spec, family, axis, step).loop_series()
-    error = np.max(np.abs(np.real(J1(seeds)) - reference))
-    assert error < LOOP_SERIES_BOUND.get((name, family), 1e-7)
-
-
-def test_flow_loop_series_takes_no_frame_derivative(wave12_spec,
-                                                    monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("connection_along called")
-    monkeypatch.setattr(geometry, "connection_along", forbidden)
-    J1 = nullflow._ReturnSweep(wave12_spec, "Y", 0, 1e-2).loop_series()
-    assert np.all(np.isfinite(np.real(J1(np.arange(16) / 16))))
-
-
-@pytest.mark.parametrize("family", ("X", "Y"))
-@pytest.mark.parametrize("name", ZOO)
-def test_loop_sweep_return_map_is_the_slope_only_one(name, family, request):
-    spec = request.getfixturevalue(name)
-    axis = nullflow.transversal_axis(spec, family)
-    fused = nullflow._ReturnSweep(spec, family, axis, 1e-2)
-    fused.loop_series()
-    alone = nullflow._ReturnSweep(spec, family, axis, 1e-2).displacement()
-    assert np.array_equal(fused.D1.coeffs, alone.coeffs)
-    assert np.array_equal(fused.D1.freqs, alone.freqs)
-
-
-@pytest.mark.parametrize("family, build", [
-    ("X", _conformally_flat_diagonal),
-    ("Y", lambda: catalog.closed_diagonal_wave(1.0, 2.0, amp=0.08)),
-], ids=["conformally-flat-diagonal", "wave12"])
-def test_numeric_route_sweeps_the_seeds_once(family, build, monkeypatch):
-    """One batched march of the return seeds gives both D1 and J1."""
-    # equal specs share the sweep cache (the wave equals wave12_spec), so
-    # empty it: the count must not depend on which tests ran first
-    nullflow._return_sweep.cache_clear()
-    spec = build()
-    sweeps = []
-    march = nullflow._march
-
-    def counting(spec, family, axis, u0, w0, *args, **kwargs):
-        if np.size(w0) == nullflow.RETURN_SEEDS:
-            sweeps.append(family)
-        return march(spec, family, axis, u0, w0, *args, **kwargs)
-    monkeypatch.setattr(nullflow, "_march", counting)
-    # the wave's Y family certifies on the lattice route first
-    cert = classify._numeric_analysis(spec, family, 32, DEFAULT)
-    assert cert.kind == "rescaling"
-    assert sweeps == [family]
-
-
-@pytest.mark.parametrize("name", ZOO)
-def test_christoffel_row_is_the_christoffels_at_row(name, request, rng):
-    spec = request.getfixturevalue(name)
-    x1, x2 = rng.random(257), rng.random(257)
-    full = geometry.christoffels_at(spec, x1, x2)
-    for a in (0, 1):
-        row = geometry._christoffel_row(spec, a, x1, x2)
-        assert sorted(row) == [(a, i, j) for i in (0, 1) for j in (0, 1)]
-        for key, values in row.items():
-            assert np.array_equal(values, full[key])
-
-
-@pytest.mark.parametrize("name", ("flat_spec", "sqrt2_spec", "analex_spec",
-                                  "wave12_spec", "conformally_flat_diagonal"))
-def test_christoffel_row_evaluates_lambdas_once(name, request, monkeypatch):
-    spec = request.getfixturevalue(name)
-    calls = []
-    lambdas = type(spec).lambdas
-
-    def counting(self, x1, x2):
-        calls.append(1)
-        return lambdas(self, x1, x2)
-    monkeypatch.setattr(type(spec), "lambdas", counting)
-    for u in (0.1, 0.5, 0.9):
-        geometry._christoffel_row(spec, 1, u, np.linspace(0, 1, 9))
-    assert len(calls) == 3
-
-
-def test_loop_test_refuses_nan(monkeypatch):
-    """A NaN loop integral lies below neither threshold: Inconclusive."""
-    monkeypatch.setattr(classify, "_weighted_birkhoff", lambda D1, J1: np.nan)
-    spec = catalog.closed_diagonal_wave(1.0, 2.0, amp=0.08)
-    with pytest.raises(Inconclusive, match="nan"):
-        classify._numeric_analysis(spec, "Y", 32, DEFAULT)
 
 
 def test_certify_refuses_nan(analex_spec):
@@ -437,12 +311,12 @@ def test_certify_refuses_nan(analex_spec):
 @pytest.mark.parametrize("amp", (0.06, 0.09, 0.105))
 def test_lattice_certificate_is_a_multiple_of_the_rescaling_field(amp):
     """The Y waves of the numeric-scf benchmark: the lattice field and the
-    numeric route's rescaling field are both divergence-free sections of
+    transport solve's rescaling field are both divergence-free sections of
     the family, so their ratio is constant along its dense lines."""
     spec = catalog.closed_diagonal_wave(1.0, 2.0, amp=amp)
     cert = classify.semi_conformal_certificate(spec, "Y")
     assert cert.kind == "lattice" and cert.residual < 1e-8
-    rescaling = classify._numeric_analysis(spec, "Y", 32, DEFAULT)
+    rescaling = classify._rescaling_analysis(spec, "Y", 32, DEFAULT)
     X1, X2 = grid_points(32)
     ratio = rescaling.field.at(X1, X2)[0] / cert.field.at(X1, X2)[0]
     assert np.ptp(ratio) / abs(np.mean(ratio)) < 1e-8
@@ -466,14 +340,8 @@ def _pullback(spec, A):
                               for which in "EFG"))
 
 
-def test_lattice_route_declines(analex_spec, monkeypatch):
-    """Each exit hands the family to the numeric route with None."""
-    # analex Y: the pulled-back rule finds a simple zero of G
-    pull = _pullback(analex_spec, geometry.lattice_basis(
-        *analex_spec.phase()))
-    with pytest.raises(NotSCF):
-        classify._killing_analysis(pull, "X", 32, DEFAULT)
-    assert classify._lattice_analysis(analex_spec, "Y", 32, DEFAULT) is None
+def test_lattice_route_declines(monkeypatch):
+    """Each exit hands the family to the transport solve with None."""
     # phase (1, 0): A is the identity and F = g12 = 0, so eta0 is undefined
     flat_f = catalog.closed_diagonal_wave(1.0, 2.0, k=1, l=0)
     with pytest.raises(DegenerateMetric):
@@ -483,6 +351,38 @@ def test_lattice_route_declines(analex_spec, monkeypatch):
     wave = catalog.closed_diagonal_wave(1.0, 2.0, amp=0.08)
     monkeypatch.setattr(catalog.Wave, "phase", lambda self: (2, 1))
     assert classify._lattice_analysis(wave, "Y", 32, DEFAULT) is None
+
+
+def test_lattice_obstruction_is_twice_the_holonomy_boost(analex_spec,
+                                                         analytic_only):
+    """analex's Y family: the pulled-back rule finds a simple zero of G at
+    y1 = 1/2, and the NotSCF names the point x = A (1/2, 0) of its closed
+    line, of winding A e2 = (1, 1).  The obstruction is 0.4 pi, within
+    1e-8 of the loop integral 1.2566370614 that RK4 sweeps of analex
+    measured along that line, and twice the holonomy boost of the line on
+    analex itself, whose flow puts an isolated closed line through the
+    same point."""
+    A = geometry.lattice_basis(*analex_spec.phase())
+    assert A == ((0, 1), (-1, 1))
+    with pytest.raises(NotSCF) as pulled:
+        classify._killing_analysis(_pullback(analex_spec, A), "X", 32,
+                                   DEFAULT)
+    assert pulled.value.location == pytest.approx(0.5, abs=1e-9)
+    with pytest.raises(NotSCF) as exc:
+        classify.semi_conformal_certificate(analex_spec, "Y")
+    assert exc.value.obstruction == pytest.approx(1.2566370614, abs=1e-8)
+    assert exc.value.obstruction == pytest.approx(0.4 * np.pi, rel=1e-8)
+    x1, x2 = exc.value.location
+    assert (x1, x2) == pytest.approx((0.0, 0.5), abs=1e-9)
+    assert "(0.000000, 0.500000), of winding (1, 1)" in str(exc.value)
+    dec = nullflow.cylinder_decomposition(analex_spec, "Y")
+    assert dec.axis == 0 and x1 == 0.0     # the section x1 = 0 holds it
+    assert any(abs(torus_delta(w, x2)) < 1e-9 for w in dec.isolated_closed)
+    [rec] = nullflow.closed_lines_through(analex_spec, "Y", [x2],
+                                          dec.rotation)
+    assert rec.winding == (1, 1)
+    boost = spin.holonomy_table(analex_spec, rec)[(1, 1)].boost
+    assert abs(2 * abs(boost) - exc.value.obstruction) < 1e-6
 
 
 def test_is_x_conformally_flat(analex_spec, rosatau_spec, flat_spec):
@@ -629,6 +529,49 @@ def test_geometric_matches_spectral_all_structures(b1, b2):
             spec, s, chirality=1, n_fields=0).count_class
         assert report.value == spectral, (s.label, report.certificate)
         assert report.certificate != "DenseLine"
+
+
+def _gate_metrics() -> list[str]:
+    """The metric of every table and classify invocation of the artifact
+    gate, tools/artifact_diff.py, that builds (its error cases do not)."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "artifact_diff.py"
+    spec = importlib.util.spec_from_file_location("artifact_diff", path)
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+    metrics = [argv[argv.index("--metric") + 1]
+               for argv in gate.BENCHMARK_OPS + gate.CASES
+               if {"table", "classify"} & set(argv) and "--metric" in argv]
+    assert gate.CONFORMAL_1 in metrics and gate.CONFORMAL_2 in metrics
+    built = []
+    for metric in dict.fromkeys(metrics):
+        try:
+            catalog.load_metric(metric)
+        except ConfigError:
+            continue
+        built.append(metric)
+    return built
+
+
+@pytest.mark.parametrize("metric", _gate_metrics())
+def test_gate_tables_march_no_line_and_solve_nothing(metric, monkeypatch):
+    """Four-quantity tables of every metric the gate's tables and
+    classifications read, both conformal rescalings included, take every
+    flow from the lattice quadrature and every certificate from a closed
+    form: no RK4 march, no transport solve (or an honest Inconclusive
+    past the period cap)."""
+    calls = []
+    for owner, name in ((nullflow, "_march"), (classify, "_solve_rescaling")):
+        def recording(*args, _name=name, _fn=getattr(owner, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, recording)
+    try:
+        table = classify.classify_table(catalog.load_metric(metric),
+                                        tuple(classify.QUANTITIES))
+        assert len(table) == 4
+    except Inconclusive as exc:     # left_invariant:1,65, by design
+        assert "closed-line period 65" in str(exc)
+    assert not calls
 
 
 # ---------------------------------------------------------------------------

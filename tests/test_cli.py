@@ -129,10 +129,12 @@ def test_rotation_is_exact_where_the_quadrature_covers(runner):
         "decompose", "--metric", "analex_sanchez:c=2.5"]))
     assert dense["verdict"] == "Dense"
     assert "rotation number 0.183303028 has" in dense["message"]
-    # analex's Y family is declined: its phase velocity has zeros
-    swept = _json_out(runner.invoke(main, ["rotation", "--metric", "analex",
-                                           "--family", "Y"]))
-    assert swept["method"] == "return-map"
+    # analex's Y family: its phase velocity has zeros, so its lines turn
+    # vertical in the lattice basis, and the rotation is A e2 = (1, 1)
+    vertical = _json_out(runner.invoke(main, ["rotation", "--metric",
+                                              "analex", "--family", "Y"]))
+    assert vertical["method"] == "lattice" and vertical["value"] == 1.0
+    assert vertical["rational"] == {"p": 1, "q": 1, "residual": 0.0}
 
 
 def test_table_at_the_period_cap_agrees_with_spectral(runner):
@@ -406,7 +408,7 @@ def test_config_errors_are_exit_one(runner, tmp_path):
         ["rotation", "--metric", "flat", "--step", "7"],
         ["rotation", "--metric", "flat", "--format", "csv"],
         ["solve"],
-        config("rotation", n_returns="many"),
+        config("decompose", resolution="many"),
         config("rotation", step="tiny"),
         config("rotation", grid_n="fine"),
         config("flow", tmax="long"),
@@ -446,7 +448,7 @@ def test_config_errors_are_exit_one(runner, tmp_path):
         ("grid_n", ["solve", "--metric",
                     '{"family":"analex","grid_n":32.9}']),
         ("grid_n", ["solve", "--metric", '{"family":"analex","grid_n":true}']),
-        ("n_returns", config("rotation", n_returns=10.5)),
+        ("resolution", config("decompose", resolution=10.5)),
         ("chirality", config("solve", chirality=-1.5)),
         # wavenumbers are counts too: a non-integral one is no torus metric
         ("k", ["rotation", "--metric", "closed_diagonal:1,2,k=0.5"]),
@@ -476,8 +478,8 @@ def test_config_errors_are_exit_one(runner, tmp_path):
         ("rational_cap", ["rotation", "--metric", "left_invariant:sqrt2,1",
                           "--tol", "rational_cap=0"]),
         ("bisection", config("rotation", tol={"bisection": 0})),
-        ("scf_accept", ["rotation", "--metric", "flat",
-                        "--tol", "scf_accept=nan"]),
+        ("scf_reject", ["rotation", "--metric", "flat",
+                        "--tol", "scf_reject=nan"]),
         ("closedness", ["rotation", "--metric", "flat",
                         "--tol", "closedness=inf"]),
     ]
@@ -565,6 +567,20 @@ def test_tol_override_lands_in_artifact(runner):
     payload = _json_out(runner.invoke(main, ["rotation", "--metric", "flat",
                                              "--step", "0.002"]))
     assert payload["step"] == payload["tolerances"]["ode_step"] == 0.002
+
+
+def test_scf_accept_is_no_longer_a_tolerance(runner):
+    """The loop-integral acceptance threshold went with the loop test: an
+    artifact no longer reports it, and overriding it is a config error."""
+    payload = _json_out(runner.invoke(main, ["rotation", "--metric", "flat"]))
+    assert "scf_accept" not in payload["tolerances"]
+    assert "scf_reject" in payload["tolerances"]
+    result = runner.invoke(main, ["rotation", "--metric", "flat",
+                                  "--tol", "scf_accept=1e-8"])
+    assert result.exit_code == 1
+    refused = _json_out(result)
+    assert refused["error"] == "ConfigError"
+    assert "unknown tolerance 'scf_accept'" in refused["message"]
 
 
 def test_output_file_and_json_format(runner, tmp_path):

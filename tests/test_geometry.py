@@ -193,6 +193,19 @@ def test_lattice_basis(k, l):
     assert (k * a + l * c, k * b + l * d) == (1, 0)
 
 
+@pytest.mark.parametrize("name", ("sanchez_spec", "rosatau_spec"))
+def test_killing_metrics_name_the_identity_basis(name, request):
+    """Coefficients of x1 alone are of phase (1, 0), whose lattice basis is
+    the identity: both null families of an x1-only metric take the
+    quadrature in the coordinates they are given in."""
+    spec = request.getfixturevalue(name)
+    assert spec.phase() == (1, 0)
+    assert geometry.lattice_basis(*spec.phase()) == ((1, 0), (0, 1))
+    for family in ("X", "Y"):
+        flow = nullflow._lattice_flow(spec, family, DEFAULT)
+        assert flow.A == ((1, 0), (0, 1))
+
+
 def test_single_phase_pullback_is_x1_only(analex_spec, wave12_spec):
     """Along A = lattice_basis(phase), the pullback's coefficients A^T g A
     at (y1, y2) equal the Sanchez profile at y1."""
@@ -253,6 +266,27 @@ def test_connection_grid_matches_pointwise(name, request):
             float(geometry.connection_along(spec, x1, x2, 1.0, 0.0)), abs=tol)
         assert G2[i, j] == pytest.approx(
             float(geometry.connection_along(spec, x1, x2, 0.0, 1.0)), abs=tol)
+
+
+def test_left_invariant_connection_takes_no_transform(monkeypatch):
+    """Frame and coefficient grids of a left-invariant metric are constant,
+    so the derivative pairs behind its connection form (of a1, a2, A, B and
+    C) take no FFT and Gamma comes out as exact zeros.  On analex only a2
+    and B are constant (zero): three pairs of one forward and two inverse
+    transforms each."""
+    calls = []
+    for name in ("fft2", "ifft2"):
+        def counting(*args, _fft=getattr(np.fft, name), **kwargs):
+            calls.append(1)
+            return _fft(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counting)
+    build = geometry.connection_one_form_grids.__wrapped__   # not the cache
+    for spec in (catalog.left_invariant(2, 5), catalog.flat()):
+        G1, G2 = build(spec, 64)
+        assert not calls
+        assert not np.any(G1) and not np.any(G2)
+    build(catalog.analex(), 64)
+    assert len(calls) == 3 * 3
 
 
 def test_cached_grids_are_read_only(analex_spec):

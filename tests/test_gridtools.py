@@ -12,6 +12,31 @@ from nulltorus.gridtools import (PHASE_BLOCK, TrigSeries1, TrigSeries2,
                                  spectral_derivative, spectral_derivatives)
 
 
+@pytest.mark.parametrize("n", (63, 64))
+@pytest.mark.parametrize("value", (1.0, -2.7, 0.3 + 0.4j))
+def test_constant_grids_differentiate_to_exact_zeros(n, value, monkeypatch):
+    """No FFT for a constant grid: exact zeros of the input's kind, where a
+    transform leaves rounding noise unless n is a power of two."""
+    calls = []
+    fft2 = np.fft.fft2
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return fft2(*args, **kwargs)
+    monkeypatch.setattr(np.fft, "fft2", counting)
+    grid = np.full((n, n), value)
+    d1, d2 = spectral_derivatives(grid)
+    alone = spectral_derivative(grid, 1)
+    assert not calls
+    for d in (d1, d2, alone):
+        assert d.shape == grid.shape and not np.any(d)
+        assert np.iscomplexobj(d) == np.iscomplexobj(grid)
+    assert d1 is not d2
+    grid[0, 0] += 1e-3
+    spectral_derivatives(grid)
+    assert len(calls) == 1
+
+
 def _samples(f, n):
     return f(np.arange(n) / n)
 

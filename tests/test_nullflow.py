@@ -1,6 +1,7 @@
 """Null line integration, rotation numbers, and cylinder decompositions."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import ZOO, frame_direction
 from nulltorus import catalog, classify, geometry, nullflow, spin
 from nulltorus.errors import DenseFlow, Inconclusive
-from nulltorus.gridtools import grid_points, torus_delta
+from nulltorus.gridtools import grid_points
 from nulltorus.tolerances import DEFAULT
 
 
@@ -39,24 +40,31 @@ def test_slope_against_null_direction(analex_spec):
 
 
 def test_rotation_number_analex(analex_spec):
-    est = nullflow.rotation_number(analex_spec, "X", n_returns=400)
+    est = nullflow.rotation_number(analex_spec, "X")
     assert est.rational is not None
     assert (est.rational.p, est.rational.q) == (-1, 1)
     assert abs(est.value + 1.0) < 1e-9
 
 
 def test_rotation_number_direct_matches_map(wave12_spec):
-    fast = nullflow.rotation_number(wave12_spec, "X", n_returns=300)
-    direct = nullflow.rotation_number(wave12_spec, "X", n_returns=60,
-                                      method="direct")
+    """The marched average states no error, so it carries no certificate;
+    it meets the quadrature within about 1/n_returns, closely on a rigid
+    rotation and within 1/n where the lines are asymptotic (rosatau X)."""
+    fast = nullflow.rotation_number(wave12_spec, "X")
+    direct = nullflow.direct_rotation_number(wave12_spec, "X", n_returns=60)
+    assert (direct.method, direct.rational) == ("direct", None)
     assert abs(fast.value - direct.value) < 1e-6
     assert abs(fast.value - 0.5) < 1e-9
+    spec, n = catalog.rosatau_window(), 32
+    direct = nullflow.direct_rotation_number(
+        spec, "X", (0.2, 0.0), n_returns=n, tol=DEFAULT.with_(ode_step=1e-2))
+    assert abs(direct.value - nullflow.rotation_number(spec, "X").value) < 1 / n
 
 
 def test_rotation_number_irrational():
     # slope sqrt(2) is steep, so the graph axis flips and rho = 1/sqrt(2)
     spec = catalog.left_invariant(math.sqrt(2.0), 1.0)
-    est = nullflow.rotation_number(spec, "X", n_returns=500)
+    est = nullflow.rotation_number(spec, "X")
     assert abs(est.value - 1.0 / math.sqrt(2.0)) < 1e-9
     # no period up to 64 brackets the rotation number, and the convergents
     # beyond (which always fit the raw residual tolerance) fail the
@@ -64,42 +72,56 @@ def test_rotation_number_irrational():
     assert est.rational is None
 
 
-def test_rotation_certificate_needs_no_lucky_return_count(monkeypatch):
-    """q = 3 does not divide 1000 returns; the bracket certifies 2/3 anyway,
-    on the lattice quadrature and on the swept return map."""
-    spec = catalog.closed_diagonal_wave(2.0, 3.0)
-    est = nullflow.rotation_number(spec, "X", n_returns=1000)
+def test_rotation_certificate_needs_no_lucky_return_count():
+    """q = 3 divides no power of ten, so a marched average over 10^k
+    returns misses 2/3; the lattice value is exact and reads no return
+    count, so the certificate is 2/3."""
+    est = nullflow.rotation_number(catalog.closed_diagonal_wave(2.0, 3.0), "X")
     assert (est.rational.p, est.rational.q) == (2, 3)
-    assert est.method == "lattice"
     assert abs(est.value - 2.0 / 3.0) < 1e-12
-    monkeypatch.setattr(nullflow, "_lattice_flow", lambda *args: None)
-    swept = nullflow.rotation_number(spec, "X", n_returns=1000)
-    assert (swept.rational.p, swept.rational.q) == (2, 3)
-    # the average itself is off by the q-periodic residue
-    assert 1e-6 < abs(swept.value - 2.0 / 3.0) < 1e-5
+
+
+@pytest.mark.parametrize("value, error, expected", [
+    (2 / 3, 0.0, (2, 3)),
+    (2 / 3 + 2e-11, 0.0, (2, 3)),       # q value within the resonance
+    (0.5, 0.0, (1, 2)),                 # the smallest q, not 2/4
+    (-0.5, 0.0, (-1, 2)),
+    (1 / 65 + 1e-12, 1e-11, (1, 65)),   # past the cap: inside the error
+    (1 / 65 + 1e-12, 1e-13, None),      # past the cap: outside it
+    (1 / 65 + 1e-12, math.nan, None),   # an unknown error credits nothing
+    (math.sqrt(2) - 1, 1e-16, None)])
+def test_certify_rotation_reads_the_value_and_its_error(value, error,
+                                                        expected):
+    """A period up to MAX_PERIOD certifies when q value is within the
+    resonance tolerance of p; beyond it a best rational must fit within
+    the stated error of the value, never the raw flow residual."""
+    cert = nullflow._certify_rotation(value, error, DEFAULT)
+    assert (cert and (cert.p, cert.q)) == expected
+    if cert is not None:
+        assert cert.residual == abs(value - cert.p / cert.q)
 
 
 @pytest.mark.parametrize("spec_name, p, q", [("rosatau", 0, 1),
                                              ("wave35", 3, 5)])
-def test_composed_return_matches_fine_scan(rosatau_spec, spec_name, p, q):
-    """q-fold composition of the cached 1e-3 return map against a direct
-    q-period march of the seeds at the old refined scan step 2.5e-4.
-
-    Measured worst difference: 2.0e-14 (rosatau, q = 1) and 1.0e-13 (3/5
-    wave, q = 5); the bound is the 1e-10 resonance tolerance the
-    decomposition applies to these values.
-    """
+def test_lattice_records_end_where_a_fine_march_ends(rosatau_spec, spec_name,
+                                                     p, q):
+    """The quadrature's closed lines against a direct q-period march of
+    their seeds at the refined step 2.5e-4, within the 1e-10 resonance
+    tolerance the decomposition applies: the rosatau band, its isolated
+    line at the zero of tau, and the lines of the 3/5 wave."""
     spec = (rosatau_spec if spec_name == "rosatau"
             else catalog.closed_diagonal_wave(3.0, 5.0))
     axis = nullflow.transversal_axis(spec, "X")
-    seeds = np.arange(0, 1024, 4) / 1024
-    D1 = nullflow._return_sweep(spec, "X", axis, 1e-3).displacement()
-    composed, _ = nullflow.q_return(D1, seeds, q)
-    direct = nullflow._march(spec, "X", axis, 0.0, seeds, float(q),
-                             2.5e-4) - seeds
-    assert np.max(np.abs(composed - direct)) < 1e-10
     est = nullflow.rotation_number(spec, "X")
     assert (est.rational.p, est.rational.q) == (p, q)
+    dec = nullflow.cylinder_decomposition(spec, "X")
+    seeds = [float(w) % 1.0 for iv in dec.resonant_intervals
+             for w in iv.interior_points(5)] + list(dec.isolated_closed)
+    ends = [rec.points[-1, 1 - axis] for rec in
+            nullflow.closed_lines_through(spec, "X", seeds, est.rational)]
+    direct = nullflow._march(spec, "X", axis, 0.0, np.array(seeds), float(q),
+                             2.5e-4)
+    assert np.max(np.abs(np.array(ends) - direct)) < 1e-10
 
 
 def test_classify_line_kinds(flat_spec):
@@ -272,7 +294,7 @@ def test_march_slope_takes_one_profile_evaluation(name, profile, request,
 
 
 # ---------------------------------------------------------------------------
-# the lattice quadrature against the swept RK4 route
+# the lattice quadrature against marched RK4 lines
 
 #: the seeded zoo-table metrics of tools/artifact_diff.py the quadrature
 #: covers, after the other amplitude and c of the x1-only examples
@@ -297,65 +319,73 @@ CONFORMAL = (
     '{"family":"conformal_rescale","params":{"inner":{"family":"analex"},'
     '"factor":{"amp":0.3842,"k":2,"l":2,"phase":5.8605}}}')
 SEEDED += CONFORMAL
-#: the families the quadrature declines: analex's Y family, whose phase
-#: velocity has zeros off the identity basis, and so (a conformal
-#: rescaling takes its inner flow) the Y family of every rescaled analex
-DECLINED = ({("conformal_spec", "Y"), ("analex_spec", "Y")}
-            | {(name, "Y") for name in CONFORMAL})
+#: a phase-line wave (k b2 + l b1 = 0): its X lines are the phase lines
+SEEDED += ("closed_diagonal:1,-2,k=1,l=2",)
 
-
-def _flow_summary(spec, family):
-    """The decomposition and, per recorded closed line, its winding and
-    (character, x_trivial) per structure; or the exception's name."""
-    try:
-        dec = nullflow.cylinder_decomposition(spec, family)
-    except (DenseFlow, Inconclusive) as exc:
-        return type(exc).__name__, []
-    seeds = [float(w) % 1.0 for iv in dec.resonant_intervals
-             for w in iv.interior_points(5)] + list(dec.isolated_closed)
-    lines = nullflow.closed_lines_through(spec, family, seeds, dec.rotation)
-    holonomy = []
-    for rec in lines:
+def _holonomy_summary(spec, records):
+    """Per closed-line record, its winding and (character, x_trivial) per
+    structure."""
+    summary = []
+    for rec in records:
         table = spin.holonomy_table(spec, rec)
-        holonomy.append((rec.winding, {ab: (r.character, r.x_trivial)
-                                       for ab, r in table.items()}))
-    return dec, holonomy
+        summary.append((rec.winding, {ab: (r.character, r.x_trivial)
+                                      for ab, r in table.items()}))
+    return summary
 
 
 @pytest.mark.parametrize("family", ("X", "Y"))
 @pytest.mark.parametrize("name", [n for n in ZOO] + list(SEEDED))
-def test_lattice_quadrature_agrees_with_the_swept_route(name, family,
-                                                        request,
-                                                        monkeypatch):
-    """Where the quadrature applies, the RK4 sweep gives the same
-    certificate (or the same DenseFlow / Inconclusive), interval kinds and
-    isolated lines (to 1e-6, band ends to 1e-3), and the same winding,
-    character and x_trivial on every recorded closed line."""
+def test_lattice_quadrature_agrees_with_marched_lines(name, family, request):
+    """RK4 lines marched from the section over q axis units against the
+    quadrature: no shorter period brackets their returns and p lies
+    between the least and greatest q-return displacement; resonant seeds
+    close, asymptotic seeds drift one way, and the displacement changes
+    sign across every isolated line (to 1e-6); every closed line has the
+    same winding, character and x_trivial.  A dense flow's marched average
+    is within 1/n of the exact value after n returns."""
     spec = (request.getfixturevalue(name) if name in ZOO
             else catalog.load_metric(name))
-    covered = nullflow._lattice_flow(spec, family, DEFAULT) is not None
-    assert covered == ((name, family) not in DECLINED)
-    if not covered:
+    assert nullflow._lattice_flow(spec, family, DEFAULT) is not None
+    est = nullflow.rotation_number(spec, family)
+    assert est.method == "lattice"
+    axis = nullflow.transversal_axis(spec, family)
+    try:
+        dec = nullflow.cylinder_decomposition(spec, family)
+    except DenseFlow:
+        seeds = np.arange(8) / 8
+        ends = nullflow._march(spec, family, axis, 0.0, seeds, 32.0, 1e-2)
+        assert np.max(np.abs((ends - seeds) / 32 - est.value)) < 1 / 32
         return
-    lattice, lattice_lines = _flow_summary(spec, family)
-    assert nullflow.rotation_number(spec, family).method == "lattice"
-    monkeypatch.setattr(nullflow, "_lattice_flow", lambda *args: None)
-    swept, swept_lines = _flow_summary(spec, family)
-    assert nullflow.rotation_number(spec, family).method == "return-map"
-    if isinstance(swept, str):
-        assert lattice == swept
-        return
-    assert (lattice.rotation.p, lattice.rotation.q) == (swept.rotation.p,
-                                                        swept.rotation.q)
-    assert ([iv.kind for iv in lattice.intervals]
-            == [iv.kind for iv in swept.intervals])
-    for a, b in zip(lattice.intervals, swept.intervals):
-        assert abs(torus_delta(a.lo, b.lo)) < 1e-3
-        assert abs(torus_delta(a.hi, b.hi)) < 1e-3
-    assert len(lattice.isolated_closed) == len(swept.isolated_closed)
-    for a, b in zip(lattice.isolated_closed, swept.isolated_closed):
-        assert abs(torus_delta(a, b)) < 1e-6
-    assert lattice_lines == swept_lines
+    p, q = dec.rotation.p, dec.rotation.q
+    closed = [float(w) % 1.0 for iv in dec.resonant_intervals
+              for w in iv.interior_points(5)] + list(dec.isolated_closed)
+    probes = [iv.interior_points(5) for iv in dec.intervals]
+    crossings = [(z - 1e-6, z + 1e-6) for z in dec.isolated_closed]
+    seeds = closed + [w for ws in probes + crossings for w in ws]
+    records = nullflow._line_records(spec, family, axis, 0.0, seeds, float(q),
+                                     DEFAULT.ode_step)
+    per_unit = round(1 / DEFAULT.ode_step)
+    returns = np.array([rec.points[::per_unit, 1 - axis]
+                        - rec.points[0, 1 - axis] for rec in records])
+    for k in range(1, q + 1):
+        low = math.ceil(returns[:, k].min() - 1e-6)
+        assert (low <= returns[:, k].max() + 1e-6) == (k == q)
+    assert low == p
+    D = dict(zip(seeds, returns[:, q] - p))
+    for iv, ws in zip(dec.intervals, probes):
+        values = np.array([D[w] for w in ws])
+        if iv.kind == "Resonant":
+            assert np.max(np.abs(values)) < DEFAULT.closedness
+        else:
+            assert np.min(np.abs(values)) > DEFAULT.closedness
+            assert np.all(values > 0) or np.all(values < 0)
+    for a, b in crossings:
+        assert D[a] * D[b] < 0
+    winding = nullflow._winding(axis, q, p)
+    marched = [replace(rec, winding=winding) for rec in records[:len(closed)]]
+    lattice = nullflow.closed_lines_through(spec, family, closed, dec.rotation)
+    assert (_holonomy_summary(spec, lattice)
+            == _holonomy_summary(spec, marched))
 
 
 @pytest.mark.parametrize("metric,family,expected", [
@@ -381,6 +411,41 @@ def test_lattice_certificate_past_the_cap_needs_the_quadrature_error(
             DEFAULT.rational_residual_flow).residual > 1e4 * flow.error
 
 
+@pytest.mark.parametrize("name, family, A, shift, closed", [
+    ("analex_spec", "Y", ((0, 1), (-1, 1)), (1, 1), (0.0, 0.5)),
+    ("conformal_spec", "Y", ((0, 1), (-1, 1)), (1, 1), (0.0, 0.5)),
+    ("closed_diagonal:1,-2,k=1,l=2", "X", ((1, -2), (0, 1)), (-2, 1), ())])
+def test_vertical_branch_runs_in_the_lattice_basis(name, family, A, shift,
+                                                   closed, request):
+    """Where the phase velocity V'^1 has zeros, the lines run along A e2 in
+    the basis A = lattice_basis(phase): rho = (A e2)_(1-a) / (A e2)_a
+    exactly, the closed lines through the section are the zeros of
+    s' = V'^1/V'^2 (analex Y: w = 0 and 1/2 between asymptotic cylinders;
+    the phase-line wave: every line), and each closed line is
+    x0 + t A e2 / (A e2)_a."""
+    spec = (request.getfixturevalue(name) if name in ZOO
+            else catalog.load_metric(name))
+    flow = nullflow._lattice_flow(spec, family, DEFAULT)
+    assert flow.theta is None and flow.A == A and flow.shift == shift
+    axis = flow.axis
+    assert flow.rho == shift[1 - axis] / shift[axis] and flow.error == 0.0
+    dec = nullflow.cylinder_decomposition(spec, family)
+    assert (dec.rotation.p, dec.rotation.q) == (
+        int(math.copysign(shift[1 - axis], shift[axis])), abs(shift[axis]))
+    assert dec.isolated_closed == closed
+    kinds = {iv.kind for iv in dec.intervals}
+    assert kinds == ({"Asymptotic"} if closed else {"Resonant"})
+    seeds = list(closed) or [0.0, 0.25, 0.7]
+    assert np.max(np.abs(flow.slope(np.array(seeds)))) < 1e-12
+    q = dec.rotation.q
+    step = q * np.array(shift) / shift[axis]
+    for rec in nullflow.closed_lines_through(spec, family, seeds,
+                                             dec.rotation):
+        assert rec.winding == nullflow._winding(axis, q, dec.rotation.p)
+        np.testing.assert_allclose(rec.points[-1] - rec.points[0], step,
+                                   rtol=0, atol=1e-12)
+
+
 def test_conformal_rescaling_takes_the_inner_flow(conformal_spec,
                                                   monkeypatch):
     """The lines of lam g are those of g: the conformal X table reads the
@@ -393,7 +458,6 @@ def test_conformal_rescaling_takes_the_inner_flow(conformal_spec,
         return march(*args, **kwargs)
 
     monkeypatch.setattr(nullflow, "_march", counting)
-    nullflow._return_sweep.cache_clear()     # a cached sweep hides a march
     inner = nullflow._lattice_flow(conformal_spec.inner, "X", DEFAULT)
     assert nullflow._lattice_flow(conformal_spec, "X", DEFAULT) is inner
     table = classify.classify_table(conformal_spec,
@@ -402,30 +466,33 @@ def test_conformal_rescaling_takes_the_inner_flow(conformal_spec,
     assert nullflow.rotation_number(conformal_spec, "X").method == "lattice"
 
 
-def test_conformal_rescaling_of_a_generic_metric_sweeps():
-    """A generic diagonal metric names no phase, so neither does its
-    conformal rescaling: the rotation comes from the swept return map."""
+def test_a_flow_no_lattice_rule_covers_is_inconclusive():
+    """A generic diagonal metric names no phase, and neither does its
+    conformal rescaling; an x1-only metric with a kink in its graph slope
+    leaves a Fourier tail above the resonance tolerance.  Each flow
+    question on them is Inconclusive and names the missing route; the
+    direct RK4 estimate still runs."""
     generic = geometry.Diagonal(
         lambda x1, x2: 1.0 + 0.1 * np.sin(2 * np.pi * x1) * np.cos(
             2 * np.pi * x2), lambda x1, x2: 2.0 + 0.0 * x2, grid_n=64)
-    spec = catalog.conformal(generic, catalog.exp_sine_factor(amp=0.2))
-    assert nullflow._lattice_flow(spec, "X", DEFAULT) is None
-    assert nullflow.rotation_number(spec, "X", n_returns=50).method == (
-        "return-map")
-
-
-def test_lattice_route_declines():
-    """A generic diagonal metric names no phase, and an x1-only metric with
-    a kink in its graph slope leaves a Fourier tail above the resonance
-    tolerance: both stay on the swept route."""
-    generic = geometry.Diagonal(lambda x1, x2: 1.0 + 0.0 * x1,
-                                lambda x1, x2: 2.0 + 0.0 * x2)
+    rescaled = catalog.conformal(generic, catalog.exp_sine_factor(amp=0.2))
     kinked = geometry.Sanchez(lambda x1: 1.0 + 0.5 * np.abs(np.sin(
         2 * np.pi * x1)), lambda x1: 1.0 + 0.0 * x1, lambda x1: 1.0 + 0.0 * x1)
-    assert nullflow._lattice_flow(generic, "X", DEFAULT) is None
     family = kinked.graph_family
     assert nullflow.transversal_axis(kinked, family) == 0
-    assert nullflow._lattice_flow(kinked, family, DEFAULT) is None
+    for spec, family in ((generic, "X"), (rescaled, "X"), (kinked, family)):
+        assert nullflow._lattice_flow(spec, family, DEFAULT) is None
+        calls = (lambda: nullflow.rotation_number(spec, family),
+                 lambda: nullflow.cylinder_decomposition(spec, family),
+                 lambda: nullflow.classify_line(spec, (0.0, 0.0), family),
+                 lambda: nullflow.closed_line_through(
+                     spec, family, 0.0, nullflow.RationalCertificate(1, 1, 0)))
+        for call in calls:
+            with pytest.raises(Inconclusive, match="no lattice rule covers"):
+                call()
+    direct = nullflow.direct_rotation_number(
+        generic, "X", n_returns=4, tol=DEFAULT.with_(ode_step=1e-2))
+    assert direct.rational is None and abs(direct.value) < 1
     # the kink-free profile is covered
     smooth = geometry.Sanchez(lambda x1: 1.0 + 0.5 * np.sin(2 * np.pi * x1),
                               kinked.F, kinked.G)
@@ -456,7 +523,7 @@ def test_lattice_certificate_is_the_mean_coefficient_ratio(b1, b2, amp, k, l):
     w1, w2 = nullflow._winding(axis, est.rational.q, est.rational.p)
     assert Fraction(w2, w1) == Fraction(expected.p, expected.q)
     est = nullflow.rotation_number(spec, "Y")
-    if est.method == "lattice" and est.rational is not None:
+    if est.rational is not None:
         assert est.rational.q <= nullflow.MAX_PERIOD
 
 

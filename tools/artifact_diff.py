@@ -28,6 +28,7 @@ import tempfile
 from pathlib import Path
 
 X_Q, Y_Q = "delta_plus,tau_minus", "delta_minus,tau_plus"
+ALL_Q = f"{X_Q},{Y_Q}"
 ROSATAU_1 = ('{"family":"rosatau","params":{"support":[0.1678,0.4529],'
              '"zero":0.2826,"amplitude":0.9946}}')
 ROSATAU_2 = ('{"family":"rosatau","params":{"support":[0.1612,0.4396],'
@@ -115,8 +116,8 @@ CASES = [
     ["decompose", "--metric", "rosatau"],
     ["decompose", "--metric", "left_invariant:99,100"],
     # the lattice quadrature: exact rotation, four isolated zeros of an
-    # x1-only slope, an asymptotic line off them, the period cap; analex's
-    # Y family (and the rosatau holonomy below) stay as they were
+    # x1-only slope, an asymptotic line off them, the period cap, and
+    # analex's Y family, whose lines turn vertical in its lattice basis
     ["rotation", "--metric", "analex_sanchez:c=2.5"],
     ["decompose", "--metric", "analex_sanchez"],
     ["classify-line", "--metric", "rosatau", "--from", "0.2,0"],
@@ -124,7 +125,17 @@ CASES = [
     ["decompose", "--metric", "left_invariant:1,65"],
     ["table", "--metric", "left_invariant:1,65"],
     ["decompose", "--metric", "analex", "--family", "Y"],
-    # a conformal rescaling takes its inner flow (X); its Y family sweeps
+    ["table", "--metric", "analex", "--quantity", Y_Q],
+    ["classify", "--metric", "analex", "--quantity", "delta_minus"],
+    # a phase-line wave (k b2 + l b1 = 0): its X lines are the phase lines
+    ["table", "--metric", "closed_diagonal:1,-2,k=1,l=2"],
+    ["decompose", "--metric", "closed_diagonal:1,-2,k=1,l=2"],
+    ["rotation", "--metric", "closed_diagonal:1,-2,k=1,l=2"],
+    # a one-signed tau between flat zeros: the Killing rule's flat-zero
+    # obstruction
+    ["table", "--metric", "rosatau:zero=0.55", "--quantity", ALL_Q],
+    ["classify", "--metric", "rosatau:zero=0.55"],
+    # a conformal rescaling takes its inner flow, in both families
     ["table", "--metric", CONFORMAL_1, "--quantity", Y_Q],
     ["rotation", "--metric", CONFORMAL_1],
     ["decompose", "--metric", CONFORMAL_1],
@@ -142,13 +153,11 @@ CASES = [
     ["holonomy", "--metric", "rosatau", "--seed-w", "0.3"],
     ["holonomy", "--metric", "analex"],
     ["holonomy", "--metric", "left_invariant:sqrt2,1"],
-    ["holonomy", "--metric", "closed_diagonal:5,8", "--family", "X",
-     "--n-returns", "300"],
+    ["holonomy", "--metric", "closed_diagonal:5,8", "--family", "X"],
     ["rotation", "--metric", "analex"],
     ["rotation", "--metric", "flat", "--tol", "ode_step=0.002"],
-    ["rotation", "--metric", "left_invariant:2,3", "--family", "Y",
-     "--n-returns", "200"],
-    ["rotation", "--metric", "rosatau", "--from", "0.5,0"],
+    ["rotation", "--metric", "left_invariant:2,3", "--family", "Y"],
+    ["rotation", "--metric", "rosatau"],
     ["classify-line", "--metric", "analex", "--from", "0.3,0.7"],
     ["classify-line", "--metric", "rosatau", "--from", "0.3,0"],
     ["classify-line", "--metric", "left_invariant:sqrt2,1"],
@@ -201,10 +210,10 @@ CASES = [
 #: (command, run config document); the config supplies "metric": "flat"
 #: unless it names its own
 CONFIG_CASES = [
-    ("rotation", {"metric": "analex", "family": "Y", "n_returns": 100}),
+    ("rotation", {"metric": "analex", "family": "Y"}),
     ("solve", {"metric": "left_invariant:1,2", "structure": "+-",
                "tol": {"rational_cap": 50}}),
-    ("rotation", {"n_returns": "many"}),
+    ("decompose", {"resolution": "many"}),
     ("rotation", {"step": "tiny"}),
     ("rotation", {"grid_n": "fine"}),
     ("flow", {"tmax": "long"}),
