@@ -52,7 +52,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DegenerateMetric, FrameUndefined, WrongFamily
-from .gridtools import grid_points, spectral_derivative, spectral_derivatives
+from .gridtools import (grid_points, line_derivative, spectral_derivative,
+                        spectral_derivatives)
 from .tolerances import DEFAULT, Tolerances
 
 Point = tuple[float, float]
@@ -580,6 +581,14 @@ def null_direction_arrays(spec, x1, x2, family: str):
 # grids (cached per spec and shared between callers, hence read-only).  Equal
 # specs share a cache entry, so a cached result may depend only on what spec
 # equality compares: the dataclass fields of the spec and of its profiles.
+#
+# A spec of phase (k, l) is built on its phase line: sampled at the n grid
+# points x = A (m/n, 0) mod 1, A = lattice_basis(k, l), where the phase
+# k x1 + l x2 is m/n, and differentiated there by 1-D transforms (d1 = k v',
+# d2 = l v'); grid point (i, j) then takes sample (k i + l j) mod n.  Only a
+# spec without a phase (a conformal rescaling, whose factor has a phase of
+# its own, or a generic Diagonal) is evaluated and differentiated on all n^2
+# points.
 
 
 def _read_only(arrays):
@@ -588,14 +597,58 @@ def _read_only(arrays):
     return arrays
 
 
+class _PhaseLine:
+    """The n samples of a spec of phase (k, l) along its phase line; the
+    coefficients and the frame are evaluated when first read."""
+
+    def __init__(self, spec, k: int, l: int, n: int):
+        (a, _), (c, _) = lattice_basis(k, l)
+        m = np.arange(n)
+        self.spec, self.k, self.l, self.n = spec, k, l, n
+        self.x1, self.x2 = (a * m % n) / n, (c * m % n) / n
+
+    @cached_property
+    def coefficients(self):
+        return coefficients(self.spec, self.x1, self.x2)
+
+    @cached_property
+    def frame(self):
+        return frame_component_arrays(self.spec, self.x1, self.x2)
+
+    def partials(self, values):
+        """(d1, d2) of line samples: k and l times their derivative."""
+        d = line_derivative(values)
+        return self.k * d, self.l * d
+
+    def grid(self, values):
+        """Each line array gathered onto the n x n grid, read-only."""
+        i = np.arange(self.n)
+        index = (self.k * i[:, None] + self.l * i[None, :]) % self.n
+        return _read_only(tuple(v[index] for v in values))
+
+
+@lru_cache(maxsize=64)
+def _phase_line(spec, n: int) -> Optional[_PhaseLine]:
+    """The phase line the grids of ``spec`` are built on, or None."""
+    phase = (None if isinstance(_family(spec), ConformalRescale)
+             else spec.phase())
+    return None if phase is None else _PhaseLine(spec, *phase, n)
+
+
 @lru_cache(maxsize=64)
 def coefficient_grids(spec, n: int):
+    line = _phase_line(spec, n)
+    if line is not None:
+        return line.grid(line.coefficients)
     X1, X2 = grid_points(n)
     return _read_only(coefficients(spec, X1, X2))
 
 
 @lru_cache(maxsize=64)
 def frame_grids(spec, n: int):
+    line = _phase_line(spec, n)
+    if line is not None:
+        return line.grid(line.frame)
     X1, X2 = grid_points(n)
     return _read_only(frame_component_arrays(spec, X1, X2))
 
@@ -655,14 +708,20 @@ def connection_one_form_grids(spec, n: int):
     """(Gamma_1, Gamma_2) grids with Gamma(V) = V^1 Gamma_1 + V^2 Gamma_2.
 
     Gamma_i = g(nabla_{d_i} s1, s2) for the canonical frame; all derivatives
-    spectral.  This is what the grid spinor operators consume.
+    spectral, on the phase line where the spec has one.  This is what the
+    grid spinor operators consume.
     """
-    a1, a2, b1, b2 = frame_grids(spec, n)
-    ds1 = tuple(zip(spectral_derivatives(a1), spectral_derivatives(a2)))
-    g = coefficient_grids(spec, n)
-    gam = _christoffels(*g, *(d for c in g for d in spectral_derivatives(c)))
+    line = _phase_line(spec, n)
+    if line is None:
+        frame, g = frame_grids(spec, n), coefficient_grids(spec, n)
+        partials = spectral_derivatives
+    else:
+        frame, g, partials = line.frame, line.coefficients, line.partials
+    a1, a2, b1, b2 = frame
+    ds1 = tuple(zip(partials(a1), partials(a2)))
+    gam = _christoffels(*g, *(d for c in g for d in partials(c)))
     out = _connection_form((a1, a2), ds1, (b1, b2), g, gam)
-    return _read_only(tuple(out))
+    return _read_only(tuple(out)) if line is None else line.grid(out)
 
 
 def connection_along(spec, x1, x2, v1, v2):
@@ -695,12 +754,20 @@ def divergence(spec, V: VectorField, p: Point) -> float:
     return float(dk1 + dl2 + 0.5 * (v1 * ddet1 + v2 * ddet2) / det)
 
 
+def _log_det_partials(spec, n: int):
+    """(d1, d2) of log |det g| on the n x n grid, spectrally (on the phase
+    line where the spec has one)."""
+    line = _phase_line(spec, n)
+    A, B, C = coefficient_grids(spec, n) if line is None else line.coefficients
+    logdet = np.log(np.abs(A * C - B * B))
+    if line is None:
+        return spectral_derivatives(logdet)
+    return line.grid(line.partials(logdet))
+
+
 def divergence_grids(spec, v1_grid, v2_grid, n: int):
     """Spectral divergence of a grid vector field (same formula as above)."""
-    A, B, C = coefficient_grids(spec, n)
-    det = A * C - B * B
-    logdet = np.log(np.abs(det))
-    dld1, dld2 = spectral_derivatives(logdet)
+    dld1, dld2 = _log_det_partials(spec, n)
     return (spectral_derivative(v1_grid, 0) + spectral_derivative(v2_grid, 1)
             + 0.5 * (v1_grid * dld1 + v2_grid * dld2))
 

@@ -99,6 +99,16 @@ def spectral_derivative(values: np.ndarray, axis: int) -> np.ndarray:
                                   np.isrealobj(values))
 
 
+def line_derivative(values: np.ndarray) -> np.ndarray:
+    """d/dy of periodic samples values[m] = v(m/n), by one 1-D transform
+    pair (exact zeros for constant samples)."""
+    zero = _constant_derivative(values)
+    if zero is not None:
+        return zero
+    d = np.fft.ifft(np.fft.fft(values) * (TWO_PI_I * _wavenumbers(len(values))))
+    return d.real if np.isrealobj(values) else d
+
+
 def _guarded_divide(num, den):
     """num / den, and 0 where den is 0."""
     return np.true_divide(num, den, out=np.zeros_like(den), where=den != 0)

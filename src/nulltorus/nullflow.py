@@ -62,7 +62,6 @@ class RationalCertificate:
 class RotationNumberEstimate:
     family: str
     value: float
-    step: float
     rational: Optional[RationalCertificate]
     method: str = "lattice"
 
@@ -448,7 +447,7 @@ def rotation_number(spec, family: str = "X", tol: Tolerances = DEFAULT
     quadrature's exact value, certified within its error; Inconclusive
     where no lattice rule covers the family."""
     flow = _covering_flow(spec, family, tol)
-    return RotationNumberEstimate(family, flow.rho, tol.ode_step,
+    return RotationNumberEstimate(family, flow.rho,
                                   _certify_rotation(flow.rho, flow.error, tol))
 
 
@@ -464,7 +463,7 @@ def direct_rotation_number(spec, family: str = "X", p0: Point = (0.0, 0.0),
     w_end = _march(spec, family, axis, float(p0[axis]), w0, float(n_returns),
                    tol.ode_step)
     return RotationNumberEstimate(family, (float(w_end) - w0) / n_returns,
-                                  tol.ode_step, None, "direct")
+                                  None, "direct")
 
 
 def _winding(axis: int, q: int, p: int) -> tuple[int, int]:

@@ -3,9 +3,13 @@
 Fields are stored through their periodic representative: a complex grid h
 with the actual section being eps_a * h * u_c (u_c the chiral basis spinor,
 eps_a the spin-structure twist).  All derivatives on grids are spectral, and
-an operator takes one derivative pair per nonzero half-spinor: nabla is
-linear in the direction, so nabla_X and nabla_Y of the null families are
-nabla_s1 + nabla_s2 and nabla_s2 - nabla_s1 of the frame.
+an operator takes one derivative pair per nonzero half-spinor, along one
+null direction: the Dirac operator is (D psi)^- = i nabla_X psi^+ and
+(D psi)^+ = i nabla_Y psi^-, and the two frame components of the Penrose
+operator are
+
+    P_1 psi = (-1/2 nabla_Y psi^+, 1/2 nabla_X psi^-),
+    P_2 psi = (+1/2 nabla_Y psi^+, 1/2 nabla_X psi^-).
 
 Exact solvers:
 
@@ -37,7 +41,7 @@ from .errors import (DenseFlow, NotHarmonic, NotXTrivial, UnsupportedFamily,
                      WrongFamily)
 from .gridtools import (TrigSeries2, circular_zeros, grid_points, mollifier,
                         spectral_derivatives, torus_delta, wrap_unit)
-from .spin import GAMMA1, GAMMA2, SpinStructure
+from .spin import SpinStructure
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -124,8 +128,9 @@ def constant_field(spec, structure: SpinStructure, chirality: int = 1,
 def fourier_mode_field(spec, structure: SpinStructure, mode: tuple[int, int],
                        chirality: int = 1, grid_n: int = 64) -> HalfSpinorField:
     k, l = mode
-    X1, X2 = grid_points(grid_n)
-    vals = np.exp(2j * np.pi * (k * X1 + l * X2))
+    x = np.arange(grid_n) / grid_n
+    vals = np.multiply.outer(np.exp(2j * np.pi * k * x),
+                             np.exp(2j * np.pi * l * x))
     return HalfSpinorField(spec, structure, chirality, vals,
                            meta={"kind": "mode", "mode": (k, l)})
 
@@ -162,26 +167,23 @@ def _direction_grids(spec, direction: str, n: int):
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def _nablas(f: HalfSpinorField, directions) -> list[np.ndarray]:
-    """Values of nabla_V f for each named direction V, all from one spectral
-    derivative pair; an identically zero f's own values (not a copy: the
-    callers only read them) for every direction when f is zero.
+def _nabla(f: HalfSpinorField, direction: str) -> np.ndarray:
+    """Values of nabla_V f along the named direction V from one spectral
+    derivative pair; f's own values (not a copy: the callers only read
+    them) when f is identically zero.
 
     Acts on the periodic representative as
     dh(V) + (chirality/2 * Gamma(V) + omega_a(V)) h.
     """
     if not np.any(f.values):
-        return [f.values for _ in directions]
+        return f.values
     n = f.grid_n
     d1, d2 = spectral_derivatives(f.values)
     G1, G2 = geometry.connection_one_form_grids(f.spec, n)
-    out = []
-    for direction in directions:
-        v1, v2 = _direction_grids(f.spec, direction, n)
-        potential = (0.5 * f.chirality * (v1 * G1 + v2 * G2)
-                     + f.structure.twist_form(v1, v2))
-        out.append(v1 * d1 + v2 * d2 + potential * f.values)
-    return out
+    v1, v2 = _direction_grids(f.spec, direction, n)
+    potential = (0.5 * f.chirality * (v1 * G1 + v2 * G2)
+                 + f.structure.twist_form(v1, v2))
+    return v1 * d1 + v2 * d2 + potential * f.values
 
 
 def nabla_along(f: HalfSpinorField, direction: str) -> HalfSpinorField:
@@ -190,7 +192,7 @@ def nabla_along(f: HalfSpinorField, direction: str) -> HalfSpinorField:
     if direction not in ("X", "Y", "s1", "s2"):
         raise ValueError(f"unknown direction {direction!r}")
     return HalfSpinorField(f.spec, f.structure, f.chirality,
-                           _nablas(f, (direction,))[0])
+                           _nabla(f, direction))
 
 
 def _own_family(f: HalfSpinorField) -> str:
@@ -208,8 +210,8 @@ def dirac_apply(phi: Union[SpinorField, HalfSpinorField]) -> SpinorField:
     psi = embed(phi) if isinstance(phi, HalfSpinorField) else phi
     # both derivatives before either output: the first one may build the
     # cached connection grids, the memory peak, with no output alive
-    [dx], [dy] = (_nablas(half, (_own_family(half),))
-                  for half in (psi.positive, psi.negative))
+    dx, dy = (_nabla(half, _own_family(half))
+              for half in (psi.positive, psi.negative))
     return SpinorField(
         negative=HalfSpinorField(psi.spec, psi.structure, -1, dx * 1j),
         positive=HalfSpinorField(psi.spec, psi.structure, 1, dy * 1j))
@@ -220,25 +222,25 @@ def twistor_apply(phi: Union[SpinorField, HalfSpinorField]
     """Both frame components of the Penrose operator.
 
     P_i phi = nabla_{s_i} phi + 1/2 gamma(s_i) D phi (the gamma-trace-free
-    part of nabla); a half-spinor of chirality c is in the twistor kernel
-    exactly when its transport along the chirality's *opposite* null family
-    vanishes (X for negative, Y for positive).  Each half is differentiated
-    once: nabla is linear in the direction, so D reads
-    nabla_X = nabla_s1 + nabla_s2 and nabla_Y = nabla_s2 - nabla_s1.
+    part of nabla).  With gamma(s1) = [[0, i], [-i, 0]], gamma(s2) =
+    [[0, i], [i, 0]] and D as in ``dirac_apply``, in (positive, negative)
+    components
+
+        P_1 psi = (-1/2 nabla_Y psi^+, 1/2 nabla_X psi^-),
+        P_2 psi = (+1/2 nabla_Y psi^+, 1/2 nabla_X psi^-),
+
+    so each half takes one covariant derivative, and a half-spinor of
+    chirality c is in the twistor kernel exactly when its transport along
+    the chirality's *opposite* null family vanishes (X for negative, Y for
+    positive).
     """
     psi = embed(phi) if isinstance(phi, HalfSpinorField) else phi
-    (p1, p2), (m1, m2) = (_nablas(half, ("s1", "s2"))
-                          for half in (psi.positive, psi.negative))
-    # 1/2 D psi: (D psi)^+ = i nabla_Y psi^-, (D psi)^- = i nabla_X psi^+
-    half_dpsi = np.stack([m2 - m1, p1 + p2])
-    half_dpsi *= 0.5j
-    out = []
-    for grad, gam_mat in (((p1, m1), GAMMA1), ((p2, m2), GAMMA2)):
-        comp = np.stack(grad) + np.einsum("ab,b...->a...", gam_mat, half_dpsi)
-        out.append(SpinorField(
-            positive=HalfSpinorField(psi.spec, psi.structure, 1, comp[0]),
-            negative=HalfSpinorField(psi.spec, psi.structure, -1, comp[1])))
-    return out[0], out[1]
+    dy, dx = (0.5 * _nabla(psi.positive, "Y"),
+              0.5 * _nabla(psi.negative, "X"))
+    return tuple(SpinorField(
+        positive=HalfSpinorField(psi.spec, psi.structure, 1, plus),
+        negative=HalfSpinorField(psi.spec, psi.structure, -1, minus))
+        for plus, minus in ((-dy, dx), (dy, dx.copy())))
 
 
 def residual_norm(phi: Union[SpinorField, HalfSpinorField],
@@ -257,7 +259,7 @@ def residual_norm(phi: Union[SpinorField, HalfSpinorField],
     elif operator in ("harmonic", "transport"):
         halves = ((phi,) if isinstance(phi, HalfSpinorField)
                   else (phi.positive, phi.negative))
-        arrs = [a for h in halves for a in _nablas(h, (_own_family(h),))]
+        arrs = [_nabla(h, _own_family(h)) for h in halves]
     else:
         raise ValueError(f"unknown operator {operator!r}")
     return max(float(np.max(np.abs(a))) for a in arrs)
@@ -501,7 +503,12 @@ def _closed_diagonal_bumps(spec, structure: SpinStructure, count: int,
         raise DenseFlow(f"X-lines are dense (rotation {l1 / l2:.9f} has no "
                         f"rational certificate); no resonant cylinder exists")
     if nullflow._lattice_flow(spec, "X", tol) is not None:
-        record = nullflow.closed_line_through(spec, "X", 0.0, cert, tol=tol)
+        # the line's certificate is along the transversal axis: l2/l1 where
+        # the X-lines are steep, not the slope's l1/l2
+        rotation = nullflow._verifiable(
+            nullflow.rotation_number(spec, "X", tol), tol)
+        record = nullflow.closed_line_through(spec, "X", 0.0, rotation,
+                                              tol=tol)
     else:   # a hand-built closed metric with no phase: march its one line
         record = nullflow.integrate_null_line(spec, (0.0, 0.0), "X",
                                               t_max=float(cert.q), tol=tol)

@@ -562,11 +562,12 @@ def test_tol_override_lands_in_artifact(runner):
                                   "--tol", "ode_step=0.002"])
     payload = _json_out(result)
     assert payload["tolerances"]["ode_step"] == 0.002
-    assert payload["step"] == 0.002      # the override actually drives the run
-    # --step sets the same tolerance, so the artifact embeds the step that ran
+    # --step sets the same tolerance, so the artifact names the step once,
+    # in its tolerances block
     payload = _json_out(runner.invoke(main, ["rotation", "--metric", "flat",
                                              "--step", "0.002"]))
-    assert payload["step"] == payload["tolerances"]["ode_step"] == 0.002
+    assert payload["tolerances"]["ode_step"] == 0.002
+    assert "step" not in payload
 
 
 def test_scf_accept_is_no_longer_a_tolerance(runner):

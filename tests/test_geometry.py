@@ -168,8 +168,7 @@ def test_divergence_grids_keeps_the_bits_of_both_partials(name, request):
     X1, X2 = grid_points(n)
     v1, v2 = (np.broadcast_to(v, (n, n)) for v in
               geometry.null_direction_arrays(spec, X1, X2, "Y"))
-    A, B, C = geometry.coefficient_grids(spec, n)
-    dld1, dld2 = spectral_derivatives(np.log(np.abs(A * C - B * B)))
+    dld1, dld2 = geometry._log_det_partials(spec, n)
     both = (spectral_derivatives(v1)[0] + spectral_derivatives(v2)[1]
             + 0.5 * (v1 * dld1 + v2 * dld2))
     assert np.array_equal(geometry.divergence_grids(spec, v1, v2, n), both)
@@ -268,25 +267,93 @@ def test_connection_grid_matches_pointwise(name, request):
             float(geometry.connection_along(spec, x1, x2, 0.0, 1.0)), abs=tol)
 
 
-def test_left_invariant_connection_takes_no_transform(monkeypatch):
-    """Frame and coefficient grids of a left-invariant metric are constant,
-    so the derivative pairs behind its connection form (of a1, a2, A, B and
-    C) take no FFT and Gamma comes out as exact zeros.  On analex only a2
-    and B are constant (zero): three pairs of one forward and two inverse
+def test_phase_specs_build_their_grids_on_the_phase_line(monkeypatch):
+    """A spec with a phase takes its derivative pairs (of a1, a2, A, B and
+    C, where not constant) as 1-D transforms: none on a left-invariant
+    metric, whose Gamma comes out as exact zeros, and one fft and one ifft
+    each for analex's a1, A and C.  A conformal analex has no grid phase
+    and keeps its three 2-D pairs of one forward and two inverse
     transforms each."""
-    calls = []
-    for name in ("fft2", "ifft2"):
-        def counting(*args, _fft=getattr(np.fft, name), **kwargs):
-            calls.append(1)
+    calls = {name: 0 for name in ("fft", "ifft", "fft2", "ifft2")}
+    for name in calls:
+        def counting(*args, _fft=getattr(np.fft, name), _name=name, **kwargs):
+            calls[_name] += 1
             return _fft(*args, **kwargs)
         monkeypatch.setattr(np.fft, name, counting)
-    build = geometry.connection_one_form_grids.__wrapped__   # not the cache
+
+    def build(spec):
+        for name in calls:
+            calls[name] = 0
+        return geometry.connection_one_form_grids.__wrapped__(spec, 64)
+
     for spec in (catalog.left_invariant(2, 5), catalog.flat()):
-        G1, G2 = build(spec, 64)
-        assert not calls
+        G1, G2 = build(spec)
+        assert not any(calls.values())
         assert not np.any(G1) and not np.any(G2)
-    build(catalog.analex(), 64)
-    assert len(calls) == 3 * 3
+    build(catalog.analex())
+    assert calls == {"fft": 3, "ifft": 3, "fft2": 0, "ifft2": 0}
+    build(catalog.conformal(catalog.analex(), catalog.exp_sine_factor()))
+    assert calls == {"fft": 0, "ifft": 0, "fft2": 3, "ifft2": 6}
+
+
+def _phase_shapes():
+    """One spec of every ``catalog.FAMILIES`` shape with a phase."""
+    return (catalog.flat(), catalog.left_invariant(2, 5), catalog.analex(),
+            catalog.analex_sanchez(), catalog.rosatau_window(),
+            catalog.closed_diagonal_wave(1.0, 2.0, amp=0.08),
+            catalog.closed_diagonal_wave(3.0, 5.0, amp=0.2, k=4, l=-6),
+            catalog.closed_diagonal_wave(2.0, 3.0, amp=0.1, k=1, l=2))
+
+
+@pytest.mark.parametrize("n", (63, 64, 256))
+def test_phase_line_grids_match_the_plane_route(n, monkeypatch):
+    """Every catalog shape with a phase: coefficients and frame from its
+    phase line agree with the n x n evaluation to a few ulps (measured at
+    most 9, on the (4, -6) wave at 63), and Gamma with the 2-D spectral
+    route within 1e-11 max|Gamma| (measured at most 1.1e-12)."""
+    grids = (geometry.coefficient_grids, geometry.frame_grids,
+             geometry.connection_one_form_grids)
+    builds = [f.__wrapped__ for f in grids]
+    for spec in _phase_shapes():
+        assert spec.phase() is not None
+        coeffs, frame, gamma = (build(spec, n) for build in builds)
+        with monkeypatch.context() as plane_route:
+            plane_route.setattr(geometry, "_phase_line", lambda spec, n: None)
+            want_coeffs, want_frame, want_gamma = (build(spec, n)
+                                                   for build in builds)
+        for got, want in zip(coeffs + frame, want_coeffs + want_frame):
+            ulp = np.spacing(max(1.0, float(np.max(np.abs(want)))))
+            assert np.max(np.abs(got - want)) <= 16 * ulp
+        scale = max(float(np.max(np.abs(g))) for g in want_gamma)
+        for got, want in zip(gamma, want_gamma):
+            assert np.max(np.abs(got - want)) <= 1e-11 * max(scale, 1e-300)
+
+
+@pytest.mark.parametrize("n", (63, 64, 256))
+def test_phase_line_log_det_partials_are_exact(n):
+    """On the waves, d log|det g| = 2 dlam1/lam1 + 2 dlam2/lam2 from the
+    analytic partials.  The phase line meets it to 1e-11 of its size; the
+    2-D route misses it by 5.8e-7 at 64 on the (4, -6) wave, whose high
+    phase harmonics alias onto wrong 2-D wavenumbers."""
+    X1, X2 = grid_points(n)
+    for spec in _phase_shapes()[-3:]:
+        l1, l2 = spec.lambdas(X1, X2)
+        d11, d21, d12, d22 = spec.lambda_partials(X1, X2)
+        exact = (2 * d11 / l1 + 2 * d12 / l2, 2 * d21 / l1 + 2 * d22 / l2)
+        scale = max(float(np.max(np.abs(e))) for e in exact)
+        for got, want in zip(geometry._log_det_partials(spec, n), exact):
+            assert np.max(np.abs(got - want)) <= 1e-11 * scale
+
+
+def test_conformal_grids_keep_the_plane_route():
+    """A conformal rescaling takes no phase line, even when its inner
+    metric has one."""
+    spec = catalog.conformal(catalog.analex(), catalog.exp_sine_factor())
+    assert geometry._phase_line(spec, 64) is None
+    X1, X2 = grid_points(64)
+    assert all(np.array_equal(got, want) for got, want in zip(
+        geometry.frame_grids(spec, 64),
+        geometry.frame_component_arrays(spec, X1, X2)))
 
 
 def test_cached_grids_are_read_only(analex_spec):

@@ -403,6 +403,27 @@ def test_resonant_bumps_rosatau(rosatau_spec):
             rosatau_spec, SpinStructure(1, -1), count=2, grid_n=256)
 
 
+@pytest.mark.parametrize("source", ["closed_diagonal:3,2",
+                                    "closed_diagonal:3,2,k=1,l=2",
+                                    "closed_diagonal:2,3"])
+def test_resonant_bumps_on_steep_closed_lines(source):
+    """Steep X-lines (|l1/l2| > 1) are graphs over x2, so their closed line
+    takes the rotation along x2, l2/l1, not the slope l1/l2.  Two disjoint
+    bumps, each within the bound of the shallow closed_diagonal:2,3 (all
+    three measured at 2.2e-2 at 512^2)."""
+    spec = catalog.load_metric(source)
+    assert nullflow.transversal_axis(spec, "X") == (1 if "3,2" in source
+                                                    else 0)
+    assert len(spinorfield.construct_resonant_spinors(
+        spec, SpinStructure(1, 1), count=2, grid_n=64)) == 2
+    fields = spinorfield.construct_resonant_spinors(
+        spec, SpinStructure(1, 1), count=2, grid_n=512)
+    assert len(fields) == 2
+    assert _max_support_overlap(fields) == 0.0
+    for f in fields:
+        assert spinorfield.residual_norm(f, "harmonic") < 3e-2
+
+
 def _seeded_window(seed):
     rng = np.random.default_rng(seed)
     lo, hi = rng.uniform(0.13, 0.17), rng.uniform(0.43, 0.47)
