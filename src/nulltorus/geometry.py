@@ -44,6 +44,7 @@ vertical line at a simple zero of g22 carries loop integral
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -585,10 +586,11 @@ def null_direction_arrays(spec, x1, x2, family: str):
 # A spec of phase (k, l) is built on its phase line: sampled at the n grid
 # points x = A (m/n, 0) mod 1, A = lattice_basis(k, l), where the phase
 # k x1 + l x2 is m/n, and differentiated there by 1-D transforms (d1 = k v',
-# d2 = l v'); grid point (i, j) then takes sample (k i + l j) mod n.  Only a
-# spec without a phase (a conformal rescaling, whose factor has a phase of
-# its own, or a generic Diagonal) is evaluated and differentiated on all n^2
-# points.
+# d2 = l v'); grid point (i, j) then takes sample (k i + l j) mod n.  The
+# closedness residual and the mean coefficients of a diagonal spec, and
+# nullflow.FirstIntegral, read the same samples.  Only a spec without a phase
+# (a conformal rescaling, whose factor has a phase of its own, or a generic
+# Diagonal) is evaluated and differentiated on all n^2 points.
 
 
 def _read_only(arrays):
@@ -615,15 +617,32 @@ class _PhaseLine:
     def frame(self):
         return frame_component_arrays(self.spec, self.x1, self.x2)
 
+    @cached_property
+    def lambdas(self):
+        """(lam1, lam2) of a diagonal spec."""
+        return self.spec.lambdas(self.x1, self.x2)
+
+    def index(self):
+        """The sample (k i + l j) mod n that grid point (i, j) takes."""
+        i = np.arange(self.n)
+        return (self.k * i[:, None] + self.l * i[None, :]) % self.n
+
     def partials(self, values):
         """(d1, d2) of line samples: k and l times their derivative."""
         d = line_derivative(values)
         return self.k * d, self.l * d
 
+    def class_means(self, values, step: int):
+        """The means of gathered ``values`` along the grid axis that moves
+        the sample index by ``step`` (k for x1, l for x2): one per residue
+        class of the samples mod gcd(step, n), the class that axis sweeps
+        (each sample its own class when step is 0)."""
+        g = math.gcd(step, self.n)
+        return values.reshape(self.n // g, g).mean(axis=0)
+
     def grid(self, values):
         """Each line array gathered onto the n x n grid, read-only."""
-        i = np.arange(self.n)
-        index = (self.k * i[:, None] + self.l * i[None, :]) % self.n
+        index = self.index()
         return _read_only(tuple(v[index] for v in values))
 
 
@@ -781,7 +800,9 @@ def closedness_residual(spec, n: Optional[int] = None,
     """sup |d2 lam1 + d1 lam2| (X) or sup |d2 lam1 - d1 lam2| (Y) on the grid.
 
     X is closed when the first vanishes, Y when the second does (the
-    "anti-closed" sign); spectral derivatives on the n x n grid.
+    "anti-closed" sign); spectral derivatives on the n x n grid, or on the
+    n samples of the phase line where the spec has one (every grid point
+    takes one of them, and each is taken).
     """
     if not is_diagonal(spec):
         raise WrongFamily("closedness is defined for diagonal families only; "
@@ -793,10 +814,14 @@ def closedness_residual(spec, n: Optional[int] = None,
 
 @lru_cache(maxsize=64)
 def _closedness_residual(spec, n: int, family: str) -> float:
-    X1, X2 = grid_points(n)
-    l1, l2 = spec.lambdas(X1, X2)
-    _, d2l1 = spectral_derivatives(l1)
-    d1l2, _ = spectral_derivatives(l2)
+    line = _phase_line(spec, n)
+    if line is None:
+        l1, l2 = spec.lambdas(*grid_points(n))
+        partials = spectral_derivatives
+    else:
+        (l1, l2), partials = line.lambdas, line.partials
+    d2l1 = partials(l1)[1]
+    d1l2 = partials(l2)[0]
     combo = d2l1 + d1l2 if family == "X" else d2l1 - d1l2
     return float(np.max(np.abs(combo)))
 
@@ -804,7 +829,8 @@ def _closedness_residual(spec, n: int, family: str) -> float:
 def is_closed_diagonal(spec, tol: Optional[Tolerances] = None,
                        family: str = "X") -> bool:
     """Diagonal with coefficients closed for the family (anti-closed for Y),
-    measured on the grid of min(grid_n, 256) points a side."""
+    measured on the grid of min(grid_n, 256) points a side (on its phase
+    line of that many samples where the spec has one)."""
     tol = tol or DEFAULT
     if not is_diagonal(spec):
         return False
@@ -819,23 +845,33 @@ def mean_coefficients(spec, tol: Optional[Tolerances] = None) -> tuple[float, fl
 
     For closed diagonal metrics these means are independent of the other
     variable (checked here); their ratio l1/l2 is the X-rotation number.
+    The means are taken on the n x n grid, n = grid_n, or from the n
+    samples of the phase line where the spec has one: each mean is their
+    correctly rounded sum over n, and a grid column (row) sweeps the
+    samples of one residue class mod gcd(k, n) (gcd(l, n)).
     """
     tol = tol or DEFAULT
     if not is_closed_diagonal(spec, tol):
         raise WrongFamily("mean_coefficients requires a closed diagonal metric")
     if isinstance(spec, LeftInvariant):
         return float(spec.lam1), float(spec.lam2)
-    n = spec.grid_n
-    X1, X2 = grid_points(n)
-    l1g, l2g = spec.lambdas(X1, X2)
-    col_means = l1g.mean(axis=0)      # integral over x1 for each x2
-    row_means = l2g.mean(axis=1)      # integral over x2 for each x1
+    line = _phase_line(spec, spec.grid_n)
+    if line is None:
+        l1g, l2g = spec.lambdas(*grid_points(spec.grid_n))
+        col_means = l1g.mean(axis=0)      # integral over x1 for each x2
+        row_means = l2g.mean(axis=1)      # integral over x2 for each x1
+        means = col_means.mean(), row_means.mean()
+    else:
+        l1, l2 = line.lambdas
+        col_means = line.class_means(l1, line.k)
+        row_means = line.class_means(l2, line.l)
+        means = math.fsum(l1) / line.n, math.fsum(l2) / line.n
     spread1 = float(col_means.max() - col_means.min())
     spread2 = float(row_means.max() - row_means.min())
     if max(spread1, spread2) > 100 * tol.closedness:
         raise WrongFamily("mean coefficients vary across the torus: "
                           f"spreads ({spread1:.2e}, {spread2:.2e})")
-    return float(col_means.mean()), float(row_means.mean())
+    return float(means[0]), float(means[1])
 
 
 def validate_spec(spec) -> None:

@@ -551,13 +551,16 @@ class FirstIntegral:
     F is constant along X-lines and strictly monotone across them; it is
     quasi-periodic with offsets (l1, -l2) under full coordinate periods.
     The one quadrature of the closed diagonal kernels.  Its series come
-    from the n x n grid, and ``grid()`` sums them back on that grid by
-    inverse FFT; ``spinorfield.solve_closed_diagonal`` (phases
-    exp(2 pi i alpha F)), the resonant bump trains of
-    ``spinorfield.construct_resonant_spinors`` and criterion 2's transport
-    check read that grid.  The pointwise call serves points off the grid
-    (the flow tests check it against RK4 lines).  Closedness is decided
-    with the caller's ``tol``.
+    from the n samples of the spec's phase line where it has one (lam1 =
+    sum c e^(2 pi i f (k x1 + l x2)), the 2-D series of modes (k f, l f),
+    and lam2(0, x2) of frequencies l f), else from the n x n grid.
+    ``grid()`` sums them back on that grid by inverse FFT (1-D on a phase
+    line); ``phase_fields`` gives the kernel phases exp(2 pi i alpha F)
+    of ``spinorfield.solve_closed_diagonal``, and the resonant bump trains
+    of ``spinorfield.construct_resonant_spinors`` and criterion 2's
+    transport check read the grid.  The pointwise call serves points off
+    the grid (the flow tests check it against RK4 lines).  Closedness is
+    decided with the caller's ``tol``.
     """
 
     def __init__(self, spec, n: Optional[int] = None,
@@ -565,12 +568,22 @@ class FirstIntegral:
         if not geometry.is_closed_diagonal(spec, tol):
             raise WrongFamily("first integral requires a closed diagonal metric")
         self.n = n = n or spec.grid_n
-        X1, X2 = grid_points(n)
-        l1g, l2g = spec.lambdas(X1, X2)
-        self._mean1, self._osc1 = TrigSeries2.from_samples(
-            l1g).antiderivative_x1()
-        # lam2 along x1 = 0
-        mean2, self._osc2 = TrigSeries1.from_samples(l2g[0, :]).antiderivative()
+        self._line = line = geometry._phase_line(spec, n)
+        if line is None:
+            l1g, l2g = spec.lambdas(*grid_points(n))
+            lam1 = TrigSeries2.from_samples(l1g)
+            lam2 = TrigSeries1.from_samples(l2g[0, :])    # along x1 = 0
+        else:
+            s1, s2 = (TrigSeries1.from_samples(v) for v in line.lambdas)
+            lam1 = TrigSeries2(s1.coeffs, line.k * s1.freqs,
+                               line.l * s1.freqs)
+            lam2 = TrigSeries1(s2.coeffs, line.l * s2.freqs)
+        self._mean1, self._osc1 = lam1.antiderivative_x1()
+        if line is not None:
+            # the oscillating coefficients over their phase frequencies
+            self._phase_osc = TrigSeries1(self._osc1.coeffs,
+                                          s1.freqs[lam1.k1 != 0])
+        mean2, self._osc2 = lam2.antiderivative()
         self._mean2 = mean2.real
 
     def __call__(self, x1, x2):
@@ -581,15 +594,56 @@ class FirstIntegral:
         i2 = x2 * self._mean2 + (self._osc2(x2) - self._osc2(0.0)).real
         return i1 - i2
 
+    def _lam2_integral(self, x):
+        """int_0^{x_j} lam2(0, s) ds at x = j/n."""
+        osc2 = self._osc2.on_grid(self.n).real
+        return x * self._mean2 + (osc2 - osc2[0])
+
     def grid(self) -> np.ndarray:
         """F on the n x n grid x = j/n it was built from (``__call__`` at
-        ``grid_points(n)``), each series summed by one inverse FFT."""
+        ``grid_points(n)``), each series summed by one inverse FFT; on a
+        phase line the x1-oscillation is G[(k i + l j) mod n], G the
+        samples of its phase series."""
         x = np.arange(self.n) / self.n
-        osc1 = self._osc1.on_grid(self.n).real
-        osc2 = self._osc2.on_grid(self.n).real
-        i2 = x * self._mean2 + (osc2 - osc2[0])
+        if self._line is None:
+            osc1 = self._osc1.on_grid(self.n).real
+        else:
+            osc1 = self._phase_osc.on_grid(self.n).real[self._line.index()]
         return (np.multiply.outer(x, self._mean1.on_grid(self.n).real)
-                + (osc1 - osc1[0]) - i2)
+                + (osc1 - osc1[0]) - self._lam2_integral(x))
+
+    def phase_fields(self, alphas, structure) -> tuple[np.ndarray, ...]:
+        """conj(eps_a) exp(2 pi i alpha F) on the n x n grid for each alpha,
+        eps_a the structure's twist: the kernel fields of
+        ``spinorfield.solve_closed_diagonal``.
+
+        On a phase line F[i, j] = l1 x_i + G[(k i + l j) mod n]
+        - G[(l j) mod n] - I2[j] (I2 the lam2 integral; the x1-mean of lam1
+        is the constant l1 of a closed metric), so each field is
+        col_i row_j E[(k i + l j) mod n] from n-point exponentials;
+        without one, F's grid is exponentiated."""
+        n = self.n
+        if self._line is None:
+            X1, X2 = grid_points(n)
+            F = self.grid()
+            conj_twist = np.conj(structure.twist(X1, X2))
+            return tuple(conj_twist * np.exp(2j * np.pi * alpha * F)
+                         for alpha in alphas)
+        x = np.arange(n) / n
+        index = self._line.index()
+        G = self._phase_osc.on_grid(n).real
+        across = G[index[0]] + self._lam2_integral(x)
+        l1 = self.quasi_periods[0]
+        fields = []
+        for alpha in alphas:
+            turn = 2j * np.pi * alpha
+            col = np.exp(turn * l1 * x) * np.conj(structure.twist(x, 0.0))
+            row = np.exp(-turn * across) * np.conj(structure.twist(0.0, x))
+            field = np.exp(turn * G)[index]
+            field *= col[:, None]
+            field *= row
+            fields.append(field)
+        return tuple(fields)
 
     @property
     def quasi_periods(self) -> tuple[float, float]:

@@ -17,9 +17,10 @@ Exact solvers:
   condition on Fourier modes (the connection form vanishes identically for
   constant coefficients).
 * ``solve_closed_diagonal`` builds the phase family exp(2 pi i alpha F) from
-  the first integral F of the X-lines (``nullflow.FirstIntegral``, read on
-  the field grid); the alphas exist when the structure's character on the
-  winding of the closed null lines is +1.
+  the first integral F of the X-lines (``nullflow.FirstIntegral``: on a
+  metric with a phase, n-point exponentials of its phase line gathered
+  onto the n x n field grid); the alphas exist when the structure's
+  character on the winding of the closed null lines is +1.
 * ``construct_resonant_spinors`` produces bump-localized kernel elements
   with pairwise disjoint supports on resonant cylinders (first-integral
   bump trains for closed diagonal metrics, vertical-band bumps for the
@@ -251,18 +252,20 @@ def residual_norm(phi: Union[SpinorField, HalfSpinorField],
     positive, Y for negative); harmonic: Dirac kernel residual, which is the
     same number because (D phi)^- = i nabla_X phi^+, (D phi)^+ = i nabla_Y
     phi^- and |i z| = |z|; twistor: Penrose kernel residual (max over the
-    two frame components).
+    two frame components), read off ``twistor_apply``'s formulas as
+    1/2 |nabla_Y psi^+| and 1/2 |nabla_X psi^-|: the components differ
+    only in a sign, and halving is exact.
     """
+    halves = ((phi,) if isinstance(phi, HalfSpinorField)
+              else (phi.positive, phi.negative))
     if operator == "twistor":
-        arrs = [half.values for p in twistor_apply(phi)
-                for half in (p.negative, p.positive)]
+        scale, family = 0.5, lambda h: "Y" if h.chirality == 1 else "X"
     elif operator in ("harmonic", "transport"):
-        halves = ((phi,) if isinstance(phi, HalfSpinorField)
-                  else (phi.positive, phi.negative))
-        arrs = [_nabla(h, _own_family(h)) for h in halves]
+        scale, family = 1.0, _own_family
     else:
         raise ValueError(f"unknown operator {operator!r}")
-    return max(float(np.max(np.abs(a))) for a in arrs)
+    return max(scale * float(np.max(np.abs(_nabla(h, family(h)))))
+               for h in halves)
 
 
 # ---------------------------------------------------------------------------
@@ -399,12 +402,13 @@ def solve_closed_diagonal(spec, structure: SpinStructure, chirality: int = 1,
     """Kernel of the X-transport equation on a closed diagonal metric.
 
     Kernel elements are the phases exp(2 pi i alpha F), F the first
-    integral ``nullflow.FirstIntegral`` on the field grid: F is constant
-    along the X-lines, and alpha must make the phase equivariant for the
-    structure.  With the closed-line rotation l1/l2 = p/q the admissible
-    alphas are (t + 2Z) p / (2 l1), the parity t being 0 for the trivial
-    structure and 1 otherwise; none exists exactly when the structure's
-    character on the winding (q, p) is -1.
+    integral ``nullflow.FirstIntegral`` on the field grid (its
+    ``phase_fields``, from n-point exponentials on a phase line): F is
+    constant along the X-lines, and alpha must make the phase equivariant
+    for the structure.  With the closed-line rotation l1/l2 = p/q the
+    admissible alphas are (t + 2Z) p / (2 l1), the parity t being 0 for the
+    trivial structure and 1 otherwise; none exists exactly when the
+    structure's character on the winding (q, p) is -1.
     """
     n = grid_n or spec.grid_n
     l1, l2 = geometry.mean_coefficients(spec, tol)  # WrongFamily if not closed
@@ -427,14 +431,11 @@ def solve_closed_diagonal(spec, structure: SpinStructure, chirality: int = 1,
     alphas = tuple((t + 2 * s) * p / (2 * l1) for s in ss)
     fields = ()
     if alphas[:n_fields]:
-        X1, X2 = grid_points(n)
-        F = nullflow.first_integral_function(spec, n, tol).grid()
-        conj_twist = np.conj(structure.twist(X1, X2))
-        fields = tuple(
-            HalfSpinorField(spec, structure, chirality,
-                            conj_twist * np.exp(2j * np.pi * alpha * F),
-                            meta={"alpha": alpha})
-            for alpha in alphas[:n_fields])
+        phases = nullflow.first_integral_function(spec, n, tol).phase_fields(
+            alphas[:n_fields], structure)
+        fields = tuple(HalfSpinorField(spec, structure, chirality, values,
+                                       meta={"alpha": alpha})
+                       for alpha, values in zip(alphas, phases))
     return ClosedDiagonalSolution(structure, chirality, l1, l2, cert, True,
                                   False, t, alphas, "Infinite", fields)
 

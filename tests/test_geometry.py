@@ -133,6 +133,7 @@ def test_closedness_residual_y_sign(sqrt2_spec, analex_spec):
 def test_closedness_residual_is_cached(analex_spec, monkeypatch):
     first = geometry.closedness_residual(analex_spec, 64, "Y")
     monkeypatch.setattr(geometry, "spectral_derivatives", None)
+    monkeypatch.setattr(geometry, "line_derivative", None)
     assert geometry.closedness_residual(analex_spec, 64, "Y") == first
 
 
@@ -327,6 +328,27 @@ def test_phase_line_grids_match_the_plane_route(n, monkeypatch):
         scale = max(float(np.max(np.abs(g))) for g in want_gamma)
         for got, want in zip(gamma, want_gamma):
             assert np.max(np.abs(got - want)) <= 1e-11 * max(scale, 1e-300)
+
+
+def test_phase_claims_hold_off_the_phase_line(rng):
+    """What every phase-line route trusts: a spec of phase (k, l) takes at
+    random points x the values it takes at the phase-line point
+    A (k x1 + l x2, 0) mod 1, coefficients (and lam1, lam2 of a diagonal
+    spec) to 1e-12 of their size."""
+    for spec in _phase_shapes():
+        k, l = spec.phase()
+        (a, _), (c, _) = geometry.lattice_basis(k, l)
+        x1, x2 = rng.random(200), rng.random(200)
+        phase = (k * x1 + l * x2) % 1.0
+        line = ((a * phase) % 1.0, (c * phase) % 1.0)
+        pairs = [(geometry.coefficients(spec, x1, x2),
+                  geometry.coefficients(spec, *line))]
+        if geometry.is_diagonal(spec):
+            pairs.append((spec.lambdas(x1, x2), spec.lambdas(*line)))
+        for got, want in pairs:
+            for g, w in zip(got, want):
+                scale = max(1.0, float(np.max(np.abs(w))))
+                assert np.max(np.abs(g - w)) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("n", (63, 64, 256))

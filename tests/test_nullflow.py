@@ -504,11 +504,16 @@ def test_a_flow_no_lattice_rule_covers_is_inconclusive():
        amp=st.floats(0.01, 0.3), k=st.integers(1, 4), l=st.integers(-4, 4))
 @example(b1=37, b2=64, amp=0.1, k=1, l=1)
 @example(b1=3, b2=5, amp=0.2, k=2, l=1)
+@example(b1=3, b2=1, amp=0.3, k=4, l=1)       # Y is -39/124 exactly
+@example(b1=1, b2=1, amp=0.25, k=2, l=3)      # Y declined
 @settings(max_examples=40, deadline=None)
 def test_lattice_certificate_is_the_mean_coefficient_ratio(b1, b2, amp, k, l):
     """The X certificate of a closed wave is best_rational(l1/l2) of the
-    mean coefficients, the exact solvers' ratio, read along the winding;
-    the exact Y value takes no convergent past the period cap."""
+    mean coefficients, the exact solvers' ratio, read along the winding.
+    The Y flow is declined exactly where its direction, in closed form,
+    crosses the phase lines and the lines across them both; a Y
+    certificate past the period cap fits within the quadrature's stated
+    error."""
     # nonvanishing coefficients, and a phase velocity k/lam1 + l/lam2 =
     # (k b2 + l b1)/(lam1 lam2) that is not identically zero
     assume(abs(amp * l / k) < 0.9 * b2 and amp < 0.9 * b1)
@@ -522,9 +527,24 @@ def test_lattice_certificate_is_the_mean_coefficient_ratio(b1, b2, amp, k, l):
     axis = nullflow.transversal_axis(spec, "X")
     w1, w2 = nullflow._winding(axis, est.rational.q, est.rational.p)
     assert Fraction(w2, w1) == Fraction(expected.p, expected.q)
+    # Y = (-1/lam1, 1/lam2) in the basis A = [[a, -l'], [c, k']] of the
+    # phase (k', l'): its velocity -k'/lam1 + l'/lam2 along the phase and
+    # a/lam2 + c/lam1 across it have numerators const + wave cos(phase)
+    kp, lp = spec.phase()
+    (a, _), (c, _) = geometry.lattice_basis(kp, lp)
+    velocities = ((lp * b1 - kp * b2, 2 * amp * lp),
+                  (a * b1 + c * b2, amp * (a - c * lp / kp)))
+    # zeros exactly where |const| < |wave|; keep tangent zeros out
+    for const, wave in velocities:
+        assume(abs(abs(const) - abs(wave)) > 0.05 * abs(wave))
+    if all(abs(const) < abs(wave) for const, wave in velocities):
+        with pytest.raises(Inconclusive, match="no lattice rule covers"):
+            nullflow.rotation_number(spec, "Y")
+        return
     est = nullflow.rotation_number(spec, "Y")
-    if est.rational is not None:
-        assert est.rational.q <= nullflow.MAX_PERIOD
+    if est.rational is not None and est.rational.q > nullflow.MAX_PERIOD:
+        flow = nullflow._lattice_flow(spec, "Y", DEFAULT)
+        assert est.rational.residual <= flow.error
 
 
 def test_lattice_rotation_is_exact_on_analex_sanchez():

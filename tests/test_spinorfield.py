@@ -8,6 +8,7 @@ import pytest
 from nulltorus import catalog, classify, geometry, nullflow, spin, spinorfield
 from nulltorus.errors import (DenseFlow, NotHarmonic, NotXTrivial,
                               UnsupportedFamily, WrongFamily)
+from nulltorus.gridtools import grid_points
 from nulltorus.spin import GAMMA1, GAMMA2, SpinStructure, all_structures
 from nulltorus.tolerances import DEFAULT
 
@@ -291,6 +292,93 @@ def test_closed_diagonal_count_builds_no_phase_grid(analex_spec,
     sol = spinorfield.solve_closed_diagonal(analex_spec, SpinStructure(1, 1),
                                             n_fields=0)
     assert sol.count_class == "Infinite" and sol.fields == ()
+
+
+def _kernel_shapes(n):
+    """analex, the (k, l) = (1, 1), (1, 2), (2, 2), (2, 1) and (4, -6)
+    waves, and a wave with negative lam2, on the n x n grid, each with its
+    closed-form mean coefficients."""
+    waves = ((catalog.closed_diagonal_wave(3.0, 5.0, amp=0.2, k=k, l=l,
+                                           grid_n=n), (3.0, 5.0))
+             for k, l in ((1, 1), (1, 2), (2, 2), (2, 1), (4, -6)))
+    return ((catalog.analex(grid_n=n), (1.0, -1.0)), *waves,
+            (catalog.from_shorthand("closed_diagonal:1,-2,k=1,l=2", n),
+             (1.0, -2.0)))
+
+
+@pytest.mark.parametrize("n", (63, 64, 256))
+def test_closed_diagonal_kernels_match_the_plane_route(n, monkeypatch):
+    """The phase-line route against the n x n route (``_phase_line``
+    patched to None).  The line's means, correctly rounded sums, are the
+    closed-form means, which the plane route's sums of column means miss
+    by at most an ulp (at 63 on two of the seven shapes).  F agrees
+    within a few ulps of max|F| (measured at most 2), both closedness
+    residuals are below 1e-12 of the size of d2 lam1 (measured at most
+    5.6e-13), and kernel fields agree within 1e-13 (measured at most
+    9.4e-15) on every structure with alphas."""
+    for spec, exact_means in _kernel_shapes(n):
+        assert spec.phase() is not None
+
+        def build():
+            F = nullflow.FirstIntegral(spec, n)
+            return (geometry.mean_coefficients(spec),
+                    geometry._closedness_residual.__wrapped__(spec, n, "X"),
+                    F.grid(),
+                    [F.phase_fields(spinorfield.solve_closed_diagonal(
+                        spec, s, n_fields=0).alphas[:2], s)
+                     for s in all_structures()])
+
+        means, closedness, F, fields = build()
+        with monkeypatch.context() as plane_route:
+            plane_route.setattr(geometry, "_phase_line", lambda spec, n: None)
+            want_means, want_closedness, want_F, want_fields = build()
+        assert means == exact_means
+        for got, want in zip(want_means, exact_means):
+            assert abs(got - want) <= np.spacing(abs(want))
+        assert np.max(np.abs(F - want_F)) <= 4 * np.spacing(
+            float(np.max(np.abs(want_F))))
+        scale = float(np.max(np.abs(spec.lambda_partials(
+            *grid_points(n))[1])))
+        assert max(closedness, want_closedness) < 1e-12 * max(scale, 1.0)
+        assert [len(f) for f in fields] == [len(f) for f in want_fields]
+        for got, want in zip(sum(fields, ()), sum(want_fields, ())):
+            assert np.max(np.abs(got - want)) < 1e-13
+
+
+def test_closed_diagonal_solve_takes_no_plane_transform(monkeypatch):
+    """A 256^2 wave: closedness, means, F and the kernel phases come from
+    1-D transforms of the phase line, none from fft2/ifft2."""
+    for cached in (geometry._phase_line, geometry._closedness_residual,
+                   nullflow.first_integral_function):
+        cached.cache_clear()
+    calls = {name: 0 for name in ("fft", "ifft", "fft2", "ifft2")}
+    for name in calls:
+        def counting(*args, _fft=getattr(np.fft, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fft(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counting)
+    spec = catalog.closed_diagonal_wave(2.0, 3.0, amp=0.1, k=1, l=2)
+    sol = spinorfield.solve_closed_diagonal(spec, SpinStructure(1, -1),
+                                            n_fields=4, grid_n=256)
+    assert len(sol.fields) == 4 and sol.fields[0].grid_n == 256
+    assert calls["fft2"] == calls["ifft2"] == 0 and calls["fft"] > 0
+
+
+def test_twistor_residual_is_the_max_over_the_penrose_components(
+        analex_spec, conformal_spec):
+    """``residual_norm(phi, "twistor")`` reads 1/2 nabla_Y psi^+ and
+    1/2 nabla_X psi^- without building P_1 and P_2, bit for bit their sup
+    norm, on either half and on a full spinor, with and without a phase
+    line."""
+    s = SpinStructure(1, -1)
+    for spec in (analex_spec, conformal_spec):
+        pos = spinorfield.fourier_mode_field(spec, s, (1, 2), 1, grid_n=64)
+        neg = spinorfield.fourier_mode_field(spec, s, (-2, 1), -1, grid_n=64)
+        for phi in (pos, neg, spinorfield.SpinorField(positive=pos,
+                                                      negative=neg)):
+            want = max(half.sup_norm() for p in spinorfield.twistor_apply(phi)
+                       for half in (p.positive, p.negative))
+            assert spinorfield.residual_norm(phi, "twistor") == want > 0
 
 
 def test_exact_solver_per_family(analex_spec, sqrt2_spec, monkeypatch):

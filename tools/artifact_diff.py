@@ -175,6 +175,8 @@ CASES = [
     ["solve", "--metric", "analex", "--structure", "+-"],
     ["solve", "--metric", "closed_diagonal:2,3", "--structure", "-+",
      "--grid-n", "64"],
+    _solve("closed_diagonal:3,5,amp=0.2,k=4,l=-6", "1,1", "1", "63"),
+    _solve("closed_diagonal:3,5,amp=0.2,k=4,l=-6", "-1,-1", "-1", "256"),
     ["solve", "--metric", "rosatau"],
     # error cases, one invalid input each
     ["flow", "--metric", "flat", "--from", "1;2"],
