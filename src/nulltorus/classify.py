@@ -8,10 +8,11 @@ closed diagonal coefficients, the Killing rule of the x1-only families
 null line, infinite where lines accumulate on one), the same rule on the
 x1-only pullback of a single-phase metric (certificate pushed back,
 obstruction located in the original coordinates), and conformal
-rescalings of these.  Any other family falls
-back to a spectral least-squares transport solve for the rescaling
-exponent f with X(f) = -div(X), checked by its divergence residual; when
-the residual misses, the answer is Inconclusive.
+rescalings of these.  A field of the phase is checked at the n samples of
+its phase line, which must resolve it; others on the n x n grid.  Any other
+family falls back to a spectral least-squares transport solve for the
+rescaling exponent f with X(f) = -div(X), Inconclusive when its divergence
+residual misses.
 
 On an SCF metric the dimension of each chiral kernel (harmonic or twistor)
 is 0, 1 or infinite, decided by the cylinder decomposition of the family's
@@ -35,7 +36,8 @@ from . import geometry, nullflow, spin, spinorfield
 from .errors import (DegenerateMetric, DenseFlow, Inconclusive, NotHarmonic,
                      NotSCF)
 from .gridtools import (TrigSeries2, circular_zeros, grid_points,
-                        spectral_derivative, spectral_derivatives, wrap_unit)
+                        resolved_series, spectral_derivative,
+                        spectral_derivatives, wrap_unit)
 from .spin import GAMMA1, GAMMA2, SpinStructure, all_structures
 from .spinorfield import HalfSpinorField, SpinorField, embed
 from .tolerances import DEFAULT, Tolerances
@@ -68,7 +70,7 @@ class SCFCertificate:
 
     family: str
     field: geometry.VectorField
-    residual: float               # sup |div(field)| on the grid
+    residual: float               # sup |div(field)| on the grid or line
     kind: str
     grid_n: int
     exponent: Optional[np.ndarray] = None
@@ -92,13 +94,24 @@ def _divergence_sup(spec, v1, v2, n: int) -> float:
 def _certify(spec, family: str, components, kind: str, n: int,
              tol: Tolerances, exponent: Optional[np.ndarray] = None
              ) -> SCFCertificate:
+    """The field, or Inconclusive where sup |div| on the grid misses
+    ``scf_certificate``, or where its phase line (n samples, which every grid
+    point takes) does not resolve V, whose level-line part div never reads."""
     V = geometry.VectorField(components)
-    res = _field_divergence_residual(spec, V, n)
+    line = geometry._phase_line(spec, n)
+    if line is None:
+        res = _field_divergence_residual(spec, V, n)
+    else:
+        v = [np.broadcast_to(c, (n,)) for c in V.at(line.x1, line.x2)]
+        res = float(np.max(np.abs(line.divergence(*v))))
     if not res < tol.scf_certificate:
         raise Inconclusive(
             f"candidate {family}-certificate missed the divergence tolerance "
             f"({res:.3e} on the {n}x{n} grid)", measured=res,
             band=(0.0, tol.scf_certificate))
+    if line and not all(resolved_series(c, tol.resonance) for c in v):
+        raise Inconclusive(f"candidate {family}-certificate is not resolved "
+                           f"by its {n}-sample phase line")
     return SCFCertificate(family, V, res, kind, n, exponent)
 
 
@@ -181,7 +194,8 @@ def _lattice_analysis(spec, family: str, n: int, tol: Tolerances
     if not spec.phase():
         return None
     A = (a, b), (c, d) = geometry.lattice_basis(*spec.phase())
-    X1, X2 = grid_points(n)
+    # A (m/n, 1/2), half a lattice period off the line: a wrong phase shows
+    across = np.array(A) @ [np.arange(n) / n, np.full(n, 0.5)]
     try:
         pull = geometry.Sanchez(*(geometry.LatticeProfile(spec, A, which)
                                   for which in "EFG"), grid_n=spec.grid_n)
@@ -208,8 +222,8 @@ def _lattice_analysis(spec, family: str, n: int, tol: Tolerances
             return a * v1 + b * v2, c * v1 + d * v2
 
         cert = _certify(spec, family, field, "lattice", n, tol)
-        sine = np.max(_sine(cert.field.at(X1, X2), geometry.
-                            null_direction_arrays(spec, X1, X2, family)))
+        sine = np.max(_sine(cert.field.at(*across), geometry.
+                            null_direction_arrays(spec, *across, family)))
     except (DegenerateMetric, Inconclusive):
         return None
     return cert if sine < tol.scf_certificate else None

@@ -53,7 +53,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DegenerateMetric, FrameUndefined, WrongFamily
-from .gridtools import (grid_points, line_derivative, spectral_derivative,
+from .gridtools import (grid_points, spectral_derivative,
                         spectral_derivatives)
 from .tolerances import DEFAULT, Tolerances
 
@@ -622,15 +622,26 @@ class _PhaseLine:
         """(lam1, lam2) of a diagonal spec."""
         return self.spec.lambdas(self.x1, self.x2)
 
+    @cached_property
     def index(self):
         """The sample (k i + l j) mod n that grid point (i, j) takes."""
         i = np.arange(self.n)
-        return (self.k * i[:, None] + self.l * i[None, :]) % self.n
+        return _read_only([(self.k * i[:, None] + self.l * i) % self.n])[0]
 
     def partials(self, values):
         """(d1, d2) of line samples: k and l times their derivative."""
-        d = line_derivative(values)
+        d = spectral_derivative(values, 0)
         return self.k * d, self.l * d
+
+    @cached_property
+    def log_det_partials(self):
+        A, B, C = self.coefficients
+        return self.partials(np.log(np.abs(A * C - B * B)))
+
+    def divergence(self, v1, v2):
+        """``divergence_grids`` of a field of the phase, on its samples."""
+        (dld1, dld2), d = self.log_det_partials, self.partials
+        return d(v1)[0] + d(v2)[1] + 0.5 * (v1 * dld1 + v2 * dld2)
 
     def class_means(self, values, step: int):
         """The means of gathered ``values`` along the grid axis that moves
@@ -642,8 +653,7 @@ class _PhaseLine:
 
     def grid(self, values):
         """Each line array gathered onto the n x n grid, read-only."""
-        index = self.index()
-        return _read_only(tuple(v[index] for v in values))
+        return _read_only(tuple(v[self.index] for v in values))
 
 
 @lru_cache(maxsize=64)
@@ -777,11 +787,10 @@ def _log_det_partials(spec, n: int):
     """(d1, d2) of log |det g| on the n x n grid, spectrally (on the phase
     line where the spec has one)."""
     line = _phase_line(spec, n)
-    A, B, C = coefficient_grids(spec, n) if line is None else line.coefficients
-    logdet = np.log(np.abs(A * C - B * B))
-    if line is None:
-        return spectral_derivatives(logdet)
-    return line.grid(line.partials(logdet))
+    if line is not None:
+        return line.grid(line.log_det_partials)
+    A, B, C = coefficient_grids(spec, n)
+    return spectral_derivatives(np.log(np.abs(A * C - B * B)))
 
 
 def divergence_grids(spec, v1_grid, v2_grid, n: int):
@@ -846,9 +855,9 @@ def mean_coefficients(spec, tol: Optional[Tolerances] = None) -> tuple[float, fl
     For closed diagonal metrics these means are independent of the other
     variable (checked here); their ratio l1/l2 is the X-rotation number.
     The means are taken on the n x n grid, n = grid_n, or from the n
-    samples of the phase line where the spec has one: each mean is their
-    correctly rounded sum over n, and a grid column (row) sweeps the
-    samples of one residue class mod gcd(k, n) (gcd(l, n)).
+    samples of the phase line where the spec has one (a grid column (row)
+    sweeps the samples of one residue class mod gcd(k, n) (gcd(l, n))):
+    each is the correctly rounded sum of the samples over their count.
     """
     tol = tol or DEFAULT
     if not is_closed_diagonal(spec, tol):
@@ -860,12 +869,11 @@ def mean_coefficients(spec, tol: Optional[Tolerances] = None) -> tuple[float, fl
         l1g, l2g = spec.lambdas(*grid_points(spec.grid_n))
         col_means = l1g.mean(axis=0)      # integral over x1 for each x2
         row_means = l2g.mean(axis=1)      # integral over x2 for each x1
-        means = col_means.mean(), row_means.mean()
     else:
-        l1, l2 = line.lambdas
-        col_means = line.class_means(l1, line.k)
-        row_means = line.class_means(l2, line.l)
-        means = math.fsum(l1) / line.n, math.fsum(l2) / line.n
+        l1g, l2g = line.lambdas
+        col_means = line.class_means(l1g, line.k)
+        row_means = line.class_means(l2g, line.l)
+    means = [math.fsum(v.ravel()) / v.size for v in (l1g, l2g)]
     spread1 = float(col_means.max() - col_means.min())
     spread2 = float(row_means.max() - row_means.min())
     if max(spread1, spread2) > 100 * tol.closedness:

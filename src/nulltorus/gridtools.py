@@ -34,14 +34,6 @@ def grid_points(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.meshgrid(x, x, indexing="ij")
 
 
-def _wavenumbers(n: int) -> np.ndarray:
-    """Integer frequencies in FFT order, Nyquist zeroed (derivative use)."""
-    k = np.fft.fftfreq(n, 1.0 / n)
-    if n % 2 == 0:
-        k[n // 2] = 0.0
-    return k
-
-
 def _frequency_bins(freqs: np.ndarray, n: int) -> np.ndarray:
     """FFT bin of each integer frequency on an n-point grid."""
     return np.rint(freqs).astype(int) % n
@@ -61,52 +53,39 @@ def _in_blocks(evaluate, n_modes: int, *xs: np.ndarray) -> np.ndarray:
     return np.concatenate(parts).reshape(shape)
 
 
-def _derivative_from_modes(vhat: np.ndarray, axis: int, real: bool
-                           ) -> np.ndarray:
-    k = _wavenumbers(vhat.shape[axis])
-    k = k[:, None] if axis == 0 else k[None, :]
-    d = np.fft.ifft2(vhat * (TWO_PI_I * k))
-    return d.real if real else d
-
-
 def _constant_derivative(values: np.ndarray) -> Optional[np.ndarray]:
-    """Exact zeros, without a transform, when every sample equals the first;
-    else None."""
+    """Exact zeros, untransformed, for constant values; else None."""
     if not np.all(values == values.flat[0]):
         return None
     return np.zeros(values.shape, float if np.isrealobj(values) else complex)
 
 
+def _axis_derivative(values: np.ndarray, axis: int) -> np.ndarray:
+    """d/dx along ``axis``: one rfft/irfft (fft/ifft) pair along it."""
+    n, real = values.shape[axis], np.isrealobj(values)
+    k = np.fft.rfftfreq(n, 1.0 / n) if real else np.fft.fftfreq(n, 1.0 / n)
+    if n % 2 == 0:
+        k[n // 2] = 0.0
+    k = TWO_PI_I * k.reshape((-1,) + (1,) * (values.ndim - 1 - axis))
+    if real:
+        return np.fft.irfft(np.fft.rfft(values, axis=axis) * k, n, axis=axis)
+    return np.fft.ifft(np.fft.fft(values, axis=axis) * k, axis=axis)
+
+
 def spectral_derivatives(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(d/dx1, d/dx2) of a periodic grid field, spectrally (exact zeros for
-    a constant field)."""
+    """(d/dx1, d/dx2) of a periodic grid field, spectrally, each along its
+    own axis (exact zeros for a constant field)."""
     zero = _constant_derivative(values)
     if zero is not None:
         return zero, zero.copy()
-    vhat = np.fft.fft2(values)
-    real = np.isrealobj(values)
-    return (_derivative_from_modes(vhat, 0, real),
-            _derivative_from_modes(vhat, 1, real))
+    return _axis_derivative(values, 0), _axis_derivative(values, 1)
 
 
 def spectral_derivative(values: np.ndarray, axis: int) -> np.ndarray:
-    """d/dx1 (axis 0) or d/dx2 (axis 1) alone: the matching output of
-    ``spectral_derivatives`` with one inverse transform instead of two."""
+    """d/dx1 (axis 0) or d/dx2 (axis 1) alone, the matching output of
+    ``spectral_derivatives``; d/dy of periodic samples v(m/n) on axis 0."""
     zero = _constant_derivative(values)
-    if zero is not None:
-        return zero
-    return _derivative_from_modes(np.fft.fft2(values), axis,
-                                  np.isrealobj(values))
-
-
-def line_derivative(values: np.ndarray) -> np.ndarray:
-    """d/dy of periodic samples values[m] = v(m/n), by one 1-D transform
-    pair (exact zeros for constant samples)."""
-    zero = _constant_derivative(values)
-    if zero is not None:
-        return zero
-    d = np.fft.ifft(np.fft.fft(values) * (TWO_PI_I * _wavenumbers(len(values))))
-    return d.real if np.isrealobj(values) else d
+    return _axis_derivative(values, axis) if zero is None else zero
 
 
 def _guarded_divide(num, den):
@@ -182,6 +161,15 @@ class TrigSeries1:
         osc = self.freqs != 0
         return mean, TrigSeries1(self.coeffs[osc] / (TWO_PI_I * self.freqs[osc]),
                                  self.freqs[osc])
+
+
+def resolved_series(values: np.ndarray, level: float):
+    """(series, |tail|) of n periodic samples, the tail its modes at
+    |m| >= n/4, or None (unresolved) where one passes level max|values|."""
+    series = TrigSeries1.from_samples(values)
+    tail = np.abs(series.coeffs[np.abs(series.freqs) >= len(values) // 4])
+    resolved = tail.max(initial=0.0) <= level * np.max(np.abs(values))
+    return (series, tail) if resolved else None
 
 
 class TrigSeries2:

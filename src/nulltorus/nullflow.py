@@ -32,7 +32,7 @@ from . import geometry
 from .errors import (DenseFlow, Inconclusive, NotTransverse, StepTooLarge,
                      WrongFamily)
 from .gridtools import (TrigSeries1, TrigSeries2, circular_zeros, grid_points,
-                        wrap_unit)
+                        resolved_series, wrap_unit)
 from .tolerances import DEFAULT, Tolerances
 
 Point = tuple[float, float]
@@ -398,11 +398,11 @@ def _lattice_flow(spec, family: str, tol: Tolerances):
         vertical = (b, d)[axis] != 0 and not circular_zeros(across)[1]
         return _LatticeFlow(spec, family, axis, A) if vertical else None
     m = (a * v2 - c * v1) / phase_velocity
-    series = TrigSeries1.from_samples(m)
-    tail = np.abs(series.coeffs[np.abs(series.freqs) >= LATTICE_SAMPLES // 4])
-    scale = np.max(np.abs(m))
-    if not tail.max(initial=0.0) <= tol.resonance * scale:
+    resolved = resolved_series(m, tol.resonance)
+    if resolved is None:
         return None
+    series, tail = resolved
+    scale = np.max(np.abs(m))
     theta, M = series.antiderivative()
     # Theta is a sum of LATTICE_SAMPLES samples: a few ulps of its terms per
     # halving, plus the tail that aliases onto the mean
@@ -608,7 +608,7 @@ class FirstIntegral:
         if self._line is None:
             osc1 = self._osc1.on_grid(self.n).real
         else:
-            osc1 = self._phase_osc.on_grid(self.n).real[self._line.index()]
+            osc1 = self._phase_osc.on_grid(self.n).real[self._line.index]
         return (np.multiply.outer(x, self._mean1.on_grid(self.n).real)
                 + (osc1 - osc1[0]) - self._lam2_integral(x))
 
@@ -630,7 +630,7 @@ class FirstIntegral:
             return tuple(conj_twist * np.exp(2j * np.pi * alpha * F)
                          for alpha in alphas)
         x = np.arange(n) / n
-        index = self._line.index()
+        index = self._line.index
         G = self._phase_osc.on_grid(n).real
         across = G[index[0]] + self._lam2_integral(x)
         l1 = self.quasi_periods[0]

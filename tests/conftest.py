@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,28 @@ from nulltorus import catalog, geometry
 #: fixture names of the whole zoo, for tests parametrized over every spec
 ZOO = ("flat_spec", "sqrt2_spec", "analex_spec", "sanchez_spec",
        "rosatau_spec", "wave12_spec", "conformal_spec")
+
+
+#: every transform of ``np.fft``
+FFT_TRANSFORMS = ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft", "fft2",
+                  "ifft2", "rfft2", "irfft2", "fftn", "ifftn", "rfftn",
+                  "irfftn")
+
+
+def count_transforms(monkeypatch) -> Counter:
+    """Patch every ``np.fft`` transform to count its calls by name in the
+    returned Counter, and under "plane" those whose input has more than one
+    axis, whatever axes they transform (clear it to start a new count)."""
+    calls: Counter = Counter()
+    for name in FFT_TRANSFORMS:
+        def counting(a, *args, _fft=getattr(np.fft, name), _name=name,
+                     **kwargs):
+            calls[_name] += 1
+            if np.ndim(a) > 1:
+                calls["plane"] += 1
+            return _fft(a, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counting)
+    return calls
 
 
 def frame_direction(spec, x1, x2, family):

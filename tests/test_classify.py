@@ -31,7 +31,9 @@ Exits of ``classify.semi_conformal_certificate`` and their witnesses:
   LSQR stalls (``test_stalled_transport_solve_names_lsqr_stop``).
 
 A candidate field that misses ``scf_certificate`` is Inconclusive, a NaN
-residual included (``test_certify_refuses_nan``).
+residual included (``test_certify_refuses_nan``), and so is a field of the
+phase that its phase line does not resolve
+(``test_line_certificates_must_be_resolved``).
 
 Exits of ``classify._verdict``: DenseLine (``test_classify_dense_table``),
 XTrivialResonant and NoXTrivialResonant (``test_classify_rosatau_table``),
@@ -48,6 +50,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import count_transforms
 from nulltorus import (catalog, classify, geometry, nullflow, spin,
                        spinorfield)
 from nulltorus.errors import (ConfigError, DegenerateMetric, Inconclusive,
@@ -305,6 +308,98 @@ def test_certify_refuses_nan(analex_spec):
 
 
 # ---------------------------------------------------------------------------
+# certificates on the phase line
+
+
+def _clear_grid_caches():
+    for cached in (geometry._phase_line, geometry.coefficient_grids,
+                   geometry.frame_grids, geometry._closedness_residual):
+        cached.cache_clear()
+
+
+@pytest.mark.parametrize("metric,family,kind", [
+    ("analex", "X", "analytic"),
+    ("closed_diagonal:2,3", "X", "analytic"),
+    ("closed_diagonal:2,3", "Y", "lattice"),
+    ("closed_diagonal:1,2,amp=0.06,k=1,l=1", "Y", "lattice"),
+    ("closed_diagonal:1,2,amp=0.1,k=3,l=-2", "Y", "lattice"),
+    ("rosatau", "Y", "analytic"),
+    ("analex_sanchez", "Y", "analytic"),
+])
+def test_line_certificates_match_the_plane_route(metric, family, kind,
+                                                 monkeypatch):
+    """A spec with a phase line checks its certificate at the line's
+    samples; with ``_phase_line`` patched to None the same family takes
+    the n x n route and the same kind, both residuals below 1e-8."""
+    spec = catalog.load_metric(metric)
+    _clear_grid_caches()
+    line = classify.semi_conformal_certificate(spec, family)
+    _clear_grid_caches()
+    with monkeypatch.context() as plane_route:
+        plane_route.setattr(geometry, "_phase_line", lambda spec, n: None)
+        plane = classify.semi_conformal_certificate(spec, family)
+    _clear_grid_caches()
+    assert line.kind == plane.kind == kind
+    assert max(line.residual, plane.residual) < 1e-8
+
+
+ROUGH_Y_WAVES = ("closed_diagonal:5,8,amp=1.3294,k=2,l=3",
+                 "closed_diagonal:6,8,amp=0.7705,k=2,l=3",
+                 "closed_diagonal:8,6,amp=2.9274,k=2,l=3")
+
+
+@pytest.mark.parametrize("metric", ROUGH_Y_WAVES)
+def test_line_certificates_must_be_resolved(metric, monkeypatch):
+    """On these Y waves w = F + eta0 R crosses zero, so the pulled-back
+    component V'^2 along the phase's level lines is rough (a flat
+    spectrum).  The line divergence never reads it (6e-13 to 2e-12), so
+    without the resolution rule the lattice route would certify; with it
+    the pulled-back certificate is Inconclusive and the route declines
+    (the 2-D residuals are 5.5e2 to 2.3e3 at 256^2)."""
+    spec = catalog.load_metric(metric)
+    assert classify._lattice_analysis(spec, "Y", 256, DEFAULT) is None
+    pull = _pullback(spec, geometry.lattice_basis(*spec.phase()))
+    with pytest.raises(Inconclusive, match="not resolved"):
+        classify._killing_analysis(pull, pull.graph_family, 256, DEFAULT)
+    monkeypatch.setattr(classify, "resolved_series", lambda *args: True)
+    blind = classify._lattice_analysis(spec, "Y", 256, DEFAULT)
+    assert blind.kind == "lattice" and blind.residual < 1e-8
+    assert classify._field_divergence_residual(spec, blind.field, 256) > 1.0
+
+
+def test_line_certificate_escapes_plane_aliasing(monkeypatch):
+    """This X family's analytic field is divergence-free: 2.4e-12 on the
+    line, 1.9e-11 at 1024^2.  At 256^2 the 2-D route aliases the phase
+    harmonics whose |3m| passes 128, and misses the tolerance (6e-8)."""
+    spec = catalog.load_metric("closed_diagonal:6,4,amp=1.1403,k=-1,l=3")
+    cert = classify.semi_conformal_certificate(spec, "X")
+    assert cert.kind == "analytic" and cert.residual < 1e-10
+    assert classify._field_divergence_residual(spec, cert.field, 1024) < 1e-10
+    _clear_grid_caches()
+    with monkeypatch.context() as plane_route:
+        plane_route.setattr(geometry, "_phase_line", lambda spec, n: None)
+        with pytest.raises(Inconclusive, match="divergence tolerance"):
+            classify.semi_conformal_certificate(spec, "X")
+    _clear_grid_caches()
+
+
+@pytest.mark.parametrize("metric,family", [
+    ("analex", "X"), ("closed_diagonal:1,2,amp=0.06,k=1,l=1", "Y"),
+    ("analex_sanchez", "Y")])
+def test_phase_certificates_take_no_plane_transform(metric, family,
+                                                    monkeypatch):
+    """The analytic, lattice and Killing certificates of a spec with a
+    phase line transform only its n samples: no transform of a 2-D
+    array."""
+    spec = catalog.load_metric(metric)
+    _clear_grid_caches()
+    calls = count_transforms(monkeypatch)
+    cert = classify.semi_conformal_certificate(spec, family)
+    assert cert.residual < 1e-8
+    assert calls["rfft"] > 0 and "plane" not in calls
+
+
+# ---------------------------------------------------------------------------
 # the lattice route
 
 
@@ -558,7 +653,9 @@ def test_gate_tables_march_no_line_and_solve_nothing(metric, monkeypatch):
     classifications read, both conformal rescalings included, take every
     flow from the lattice quadrature and every certificate from a closed
     form: no RK4 march, no transport solve (or an honest Inconclusive
-    past the period cap)."""
+    past the period cap).  The one exception is a rough Y wave, which the
+    line refuses to certify: its pulled-back rule declines, and its
+    transport solve stalls (ROADMAP item 17)."""
     calls = []
     for owner, name in ((nullflow, "_march"), (classify, "_solve_rescaling")):
         def recording(*args, _name=name, _fn=getattr(owner, name), **kwargs):
@@ -569,8 +666,12 @@ def test_gate_tables_march_no_line_and_solve_nothing(metric, monkeypatch):
         table = classify.classify_table(catalog.load_metric(metric),
                                         tuple(classify.QUANTITIES))
         assert len(table) == 4
-    except Inconclusive as exc:     # left_invariant:1,65, by design
-        assert "closed-line period 65" in str(exc)
+    except Inconclusive as exc:
+        if metric in ROUGH_Y_WAVES:
+            assert "transport solve" in str(exc)
+            assert calls == ["_solve_rescaling"]
+            return
+        assert "closed-line period 65" in str(exc)  # left_invariant:1,65
     assert not calls
 
 

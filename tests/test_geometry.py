@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ZOO, frame_direction
+from conftest import ZOO, count_transforms, frame_direction
 from nulltorus import catalog, classify, geometry, nullflow
 from nulltorus.errors import DegenerateMetric, FrameUndefined
 from nulltorus.gridtools import grid_points, spectral_derivatives
@@ -31,6 +31,24 @@ def test_mean_coefficients_analex(analex_spec):
     l1, l2 = geometry.mean_coefficients(analex_spec)
     assert abs(l1 - 1.0) < 1e-12
     assert abs(l2 + 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("n", (63, 64, 512))
+def test_phaseless_means_are_correctly_rounded(n):
+    """A Diagonal has no phase, so its means come from the n x n grid; as
+    correctly rounded sums they are the exact integer means of analex and
+    of the waves (a float-order sum of column means gave l1 =
+    0.9999999999999999 on analex at 512 and 3.0000000000000004 on a wave
+    at 63)."""
+    for spec, exact in ((catalog.analex(), (1.0, -1.0)),
+                        *((catalog.closed_diagonal_wave(3.0, 5.0, amp=0.2,
+                                                        k=k, l=l), (3.0, 5.0))
+                          for k, l in ((1, 1), (1, 2), (2, 1), (4, -6)))):
+        def lam(i, spec=spec):
+            return lambda x1, x2: spec.lambdas(x1, x2)[i]
+        diagonal = geometry.Diagonal(lam(0), lam(1), grid_n=n)
+        assert diagonal.phase() is None
+        assert geometry.mean_coefficients(diagonal) == exact
 
 
 def test_rosatau_conventions(rosatau_spec):
@@ -133,7 +151,7 @@ def test_closedness_residual_y_sign(sqrt2_spec, analex_spec):
 def test_closedness_residual_is_cached(analex_spec, monkeypatch):
     first = geometry.closedness_residual(analex_spec, 64, "Y")
     monkeypatch.setattr(geometry, "spectral_derivatives", None)
-    monkeypatch.setattr(geometry, "line_derivative", None)
+    monkeypatch.setattr(geometry, "spectral_derivative", None)
     assert geometry.closedness_residual(analex_spec, 64, "Y") == first
 
 
@@ -162,8 +180,9 @@ def test_divergence_grid_matches_pointwise(name, request):
 
 @pytest.mark.parametrize("name", ZOO)
 def test_divergence_grids_keeps_the_bits_of_both_partials(name, request):
-    """One partial of each component, each with one inverse FFT: the same
-    bits as taking both partials of each and dropping one."""
+    """One partial of each component, each by a transform pair along its
+    own axis: the same bits as taking both partials of each and dropping
+    one."""
     spec = request.getfixturevalue(name)
     n = 64
     X1, X2 = grid_points(n)
@@ -271,30 +290,24 @@ def test_connection_grid_matches_pointwise(name, request):
 def test_phase_specs_build_their_grids_on_the_phase_line(monkeypatch):
     """A spec with a phase takes its derivative pairs (of a1, a2, A, B and
     C, where not constant) as 1-D transforms: none on a left-invariant
-    metric, whose Gamma comes out as exact zeros, and one fft and one ifft
-    each for analex's a1, A and C.  A conformal analex has no grid phase
-    and keeps its three 2-D pairs of one forward and two inverse
-    transforms each."""
-    calls = {name: 0 for name in ("fft", "ifft", "fft2", "ifft2")}
-    for name in calls:
-        def counting(*args, _fft=getattr(np.fft, name), _name=name, **kwargs):
-            calls[_name] += 1
-            return _fft(*args, **kwargs)
-        monkeypatch.setattr(np.fft, name, counting)
+    metric, whose Gamma comes out as exact zeros, and one rfft and one
+    irfft each for analex's a1, A and C.  A conformal analex has no grid
+    phase and keeps its three 2-D pairs, each partial a 1-D rfft/irfft
+    pair along its own axis."""
+    calls = count_transforms(monkeypatch)
 
     def build(spec):
-        for name in calls:
-            calls[name] = 0
+        calls.clear()
         return geometry.connection_one_form_grids.__wrapped__(spec, 64)
 
     for spec in (catalog.left_invariant(2, 5), catalog.flat()):
         G1, G2 = build(spec)
-        assert not any(calls.values())
+        assert not calls
         assert not np.any(G1) and not np.any(G2)
     build(catalog.analex())
-    assert calls == {"fft": 3, "ifft": 3, "fft2": 0, "ifft2": 0}
+    assert calls == {"rfft": 3, "irfft": 3}
     build(catalog.conformal(catalog.analex(), catalog.exp_sine_factor()))
-    assert calls == {"fft": 0, "ifft": 0, "fft2": 3, "ifft2": 6}
+    assert calls == {"rfft": 6, "irfft": 6, "plane": 12}
 
 
 def _phase_shapes():

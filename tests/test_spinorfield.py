@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import count_transforms
 from nulltorus import catalog, classify, geometry, nullflow, spin, spinorfield
 from nulltorus.errors import (DenseFlow, NotHarmonic, NotXTrivial,
                               UnsupportedFamily, WrongFamily)
@@ -309,9 +310,9 @@ def _kernel_shapes(n):
 @pytest.mark.parametrize("n", (63, 64, 256))
 def test_closed_diagonal_kernels_match_the_plane_route(n, monkeypatch):
     """The phase-line route against the n x n route (``_phase_line``
-    patched to None).  The line's means, correctly rounded sums, are the
-    closed-form means, which the plane route's sums of column means miss
-    by at most an ulp (at 63 on two of the seven shapes).  F agrees
+    patched to None).  Both routes' means, correctly rounded sums, are
+    the closed-form means (the plane route's sums of column means missed
+    them by an ulp at 63 on two of the seven shapes).  F agrees
     within a few ulps of max|F| (measured at most 2), both closedness
     residuals are below 1e-12 of the size of d2 lam1 (measured at most
     5.6e-13), and kernel fields agree within 1e-13 (measured at most
@@ -332,9 +333,7 @@ def test_closed_diagonal_kernels_match_the_plane_route(n, monkeypatch):
         with monkeypatch.context() as plane_route:
             plane_route.setattr(geometry, "_phase_line", lambda spec, n: None)
             want_means, want_closedness, want_F, want_fields = build()
-        assert means == exact_means
-        for got, want in zip(want_means, exact_means):
-            assert abs(got - want) <= np.spacing(abs(want))
+        assert means == want_means == exact_means
         assert np.max(np.abs(F - want_F)) <= 4 * np.spacing(
             float(np.max(np.abs(want_F))))
         scale = float(np.max(np.abs(spec.lambda_partials(
@@ -347,21 +346,16 @@ def test_closed_diagonal_kernels_match_the_plane_route(n, monkeypatch):
 
 def test_closed_diagonal_solve_takes_no_plane_transform(monkeypatch):
     """A 256^2 wave: closedness, means, F and the kernel phases come from
-    1-D transforms of the phase line, none from fft2/ifft2."""
+    1-D transforms of the phase line, none of a 2-D array."""
     for cached in (geometry._phase_line, geometry._closedness_residual,
                    nullflow.first_integral_function):
         cached.cache_clear()
-    calls = {name: 0 for name in ("fft", "ifft", "fft2", "ifft2")}
-    for name in calls:
-        def counting(*args, _fft=getattr(np.fft, name), _name=name, **kwargs):
-            calls[_name] += 1
-            return _fft(*args, **kwargs)
-        monkeypatch.setattr(np.fft, name, counting)
+    calls = count_transforms(monkeypatch)
     spec = catalog.closed_diagonal_wave(2.0, 3.0, amp=0.1, k=1, l=2)
     sol = spinorfield.solve_closed_diagonal(spec, SpinStructure(1, -1),
                                             n_fields=4, grid_n=256)
     assert len(sol.fields) == 4 and sol.fields[0].grid_n == 256
-    assert calls["fft2"] == calls["ifft2"] == 0 and calls["fft"] > 0
+    assert "plane" not in calls and calls["fft"] > 0
 
 
 def test_twistor_residual_is_the_max_over_the_penrose_components(

@@ -113,6 +113,12 @@ CASES = [
      "--quantity", Y_Q],
     ["classify", "--metric", "closed_diagonal:1,2,amp=0.09,k=1,l=1",
      "--quantity", "delta_minus"],
+    # certificates on the phase line: an X field that 256^2 aliasing
+    # missed, and a Y wave whose unresolved pullback the line must refuse
+    ["classify", "--metric", "closed_diagonal:6,4,amp=1.1403,k=-1,l=3",
+     "--quantity", "delta_plus"],
+    ["classify", "--metric", "closed_diagonal:5,8,amp=1.3294,k=2,l=3",
+     "--quantity", "delta_minus"],
     ["decompose", "--metric", "rosatau"],
     ["decompose", "--metric", "left_invariant:99,100"],
     # the lattice quadrature: exact rotation, four isolated zeros of an
