@@ -2,17 +2,18 @@
 
 The geometric side of the package: a metric is *semi-conformally flat* (SCF)
 for a null family when some nowhere-zero divergence-free vector field spans
-that family.  Certificates are analytic wherever a closed form exists:
-closed diagonal coefficients, the Killing rule of the x1-only families
-(which is also the obstruction: a loop integral of div(X) along a closed
-null line, infinite where lines accumulate on one), the same rule on the
-x1-only pullback of a single-phase metric (certificate pushed back,
-obstruction located in the original coordinates), and conformal
-rescalings of these.  A field of the phase is checked at the n samples of
-its phase line, which must resolve it; others on the n x n grid.  Any other
-family falls back to a spectral least-squares transport solve for the
-rescaling exponent f with X(f) = -div(X), Inconclusive when its divergence
-residual misses.
+that family.  Every catalog metric but a conformal rescaling has a phase
+(k, l), and one rule decides its families from the phase velocity V'^1 of
+the direction in the phase's lattice basis (``_phase_analysis``): an
+analytic certificate where V'^1 has no zero or vanishes identically, else
+NotSCF with the loop integral of div along the closed line at a zero
+(infinite where lines accumulate on one).  A conformal rescaling takes its
+inner metric's answer, the certificate divided by the factor.  A field of
+the phase is checked on its phase line, which must resolve it (doubled up
+to MAX_LINE_SAMPLES); others on the n x n grid.  Only a phase-less
+diagonal metric with coefficients that are not closed falls back to a
+spectral least-squares transport solve for the rescaling exponent f with
+X(f) = -div(X), Inconclusive when its divergence residual misses.
 
 On an SCF metric the dimension of each chiral kernel (harmonic or twistor)
 is 0, 1 or infinite, decided by the cylinder decomposition of the family's
@@ -33,8 +34,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import geometry, nullflow, spin, spinorfield
-from .errors import (DegenerateMetric, DenseFlow, Inconclusive, NotHarmonic,
-                     NotSCF)
+from .errors import DenseFlow, Inconclusive, NotHarmonic, NotSCF
 from .gridtools import (TrigSeries2, circular_zeros, grid_points,
                         resolved_series, spectral_derivative,
                         spectral_derivatives, wrap_unit)
@@ -52,6 +52,9 @@ QUANTITIES: dict[str, tuple[str, int]] = {
     "tau_minus": ("X", -1),
 }
 
+#: the longest phase line on which ``_certify`` checks a field of the phase
+MAX_LINE_SAMPLES = 4096
+
 
 # ---------------------------------------------------------------------------
 # SCF certificates
@@ -62,10 +65,11 @@ class SCFCertificate:
     """A divergence-free vector field spanning one null family.
 
     ``kind`` records how it was obtained: "analytic" (closed form for the
-    family), "conformal" (inner certificate divided by the factor), "lattice"
-    (analytic on the pullback to the phase's lattice basis, pushed back) or
+    family: the phase rule, or a closed phase-less diagonal metric's
+    direction), "conformal" (inner certificate divided by the factor) or
     "rescaling" (numeric exponent f with X(f) = -div X, stored in
-    ``exponent`` on the certificate grid).
+    ``exponent`` on the certificate grid).  ``grid_n`` is the grid or line
+    size of the check.
     """
 
     family: str
@@ -94,139 +98,109 @@ def _divergence_sup(spec, v1, v2, n: int) -> float:
 def _certify(spec, family: str, components, kind: str, n: int,
              tol: Tolerances, exponent: Optional[np.ndarray] = None
              ) -> SCFCertificate:
-    """The field, or Inconclusive where sup |div| on the grid misses
-    ``scf_certificate``, or where its phase line (n samples, which every grid
-    point takes) does not resolve V, whose level-line part div never reads."""
+    """The field, or Inconclusive where sup |div| misses ``scf_certificate``
+    on the n x n grid or on its phase line.  The line of n samples (every
+    grid point takes one) must also resolve V, whose level-line part div
+    never reads: an unresolved field is checked again on the line of twice
+    as many samples, up to MAX_LINE_SAMPLES, and Inconclusive past it."""
     V = geometry.VectorField(components)
-    line = geometry._phase_line(spec, n)
-    if line is None:
-        res = _field_divergence_residual(spec, V, n)
-    else:
-        v = [np.broadcast_to(c, (n,)) for c in V.at(line.x1, line.x2)]
-        res = float(np.max(np.abs(line.divergence(*v))))
-    if not res < tol.scf_certificate:
-        raise Inconclusive(
-            f"candidate {family}-certificate missed the divergence tolerance "
-            f"({res:.3e} on the {n}x{n} grid)", measured=res,
-            band=(0.0, tol.scf_certificate))
-    if line and not all(resolved_series(c, tol.resonance) for c in v):
-        raise Inconclusive(f"candidate {family}-certificate is not resolved "
-                           f"by its {n}-sample phase line")
-    return SCFCertificate(family, V, res, kind, n, exponent)
+    m = n
+    while True:
+        line = geometry._phase_line(spec, m)
+        if line is None:
+            res = _field_divergence_residual(spec, V, n)
+        else:
+            v = [np.broadcast_to(c, (m,)) for c in V.at(line.x1, line.x2)]
+            res = float(np.max(np.abs(line.divergence(*v))))
+        if not res < tol.scf_certificate:
+            raise Inconclusive(
+                f"candidate {family}-certificate missed the divergence "
+                f"tolerance ({res:.3e} on the {m}x{m} grid)", measured=res,
+                band=(0.0, tol.scf_certificate))
+        if line is None or all(resolved_series(c, tol.resonance) for c in v):
+            return SCFCertificate(family, V, res, kind, m, exponent)
+        if m >= MAX_LINE_SAMPLES:
+            raise Inconclusive(f"candidate {family}-certificate is not "
+                               f"resolved by its {m}-sample phase line")
+        m *= 2
 
 
-def _diagonal_analysis(spec, family: str, n: int, tol: Tolerances
-                       ) -> Optional[SCFCertificate]:
-    """Closed coefficients certify X and anti-closed ones Y, by the null
-    direction (+-1/|lam1|, sign(lam1)/lam2); else the lattice route."""
-    if not geometry.is_closed_diagonal(spec, tol, family):
-        return _lattice_analysis(spec, family, n, tol)
-    return _certify(spec, family,
-                    lambda x1, x2: geometry.null_direction_arrays(
-                        spec, x1, x2, family), "analytic", n, tol)
+def _direction(spec, family: str):
+    """The family's null direction, as certificate components."""
+    return lambda x1, x2: geometry.null_direction_arrays(spec, x1, x2, family)
 
 
-def _killing_analysis(spec, family: str, n: int, tol: Tolerances
-                      ) -> SCFCertificate:
-    """Coefficients of x1 alone (see ``geometry``): the graph family is
-    certified by (n1, n2)/rho; the other family's f is scanned for zeros,
-    giving (0, 1)/rho when f vanishes identically, (1, h/f)/rho when it has
-    no zero, and NotSCF otherwise.  A simple zero z carries loop integral
-    |f'(z)/h(z)| of div, f' = -C'.  Where the zeros are flat (bands,
-    degenerate zeros), the lines between them wind ever faster towards a
-    closed line x1 = z, so a divergence-free w X needs w constant along
-    them and w ~ 1/|f|, unbounded at z: the obstruction is infinite."""
-    if family == spec.graph_family:
+def _phase_analysis(spec, family: str, n: int, tol: Tolerances
+                    ) -> SCFCertificate:
+    """The rule for a spec of phase (k, l).  In the lattice basis
+    A = ((a, b), (c, d)) = lattice_basis(k, l) the direction V' = A^-1 V is a
+    function of the phase y1 alone and det A = 1, so div(w V) = 0 reads
+    d/dy1 (sqrt|g| w V'^1) = 0.  The phase velocity V'^1 = d v1 - b v2,
+    at the samples of the flow's quadrature (``nullflow.phase_velocity``),
+    decides:
+
+    * no zero: w = 1/(sqrt|g| |V'^1|) certifies, with sqrt|g| =
+      1/|det(s1, s2)| from the frame that gives V;
+    * V'^1 = 0 identically: V itself is divergence-free;
+    * a simple zero z: the closed line x = A (z, t) of winding A e2 carries
+      loop integral |Gamma(A e2)| of div (twice its holonomy boost), so the
+      family is NotSCF there;
+    * flat zeros (a band, or a zero of loop integral 0): the lines off them
+      accumulate on a closed line at its edge, where a divergence-free w V
+      needs w ~ 1/|V'^1|, unbounded: NotSCF with an infinite obstruction.
+    """
+    ((a, b), (c, d)), samples, _ = nullflow.phase_velocity(spec, family)
+    level = 1e-12 * max(1.0, float(np.max(np.abs(samples))))
+    if np.all(samples >= level) or np.all(samples <= -level):
         def field(x1, x2):
-            _, (n1, n2), rho = spec.null_fields(x1)
-            return n1 / rho, n2 / rho
+            a1, a2, b1, b2 = geometry.frame_component_arrays(spec, x1, x2)
+            v1, v2 = (a1 + b1, a2 + b2) if family == "X" else (b1 - a1,
+                                                                b2 - a2)
+            # w = |det(s1, s2) / V'^1|, in place: a grid field is n^2 points
+            w = a1 * b2
+            w -= a2 * b1
+            w /= d * v1 - b * v2
+            w = np.abs(w)
+            v1 *= w
+            v2 *= w
+            return v1, v2
 
         return _certify(spec, family, field, "analytic", n, tol)
+
+    def velocity(y1):
+        v1, v2 = geometry.null_direction_arrays(spec, a * y1, c * y1, family)
+        return d * v1 - b * v2
 
     # a zero on a sample (analex_sanchez at c = 2 has four) between samples
     # of opposite signs is a zero, not a run
-    m = 8192
-    f = spec.null_fields(np.arange(m) / m)[0][0]
-    level = 1e-12 * max(1.0, float(np.max(np.abs(f))))
-    runs, zeros = circular_zeros(f, level, lambda x: spec.null_fields(x)[0][0],
-                                 tol.bisection)
+    runs, zeros = circular_zeros(samples, level, velocity, tol.bisection)
     if runs == [(0.0, 1.0)]:
-        return _certify(spec, family,
-                        lambda x1, x2: (0.0, 1.0 / spec.null_fields(x1)[2]),
-                        "analytic", n, tol)
-    if not runs and not zeros:
-        def field(x1, x2):
-            (f, h), _, rho = spec.null_fields(x1)
-            return 1.0 / rho, h / (f * rho)
+        return _certify(spec, family, _direction(spec, family), "analytic", n,
+                        tol)
 
-        return _certify(spec, family, field, "analytic", n, tol)
+    def point(z):
+        return float(wrap_unit(a * z)), float(wrap_unit(c * z))
 
     def loop(z):
-        """|f'(z)/h(z)| with f' = -C': the closed line's loop integral."""
-        z = np.asarray(z)
-        return abs(float(spec.profile_partials(z)[2]
-                         / spec.null_fields(z)[0][1]))
+        """|Gamma(A e2)| at A (z, 0): the closed line's loop integral."""
+        return abs(float(geometry.connection_along(spec, *point(z), b, d)))
 
-    worst, where = max(((loop(z), z) for z in zeros), default=(0.0, None))
+    worst, z = max(((loop(z), z) for z in zeros), default=(0.0, None))
     if worst > tol.scf_reject:
-        raise NotSCF(spec.obstruction.format(where=where, worst=worst),
-                     obstruction=worst, location=where)
-    where = float(runs[0][0] % 1.0) if runs else where
+        x1, x2 = point(z)
+        raise NotSCF(
+            f"the {family}-family is obstructed: its phase velocity has a "
+            f"simple zero at y1 = {z:.6f}, so its closed line through "
+            f"x = ({x1:.6f}, {x2:.6f}), of winding ({b}, {d}), carries loop "
+            f"integral {worst:.6f} of div", obstruction=worst,
+            location=(x1, x2))
+    x1, x2 = point(float(runs[0][0] % 1.0) if runs else z)
     raise NotSCF(
         f"the {family}-family is obstructed: its lines accumulate on the "
-        f"closed line x1 = {where:.6f} at a flat zero of f in X = (f, h), "
-        "so a divergence-free multiple w X needs w ~ 1/|f| there, which is "
-        "unbounded", obstruction=math.inf, location=where)
-
-
-def _sine(u, v):
-    """|sin| of the angle between the vectors u and v, pointwise."""
-    return np.abs(u[0] * v[1] - u[1] * v[0]) / (np.hypot(*u) * np.hypot(*v))
-
-
-def _lattice_analysis(spec, family: str, n: int, tol: Tolerances
-                      ) -> Optional[SCFCertificate]:
-    """The Killing rule on the x1-only pullback of a single-phase metric, its
-    field V' pushed back as V(x) = A V'(A^-1 x); None where no family
-    matches or V fails a check on spec.  An obstruction at the pullback's
-    line y1 = z is NotSCF at the point x = A (z, 0) of the closed line, of
-    winding A e2: its loop integral is a line invariant."""
-    if not spec.phase():
-        return None
-    A = (a, b), (c, d) = geometry.lattice_basis(*spec.phase())
-    # A (m/n, 1/2), half a lattice period off the line: a wrong phase shows
-    across = np.array(A) @ [np.arange(n) / n, np.full(n, 0.5)]
-    try:
-        pull = geometry.Sanchez(*(geometry.LatticeProfile(spec, A, which)
-                                  for which in "EFG"), grid_n=spec.grid_n)
-        target = np.linalg.solve(A, geometry.null_direction_arrays(
-            spec, 0.0, 0.0, family))
-        match = [f for f in ("X", "Y") if _sine(target, geometry.
-                 null_direction_arrays(pull, 0.0, 0.0, f)) < tol.scf_certificate]
-        try:
-            inner = match and _killing_analysis(pull, match[0], n, tol)
-        except NotSCF as exc:
-            z = exc.location
-            where = (float(wrap_unit(a * z)), float(wrap_unit(c * z)))
-            raise NotSCF(
-                f"the {family}-family is obstructed: in the lattice basis "
-                f"A = {A} its closed line through x = ({where[0]:.6f}, "
-                f"{where[1]:.6f}), of winding ({b}, {d}), is the pullback's "
-                f"line x1 = {z:.6f}, where {exc}",
-                obstruction=exc.obstruction, location=where) from exc
-        if not inner:
-            return None
-
-        def field(x1, x2):
-            v1, v2 = inner.field.at(d * x1 - b * x2, a * x2 - c * x1)
-            return a * v1 + b * v2, c * v1 + d * v2
-
-        cert = _certify(spec, family, field, "lattice", n, tol)
-        sine = np.max(_sine(cert.field.at(*across), geometry.
-                            null_direction_arrays(spec, *across, family)))
-    except (DegenerateMetric, Inconclusive):
-        return None
-    return cert if sine < tol.scf_certificate else None
+        f"closed line through x = ({x1:.6f}, {x2:.6f}), of winding ({b}, "
+        f"{d}), at a flat zero of its phase velocity V'^1, so a "
+        "divergence-free multiple w V needs w ~ 1/|V'^1| there, which is "
+        "unbounded", obstruction=math.inf, location=(x1, x2))
 
 
 def _conformal_analysis(spec, family: str, n: int, tol: Tolerances
@@ -325,9 +299,10 @@ def semi_conformal_certificate(spec, family: str = "X",
                                tol: Tolerances = DEFAULT) -> SCFCertificate:
     """Divergence-free field spanning the family, or NotSCF/Inconclusive.
 
-    Analytic rules cover the built-in families (closed diagonal
-    coefficients, the x1-only metrics, single-phase metrics in their
-    lattice basis, conformal rescalings); everything else goes to the
+    The phase rule decides every spec with a phase, and a conformal
+    rescaling takes its inner spec's answer.  A phase-less diagonal metric
+    is certified by its null direction where its coefficients are closed
+    for the family (anti-closed for Y), and otherwise goes to the
     constructive transport solve.
     """
     if family not in ("X", "Y"):
@@ -335,11 +310,11 @@ def semi_conformal_certificate(spec, family: str = "X",
     n = grid_n or min(spec.grid_n, 256)
     if isinstance(spec, geometry.ConformalRescale):
         return _conformal_analysis(spec, family, n, tol)
-    analysis = (_killing_analysis if geometry.is_killing(spec)
-                else _diagonal_analysis)
-    out = analysis(spec, family, n, tol)
-    if out is not None:
-        return out
+    if spec.phase():
+        return _phase_analysis(spec, family, n, tol)
+    if geometry.is_closed_diagonal(spec, tol, family):
+        return _certify(spec, family, _direction(spec, family), "analytic", n,
+                        tol)
     return _rescaling_analysis(spec, family, min(n, 128), tol)
 
 

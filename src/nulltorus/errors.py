@@ -55,13 +55,12 @@ class NotSCF(NullTorusError):
 
     ``obstruction`` is the worst offending loop integral of the divergence
     along a closed null line (infinite where the lines off a flat zero
-    accumulate on it); ``location`` where that line lies (when
-    known): x1 of a vertical line, or a point (x1, x2) of a line found in
-    a lattice basis.
+    accumulate on it); ``location`` a point (x1, x2) of that line, when
+    known.
     """
 
     def __init__(self, message: str, obstruction: float | None = None,
-                 location: float | tuple[float, float] | None = None):
+                 location: tuple[float, float] | None = None):
         super().__init__(message)
         self.obstruction = obstruction
         self.location = location

@@ -35,11 +35,9 @@ form the X/Y components from their coefficients directly, bit for bit the
 frame sums above, and the other families add up their frame.
 
 RosaTau and Sanchez coefficients depend on x1 alone, so d2 is a Killing
-field.  Each names a null field (f, h) with f = -C, vertical exactly at the
-zeros of C = g22, a null field (n1, n2) that is a graph over x1, and
-rho = sqrt|det g|.  The graph family is certified by (n1, n2)/rho; a closed
-vertical line at a simple zero of g22 carries loop integral
-|C'/h| = |Gamma^2_22| of div.
+field and their phase is (1, 0), as it is for every catalog metric but a
+conformal rescaling: a direction field of one lattice phase, which is what
+``classify`` certifies and ``nullflow`` integrates.
 """
 
 from __future__ import annotations
@@ -237,9 +235,7 @@ class Diagonal(_DiagonalMetric):
 
 class _KillingMetric:
     """Coefficients of x1 alone: a family supplies ``profile(x1)`` =
-    (A, B, C), its x1-partials ``profile_partials(x1)``, ``null_fields(x1)``
-    = ((f, h), (n1, n2), rho), the label ``graph_family`` of (n1, n2) and
-    the ``obstruction`` message (fields ``where`` and ``worst``)."""
+    (A, B, C) and its x1-partials ``profile_partials(x1)``."""
 
     def phase(self) -> tuple[int, int]:
         """(1, 0): the coefficients depend on x1 alone."""
@@ -276,10 +272,6 @@ class Sanchez(_KillingMetric, _FrameNullDirections):
     zeros: tuple[float, ...] = ()
     grid_n: int = 256
 
-    obstruction = ("the G d1 + w d2 family is obstructed: G has a simple "
-                   "zero at x1 = {where:.6f} whose closed vertical line "
-                   "carries loop integral {worst:.6f} of div(X)")
-
     def efgr(self, x1):
         x1 = np.asarray(x1, dtype=float)
         E, F, G = (np.asarray(f(x1), dtype=float)
@@ -307,12 +299,6 @@ class Sanchez(_KillingMetric, _FrameNullDirections):
         det = T[0] * U[1] - T[1] * U[0]
         s2sig = s1sig if det > 0 else -s1sig
         return s1sig, s2sig
-
-    @property
-    def graph_family(self) -> str:
-        """X2 is Y when the frame keeps both signs, X otherwise."""
-        s1sig, s2sig = self.frame_signs
-        return "Y" if s1sig == s2sig else "X"
 
     def null_fields(self, x1):
         """Coordinate components of (X1, X2) at x1 (vectorized), and R."""
@@ -353,23 +339,6 @@ def lattice_basis(k: int, l: int) -> tuple[tuple[int, int], tuple[int, int]]:
 
 
 @dataclass(frozen=True)
-class LatticeProfile:
-    """E, F or G (``which``) of the Sanchez pullback of ``spec`` by x = A y:
-    A^T g A at A (y1, 0), exact for A = lattice_basis(*spec.phase())."""
-
-    spec: "MetricSpec"
-    A: tuple[tuple[int, int], tuple[int, int]]
-    which: str
-
-    def __call__(self, y1):
-        (a, b), (c, d) = self.A
-        g11, g12, g22 = coefficients(self.spec, a * y1, c * y1)
-        return {"E": a * a * g11 + 2 * a * c * g12 + c * c * g22,
-                "F": a * b * g11 + (a * d + b * c) * g12 + c * d * g22,
-                "G": -(b * b * g11 + 2 * b * d * g12 + d * d * g22)}[self.which]
-
-
-@dataclass(frozen=True)
 class RosaTau(_KillingMetric):
     """g = 2 dx1 dx2 - tau(x1) dx2^2 with tau 1-periodic.
 
@@ -383,11 +352,6 @@ class RosaTau(_KillingMetric):
     dtau: Optional[Callable] = None
     grid_n: int = 256
 
-    graph_family = "Y"
-    obstruction = ("the quasi-vertical family is obstructed: tau has a simple "
-                   "zero at x1 = {where:.6f} whose closed line carries loop "
-                   "integral {worst:.6f} of div(X)")
-
     def tau_at(self, x1):
         return np.asarray(self.tau(np.asarray(x1, dtype=float)), dtype=float)
 
@@ -395,10 +359,6 @@ class RosaTau(_KillingMetric):
         if self.dtau is None:
             return _central(lambda a, _: (self.tau_at(a),), x1, x1, 0)[0]
         return np.asarray(self.dtau(np.asarray(x1, dtype=float)), dtype=float)
-
-    def null_fields(self, x1):
-        """X = (tau, 2) and Y = (-1, 0); det g = -1."""
-        return (self.tau_at(x1), 2.0), (-1.0, 0.0), 1.0
 
     def profile(self, x1):
         t = self.tau_at(x1)
@@ -424,12 +384,14 @@ class RosaTau(_KillingMetric):
 
     def null_direction(self, x1, x2, family):
         """The frame sums +-s1 + s2 with s1 = a1 (d1 - d2), formed on tau's
-        shape (a scalar when x1 is one) and broadcast at the end."""
+        shape (a scalar when x1 is one), broadcast only where x2 widens it."""
         t, den = self._tau_root(x1)
         a1 = 1.0 / den if family == "X" else -(1.0 / den)
+        v = a1 - (1.0 + t) / den, -a1 - 1.0 / den
+        if x2.shape in ((), x1.shape):
+            return v
         shape = np.broadcast_shapes(x1.shape, x2.shape)
-        return (np.broadcast_to(a1 - (1.0 + t) / den, shape),
-                np.broadcast_to(-a1 - 1.0 / den, shape))
+        return tuple(np.broadcast_to(c, shape) for c in v)
 
 
 @dataclass(frozen=True)
@@ -480,10 +442,6 @@ MetricSpec = _DiagonalMetric | _KillingMetric | ConformalRescale
 
 def is_diagonal(spec) -> bool:
     return isinstance(spec, _DiagonalMetric)
-
-
-def is_killing(spec) -> bool:
-    return isinstance(spec, _KillingMetric)
 
 
 def _family(spec) -> "MetricSpec":

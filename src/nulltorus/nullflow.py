@@ -369,14 +369,25 @@ class _LatticeFlow:
 
 
 @lru_cache(maxsize=128)
+def phase_velocity(spec, family: str):
+    """(A, V'^1, V'^2) for a spec with a phase: A = lattice_basis(*phase),
+    and the family's direction V' = A^-1 V at the LATTICE_SAMPLES points
+    A (y1, 0), y1 = m/LATTICE_SAMPLES, of its phase line (read-only)."""
+    A = (a, b), (c, d) = geometry.lattice_basis(*spec.phase())
+    y1 = np.arange(LATTICE_SAMPLES) / LATTICE_SAMPLES
+    v1, v2 = geometry.null_direction_arrays(spec, a * y1, c * y1, family)
+    return (A, *geometry._read_only([np.broadcast_to(v, y1.shape).copy() for v
+                                      in (d * v1 - b * v2, a * v2 - c * v1)]))
+
+
+@lru_cache(maxsize=128)
 def _lattice_flow(spec, family: str, tol: Tolerances):
     """The family's ``_LatticeFlow``, or None where no lattice rule covers
-    it: A = lattice_basis(*spec.phase()) (the identity on x1-only and
-    left-invariant metrics), V sampled at LATTICE_SAMPLES phases.
-    Declined: a spec with no phase; where V'^1 has a zero (sign flip or
-    zero sample), a zero of V'^2 or closed lines parallel to the section;
-    else a coefficient of m at |k| >= LATTICE_SAMPLES/4 above
-    tol.resonance max |m|.
+    it, from the samples of ``phase_velocity`` (A is the identity on x1-only
+    and left-invariant metrics).  Declined: a spec with no phase; where V'^1
+    has a zero (sign flip or zero sample), a zero of V'^2 or closed lines
+    parallel to the section; else a coefficient of m at |k| >=
+    LATTICE_SAMPLES/4 above tol.resonance max |m|.
 
     A conformal rescaling has its inner metric's null directions, so it
     takes the inner flow (and its records), unless that is declined or the
@@ -388,16 +399,12 @@ def _lattice_flow(spec, family: str, tol: Tolerances):
         return flow
     if not spec.phase():
         return None
-    A = (a, b), (c, d) = geometry.lattice_basis(*spec.phase())
+    A, along, across = phase_velocity(spec, family)
     axis = transversal_axis(spec, family)
-    y1 = np.arange(LATTICE_SAMPLES) / LATTICE_SAMPLES
-    v1, v2 = geometry.null_direction_arrays(spec, a * y1, c * y1, family)
-    phase_velocity = np.broadcast_to(d * v1 - b * v2, y1.shape)
-    if circular_zeros(phase_velocity)[1]:
-        across = np.broadcast_to(a * v2 - c * v1, y1.shape)
-        vertical = (b, d)[axis] != 0 and not circular_zeros(across)[1]
+    if circular_zeros(along)[1]:
+        vertical = A[axis][1] != 0 and not circular_zeros(across)[1]
         return _LatticeFlow(spec, family, axis, A) if vertical else None
-    m = (a * v2 - c * v1) / phase_velocity
+    m = across / along
     resolved = resolved_series(m, tol.resonance)
     if resolved is None:
         return None

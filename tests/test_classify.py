@@ -2,38 +2,35 @@
 
 Exits of ``classify.semi_conformal_certificate`` and their witnesses:
 
-* closed diagonal coefficients: analytic certificate
-  (``test_certificate_closed_diagonal_analytic``);
-* Killing rule (coefficients of x1 alone): the graph family certifies
-  (``test_certificate_sanchez_sides``, ``test_certificate_rosatau_sides``);
-  the other family certifies when its f vanishes identically or nowhere
-  (``test_analytic_certificate_witness``), is NotSCF at a simple zero
+* a spec with a phase (every catalog family but a conformal rescaling), by
+  ``_phase_analysis`` on its phase velocity V'^1 = (A^-1 V)^1: no zero, an
+  analytic certificate w V with w = 1/(sqrt|g| |V'^1|)
+  (``test_certificate_closed_diagonal_analytic``,
+  ``test_certificate_sanchez_sides``, ``test_certificate_rosatau_sides``,
+  ``test_analytic_certificate_witness``); V'^1 = 0 identically, V itself
+  (``test_analytic_certificate_witness[rosatau-zero-tau]``); a simple zero,
+  NotSCF with loop integral |Gamma(A e2)| at x = A (z, 0)
   (``test_certificate_sanchez_analytic_obstruction``,
-  ``test_certificate_rosatau_zero_on_a_sample``) and NotSCF with an
-  infinite obstruction where its zeros are flat
-  (``test_killing_rule_obstructs_flat_zeros``);
+  ``test_certificate_rosatau_zero_on_a_sample``,
+  ``test_lattice_obstruction_is_twice_the_holonomy_boost``); flat zeros,
+  NotSCF with an infinite obstruction
+  (``test_phase_rule_obstructs_flat_zeros``).  Over seeded waves every
+  answer is one of these, and every NotSCF names a line of its own family
+  (``test_seeded_waves_are_decided_on_their_own_lines``);
 * conformal rescalings: the inner certificate over the factor
   (``test_certificate_conformal_invariance``) or the inner NotSCF
   (``test_certificate_conformal_propagates_obstruction``);
-* lattice route (a diagonal metric of one phase, through the Killing rule
-  on its pullback): a "lattice" certificate
-  (``test_lattice_certificate_is_a_multiple_of_the_rescaling_field``,
-  ``test_lattice_route_corrects_a_birkhoff_misread``), NotSCF located in
-  the original coordinates when the pulled-back rule is obstructed
-  (``test_lattice_obstruction_is_twice_the_holonomy_boost``), or None,
-  handing over to the transport solve, when F(0) = 0 leaves eta0 undefined
-  (DegenerateMetric) or a wrong phase makes the pushed field miss
-  ``scf_certificate`` (Inconclusive) (``test_lattice_route_declines``).
-  No test reaches the None of a pullback with no matching family, or of a
-  pushed field that fails the parallelism check;
-* transport solve, where no rule decides: a rescaling certificate
+* a phase-less diagonal metric: closed coefficients certify by the null
+  direction; otherwise the transport solve gives a rescaling certificate
   (``test_certificate_numeric_rescaling_route``), or Inconclusive when
   LSQR stalls (``test_stalled_transport_solve_names_lsqr_stop``).
 
-A candidate field that misses ``scf_certificate`` is Inconclusive, a NaN
-residual included (``test_certify_refuses_nan``), and so is a field of the
-phase that its phase line does not resolve
-(``test_line_certificates_must_be_resolved``).
+``_certify`` makes a candidate field that misses ``scf_certificate``
+Inconclusive, a NaN residual included (``test_certify_refuses_nan``).  A
+field of the phase is checked on its phase line, which must also resolve
+it: an unresolved field is checked again on a line of twice the samples
+(``test_line_certificates_must_be_resolved``, the 512-sample wave), and
+Inconclusive past ``MAX_LINE_SAMPLES`` (the same wave with the cap at 256).
 
 Exits of ``classify._verdict``: DenseLine (``test_classify_dense_table``),
 XTrivialResonant and NoXTrivialResonant (``test_classify_rosatau_table``),
@@ -44,6 +41,7 @@ NonResonant exit.
 
 import importlib.util
 import math
+import random
 import tracemalloc
 from pathlib import Path
 
@@ -53,8 +51,7 @@ import pytest
 from conftest import count_transforms
 from nulltorus import (catalog, classify, geometry, nullflow, spin,
                        spinorfield)
-from nulltorus.errors import (ConfigError, DegenerateMetric, Inconclusive,
-                              NotHarmonic, NotSCF)
+from nulltorus.errors import ConfigError, Inconclusive, NotHarmonic, NotSCF
 from nulltorus.gridtools import grid_points, mollifier, torus_delta
 from nulltorus.spin import SpinStructure, all_structures
 from nulltorus.tolerances import DEFAULT
@@ -84,8 +81,8 @@ def test_certificate_sanchez_sides(sanchez_spec):
     with pytest.raises(NotSCF) as exc:
         classify.semi_conformal_certificate(sanchez_spec, "X")
     assert exc.value.obstruction == pytest.approx(0.4 * np.pi, rel=1e-3)
-    assert 4 * exc.value.location == pytest.approx(
-        round(4 * exc.value.location), abs=1e-3)
+    x1, _ = exc.value.location
+    assert 4 * x1 == pytest.approx(round(4 * x1), abs=1e-3)
 
 
 @pytest.fixture()
@@ -102,7 +99,7 @@ def test_certificate_sanchez_analytic_obstruction(sanchez_spec, analytic_only):
     with pytest.raises(NotSCF) as exc:
         classify.semi_conformal_certificate(sanchez_spec, "X")
     assert exc.value.obstruction == pytest.approx(0.4 * np.pi, rel=1e-8)
-    assert exc.value.location in sanchez_spec.zeros
+    assert exc.value.location[0] in sanchez_spec.zeros
 
 
 def test_certificate_rosatau_zero_on_a_sample(analytic_only):
@@ -110,7 +107,7 @@ def test_certificate_rosatau_zero_on_a_sample(analytic_only):
     spec = catalog.rosatau_window(zero=0.3125)
     with pytest.raises(NotSCF) as exc:
         classify.semi_conformal_certificate(spec, "X")
-    assert exc.value.location == 0.3125
+    assert exc.value.location[0] == 0.3125
     # loop integral tau'(x0)/2 of the closed line at the zero
     assert exc.value.obstruction == pytest.approx(
         float(spec.dtau_at(np.asarray(0.3125))) / 2, rel=1e-12)
@@ -119,13 +116,14 @@ def test_certificate_rosatau_zero_on_a_sample(analytic_only):
 def test_certificate_rosatau_sides(rosatau_spec):
     cert = classify.semi_conformal_certificate(rosatau_spec, "Y")
     assert cert.kind == "analytic"
+    # w Y = (-1/sqrt|g|, 0) with |det g| = 1, up to the frame's rounding
     v1, v2 = cert.field.at(0.2, 0.9)
-    assert (v1, v2) == (-1.0, 0.0)
+    assert v1 == pytest.approx(-1.0, rel=1e-15) and v2 == 0.0
     # tau has a simple zero of unit slope: loop integral 1/2 obstructs X
     with pytest.raises(NotSCF) as exc:
         classify.semi_conformal_certificate(rosatau_spec, "X")
     assert exc.value.obstruction == pytest.approx(0.5, abs=1e-6)
-    assert exc.value.location == pytest.approx(0.3, abs=1e-6)
+    assert exc.value.location[0] == pytest.approx(0.3, abs=1e-6)
 
 
 @pytest.mark.parametrize("name, zeros", [
@@ -141,7 +139,7 @@ def test_killing_obstruction_is_twice_the_holonomy_boost(name, zeros,
     with pytest.raises(NotSCF) as exc:
         classify.semi_conformal_certificate(spec, "X")
     rotation = nullflow.rotation_number(spec, "X").rational
-    seeds = sorted({exc.value.location, *zeros})
+    seeds = sorted({exc.value.location[0], *zeros})
     for w, rec in zip(seeds, nullflow.closed_lines_through(spec, "X", seeds,
                                                            rotation)):
         boost = spin.holonomy_table(spec, rec)[(1, 1)].boost
@@ -169,11 +167,11 @@ def _dtau_cosine(x1):
 
 
 @pytest.mark.parametrize("make", [
-    # G has no zero at c = 2.5: the X1/(G R) field
+    # G has no zero at c = 2.5: V'^1 has none, the field w X
     lambda: catalog.analex_sanchez(c=2.5),
-    # tau vanishes identically: the (0, 1) field
+    # tau vanishes identically, and so does V'^1: the field X
     lambda: catalog.rosatau_window(amplitude=0.0),
-    # tau nowhere zero: the (1, 2/tau) field
+    # tau nowhere zero: the field w X
     lambda: geometry.RosaTau(_tau_cosine, dtau=_dtau_cosine),
     # the same, with tau' from RosaTau's central-difference fallback
     lambda: geometry.RosaTau(_tau_cosine)],
@@ -262,7 +260,7 @@ def test_stalled_transport_solve_names_lsqr_stop(conformally_flat_diagonal,
 
 def _tau_band(x1):
     """tau >= 0 on a bump over (0.15, 0.45) and zero on the band around it:
-    its only zeros are flat, so no simple zero decides the Killing rule.
+    its only zeros are flat, so no simple zero decides the phase rule.
     Off the band X = (tau, 2) pushes x1 towards the band edge, where a
     divergence-free w X needs w ~ 1/tau: the family is not SCF."""
     return 0.5 * mollifier(torus_delta(x1, 0.3) / 0.15)
@@ -271,16 +269,18 @@ def _tau_band(x1):
 @pytest.mark.parametrize("spec", [geometry.RosaTau(_tau_band),
                                   catalog.load_metric("rosatau:zero=0.55")],
                          ids=["band", "rosatau:zero=0.55"])
-def test_killing_rule_obstructs_flat_zeros(spec, analytic_only):
+def test_phase_rule_obstructs_flat_zeros(spec, analytic_only):
     """tau is one-signed on (0.15, 0.45) and vanishes flatly off it: the
-    lines there accumulate on the band edge x1 = 0.45, so the Killing rule
+    lines there accumulate on the band edge x1 = 0.45, so the phase rule
     answers NotSCF in closed form, with an infinite obstruction located at
-    that edge (where |tau| falls to 1e-12 max |tau|, bisected)."""
+    that edge (where the phase velocity falls to 1e-12 of its sup,
+    bisected)."""
     with pytest.raises(NotSCF, match="accumulate on the closed line") as exc:
         classify.semi_conformal_certificate(spec, "X")
     assert exc.value.obstruction == math.inf
-    assert 0.44 < exc.value.location <= 0.45
-    assert abs(float(spec.tau_at(exc.value.location))) < 2e-12
+    x1, x2 = exc.value.location
+    assert 0.44 < x1 <= 0.45 and x2 == 0.0
+    assert abs(float(spec.tau_at(x1))) < 2e-12
 
 
 def test_rescaling_exponent_stays_blocked():
@@ -320,9 +320,9 @@ def _clear_grid_caches():
 @pytest.mark.parametrize("metric,family,kind", [
     ("analex", "X", "analytic"),
     ("closed_diagonal:2,3", "X", "analytic"),
-    ("closed_diagonal:2,3", "Y", "lattice"),
-    ("closed_diagonal:1,2,amp=0.06,k=1,l=1", "Y", "lattice"),
-    ("closed_diagonal:1,2,amp=0.1,k=3,l=-2", "Y", "lattice"),
+    ("closed_diagonal:2,3", "Y", "analytic"),
+    ("closed_diagonal:1,2,amp=0.06,k=1,l=1", "Y", "analytic"),
+    ("closed_diagonal:1,2,amp=0.1,k=3,l=-2", "Y", "analytic"),
     ("rosatau", "Y", "analytic"),
     ("analex_sanchez", "Y", "analytic"),
 ])
@@ -347,40 +347,44 @@ ROUGH_Y_WAVES = ("closed_diagonal:5,8,amp=1.3294,k=2,l=3",
                  "closed_diagonal:6,8,amp=0.7705,k=2,l=3",
                  "closed_diagonal:8,6,amp=2.9274,k=2,l=3")
 
+#: a Y wave whose phase velocity comes within 0.0034 of zero: its steep
+#: field w Y is resolved by the 512-sample line, not by the 256-sample one
+STEEP_Y_WAVE = "closed_diagonal:4,8,amp=0.6482,k=2,l=3"
+
 
 @pytest.mark.parametrize("metric", ROUGH_Y_WAVES)
-def test_line_certificates_must_be_resolved(metric, monkeypatch):
-    """On these Y waves w = F + eta0 R crosses zero, so the pulled-back
-    component V'^2 along the phase's level lines is rough (a flat
-    spectrum).  The line divergence never reads it (6e-13 to 2e-12), so
-    without the resolution rule the lattice route would certify; with it
-    the pulled-back certificate is Inconclusive and the route declines
-    (the 2-D residuals are 5.5e2 to 2.3e3 at 256^2)."""
-    spec = catalog.load_metric(metric)
-    assert classify._lattice_analysis(spec, "Y", 256, DEFAULT) is None
-    pull = _pullback(spec, geometry.lattice_basis(*spec.phase()))
-    with pytest.raises(Inconclusive, match="not resolved"):
-        classify._killing_analysis(pull, pull.graph_family, 256, DEFAULT)
-    monkeypatch.setattr(classify, "resolved_series", lambda *args: True)
-    blind = classify._lattice_analysis(spec, "Y", 256, DEFAULT)
-    assert blind.kind == "lattice" and blind.residual < 1e-8
-    assert classify._field_divergence_residual(spec, blind.field, 256) > 1.0
+def test_line_certificates_must_be_resolved(metric, analytic_only,
+                                            monkeypatch):
+    """The phase velocity of these rough Y waves has simple zeros, so each
+    is NotSCF, with a finite obstruction.  The resolution rule's witness is
+    the steep wave: certified on the doubled line, and Inconclusive with
+    the line capped at 256 samples."""
+    with pytest.raises(NotSCF) as exc:
+        classify.semi_conformal_certificate(catalog.load_metric(metric), "Y")
+    assert math.isfinite(exc.value.obstruction)
+    steep = catalog.load_metric(STEEP_Y_WAVE)
+    cert = classify.semi_conformal_certificate(steep, "Y")
+    assert cert.grid_n == 512 and cert.residual < 1e-10
+    monkeypatch.setattr(classify, "MAX_LINE_SAMPLES", 256)
+    with pytest.raises(Inconclusive, match="not resolved by its 256-sample"):
+        classify.semi_conformal_certificate(steep, "Y")
 
 
-def test_line_certificate_escapes_plane_aliasing(monkeypatch):
-    """This X family's analytic field is divergence-free: 2.4e-12 on the
+def test_line_certificate_escapes_plane_aliasing():
+    """This X family's direction field is divergence-free: 2.4e-12 on the
     line, 1.9e-11 at 1024^2.  At 256^2 the 2-D route aliases the phase
-    harmonics whose |3m| passes 128, and misses the tolerance (6e-8)."""
+    harmonics whose |3m| passes 128, and misses the tolerance (6e-8); the
+    certificate is the same field over the constant sqrt|g| |V'^1| = 14.3,
+    which the line checks at the 256 samples."""
     spec = catalog.load_metric("closed_diagonal:6,4,amp=1.1403,k=-1,l=3")
     cert = classify.semi_conformal_certificate(spec, "X")
     assert cert.kind == "analytic" and cert.residual < 1e-10
     assert classify._field_divergence_residual(spec, cert.field, 1024) < 1e-10
-    _clear_grid_caches()
-    with monkeypatch.context() as plane_route:
-        plane_route.setattr(geometry, "_phase_line", lambda spec, n: None)
-        with pytest.raises(Inconclusive, match="divergence tolerance"):
-            classify.semi_conformal_certificate(spec, "X")
-    _clear_grid_caches()
+    direction = geometry.VectorField(
+        lambda x1, x2: geometry.null_direction_arrays(spec, x1, x2, "X"))
+    assert classify._field_divergence_residual(spec, direction, 1024) < 1e-10
+    assert (classify._field_divergence_residual(spec, direction, 256)
+            > DEFAULT.scf_certificate)
 
 
 @pytest.mark.parametrize("metric,family", [
@@ -388,9 +392,8 @@ def test_line_certificate_escapes_plane_aliasing(monkeypatch):
     ("analex_sanchez", "Y")])
 def test_phase_certificates_take_no_plane_transform(metric, family,
                                                     monkeypatch):
-    """The analytic, lattice and Killing certificates of a spec with a
-    phase line transform only its n samples: no transform of a 2-D
-    array."""
+    """The certificate of a spec with a phase line transforms only its n
+    samples: no transform of a 2-D array."""
     spec = catalog.load_metric(metric)
     _clear_grid_caches()
     calls = count_transforms(monkeypatch)
@@ -400,17 +403,17 @@ def test_phase_certificates_take_no_plane_transform(metric, family,
 
 
 # ---------------------------------------------------------------------------
-# the lattice route
+# the phase rule on waves
 
 
 @pytest.mark.parametrize("amp", (0.06, 0.09, 0.105))
 def test_lattice_certificate_is_a_multiple_of_the_rescaling_field(amp):
-    """The Y waves of the numeric-scf benchmark: the lattice field and the
-    transport solve's rescaling field are both divergence-free sections of
-    the family, so their ratio is constant along its dense lines."""
+    """The Y waves of the numeric-scf benchmark: the phase rule's field and
+    the transport solve's rescaling field are both divergence-free sections
+    of the family, so their ratio is constant along its dense lines."""
     spec = catalog.closed_diagonal_wave(1.0, 2.0, amp=amp)
     cert = classify.semi_conformal_certificate(spec, "Y")
-    assert cert.kind == "lattice" and cert.residual < 1e-8
+    assert cert.kind == "analytic" and cert.residual < 1e-8
     rescaling = classify._rescaling_analysis(spec, "Y", 32, DEFAULT)
     X1, X2 = grid_points(32)
     ratio = rescaling.field.at(X1, X2)[0] / cert.field.at(X1, X2)[0]
@@ -424,33 +427,14 @@ def test_lattice_route_corrects_a_birkhoff_misread():
     spec = catalog.closed_diagonal_wave(1.0, 2.0, amp=0.1, k=3, l=-2)
     report = classify.classify_dimension(spec, SpinStructure(1, 1),
                                          "delta_minus")
-    assert report.scf.kind == "lattice" and report.scf.residual < 1e-8
+    assert report.scf.kind == "analytic" and report.scf.residual < 1e-8
     assert "scf_obstruction" not in report.details
     assert (report.value, report.certificate) == ("One", "DenseLine")
 
 
-def _pullback(spec, A):
-    """The Sanchez pullback that the lattice route builds."""
-    return geometry.Sanchez(*(geometry.LatticeProfile(spec, A, which)
-                              for which in "EFG"))
-
-
-def test_lattice_route_declines(monkeypatch):
-    """Each exit hands the family to the transport solve with None."""
-    # phase (1, 0): A is the identity and F = g12 = 0, so eta0 is undefined
-    flat_f = catalog.closed_diagonal_wave(1.0, 2.0, k=1, l=0)
-    with pytest.raises(DegenerateMetric):
-        _pullback(flat_f, ((1, 0), (0, 1))).eta0
-    assert classify._lattice_analysis(flat_f, "Y", 32, DEFAULT) is None
-    # a wrong phase: the pullback certifies, the pushed field does not
-    wave = catalog.closed_diagonal_wave(1.0, 2.0, amp=0.08)
-    monkeypatch.setattr(catalog.Wave, "phase", lambda self: (2, 1))
-    assert classify._lattice_analysis(wave, "Y", 32, DEFAULT) is None
-
-
 def test_lattice_obstruction_is_twice_the_holonomy_boost(analex_spec,
                                                          analytic_only):
-    """analex's Y family: the pulled-back rule finds a simple zero of G at
+    """analex's Y family: its phase velocity has a simple zero at
     y1 = 1/2, and the NotSCF names the point x = A (1/2, 0) of its closed
     line, of winding A e2 = (1, 1).  The obstruction is 0.4 pi, within
     1e-8 of the loop integral 1.2566370614 that RK4 sweeps of analex
@@ -459,10 +443,6 @@ def test_lattice_obstruction_is_twice_the_holonomy_boost(analex_spec,
     same point."""
     A = geometry.lattice_basis(*analex_spec.phase())
     assert A == ((0, 1), (-1, 1))
-    with pytest.raises(NotSCF) as pulled:
-        classify._killing_analysis(_pullback(analex_spec, A), "X", 32,
-                                   DEFAULT)
-    assert pulled.value.location == pytest.approx(0.5, abs=1e-9)
     with pytest.raises(NotSCF) as exc:
         classify.semi_conformal_certificate(analex_spec, "Y")
     assert exc.value.obstruction == pytest.approx(1.2566370614, abs=1e-8)
@@ -478,6 +458,58 @@ def test_lattice_obstruction_is_twice_the_holonomy_boost(analex_spec,
     assert rec.winding == (1, 1)
     boost = spin.holonomy_table(analex_spec, rec)[(1, 1)].boost
     assert abs(2 * abs(boost) - exc.value.obstruction) < 1e-6
+
+
+def _seeded_waves(seed: int, count: int) -> list[str]:
+    """Waves b1, b2 in 1..9, k in {+-1, +-2, 3}, l in {0, +-1, +-2, +-3},
+    gcd(k, l) = 1, with amp up to 0.9 min(b1, b2 |k|/|l|), which keeps both
+    coefficients positive."""
+    rng = random.Random(seed)
+    waves: list[str] = []
+    while len(waves) < count:
+        b1, b2 = rng.randint(1, 9), rng.randint(1, 9)
+        k, l = rng.choice((1, -1, 2, -2, 3)), rng.choice((0, 1, -1, 2, -2,
+                                                           3, -3))
+        if math.gcd(k, l) != 1:
+            continue
+        cap = min(b1, b2 * abs(k) / abs(l)) if l else b1
+        amp = round(rng.uniform(0.01, 0.9) * cap, 4)
+        waves.append(f"closed_diagonal:{b1},{b2},amp={amp},k={k},l={l}")
+    return waves
+
+
+#: waves that reached the transport solve, or a false obstruction, before
+#: every phase spec took the phase rule
+NAMED_WAVES = ("closed_diagonal:6,8,amp=0.9748,k=2,l=3", STEEP_Y_WAVE,
+               "closed_diagonal:4,9,amp=3.1057,k=-1,l=-1",
+               "closed_diagonal:5,4,amp=3.8074,k=3,l=1",
+               "closed_diagonal:6,4,amp=1.1403,k=-1,l=3") + ROUGH_Y_WAVES
+
+
+def test_seeded_waves_are_decided_on_their_own_lines(analytic_only):
+    """Both families of 200 seeded waves and the named ones: each is
+    certified or NotSCF, never by the transport solve (``analytic_only``),
+    and every finite obstruction names a closed line of its own family:
+    the family's direction at ``location`` is parallel to the winding."""
+    outcomes = {"certified": 0, "not_scf": 0}
+    for metric in _seeded_waves(35, 200) + list(NAMED_WAVES):
+        spec = catalog.load_metric(metric)
+        for family in ("X", "Y"):
+            try:
+                classify.semi_conformal_certificate(spec, family)
+            except NotSCF as exc:
+                outcomes["not_scf"] += 1
+                if not math.isfinite(exc.obstruction):
+                    continue
+                (_, b), (_, d) = geometry.lattice_basis(*spec.phase())
+                v1, v2 = geometry.null_direction_arrays(
+                    spec, *exc.location, family)
+                sine = abs(v1 * d - v2 * b) / math.hypot(v1, v2) / math.hypot(
+                    b, d)
+                assert sine < 1e-6, (metric, family, exc.location)
+            else:
+                outcomes["certified"] += 1
+    assert outcomes["not_scf"] > 0 and outcomes["certified"] > 0, outcomes
 
 
 def test_is_x_conformally_flat(analex_spec, rosatau_spec, flat_spec):
@@ -652,10 +684,9 @@ def test_gate_tables_march_no_line_and_solve_nothing(metric, monkeypatch):
     """Four-quantity tables of every metric the gate's tables and
     classifications read, both conformal rescalings included, take every
     flow from the lattice quadrature and every certificate from a closed
-    form: no RK4 march, no transport solve (or an honest Inconclusive
-    past the period cap).  The one exception is a rough Y wave, which the
-    line refuses to certify: its pulled-back rule declines, and its
-    transport solve stalls (ROADMAP item 17)."""
+    form: no RK4 march and no transport solve.  A table may only be an
+    honest Inconclusive past the period cap, or, on a rough Y wave, where
+    no lattice rule covers its flow."""
     calls = []
     for owner, name in ((nullflow, "_march"), (classify, "_solve_rescaling")):
         def recording(*args, _name=name, _fn=getattr(owner, name), **kwargs):
@@ -666,12 +697,9 @@ def test_gate_tables_march_no_line_and_solve_nothing(metric, monkeypatch):
         table = classify.classify_table(catalog.load_metric(metric),
                                         tuple(classify.QUANTITIES))
         assert len(table) == 4
-    except Inconclusive as exc:
-        if metric in ROUGH_Y_WAVES:
-            assert "transport solve" in str(exc)
-            assert calls == ["_solve_rescaling"]
-            return
-        assert "closed-line period 65" in str(exc)  # left_invariant:1,65
+    except Inconclusive as exc:     # past the period cap: left_invariant:1,65
+        assert ("no lattice rule covers" in str(exc) if metric in ROUGH_Y_WAVES
+                else "closed-line period 65" in str(exc))
     assert not calls
 
 

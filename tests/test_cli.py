@@ -215,8 +215,8 @@ def test_table_y_rows_carry_spectral_count(runner, ratio):
 
 def test_table_wave_y_is_definite(runner):
     """The numeric route left this Y family Inconclusive (a loop integral of
-    1.298e-6 between the thresholds, exit 2); the lattice route certifies
-    it, and the dense Y-lines give definite rows."""
+    1.298e-6 between the thresholds, exit 2); the phase rule certifies it,
+    and the dense Y-lines give definite rows."""
     result = runner.invoke(main, ["table", "--metric",
                                   "closed_diagonal:1,2,amp=0.1,k=1,l=-1",
                                   "--quantity", "delta_minus,tau_plus"])

@@ -225,20 +225,25 @@ def test_killing_metrics_name_the_identity_basis(name, request):
         assert flow.A == ((1, 0), (0, 1))
 
 
-def test_single_phase_pullback_is_x1_only(analex_spec, wave12_spec):
-    """Along A = lattice_basis(phase), the pullback's coefficients A^T g A
-    at (y1, y2) equal the Sanchez profile at y1."""
+def test_single_phase_pullback_is_x1_only():
+    """Every catalog family with a phase (all but the conformal rescaling)
+    depends on it alone: along A = lattice_basis(phase), the coefficients
+    at A (y1, y2) do not depend on y2.  The SCF rule and the lattice
+    quadrature both rest on this."""
+    metrics = ["flat", "left_invariant:1,2", "analex", "analex_sanchez",
+               "rosatau", "closed_diagonal:1,2",
+               "closed_diagonal:3,5,amp=0.2,k=4,l=-6",
+               "closed_diagonal:6,8,amp=0.9748,k=2,l=3"]
+    assert ({m.partition(":")[0] for m in metrics}
+            == set(catalog.FAMILIES) - {"conformal_rescale"})
     y1, y2 = grid_points(16)
-    for spec in (analex_spec, wave12_spec,
-                 catalog.closed_diagonal_wave(3.0, 5.0, amp=0.2, k=4, l=-6)):
-        A = (a, b), (c, d) = geometry.lattice_basis(*spec.phase())
-        g11, g12, g22 = geometry.coefficients(spec, a * y1 + b * y2,
-                                              c * y1 + d * y2)
-        E, F, G, _ = geometry.Sanchez(*(geometry.LatticeProfile(
-            spec, A, which) for which in "EFG")).efgr(y1)
-        assert np.allclose(a * a * g11 + c * c * g22, E, rtol=0, atol=1e-12)
-        assert np.allclose(a * b * g11 + c * d * g22, F, rtol=0, atol=1e-12)
-        assert np.allclose(b * b * g11 + d * d * g22, -G, rtol=0, atol=1e-12)
+    for metric in metrics:
+        spec = catalog.load_metric(metric)
+        (a, b), (c, d) = geometry.lattice_basis(*spec.phase())
+        for g in geometry.coefficients(spec, a * y1 + b * y2,
+                                       c * y1 + d * y2):
+            g = np.broadcast_to(g, y1.shape)
+            assert np.max(np.abs(g - g[:, :1])) < 1e-12, metric
 
 
 @pytest.mark.parametrize("name", ZOO)

@@ -478,9 +478,8 @@ def test_a_flow_no_lattice_rule_covers_is_inconclusive():
     rescaled = catalog.conformal(generic, catalog.exp_sine_factor(amp=0.2))
     kinked = geometry.Sanchez(lambda x1: 1.0 + 0.5 * np.abs(np.sin(
         2 * np.pi * x1)), lambda x1: 1.0 + 0.0 * x1, lambda x1: 1.0 + 0.0 * x1)
-    family = kinked.graph_family
-    assert nullflow.transversal_axis(kinked, family) == 0
-    for spec, family in ((generic, "X"), (rescaled, "X"), (kinked, family)):
+    assert nullflow.transversal_axis(kinked, "X") == 0
+    for spec, family in ((generic, "X"), (rescaled, "X"), (kinked, "X")):
         assert nullflow._lattice_flow(spec, family, DEFAULT) is None
         calls = (lambda: nullflow.rotation_number(spec, family),
                  lambda: nullflow.cylinder_decomposition(spec, family),
@@ -496,8 +495,7 @@ def test_a_flow_no_lattice_rule_covers_is_inconclusive():
     # the kink-free profile is covered
     smooth = geometry.Sanchez(lambda x1: 1.0 + 0.5 * np.sin(2 * np.pi * x1),
                               kinked.F, kinked.G)
-    assert nullflow._lattice_flow(smooth, smooth.graph_family,
-                                  DEFAULT) is not None
+    assert nullflow._lattice_flow(smooth, "X", DEFAULT) is not None
 
 
 @given(b1=st.integers(1, 9), b2=st.integers(1, 9),

@@ -106,7 +106,7 @@ CASES = [
     ["classify", "--metric", "left_invariant:1,2", "--quantity", "tau_plus",
      "--structure", "-1,-1"],
     ["table", "--metric", "closed_diagonal:1,2", "--grid-n", "512"],
-    # single-phase Y families that the lattice route certifies
+    # single-phase Y families that the phase rule certifies
     ["classify", "--metric", "closed_diagonal:1,2,amp=0.1,k=3,l=-2",
      "--quantity", "delta_minus", "--structure", "1,1"],
     ["table", "--metric", "closed_diagonal:1,2,amp=0.1,k=1,l=-1",
@@ -114,11 +114,16 @@ CASES = [
     ["classify", "--metric", "closed_diagonal:1,2,amp=0.09,k=1,l=1",
      "--quantity", "delta_minus"],
     # certificates on the phase line: an X field that 256^2 aliasing
-    # missed, and a Y wave whose unresolved pullback the line must refuse
+    # missed, a rough Y wave whose phase velocity has simple zeros, and a
+    # steep Y field that needs the doubled line (with its X pair)
     ["classify", "--metric", "closed_diagonal:6,4,amp=1.1403,k=-1,l=3",
      "--quantity", "delta_plus"],
     ["classify", "--metric", "closed_diagonal:5,8,amp=1.3294,k=2,l=3",
      "--quantity", "delta_minus"],
+    ["classify", "--metric", "closed_diagonal:4,8,amp=0.6482,k=2,l=3",
+     "--quantity", "delta_minus"],
+    ["classify", "--metric", "closed_diagonal:4,8,amp=0.6482,k=2,l=3",
+     "--quantity", "delta_plus"],
     ["decompose", "--metric", "rosatau"],
     ["decompose", "--metric", "left_invariant:99,100"],
     # the lattice quadrature: exact rotation, four isolated zeros of an
@@ -137,7 +142,7 @@ CASES = [
     ["table", "--metric", "closed_diagonal:1,-2,k=1,l=2"],
     ["decompose", "--metric", "closed_diagonal:1,-2,k=1,l=2"],
     ["rotation", "--metric", "closed_diagonal:1,-2,k=1,l=2"],
-    # a one-signed tau between flat zeros: the Killing rule's flat-zero
+    # a one-signed tau between flat zeros: the phase rule's flat-zero
     # obstruction
     ["table", "--metric", "rosatau:zero=0.55", "--quantity", ALL_Q],
     ["classify", "--metric", "rosatau:zero=0.55"],
