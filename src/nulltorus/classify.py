@@ -17,7 +17,8 @@ X(f) = -div(X), Inconclusive when its divergence residual misses.
 
 On an SCF metric the dimension of each chiral kernel (harmonic or twistor)
 is 0, 1 or infinite, decided by the cylinder decomposition of the family's
-flow and the spin holonomy of its closed lines.  ``classify_table`` runs
+flow (off a rigid rotation, its closed lines lie at the same zeros of
+V'^1) and the spin holonomy of its closed lines.  ``classify_table`` runs
 that case analysis for all four structures and returns reports carrying the
 certificate they used (``classify_dimension`` reads one cell);
 ``spectral_count`` reads the exact spectral solver where one exists,
@@ -35,9 +36,8 @@ import numpy as np
 
 from . import geometry, nullflow, spin, spinorfield
 from .errors import DenseFlow, Inconclusive, NotHarmonic, NotSCF
-from .gridtools import (TrigSeries2, circular_zeros, grid_points,
-                        resolved_series, spectral_derivative,
-                        spectral_derivatives, wrap_unit)
+from .gridtools import (TrigSeries2, grid_points, resolved_series,
+                        spectral_derivative, spectral_derivatives, wrap_unit)
 from .spin import GAMMA1, GAMMA2, SpinStructure, all_structures
 from .spinorfield import HalfSpinorField, SpinorField, embed
 from .tolerances import DEFAULT, Tolerances
@@ -135,9 +135,9 @@ def _phase_analysis(spec, family: str, n: int, tol: Tolerances
     """The rule for a spec of phase (k, l).  In the lattice basis
     A = ((a, b), (c, d)) = lattice_basis(k, l) the direction V' = A^-1 V is a
     function of the phase y1 alone and det A = 1, so div(w V) = 0 reads
-    d/dy1 (sqrt|g| w V'^1) = 0.  The phase velocity V'^1 = d v1 - b v2,
-    at the samples of the flow's quadrature (``nullflow.phase_velocity``),
-    decides:
+    d/dy1 (sqrt|g| w V'^1) = 0.  The zeros of the phase velocity
+    V'^1 = d v1 - b v2, the flow's record (``nullflow.phase_zeros``),
+    decide:
 
     * no zero: w = 1/(sqrt|g| |V'^1|) certifies, with sqrt|g| =
       1/|det(s1, s2)| from the frame that gives V;
@@ -149,9 +149,9 @@ def _phase_analysis(spec, family: str, n: int, tol: Tolerances
       accumulate on a closed line at its edge, where a divergence-free w V
       needs w ~ 1/|V'^1|, unbounded: NotSCF with an infinite obstruction.
     """
-    ((a, b), (c, d)), samples, _ = nullflow.phase_velocity(spec, family)
-    level = 1e-12 * max(1.0, float(np.max(np.abs(samples))))
-    if np.all(samples >= level) or np.all(samples <= -level):
+    record = nullflow.phase_zeros(spec, family, tol)
+    (a, b), (c, d) = record.A
+    if not record.runs and not record.zeros:
         def field(x1, x2):
             a1, a2, b1, b2 = geometry.frame_component_arrays(spec, x1, x2)
             v1, v2 = (a1 + b1, a2 + b2) if family == "X" else (b1 - a1,
@@ -167,14 +167,7 @@ def _phase_analysis(spec, family: str, n: int, tol: Tolerances
 
         return _certify(spec, family, field, "analytic", n, tol)
 
-    def velocity(y1):
-        v1, v2 = geometry.null_direction_arrays(spec, a * y1, c * y1, family)
-        return d * v1 - b * v2
-
-    # a zero on a sample (analex_sanchez at c = 2 has four) between samples
-    # of opposite signs is a zero, not a run
-    runs, zeros = circular_zeros(samples, level, velocity, tol.bisection)
-    if runs == [(0.0, 1.0)]:
+    if record.runs == ((0.0, 1.0),):
         return _certify(spec, family, _direction(spec, family), "analytic", n,
                         tol)
 
@@ -185,7 +178,7 @@ def _phase_analysis(spec, family: str, n: int, tol: Tolerances
         """|Gamma(A e2)| at A (z, 0): the closed line's loop integral."""
         return abs(float(geometry.connection_along(spec, *point(z), b, d)))
 
-    worst, z = max(((loop(z), z) for z in zeros), default=(0.0, None))
+    worst, z = max(((loop(z), z) for z in record.zeros), default=(0.0, None))
     if worst > tol.scf_reject:
         x1, x2 = point(z)
         raise NotSCF(
@@ -194,7 +187,7 @@ def _phase_analysis(spec, family: str, n: int, tol: Tolerances
             f"x = ({x1:.6f}, {x2:.6f}), of winding ({b}, {d}), carries loop "
             f"integral {worst:.6f} of div", obstruction=worst,
             location=(x1, x2))
-    x1, x2 = point(float(runs[0][0] % 1.0) if runs else z)
+    x1, x2 = point(float(record.runs[0][0] % 1.0) if record.runs else z)
     raise NotSCF(
         f"the {family}-family is obstructed: its lines accumulate on the "
         f"closed line through x = ({x1:.6f}, {x2:.6f}), of winding ({b}, "
@@ -534,13 +527,10 @@ def _verdict(ctx: dict, structure: SpinStructure, quantity: str
                                         decomp.rotation.q]})
         failures.extend(interval_failures)
     failures.extend(failures_among(ctx["isolated_tables"]))
-    kinds = {iv.kind for iv in decomp.intervals}
-    if kinds == {"NonResonant"}:
-        # rational rotation but no line closes at this resolution: behaves
-        # like the dense case for counting purposes
+    if decomp.intervals[0].kind == "NonResonant":
+        # a rational rotation but no closed line: counted as a dense flow
         return report("One" if structure.trivial else "Zero", "NonResonant",
-                      {"resolution": decomp.resolution,
-                       "rotation": [decomp.rotation.p, decomp.rotation.q]})
+                      {"rotation": [decomp.rotation.p, decomp.rotation.q]})
     if failures:
         details: dict = {"holonomy_failures": failures}
         if structure.trivial:

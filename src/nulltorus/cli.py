@@ -98,6 +98,14 @@ class Settings:
                 raise ConfigError(f"config is not valid JSON: {exc}") from exc
             if not isinstance(doc, dict):
                 raise ConfigError("config must be a single JSON object")
+            # keys: every command's options (one document may drive several)
+            keys = {p.opts[0].lstrip("-").replace("-", "_") for c in
+                    main.commands.values() for p in c.params
+                    if p.name != "config_path"}
+            unread = sorted(set(doc) - keys)
+            if unread:
+                raise ConfigError("no command reads the config key "
+                                  + ", ".join(map(repr, unread)))
             self.file = doc
         self.output = output if output is not None else self.file.get("output")
         self.fmt = fmt if fmt is not None else self.file.get("format")
@@ -377,14 +385,10 @@ def classify_line(s: Settings, spec, family, from_):
 
 
 @command(flow=True)
-@click.option("--resolution", type=int, default=None,
-              help="Transversal seeds scanned (default 1024).")
-def decompose(s: Settings, spec, family, resolution):
+def decompose(s: Settings, spec, family):
     """Cylinder decomposition of the torus under one null family."""
-    res = s.count("resolution", resolution, 1024)
     try:
-        dec = nullflow.cylinder_decomposition(spec, family, resolution=res,
-                                              tol=s.tol)
+        dec = nullflow.cylinder_decomposition(spec, family, tol=s.tol)
     except nullflow.DenseFlow as exc:
         return {"command": "decompose", "family": family,
                 "verdict": "Dense", "message": str(exc)}

@@ -238,24 +238,21 @@ def _bisect(inside, out: float, inn: float, tol: float) -> float:
     return 0.5 * (out + inn)
 
 
-def circular_zeros(values, level: float = 0.0, fun=None, tol: float = 1e-10
+def circular_zeros(values, level: float, fun, tol: float
                    ) -> tuple[list[tuple[float, float]], list[float]]:
-    """Runs of |f| < level and isolated zeros of f, from values[i] = f(i/n).
+    """Runs of |f| < level and isolated zeros of the 1-periodic ``fun`` f,
+    from values[i] = f(i/n).
 
     A run is a maximal circular stretch of samples below the level, as an
     arc (lo, hi) with hi possibly past 1 ((0, 1) when every sample is
-    below).  Samples start..stop-1 span [start/n, stop/n); given a
-    1-periodic ``fun``, each end is instead bisected to ``tol`` between the
-    last sample in the run and the first one outside.  Isolated zeros are
-    exact zero samples outside the runs, single samples below the level
-    whose neighbours have opposite signs, and strict sign flips between
-    neighbours outside the runs; they are bisected on ``fun`` when given
-    (linearly interpolated otherwise) and come back sorted, in [0, 1).
+    below), each end bisected on f to ``tol``.  Isolated zeros are exact
+    zero samples outside the runs, single samples below the level whose
+    neighbours have opposite signs, and sign flips between neighbours
+    outside the runs, bisected on f; they come back sorted, in [0, 1).
     """
     f = np.asarray(values, dtype=float)
     n = len(f)
     h = 1.0 / n
-    xs = np.arange(n) / n
     nxt = np.roll(f, -1)
     below = np.abs(f) < level
     # one sample below the level between a sign flip is a transversal zero
@@ -269,24 +266,18 @@ def circular_zeros(values, level: float = 0.0, fun=None, tol: float = 1e-10
         return abs(fun(x % 1.0)) < level
 
     runs: list[tuple[float, float]] = []
-    zeros = [float(xs[i]) for i in np.flatnonzero((f == 0.0) & ~below)]
+    zeros = [float(i / n) for i in np.flatnonzero((f == 0.0) & ~below)]
     for start in np.flatnonzero(below & ~np.roll(below, 1)):
         stop = start + 1
         while below[stop % n]:
             stop += 1
-        if fun is None:
-            runs.append((float(start / n), float(stop / n)))
-            continue
-        lo, hi = float(xs[start]), float(xs[(stop - 1) % n])
+        lo, hi = float(start / n), float((stop - 1) % n / n)
         hi += 1.0 if hi < lo else 0.0
         runs.append((_bisect(in_run, lo - h, lo, tol),
                      _bisect(in_run, hi + h, hi, tol)))
     for i in np.flatnonzero((f * nxt < 0.0) & ~below & ~np.roll(below, -1)):
-        a, b, lo = f[i], nxt[i], float(xs[i])
-        if fun is None:
-            z = lo + a / (a - b) / n
-        else:
-            z = _bisect(lambda x: a * fun(x % 1.0) <= 0, lo, lo + h, tol)
+        a, lo = f[i], float(i / n)
+        z = _bisect(lambda x: a * fun(x % 1.0) <= 0, lo, lo + h, tol)
         zeros.append(float(z % 1.0))
     return runs, sorted(zeros)
 

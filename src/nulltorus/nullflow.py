@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional
 
 import numpy as np
@@ -32,7 +32,7 @@ from . import geometry
 from .errors import (DenseFlow, Inconclusive, NotTransverse, StepTooLarge,
                      WrongFamily)
 from .gridtools import (TrigSeries1, TrigSeries2, circular_zeros, grid_points,
-                        resolved_series, wrap_unit)
+                        resolved_series)
 from .tolerances import DEFAULT, Tolerances
 
 Point = tuple[float, float]
@@ -111,7 +111,6 @@ class CylinderDecomposition:
     rotation: RationalCertificate
     intervals: tuple[Interval, ...]
     isolated_closed: tuple[float, ...]   # transversal values of isolated closed lines
-    resolution: int
     step: float                          # ode_step: the records' step
 
     @property
@@ -306,10 +305,10 @@ class _LatticeFlow:
     antiderivative) and a y1-period moves each line by d = A (1, Theta).
     Its error is a few ulps of rho plus that of Theta (``theta_error``)
     carried through |d rho / d Theta| = 1/(d^a)^2 (det A = 1).  Vertical
-    branch: the lines solve dy1/dy2 = s'(y1) = V'^1/V'^2; a zero z of s' is
-    the closed line x = A (z, t) of winding d = A e2, a run of zeros a
-    resonant band, and every other line is asymptotic to them; rho is a
-    ratio of integers.
+    branch: the lines solve dy1/dy2 = s'(y1) = V'^1/V'^2; a zero z of V'^1
+    (``phase_zeros``) is the closed line x = A (z, t) of winding d = A e2, a
+    run of zeros a resonant band, and every other line is asymptotic to
+    them; rho is a ratio of integers.
     """
 
     def __init__(self, spec, family: str, axis: int, A, theta=None, M=None,
@@ -380,12 +379,38 @@ def phase_velocity(spec, family: str):
                                       in (d * v1 - b * v2, a * v2 - c * v1)]))
 
 
+@dataclass(frozen=True)
+class PhaseZeros:
+    """Where V'^1 vanishes, in y1: runs (lo, hi) below the SCF rule's level
+    (hi may pass 1; ((0, 1),) where V'^1 = 0) and simple zeros, sorted in
+    [0, 1).  The closed line x = A (z, t) runs along each zero z."""
+    A: tuple
+    runs: tuple[tuple[float, float], ...]
+    zeros: tuple[float, ...]
+
+
+@lru_cache(maxsize=128)
+def phase_zeros(spec, family: str, tol: Tolerances) -> PhaseZeros:
+    """``phase_velocity``'s V'^1 searched at level 1e-12 max(1, max |V'^1|),
+    run ends and sign flips bisected on V'^1: the package's one search."""
+    A, along, _ = phase_velocity(spec, family)
+    (a, b), (c, d) = A
+
+    def velocity(y1):
+        v1, v2 = geometry.null_direction_arrays(spec, a * y1, c * y1, family)
+        return d * v1 - b * v2
+
+    level = 1e-12 * max(1.0, float(np.max(np.abs(along))))
+    runs, zeros = circular_zeros(along, level, velocity, tol.bisection)
+    return PhaseZeros(A, tuple(runs), tuple(zeros))
+
+
 @lru_cache(maxsize=128)
 def _lattice_flow(spec, family: str, tol: Tolerances):
     """The family's ``_LatticeFlow``, or None where no lattice rule covers
     it, from the samples of ``phase_velocity`` (A is the identity on x1-only
     and left-invariant metrics).  Declined: a spec with no phase; where V'^1
-    has a zero (sign flip or zero sample), a zero of V'^2 or closed lines
+    has a zero or a run (``phase_zeros``), a zero of V'^2 or closed lines
     parallel to the section; else a coefficient of m at |k| >=
     LATTICE_SAMPLES/4 above tol.resonance max |m|.
 
@@ -401,8 +426,10 @@ def _lattice_flow(spec, family: str, tol: Tolerances):
         return None
     A, along, across = phase_velocity(spec, family)
     axis = transversal_axis(spec, family)
-    if circular_zeros(along)[1]:
-        vertical = A[axis][1] != 0 and not circular_zeros(across)[1]
+    record = phase_zeros(spec, family, tol)
+    if record.runs or record.zeros:
+        vertical = A[axis][1] != 0 and (np.all(across > 0)
+                                        or np.all(across < 0))
         return _LatticeFlow(spec, family, axis, A) if vertical else None
     m = across / along
     resolved = resolved_series(m, tol.resonance)
@@ -669,53 +696,43 @@ def first_integral_function(spec, n: Optional[int] = None,
 # cylinder decomposition
 
 
-def cylinder_decomposition(spec, family: str = "X", resolution: int = 1024,
+def cylinder_decomposition(spec, family: str = "X",
                            tol: Tolerances = DEFAULT) -> CylinderDecomposition:
-    """Split the transversal circle by the q-return displacement D.
-
-    Maximal runs with |D| < 1e-10 (at every sampled point) become Resonant
-    intervals; isolated zeros of D (located by bisection to 1e-10) are closed
-    lines bounding Asymptotic intervals.  A rational rotation number with
-    q <= MAX_PERIOD is required (DenseFlow without one, Inconclusive for a
-    longer period).  NonResonant is emitted only in the degenerate case
-    where D has no zero at all at this resolution.
-
-    D comes from the lattice quadrature: the constant q rho - p under a
-    rigid rotation, or where the lines turn vertical in the lattice basis
-    the slope s' at the section point, whose zeros and runs are those of
-    the q-return displacement.  Run ends and zeros are bisected on it.
+    """Split the transversal circle by the q-return displacement D, for a
+    rational rotation with q <= MAX_PERIOD (DenseFlow without one,
+    Inconclusive for a longer period).  Under the quadrature's rigid
+    rotation D = q rho - p: one Resonant interval where |D| <
+    tol.resonance, else one NonResonant.  Where the lines turn vertical in
+    the lattice basis, the closed line at a zero z of V'^1 (``phase_zeros``)
+    meets the section, where y1 = m w (m = d on axis 1, -b on axis 0), at
+    w = (z + j)/m mod 1, j < |m|: each run of zeros gives |m| Resonant
+    intervals, each simple zero |m| isolated closed lines bounding
+    Asymptotic intervals.
     """
-    est = rotation_number(spec, family, tol)
-    cert = _verifiable(est, tol)
-    seeds = np.arange(resolution) / resolution
+    cert = _verifiable(rotation_number(spec, family, tol), tol)
     flow = _lattice_flow(spec, family, tol)
-    if flow.theta is None:
-        D, series = flow.slope(seeds), flow.slope
-    else:
-        D = np.full(resolution, cert.q * flow.rho - cert.p)
-        series = TrigSeries1(D[:1], np.array([0]))
+    result = partial(CylinderDecomposition, family, flow.axis, cert,
+                     step=tol.ode_step)
+    record = phase_zeros(flow.spec, family, tol)
+    if flow.theta is not None or record.runs == ((0.0, 1.0),):
+        resonant = abs(cert.q * flow.rho - cert.p) < tol.resonance
+        return result((Interval("Resonant" if resonant else "NonResonant",
+                                0.0, 1.0),), ())
+    m = flow.A[1][1] if flow.axis == 1 else -flow.A[0][1]
 
-    def D_at(w: float) -> float:
-        return float(np.real(series(w)))
+    def section(y1):
+        return [((y1 + j) / m) % 1.0 for j in range(abs(m))]
 
-    runs, zeros = circular_zeros(D, tol.resonance, D_at, tol.bisection)
-
-    def result(intervals, isolated=()):
-        return CylinderDecomposition(family, flow.axis, cert,
-                                     tuple(intervals),
-                                     tuple(isolated), resolution,
-                                     tol.ode_step)
-
-    if runs == [(0.0, 1.0)]:
-        return result([Interval("Resonant", 0.0, 1.0)])
+    zeros = sorted(w for z in record.zeros for w in section(z))
+    # w = y1/m reverses a run's ends where m < 0
+    runs = sorted((w, w + (hi - lo) / abs(m)) for lo, hi in record.runs
+                  for w in section(lo if m > 0 else hi))
     if not runs:
-        if not zeros:
-            return result([Interval("NonResonant", 0.0, 1.0)])
-        return result([Interval("Asymptotic", a, b) for a, b in
-                       zip(zeros, zeros[1:] + [zeros[0] + 1.0])], zeros)
+        return result(tuple(Interval("Asymptotic", a, b) for a, b in
+                            zip(zeros, zeros[1:] + [zeros[0] + 1.0])),
+                      tuple(zeros))
     # resonant runs, with the isolated zeros in the gaps between them
-    intervals = [Interval("Resonant", wrap_unit(lo), wrap_unit(lo) + (hi - lo))
-                 for lo, hi in runs]
+    intervals = [Interval("Resonant", lo, hi) for lo, hi in runs]
     isolated: list[float] = []
     for (_, a), (b, _) in zip(runs, runs[1:] + [(runs[0][0] + 1.0, None)]):
         shifted = (a + (z - a) % 1.0 for z in zeros)
@@ -723,8 +740,8 @@ def cylinder_decomposition(spec, family: str = "X", resolution: int = 1024,
         bounds = [a] + inside + [b]
         intervals += [Interval("Asymptotic", lo, hi)
                       for lo, hi in zip(bounds, bounds[1:])]
-        isolated += [wrap_unit(z) for z in inside]
-    return result(intervals, sorted(isolated))
+        isolated += [z % 1.0 for z in inside]
+    return result(tuple(intervals), tuple(sorted(isolated)))
 
 
 # ---------------------------------------------------------------------------

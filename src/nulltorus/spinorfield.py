@@ -40,7 +40,7 @@ import numpy as np
 from . import geometry, nullflow, spin
 from .errors import (DenseFlow, NotHarmonic, NotXTrivial, UnsupportedFamily,
                      WrongFamily)
-from .gridtools import (TrigSeries2, circular_zeros, grid_points, mollifier,
+from .gridtools import (TrigSeries2, grid_points, mollifier,
                         spectral_derivatives, torus_delta, wrap_unit)
 from .spin import SpinStructure
 from .tolerances import DEFAULT, Tolerances
@@ -543,18 +543,16 @@ def _closed_diagonal_bumps(spec, structure: SpinStructure, count: int,
     return tuple(fields)
 
 
-def _vertical_band(spec) -> tuple[float, float]:
-    """Widest arc of vanishing tau on 4096 samples, as (lo, hi) with hi
-    possibly > 1."""
-    resolution = 4096
-    xs = np.arange(resolution) / resolution
-    runs, _ = circular_zeros(spec.tau_at(xs), 1e-13)
+def _vertical_band(spec, tol: Tolerances) -> tuple[float, float]:
+    """Widest run of zeros of the X phase velocity (tau = 0; the basis is
+    the identity, so the run is in x1), as (lo, hi) with hi possibly > 1."""
+    runs = nullflow.phase_zeros(spec, "X", tol).runs
     if not runs:
         raise UnsupportedFamily(
             "tau vanishes nowhere on the sampling grid; the vertical-band "
             "construction needs an interval of zeros")
     lo, hi = max(runs, key=lambda r: r[1] - r[0])
-    if hi - lo < 16 / resolution:
+    if hi - lo < 16 / 4096:
         raise UnsupportedFamily(
             f"widest zero arc of tau has width {hi - lo:.4f}; too narrow "
             "for localized sections")
@@ -563,7 +561,7 @@ def _vertical_band(spec) -> tuple[float, float]:
 
 def _rosatau_bumps(spec, structure: SpinStructure, count: int, grid_n: int,
                    tol: Tolerances) -> tuple[HalfSpinorField, ...]:
-    lo, hi = _vertical_band(spec)
+    lo, hi = _vertical_band(spec, tol)
     mid = wrap_unit(0.5 * (lo + hi))
     # tau vanishes on the band, so the X-line through mid is vertical: the
     # lattice record of rotation 0/1 (the vertical branch)

@@ -16,7 +16,7 @@ class Tolerances:
     closedness: float = 1e-9
     closedness_reject: float = 1e-6   # displacements above this are "open"
     holonomy_boost: float = 1e-8
-    resonance: float = 1e-10          # per-sample displacement on resonant cylinders
+    resonance: float = 1e-10          # |q rho - p| of a resonant rotation
     rational_cap: int = 10_000        # max denominator for rational detection
     rational_residual_flow: float = 1e-6   # |rho - p/q| accepted from flow data
     rational_residual_solver: float = 1e-9  # accepted when classifying ratios

@@ -1,3 +1,5 @@
+import math
+import random
 from collections import Counter
 
 import numpy as np
@@ -35,6 +37,24 @@ def count_transforms(monkeypatch) -> Counter:
             return _fft(a, *args, **kwargs)
         monkeypatch.setattr(np.fft, name, counting)
     return calls
+
+
+def seeded_waves(seed: int, count: int) -> list[str]:
+    """Waves b1, b2 in 1..9, k in {+-1, +-2, 3}, l in {0, +-1, +-2, +-3},
+    gcd(k, l) = 1, with amp up to 0.9 min(b1, b2 |k|/|l|), which keeps both
+    coefficients positive."""
+    rng = random.Random(seed)
+    waves: list[str] = []
+    while len(waves) < count:
+        b1, b2 = rng.randint(1, 9), rng.randint(1, 9)
+        k, l = rng.choice((1, -1, 2, -2, 3)), rng.choice((0, 1, -1, 2, -2,
+                                                           3, -3))
+        if math.gcd(k, l) != 1:
+            continue
+        cap = min(b1, b2 * abs(k) / abs(l)) if l else b1
+        amp = round(rng.uniform(0.01, 0.9) * cap, 4)
+        waves.append(f"closed_diagonal:{b1},{b2},amp={amp},k={k},l={l}")
+    return waves
 
 
 def frame_direction(spec, x1, x2, family):

@@ -41,14 +41,13 @@ NonResonant exit.
 
 import importlib.util
 import math
-import random
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import count_transforms
+from conftest import count_transforms, seeded_waves
 from nulltorus import (catalog, classify, geometry, nullflow, spin,
                        spinorfield)
 from nulltorus.errors import ConfigError, Inconclusive, NotHarmonic, NotSCF
@@ -126,24 +125,36 @@ def test_certificate_rosatau_sides(rosatau_spec):
     assert exc.value.location[0] == pytest.approx(0.3, abs=1e-6)
 
 
-@pytest.mark.parametrize("name, zeros", [
-    ("rosatau_spec", ()),
-    ("sanchez_spec", (0.0, 0.25, 0.5, 0.75))])
-def test_killing_obstruction_is_twice_the_holonomy_boost(name, zeros,
-                                                         request):
-    """The closed vertical line at a simple zero of g22 carries loop integral
-    |Gamma^2_22| of div(X) and spin holonomy boost of half of it: the RK4 and
-    Simpson route along each line (the obstructed one, and every zero of G)
-    against the closed form."""
-    spec = request.getfixturevalue(name)
+@pytest.mark.parametrize("metric, family", [
+    ("rosatau", "X"), ("analex_sanchez", "X"), ("analex", "Y"),
+    ("closed_diagonal:6,8,amp=0.7705,k=2,l=3", "Y")])
+def test_lattice_obstruction_is_twice_the_holonomy_boost(metric, family,
+                                                         analytic_only):
+    """Every simple zero z of the phase velocity's record is the closed line
+    x = A (z, t), with loop integral |Gamma(A e2)| of div at A (z, 0): the
+    NotSCF obstruction is the largest of them, and each of the |m| points
+    where the decomposition puts that line through the section (six lines
+    on the 6,8 wave, whose basis is not the identity) carries spin holonomy
+    boost of half of it, integrated along the line's record."""
+    spec = catalog.load_metric(metric)
     with pytest.raises(NotSCF) as exc:
-        classify.semi_conformal_certificate(spec, "X")
-    rotation = nullflow.rotation_number(spec, "X").rational
-    seeds = sorted({exc.value.location[0], *zeros})
-    for w, rec in zip(seeds, nullflow.closed_lines_through(spec, "X", seeds,
-                                                           rotation)):
-        boost = spin.holonomy_table(spec, rec)[(1, 1)].boost
-        assert abs(abs(boost) - exc.value.obstruction / 2) < 1e-6, w
+        classify.semi_conformal_certificate(spec, family)
+    record = nullflow.phase_zeros(spec, family, DEFAULT)
+    (a, b), (c, d) = record.A
+    loops = [abs(float(geometry.connection_along(
+        spec, (a * z) % 1.0, (c * z) % 1.0, b, d))) for z in record.zeros]
+    assert exc.value.obstruction == max(loops)
+    dec = nullflow.cylinder_decomposition(spec, family)
+    m = d if dec.axis == 1 else -b
+    assert len(dec.isolated_closed) == abs(m) * len(record.zeros)
+    for z, loop in zip(record.zeros, loops):
+        seeds = [w for w in dec.isolated_closed
+                 if abs(torus_delta(m * w, z)) < 1e-9]
+        assert len(seeds) == abs(m)
+        for rec in nullflow.closed_lines_through(spec, family, seeds,
+                                                 dec.rotation):
+            boost = spin.holonomy_table(spec, rec)[(1, 1)].boost
+            assert abs(2 * abs(boost) - loop) < 1e-6, (z, rec.points[0])
 
 
 def test_certificate_conformal_invariance(analex_spec, conformal_spec):
@@ -432,8 +443,8 @@ def test_lattice_route_corrects_a_birkhoff_misread():
     assert (report.value, report.certificate) == ("One", "DenseLine")
 
 
-def test_lattice_obstruction_is_twice_the_holonomy_boost(analex_spec,
-                                                         analytic_only):
+def test_analex_y_obstruction_names_its_closed_line(analex_spec,
+                                                    analytic_only):
     """analex's Y family: its phase velocity has a simple zero at
     y1 = 1/2, and the NotSCF names the point x = A (1/2, 0) of its closed
     line, of winding A e2 = (1, 1).  The obstruction is 0.4 pi, within
@@ -460,24 +471,6 @@ def test_lattice_obstruction_is_twice_the_holonomy_boost(analex_spec,
     assert abs(2 * abs(boost) - exc.value.obstruction) < 1e-6
 
 
-def _seeded_waves(seed: int, count: int) -> list[str]:
-    """Waves b1, b2 in 1..9, k in {+-1, +-2, 3}, l in {0, +-1, +-2, +-3},
-    gcd(k, l) = 1, with amp up to 0.9 min(b1, b2 |k|/|l|), which keeps both
-    coefficients positive."""
-    rng = random.Random(seed)
-    waves: list[str] = []
-    while len(waves) < count:
-        b1, b2 = rng.randint(1, 9), rng.randint(1, 9)
-        k, l = rng.choice((1, -1, 2, -2, 3)), rng.choice((0, 1, -1, 2, -2,
-                                                           3, -3))
-        if math.gcd(k, l) != 1:
-            continue
-        cap = min(b1, b2 * abs(k) / abs(l)) if l else b1
-        amp = round(rng.uniform(0.01, 0.9) * cap, 4)
-        waves.append(f"closed_diagonal:{b1},{b2},amp={amp},k={k},l={l}")
-    return waves
-
-
 #: waves that reached the transport solve, or a false obstruction, before
 #: every phase spec took the phase rule
 NAMED_WAVES = ("closed_diagonal:6,8,amp=0.9748,k=2,l=3", STEEP_Y_WAVE,
@@ -492,7 +485,7 @@ def test_seeded_waves_are_decided_on_their_own_lines(analytic_only):
     and every finite obstruction names a closed line of its own family:
     the family's direction at ``location`` is parallel to the winding."""
     outcomes = {"certified": 0, "not_scf": 0}
-    for metric in _seeded_waves(35, 200) + list(NAMED_WAVES):
+    for metric in seeded_waves(35, 200) + list(NAMED_WAVES):
         spec = catalog.load_metric(metric)
         for family in ("X", "Y"):
             try:

@@ -260,12 +260,12 @@ def test_decompose_json_rosatau(runner):
     payload = _json_out(result)
     assert result.exit_code == 0
     assert sorted(payload) == ["axis", "command", "family", "intervals",
-                               "isolated_closed", "resolution", "rotation",
-                               "step", "tolerances", "verdict"]
+                               "isolated_closed", "rotation", "step",
+                               "tolerances", "verdict"]
     assert payload["command"] == "decompose"
     assert payload["verdict"] == "CylinderDecomposition"
     assert (payload["family"], payload["axis"]) == ("X", 1)
-    assert (payload["resolution"], payload["step"]) == (1024, 1e-3)
+    assert payload["step"] == 1e-3
     assert sorted(payload["rotation"]) == ["p", "q", "residual"]
     assert (payload["rotation"]["p"], payload["rotation"]["q"]) == (0, 1)
     intervals = payload["intervals"]
@@ -274,8 +274,8 @@ def test_decompose_json_rosatau(runner):
     assert [iv["kind"] for iv in intervals] == ["Resonant", "Asymptotic",
                                                 "Asymptotic"]
     band = intervals[0]
-    assert band["lo"] == pytest.approx(0.446, abs=1e-3)
-    assert band["hi"] == pytest.approx(1.154, abs=1e-3)
+    assert band["lo"] == pytest.approx(0.447, abs=1e-3)
+    assert band["hi"] == pytest.approx(1.153, abs=1e-3)
     for iv in intervals:
         assert iv["width"] == iv["hi"] - iv["lo"]
     assert payload["isolated_closed"] == [pytest.approx(0.3, abs=1e-9)]
@@ -409,6 +409,7 @@ def test_config_errors_are_exit_one(runner, tmp_path):
         ["rotation", "--metric", "flat", "--format", "csv"],
         ["solve"],
         config("decompose", resolution="many"),
+        config("table", quantitiy="delta_plus"),
         config("rotation", step="tiny"),
         config("rotation", grid_n="fine"),
         config("flow", tmax="long"),
@@ -448,7 +449,7 @@ def test_config_errors_are_exit_one(runner, tmp_path):
         ("grid_n", ["solve", "--metric",
                     '{"family":"analex","grid_n":32.9}']),
         ("grid_n", ["solve", "--metric", '{"family":"analex","grid_n":true}']),
-        ("resolution", config("decompose", resolution=10.5)),
+        ("n_fields", config("solve", n_fields=10.5)),
         ("chirality", config("solve", chirality=-1.5)),
         # wavenumbers are counts too: a non-integral one is no torus metric
         ("k", ["rotation", "--metric", "closed_diagonal:1,2,k=0.5"]),
@@ -555,6 +556,28 @@ def test_config_file_and_flag_precedence(runner, tmp_path):
     payload = _json_out(result)
     assert payload["structure"] == "(+1,+1)"
     assert payload["tolerances"]["rational_cap"] == 70
+
+
+def test_config_keys_no_command_reads_are_refused(runner, tmp_path):
+    """One document may drive several commands, so a key of another
+    command is accepted; a key that no command reads (the decompose
+    resolution that went with the section scan, or a typo) is a
+    ConfigError naming it, not a silent default."""
+    def run(command, **doc):
+        path = tmp_path / f"{len(list(tmp_path.iterdir()))}.json"
+        path.write_text(json.dumps({"metric": "flat", **doc}))
+        return runner.invoke(main, [command, "--config", str(path)])
+
+    shared = run("rotation", n_fields=1, tmax=2.0, quantity="delta_plus",
+                 output=None, format="json", tol={})
+    assert shared.exit_code == 0, shared.output
+    for key in ("resolution", "quantitiy", "config"):
+        result = run("table", **{key: 1})
+        assert result.exit_code == 1
+        refused = _json_out(result)
+        assert refused["error"] == "ConfigError"
+        assert refused["message"] == ("no command reads the config key "
+                                      f"{key!r}")
 
 
 def test_tol_override_lands_in_artifact(runner):

@@ -41,25 +41,25 @@ def test_zeros_on_sample_points():
     """analex_sanchez (c = 2) has its G-zeros exactly on the samples."""
     spec = catalog.analex_sanchez()
     G = _samples(spec.G, 8192)
-    runs, zeros = circular_zeros(G, 0.0, spec.G)
+    runs, zeros = circular_zeros(G, 0.0, spec.G, 1e-10)
     assert runs == []
     assert zeros == list(spec.zeros) == [0.0, 0.25, 0.5, 0.75]
 
 
-def test_sign_flips_bisected_or_interpolated():
+def test_sign_flips_bisected():
     f = lambda x: np.cos(2 * np.pi * x)
-    runs, zeros = circular_zeros(_samples(f, 10), 0.0, f, tol=1e-12)
+    runs, zeros = circular_zeros(_samples(f, 10), 0.0, f, 1e-12)
     assert runs == []
     assert zeros == pytest.approx([0.25, 0.75], abs=1e-11)
-    _, rough = circular_zeros(_samples(f, 10))
-    assert rough == pytest.approx([0.25, 0.75], abs=1e-2)
 
 
 def test_transversal_zero_on_a_sample_is_not_a_run():
     f = lambda x: np.sin(2 * np.pi * (x - 0.25))
-    assert circular_zeros(_samples(f, 64), 1e-3) == ([], [0.25, 0.75])
+    runs, zeros = circular_zeros(_samples(f, 64), 1e-3, f, 1e-12)
+    assert runs == []
+    assert zeros == pytest.approx([0.25, 0.75], abs=1e-11)
     g = lambda x: f(x) + 1e-5        # below the level, but not exactly zero
-    runs, zeros = circular_zeros(_samples(g, 64), 1e-3, g, tol=1e-13)
+    runs, zeros = circular_zeros(_samples(g, 64), 1e-3, g, 1e-13)
     edge = math.asin(1e-5) / (2 * np.pi)
     assert runs == []
     assert zeros == pytest.approx([0.25 - edge, 0.75 + edge], abs=1e-12)
@@ -68,10 +68,10 @@ def test_transversal_zero_on_a_sample_is_not_a_run():
 def test_tangential_zero():
     """A double zero has no sign flip: found on a sample, else only as a run."""
     on = lambda x: np.sin(np.pi * (x - 0.25)) ** 2
-    assert circular_zeros(_samples(on, 64)) == ([], [0.25])
+    assert circular_zeros(_samples(on, 64), 0.0, on, 1e-12) == ([], [0.25])
     off = lambda x: np.sin(np.pi * (x - 0.3)) ** 2
-    assert circular_zeros(_samples(off, 64)) == ([], [])
-    runs, zeros = circular_zeros(_samples(off, 64), 1e-2, off, tol=1e-12)
+    assert circular_zeros(_samples(off, 64), 0.0, off, 1e-12) == ([], [])
+    runs, zeros = circular_zeros(_samples(off, 64), 1e-2, off, 1e-12)
     assert zeros == []
     edge = math.asin(0.1) / math.pi          # |sin(pi d)|^2 = 1e-2
     assert runs == [pytest.approx((0.3 - edge, 0.3 + edge), abs=1e-11)]
@@ -80,21 +80,19 @@ def test_tangential_zero():
 def test_run_wrapping_across_zero():
     f = lambda x: 1.0 - np.cos(2 * np.pi * x)
     edge = math.acos(0.9) / (2 * math.pi)     # f = 0.1
-    runs, zeros = circular_zeros(_samples(f, 128), 0.1)
+    runs, zeros = circular_zeros(_samples(f, 128), 0.1, f, 1e-12)
     (lo, hi), = runs
     assert lo < 1.0 < hi
-    assert (lo, hi) == pytest.approx((1 - edge, 1 + edge), abs=1 / 128)
-    runs, _ = circular_zeros(_samples(f, 128), 0.1, f, tol=1e-12)
     assert runs == [pytest.approx((1 - edge, 1 + edge), abs=1e-11)]
     assert zeros == []
 
 
 def test_all_true_and_all_false_masks():
     flat = np.full(32, 1e-14)
-    assert circular_zeros(flat, 1e-10) == ([(0.0, 1.0)], [])
-    assert circular_zeros(flat, 1e-10, lambda x: 1e-14) == ([(0.0, 1.0)], [])
-    away = 2.0 + np.sin(2 * np.pi * np.arange(32) / 32)
-    assert circular_zeros(away, 1e-10) == ([], [])
+    assert circular_zeros(flat, 1e-10, lambda x: 1e-14, 1e-10) == (
+        [(0.0, 1.0)], [])
+    away = lambda x: 2.0 + np.sin(2 * np.pi * x)
+    assert circular_zeros(_samples(away, 32), 1e-10, away, 1e-10) == ([], [])
 
 
 def test_trig_series_blocks_match_one_shot():

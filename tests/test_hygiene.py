@@ -1,6 +1,6 @@
 """Static hygiene of the package: no unused imports, no unreferenced code,
 no private parameters on public functions, no scipy at import time, one RK4
-step setting."""
+step setting, one zero search."""
 
 import ast
 import inspect
@@ -102,6 +102,16 @@ def test_the_rk4_step_is_only_a_tolerance():
               for k, line in enumerate(path.read_text().splitlines())
               if "DEFAULT.ode_step" in line]
     assert not pinned, f"DEFAULT.ode_step read at {pinned}"
+
+
+def test_one_zero_search():
+    """``nullflow.phase_zeros`` is the one zero/run search: it is the only
+    caller of ``circular_zeros``, and every consumer reads its record."""
+    calls = [f"{name}.py:{node.lineno}" for name, tree in MODULES.items()
+             for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and "circular_zeros" in (getattr(node.func, "id", None),
+                                      getattr(node.func, "attr", None))]
+    assert len(calls) == 1, f"circular_zeros called at {calls}"
 
 
 def test_no_public_function_takes_a_private_parameter():

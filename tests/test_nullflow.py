@@ -9,10 +9,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ZOO, frame_direction
+from conftest import ZOO, frame_direction, seeded_waves
 from nulltorus import catalog, classify, geometry, nullflow, spin
 from nulltorus.errors import DenseFlow, Inconclusive
-from nulltorus.gridtools import grid_points
+from nulltorus.gridtools import circular_zeros, grid_points, torus_delta
 from nulltorus.tolerances import DEFAULT
 
 
@@ -321,6 +321,8 @@ CONFORMAL = (
 SEEDED += CONFORMAL
 #: a phase-line wave (k b2 + l b1 = 0): its X lines are the phase lines
 SEEDED += ("closed_diagonal:1,-2,k=1,l=2",)
+#: a rough wave whose Y lines cross the section three times a period
+ROUGH_Y_WAVE = "closed_diagonal:6,8,amp=0.7705,k=2,l=3"
 
 def _holonomy_summary(spec, records):
     """Per closed-line record, its winding and (character, x_trivial) per
@@ -444,6 +446,137 @@ def test_vertical_branch_runs_in_the_lattice_basis(name, family, A, shift,
         assert rec.winding == nullflow._winding(axis, q, dec.rotation.p)
         np.testing.assert_allclose(rec.points[-1] - rec.points[0], step,
                                    rtol=0, atol=1e-12)
+
+
+def _section_scan(spec, family):
+    """The section scan the decomposition had before it read the phase
+    zeros, kept as its partner: s' = V'^1/V'^2 at 1024 section seeds, runs
+    below tol.resonance and sign flips bisected on s'.  Returns the
+    resonant arcs as (lo mod 1, width) and the isolated lines."""
+    flow = nullflow._lattice_flow(spec, family, DEFAULT)
+    runs, zeros = circular_zeros(
+        flow.slope(np.arange(1024) / 1024), DEFAULT.resonance,
+        lambda w: float(flow.slope(w)), DEFAULT.bisection)
+    isolated = [z for z in zeros if not any(
+        lo <= z <= hi or lo <= z + 1.0 <= hi for lo, hi in runs)]
+    return sorted((lo % 1.0, hi - lo) for lo, hi in runs), isolated
+
+
+def _assert_scan_agrees(spec, family, dec):
+    """Same interval kinds and counts as the section scan, isolated lines
+    within 1e-9 and resonant ends within 1e-3 (a band edge where V'^1 is
+    flat to all orders sits wherever the level cuts)."""
+    arcs, isolated = _section_scan(spec, family)
+    asymptotic = 0 if arcs == [(0.0, 1.0)] else len(arcs) + len(isolated)
+    kinds = [iv.kind for iv in dec.intervals]
+    assert (kinds.count("Resonant"), kinds.count("Asymptotic"),
+            len(kinds)) == (len(arcs), asymptotic, len(arcs) + asymptotic)
+    got = sorted((iv.lo % 1.0, iv.width) for iv in dec.resonant_intervals)
+    for (lo, width), (want_lo, want_width) in zip(got, arcs):
+        assert abs(torus_delta(lo, want_lo)) < 1e-3, (lo, want_lo)
+        assert abs(width - want_width) < 2e-3, (width, want_width)
+    assert len(dec.isolated_closed) == len(isolated)
+    for w, z in zip(dec.isolated_closed, sorted(isolated)):
+        assert abs(torus_delta(w, z)) < 1e-9, (w, z)
+
+
+@pytest.mark.parametrize("name, family", [
+    ("analex_spec", "Y"), ("sanchez_spec", "X"), ("rosatau_spec", "X"),
+    ("conformal_spec", "Y")])
+def test_section_points_match_the_section_scan(name, family, request):
+    """Every vertical-branch family of the zoo: the closed lines that the
+    decomposition maps from the phase zeros are those that the section
+    scan finds (analex's Y lines at m = -1, analex_sanchez's four zeros on
+    samples, rosatau's band, and the inner flow of a rescaling)."""
+    spec = request.getfixturevalue(name)
+    assert nullflow._lattice_flow(spec, family, DEFAULT).theta is None
+    _assert_scan_agrees(spec, family,
+                        nullflow.cylinder_decomposition(spec, family))
+
+
+class _ShiftedWave(catalog.Wave):
+    """A wave shifted along its phase: the zeros of its phase velocity are
+    not symmetric about y1 = 0, so a section point w = (z + j)/m of the
+    wrong sign of m misses them."""
+
+    def lambdas(self, x1, x2):
+        c = np.cos(2 * np.pi * (self.k * x1 + self.l * x2) + 1.0)
+        return (self.base1 + self.amp * c,
+                self.base2 - self.amp * (self.l / self.k) * c)
+
+
+class _BandWave(catalog.Wave):
+    """lam2 = (l/k) lam1 (1 + amp w), w a smooth window that vanishes where
+    sin(2 pi phase) <= 0: there the Y phase velocity vanishes, a band."""
+
+    def lambdas(self, x1, x2):
+        s = np.sin(2 * np.pi * (self.k * x1 + self.l * x2))
+        w = np.where(s > 0, np.exp(-1.0 / np.where(s > 0, s, 1.0)), 0.0)
+        lam1 = self.base1 + 0.0 * s
+        return lam1, (self.l / self.k) * lam1 * (1.0 + self.amp * w)
+
+
+def test_section_points_match_the_scan_on_seeded_waves():
+    """Seeded waves whose closed lines cross the section |m| >= 2 times a
+    period, the 6,8 wave's Y family (m = 3, six lines), and shifted and
+    banded waves at m = 3 and m = -2, against the section scan."""
+    built = [_ShiftedWave(6.0, 8.0, 0.7705, 2, 3),
+             _ShiftedWave(3.0, 1.0, 1.7664, -2, -1),
+             _BandWave(2.0, 1.0, 0.5, 2, 3), _BandWave(2.0, 1.0, 0.5, -2, -1)]
+    checked = []
+    for metric in seeded_waves(35, 200) + [ROUGH_Y_WAVE] + built:
+        spec = (metric if isinstance(metric, catalog.Wave)
+                else catalog.load_metric(metric))
+        for family in ("X", "Y"):
+            flow = nullflow._lattice_flow(spec, family, DEFAULT)
+            if flow is None or flow.theta is not None:
+                continue
+            (_, b), (_, d) = flow.A
+            if abs(d if flow.axis == 1 else b) < 2:
+                continue
+            try:
+                dec = nullflow.cylinder_decomposition(spec, family)
+            except (DenseFlow, Inconclusive):
+                continue
+            _assert_scan_agrees(spec, family, dec)
+            checked.append((metric, family, len(dec.isolated_closed)))
+    assert (ROUGH_Y_WAVE, "Y", 6) in checked and len(checked) >= 10, checked
+    assert [(family, n) for metric, family, n in checked[-4:]] == [
+        ("Y", 6), ("Y", 4), ("Y", 0), ("Y", 0)], checked
+
+
+@pytest.mark.parametrize("metric, quantities", [
+    ("rosatau", ("delta_plus", "tau_minus")),
+    (ROUGH_Y_WAVE, ("delta_minus", "tau_plus"))])
+def test_one_zero_search_per_family(metric, quantities, monkeypatch):
+    """A table searches the phase velocity of its family once
+    (``phase_zeros``): the SCF rule, the flow branch and the decomposition
+    read that record, and the decomposition evaluates no direction."""
+    spec = catalog.load_metric(metric)
+    for cached in (nullflow.phase_velocity, nullflow.phase_zeros,
+                   nullflow._lattice_flow):
+        cached.cache_clear()
+    searches = []
+    search = nullflow.circular_zeros
+
+    def counting(*args):
+        searches.append(args[0].size)
+        return search(*args)
+
+    monkeypatch.setattr(nullflow, "circular_zeros", counting)
+    classify.classify_table(spec, quantities)
+    assert searches == [nullflow.LATTICE_SAMPLES]
+    directions = []
+    direction = geometry.null_direction_arrays
+
+    def evaluating(*args):
+        directions.append(args[1:3])
+        return direction(*args)
+
+    monkeypatch.setattr(geometry, "null_direction_arrays", evaluating)
+    family = classify.QUANTITIES[quantities[0]][0]
+    dec = nullflow.cylinder_decomposition(spec, family)
+    assert dec.isolated_closed and not directions
 
 
 def test_conformal_rescaling_takes_the_inner_flow(conformal_spec,

@@ -519,7 +519,7 @@ def test_band_line_record_holds_the_marched_holonomy(seed):
     """The vertical band line that the pp-wave bumps read from the lattice
     record carries the holonomy of the RK4 line through the same point."""
     spec = catalog.rosatau_window() if seed is None else _seeded_window(seed)
-    lo, hi = spinorfield._vertical_band(spec)
+    lo, hi = spinorfield._vertical_band(spec, DEFAULT)
     mid = float((0.5 * (lo + hi)) % 1.0)
     record = nullflow.closed_line_through(
         spec, "X", mid, nullflow.RationalCertificate(0, 1, 0.0))

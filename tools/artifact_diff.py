@@ -155,8 +155,7 @@ CASES = [
     ["table", "--metric", "closed_diagonal:3,5,amp=0.2,k=2,l=1",
      "--quantity", Y_Q],
     ["decompose", "--metric", "left_invariant:sqrt2,1"],
-    ["decompose", "--metric", "closed_diagonal:1,2", "--resolution", "256",
-     "--step", "0.002"],
+    ["decompose", "--metric", "closed_diagonal:1,2", "--step", "0.002"],
     ["flow", "--metric", "flat", "--from", "0,0", "--tmax", "1"],
     ["flow", "--metric", "analex", "--family", "Y", "--tmax", "2",
      "--step", "0.005"],
