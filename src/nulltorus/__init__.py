@@ -29,10 +29,10 @@ from .geometry import (ConformalRescale, Diagonal, Frame, LeftInvariant,
 from .nullflow import (CompletenessProbe, CylinderDecomposition,
                        FirstIntegral, Interval, LineClass, NullLineRecord,
                        RationalCertificate, RotationNumberEstimate,
-                       classify_line, closed_line_through,
-                       cylinder_decomposition, direct_rotation_number,
-                       first_integral_function, integrate_null_line,
-                       probe_completeness, rotation_number)
+                       classify_line, cylinder_decomposition,
+                       direct_rotation_number, first_integral_function,
+                       integrate_null_line, probe_completeness,
+                       rotation_number)
 from .spin import (HolonomyResult, SpinStructure, all_structures, gamma,
                    holonomy_closed_line, holonomy_table, indefinite_product,
                    parallel_transport_spin, spin_connection_scalar,

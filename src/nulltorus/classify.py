@@ -18,9 +18,10 @@ X(f) = -div(X), Inconclusive when its divergence residual misses.
 On an SCF metric the dimension of each chiral kernel (harmonic or twistor)
 is 0, 1 or infinite, decided by the cylinder decomposition of the family's
 flow (off a rigid rotation, its closed lines lie at the same zeros of
-V'^1) and the spin holonomy of its closed lines.  ``classify_table`` runs
-that case analysis for all four structures and returns reports carrying the
-certificate they used (``classify_dimension`` reads one cell);
+V'^1) and the spin holonomy of its closed lines (``spin.holonomy_table``
+reads their boosts from the same phase samples).  ``classify_table`` runs
+that case analysis for all four structures, returning reports that carry
+the certificate they used (``classify_dimension`` reads one cell);
 ``spectral_count`` reads the exact spectral solver where one exists,
 ``spectral_checks`` pairs each report with it and ``contradictions`` names
 every report that disagrees.
@@ -462,10 +463,8 @@ def _family_context(spec, family: str, tol: Tolerances) -> dict:
     seeds = [float(w) % 1.0 for iv in decomp.resonant_intervals
              for w in iv.interior_points(per_interval)]
     seeds += [float(w) for w in decomp.isolated_closed]
-    records = nullflow.closed_lines_through(spec, family, seeds,
-                                            decomp.rotation, tol=tol)
-    tables = [(w, spin.holonomy_table(spec, rec, tol=tol))
-              for w, rec in zip(seeds, records)]
+    tables = list(zip(seeds, spin.holonomy_table(spec, family, seeds,
+                                                  decomp.rotation, tol)))
     ctx["resonant_tables"] = [
         ((iv.lo, iv.hi), tables[k * per_interval:(k + 1) * per_interval])
         for k, iv in enumerate(decomp.resonant_intervals)]
@@ -553,10 +552,11 @@ def classify_table(spec, quantities: tuple[str, ...] = ("delta_plus",
                    ) -> dict[tuple[int, int], dict[str, DimensionReport]]:
     """All four structures against the requested quantities.
 
-    The flow decomposition and the line records are computed once per null
-    family and shared across structures (the boost is structure-independent;
-    only the character changes).  Inconclusive propagates from the
-    certificate search and from resonance detection.
+    The flow decomposition and the holonomy tables of the sampled closed
+    lines are computed once per null family and shared across structures
+    (the boost is structure-independent; only the character changes).
+    Inconclusive propagates from the certificate search and from resonance
+    detection.
     """
     unknown = [q for q in quantities if q not in QUANTITIES]
     if unknown:

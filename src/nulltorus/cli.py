@@ -20,7 +20,7 @@ import numpy as np
 
 from . import catalog, classify, nullflow, spin, spinorfield, validation
 from .errors import ConfigError, Inconclusive, NullTorusError, WrongFamily
-from .spin import STRUCTURES, SpinStructure
+from .spin import SpinStructure
 from .tolerances import DEFAULT, Tolerances
 
 _STRUCTURE_ALIASES = {
@@ -410,16 +410,11 @@ def holonomy(s: Settings, spec, family, seed_w):
         raise WrongFamily(
             f"the {family} flow has irrational rotation number "
             f"{est.value:.9f}; no closed lines to transport around")
-    rec = nullflow.closed_line_through(spec, family, w, est.rational,
-                                       tol=s.tol)
-    table = spin.holonomy_table(spec, rec, tol=s.tol)
-    rows = []
-    for ab in STRUCTURES:
-        r = table[ab]
-        rows.append({"a1": ab[0], "a2": ab[1],
-                     "winding1": r.winding[0], "winding2": r.winding[1],
-                     "character": r.character, "sheet": r.sheet,
-                     "boost": r.boost, "x_trivial": r.x_trivial})
+    [table] = spin.holonomy_table(spec, family, [w], est.rational, s.tol)
+    rows = [{"a1": a1, "a2": a2, "winding1": r.winding[0],
+             "winding2": r.winding[1], "character": r.character,
+             "sheet": r.sheet, "boost": r.boost, "x_trivial": r.x_trivial}
+            for (a1, a2), r in table.items()]
     return {"columns": ["a1", "a2", "winding1", "winding2", "character",
                         "sheet", "boost", "x_trivial"], "rows": rows}
 

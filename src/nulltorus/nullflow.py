@@ -13,15 +13,18 @@ conformal rescalings), so it depends on y1 alone in the basis y = A^-1 x
 of that phase.  The flow is then a rigid rotation of the transversal
 section, exact to a stated error, or has its closed lines at the zeros of
 one function of y1.  A flow that no lattice rule covers (a hand-built
-metric with no phase) is Inconclusive.  RK4 (``_march``) integrates single
-lines (``integrate_null_line``, ``classify_line`` off a rigid rotation)
-and gives the direct rotation estimate that cross-checks the quadrature.
+metric with no phase) is Inconclusive.  No closed line of a covered flow
+is recorded: ``spin.holonomy_table`` reads each line's spin boost from the
+same phase samples.  RK4 (``_march``) integrates single lines
+(``integrate_null_line``, the only source of a ``NullLineRecord``, and
+``classify_line`` off a rigid rotation) and gives the direct rotation
+estimate that cross-checks the quadrature.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Optional
@@ -83,7 +86,6 @@ class NullLineRecord:
     ts: np.ndarray
     points: np.ndarray        # (M, 2) cover coordinates
     velocities: np.ndarray    # (M, 2) coordinate velocity dpoint/dt
-    winding: Optional[tuple[int, int]] = None
 
 
 @dataclass(frozen=True)
@@ -111,7 +113,6 @@ class CylinderDecomposition:
     rotation: RationalCertificate
     intervals: tuple[Interval, ...]
     isolated_closed: tuple[float, ...]   # transversal values of isolated closed lines
-    step: float                          # ode_step: the records' step
 
     @property
     def resonant_intervals(self) -> tuple[Interval, ...]:
@@ -218,7 +219,7 @@ def _march(spec, family: str, axis: int, u0: float, w0, n_units: float,
 
 
 # ---------------------------------------------------------------------------
-# integration and records
+# integration of single lines
 
 
 def _line_records(spec, family: str, axis: int, u0: float, w0s,
@@ -301,8 +302,8 @@ class _LatticeFlow:
     With V' = A^-1 V, the rotation number on the section x^a = 0 (a the
     graph axis) is rho = d^(1-a)/d^a for a winding vector d.  Graph
     branch (theta set): V'^1 has no zero and every line solves dy2/dy1 =
-    m = V'^2/V'^1, so y2 = c + Theta y1 + M(y1) (M the zero-mean
-    antiderivative) and a y1-period moves each line by d = A (1, Theta).
+    m = V'^2/V'^1, so y2 = c + Theta y1 + M(y1) (M periodic) and a
+    y1-period moves each line by d = A (1, Theta).
     Its error is a few ulps of rho plus that of Theta (``theta_error``)
     carried through |d rho / d Theta| = 1/(d^a)^2 (det A = 1).  Vertical
     branch: the lines solve dy1/dy2 = s'(y1) = V'^1/V'^2; a zero z of V'^1
@@ -311,60 +312,16 @@ class _LatticeFlow:
     them; rho is a ratio of integers.
     """
 
-    def __init__(self, spec, family: str, axis: int, A, theta=None, M=None,
+    def __init__(self, spec, axis: int, A, theta=None,
                  theta_error: float = 0.0):
-        self.spec, self.family, self.axis, self.A = spec, family, axis, A
-        self.theta, self.M = theta, M
+        self.spec, self.axis, self.A = spec, axis, A
+        self.theta = theta
         (a, b), (c, d) = A
         self.shift = (b, d) if theta is None else (a + b * theta,
                                                    c + d * theta)
         self.rho = self.shift[1 - axis] / self.shift[axis]
         self.error = 0.0 if theta is None else (
             4 * np.spacing(abs(self.rho)) + theta_error / self.shift[axis] ** 2)
-
-    def slope(self, w):
-        """s' at the section point of transversal coordinate w (vertical
-        branch): zero exactly on the closed lines through it."""
-        w = np.asarray(w, dtype=float)
-        x = (w, 0.0 * w) if self.axis == 1 else (0.0 * w, w)
-        v1, v2 = geometry.null_direction_arrays(self.spec, *x, self.family)
-        (a, b), (c, d) = self.A
-        return (d * v1 - b * v2) / (a * v2 - c * v1)
-
-    def records(self, seeds, q: int, step: float) -> list[NullLineRecord]:
-        """Lines from axis coordinate 0 through the seeds, q axis units
-        forward, sampled at ``step`` of y1 (graph branch: x = A y, velocity
-        dx/dy1 = V/V'^1) or of the axis (vertical branch: the line
-        y1 = y1(x0) + s' y2 through the section point x0, which is
-        x0 + t A e2/(A e2)^a on a closed line)."""
-        per_unit = max(1, round(1.0 / step))
-        h = 1.0 / per_unit
-        seeds = np.atleast_1d(np.asarray(seeds, dtype=float))
-        (a, b), (c, d) = self.A
-        x0 = np.zeros((2, seeds.size))
-        x0[1 - self.axis] = seeds
-        if self.theta is None:
-            ts = np.arange(q * per_unit + 1) * h
-            s = self.slope(seeds)
-            rate = np.array([a * s + b, c * s + d])
-            rate = rate / rate[self.axis]
-            return [NullLineRecord(
-                self.family, self.axis, ts, p + np.multiply.outer(ts, v),
-                np.broadcast_to(v, (ts.size, 2)).copy())
-                for p, v in zip(x0.T, rate.T)]
-        sign = math.copysign(1.0, self.shift[self.axis])
-        periods = max(1, round(q / abs(self.shift[self.axis])))
-        ts = np.arange(periods * per_unit + 1) * h
-        y01, y02 = d * x0[0] - b * x0[1], a * x0[1] - c * x0[0]
-        y1 = y01 + sign * ts[:, None]
-        y2 = y02 + self.theta * (y1 - y01) + np.real(self.M(y1) - self.M(y01))
-        x1, x2 = a * y1 + b * y2, c * y1 + d * y2
-        v1, v2 = geometry.null_direction_arrays(self.spec, x1, x2, self.family)
-        rate = sign / (d * v1 - b * v2)
-        return [NullLineRecord(self.family, self.axis, ts,
-                               np.column_stack(p), np.column_stack(v))
-                for p, v in zip(zip(x1.T, x2.T), zip((rate * v1).T,
-                                                     (rate * v2).T))]
 
 
 @lru_cache(maxsize=128)
@@ -415,8 +372,8 @@ def _lattice_flow(spec, family: str, tol: Tolerances):
     LATTICE_SAMPLES/4 above tol.resonance max |m|.
 
     A conformal rescaling has its inner metric's null directions, so it
-    takes the inner flow (and its records), unless that is declined or the
-    two transversal axes differ; holonomy still reads the outer Gamma."""
+    takes the inner flow, unless that is declined or the two transversal
+    axes differ; ``spin.holonomy_table`` reads the inner Gamma from it."""
     if isinstance(spec, geometry.ConformalRescale):
         flow = _lattice_flow(spec.inner, family, tol)
         if flow is None or transversal_axis(spec, family) != flow.axis:
@@ -430,19 +387,19 @@ def _lattice_flow(spec, family: str, tol: Tolerances):
     if record.runs or record.zeros:
         vertical = A[axis][1] != 0 and (np.all(across > 0)
                                         or np.all(across < 0))
-        return _LatticeFlow(spec, family, axis, A) if vertical else None
+        return _LatticeFlow(spec, axis, A) if vertical else None
     m = across / along
     resolved = resolved_series(m, tol.resonance)
     if resolved is None:
         return None
     series, tail = resolved
     scale = np.max(np.abs(m))
-    theta, M = series.antiderivative()
+    theta, _ = series.antiderivative()
     # Theta is a sum of LATTICE_SAMPLES samples: a few ulps of its terms per
     # halving, plus the tail that aliases onto the mean
     theta_error = (LATTICE_SAMPLES.bit_length() * np.spacing(scale)
                    + float(tail.sum()))
-    flow = _LatticeFlow(spec, family, axis, A, theta.real, M, theta_error)
+    flow = _LatticeFlow(spec, axis, A, theta.real, theta_error)
     return flow if flow.shift[axis] != 0.0 else None
 
 
@@ -539,39 +496,6 @@ def classify_line(spec, p0: Point, family: str = "X",
         f"({tol.closedness:.0e}) and open ({tol.closedness_reject:.0e}) "
         "thresholds", measured=abs(disp),
         band=(tol.closedness, tol.closedness_reject))
-
-
-def closed_lines_through(spec, family: str, seeds,
-                         rotation: RationalCertificate,
-                         tol: Tolerances = DEFAULT) -> list[NullLineRecord]:
-    """Record one period of the closed line through each transversal seed.
-
-    The lines start at axis coordinate 0 and come from the lattice
-    quadrature (Inconclusive where no rule covers the family); closure of
-    each (its displacement against the winding) is verified to the open
-    threshold (DenseFlow otherwise) and the integer winding is attached.
-    """
-    flow = _covering_flow(spec, family, tol)
-    p, q = rotation.p, rotation.q
-    winding = _winding(flow.axis, q, p)
-    lines = flow.records(seeds, q, tol.ode_step)
-    records = []
-    for seed_w, rec in zip(seeds, lines):
-        disp = max(rec.points[-1] - rec.points[0] - winding, key=abs)
-        if abs(disp) > tol.closedness_reject:
-            raise DenseFlow(
-                f"line through w={seed_w:.6f} does not close: displacement "
-                f"{disp:.3e} after {q} returns")
-        records.append(replace(rec, winding=winding))
-    return records
-
-
-def closed_line_through(spec, family: str, seed_w: float,
-                        rotation: RationalCertificate,
-                        tol: Tolerances = DEFAULT) -> NullLineRecord:
-    """Record one period of the closed line through transversal value seed_w
-    (``closed_lines_through`` for one seed)."""
-    return closed_lines_through(spec, family, [seed_w], rotation, tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -711,8 +635,7 @@ def cylinder_decomposition(spec, family: str = "X",
     """
     cert = _verifiable(rotation_number(spec, family, tol), tol)
     flow = _lattice_flow(spec, family, tol)
-    result = partial(CylinderDecomposition, family, flow.axis, cert,
-                     step=tol.ode_step)
+    result = partial(CylinderDecomposition, family, flow.axis, cert)
     record = phase_zeros(flow.spec, family, tol)
     if flow.theta is not None or record.runs == ((0.0, 1.0),):
         resonant = abs(cert.q * flow.rho - cert.p) < tol.resonance

@@ -19,19 +19,22 @@ into positive (first component, the line annihilated by gamma(X)) and
 negative (second component) half-spinors.  The Dirac operator carries the
 raised frame index: D = -gamma(s1) nabla_1 + gamma(s2) nabla_2, which makes
 positive kernel elements exactly the sections parallel along the X-lines.
+
+A closed line's boost is read from its lattice flow (``holonomy_table``),
+or integrated along a marched record by Simpson's rule.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from . import geometry
-from .errors import NotClosed
-from .gridtools import simpson
-from .nullflow import NullLineRecord
+from . import geometry, nullflow
+from .errors import DenseFlow, NotClosed
+from .gridtools import simpson, torus_delta
 from .tolerances import DEFAULT, Tolerances
 
 GAMMA1 = np.array([[0.0, 1.0j], [-1.0j, 0.0]])
@@ -150,26 +153,10 @@ class HolonomyResult:
         return self.sheet * self.character * np.exp(self.boost)
 
 
-def _gamma_along(spec, record: NullLineRecord):
+def _gamma_along(spec, record: nullflow.NullLineRecord):
     """Gamma(c') at the points of a record, c' its recorded velocity."""
     return geometry.connection_along(spec, *record.points.T,
                                      *record.velocities.T)
-
-
-def _winding_and_boost(spec, record: NullLineRecord, tol: Tolerances
-                       ) -> tuple[tuple[int, int], float]:
-    """Integer winding of a closed record and its boost -1/2 int Gamma(c')."""
-    disp = record.points[-1] - record.points[0]
-    winding = record.winding
-    if winding is None:
-        w = (round(float(disp[0])), round(float(disp[1])))
-        winding = (int(w[0]), int(w[1]))
-    closure = abs(disp[0] - winding[0]) + abs(disp[1] - winding[1])
-    if closure > tol.closedness_reject:
-        raise NotClosed(
-            f"record does not close up to integer winding: defect {closure:.3e}")
-    return winding, -0.5 * float(simpson(_gamma_along(spec, record),
-                                         x=record.ts))
 
 
 def _holonomy(structure: SpinStructure, winding: tuple[int, int],
@@ -181,37 +168,90 @@ def _holonomy(structure: SpinStructure, winding: tuple[int, int],
                           sheet=sheet, character=chi, x_trivial=x_trivial)
 
 
-def holonomy_closed_line(spec, record: NullLineRecord,
+def holonomy_closed_line(spec, record: nullflow.NullLineRecord,
                          structure: SpinStructure,
                          tol: Tolerances = DEFAULT) -> HolonomyResult:
-    """Spin holonomy of a closed null line, split into boost and sign parts.
+    """Spin holonomy of a marched closed null line, in boost and sign parts.
 
     The frame (s1, s2) is globally defined, so the loop's frame path lifts to
     a closed path in the spin bundle (sheet +1) and the holonomy acting on
     the positive chiral line is  chi_a(winding) * exp(-1/2 int Gamma).  The
     line is "transport-trivial" for the structure when the boost vanishes
-    (|boost| < 1e-8) and the sign is +1.
+    (|boost| < 1e-8) and the sign is +1.  The winding is the record's
+    displacement rounded to integers (NotClosed beyond closedness_reject).
 
     The boost is a line invariant: it does not depend on the parametrization
     or the starting point of the record.
     """
-    return _holonomy(structure, *_winding_and_boost(spec, record, tol), tol)
+    disp = record.points[-1] - record.points[0]
+    winding = (int(round(float(disp[0]))), int(round(float(disp[1]))))
+    closure = abs(disp[0] - winding[0]) + abs(disp[1] - winding[1])
+    if closure > tol.closedness_reject:
+        raise NotClosed(
+            f"record does not close up to integer winding: defect {closure:.3e}")
+    boost = -0.5 * float(simpson(_gamma_along(spec, record), x=record.ts))
+    return _holonomy(structure, winding, boost, tol)
 
 
-def holonomy_table(spec, record: NullLineRecord, tol: Tolerances = DEFAULT
-                   ) -> dict[tuple[int, int], HolonomyResult]:
-    """Holonomy of one closed line against all four spin structures; the
-    boost does not depend on the structure, so Gamma is integrated once."""
-    winding, boost = _winding_and_boost(spec, record, tol)
-    return {(s.a1, s.a2): _holonomy(s, winding, boost, tol)
-            for s in all_structures()}
+def holonomy_table(spec, family: str, seeds, rotation, tol: Tolerances = DEFAULT
+                   ) -> list[dict[tuple[int, int], HolonomyResult]]:
+    """The four-structure holonomy of the closed line through each
+    transversal seed (axis coordinate 0), with ``rotation``'s winding, read
+    from the family's lattice flow (Inconclusive where none covers it) with
+    no line recorded.  Gamma, like the direction, depends on the phase y1
+    alone.  With sigma = sign(shift^a) and P = round(q/|shift^a|)
+    y1-periods per line, the boost is -1/2 sigma P <Gamma(V)/V'^1> (graph
+    branch: the mean over ``phase_velocity``'s samples; the lines are open,
+    DenseFlow, when |q rho - p| > closedness_reject), or -1/2 sigma P
+    Gamma(A e2) at A (y1, 0) on the line y1 = m w (vertical branch; open
+    unless y1 is in a run or within closedness_reject of a zero of V'^1).
+    A conformal rescaling reads its inner spec: for a null c' the two
+    connections differ by +-d log lam(c'), which integrates to 0 around a
+    closed line."""
+    flow = nullflow._covering_flow(spec, family, tol)
+    seeds = np.asarray(seeds, dtype=float).reshape(-1)
+    if not seeds.size:
+        return []
+    p, q, axis, inner = rotation.p, rotation.q, flow.axis, flow.spec
+    (a, b), (c, d) = flow.A
+    shift = flow.shift[axis]
+    scale = -0.5 * math.copysign(max(1, round(q / abs(shift))), shift)
+    if flow.theta is None:
+        record = nullflow.phase_zeros(inner, family, tol)
+        y1 = ((d if axis == 1 else -b) * seeds) % 1.0
+        for w, y in zip(seeds, y1):
+            off = min((abs(torus_delta(y, z)) for z in record.zeros),
+                      default=math.inf)
+            if off > tol.closedness_reject and not any(
+                    lo <= y <= hi or lo <= y + 1.0 <= hi
+                    for lo, hi in record.runs):
+                raise DenseFlow(
+                    f"line through w={w:.6f} does not close: its phase "
+                    f"y1 = {y:.6f} is {off:.3e} from the nearest zero of the "
+                    "phase velocity and in no run of zeros")
+        boosts = scale * geometry.connection_along(inner, a * y1, c * y1, b, d)
+    else:
+        disp = q * flow.rho - p
+        if abs(disp) > tol.closedness_reject:
+            raise DenseFlow(
+                f"line through w={seeds[0]:.6f} does not close: displacement "
+                f"{disp:.3e} after {q} returns")
+        _, along, across = nullflow.phase_velocity(inner, family)
+        y1 = np.arange(along.size) / along.size
+        m = across / along
+        gam = geometry.connection_along(inner, a * y1, c * y1, a + b * m,
+                                        c + d * m)
+        boosts = np.full(seeds.size, scale * float(np.mean(gam)))
+    winding = nullflow._winding(axis, q, p)
+    return [{(s.a1, s.a2): _holonomy(s, winding, float(boost), tol)
+             for s in all_structures()} for boost in boosts]
 
 
 # ---------------------------------------------------------------------------
 # parallel transport of explicit spinors
 
 
-def parallel_transport_spin(spec, record: NullLineRecord,
+def parallel_transport_spin(spec, record: nullflow.NullLineRecord,
                             structure: SpinStructure, phi0,
                             tol: Tolerances = DEFAULT) -> np.ndarray:
     """Transport phi0 along the recorded line; returns the endpoint spinor.

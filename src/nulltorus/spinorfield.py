@@ -508,12 +508,12 @@ def _closed_diagonal_bumps(spec, structure: SpinStructure, count: int,
         # the X-lines are steep, not the slope's l1/l2
         rotation = nullflow._verifiable(
             nullflow.rotation_number(spec, "X", tol), tol)
-        record = nullflow.closed_line_through(spec, "X", 0.0, rotation,
-                                              tol=tol)
+        [table] = spin.holonomy_table(spec, "X", [0.0], rotation, tol)
+        hol = table[(structure.a1, structure.a2)]
     else:   # a hand-built closed metric with no phase: march its one line
         record = nullflow.integrate_null_line(spec, (0.0, 0.0), "X",
                                               t_max=float(cert.q), tol=tol)
-    hol = spin.holonomy_closed_line(spec, record, structure, tol=tol)
+        hol = spin.holonomy_closed_line(spec, record, structure, tol=tol)
     if not hol.x_trivial:
         raise NotXTrivial(
             f"closed X-lines of winding {hol.winding} carry character "
@@ -564,10 +564,10 @@ def _rosatau_bumps(spec, structure: SpinStructure, count: int, grid_n: int,
     lo, hi = _vertical_band(spec, tol)
     mid = wrap_unit(0.5 * (lo + hi))
     # tau vanishes on the band, so the X-line through mid is vertical: the
-    # lattice record of rotation 0/1 (the vertical branch)
-    record = nullflow.closed_line_through(
-        spec, "X", float(mid), nullflow.RationalCertificate(0, 1, 0.0), tol)
-    hol = spin.holonomy_closed_line(spec, record, structure, tol=tol)
+    # lattice flow's closed line of rotation 0/1 (the vertical branch)
+    [table] = spin.holonomy_table(
+        spec, "X", [float(mid)], nullflow.RationalCertificate(0, 1, 0.0), tol)
+    hol = table[(structure.a1, structure.a2)]
     if not hol.x_trivial:
         raise NotXTrivial(
             f"vertical closed lines (winding {hol.winding}) carry character "

@@ -159,18 +159,17 @@ def criterion_rotation_number(step, grid_n, tol) -> tuple[bool, dict, str]:
 def criterion_flat_holonomy(step, grid_n, tol) -> tuple[bool, dict, str]:
     spec = catalog.flat()
     est = nullflow.rotation_number(spec, "X", tol=tol)
-    rec = nullflow.closed_line_through(spec, "X", 0.25, est.rational, tol=tol)
-    table = spin.holonomy_table(spec, rec, tol=tol)
+    [table] = spin.holonomy_table(spec, "X", [0.25], est.rational, tol)
     expected = {(1, 1): True, (1, -1): False, (-1, 1): False, (-1, -1): True}
     got = {ab: table[ab].x_trivial for ab in STRUCTURES}
-    winding_ok = rec.winding == (1, 1)
+    winding = table[(1, 1)].winding
     boosts = {table[ab].structure.label: table[ab].boost
               for ab in STRUCTURES}
-    passed = winding_ok and got == expected
-    detail = (f"winding {rec.winding}; transport-trivial: "
+    passed = winding == (1, 1) and got == expected
+    detail = (f"winding {winding}; transport-trivial: "
               + ", ".join(f"{SpinStructure(*ab).label}={got[ab]}"
                           for ab in STRUCTURES))
-    return passed, {"winding": list(rec.winding or ()),
+    return passed, {"winding": list(winding),
                     "x_trivial": {str(k): v for k, v in got.items()},
                     "boosts": boosts}, detail
 
@@ -187,7 +186,7 @@ def criterion_conformal_invariance(step, grid_n, tol) -> tuple[bool, dict, str]:
     f = sol.fields[1]          # the first nonconstant phase solution
     rng = np.random.default_rng(7)
     mismatches = []
-    worst_residual = 0.0
+    worst_residual = worst_boost = 0.0
     for trial in range(5):
         factor = catalog.exp_sine_factor(
             amp=float(0.1 + 0.3 * rng.random()),
@@ -203,12 +202,25 @@ def criterion_conformal_invariance(step, grid_n, tol) -> tuple[bool, dict, str]:
         mapped = spinorfield.conformal_map_spinor(f, rescaled, "harmonic")
         worst_residual = max(worst_residual,
                              spinorfield.residual_norm(mapped, "harmonic"))
-    passed = not mismatches and worst_residual < 1e-6
+        # the table reads the inner Gamma; lam g's own, along a marched line
+        rotation = nullflow.rotation_number(rescaled, "X", tol).rational
+        [lattice] = spin.holonomy_table(rescaled, "X", [0.0], rotation, tol)
+        line = nullflow.integrate_null_line(rescaled, (0.0, 0.0), "X",
+                                            float(rotation.q), tol)
+        marched = spin.holonomy_closed_line(rescaled, line,
+                                            SpinStructure(1, 1), tol)
+        worst_boost = max(worst_boost,
+                          abs(marched.boost - lattice[(1, 1)].boost))
+    passed = (not mismatches and worst_residual < 1e-6
+              and worst_boost < tol.holonomy_boost)
     detail = (f"5 random factors: classification "
               f"{'invariant' if not mismatches else 'CHANGED: ' + '; '.join(mismatches)}; "
-              f"worst mapped-spinor residual {worst_residual:.1e}")
+              f"worst mapped-spinor residual {worst_residual:.1e}; worst "
+              f"boost of a marched X-line on lam g against its table "
+              f"{worst_boost:.1e}")
     return passed, {"mismatches": mismatches,
-                    "worst_mapped_residual": worst_residual}, detail
+                    "worst_mapped_residual": worst_residual,
+                    "worst_boost_difference": worst_boost}, detail
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nulltorus import catalog, classify, nullflow, spinorfield, validation
+from nulltorus import (catalog, classify, nullflow, spin, spinorfield,
+                       validation)
 from nulltorus.spin import STRUCTURES, SpinStructure
 from nulltorus.tolerances import DEFAULT
 
@@ -85,9 +86,9 @@ def test_criterion_09_verdicts_are_forced():
     """
     spec = catalog.rosatau_window()
     dec = nullflow.cylinder_decomposition(spec, "X")
-    rec = nullflow.closed_line_through(spec, "X", dec.isolated_closed[0],
-                                       dec.rotation)
-    assert rec.winding == (0, 1)
+    [table] = spin.holonomy_table(spec, "X", dec.isolated_closed[:1],
+                                  dec.rotation)
+    assert table[(1, 1)].winding == (0, 1)
     assert SpinStructure(1, -1).character((0, 1)) == -1
     assert SpinStructure(-1, -1).character((0, 1)) == -1
     fields = spinorfield.construct_resonant_spinors(
@@ -136,27 +137,26 @@ def test_criterion_09_honours_overrides(monkeypatch, overrides, expected):
         "ppwave-expectation"])
 def test_ode_step_reaches_every_sweep(monkeypatch, sweep, marched):
     """Every RK4 march of these callers runs at the given tol.ode_step, and
-    the closed lines of the callers on the lattice quadrature are sampled
-    at it."""
+    records its line at that step; the callers on the lattice quadrature
+    march nothing and record no line."""
     steps, records = set(), []
     march = nullflow._march
-    closed_lines = nullflow.closed_lines_through
+    init = nullflow.NullLineRecord.__init__
 
     def spy(*args, **kwargs):
         steps.add(args[6])
         return march(*args, **kwargs)
 
-    def recorded(*args, **kwargs):
-        lines = closed_lines(*args, **kwargs)
-        records.extend(lines)
-        return lines
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        records.append(self)
 
     monkeypatch.setattr(nullflow, "_march", spy)
-    monkeypatch.setattr(nullflow, "closed_lines_through", recorded)
+    monkeypatch.setattr(nullflow.NullLineRecord, "__init__", recorded)
     sweep(DEFAULT.with_(ode_step=2e-3))
     if marched:
-        assert steps == {2e-3}
+        assert steps == {2e-3} and records
     else:
-        assert steps == set() and records
+        assert steps == set() and not records
     for rec in records:
         assert np.allclose(np.diff(rec.ts), 2e-3, rtol=1e-9, atol=0.0)

@@ -135,7 +135,7 @@ def test_lattice_obstruction_is_twice_the_holonomy_boost(metric, family,
     NotSCF obstruction is the largest of them, and each of the |m| points
     where the decomposition puts that line through the section (six lines
     on the 6,8 wave, whose basis is not the identity) carries spin holonomy
-    boost of half of it, integrated along the line's record."""
+    boost of half of it, read from the lattice flow."""
     spec = catalog.load_metric(metric)
     with pytest.raises(NotSCF) as exc:
         classify.semi_conformal_certificate(spec, family)
@@ -151,10 +151,10 @@ def test_lattice_obstruction_is_twice_the_holonomy_boost(metric, family,
         seeds = [w for w in dec.isolated_closed
                  if abs(torus_delta(m * w, z)) < 1e-9]
         assert len(seeds) == abs(m)
-        for rec in nullflow.closed_lines_through(spec, family, seeds,
-                                                 dec.rotation):
-            boost = spin.holonomy_table(spec, rec)[(1, 1)].boost
-            assert abs(2 * abs(boost) - loop) < 1e-6, (z, rec.points[0])
+        for w, table in zip(seeds, spin.holonomy_table(spec, family, seeds,
+                                                        dec.rotation)):
+            boost = table[(1, 1)].boost
+            assert abs(2 * abs(boost) - loop) < 1e-6, (z, w)
 
 
 def test_certificate_conformal_invariance(analex_spec, conformal_spec):
@@ -464,10 +464,9 @@ def test_analex_y_obstruction_names_its_closed_line(analex_spec,
     dec = nullflow.cylinder_decomposition(analex_spec, "Y")
     assert dec.axis == 0 and x1 == 0.0     # the section x1 = 0 holds it
     assert any(abs(torus_delta(w, x2)) < 1e-9 for w in dec.isolated_closed)
-    [rec] = nullflow.closed_lines_through(analex_spec, "Y", [x2],
-                                          dec.rotation)
-    assert rec.winding == (1, 1)
-    boost = spin.holonomy_table(analex_spec, rec)[(1, 1)].boost
+    [table] = spin.holonomy_table(analex_spec, "Y", [x2], dec.rotation)
+    assert table[(1, 1)].winding == (1, 1)
+    boost = table[(1, 1)].boost
     assert abs(2 * abs(boost) - exc.value.obstruction) < 1e-6
 
 

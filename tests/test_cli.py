@@ -260,12 +260,11 @@ def test_decompose_json_rosatau(runner):
     payload = _json_out(result)
     assert result.exit_code == 0
     assert sorted(payload) == ["axis", "command", "family", "intervals",
-                               "isolated_closed", "rotation", "step",
-                               "tolerances", "verdict"]
+                               "isolated_closed", "rotation", "tolerances",
+                               "verdict"]
     assert payload["command"] == "decompose"
     assert payload["verdict"] == "CylinderDecomposition"
     assert (payload["family"], payload["axis"]) == ("X", 1)
-    assert payload["step"] == 1e-3
     assert sorted(payload["rotation"]) == ["p", "q", "residual"]
     assert (payload["rotation"]["p"], payload["rotation"]["q"]) == (0, 1)
     intervals = payload["intervals"]
@@ -312,6 +311,17 @@ def test_holonomy_csv_rosatau(runner):
         assert int(row["character"]) == int(row["a2"])
         assert float(row["boost"]) == pytest.approx(-0.25, abs=1e-6)
         assert row["x_trivial"] == "false"   # nonzero boost blocks them all
+
+
+def test_holonomy_of_an_open_seed_is_exit_one(runner):
+    """rosatau's X-line through x1 = 0.2 lies in an asymptotic gap: its
+    phase is off every zero of tau and in no band, so it has no holonomy."""
+    result = runner.invoke(main, ["holonomy", "--metric", "rosatau",
+                                  "--seed-w", "0.2"])
+    payload = _json_out(result)
+    assert result.exit_code == 1
+    assert payload["error"] == "DenseFlow"
+    assert "w=0.200000 does not close" in payload["message"]
 
 
 def test_classify_json(runner):

@@ -1,7 +1,6 @@
 """Null line integration, rotation numbers, and cylinder decompositions."""
 
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -101,29 +100,6 @@ def test_certify_rotation_reads_the_value_and_its_error(value, error,
         assert cert.residual == abs(value - cert.p / cert.q)
 
 
-@pytest.mark.parametrize("spec_name, p, q", [("rosatau", 0, 1),
-                                             ("wave35", 3, 5)])
-def test_lattice_records_end_where_a_fine_march_ends(rosatau_spec, spec_name,
-                                                     p, q):
-    """The quadrature's closed lines against a direct q-period march of
-    their seeds at the refined step 2.5e-4, within the 1e-10 resonance
-    tolerance the decomposition applies: the rosatau band, its isolated
-    line at the zero of tau, and the lines of the 3/5 wave."""
-    spec = (rosatau_spec if spec_name == "rosatau"
-            else catalog.closed_diagonal_wave(3.0, 5.0))
-    axis = nullflow.transversal_axis(spec, "X")
-    est = nullflow.rotation_number(spec, "X")
-    assert (est.rational.p, est.rational.q) == (p, q)
-    dec = nullflow.cylinder_decomposition(spec, "X")
-    seeds = [float(w) % 1.0 for iv in dec.resonant_intervals
-             for w in iv.interior_points(5)] + list(dec.isolated_closed)
-    ends = [rec.points[-1, 1 - axis] for rec in
-            nullflow.closed_lines_through(spec, "X", seeds, est.rational)]
-    direct = nullflow._march(spec, "X", axis, 0.0, np.array(seeds), float(q),
-                             2.5e-4)
-    assert np.max(np.abs(np.array(ends) - direct)) < 1e-10
-
-
 def test_classify_line_kinds(flat_spec):
     cls = nullflow.classify_line(flat_spec, (0.0, 0.1), "X")
     assert cls.kind == "Closed"
@@ -146,11 +122,25 @@ def test_classify_line_rosatau(rosatau_spec):
     assert gap.limit_winding == (0, 1)
 
 
-def test_closed_line_through_rejects_open():
+def test_holonomy_table_rejects_open_seeds(rosatau_spec):
+    """Graph branch: a certificate with |q rho - p| above closedness_reject
+    leaves every line open.  Vertical branch: a seed whose phase is in no
+    run and off every zero of the phase velocity is open, while one on the
+    zero (within closedness_reject) or in the band closes."""
     sqrt2 = catalog.left_invariant(math.sqrt(2.0), 1.0)
     fake = nullflow.RationalCertificate(3, 2, 0.09)
+    with pytest.raises(DenseFlow, match="does not close"):
+        spin.holonomy_table(sqrt2, "X", [0.0], fake)
+    vertical = nullflow.RationalCertificate(0, 1, 0.0)
+    with pytest.raises(DenseFlow, match="w=0.200000 does not close"):
+        spin.holonomy_table(rosatau_spec, "X", [0.3, 0.2], vertical)
+    [zero] = nullflow.phase_zeros(rosatau_spec, "X", DEFAULT).zeros
+    near = zero + 0.5 * DEFAULT.closedness_reject
+    tables = spin.holonomy_table(rosatau_spec, "X", [near, 0.7], vertical)
+    assert [t[(1, 1)].winding for t in tables] == [(0, 1), (0, 1)]
     with pytest.raises(DenseFlow):
-        nullflow.closed_line_through(sqrt2, "X", 0.0, fake)
+        spin.holonomy_table(rosatau_spec, "X",
+                            [zero + 2 * DEFAULT.closedness_reject], vertical)
 
 
 def test_decomposition_flat_all_resonant(flat_spec):
@@ -324,15 +314,16 @@ SEEDED += ("closed_diagonal:1,-2,k=1,l=2",)
 #: a rough wave whose Y lines cross the section three times a period
 ROUGH_Y_WAVE = "closed_diagonal:6,8,amp=0.7705,k=2,l=3"
 
-def _holonomy_summary(spec, records):
-    """Per closed-line record, its winding and (character, x_trivial) per
-    structure."""
-    summary = []
-    for rec in records:
-        table = spin.holonomy_table(spec, rec)
-        summary.append((rec.winding, {ab: (r.character, r.x_trivial)
-                                      for ab, r in table.items()}))
-    return summary
+#: |boost| difference allowed between a closed line's lattice table and its
+#: RK4 record at ode_step (the largest on ZOO and SEEDED is 1.1e-10, on the
+#: rosatau Y lines)
+MARCHED_BOOST = 1e-8
+
+
+def _summary(table):
+    """The winding and per structure (character, x_trivial) of a table."""
+    return (table[(1, 1)].winding,
+            {ab: (r.character, r.x_trivial) for ab, r in table.items()})
 
 
 @pytest.mark.parametrize("family", ("X", "Y"))
@@ -343,8 +334,11 @@ def test_lattice_quadrature_agrees_with_marched_lines(name, family, request):
     between the least and greatest q-return displacement; resonant seeds
     close, asymptotic seeds drift one way, and the displacement changes
     sign across every isolated line (to 1e-6); every closed line has the
-    same winding, character and x_trivial.  A dense flow's marched average
-    is within 1/n of the exact value after n returns."""
+    same winding, character and x_trivial, and its boost within
+    MARCHED_BOOST, as the holonomy table read from the quadrature (a
+    conformal rescaling: the outer Gamma along the marched line against the
+    inner one of the table).  A dense flow's marched average is within 1/n
+    of the exact value after n returns."""
     spec = (request.getfixturevalue(name) if name in ZOO
             else catalog.load_metric(name))
     assert nullflow._lattice_flow(spec, family, DEFAULT) is not None
@@ -384,10 +378,14 @@ def test_lattice_quadrature_agrees_with_marched_lines(name, family, request):
     for a, b in crossings:
         assert D[a] * D[b] < 0
     winding = nullflow._winding(axis, q, p)
-    marched = [replace(rec, winding=winding) for rec in records[:len(closed)]]
-    lattice = nullflow.closed_lines_through(spec, family, closed, dec.rotation)
-    assert (_holonomy_summary(spec, lattice)
-            == _holonomy_summary(spec, marched))
+    lattice = spin.holonomy_table(spec, family, closed, dec.rotation)
+    for rec, table in zip(records, lattice):
+        marched = {(s.a1, s.a2): spin.holonomy_closed_line(spec, rec, s)
+                   for s in spin.all_structures()}
+        assert _summary(table) == _summary(marched)
+        assert table[(1, 1)].winding == winding
+        assert abs(table[(1, 1)].boost
+                   - marched[(1, 1)].boost) < MARCHED_BOOST
 
 
 @pytest.mark.parametrize("metric,family,expected", [
@@ -438,14 +436,28 @@ def test_vertical_branch_runs_in_the_lattice_basis(name, family, A, shift,
     kinds = {iv.kind for iv in dec.intervals}
     assert kinds == ({"Asymptotic"} if closed else {"Resonant"})
     seeds = list(closed) or [0.0, 0.25, 0.7]
-    assert np.max(np.abs(flow.slope(np.array(seeds)))) < 1e-12
+    slopes = _section_slope(flow, family, np.array(seeds))
+    assert np.max(np.abs(slopes)) < 1e-12
     q = dec.rotation.q
     step = q * np.array(shift) / shift[axis]
-    for rec in nullflow.closed_lines_through(spec, family, seeds,
-                                             dec.rotation):
-        assert rec.winding == nullflow._winding(axis, q, dec.rotation.p)
-        np.testing.assert_allclose(rec.points[-1] - rec.points[0], step,
-                                   rtol=0, atol=1e-12)
+    tables = spin.holonomy_table(spec, family, seeds, dec.rotation)
+    assert {t[(1, 1)].winding for t in tables} == {
+        nullflow._winding(axis, q, dec.rotation.p)}
+    for rec in nullflow._line_records(spec, family, axis, 0.0, seeds,
+                                      float(q), DEFAULT.ode_step):
+        np.testing.assert_allclose(rec.points - rec.points[0],
+                                   np.multiply.outer(rec.ts, step / q),
+                                   rtol=0, atol=1e-9)
+
+
+def _section_slope(flow, family, w):
+    """s' = V'^1/V'^2 at the section point of transversal coordinate w of a
+    vertical-branch flow: zero exactly on the closed lines through it."""
+    w = np.asarray(w, dtype=float)
+    x = (w, 0.0 * w) if flow.axis == 1 else (0.0 * w, w)
+    v1, v2 = geometry.null_direction_arrays(flow.spec, *x, family)
+    (a, b), (c, d) = flow.A
+    return (d * v1 - b * v2) / (a * v2 - c * v1)
 
 
 def _section_scan(spec, family):
@@ -455,8 +467,9 @@ def _section_scan(spec, family):
     resonant arcs as (lo mod 1, width) and the isolated lines."""
     flow = nullflow._lattice_flow(spec, family, DEFAULT)
     runs, zeros = circular_zeros(
-        flow.slope(np.arange(1024) / 1024), DEFAULT.resonance,
-        lambda w: float(flow.slope(w)), DEFAULT.bisection)
+        _section_slope(flow, family, np.arange(1024) / 1024),
+        DEFAULT.resonance, lambda w: float(_section_slope(flow, family, w)),
+        DEFAULT.bisection)
     isolated = [z for z in zeros if not any(
         lo <= z <= hi or lo <= z + 1.0 <= hi for lo, hi in runs)]
     return sorted((lo % 1.0, hi - lo) for lo, hi in runs), isolated
@@ -617,8 +630,8 @@ def test_a_flow_no_lattice_rule_covers_is_inconclusive():
         calls = (lambda: nullflow.rotation_number(spec, family),
                  lambda: nullflow.cylinder_decomposition(spec, family),
                  lambda: nullflow.classify_line(spec, (0.0, 0.0), family),
-                 lambda: nullflow.closed_line_through(
-                     spec, family, 0.0, nullflow.RationalCertificate(1, 1, 0)))
+                 lambda: spin.holonomy_table(
+                     spec, family, [0.0], nullflow.RationalCertificate(1, 1, 0)))
         for call in calls:
             with pytest.raises(Inconclusive, match="no lattice rule covers"):
                 call()
@@ -688,20 +701,3 @@ def test_lattice_rotation_is_exact_on_analex_sanchez():
     with pytest.raises(DenseFlow, match="0.183303028"):
         nullflow.cylinder_decomposition(spec, "X")
 
-
-def test_lattice_closed_lines_are_records_of_the_flow(analex_spec):
-    """The quadrature's closed analex X-line through (0, 0.4): its velocity
-    is the null direction, its points stay on one line of the first
-    integral, and it closes with winding (1, -1)."""
-    rec = nullflow.closed_line_through(analex_spec, "X", 0.4,
-                                       nullflow.RationalCertificate(-1, 1, 0))
-    assert rec.winding == (1, -1)
-    assert np.array_equal(rec.points[0], [0.0, 0.4])
-    np.testing.assert_allclose(rec.points[-1] - rec.points[0], (1, -1),
-                               atol=1e-12)
-    d1, d2 = geometry.null_direction_arrays(analex_spec, *rec.points.T, "X")
-    assert np.max(np.abs(rec.velocities[:, 0] * d2
-                         - rec.velocities[:, 1] * d1)) < 1e-12
-    F = nullflow.first_integral_function(analex_spec)
-    assert np.ptp(F(*rec.points.T)) < 1e-9
-    assert np.allclose(np.diff(rec.ts), DEFAULT.ode_step)

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import ZOO
-from nulltorus import catalog, geometry, nullflow, spin
+from nulltorus import catalog, classify, geometry, nullflow, spin
 from nulltorus.errors import DenseFlow, NotClosed
 from nulltorus.nullflow import NullLineRecord, RationalCertificate
 from nulltorus.spin import SpinStructure
@@ -106,13 +106,12 @@ def test_twist_periodicity(rng):
 
 
 def test_flat_holonomy_table(flat_spec):
-    rec = nullflow.closed_line_through(flat_spec, "X", 0.0,
-                                       RationalCertificate(1, 1, 0.0))
-    assert rec.winding == (1, 1)
-    table = spin.holonomy_table(flat_spec, rec)
+    [table] = spin.holonomy_table(flat_spec, "X", [0.0],
+                                  RationalCertificate(1, 1, 0.0))
     expected_trivial = {(1, 1): True, (1, -1): False,
                         (-1, 1): False, (-1, -1): True}
     for ab, res in table.items():
+        assert res.winding == (1, 1)
         assert abs(res.boost) < 1e-9
         assert res.sheet == 1
         assert res.character == SpinStructure(*ab).character((1, 1))
@@ -120,9 +119,10 @@ def test_flat_holonomy_table(flat_spec):
         assert res.transport_factor == pytest.approx(res.character)
 
 
-def _recorded_closed_lines(spec):
-    """The closed lines the classification records, both families: five
-    per resonant interval, then the isolated ones."""
+def _marched_closed_lines(spec):
+    """RK4 records of the closed lines the classification samples, both
+    families: five per resonant interval, then the isolated ones, each
+    marched over q axis units from the section."""
     records = []
     for family in ("X", "Y"):
         try:
@@ -132,58 +132,70 @@ def _recorded_closed_lines(spec):
         seeds = [float(w) % 1.0 for iv in dec.resonant_intervals
                  for w in iv.interior_points(5)]
         seeds += [float(w) for w in dec.isolated_closed]
-        records += nullflow.closed_lines_through(spec, family, seeds,
-                                                 dec.rotation, tol=DEFAULT)
+        records += nullflow._line_records(spec, family, dec.axis, 0.0, seeds,
+                                          float(dec.rotation.q),
+                                          DEFAULT.ode_step)
     return records
 
 
 @pytest.mark.parametrize("name", ZOO)
 def test_holonomy_boosts_are_scipys_simpson_bitwise(name, request,
                                                     monkeypatch):
-    """The in-package Simpson rule leaves every recorded boost as scipy's
-    rule gave it, bit for bit."""
+    """The in-package Simpson rule leaves the boost of every marched closed
+    line as scipy's rule gave it, bit for bit."""
     from scipy.integrate import simpson as reference
     spec = request.getfixturevalue(name)
-    records = _recorded_closed_lines(spec)
+    records = _marched_closed_lines(spec)
     assert records or name == "sqrt2_spec"     # irrational: dense both ways
-    ours = [spin.holonomy_table(spec, rec)[(1, 1)].boost for rec in records]
+    trivial = SpinStructure(1, 1)
+    ours = [spin.holonomy_closed_line(spec, rec, trivial).boost
+            for rec in records]
     monkeypatch.setattr(spin, "simpson", reference)
-    theirs = [spin.holonomy_table(spec, rec)[(1, 1)].boost
+    theirs = [spin.holonomy_closed_line(spec, rec, trivial).boost
               for rec in records]
     assert [b.hex() for b in ours] == [b.hex() for b in theirs]
 
 
+def _rosatau_line(spec, w):
+    """The RK4 record of the vertical X-line x1 = w, one unit of x2."""
+    return nullflow.integrate_null_line(spec, (w, 0.0), "X", t_max=1.0)
+
+
 def test_rosatau_isolated_line_boost(rosatau_spec):
     # the isolated vertical closed line sits where the profile crosses zero
-    # with unit slope; its transport eigenvalue log is -slope/4 = -0.25
-    rec = nullflow.closed_line_through(rosatau_spec, "X", 0.3,
-                                       RationalCertificate(0, 1, 0.0))
-    assert rec.winding == (0, 1)
+    # with unit slope; its transport eigenvalue log is -slope/4 = -0.25,
+    # along the marched line and in the lattice table
+    rec = _rosatau_line(rosatau_spec, 0.3)
     res = spin.holonomy_closed_line(rosatau_spec, rec, SpinStructure(1, 1))
+    assert res.winding == (0, 1)
     assert res.boost == pytest.approx(-0.25, abs=1e-6)
     assert not res.x_trivial
+    [table] = spin.holonomy_table(rosatau_spec, "X", [0.3],
+                                  RationalCertificate(0, 1, 0.0))
+    assert table[(1, 1)].boost == pytest.approx(-0.25, abs=1e-6)
 
 
 def test_rosatau_band_line_transport_trivial(rosatau_spec):
     # inside the resonant band the profile vanishes identically, so the
     # connection integral is zero and triviality is decided by the character
-    rec = nullflow.closed_line_through(rosatau_spec, "X", 0.7,
-                                       RationalCertificate(0, 1, 0.0))
-    table = spin.holonomy_table(rosatau_spec, rec)
+    table = {(s.a1, s.a2): spin.holonomy_closed_line(
+        rosatau_spec, _rosatau_line(rosatau_spec, 0.7), s)
+        for s in spin.all_structures()}
+    [lattice] = spin.holonomy_table(rosatau_spec, "X", [0.7],
+                                    RationalCertificate(0, 1, 0.0))
     for ab, res in table.items():
-        assert abs(res.boost) < 1e-9
-        assert res.x_trivial == (ab[1] == 1)
+        for r in (res, lattice[ab]):
+            assert abs(r.boost) < 1e-9
+            assert r.x_trivial == (ab[1] == 1)
 
 
 def test_boost_is_parametrization_invariant(rosatau_spec):
-    rec = nullflow.closed_line_through(rosatau_spec, "X", 0.3,
-                                       RationalCertificate(0, 1, 0.0))
+    rec = _rosatau_line(rosatau_spec, 0.3)
     # rescale the parameter t -> t/2; the connection integral is linear in
     # the velocity, so the holonomy must not change
     rescaled = NullLineRecord(family=rec.family, axis=rec.axis,
                               ts=rec.ts / 2.0, points=rec.points,
-                              velocities=2.0 * rec.velocities,
-                              winding=rec.winding)
+                              velocities=2.0 * rec.velocities)
     a = spin.holonomy_closed_line(rosatau_spec, rec, SpinStructure(1, -1))
     b = spin.holonomy_closed_line(rosatau_spec, rescaled, SpinStructure(1, -1))
     assert b.boost == pytest.approx(a.boost, abs=1e-12)
@@ -191,8 +203,7 @@ def test_boost_is_parametrization_invariant(rosatau_spec):
 
 
 def test_holonomy_rejects_open_record(flat_spec):
-    rec = nullflow.closed_line_through(flat_spec, "X", 0.0,
-                                       RationalCertificate(1, 1, 0.0))
+    rec = nullflow.integrate_null_line(flat_spec, (0.0, 0.0), "X")
     m = len(rec.ts) // 2
     half = NullLineRecord(family=rec.family, axis=rec.axis, ts=rec.ts[:m],
                           points=rec.points[:m], velocities=rec.velocities[:m])
@@ -201,8 +212,7 @@ def test_holonomy_rejects_open_record(flat_spec):
 
 
 def test_parallel_transport_matches_holonomy(rosatau_spec):
-    rec = nullflow.closed_line_through(rosatau_spec, "X", 0.3,
-                                       RationalCertificate(0, 1, 0.0))
+    rec = _rosatau_line(rosatau_spec, 0.3)
     phi0 = np.array([1.0 + 0.5j, -0.25j])
     for s in spin.all_structures():
         res = spin.holonomy_closed_line(rosatau_spec, rec, s)
@@ -213,6 +223,36 @@ def test_parallel_transport_matches_holonomy(rosatau_spec):
         # negative chirality sees the connection with the opposite sign
         neg_factor = res.sheet * res.character * np.exp(-res.boost)
         assert out[1] == pytest.approx(neg_factor * phi0[1], rel=1e-8)
+
+
+@pytest.mark.parametrize("metric, quantities, most", [
+    ("closed_diagonal:37,64", ("delta_plus", "tau_minus"), 2048 + 5),
+    ("closed_diagonal:6,8,amp=0.7705,k=2,l=3", ("delta_minus", "tau_plus"),
+     99)])
+def test_tables_read_gamma_on_the_phase_line_only(metric, quantities, most,
+                                                  monkeypatch):
+    """A table's holonomy reads Gamma once per phase sample on the graph
+    branch (the 37/64 wave, 101 y1-periods per closed line) and once per
+    closed line on the vertical one (six isolated Y-lines of the 6,8 wave),
+    and records no line."""
+    spec = catalog.load_metric(metric)
+    points, records = [], []
+    along = geometry.connection_along
+    init = NullLineRecord.__init__
+
+    def counting(spec, x1, x2, *args):
+        points.append(np.broadcast(x1, x2).size)
+        return along(spec, x1, x2, *args)
+
+    def recording(self, *args, **kwargs):
+        records.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(geometry, "connection_along", counting)
+    monkeypatch.setattr(NullLineRecord, "__init__", recording)
+    table = classify.classify_table(spec, quantities)
+    assert len(table) == 4
+    assert 0 < sum(points) <= most and not records
 
 
 def test_spin_connection_scalar_routes(analex_spec):

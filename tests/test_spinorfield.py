@@ -515,17 +515,18 @@ def _seeded_window(seed):
 
 
 @pytest.mark.parametrize("seed", [None, 1, 2, 3])
-def test_band_line_record_holds_the_marched_holonomy(seed):
-    """The vertical band line that the pp-wave bumps read from the lattice
-    record carries the holonomy of the RK4 line through the same point."""
+def test_band_line_table_holds_the_marched_holonomy(seed):
+    """The vertical band line whose holonomy the pp-wave bumps read from the
+    lattice flow carries the holonomy of the RK4 line through the same
+    point."""
     spec = catalog.rosatau_window() if seed is None else _seeded_window(seed)
     lo, hi = spinorfield._vertical_band(spec, DEFAULT)
     mid = float((0.5 * (lo + hi)) % 1.0)
-    record = nullflow.closed_line_through(
-        spec, "X", mid, nullflow.RationalCertificate(0, 1, 0.0))
+    [table] = spin.holonomy_table(spec, "X", [mid],
+                                  nullflow.RationalCertificate(0, 1, 0.0))
     marched = nullflow.integrate_null_line(spec, (mid, 0.0), "X", t_max=1.0)
     for s in all_structures():
-        got = spin.holonomy_closed_line(spec, record, s)
+        got = table[(s.a1, s.a2)]
         want = spin.holonomy_closed_line(spec, marched, s)
         assert (got.winding, got.character, got.x_trivial) == \
             (want.winding, want.character, want.x_trivial)

@@ -164,6 +164,14 @@ CASES = [
     ["holonomy", "--metric", "analex"],
     ["holonomy", "--metric", "left_invariant:sqrt2,1"],
     ["holonomy", "--metric", "closed_diagonal:5,8", "--family", "X"],
+    # holonomy read from the lattice flow: 101 y1-periods per closed line,
+    # an inner boost of a rescaling, an isolated line of a rough Y wave,
+    # and an open seed in a gap between zeros of tau
+    ["holonomy", "--metric", "closed_diagonal:37,64"],
+    ["holonomy", "--metric", CONFORMAL_1, "--family", "Y"],
+    ["holonomy", "--metric", "closed_diagonal:6,8,amp=0.7705,k=2,l=3",
+     "--family", "Y", "--seed-w", "0.10706844086719987"],
+    ["holonomy", "--metric", "rosatau", "--seed-w", "0.2"],
     ["rotation", "--metric", "analex"],
     ["rotation", "--metric", "flat", "--tol", "ode_step=0.002"],
     ["rotation", "--metric", "left_invariant:2,3", "--family", "Y"],
