@@ -544,9 +544,10 @@ def null_direction_arrays(spec, x1, x2, family: str):
 # A spec of phase (k, l) is built on its phase line: sampled at the n grid
 # points x = A (m/n, 0) mod 1, A = lattice_basis(k, l), where the phase
 # k x1 + l x2 is m/n, and differentiated there by 1-D transforms (d1 = k v',
-# d2 = l v'); grid point (i, j) then takes sample (k i + l j) mod n.  The
-# closedness residual and the mean coefficients of a diagonal spec, and
-# nullflow.FirstIntegral, read the same samples.  Only a spec without a phase
+# d2 = l v'); point (i, j) of its grids, read-only strided views of no n^2
+# copy, reads sample (k i + l j) mod n.  The closedness residual and the
+# mean coefficients of a diagonal spec, and nullflow.FirstIntegral, read
+# the same samples.  Only a spec without a phase
 # (a conformal rescaling, whose factor has a phase of its own, or a generic
 # Diagonal) is evaluated and differentiated on all n^2 points.
 
@@ -580,16 +581,15 @@ class _PhaseLine:
         """(lam1, lam2) of a diagonal spec."""
         return self.spec.lambdas(self.x1, self.x2)
 
-    @cached_property
-    def index(self):
-        """The sample (k i + l j) mod n that grid point (i, j) takes."""
-        i = np.arange(self.n)
-        return _read_only([(self.k * i[:, None] + self.l * i) % self.n])[0]
-
     def partials(self, values):
         """(d1, d2) of line samples: k and l times their derivative."""
         d = spectral_derivative(values, 0)
         return self.k * d, self.l * d
+
+    @cached_property
+    def connection_form(self):
+        return _spectral_connection_form(self.frame, self.coefficients,
+                                         self.partials)
 
     @cached_property
     def log_det_partials(self):
@@ -602,7 +602,7 @@ class _PhaseLine:
         return d(v1)[0] + d(v2)[1] + 0.5 * (v1 * dld1 + v2 * dld2)
 
     def class_means(self, values, step: int):
-        """The means of gathered ``values`` along the grid axis that moves
+        """The means of line ``values`` along the grid axis that moves
         the sample index by ``step`` (k for x1, l for x2): one per residue
         class of the samples mod gcd(step, n), the class that axis sweeps
         (each sample its own class when step is 0)."""
@@ -610,8 +610,14 @@ class _PhaseLine:
         return values.reshape(self.n // g, g).mean(axis=0)
 
     def grid(self, values):
-        """Each line array gathered onto the n x n grid, read-only."""
-        return _read_only(tuple(v[self.index] for v in values))
+        """Each line array as a read-only n x n view, point (i, j) reading
+        sample (k i + l j) mod n of |k| + |l| + 1 copies of the samples."""
+        k, l, n = self.k, self.l, self.n
+        start = n * (abs(min(k, 0)) + abs(min(l, 0)))
+        return tuple(np.lib.stride_tricks.as_strided(
+            np.tile(v, abs(k) + abs(l) + 1)[start:], (n, n),
+            (k * v.itemsize, l * v.itemsize), writeable=False)
+            for v in values)
 
 
 @lru_cache(maxsize=64)
@@ -690,6 +696,14 @@ def _connection_form(s1, ds1, s2, g, gam):
     return out
 
 
+def _spectral_connection_form(frame, g, partials):
+    """(Gamma_1, Gamma_2) from frame, g and their ``partials``."""
+    a1, a2, b1, b2 = frame
+    ds1 = tuple(zip(partials(a1), partials(a2)))
+    gam = _christoffels(*g, *(d for c in g for d in partials(c)))
+    return tuple(_connection_form((a1, a2), ds1, (b1, b2), g, gam))
+
+
 @lru_cache(maxsize=64)
 def connection_one_form_grids(spec, n: int):
     """(Gamma_1, Gamma_2) grids with Gamma(V) = V^1 Gamma_1 + V^2 Gamma_2.
@@ -699,16 +713,10 @@ def connection_one_form_grids(spec, n: int):
     grid spinor operators consume.
     """
     line = _phase_line(spec, n)
-    if line is None:
-        frame, g = frame_grids(spec, n), coefficient_grids(spec, n)
-        partials = spectral_derivatives
-    else:
-        frame, g, partials = line.frame, line.coefficients, line.partials
-    a1, a2, b1, b2 = frame
-    ds1 = tuple(zip(partials(a1), partials(a2)))
-    gam = _christoffels(*g, *(d for c in g for d in partials(c)))
-    out = _connection_form((a1, a2), ds1, (b1, b2), g, gam)
-    return _read_only(tuple(out)) if line is None else line.grid(out)
+    if line is not None:
+        return line.grid(line.connection_form)
+    return _read_only(_spectral_connection_form(
+        frame_grids(spec, n), coefficient_grids(spec, n), spectral_derivatives))
 
 
 def connection_along(spec, x1, x2, v1, v2):

@@ -61,15 +61,17 @@ def _constant_derivative(values: np.ndarray) -> Optional[np.ndarray]:
 
 
 def _axis_derivative(values: np.ndarray, axis: int) -> np.ndarray:
-    """d/dx along ``axis``: one rfft/irfft (fft/ifft) pair along it."""
+    """d/dx along ``axis``: one rfft/irfft (fft/ifft) pair, scaled in place."""
     n, real = values.shape[axis], np.isrealobj(values)
     k = np.fft.rfftfreq(n, 1.0 / n) if real else np.fft.fftfreq(n, 1.0 / n)
     if n % 2 == 0:
         k[n // 2] = 0.0
     k = TWO_PI_I * k.reshape((-1,) + (1,) * (values.ndim - 1 - axis))
+    spectrum = (np.fft.rfft if real else np.fft.fft)(values, axis=axis)
+    spectrum *= k
     if real:
-        return np.fft.irfft(np.fft.rfft(values, axis=axis) * k, n, axis=axis)
-    return np.fft.ifft(np.fft.fft(values, axis=axis) * k, axis=axis)
+        return np.fft.irfft(spectrum, n, axis=axis)
+    return np.fft.ifft(spectrum, axis=axis, out=spectrum)
 
 
 def spectral_derivatives(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

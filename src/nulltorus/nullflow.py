@@ -560,13 +560,13 @@ class FirstIntegral:
     def grid(self) -> np.ndarray:
         """F on the n x n grid x = j/n it was built from (``__call__`` at
         ``grid_points(n)``), each series summed by one inverse FFT; on a
-        phase line the x1-oscillation is G[(k i + l j) mod n], G the
-        samples of its phase series."""
+        phase line the x1-oscillation is the read-only view
+        G[(k i + l j) mod n] of G, the samples of its phase series."""
         x = np.arange(self.n) / self.n
         if self._line is None:
             osc1 = self._osc1.on_grid(self.n).real
         else:
-            osc1 = self._phase_osc.on_grid(self.n).real[self._line.index]
+            [osc1] = self._line.grid((self._phase_osc.on_grid(self.n).real,))
         return (np.multiply.outer(x, self._mean1.on_grid(self.n).real)
                 + (osc1 - osc1[0]) - self._lam2_integral(x))
 
@@ -578,8 +578,8 @@ class FirstIntegral:
         On a phase line F[i, j] = l1 x_i + G[(k i + l j) mod n]
         - G[(l j) mod n] - I2[j] (I2 the lam2 integral; the x1-mean of lam1
         is the constant l1 of a closed metric), so each field is
-        col_i row_j E[(k i + l j) mod n] from n-point exponentials;
-        without one, F's grid is exponentiated."""
+        col_i row_j E[(k i + l j) mod n], E's n-point exponentials read
+        through the line's view; without one, F's grid is exponentiated."""
         n = self.n
         if self._line is None:
             X1, X2 = grid_points(n)
@@ -588,17 +588,16 @@ class FirstIntegral:
             return tuple(conj_twist * np.exp(2j * np.pi * alpha * F)
                          for alpha in alphas)
         x = np.arange(n) / n
-        index = self._line.index
         G = self._phase_osc.on_grid(n).real
-        across = G[index[0]] + self._lam2_integral(x)
+        across = self._line.grid((G,))[0][0] + self._lam2_integral(x)
         l1 = self.quasi_periods[0]
         fields = []
         for alpha in alphas:
             turn = 2j * np.pi * alpha
             col = np.exp(turn * l1 * x) * np.conj(structure.twist(x, 0.0))
             row = np.exp(-turn * across) * np.conj(structure.twist(0.0, x))
-            field = np.exp(turn * G)[index]
-            field *= col[:, None]
+            [E] = self._line.grid((np.exp(turn * G),))
+            field = E * col[:, None]
             field *= row
             fields.append(field)
         return tuple(fields)

@@ -18,21 +18,21 @@ Exact solvers:
   constant coefficients).
 * ``solve_closed_diagonal`` builds the phase family exp(2 pi i alpha F) from
   the first integral F of the X-lines (``nullflow.FirstIntegral``: on a
-  metric with a phase, n-point exponentials of its phase line gathered
-  onto the n x n field grid); the alphas exist when the structure's
-  character on the winding of the closed null lines is +1.
+  metric with a phase, n-point exponentials of its phase line read as
+  n x n grids through read-only views); the alphas exist when the
+  structure's character on the winding of the closed null lines is +1.
 * ``construct_resonant_spinors`` produces bump-localized kernel elements
   with pairwise disjoint supports on resonant cylinders (first-integral
   bump trains for closed diagonal metrics, vertical-band bumps for the
-  pp-wave family, whose band line is the flow's lattice record, conformal
-  pushforward through a rescaling).
+  pp-wave family, whose band line's holonomy ``spin.holonomy_table`` reads
+  from the phase record, conformal pushforward through a rescaling).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -154,18 +154,28 @@ def embed(f: HalfSpinorField) -> SpinorField:
 # covariant operators on grids
 
 
-def _direction_grids(spec, direction: str, n: int):
-    """Coordinate components of 'X', 'Y', 's1' or 's2' on the n x n grid."""
-    a1, a2, b1, b2 = geometry.frame_grids(spec, n)
+@lru_cache(maxsize=16)
+def _transport_operator(spec, structure: SpinStructure, chirality: int,
+                        direction: str, n: int):
+    """Read-only (v1, v2, potential) of nabla_V on the n x n grid: V's
+    components and chirality/2 Gamma(V) + omega_a(V), built on the phase
+    line (and read through its views) where the spec has one."""
+    line = geometry._phase_line(spec, n)
+    if line is None:
+        a1, a2, b1, b2 = geometry.frame_grids(spec, n)
+        G1, G2 = geometry.connection_one_form_grids(spec, n)
+    else:
+        (a1, a2, b1, b2), (G1, G2) = line.frame, line.connection_form
     if direction == "X":
-        return a1 + b1, a2 + b2
-    if direction == "Y":
-        return -a1 + b1, -a2 + b2
-    if direction == "s1":
-        return a1, a2
-    if direction == "s2":
-        return b1, b2
-    raise ValueError(f"unknown direction {direction!r}")
+        v1, v2 = a1 + b1, a2 + b2
+    elif direction == "Y":
+        v1, v2 = -a1 + b1, -a2 + b2
+    else:               # 's1' or 's2' (nabla_along checks the name)
+        v1, v2 = (a1, a2) if direction == "s1" else (b1, b2)
+    potential = (0.5 * chirality * (v1 * G1 + v2 * G2)
+                 + structure.twist_form(v1, v2))
+    ops = (v1, v2, potential)
+    return geometry._read_only(ops) if line is None else line.grid(ops)
 
 
 def _nabla(f: HalfSpinorField, direction: str) -> np.ndarray:
@@ -173,18 +183,18 @@ def _nabla(f: HalfSpinorField, direction: str) -> np.ndarray:
     derivative pair; f's own values (not a copy: the callers only read
     them) when f is identically zero.
 
-    Acts on the periodic representative as
-    dh(V) + (chirality/2 * Gamma(V) + omega_a(V)) h.
+    Acts on the periodic representative as dh(V) + (chirality/2 * Gamma(V)
+    + omega_a(V)) h, updated in the derivatives' own buffers.
     """
     if not np.any(f.values):
         return f.values
-    n = f.grid_n
+    v1, v2, potential = _transport_operator(f.spec, f.structure, f.chirality,
+                                            direction, f.grid_n)
     d1, d2 = spectral_derivatives(f.values)
-    G1, G2 = geometry.connection_one_form_grids(f.spec, n)
-    v1, v2 = _direction_grids(f.spec, direction, n)
-    potential = (0.5 * f.chirality * (v1 * G1 + v2 * G2)
-                 + f.structure.twist_form(v1, v2))
-    return v1 * d1 + v2 * d2 + potential * f.values
+    d1 *= v1
+    d1 += np.multiply(v2, d2, out=d2)
+    d1 += np.multiply(potential, f.values, out=d2)
+    return d1
 
 
 def nabla_along(f: HalfSpinorField, direction: str) -> HalfSpinorField:

@@ -1,11 +1,12 @@
 import math
 import random
 from collections import Counter
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from nulltorus import catalog, geometry
+from nulltorus import catalog, geometry, spinorfield
 
 # Session-scoped metric zoo.  Specs compare by value, so equal specs share
 # every flow, series and grid cache, whether a test takes them from here or
@@ -37,6 +38,22 @@ def count_transforms(monkeypatch) -> Counter:
             return _fft(a, *args, **kwargs)
         monkeypatch.setattr(np.fft, name, counting)
     return calls
+
+
+def count_operator_builds(monkeypatch) -> list[str]:
+    """Give ``spinorfield._transport_operator`` an empty cache of its own
+    and return the list of the directions it builds, one entry per cold
+    build."""
+    build = spinorfield._transport_operator.__wrapped__
+    directions: list[str] = []
+
+    def counting(spec, structure, chirality, direction, n):
+        directions.append(direction)
+        return build(spec, structure, chirality, direction, n)
+
+    monkeypatch.setattr(spinorfield, "_transport_operator",
+                        lru_cache(maxsize=16)(counting))
+    return directions
 
 
 def seeded_waves(seed: int, count: int) -> list[str]:

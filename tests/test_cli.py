@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from conftest import count_operator_builds
 from nulltorus import catalog, classify, spinorfield, validation
 from nulltorus.cli import main, parse_point, parse_structure
 from nulltorus.errors import ConfigError
@@ -375,6 +376,22 @@ def test_solve_honours_grid_n(runner, metric, n_fields):
     assert result.exit_code == 0
     assert payload["grid_n"] == 256 and len(payload["fields"]) == n_fields
     assert all(f["residual"] < 1e-9 for f in payload["fields"])
+
+
+@pytest.mark.parametrize("metric,chirality,direction", [
+    ("left_invariant:1,2", "1", "X"), ("analex", "1", "X"),
+    ("closed_diagonal:3,5,amp=0.2,k=4,l=-6", "-1", "X")])
+def test_a_solve_builds_one_operator(runner, monkeypatch, metric, chirality,
+                                     direction):
+    """The residuals of a 4-field solve share one transport operator: the
+    harmonic one along X for chirality +1, the twistor one, also along X,
+    for chirality -1."""
+    operators = count_operator_builds(monkeypatch)
+    result = runner.invoke(main, ["solve", "--metric", metric,
+                                  "--chirality", chirality, "--grid-n", "64"])
+    payload = _json_out(result)
+    assert result.exit_code == 0 and len(payload["fields"]) == 4
+    assert operators == [direction]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from conftest import ZOO, count_transforms, frame_direction
 from nulltorus import catalog, classify, geometry, nullflow
 from nulltorus.errors import DegenerateMetric, FrameUndefined
 from nulltorus.gridtools import grid_points, spectral_derivatives
+from nulltorus.spin import SpinStructure
 from nulltorus.tolerances import DEFAULT
 
 
@@ -303,6 +304,7 @@ def test_phase_specs_build_their_grids_on_the_phase_line(monkeypatch):
 
     def build(spec):
         calls.clear()
+        geometry._phase_line.cache_clear()     # a line keeps its Gamma
         return geometry.connection_one_form_grids.__wrapped__(spec, 64)
 
     for spec in (catalog.left_invariant(2, 5), catalog.flat()):
@@ -322,6 +324,48 @@ def _phase_shapes():
             catalog.closed_diagonal_wave(1.0, 2.0, amp=0.08),
             catalog.closed_diagonal_wave(3.0, 5.0, amp=0.2, k=4, l=-6),
             catalog.closed_diagonal_wave(2.0, 3.0, amp=0.1, k=1, l=2))
+
+
+@pytest.mark.parametrize("n", (63, 64, 256))
+def test_phase_line_grids_are_read_only_views_of_the_samples(n):
+    """Every grid of a spec with a phase equals its line samples gathered
+    by the index (k i + l j) mod n, bit for bit, and refuses writes: its
+    points share memory.  So do the first integral's grid and phases."""
+    i = np.arange(n)
+    for spec in _phase_shapes():
+        line = geometry._phase_line(spec, n)
+        index = (line.k * i[:, None] + line.l * i) % n
+        pairs = ((geometry.coefficient_grids, line.coefficients),
+                 (geometry.frame_grids, line.frame),
+                 (geometry.connection_one_form_grids, line.connection_form),
+                 (geometry._log_det_partials, line.log_det_partials))
+        for build, samples in pairs:
+            grids = build(spec, n)
+            assert len(grids) == len(samples)
+            for grid, v in zip(grids, samples):
+                assert np.array_equal(grid, v[index])
+                with pytest.raises(ValueError):
+                    grid[0, 0] = 0.0
+        if not geometry.is_closed_diagonal(spec):
+            continue
+        F = nullflow.first_integral_function(spec, n)
+        x = i / n
+        G = F._phase_osc.on_grid(n).real
+        osc1 = G[index]
+        assert np.array_equal(F.grid(), (
+            np.multiply.outer(x, F._mean1.on_grid(n).real)
+            + (osc1 - osc1[0]) - F._lam2_integral(x)))
+        structure, alpha = SpinStructure(-1, 1), 0.37
+        [phases] = F.phase_fields((alpha,), structure)
+        turn = 2j * np.pi * alpha
+        col = (np.exp(turn * F.quasi_periods[0] * x)
+               * np.conj(structure.twist(x, 0.0)))
+        row = (np.exp(-turn * (G[index[0]] + F._lam2_integral(x)))
+               * np.conj(structure.twist(0.0, x)))
+        want = np.exp(turn * G)[index]
+        want *= col[:, None]
+        want *= row
+        assert np.array_equal(phases, want)
 
 
 @pytest.mark.parametrize("n", (63, 64, 256))

@@ -114,6 +114,26 @@ def test_one_zero_search():
     assert len(calls) == 1, f"circular_zeros called at {calls}"
 
 
+def test_one_strided_view():
+    """``geometry._PhaseLine.grid`` is the one stride trick (a view whose
+    points share memory), and nothing gathers a phase line through an
+    index table any more."""
+    text = [f"{path.name}:{k + 1}" for path in sorted(PACKAGE.glob("*.py"))
+            for k, line in enumerate(path.read_text().splitlines())
+            if "as_strided" in line]
+    [line_class] = [node for node in MODULES["geometry"].body
+                    if getattr(node, "name", None) == "_PhaseLine"]
+    inside = [node for node in ast.walk(line_class)
+              if isinstance(node, ast.Attribute) and node.attr == "as_strided"]
+    assert len(text) == 1 and len(inside) == 1, f"as_strided at {text}"
+    gathers = [f"{name}.py:{node.lineno}" for name, tree in MODULES.items()
+               for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+               and node.attr == "index"
+               and "line" in getattr(node.value, "id",
+                                     getattr(node.value, "attr", "")).lower()]
+    assert not gathers, f"phase-line index gathers at {gathers}"
+
+
 def test_no_public_function_takes_a_private_parameter():
     """A public function has no back door: every parameter it takes is part
     of its interface."""

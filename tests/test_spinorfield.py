@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import count_transforms
+from conftest import ZOO, count_operator_builds, count_transforms
 from nulltorus import catalog, classify, geometry, nullflow, spin, spinorfield
 from nulltorus.errors import (DenseFlow, NotHarmonic, NotXTrivial,
                               UnsupportedFamily, WrongFamily)
@@ -73,30 +73,25 @@ def test_harmonic_residual_transports_only_nonzero_halves(analex_spec,
                     float(np.max(np.abs(d.positive.values))))
     assert spinorfield.residual_norm(both, "harmonic") == dirac_sup
 
-    transforms, directions = _count_transforms(monkeypatch)
+    transforms, operators = _count_transforms(monkeypatch)
     spinorfield.residual_norm(neg, "harmonic")
-    assert len(transforms) == 1 and directions == ["Y"]
+    assert len(transforms) == 1 and operators == ["Y"]
 
 
 def _count_transforms(monkeypatch):
     """Lists that record each spectral derivative pair the operators take
-    (by the shape of its input) and each direction they assemble."""
-    transforms, directions = [], []
+    (by the shape of its input) and the direction of each transport
+    operator they build (from an empty operator cache)."""
+    transforms = []
     derivatives = spinorfield.spectral_derivatives
-    direction_grids = spinorfield._direction_grids
 
     def counting_derivatives(values):
         transforms.append(values.shape)
         return derivatives(values)
 
-    def counting_directions(spec, direction, n):
-        directions.append(direction)
-        return direction_grids(spec, direction, n)
-
     monkeypatch.setattr(spinorfield, "spectral_derivatives",
                         counting_derivatives)
-    monkeypatch.setattr(spinorfield, "_direction_grids", counting_directions)
-    return transforms, directions
+    return transforms, count_operator_builds(monkeypatch)
 
 
 @pytest.mark.parametrize("chirality", [1, -1])
@@ -105,10 +100,10 @@ def test_operators_differentiate_only_nonzero_halves(analex_spec, monkeypatch,
     """One spectral derivative pair per nonzero half and application."""
     f = spinorfield.fourier_mode_field(analex_spec, SpinStructure(1, -1),
                                        (2, 1), chirality=chirality)
-    transforms, directions = _count_transforms(monkeypatch)
+    transforms, operators = _count_transforms(monkeypatch)
     d = spinorfield.dirac_apply(f)
     assert transforms == [f.values.shape]
-    assert directions == ["X" if chirality == 1 else "Y"]
+    assert operators == ["X" if chirality == 1 else "Y"]
     zero_half = d.positive if chirality == 1 else d.negative
     assert not np.any(zero_half.values)
     for apply in (spinorfield.twistor_apply,
@@ -116,6 +111,7 @@ def test_operators_differentiate_only_nonzero_halves(analex_spec, monkeypatch,
         transforms.clear()
         apply(f)
         assert transforms == [f.values.shape]
+    assert operators == (["X", "Y"] if chirality == 1 else ["Y", "X"])
     g = spinorfield.fourier_mode_field(analex_spec, SpinStructure(1, -1),
                                        (0, 3), chirality=-chirality)
     pos, neg = (f, g) if chirality == 1 else (g, f)
@@ -125,6 +121,61 @@ def test_operators_differentiate_only_nonzero_halves(analex_spec, monkeypatch,
         transforms.clear()
         apply(both)
         assert len(transforms) == 2
+
+
+def _reference_derivative(values, axis):
+    """The spectral partial written out: a new spectrum times 2 pi i k, a
+    new inverse."""
+    if np.all(values == values.flat[0]):
+        return np.zeros(values.shape, complex)
+    n = values.shape[axis]
+    k = np.fft.fftfreq(n, 1.0 / n)
+    if n % 2 == 0:
+        k[n // 2] = 0.0
+    k = 2j * np.pi * k.reshape((-1,) + (1,) * (1 - axis))
+    return np.fft.ifft(np.fft.fft(values, axis=axis) * k, axis=axis)
+
+
+def _reference_residual(f, operator):
+    """``residual_norm`` of a half as one expression: V's components from
+    the frame grids, the potential from the connection grids."""
+    twistor = operator == "twistor"
+    if not np.any(f.values):
+        return 0.0
+    n = f.grid_n
+    a1, a2, b1, b2 = geometry.frame_grids(f.spec, n)
+    G1, G2 = geometry.connection_one_form_grids(f.spec, n)
+    if (f.chirality == 1) != twistor:       # X
+        v1, v2 = a1 + b1, a2 + b2
+    else:
+        v1, v2 = -a1 + b1, -a2 + b2
+    d1, d2 = (_reference_derivative(f.values, axis) for axis in (0, 1))
+    potential = (0.5 * f.chirality * (v1 * G1 + v2 * G2)
+                 + f.structure.twist_form(v1, v2))
+    nabla = v1 * d1 + v2 * d2 + potential * f.values
+    return (0.5 if twistor else 1.0) * float(np.max(np.abs(nabla)))
+
+
+@pytest.mark.parametrize("name", ZOO)
+def test_residuals_are_the_written_out_expression_bit_for_bit(name, request):
+    """The cached operators and the in-place update change no bit: on
+    every structure and chirality, each exact solver field (at 64^2) and a
+    zero and a constant field have the residual of the written-out
+    expression under each operator, compared with ==."""
+    spec = request.getfixturevalue(name)
+    for structure in all_structures():
+        for chirality in (1, -1):
+            fields = [spinorfield.constant_field(spec, structure, chirality,
+                                                 value, 64)
+                      for value in (0.0, 0.3 - 1.1j)]
+            solver = spinorfield.exact_solver(spec, DEFAULT)
+            if solver is not None:
+                fields += solver(spec, structure, chirality=chirality,
+                                 n_fields=4, grid_n=64, tol=DEFAULT).fields
+            for f in fields:
+                for operator in ("harmonic", "twistor", "transport"):
+                    assert (spinorfield.residual_norm(f, operator)
+                            == _reference_residual(f, operator))
 
 
 CLOSED_ZOO = ("flat_spec", "sqrt2_spec", "analex_spec", "wave12_spec")
