@@ -628,6 +628,38 @@ def _phase_line(spec, n: int) -> Optional[_PhaseLine]:
     return None if phase is None else _PhaseLine(spec, *phase, n)
 
 
+@dataclass(frozen=True, eq=False)
+class PhaseFactors:
+    """A grid field e^(2 pi i m.x) u(k x1 + l x2) in factored form: point
+    (i, j) is col[i] row[j] profile[(k i + l j) mod n], (k, l) the phase
+    of the spec it lives on.  col and row are multiples of the mode's
+    exponentials e^(2 pi i m_a x) up to rounding (the row of a closed
+    diagonal kernel field also carries its first integral's quadrature
+    error); the profile u holds the n samples of the phase line (None: the
+    constant 1).  The arrays are read-only."""
+
+    mode: tuple[int, int]
+    col: np.ndarray
+    row: np.ndarray
+    profile: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        _read_only([a for a in (self.col, self.row, self.profile)
+                    if a is not None])
+
+    def grid(self, spec) -> np.ndarray:
+        """The read-only n x n values, the one place they are assembled:
+        the profile's view times col along x1, times row along x2."""
+        if self.profile is None:
+            values = np.multiply.outer(self.col, self.row)
+        else:
+            [view] = _phase_line(spec, len(self.col)).grid((self.profile,))
+            values = view * self.col[:, None]
+            values *= self.row
+        values.flags.writeable = False
+        return values
+
+
 @lru_cache(maxsize=64)
 def coefficient_grids(spec, n: int):
     line = _phase_line(spec, n)

@@ -514,7 +514,8 @@ class FirstIntegral:
     and lam2(0, x2) of frequencies l f), else from the n x n grid.
     ``grid()`` sums them back on that grid by inverse FFT (1-D on a phase
     line); ``phase_fields`` gives the kernel phases exp(2 pi i alpha F)
-    of ``spinorfield.solve_closed_diagonal``, and the resonant bump trains
+    of ``spinorfield.solve_closed_diagonal`` (in factored form on a phase
+    line), and the resonant bump trains
     of ``spinorfield.construct_resonant_spinors`` and criterion 2's
     transport check read the grid.  The pointwise call serves points off
     the grid (the flow tests check it against RK4 lines).  Closedness is
@@ -570,16 +571,20 @@ class FirstIntegral:
         return (np.multiply.outer(x, self._mean1.on_grid(self.n).real)
                 + (osc1 - osc1[0]) - self._lam2_integral(x))
 
-    def phase_fields(self, alphas, structure) -> tuple[np.ndarray, ...]:
-        """conj(eps_a) exp(2 pi i alpha F) on the n x n grid for each alpha,
-        eps_a the structure's twist: the kernel fields of
+    def phase_fields(self, alphas, structure) -> tuple:
+        """conj(eps_a) exp(2 pi i alpha F) for each alpha, eps_a the
+        structure's twist: the kernel fields of
         ``spinorfield.solve_closed_diagonal``.
 
         On a phase line F[i, j] = l1 x_i + G[(k i + l j) mod n]
         - G[(l j) mod n] - I2[j] (I2 the lam2 integral; the x1-mean of lam1
-        is the constant l1 of a closed metric), so each field is
-        col_i row_j E[(k i + l j) mod n], E's n-point exponentials read
-        through the line's view; without one, F's grid is exponentiated."""
+        is the constant l1 of a closed metric), so each field is the
+        ``geometry.PhaseFactors`` col_i row_j E[(k i + l j) mod n], E the
+        n-point exponentials of G.  Its mode m is the integer nearest the
+        exponents of col (alpha l1 - (1 - a1)/4) and row (-alpha l2
+        - (1 - a2)/4): the row is e^(2 pi i m2 x2) up to the constant
+        e^(-2 pi i alpha G(0)) and the quadrature error of F.  Without a
+        line each field is F's n x n grid, exponentiated."""
         n = self.n
         if self._line is None:
             X1, X2 = grid_points(n)
@@ -594,12 +599,12 @@ class FirstIntegral:
         fields = []
         for alpha in alphas:
             turn = 2j * np.pi * alpha
+            mode = (round(alpha * l1 - (1 - structure.a1) / 4),
+                    round(-alpha * self._mean2 - (1 - structure.a2) / 4))
             col = np.exp(turn * l1 * x) * np.conj(structure.twist(x, 0.0))
             row = np.exp(-turn * across) * np.conj(structure.twist(0.0, x))
-            [E] = self._line.grid((np.exp(turn * G),))
-            field = E * col[:, None]
-            field *= row
-            fields.append(field)
+            fields.append(geometry.PhaseFactors(mode, col, row,
+                                                np.exp(turn * G)))
         return tuple(fields)
 
     @property

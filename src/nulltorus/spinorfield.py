@@ -11,6 +11,15 @@ operator are
     P_1 psi = (-1/2 nabla_Y psi^+, 1/2 nabla_X psi^-),
     P_2 psi = (+1/2 nabla_Y psi^+, 1/2 nabla_X psi^-).
 
+Residuals (``residual_norm``) are sup norms on the grid.  A field in
+factored form e^(2 pi i m.x) u(k x1 + l x2) (``geometry.PhaseFactors``: a
+Fourier mode, or a closed diagonal kernel phase on a metric of phase
+(k, l)) is checked on the n samples of its phase line instead, from one
+1-D derivative of u, as an upper bound of the n x n spectral residual
+that lies within the resonance level of it; where the grid would alias
+u's modes beyond that level, and for every other field, the grid
+decides.
+
 Exact solvers:
 
 * ``solve_left_invariant`` reduces the transport equation to a Diophantine
@@ -18,9 +27,10 @@ Exact solvers:
   constant coefficients).
 * ``solve_closed_diagonal`` builds the phase family exp(2 pi i alpha F) from
   the first integral F of the X-lines (``nullflow.FirstIntegral``: on a
-  metric with a phase, n-point exponentials of its phase line read as
-  n x n grids through read-only views); the alphas exist when the
-  structure's character on the winding of the closed null lines is +1.
+  metric with a phase, factored into x1 and x2 exponentials and n-point
+  exponentials of its phase line, read as n x n grids through read-only
+  views); the alphas exist when the structure's character on the winding
+  of the closed null lines is +1.
 * ``construct_resonant_spinors`` produces bump-localized kernel elements
   with pairwise disjoint supports on resonant cylinders (first-integral
   bump trains for closed diagonal metrics, vertical-band bumps for the
@@ -40,8 +50,8 @@ import numpy as np
 from . import geometry, nullflow, spin
 from .errors import (DenseFlow, NotHarmonic, NotXTrivial, UnsupportedFamily,
                      WrongFamily)
-from .gridtools import (TrigSeries2, grid_points, mollifier,
-                        spectral_derivatives, torus_delta, wrap_unit)
+from .gridtools import (TrigSeries2, _axis_derivative, grid_points, mollifier,
+                        spectral_derivative, torus_delta, wrap_unit)
 from .spin import SpinStructure
 from .tolerances import DEFAULT, Tolerances
 
@@ -56,21 +66,36 @@ class HalfSpinorField:
 
     ``chirality`` +1 means the section is eps_a * values * u1 (positive
     chiral line, the one annihilated by gamma(X)), -1 the u2 line.
-    ``values`` lives on the uniform n x n grid with x_i = j/n.
+    ``values`` lives on the uniform n x n grid with x_i = j/n.  Given a
+    ``geometry.PhaseFactors`` instead, the field keeps it as ``factors``
+    and its values are the factors' read-only grid; neither can be
+    reassigned, so the two cannot disagree.
     """
 
     spec: object
     structure: SpinStructure
     chirality: int
-    values: np.ndarray
+    values: Union[np.ndarray, geometry.PhaseFactors]
     meta: dict = field(default_factory=dict)
+    factors: Optional[geometry.PhaseFactors] = field(
+        default=None, init=False, repr=False, compare=False)
     _series: Optional[TrigSeries2] = field(default=None, repr=False,
                                            compare=False)
 
     def __post_init__(self):
         if self.chirality not in (-1, 1):
             raise ValueError("chirality must be +1 or -1")
-        self.values = np.asarray(self.values, dtype=complex)
+        if isinstance(self.values, geometry.PhaseFactors):
+            object.__setattr__(self, "factors", self.values)
+            object.__setattr__(self, "values", self.values.grid(self.spec))
+        else:
+            self.values = np.asarray(self.values, dtype=complex)
+
+    def __setattr__(self, name, value):
+        if name == "factors" and "factors" in self.__dict__ or (
+                name == "values" and self.__dict__.get("factors") is not None):
+            raise AttributeError(f"a field's {name} are fixed by its factors")
+        super().__setattr__(name, value)
 
     @property
     def grid_n(self) -> int:
@@ -128,11 +153,13 @@ def constant_field(spec, structure: SpinStructure, chirality: int = 1,
 
 def fourier_mode_field(spec, structure: SpinStructure, mode: tuple[int, int],
                        chirality: int = 1, grid_n: int = 64) -> HalfSpinorField:
+    """The Fourier mode e^(2 pi i (k x1 + l x2)), factored into its x1 and
+    x2 exponentials (the profile is the constant 1)."""
     k, l = mode
     x = np.arange(grid_n) / grid_n
-    vals = np.multiply.outer(np.exp(2j * np.pi * k * x),
-                             np.exp(2j * np.pi * l * x))
-    return HalfSpinorField(spec, structure, chirality, vals,
+    factors = geometry.PhaseFactors((k, l), np.exp(2j * np.pi * k * x),
+                                    np.exp(2j * np.pi * l * x))
+    return HalfSpinorField(spec, structure, chirality, factors,
                            meta={"kind": "mode", "mode": (k, l)})
 
 
@@ -157,9 +184,10 @@ def embed(f: HalfSpinorField) -> SpinorField:
 @lru_cache(maxsize=16)
 def _transport_operator(spec, structure: SpinStructure, chirality: int,
                         direction: str, n: int):
-    """Read-only (v1, v2, potential) of nabla_V on the n x n grid: V's
-    components and chirality/2 Gamma(V) + omega_a(V), built on the phase
-    line (and read through its views) where the spec has one."""
+    """nabla_V on the n x n grid, as the read-only (v1, v2, potential) of
+    V's components and chirality/2 Gamma(V) + omega_a(V), and the same
+    three on the n samples of the spec's phase line (None without one),
+    which the grids then read through views."""
     line = geometry._phase_line(spec, n)
     if line is None:
         a1, a2, b1, b2 = geometry.frame_grids(spec, n)
@@ -174,8 +202,8 @@ def _transport_operator(spec, structure: SpinStructure, chirality: int,
         v1, v2 = (a1, a2) if direction == "s1" else (b1, b2)
     potential = (0.5 * chirality * (v1 * G1 + v2 * G2)
                  + structure.twist_form(v1, v2))
-    ops = (v1, v2, potential)
-    return geometry._read_only(ops) if line is None else line.grid(ops)
+    ops = geometry._read_only((v1, v2, potential))
+    return (ops, None) if line is None else (line.grid(ops), ops)
 
 
 def _nabla(f: HalfSpinorField, direction: str) -> np.ndarray:
@@ -184,16 +212,22 @@ def _nabla(f: HalfSpinorField, direction: str) -> np.ndarray:
     them) when f is identically zero.
 
     Acts on the periodic representative as dh(V) + (chirality/2 * Gamma(V)
-    + omega_a(V)) h, updated in the derivatives' own buffers.
+    + omega_a(V)) h, updated in the derivatives' own buffers.  One scan
+    finds a constant field (the zero field among them), whose derivatives
+    are exact zeros: its nabla is the potential times h.
     """
-    if not np.any(f.values):
-        return f.values
-    v1, v2, potential = _transport_operator(f.spec, f.structure, f.chirality,
-                                            direction, f.grid_n)
-    d1, d2 = spectral_derivatives(f.values)
+    h = f.values
+    constant = np.all(h[0] == h.flat[0]) and np.all(h == h.flat[0])
+    if constant and not h.flat[0]:
+        return h
+    (v1, v2, potential), _ = _transport_operator(
+        f.spec, f.structure, f.chirality, direction, f.grid_n)
+    if constant:
+        return potential * h
+    d1, d2 = _axis_derivative(h, 0), _axis_derivative(h, 1)
     d1 *= v1
     d1 += np.multiply(v2, d2, out=d2)
-    d1 += np.multiply(potential, f.values, out=d2)
+    d1 += np.multiply(potential, h, out=d2)
     return d1
 
 
@@ -265,7 +299,24 @@ def residual_norm(phi: Union[SpinorField, HalfSpinorField],
     two frame components), read off ``twistor_apply``'s formulas as
     1/2 |nabla_Y psi^+| and 1/2 |nabla_X psi^-|: the components differ
     only in a sign, and halving is exact.
+
+    A half with ``factors`` (the exact solvers' fields) on a spec with a
+    phase line is read on that line (``_line_residual``): the n samples of
+    its defect from one 1-D derivative, plus the factors' deviation from
+    exact mode exponentials, the modes the grid's band aliases and the
+    grid transform's rounding.  That is an upper bound of the n x n
+    spectral residual, taken only where the aliased modes stay below the
+    resonance level, so it lies within that level (and rounding) above
+    it.  Any other half (bumps, conformal and harmonic <-> twistor images,
+    fields the grid aliases, specs without a phase line) is read on the
+    n x n grid from one 2-D derivative pair (``_plane_residual``).
     """
+    return _residual_norm(phi, operator, _half_residual)
+
+
+def _residual_norm(phi, operator: str, half_residual) -> float:
+    """``residual_norm`` with each half's sup |nabla_V h| read by
+    ``half_residual(h, direction)``."""
     halves = ((phi,) if isinstance(phi, HalfSpinorField)
               else (phi.positive, phi.negative))
     if operator == "twistor":
@@ -274,8 +325,86 @@ def residual_norm(phi: Union[SpinorField, HalfSpinorField],
         scale, family = 1.0, _own_family
     else:
         raise ValueError(f"unknown operator {operator!r}")
-    return max(scale * float(np.max(np.abs(_nabla(h, family(h)))))
-               for h in halves)
+    return max(scale * half_residual(h, family(h)) for h in halves)
+
+
+def _half_residual(h: HalfSpinorField, direction: str) -> float:
+    line = _line_residual(h, direction)
+    return _plane_residual(h, direction) if line is None else line
+
+
+def _plane_residual(h: HalfSpinorField, direction: str) -> float:
+    """sup |nabla_V h| over the n x n grid (the 2-D route)."""
+    return float(np.max(np.abs(_nabla(h, direction))))
+
+
+def _line_residual(h: HalfSpinorField, direction: str) -> Optional[float]:
+    """sup |nabla_V h| of a factored field e^(2 pi i m.x) u(k x1 + l x2)
+    read on its spec's phase line, as an upper bound of the grid's
+    spectral residual, or None where the grid must decide.
+
+    V and the potential P are functions of the phase, so nabla_V of the
+    exact product is e^(2 pi i m.x) ((k V1 + l V2) u' + (2 pi i m.V + P) u),
+    whose sup L over the grid is its sup over the n samples (point (i, j)
+    reads sample (k i + l j) mod n, and gcd(k, l) = 1 reaches them all).
+    With S_a = sup |V_a u| over the samples, the bound is
+
+        |c0 r0| ((1+|g|)(1+|r|) L + (1+|r|) |g'| S1 + (1+|g|) |r'| S2
+                 + A + eps log2(n) pi n (S1 + S2)):
+
+    * the factors are c0 e^(2 pi i m1 x1) (1 + g) and r0 e^(2 pi i m2 x2)
+      (1 + r), g and r their measured deviations (rounding; in a kernel
+      field's row, its first integral's quadrature error), g' and r' their
+      1-D spectral derivatives;
+    * A = 2 pi sum_s |u_s| (|d1_s| sup|V1| + |d2_s| sup|V2|) is what the
+      grid's band changes: on the grid, mode s of u has the wavenumbers
+      m_a + (k, l)_a s, each differentiated at its representative in the
+      band (0 at the Nyquist wavenumber), d_a_s apart from the multiplier
+      the line's 1-D derivative gives it;
+    * the last term is the rounding of the grid's transform pair, eps
+      log2(n) times the band's largest derivative, pi n.
+    The line answers only where A is below the resonance level of max|u|,
+    so that the grid's residual lies within that (and rounding) of it.
+    """
+    factors, n = h.factors, h.grid_n
+    if factors is None:
+        return None
+    _, samples = _transport_operator(h.spec, h.structure, h.chirality,
+                                     direction, n)
+    if samples is None:
+        return None
+
+    def sup(a):
+        return float(np.max(np.abs(a)))
+
+    def band(w):
+        w = (w + n // 2) % n - n // 2
+        return np.where(2 * w == -n, 0, w)
+
+    line = geometry._phase_line(h.spec, n)
+    (m1, m2), u, (k, l) = factors.mode, factors.profile, (line.k, line.l)
+    if u is None:
+        u = np.ones(n, complex)
+    v1, v2, potential = samples
+    s = np.fft.fftfreq(n, 1.0 / n)
+    alias = 2 * np.pi * float(np.sum(np.abs(np.fft.fft(u)) / n * (
+        np.abs(m1 + k * band(s) - band(m1 + k * s)) * sup(v1)
+        + np.abs(m2 + l * band(s) - band(m2 + l * s)) * sup(v2))))
+    if alias > DEFAULT.resonance * sup(u):
+        return None
+    x, deviations = np.arange(n) / n, []
+    for factor, m in ((factors.col, m1), (factors.row, m2)):
+        exact = factor[0] * np.exp(2j * np.pi * m * x)
+        deviation = (factor - exact) / exact
+        deviations += [sup(deviation), sup(spectral_derivative(deviation, 0))]
+    g, dg, r, dr = deviations
+    defect = ((k * v1 + l * v2) * spectral_derivative(u, 0)
+              + (2j * np.pi * (m1 * v1 + m2 * v2) + potential) * u)
+    s1, s2 = sup(v1 * u), sup(v2 * u)
+    rounding = np.finfo(float).eps * np.log2(n) * np.pi * n * (s1 + s2)
+    bound = ((1 + g) * (1 + r) * sup(defect) + (1 + r) * dg * s1
+             + (1 + g) * dr * s2 + alias + rounding)
+    return float(abs(factors.col[0]) * abs(factors.row[0]) * bound)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +542,7 @@ def solve_closed_diagonal(spec, structure: SpinStructure, chirality: int = 1,
 
     Kernel elements are the phases exp(2 pi i alpha F), F the first
     integral ``nullflow.FirstIntegral`` on the field grid (its
-    ``phase_fields``, from n-point exponentials on a phase line): F is
+    ``phase_fields``, factored on a phase line): F is
     constant along the X-lines, and alpha must make the phase equivariant
     for the structure.  With the closed-line rotation l1/l2 = p/q the
     admissible alphas are (t + 2Z) p / (2 l1), the parity t being 0 for the

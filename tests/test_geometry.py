@@ -356,7 +356,8 @@ def test_phase_line_grids_are_read_only_views_of_the_samples(n):
             np.multiply.outer(x, F._mean1.on_grid(n).real)
             + (osc1 - osc1[0]) - F._lam2_integral(x)))
         structure, alpha = SpinStructure(-1, 1), 0.37
-        [phases] = F.phase_fields((alpha,), structure)
+        [factors] = F.phase_fields((alpha,), structure)
+        phases = factors.grid(spec)
         turn = 2j * np.pi * alpha
         col = (np.exp(turn * F.quasi_periods[0] * x)
                * np.conj(structure.twist(x, 0.0)))
@@ -366,6 +367,8 @@ def test_phase_line_grids_are_read_only_views_of_the_samples(n):
         want *= col[:, None]
         want *= row
         assert np.array_equal(phases, want)
+        with pytest.raises(ValueError):
+            phases[0, 0] = 0.0
 
 
 @pytest.mark.parametrize("n", (63, 64, 256))

@@ -1,6 +1,6 @@
 """Static hygiene of the package: no unused imports, no unreferenced code,
 no private parameters on public functions, no scipy at import time, one RK4
-step setting, one zero search."""
+step setting, one zero search, one phase-line residual."""
 
 import ast
 import inspect
@@ -196,3 +196,23 @@ def test_every_flow_command_takes_the_flow_options():
         params = {p.name: p for p in main.commands[name].params}
         assert shared <= set(params), name
         assert all(params[key].help for key in shared), name
+
+
+def test_one_line_residual():
+    """``spinorfield._line_residual`` is the one function that reads a
+    field's factors, and residuals reach it from one call site: the
+    phase-line residual has one implementation."""
+    def reads(tree):
+        return [node for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "factors"]
+
+    [line] = [node for node in MODULES["spinorfield"].body
+              if getattr(node, "name", None) == "_line_residual"]
+    everywhere = sum((reads(tree) for tree in MODULES.values()), [])
+    assert reads(line) and len(everywhere) == len(reads(line)), [
+        node.lineno for node in everywhere]
+    calls = [f"{name}.py:{node.lineno}" for name, tree in MODULES.items()
+             for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and "_line_residual" in (getattr(node.func, "id", None),
+                                      getattr(node.func, "attr", None))]
+    assert len(calls) == 1, f"_line_residual called at {calls}"

@@ -62,6 +62,13 @@ def test_residual_norm_equivalences(analex_spec):
         spinorfield.residual_norm(f, "heat")
 
 
+def _plane_norm(phi, operator):
+    """``residual_norm`` on the 2-D route, by name: every half read on
+    the n x n grid."""
+    return spinorfield._residual_norm(phi, operator,
+                                      spinorfield._plane_residual)
+
+
 def test_harmonic_residual_transports_only_nonzero_halves(analex_spec,
                                                           monkeypatch):
     s = SpinStructure(1, -1)
@@ -71,26 +78,27 @@ def test_harmonic_residual_transports_only_nonzero_halves(analex_spec,
     d = spinorfield.dirac_apply(both)
     dirac_sup = max(float(np.max(np.abs(d.negative.values))),
                     float(np.max(np.abs(d.positive.values))))
-    assert spinorfield.residual_norm(both, "harmonic") == dirac_sup
+    assert _plane_norm(both, "harmonic") == dirac_sup
 
     transforms, operators = _count_transforms(monkeypatch)
-    spinorfield.residual_norm(neg, "harmonic")
+    _plane_norm(neg, "harmonic")
     assert len(transforms) == 1 and operators == ["Y"]
 
 
 def _count_transforms(monkeypatch):
     """Lists that record each spectral derivative pair the operators take
-    (by the shape of its input) and the direction of each transport
-    operator they build (from an empty operator cache)."""
+    (by the shape of its input, once per pair: the x1 partial comes first)
+    and the direction of each transport operator they build (from an empty
+    operator cache)."""
     transforms = []
-    derivatives = spinorfield.spectral_derivatives
+    derivative = spinorfield._axis_derivative
 
-    def counting_derivatives(values):
-        transforms.append(values.shape)
-        return derivatives(values)
+    def counting_derivative(values, axis):
+        if axis == 0:
+            transforms.append(values.shape)
+        return derivative(values, axis)
 
-    monkeypatch.setattr(spinorfield, "spectral_derivatives",
-                        counting_derivatives)
+    monkeypatch.setattr(spinorfield, "_axis_derivative", counting_derivative)
     return transforms, count_operator_builds(monkeypatch)
 
 
@@ -107,7 +115,7 @@ def test_operators_differentiate_only_nonzero_halves(analex_spec, monkeypatch,
     zero_half = d.positive if chirality == 1 else d.negative
     assert not np.any(zero_half.values)
     for apply in (spinorfield.twistor_apply,
-                  lambda g: spinorfield.residual_norm(g, "twistor")):
+                  lambda g: _plane_norm(g, "twistor")):
         transforms.clear()
         apply(f)
         assert transforms == [f.values.shape]
@@ -117,7 +125,7 @@ def test_operators_differentiate_only_nonzero_halves(analex_spec, monkeypatch,
     pos, neg = (f, g) if chirality == 1 else (g, f)
     both = spinorfield.SpinorField(positive=pos, negative=neg)
     for apply in (spinorfield.dirac_apply, spinorfield.twistor_apply,
-                  lambda g: spinorfield.residual_norm(g, "twistor")):
+                  lambda g: _plane_norm(g, "twistor")):
         transforms.clear()
         apply(both)
         assert len(transforms) == 2
@@ -160,8 +168,8 @@ def _reference_residual(f, operator):
 def test_residuals_are_the_written_out_expression_bit_for_bit(name, request):
     """The cached operators and the in-place update change no bit: on
     every structure and chirality, each exact solver field (at 64^2) and a
-    zero and a constant field have the residual of the written-out
-    expression under each operator, compared with ==."""
+    zero and a constant field have, on the 2-D route, the residual of the
+    written-out expression under each operator, compared with ==."""
     spec = request.getfixturevalue(name)
     for structure in all_structures():
         for chirality in (1, -1):
@@ -174,7 +182,7 @@ def test_residuals_are_the_written_out_expression_bit_for_bit(name, request):
                                  n_fields=4, grid_n=64, tol=DEFAULT).fields
             for f in fields:
                 for operator in ("harmonic", "twistor", "transport"):
-                    assert (spinorfield.residual_norm(f, operator)
+                    assert (_plane_norm(f, operator)
                             == _reference_residual(f, operator))
 
 
@@ -191,10 +199,10 @@ def test_operators_are_their_per_direction_composition(name, chirality,
     spec = request.getfixturevalue(name)
     assert geometry.is_closed_diagonal(spec)
     for s in all_structures():
-        f = spinorfield.fourier_mode_field(spec, s, (2, 1), chirality,
-                                           grid_n=64)
-        f.values += 0.5 * spinorfield.fourier_mode_field(
-            spec, s, (-1, 3), chirality, grid_n=64).values
+        a, b = (spinorfield.fourier_mode_field(spec, s, mode, chirality,
+                                               grid_n=64).values
+                for mode in ((2, 1), (-1, 3)))
+        f = spinorfield.HalfSpinorField(spec, s, chirality, a + 0.5 * b)
         bound = 1e-12 * f.sup_norm()
         pos, neg = ((f, spinorfield.zero_like(f, 1)) if chirality == 1
                     else (spinorfield.zero_like(f, -1), f))
@@ -376,8 +384,10 @@ def test_closed_diagonal_kernels_match_the_plane_route(n, monkeypatch):
             return (geometry.mean_coefficients(spec),
                     geometry._closedness_residual.__wrapped__(spec, n, "X"),
                     F.grid(),
-                    [F.phase_fields(spinorfield.solve_closed_diagonal(
-                        spec, s, n_fields=0).alphas[:2], s)
+                    [tuple(spinorfield.HalfSpinorField(spec, s, 1, phase).values
+                           for phase in F.phase_fields(
+                               spinorfield.solve_closed_diagonal(
+                                   spec, s, n_fields=0).alphas[:2], s))
                      for s in all_structures()])
 
         means, closedness, F, fields = build()
@@ -396,8 +406,9 @@ def test_closed_diagonal_kernels_match_the_plane_route(n, monkeypatch):
 
 
 def test_closed_diagonal_solve_takes_no_plane_transform(monkeypatch):
-    """A 256^2 wave: closedness, means, F and the kernel phases come from
-    1-D transforms of the phase line, none of a 2-D array."""
+    """A 256^2 wave: closedness, means, F, the kernel phases and their
+    residuals come from 1-D transforms of the phase line, none of a 2-D
+    array."""
     for cached in (geometry._phase_line, geometry._closedness_residual,
                    nullflow.first_integral_function):
         cached.cache_clear()
@@ -406,15 +417,16 @@ def test_closed_diagonal_solve_takes_no_plane_transform(monkeypatch):
     sol = spinorfield.solve_closed_diagonal(spec, SpinStructure(1, -1),
                                             n_fields=4, grid_n=256)
     assert len(sol.fields) == 4 and sol.fields[0].grid_n == 256
+    assert max(spinorfield.residual_norm(f) for f in sol.fields) < 1e-10
     assert "plane" not in calls and calls["fft"] > 0
 
 
 def test_twistor_residual_is_the_max_over_the_penrose_components(
         analex_spec, conformal_spec):
-    """``residual_norm(phi, "twistor")`` reads 1/2 nabla_Y psi^+ and
-    1/2 nabla_X psi^- without building P_1 and P_2, bit for bit their sup
-    norm, on either half and on a full spinor, with and without a phase
-    line."""
+    """``residual_norm(phi, "twistor")`` on the 2-D route reads
+    1/2 nabla_Y psi^+ and 1/2 nabla_X psi^- without building P_1 and P_2,
+    bit for bit their sup norm, on either half and on a full spinor, with
+    and without a phase line."""
     s = SpinStructure(1, -1)
     for spec in (analex_spec, conformal_spec):
         pos = spinorfield.fourier_mode_field(spec, s, (1, 2), 1, grid_n=64)
@@ -423,7 +435,119 @@ def test_twistor_residual_is_the_max_over_the_penrose_components(
                                                       negative=neg)):
             want = max(half.sup_norm() for p in spinorfield.twistor_apply(phi)
                        for half in (p.positive, p.negative))
-            assert spinorfield.residual_norm(phi, "twistor") == want > 0
+            assert _plane_norm(phi, "twistor") == want > 0
+
+
+#: waves whose kernel fields alias on small grids: phases (2, -3), (-1, 3)
+ALIASING_WAVES = ("closed_diagonal:3,5,amp=0.2,k=4,l=-6",
+                  "closed_diagonal:6,4,amp=1.1403,k=-1,l=3")
+
+
+def _route_partners(specs, n):
+    """Every exact-solver field of the specs on the n x n grid, on every
+    structure and chirality, under both null directions: where the line
+    route reads a residual it lies within [plane - 1e-12, plane + 1e-10]
+    of the 2-D route's, elsewhere ``residual_norm`` is the 2-D route's bit
+    for bit.  Returns the counts of fields read on the line and declined
+    (a field counts as declined when either direction is)."""
+    taken = declined = 0
+    for spec in specs:
+        solver = spinorfield.exact_solver(spec, DEFAULT)
+        if solver is None:
+            continue
+        for structure in all_structures():
+            for chirality in (1, -1):
+                for f in solver(spec, structure, chirality=chirality,
+                                n_fields=4, grid_n=n, tol=DEFAULT).fields:
+                    lines = []
+                    for operator in ("harmonic", "twistor"):
+                        got = spinorfield.residual_norm(f, operator)
+                        plane = _plane_norm(f, operator)
+                        direction = ("X" if (chirality == 1)
+                                     != (operator == "twistor") else "Y")
+                        lines.append(spinorfield._line_residual(f, direction))
+                        if lines[-1] is None:
+                            assert got == plane
+                        else:
+                            assert plane - 1e-12 <= got <= plane + 1e-10, (
+                                spec, n, structure, f.factors.mode, operator)
+                    declined += None in lines
+                    taken += None not in lines
+    return taken, declined
+
+
+@pytest.mark.parametrize("n", (63, 64, 256))
+def test_line_residuals_bound_the_plane_residuals(n, request):
+    """The differential partner of the phase-line residual: every exact
+    solver field of the zoo and of two waves whose fields alias on small
+    grids.  At 63 and 64 those waves' 24 fields fall back (their 2-D
+    residuals, 1e-10 to 2e-5, come from aliasing); every other field (58
+    there, 82 at 256) is read on its line, never below the 2-D residual by more than 1e-12 and
+    within 1e-10 of it (measured: at most 1.8e-11 above, never below)."""
+    specs = [request.getfixturevalue(name) for name in ZOO] + [
+        catalog.from_shorthand(wave, n) for wave in ALIASING_WAVES]
+    assert _route_partners(specs, n) == ((58, 24) if n < 256 else (82, 0))
+
+
+def test_line_residuals_bound_the_plane_residuals_at_512():
+    """The partner on a 512^2 grid, where the 2-D route's rounding is
+    largest, for the flat torus's mode fields and an aliasing wave."""
+    specs = [catalog.flat(), catalog.from_shorthand(ALIASING_WAVES[1], 512)]
+    assert _route_partners(specs, 512) == (32, 0)
+
+
+def test_inadmissible_fields_fail_on_both_routes(wave12_spec):
+    """Negative witnesses: an alpha off the admissible lattice (its x1
+    factor has a half-integer mode) and a kernel field with a perturbed
+    profile are each read on the line, and each residual exceeds
+    100 tol.differential there and on the 2-D route."""
+    n, structure = 64, SpinStructure(1, 1)
+    sol = spinorfield.solve_closed_diagonal(wave12_spec, structure,
+                                            n_fields=2, grid_n=n)
+    bad_alpha = sol.alphas[1] + sol.ratio.p / (2 * sol.l1)
+    [shifted] = nullflow.first_integral_function(wave12_spec, n).phase_fields(
+        (bad_alpha,), structure)
+    good = sol.fields[1].factors
+    ripple = 1 + 1e-3 * np.cos(6 * np.pi * np.arange(n) / n)
+    perturbed = geometry.PhaseFactors(good.mode, good.col, good.row,
+                                      good.profile * ripple)
+    for factors in (shifted, perturbed):
+        f = spinorfield.HalfSpinorField(wave12_spec, structure, 1, factors)
+        assert spinorfield._line_residual(f, "X") is not None
+        for residual in (spinorfield.residual_norm(f),
+                         _plane_norm(f, "harmonic")):
+            assert residual > 100 * DEFAULT.differential
+
+
+def test_factored_fields_cannot_go_stale(analex_spec):
+    """A factored field's values are read-only, and neither they nor its
+    factors can be reassigned.  Its conformal and harmonic <-> twistor
+    images (which copy its meta), ``zero_like`` and ``embed``'s padding
+    carry no factors, and their residuals are the 2-D route's."""
+    s = SpinStructure(1, 1)
+    mode = spinorfield.fourier_mode_field(analex_spec, s, (1, 1), grid_n=64)
+    kernel = spinorfield.solve_closed_diagonal(analex_spec, s, n_fields=2,
+                                               grid_n=64).fields[1]
+    for f in (mode, kernel):
+        assert f.factors is not None and not f.values.flags.writeable
+        with pytest.raises(ValueError):
+            f.values[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            f.values += 1.0
+        for name, value in (("values", f.values.copy()), ("factors", None)):
+            with pytest.raises(AttributeError):
+                setattr(f, name, value)
+    target = catalog.conformal(analex_spec, catalog.exp_sine_factor(amp=0.25))
+    images = ((spinorfield.conformal_map_spinor(kernel, target), "harmonic"),
+              (spinorfield.harmonic_twistor_iso(kernel), "twistor"),
+              (spinorfield.zero_like(kernel), "harmonic"),
+              (spinorfield.embed(kernel).negative, "twistor"))
+    for image, operator in images:
+        assert image.factors is None and image.values.flags.writeable
+        assert (spinorfield.residual_norm(image, operator)
+                == _plane_norm(image, operator))
+    assert all(image.meta["alpha"] == kernel.meta["alpha"]
+               for image, _ in images[:2])
 
 
 def test_exact_solver_per_family(analex_spec, sqrt2_spec, monkeypatch):

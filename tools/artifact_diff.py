@@ -195,6 +195,10 @@ CASES = [
      "--grid-n", "64"],
     _solve("closed_diagonal:3,5,amp=0.2,k=4,l=-6", "1,1", "1", "63"),
     _solve("closed_diagonal:3,5,amp=0.2,k=4,l=-6", "-1,-1", "-1", "256"),
+    # residuals on the phase line: a wave whose kernel fields alias at 64^2
+    # (the 2-D route decides them) and are read on their line at 256^2
+    *(_solve("closed_diagonal:6,4,amp=1.1403,k=-1,l=3", "1,1", chirality, n)
+      for n in ("64", "256") for chirality in ("1", "-1")),
     ["solve", "--metric", "rosatau"],
     # error cases, one invalid input each
     ["flow", "--metric", "flat", "--from", "1;2"],
