@@ -433,7 +433,9 @@ def _field_summary(f) -> dict:
 @click.option("--n-fields", type=int, default=None)
 @click.option("--grid-n", type=int, default=None)
 def solve(s: Settings, metric, structure, chirality, n_fields, grid_n):
-    """Kernel of the transport equation (constant or closed diagonal)."""
+    """Kernel of the transport equation (constant or closed diagonal;
+    exit 2, report still written, when a field's residual is above the
+    differential tolerance)."""
     spec = s.metric(metric, grid_n)
     struct = s.structure(structure)
     chi = s.chirality(chirality)
@@ -459,6 +461,13 @@ def solve(s: Settings, metric, structure, chirality, n_fields, grid_n):
                        else dataclasses.asdict(sol.ratio),
                        solvable=sol.solvable, t_parity=sol.t_parity,
                        alphas=sol.alphas)
+    above = [f"field {i} residual {f['residual']:.3e}"
+             for i, f in enumerate(payload["fields"])
+             if f["residual"] > s.tol.differential]
+    if above:
+        return payload, (
+            f"{', '.join(above)} above the differential tolerance "
+            f"{s.tol.differential:g} on the {payload['grid_n']}^2 grid")
     return payload
 
 

@@ -13,12 +13,14 @@ operator are
 
 Residuals (``residual_norm``) are sup norms on the grid.  A field in
 factored form e^(2 pi i m.x) u(k x1 + l x2) (``geometry.PhaseFactors``: a
-Fourier mode, or a closed diagonal kernel phase on a metric of phase
-(k, l)) is checked on the n samples of its phase line instead, from one
-1-D derivative of u, as an upper bound of the n x n spectral residual
-that lies within the resonance level of it; where the grid would alias
-u's modes beyond that level, and for every other field, the grid
-decides.
+Fourier mode, a closed diagonal kernel phase on a metric of phase (k, l),
+or a pp-wave band bump, a profile in x1) is checked on the n samples of
+its phase line instead, from one 1-D derivative of u, as an upper bound
+of the n x n spectral residual that lies within the resonance level of
+it; where the grid would alias u's modes beyond that level, and for
+every other field, the grid decides.  Such a field assembles its n x n
+values only when they are read, and its sup norm is the product of its
+factors' maxima.
 
 Exact solvers:
 
@@ -67,9 +69,11 @@ class HalfSpinorField:
     ``chirality`` +1 means the section is eps_a * values * u1 (positive
     chiral line, the one annihilated by gamma(X)), -1 the u2 line.
     ``values`` lives on the uniform n x n grid with x_i = j/n.  Given a
-    ``geometry.PhaseFactors`` instead, the field keeps it as ``factors``
-    and its values are the factors' read-only grid; neither can be
-    reassigned, so the two cannot disagree.
+    ``geometry.PhaseFactors`` instead (the exact solvers' fields and the
+    pp-wave's band bumps), the field keeps it as ``factors``, and its
+    values are the factors' read-only grid, assembled on their first read;
+    neither can be reassigned, so the two cannot disagree.  The grid size,
+    the sup norm and the phase-line residual read the factors alone.
     """
 
     spec: object
@@ -87,9 +91,17 @@ class HalfSpinorField:
             raise ValueError("chirality must be +1 or -1")
         if isinstance(self.values, geometry.PhaseFactors):
             object.__setattr__(self, "factors", self.values)
-            object.__setattr__(self, "values", self.values.grid(self.spec))
+            del self.__dict__["values"]     # assembled by __getattr__
         else:
             self.values = np.asarray(self.values, dtype=complex)
+
+    def __getattr__(self, name):
+        """The factors' grid, on the first read of ``values``."""
+        factors = self.__dict__.get("factors")
+        if name != "values" or factors is None:
+            raise AttributeError(name)
+        self.__dict__["values"] = factors.grid(self.spec)
+        return self.__dict__["values"]
 
     def __setattr__(self, name, value):
         if name == "factors" and "factors" in self.__dict__ or (
@@ -99,6 +111,8 @@ class HalfSpinorField:
 
     @property
     def grid_n(self) -> int:
+        if self.factors is not None:
+            return len(self.factors.col)
         return self.values.shape[0]
 
     def series(self) -> TrigSeries2:
@@ -111,7 +125,14 @@ class HalfSpinorField:
         return self.series()(x1, x2)
 
     def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
+        """max |values|; of a factored field max|u| max|col| max|row|,
+        from the n samples of each (within a few ulps of the grid's)."""
+        factors = self.factors
+        if factors is None:
+            return float(np.max(np.abs(self.values)))
+        u = 1.0 if factors.profile is None else np.max(np.abs(factors.profile))
+        return float(u * np.max(np.abs(factors.col))
+                     * np.max(np.abs(factors.row)))
 
 
 @dataclass
@@ -124,7 +145,7 @@ class SpinorField:
     def __post_init__(self):
         if self.negative.chirality != -1 or self.positive.chirality != 1:
             raise ValueError("components attached to the wrong chiral lines")
-        if self.negative.values.shape != self.positive.values.shape:
+        if self.negative.grid_n != self.positive.grid_n:
             raise ValueError("component grids disagree")
 
     @property
@@ -167,7 +188,7 @@ def zero_like(f: HalfSpinorField, chirality: Optional[int] = None
               ) -> HalfSpinorField:
     return HalfSpinorField(f.spec, f.structure,
                            chirality if chirality is not None else f.chirality,
-                           np.zeros_like(f.values))
+                           np.zeros((f.grid_n, f.grid_n), complex))
 
 
 def embed(f: HalfSpinorField) -> SpinorField:
@@ -300,16 +321,17 @@ def residual_norm(phi: Union[SpinorField, HalfSpinorField],
     1/2 |nabla_Y psi^+| and 1/2 |nabla_X psi^-|: the components differ
     only in a sign, and halving is exact.
 
-    A half with ``factors`` (the exact solvers' fields) on a spec with a
-    phase line is read on that line (``_line_residual``): the n samples of
-    its defect from one 1-D derivative, plus the factors' deviation from
-    exact mode exponentials, the modes the grid's band aliases and the
-    grid transform's rounding.  That is an upper bound of the n x n
-    spectral residual, taken only where the aliased modes stay below the
-    resonance level, so it lies within that level (and rounding) above
-    it.  Any other half (bumps, conformal and harmonic <-> twistor images,
-    fields the grid aliases, specs without a phase line) is read on the
-    n x n grid from one 2-D derivative pair (``_plane_residual``).
+    A half with ``factors`` (the exact solvers' fields and the pp-wave's
+    band bumps) on a spec with a phase line is read on that line
+    (``_line_residual``), with no n x n grid: the n samples of its defect
+    from one 1-D derivative, plus the factors' deviation from exact mode
+    exponentials, the modes the grid's band aliases and the grid
+    transform's rounding.  That is an upper bound of the n x n spectral
+    residual, taken only where the aliased modes stay below the resonance
+    level, so it lies within that level (and rounding) above it.  Any
+    other half (closed-diagonal bumps, conformal and harmonic <-> twistor
+    images, fields the grid aliases, specs without a phase line) is read
+    on the n x n grid from one 2-D derivative pair (``_plane_residual``).
     """
     return _residual_norm(phi, operator, _half_residual)
 
@@ -612,21 +634,26 @@ def conformal_map_spinor(f: HalfSpinorField, target, kind: str = "harmonic"
         exponent = 0.25
     else:
         raise ValueError(f"kind must be 'harmonic' or 'twistor', got {kind!r}")
-    X1, X2 = grid_points(f.grid_n)
     if isinstance(target, geometry.ConformalRescale) and target.inner == f.spec:
-        lam = np.asarray(target.factor_at(X1, X2), dtype=float)
-        power = exponent
+        rescaling, power = target, exponent
     elif isinstance(f.spec, geometry.ConformalRescale) and f.spec.inner == target:
-        lam = np.asarray(f.spec.factor_at(X1, X2), dtype=float)
-        power = -exponent
+        rescaling, power = f.spec, -exponent
     else:
         raise WrongFamily("target must be a conformal rescale of the field's "
                           "metric (or vice versa)")
-    vals = np.broadcast_to(lam, f.values.shape) ** power * f.values
+    vals = _conformal_weight(rescaling, f.grid_n, power) * f.values
     out = HalfSpinorField(target, f.structure, f.chirality, vals,
                           meta=dict(f.meta))
     out.meta["conformal_weight"] = power
     return out
+
+
+@lru_cache(maxsize=4)
+def _conformal_weight(rescaling, n: int, power: float) -> np.ndarray:
+    """The read-only lambda^power of a rescaling on the n x n grid."""
+    lam = np.asarray(rescaling.factor_at(*grid_points(n)), dtype=float)
+    [weight] = geometry._read_only([np.broadcast_to(lam, (n, n)) ** power])
+    return weight
 
 
 # ---------------------------------------------------------------------------
@@ -663,9 +690,10 @@ def _closed_diagonal_bumps(spec, structure: SpinStructure, count: int,
     D = abs(g)
     _, u, v = _egcd(p, q)            # u*p + v*q = 1
     psi = structure.character((u, v))
-    X1, X2 = grid_points(grid_n)
     F = nullflow.first_integral_function(spec, grid_n, tol).grid()
-    conj_twist = np.conj(structure.twist(X1, X2))
+    x = np.arange(grid_n) / grid_n
+    conj_twist = 1.0 if structure.trivial else np.multiply.outer(
+        np.conj(structure.twist(x, 0.0)), np.conj(structure.twist(0.0, x)))
     width = 0.4 * D / count
     fields = []
     for j in range(count):
@@ -715,13 +743,16 @@ def _rosatau_bumps(spec, structure: SpinStructure, count: int, grid_n: int,
     usable = (hi - lo) * 0.9
     base = lo + 0.05 * (hi - lo)
     width = 0.4 * usable / count
-    X1, X2 = grid_points(grid_n)
+    # the bumps depend on x1 alone, the spec's phase: factored as a profile
+    # on the n samples of its phase line (x1 = m/n)
+    x1, ones = geometry._phase_line(spec, grid_n).x1, np.ones(grid_n)
     fields = []
     for j in range(count):
         center = wrap_unit(base + (j + 0.5) * usable / count)
-        vals = mollifier(torus_delta(X1, center) / width).astype(complex)
+        bump = mollifier(torus_delta(x1, center) / width).astype(complex)
         fields.append(HalfSpinorField(
-            spec, structure, 1, vals,
+            spec, structure, 1,
+            geometry.PhaseFactors((0, 0), ones, ones, bump),
             meta={"kind": "vertical-band-bump", "center": float(center),
                   "width": width, "band": (lo, hi)}))
     return tuple(fields)
@@ -736,9 +767,11 @@ def construct_resonant_spinors(spec, structure: SpinStructure, count: int = 2,
     witnesses that the kernel dimension is infinite.  Requires closed
     X-lines whose spin transport is trivial for the structure
     (NotXTrivial otherwise).  Supported: closed diagonal coefficients
-    (bump trains in the first integral), the pp-wave family (bumps across
-    the vertical band where tau vanishes), and conformal rescalings of
-    either (pushforward with weight lambda^(-1/4)).
+    (bump trains in the first integral, n x n grids), the pp-wave family
+    (bumps across the vertical band where tau vanishes, functions of x1
+    alone: factored, so their residual and sup norm read n samples), and
+    conformal rescalings of either (pushforward with weight
+    lambda^(-1/4), n x n grids).
     """
     if count < 1:
         raise ValueError("count must be positive")

@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import count_operator_builds
-from nulltorus import catalog, classify, spinorfield, validation
+from nulltorus import catalog, classify, geometry, spinorfield, validation
 from nulltorus.cli import main, parse_point, parse_structure
 from nulltorus.errors import ConfigError
 from nulltorus.spin import SpinStructure
@@ -378,20 +378,72 @@ def test_solve_honours_grid_n(runner, metric, n_fields):
     assert all(f["residual"] < 1e-9 for f in payload["fields"])
 
 
-@pytest.mark.parametrize("metric,chirality,direction", [
-    ("left_invariant:1,2", "1", "X"), ("analex", "1", "X"),
-    ("closed_diagonal:3,5,amp=0.2,k=4,l=-6", "-1", "X")])
+@pytest.mark.parametrize("metric,chirality,direction,exit_code", [
+    ("left_invariant:1,2", "1", "X", 0), ("analex", "1", "X", 0),
+    ("closed_diagonal:3,5,amp=0.2,k=4,l=-6", "-1", "X", 2)])
 def test_a_solve_builds_one_operator(runner, monkeypatch, metric, chirality,
-                                     direction):
+                                     direction, exit_code):
     """The residuals of a 4-field solve share one transport operator: the
     harmonic one along X for chirality +1, the twistor one, also along X,
-    for chirality -1."""
+    for chirality -1 (the 64^2 grid aliases the (4, -6) wave's last field,
+    an exit 2 doubt)."""
     operators = count_operator_builds(monkeypatch)
     result = runner.invoke(main, ["solve", "--metric", metric,
                                   "--chirality", chirality, "--grid-n", "64"])
-    payload = _json_out(result)
-    assert result.exit_code == 0 and len(payload["fields"]) == 4
+    payload = json.loads(result.stdout)
+    assert result.exit_code == exit_code and len(payload["fields"]) == 4
     assert operators == [direction]
+
+
+@pytest.mark.parametrize("grid_n,exit_code", [("63", 2), ("256", 0)])
+def test_solve_doubts_a_residual_above_the_tolerance(runner, grid_n,
+                                                     exit_code):
+    """A field whose residual is above ``differential`` (the 63^2 grid
+    aliases the (4, -6) wave's last kernel phase to 2.17e-05) makes the
+    solve Inconclusive: the artifact is still written, stderr names the
+    field, its residual and the grid, and the exit code is 2.  The same
+    wave at 256^2 passes."""
+    result = runner.invoke(main, ["solve", "--metric",
+                                  "closed_diagonal:3,5,amp=0.2,k=4,l=-6",
+                                  "--structure", "1,1", "--grid-n", grid_n])
+    payload = json.loads(result.stdout)
+    residuals = [f["residual"] for f in payload["fields"]]
+    assert result.exit_code == exit_code and len(residuals) == 4
+    above = [i for i, r in enumerate(residuals) if r > DEFAULT.differential]
+    if exit_code == 0:
+        assert not above and not result.stderr
+        return
+    assert above == [3] and residuals[3] == pytest.approx(2.17e-05, rel=1e-2)
+    assert result.stderr == (
+        f"Inconclusive: field 3 residual {residuals[3]:.3e} above the "
+        f"differential tolerance 1e-06 on the {grid_n}^2 grid\n")
+
+
+def test_factored_fields_assemble_no_grid(runner, monkeypatch):
+    """Neither a 512^2 ``solve`` (sup norms and line residuals) nor the
+    pp-wave's bumps on a 512^2 window with the residual and sup norm of
+    each field call ``PhaseFactors.grid``; the first read of a field's
+    values does, once."""
+    grid = geometry.PhaseFactors.grid
+    calls = []
+    monkeypatch.setattr(geometry.PhaseFactors, "grid", lambda factors, spec:
+                        calls.append(spec) or grid(factors, spec))
+    for metric, structure in (("left_invariant:1,2", "1,1"),
+                              ("closed_diagonal:2,5,amp=0.1216,k=1,l=2",
+                               "1,-1")):
+        result = runner.invoke(main, ["solve", "--metric", metric,
+                                      "--structure", structure,
+                                      "--grid-n", "512"])
+        payload = json.loads(result.stdout)
+        assert result.exit_code == 0 and payload["grid_n"] == 512
+        assert len(payload["fields"]) == 4
+    fields = spinorfield.construct_resonant_spinors(
+        catalog.rosatau_window(), SpinStructure(1, 1), count=2, grid_n=512)
+    for f in fields:
+        assert spinorfield.residual_norm(f, "harmonic") < 1e-4
+        assert 0.99 < f.sup_norm() <= 1.0 and f.grid_n == 512
+    assert calls == []
+    assert fields[0].values is fields[0].values and len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

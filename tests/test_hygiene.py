@@ -1,6 +1,7 @@
 """Static hygiene of the package: no unused imports, no unreferenced code,
 no private parameters on public functions, no scipy at import time, one RK4
-step setting, one zero search, one phase-line residual."""
+step setting, one zero search, one phase-line residual, one grid assembly
+of factored fields."""
 
 import ast
 import inspect
@@ -198,21 +199,45 @@ def test_every_flow_command_takes_the_flow_options():
         assert all(params[key].help for key in shared), name
 
 
+def _inside(module: str, name: str):
+    """The top-level definition ``name`` of ``module``."""
+    [node] = [node for node in MODULES[module].body
+              if getattr(node, "name", None) == name]
+    return node
+
+
 def test_one_line_residual():
-    """``spinorfield._line_residual`` is the one function that reads a
-    field's factors, and residuals reach it from one call site: the
-    phase-line residual has one implementation."""
+    """A field's factors are read only inside ``HalfSpinorField`` (its
+    values, grid size and sup norm) and ``spinorfield._line_residual``,
+    and residuals reach the latter from one call site: the phase-line
+    residual has one implementation."""
     def reads(tree):
         return [node for node in ast.walk(tree)
                 if isinstance(node, ast.Attribute) and node.attr == "factors"]
 
-    [line] = [node for node in MODULES["spinorfield"].body
-              if getattr(node, "name", None) == "_line_residual"]
+    field, line = (_inside("spinorfield", name)
+                   for name in ("HalfSpinorField", "_line_residual"))
     everywhere = sum((reads(tree) for tree in MODULES.values()), [])
-    assert reads(line) and len(everywhere) == len(reads(line)), [
-        node.lineno for node in everywhere]
+    assert reads(field) and reads(line) and len(everywhere) == len(
+        reads(field)) + len(reads(line)), [node.lineno for node in everywhere]
     calls = [f"{name}.py:{node.lineno}" for name, tree in MODULES.items()
              for node in ast.walk(tree) if isinstance(node, ast.Call)
              and "_line_residual" in (getattr(node.func, "id", None),
                                       getattr(node.func, "attr", None))]
     assert len(calls) == 1, f"_line_residual called at {calls}"
+
+
+def test_one_grid_assembly():
+    """``geometry.PhaseFactors.grid`` has one call site, the lazy
+    ``HalfSpinorField.values``: every other ``grid`` call reads a phase
+    line (``_PhaseLine.grid``) or takes no argument
+    (``nullflow.FirstIntegral.grid``)."""
+    def assemblies(tree):
+        return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "grid" and node.args
+                and "line" not in ast.unparse(node.func.value).lower()]
+
+    everywhere = [f"{name}.py:{node.lineno}" for name, tree in MODULES.items()
+                  for node in assemblies(tree)]
+    assert len(everywhere) == len(assemblies(
+        _inside("spinorfield", "HalfSpinorField"))) == 1, everywhere

@@ -9,7 +9,8 @@ from conftest import ZOO, count_operator_builds, count_transforms
 from nulltorus import catalog, classify, geometry, nullflow, spin, spinorfield
 from nulltorus.errors import (DenseFlow, NotHarmonic, NotXTrivial,
                               UnsupportedFamily, WrongFamily)
-from nulltorus.gridtools import grid_points
+from nulltorus.gridtools import (grid_points, mollifier, spectral_derivative,
+                                torus_delta)
 from nulltorus.spin import GAMMA1, GAMMA2, SpinStructure, all_structures
 from nulltorus.tolerances import DEFAULT
 
@@ -443,36 +444,41 @@ ALIASING_WAVES = ("closed_diagonal:3,5,amp=0.2,k=4,l=-6",
                   "closed_diagonal:6,4,amp=1.1403,k=-1,l=3")
 
 
-def _route_partners(specs, n):
+def _solver_fields(specs, n):
     """Every exact-solver field of the specs on the n x n grid, on every
-    structure and chirality, under both null directions: where the line
-    route reads a residual it lies within [plane - 1e-12, plane + 1e-10]
-    of the 2-D route's, elsewhere ``residual_norm`` is the 2-D route's bit
-    for bit.  Returns the counts of fields read on the line and declined
-    (a field counts as declined when either direction is)."""
-    taken = declined = 0
+    structure and chirality."""
     for spec in specs:
         solver = spinorfield.exact_solver(spec, DEFAULT)
         if solver is None:
             continue
         for structure in all_structures():
             for chirality in (1, -1):
-                for f in solver(spec, structure, chirality=chirality,
-                                n_fields=4, grid_n=n, tol=DEFAULT).fields:
-                    lines = []
-                    for operator in ("harmonic", "twistor"):
-                        got = spinorfield.residual_norm(f, operator)
-                        plane = _plane_norm(f, operator)
-                        direction = ("X" if (chirality == 1)
-                                     != (operator == "twistor") else "Y")
-                        lines.append(spinorfield._line_residual(f, direction))
-                        if lines[-1] is None:
-                            assert got == plane
-                        else:
-                            assert plane - 1e-12 <= got <= plane + 1e-10, (
-                                spec, n, structure, f.factors.mode, operator)
-                    declined += None in lines
-                    taken += None not in lines
+                yield from solver(spec, structure, chirality=chirality,
+                                  n_fields=4, grid_n=n, tol=DEFAULT).fields
+
+
+def _route_partners(fields):
+    """Each field under both null directions: where the line route reads
+    a residual it lies within [plane - 1e-12, plane + 1e-10] of the 2-D
+    route's, elsewhere ``residual_norm`` is the 2-D route's bit for bit.
+    Returns the counts of fields read on the line and declined (a field
+    counts as declined when either direction is)."""
+    taken = declined = 0
+    for f in fields:
+        lines = []
+        for operator in ("harmonic", "twistor"):
+            got = spinorfield.residual_norm(f, operator)
+            plane = _plane_norm(f, operator)
+            direction = ("X" if (f.chirality == 1)
+                         != (operator == "twistor") else "Y")
+            lines.append(spinorfield._line_residual(f, direction))
+            if lines[-1] is None:
+                assert got == plane
+            else:
+                assert plane - 1e-12 <= got <= plane + 1e-10, (
+                    f.spec, f.grid_n, f.structure, f.factors.mode, operator)
+        declined += None in lines
+        taken += None not in lines
     return taken, declined
 
 
@@ -486,14 +492,129 @@ def test_line_residuals_bound_the_plane_residuals(n, request):
     within 1e-10 of it (measured: at most 1.8e-11 above, never below)."""
     specs = [request.getfixturevalue(name) for name in ZOO] + [
         catalog.from_shorthand(wave, n) for wave in ALIASING_WAVES]
-    assert _route_partners(specs, n) == ((58, 24) if n < 256 else (82, 0))
+    assert _route_partners(_solver_fields(specs, n)) == (
+        (58, 24) if n < 256 else (82, 0))
 
 
 def test_line_residuals_bound_the_plane_residuals_at_512():
     """The partner on a 512^2 grid, where the 2-D route's rounding is
     largest, for the flat torus's mode fields and an aliasing wave."""
     specs = [catalog.flat(), catalog.from_shorthand(ALIASING_WAVES[1], 512)]
-    assert _route_partners(specs, 512) == (32, 0)
+    assert _route_partners(_solver_fields(specs, 512)) == (32, 0)
+
+
+@pytest.mark.parametrize("n", (512, 2048))
+def test_line_residuals_bound_the_plane_residuals_on_band_bumps(n):
+    """The partner for the pp-wave's band bumps, factored as a profile in
+    x1 of mode (0, 0): ``rosatau_window()``'s two bumps are read on their
+    line under both operators, within [plane - 1e-12, plane + 1e-10] of
+    the 2-D route (measured: 2.3e-12 to 4.5e-12 above at 512, 1.1e-11 to
+    2.2e-11 above at 2048)."""
+    fields = spinorfield.construct_resonant_spinors(
+        catalog.rosatau_window(), SpinStructure(1, 1), count=2, grid_n=n)
+    assert all(f.factors.mode == (0, 0) for f in fields)
+    assert _route_partners(fields) == (2, 0)
+
+
+@pytest.mark.parametrize("window,n,count", [
+    (1, 512, 2), (None, 512, 5), (None, 2048, 5)])
+def test_band_bump_residuals_read_the_pointwise_connection(window, n, count):
+    """On the rosatau windows the transport potential from the line's
+    spectral Gamma is off the one from the pointwise
+    ``geometry.connection_along`` by up to 9.9e-6 at 512 (7.6e-12 at
+    2048), yet each bump's residual is the one its defect has with the
+    pointwise Gamma at the n line samples: their sups agree within 1e-12
+    (measured: bit for bit), and the line residual lies at most 1e-10
+    above them (its rounding allowance, 4.5e-12 at 512).  The largest
+    defect sits where the two Gammas agree; elsewhere inside a support
+    the 512 samples differ by up to 8.1e-7 (at 2048 by at most 1e-13),
+    which the residual does not read."""
+    spec = catalog.rosatau_window() if window is None else _seeded_window(
+        window)
+    line = geometry._phase_line(spec, n)
+    assert (line.k, line.l) == (1, 0)
+    for structure in (SpinStructure(1, 1), SpinStructure(-1, 1)):
+        _, (v1, v2, potential) = spinorfield._transport_operator(
+            spec, structure, 1, "X", n)
+        pointwise = (0.5 * geometry.connection_along(spec, line.x1, line.x2,
+                                                     v1, v2)
+                     + structure.twist_form(v1, v2))
+        fields = spinorfield.construct_resonant_spinors(spec, structure,
+                                                        count, n)
+        assert len(fields) == count
+        for f in fields:
+            u = f.factors.profile
+            du = spectral_derivative(u, 0)         # d1 u; the phase is x1
+            on_line = float(np.max(np.abs(v1 * du + potential * u)))
+            want = float(np.max(np.abs(v1 * du + pointwise * u)))
+            assert abs(on_line - want) <= 1e-12
+            assert 0 <= spinorfield._line_residual(f, "X") - want <= 1e-10
+
+
+@pytest.mark.parametrize("n", (63, 64, 256, 512))
+def test_factored_sup_norms_are_the_grid_max(n, request):
+    """A factored field's ``sup_norm``, max|u| max|col| max|row| from
+    its n-point factors, is within 4 eps of the grid's max |values| for
+    every exact-solver field of the zoo and the aliasing waves (measured:
+    212 of the 328 fields differ, by -1 to +2 ulps of the grid max)."""
+    specs = [request.getfixturevalue(name) for name in ZOO] + [
+        catalog.from_shorthand(wave, n) for wave in ALIASING_WAVES]
+    fields = list(_solver_fields(specs, n))
+    assert fields
+    for f in fields:
+        want = float(np.max(np.abs(f.values)))
+        assert f.factors is not None
+        assert abs(f.sup_norm() - want) <= 4 * np.finfo(float).eps * want
+
+
+def _eager_closed_diagonal_bump(f, n):
+    """A closed-diagonal bump as written out over the n x n grid, with the
+    twist's complex exponential taken at every point."""
+    F = nullflow.first_integral_function(f.spec, n).grid()
+    steps = (F - f.meta["center"]) / f.meta["lattice_step"]
+    nearest = np.round(steps)
+    arg = (steps - nearest) * f.meta["lattice_step"] / f.meta["width"]
+    signs = np.where(nearest.astype(int) % 2 == 0, 1.0,
+                     float(f.meta["lattice_sign"]))
+    return (np.conj(f.structure.twist(*grid_points(n))) * signs
+            * mollifier(arg))
+
+
+def test_lazy_values_are_the_eager_grids():
+    """Reading ``values`` gives the arrays the fields were built from
+    before they stayed factored: a solver field's is its factors' grid
+    (read-only, assembled once), a band bump's is the mollifier of x1 over
+    the grid, cast to complex, and a closed-diagonal bump's, whose twist
+    is now the outer product of its x1 and x2 exponentials, is the one
+    with the twist taken pointwise, bit for bit where one of the two
+    exponentials is 1 and within 1e-15 on (-1, -1) (measured 7.9e-16)."""
+    n = 256
+    for spec in (catalog.analex(), catalog.closed_diagonal_wave(
+            3.0, 5.0, amp=0.2, k=4, l=-6), catalog.left_invariant(1, 2)):
+        for structure in all_structures():
+            for f in spinorfield.exact_solver(spec)(
+                    spec, structure, n_fields=2, grid_n=n).fields:
+                values = f.values
+                assert values is f.values and not values.flags.writeable
+                assert np.array_equal(values, f.factors.grid(spec))
+    X1, _ = grid_points(n)
+    for f in spinorfield.construct_resonant_spinors(
+            catalog.rosatau_window(), SpinStructure(-1, 1), count=3,
+            grid_n=n):
+        assert np.array_equal(f.values, mollifier(torus_delta(
+            X1, f.meta["center"]) / f.meta["width"]).astype(complex))
+    for source, structures in (("analex", ((1, 1), (-1, -1))),
+                               ("closed_diagonal:2,3", ((1, -1),)),
+                               ("closed_diagonal:3,2", ((-1, 1),))):
+        spec = catalog.load_metric(source)
+        for ab in structures:
+            for f in spinorfield.construct_resonant_spinors(
+                    spec, SpinStructure(*ab), count=2, grid_n=n):
+                want = _eager_closed_diagonal_bump(f, n)
+                if ab == (-1, -1):
+                    assert np.max(np.abs(f.values - want)) <= 1e-15
+                else:
+                    assert np.array_equal(f.values, want), (source, ab)
 
 
 def test_inadmissible_fields_fail_on_both_routes(wave12_spec):
@@ -593,7 +714,8 @@ def test_conformal_map_weights(analex_spec, conformal_spec):
     sol = spinorfield.solve_closed_diagonal(analex_spec, SpinStructure(1, 1),
                                             grid_n=256)
     f = sol.fields[1]
-    from nulltorus.gridtools import grid_points
+    from nulltorus.gridtools import (grid_points, mollifier, spectral_derivative,
+                                torus_delta)
     X1, X2 = grid_points(f.grid_n)
     lam = conformal_spec.factor_at(X1, X2)
 
