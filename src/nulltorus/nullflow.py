@@ -12,13 +12,14 @@ direction of a family depends on one lattice phase on every catalog metric
 conformal rescalings), so it depends on y1 alone in the basis y = A^-1 x
 of that phase.  The flow is then a rigid rotation of the transversal
 section, exact to a stated error, or has its closed lines at the zeros of
-one function of y1.  A flow that no lattice rule covers (a hand-built
-metric with no phase) is Inconclusive.  No closed line of a covered flow
-is recorded: ``spin.holonomy_table`` reads each line's spin boost from the
-same phase samples.  RK4 (``_march``) integrates single lines
-(``integrate_null_line``, the only source of a ``NullLineRecord``, and
-``classify_line`` off a rigid rotation) and gives the direct rotation
-estimate that cross-checks the quadrature.
+one function of y1, the phase velocity V'^1, whatever V'^2 does.  A flow
+that no lattice rule covers (a hand-built metric with no phase) is
+Inconclusive.  No closed line of a covered flow is recorded:
+``spin.holonomy_table`` reads each line's spin boost from the same phase
+samples, and it and ``classify_line`` decide whether the line at a phase
+closes by ``PhaseZeros.distance``.  RK4 (``_march``) integrates single
+lines (``integrate_null_line``, the only source of a ``NullLineRecord``)
+and gives the direct rotation estimate that cross-checks the quadrature.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from . import geometry
 from .errors import (DenseFlow, Inconclusive, NotTransverse, StepTooLarge,
                      WrongFamily)
 from .gridtools import (TrigSeries1, TrigSeries2, circular_zeros, grid_points,
-                        resolved_series)
+                        resolved_series, torus_delta)
 from .tolerances import DEFAULT, Tolerances
 
 Point = tuple[float, float]
@@ -76,7 +77,7 @@ class LineClass:
     period: Optional[float] = None             # Closed: in axis units
     rotation: Optional[float] = None           # Dense
     limit_winding: Optional[tuple[int, int]] = None   # Asymptotic
-    displacement: Optional[float] = None       # measured closure defect
+    displacement: Optional[float] = None       # q rho - p, or phase distance
 
 
 @dataclass(frozen=True)
@@ -97,9 +98,6 @@ class Interval:
     @property
     def width(self) -> float:
         return self.hi - self.lo
-
-    def contains(self, w: float) -> bool:
-        return self.lo <= w <= self.hi or self.lo <= w + 1.0 <= self.hi
 
     def interior_points(self, count: int) -> np.ndarray:
         pad = 0.05 * self.width
@@ -167,55 +165,36 @@ def slope_function(spec, family: str, axis: int):
 
 
 def _rk4(f, t, y, h):
-    """One classical RK4 step of y' = f(t, y): the increment, and the four
-    stages (t, y, k) at which f was evaluated."""
+    """The increment of one classical RK4 step of y' = f(t, y)."""
     k1 = f(t, y)
-    y2 = y + 0.5 * h * k1
-    k2 = f(t + 0.5 * h, y2)
-    y3 = y + 0.5 * h * k2
-    k3 = f(t + 0.5 * h, y3)
-    y4 = y + h * k3
-    k4 = f(t + h, y4)
-    return ((h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4),
-            ((t, y, k1), (t + 0.5 * h, y2, k2), (t + 0.5 * h, y3, k3),
-             (t + h, y4, k4)))
+    k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
+    k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
+    k4 = f(t + h, y + h * k3)
+    return (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def _march(spec, family: str, axis: int, u0: float, w0, n_units: float,
-           step: float, record: bool = False, integrand=None):
-    """RK4 in the axis coordinate; w0 may be a batch.  Returns w_end, then
-    the (ts, w-path) arrays when record=True, then the RK4 integral of
-    integrand(u, w, dw/du) along each line when an integrand is given."""
+           step: float, record: bool = False):
+    """RK4 in the axis coordinate; w0 may be a batch.  Returns w_end, or
+    (w_end, ts, w-path) when record=True."""
     slope = slope_function(spec, family, axis)
     per_unit = max(1, round(1.0 / step))    # whole steps per axis unit
     h = 1.0 / per_unit
     n_steps = int(round(n_units * per_unit))
     w = np.array(w0, dtype=float, copy=True)
-    total = 0.0
-    path = None
-    if record:
-        path = np.empty((n_steps + 1,) + w.shape)
-        path[0] = w
+    path = [w]
     for i in range(n_steps):
         u = u0 + i * h
-        dw, stages = _rk4(slope, u, w, h)
+        dw = _rk4(slope, u, w, h)
         jump = float(np.max(np.abs(dw)))
         if jump > 0.25:
             raise StepTooLarge(
                 f"per-step displacement {jump:.3g} at u={u:.4f} "
                 f"(step {h:.2e}); refine the step")
-        if integrand is not None:
-            j1, j2, j3, j4 = (integrand(*stage) for stage in stages)
-            total = total + (h / 6.0) * (j1 + 2 * j2 + 2 * j3 + j4)
         w = w + dw
         if record:
-            path[i + 1] = w
-    out = (w,)
-    if record:
-        out += (np.arange(n_steps + 1) * h, path)
-    if integrand is not None:
-        out += (total,)
-    return out if len(out) > 1 else w
+            path.append(w)
+    return (w, np.arange(n_steps + 1) * h, np.array(path)) if record else w
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +285,11 @@ class _LatticeFlow:
     y1-period moves each line by d = A (1, Theta).
     Its error is a few ulps of rho plus that of Theta (``theta_error``)
     carried through |d rho / d Theta| = 1/(d^a)^2 (det A = 1).  Vertical
-    branch: the lines solve dy1/dy2 = s'(y1) = V'^1/V'^2; a zero z of V'^1
-    (``phase_zeros``) is the closed line x = A (z, t) of winding d = A e2, a
-    run of zeros a resonant band, and every other line is asymptotic to
-    them; rho is a ratio of integers.
+    branch: y1 alone solves the autonomous dy1/dt = V'^1(y1) along the
+    lines, whatever V'^2 does; a zero z of V'^1 (``phase_zeros``) is the
+    closed line x = A (z, t) of winding d = A e2, a run of zeros a resonant
+    band, and every other line is asymptotic to them; rho is a ratio of
+    integers.
     """
 
     def __init__(self, spec, axis: int, A, theta=None,
@@ -345,6 +325,17 @@ class PhaseZeros:
     runs: tuple[tuple[float, float], ...]
     zeros: tuple[float, ...]
 
+    def distance(self, y1: float) -> float:
+        """How far the phase y1 is from the nearest closed line: 0 in a run,
+        inf with no zero.  The line at y1 is closed iff this is at most
+        tol.closedness_reject, the package's one such rule."""
+        y1 = float(y1) % 1.0
+        if any(lo <= y1 <= hi or lo <= y1 + 1 <= hi for lo, hi in self.runs):
+            return 0.0
+        ends = self.zeros + sum(self.runs, ())      # a run's ends are zeros
+        return float(min((abs(torus_delta(y1, z)) for z in ends),
+                         default=math.inf))
+
 
 @lru_cache(maxsize=128)
 def phase_zeros(spec, family: str, tol: Tolerances) -> PhaseZeros:
@@ -367,9 +358,9 @@ def _lattice_flow(spec, family: str, tol: Tolerances):
     """The family's ``_LatticeFlow``, or None where no lattice rule covers
     it, from the samples of ``phase_velocity`` (A is the identity on x1-only
     and left-invariant metrics).  Declined: a spec with no phase; where V'^1
-    has a zero or a run (``phase_zeros``), a zero of V'^2 or closed lines
-    parallel to the section; else a coefficient of m at |k| >=
-    LATTICE_SAMPLES/4 above tol.resonance max |m|.
+    has a zero or a run (``phase_zeros``), closed lines parallel to the
+    section; else a coefficient of m at |k| >= LATTICE_SAMPLES/4 above
+    tol.resonance max |m|.
 
     A conformal rescaling has its inner metric's null directions, so it
     takes the inner flow, unless that is declined or the two transversal
@@ -385,9 +376,7 @@ def _lattice_flow(spec, family: str, tol: Tolerances):
     axis = transversal_axis(spec, family)
     record = phase_zeros(spec, family, tol)
     if record.runs or record.zeros:
-        vertical = A[axis][1] != 0 and (np.all(across > 0)
-                                        or np.all(across < 0))
-        return _LatticeFlow(spec, axis, A) if vertical else None
+        return _LatticeFlow(spec, axis, A) if A[axis][1] != 0 else None
     m = across / along
     resolved = resolved_series(m, tol.resonance)
     if resolved is None:
@@ -466,30 +455,34 @@ def classify_line(spec, p0: Point, family: str = "X",
     """Closed / Dense / Asymptotic classification of the line through p0.
 
     Without a rational rotation certificate the flow is dense; a period
-    beyond MAX_PERIOD is Inconclusive.  Otherwise the q-return displacement
-    of the line itself decides: below the closedness tolerance closed,
-    above the open threshold asymptotic, in between Inconclusive.  Under
-    the quadrature's rigid rotation it is q rho - p for every line.
+    beyond MAX_PERIOD is Inconclusive.  Under the quadrature's rigid
+    rotation the q-return displacement q rho - p of every line decides:
+    below the closedness tolerance closed, above the open threshold
+    asymptotic, in between Inconclusive.  Where the lines turn vertical in
+    the lattice basis, the displacement is ``PhaseZeros.distance`` of p0's
+    phase y1 = d x1 - b x2 (A = ((a, b), (c, d))): closed up to
+    tol.closedness_reject, else asymptotic to the closed lines.
     """
-    axis = transversal_axis(spec, family)
     est = rotation_number(spec, family, tol)
     if est.rational is None:
         return LineClass(kind="Dense", rotation=est.value)
     cert = _verifiable(est, tol)
     p, q = cert.p, cert.q
     flow = _lattice_flow(spec, family, tol)
-    if flow.theta is not None:
-        disp = q * flow.rho - p
+    winding = _winding(flow.axis, q, p)
+    if flow.theta is None:
+        (_, b), (_, d) = flow.A
+        disp = phase_zeros(flow.spec, family, tol).distance(
+            d * p0[0] - b * p0[1])
+        closed = disp <= tol.closedness_reject
     else:
-        u0, w0 = float(p0[axis]), float(p0[1 - axis])
-        w_end = _march(spec, family, axis, u0, w0, float(q), tol.ode_step)
-        disp = float(w_end) - w0 - p
-    if abs(disp) < tol.closedness:
-        return LineClass(kind="Closed", winding=_winding(axis, q, p),
-                         period=float(q), displacement=disp)
+        disp = q * flow.rho - p
+        closed = abs(disp) < tol.closedness
+    if closed:
+        return LineClass(kind="Closed", winding=winding, period=float(q),
+                         displacement=disp)
     if abs(disp) > tol.closedness_reject:
-        return LineClass(kind="Asymptotic",
-                         limit_winding=_winding(axis, q, p),
+        return LineClass(kind="Asymptotic", limit_winding=winding,
                          rotation=est.value, displacement=disp)
     raise Inconclusive(
         f"q-return displacement {abs(disp):.3e} falls between the closed "
@@ -717,6 +710,6 @@ def _geodesic_leg(spec, p0: Point, v0: np.ndarray, t_max: float, step: float,
             blowup = True
             break
         h = min(step / max(1.0, speed), t_max - t)
-        y = y + _rk4(rate, t, y, h)[0]
+        y = y + _rk4(rate, t, y, h)
         t += h
     return {"reached": t, "blowup": blowup, "final_speed": speed}

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import geometry, nullflow
 from .errors import DenseFlow, NotClosed
-from .gridtools import simpson, torus_delta
+from .gridtools import simpson
 from .tolerances import DEFAULT, Tolerances
 
 GAMMA1 = np.array([[0.0, 1.0j], [-1.0j, 0.0]])
@@ -204,7 +204,7 @@ def holonomy_table(spec, family: str, seeds, rotation, tol: Tolerances = DEFAULT
     branch: the mean over ``phase_velocity``'s samples; the lines are open,
     DenseFlow, when |q rho - p| > closedness_reject), or -1/2 sigma P
     Gamma(A e2) at A (y1, 0) on the line y1 = m w (vertical branch; open
-    unless y1 is in a run or within closedness_reject of a zero of V'^1).
+    where ``PhaseZeros.distance`` of y1 exceeds closedness_reject).
     A conformal rescaling reads its inner spec: for a null c' the two
     connections differ by +-d log lam(c'), which integrates to 0 around a
     closed line."""
@@ -220,11 +220,8 @@ def holonomy_table(spec, family: str, seeds, rotation, tol: Tolerances = DEFAULT
         record = nullflow.phase_zeros(inner, family, tol)
         y1 = ((d if axis == 1 else -b) * seeds) % 1.0
         for w, y in zip(seeds, y1):
-            off = min((abs(torus_delta(y, z)) for z in record.zeros),
-                      default=math.inf)
-            if off > tol.closedness_reject and not any(
-                    lo <= y <= hi or lo <= y + 1.0 <= hi
-                    for lo, hi in record.runs):
+            off = record.distance(y)
+            if off > tol.closedness_reject:
                 raise DenseFlow(
                     f"line through w={w:.6f} does not close: its phase "
                     f"y1 = {y:.6f} is {off:.3e} from the nearest zero of the "

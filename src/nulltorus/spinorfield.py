@@ -62,7 +62,7 @@ from .tolerances import DEFAULT, Tolerances
 # field containers
 
 
-@dataclass
+@dataclass(eq=False)
 class HalfSpinorField:
     """Chiral half of a spinor field, stored as its periodic representative.
 
@@ -73,13 +73,14 @@ class HalfSpinorField:
     pp-wave's band bumps), the field keeps it as ``factors``, and its
     values are the factors' read-only grid, assembled on their first read;
     neither can be reassigned, so the two cannot disagree.  The grid size,
-    the sup norm and the phase-line residual read the factors alone.
+    the sup norm and the phase-line residual read the factors alone, and
+    so do ``repr`` (no values) and ``==`` (identity).
     """
 
     spec: object
     structure: SpinStructure
     chirality: int
-    values: Union[np.ndarray, geometry.PhaseFactors]
+    values: Union[np.ndarray, geometry.PhaseFactors] = field(repr=False)
     meta: dict = field(default_factory=dict)
     factors: Optional[geometry.PhaseFactors] = field(
         default=None, init=False, repr=False, compare=False)
@@ -133,6 +134,16 @@ class HalfSpinorField:
         u = 1.0 if factors.profile is None else np.max(np.abs(factors.profile))
         return float(u * np.max(np.abs(factors.col))
                      * np.max(np.abs(factors.row)))
+
+    def overlap(self, other: "HalfSpinorField") -> float:
+        """max |self other| over the grid of two fields with factored
+        profiles u, u' (the pp-wave bumps): max|u u'| max|col col'|
+        max|row row'|, exact where |col| and |row| are constant (the bumps'
+        are 1), an upper bound otherwise."""
+        f, g = self.factors, other.factors
+        return float(np.max(np.abs(f.profile) * np.abs(g.profile))
+                     * np.max(np.abs(f.col * g.col))
+                     * np.max(np.abs(f.row * g.row)))
 
 
 @dataclass

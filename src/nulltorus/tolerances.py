@@ -1,10 +1,11 @@
 """Default numeric policy, overridable per call or via CLI config.
 
 Quantities obtained through differentiation or quadrature are checked at
-1e-6 and line-closedness at 1e-9 (with an explicit Inconclusive band up to
-1e-6 — see ``nullflow.classify_line``).  Every field is read somewhere in
-the package (``tests/test_hygiene.py`` checks it), so the tolerance set an
-artifact embeds is the one that produced it.
+1e-6 and line-closedness at 1e-9 under a rigid rotation, with an explicit
+Inconclusive band up to 1e-6 (``nullflow.classify_line``); a line at a
+phase closes within 1e-6 of a closed line, with no band.  Every field is
+read somewhere in the package (``tests/test_hygiene.py`` checks it), so
+the tolerance set an artifact embeds is the one that produced it.
 """
 
 from dataclasses import dataclass, replace

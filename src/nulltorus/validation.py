@@ -9,6 +9,7 @@ and must still produce a complete report.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 import traceback
@@ -394,12 +395,9 @@ def criterion_ppwave(step, grid_n, tol) -> tuple[bool, dict, str]:
         spec, SpinStructure(1, 1), count=5, grid_n=grid_n or 2048, tol=tol)
     worst_residual = max(spinorfield.residual_norm(f, "harmonic")
                          for f in fields)
-    overlaps = []
-    for i in range(len(fields)):
-        for j in range(i + 1, len(fields)):
-            overlaps.append(float(np.max(np.abs(fields[i].values)
-                                         * np.abs(fields[j].values))))
-    independent = (len(fields) == 5 and max(overlaps) == 0.0
+    max_overlap = max(f.overlap(g)
+                      for f, g in itertools.combinations(fields, 2))
+    independent = (len(fields) == 5 and max_overlap == 0.0
                    and all(f.sup_norm() > 0 for f in fields))
     passed = (probe.blowup_detected and cylinder_found and as_expected
               and independent and worst_residual < 1e-6)
@@ -422,7 +420,7 @@ def criterion_ppwave(step, grid_n, tol) -> tuple[bool, dict, str]:
                     "winding": winding,
                     "expected": {str(k): v for k, v in expected.items()},
                     "worst_residual": worst_residual,
-                    "max_overlap": max(overlaps)}, detail
+                    "max_overlap": max_overlap}, detail
 
 
 # ---------------------------------------------------------------------------

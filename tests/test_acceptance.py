@@ -12,13 +12,14 @@ and check that the criterion still rejects an "Infinite for all four"
 table.
 """
 
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from nulltorus import (catalog, classify, nullflow, spin, spinorfield,
-                       validation)
+from nulltorus import (catalog, classify, geometry, nullflow, spin,
+                       spinorfield, validation)
 from nulltorus.spin import STRUCTURES, SpinStructure
 from nulltorus.tolerances import DEFAULT
 
@@ -26,8 +27,20 @@ _NAMES = {idx: name for idx, name, _ in validation.SUITE}
 
 
 @pytest.fixture(scope="module")
-def ppwave_result():
-    return validation.run_criterion(9)
+def ppwave_run():
+    """Criterion 9, run once, and the n of every n x n field grid it
+    assembles (``PhaseFactors.grid`` calls)."""
+    grid, assembled = geometry.PhaseFactors.grid, []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry.PhaseFactors, "grid", lambda factors, spec:
+                      assembled.append(len(factors.col))
+                      or grid(factors, spec))
+        return validation.run_criterion(9), assembled
+
+
+@pytest.fixture(scope="module")
+def ppwave_result(ppwave_run):
+    return ppwave_run[0]
 
 
 @pytest.mark.parametrize(
@@ -57,6 +70,28 @@ def test_criterion_09_measured_structure(ppwave_result):
     assert m["certificates"]["(1, -1)"] == "NoXTrivialResonant"
     assert m["winding"] == (0, 1)
     assert m["expected"] == m["values"]
+
+
+def test_criterion_09_assembles_no_grid(ppwave_run):
+    """The five 2048^2 bumps' residuals, sup norms and pairwise overlaps
+    read their factors: criterion 9 assembles no field grid."""
+    result, assembled = ppwave_run
+    assert result.passed and assembled == []
+
+
+def test_bump_overlaps_are_the_grid_overlaps():
+    """The 2-D partner of criterion 9's overlaps at 256^2: max |f g| read
+    on two bumps' x1 profiles equals the max over their assembled grids,
+    for every pair of five bumps and a copy of the first (0 but for the
+    first with itself)."""
+    fields = spinorfield.construct_resonant_spinors(
+        catalog.rosatau_window(), SpinStructure(1, 1), count=5, grid_n=256)
+    overlaps = []
+    for f, g in itertools.combinations(fields + fields[:1], 2):
+        overlaps.append(f.overlap(g))
+        assert overlaps[-1] == float(np.max(np.abs(f.values)
+                                            * np.abs(g.values)))
+    assert overlaps.count(0.0) == 14 and max(overlaps) > 0.99
 
 
 def test_criterion_09_rejects_all_infinite(monkeypatch):

@@ -677,22 +677,45 @@ def test_gate_tables_march_no_line_and_solve_nothing(metric, monkeypatch):
     classifications read, both conformal rescalings included, take every
     flow from the lattice quadrature and every certificate from a closed
     form: no RK4 march and no transport solve.  A table may only be an
-    honest Inconclusive past the period cap, or, on a rough Y wave, where
-    no lattice rule covers its flow."""
-    calls = []
-    for owner, name in ((nullflow, "_march"), (classify, "_solve_rescaling")):
-        def recording(*args, _name=name, _fn=getattr(owner, name), **kwargs):
-            calls.append(_name)
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(owner, name, recording)
+    honest Inconclusive past the period cap; the rough Y waves, whose
+    velocity across the phase lines vanishes too, are decided."""
+    calls = _recording(monkeypatch, (nullflow, "_march"),
+                       (classify, "_solve_rescaling"))
     try:
         table = classify.classify_table(catalog.load_metric(metric),
                                         tuple(classify.QUANTITIES))
         assert len(table) == 4
     except Inconclusive as exc:     # past the period cap: left_invariant:1,65
-        assert ("no lattice rule covers" in str(exc) if metric in ROUGH_Y_WAVES
-                else "closed-line period 65" in str(exc))
+        assert "closed-line period 65" in str(exc)
     assert not calls
+
+
+@pytest.mark.parametrize("metric", _gate_metrics())
+def test_gate_lines_are_classified_with_no_march(metric, monkeypatch):
+    """``classify_line`` on every gate metric, in both families and at
+    three points, reads the quadrature or the phase-zero record and marches
+    no RK4 line; it is Inconclusive only past the period cap."""
+    calls = _recording(monkeypatch, (nullflow, "_march"))
+    spec = catalog.load_metric(metric)
+    for family in ("X", "Y"):
+        for p0 in ((0.0, 0.0), (0.3, 0.7), (0.61, 0.13)):
+            try:
+                nullflow.classify_line(spec, p0, family)
+            except Inconclusive as exc:
+                assert "closed-line period 65" in str(exc)
+    assert not calls
+
+
+def _recording(monkeypatch, *targets) -> list[str]:
+    """Wrap each (owner, name) function so that a call appends its name to
+    the returned list."""
+    calls = []
+    for owner, name in targets:
+        def recording(*args, _name=name, _fn=getattr(owner, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, recording)
+    return calls
 
 
 # ---------------------------------------------------------------------------

@@ -617,6 +617,25 @@ def test_lazy_values_are_the_eager_grids():
                     assert np.array_equal(f.values, want), (source, ab)
 
 
+def test_repr_and_eq_read_no_values(monkeypatch):
+    """``repr`` of a field shows no values and ``==`` is identity, so
+    neither assembles a factored field's grid, and comparing two fields,
+    factored or not, does not raise numpy's ambiguous-truth error."""
+    grid, assembled = geometry.PhaseFactors.grid, []
+    monkeypatch.setattr(geometry.PhaseFactors, "grid", lambda factors, spec:
+                        assembled.append(spec) or grid(factors, spec))
+    bumps = spinorfield.construct_resonant_spinors(
+        catalog.rosatau_window(), SpinStructure(1, 1), count=2, grid_n=64)
+    plain = [spinorfield.HalfSpinorField(bumps[0].spec, bumps[0].structure,
+                                         1, np.ones((64, 64)))
+             for _ in range(2)]
+    for f in bumps + tuple(plain):
+        assert "values" not in repr(f) and "factors" not in repr(f)
+    assert bumps[0] == bumps[0] and bumps[0] != bumps[1]
+    assert plain[0] != plain[1] and plain[0] != bumps[0]
+    assert assembled == []
+
+
 def test_inadmissible_fields_fail_on_both_routes(wave12_spec):
     """Negative witnesses: an alpha off the admissible lattice (its x1
     factor has a half-integer mode) and a kernel field with a perturbed

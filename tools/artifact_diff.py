@@ -122,6 +122,12 @@ CASES = [
      "--quantity", "delta_minus"],
     ["classify", "--metric", "closed_diagonal:4,8,amp=0.6482,k=2,l=3",
      "--quantity", "delta_minus"],
+    # rough Y waves whose V'^2 has zeros too: vertical-branch flows decided
+    # from the phase zeros alone, with their X pairs
+    *(["table", "--metric", metric, "--quantity", pair]
+      for metric in ("closed_diagonal:5,8,amp=1.3294,k=2,l=3",
+                     "closed_diagonal:8,6,amp=2.9274,k=2,l=3")
+      for pair in (X_Q, Y_Q)),
     ["classify", "--metric", "closed_diagonal:4,8,amp=0.6482,k=2,l=3",
      "--quantity", "delta_plus"],
     ["decompose", "--metric", "rosatau"],
