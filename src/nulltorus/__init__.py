@@ -12,10 +12,8 @@ of the kernel dimensions with semi-conformal-flatness certificates
 from .catalog import (analex, analex_sanchez, closed_diagonal_wave, conformal,
                       exp_sine_factor, flat, from_config, from_shorthand,
                       left_invariant, load_metric, rosatau_window)
-from .classify import (DimensionReport, MassFunctional, SCFCertificate,
-                       associated_vector_field, classify_dimension,
-                       classify_table, conformal_flatness_test,
-                       contradictions, is_x_conformally_flat, mass_functional,
+from .classify import (DimensionReport, SCFCertificate, classify_dimension,
+                       classify_table, contradictions, is_x_conformally_flat,
                        semi_conformal_certificate, spectral_checks,
                        spectral_count)
 from .errors import (ConfigError, DegenerateMetric, DenseFlow, FrameUndefined,
@@ -34,9 +32,8 @@ from .nullflow import (CompletenessProbe, CylinderDecomposition,
                        integrate_null_line, probe_completeness,
                        rotation_number)
 from .spin import (HolonomyResult, SpinStructure, all_structures, gamma,
-                   holonomy_closed_line, holonomy_table, indefinite_product,
-                   parallel_transport_spin, spin_connection_scalar,
-                   volume_element)
+                   holonomy_closed_line, holonomy_table,
+                   parallel_transport_spin, spin_connection_scalar)
 from .spinorfield import (ClosedDiagonalSolution, HalfSpinorField,
                           HarmonicSolution, SpinorField, conformal_map_spinor,
                           constant_field, construct_resonant_spinors,

@@ -4,11 +4,12 @@
 of a metric: the shorthand ``name:1,2,key=value`` and the JSON config
 ``{"family": name, "params": {...}, "grid_n": n}``.  Text values go through
 ``_num`` ('3/2', 'sqrt2'); counts must be integers (``integer``) and reals
-numbers (``real``).  An argument the constructor rejects (unknown, missing,
-stray or non-numeric) is a ConfigError naming the family.  A caller's
-``grid_n`` beats the document's; a nested ``inner`` keeps its own.  Every
-spec built here is a value, its profiles frozen dataclasses too: equal
-parameters in either spelling give equal specs, which share every cache.
+finite numbers (``real``).  An argument the constructor rejects (unknown,
+missing, stray, non-numeric or not finite) is a ConfigError naming the
+family.  A caller's ``grid_n`` beats the document's; a nested ``inner``
+keeps its own.  Every spec built here is a value, its profiles frozen
+dataclasses too: equal parameters in either spelling give equal specs,
+which share every cache.
 
 Everything here is constructed from a handful of closed-form ingredients so
 tests have exact reference values:
@@ -254,13 +255,20 @@ def integer(key: str, value) -> int:
 
 
 def real(key: str, value) -> float:
-    """``value`` as a float: a number or numeric text; a bool or other text
-    is a ValueError naming ``key``."""
+    """``value`` as a finite float: a number or numeric text; a bool, other
+    text, NaN, an infinity or a number past the float range is a ValueError
+    naming ``key``."""
     if not isinstance(value, bool):
         try:
-            return float(value)
+            number = float(value)
+        except OverflowError:       # an integer or fraction past float range
+            number = math.inf
         except (TypeError, ValueError):
-            pass
+            number = None
+        if number is not None:
+            if not math.isfinite(number):
+                raise ValueError(f"{key} must be finite, got {value!r}")
+            return number
     raise ValueError(f"{key} must be a number, got {value!r}")
 
 

@@ -1,4 +1,4 @@
-"""Semi-conformal flatness, mass functionals, and the dimension classification.
+"""Semi-conformal flatness and the dimension classification.
 
 The geometric side of the package: a metric is *semi-conformally flat* (SCF)
 for a null family when some nowhere-zero divergence-free vector field spans
@@ -31,16 +31,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from . import geometry, nullflow, spin, spinorfield
-from .errors import DenseFlow, Inconclusive, NotHarmonic, NotSCF
+from .errors import DenseFlow, Inconclusive, NotSCF
 from .gridtools import (TrigSeries2, grid_points, resolved_series,
                         spectral_derivative, spectral_derivatives, wrap_unit)
-from .spin import GAMMA1, GAMMA2, SpinStructure, all_structures
-from .spinorfield import HalfSpinorField, SpinorField, embed
+from .spin import SpinStructure, all_structures
 from .tolerances import DEFAULT, Tolerances
 
 #: quantity -> (null family of the transport equation, chirality of the
@@ -323,86 +322,6 @@ def is_x_conformally_flat(spec, tol: Tolerances = DEFAULT
         return semi_conformal_certificate(spec, "X", tol=tol)
     except NotSCF:
         return None
-
-
-def conformal_flatness_test(spec, tol: Tolerances = DEFAULT) -> bool:
-    """True iff both null families carry a divergence-free section."""
-    for family in ("X", "Y"):
-        try:
-            semi_conformal_certificate(spec, family, tol=tol)
-        except NotSCF:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# mass functional and associated vector field
-
-
-@dataclass(frozen=True, eq=False)
-class MassFunctional:
-    """Grid samples of the nonpositive mass mu = <Y.phi, phi> = -2|phi^+|^2.
-
-    ``drift`` is the measured variation of mu along integrated X-lines per
-    axis unit (a constant of motion for harmonic fields).
-    """
-
-    values: np.ndarray
-    grid_n: int
-    drift: float
-
-    def series(self) -> TrigSeries2:
-        return TrigSeries2.from_samples(self.values.astype(complex))
-
-    def min(self) -> float:
-        return float(self.values.min())
-
-    def max(self) -> float:
-        return float(self.values.max())
-
-
-def mass_functional(spec, scf: SCFCertificate,
-                    phi: Union[SpinorField, HalfSpinorField],
-                    tol: Tolerances = DEFAULT) -> MassFunctional:
-    """Mass functional of a positive-harmonic field on an SCF surface."""
-    if not scf.residual < tol.scf_certificate:
-        raise NotSCF("the supplied certificate does not meet the divergence "
-                     f"tolerance (residual {scf.residual:.3e})")
-    psi = embed(phi) if isinstance(phi, HalfSpinorField) else phi
-    res = spinorfield.residual_norm(psi, operator="harmonic")
-    scale = max(psi.positive.sup_norm(), psi.negative.sup_norm(), 1.0)
-    if not res <= 100 * tol.differential * scale:
-        raise NotHarmonic(
-            f"field is not in the Dirac kernel: residual {res:.3e}")
-    comps = psi.component_grids()
-    gam_y = -GAMMA1 + GAMMA2
-    ycomp = np.einsum("ab,bij->aij", gam_y, comps)
-    mu = np.real(np.einsum("aij,ab,bij->ij", np.conj(ycomp), GAMMA1, comps))
-    mu_series = TrigSeries2.from_samples(mu.astype(complex))
-    drift = 0.0
-    for seed in np.linspace(0.05, 0.95, 3):
-        rec = nullflow.integrate_null_line(spec, (seed, seed), "X",
-                                           t_max=1.0, tol=tol)
-        vals = np.real(mu_series(rec.points[:, 0], rec.points[:, 1]))
-        drift = max(drift, float(vals.max() - vals.min()))
-    return MassFunctional(values=mu, grid_n=psi.grid_n, drift=drift)
-
-
-def associated_vector_field(psi: Union[SpinorField, HalfSpinorField]
-                            ) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate grids of V = |psi^+|^2 X - |psi^-|^2 Y.
-
-    Null with a nonnegative X-factor for a positive half-spinor, causal in
-    general: g(V, V) = -4 |psi^+|^2 |psi^-|^2.
-    """
-    psi = embed(psi) if isinstance(psi, HalfSpinorField) else psi
-    n = psi.grid_n
-    a1, a2, b1, b2 = geometry.frame_grids(psi.spec, n)
-    p2 = np.abs(psi.positive.values) ** 2
-    m2 = np.abs(psi.negative.values) ** 2
-    v1 = p2 * (a1 + b1) - m2 * (-a1 + b1)
-    v2 = p2 * (a2 + b2) - m2 * (-a2 + b2)
-    return v1, v2
 
 
 # ---------------------------------------------------------------------------

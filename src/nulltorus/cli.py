@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import math
 from typing import Optional
 
 import click
@@ -47,23 +48,29 @@ def parse_structure(text: str) -> SpinStructure:
 
 
 def parse_point(text) -> tuple[float, float]:
+    """The ``from`` point, 'x1,x2' or a pair; a malformed or non-finite one
+    is a ConfigError."""
     parts = (list(text) if isinstance(text, (list, tuple))
              else str(text).split(","))
     try:
         if len(parts) == 2:
-            return (float(parts[0]), float(parts[1]))
+            point = (float(parts[0]), float(parts[1]))
+            if all(map(math.isfinite, point)):
+                return point
+            raise ConfigError(f"from must be finite, got {text!r}")
     except (TypeError, ValueError):
         pass
     raise ConfigError(f"point must be 'x1,x2', got {text!r}")
 
 
 def _number(key: str, value, kind=float):
-    """``value`` by catalog.integer or .real, or ConfigError naming ``key``."""
+    """``value`` by catalog.integer, or ConfigError naming ``key``; a float
+    by catalog.real, whose message (not a number, not finite) it keeps."""
     try:
         return (catalog.integer if kind is int else catalog.real)(key, value)
-    except (TypeError, ValueError):
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{key} must be {what}, got {value!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must be an integer, got {value!r}"
+                          if kind is int else str(exc)) from None
 
 
 def _tolerance(field: str, value, key: Optional[str] = None):
@@ -77,8 +84,8 @@ def _tolerance(field: str, value, key: Optional[str] = None):
     value = _number(key, value, kind)
     if field == "ode_step" and not 0.0 < value <= 0.1:
         raise ConfigError(f"{key} must lie in (0, 0.1], got {value}")
-    if not 0.0 < value < float("inf"):
-        raise ConfigError(f"{key} must be positive and finite, got {value}")
+    if not value > 0:
+        raise ConfigError(f"{key} must be positive, got {value}")
     return value
 
 
@@ -355,8 +362,10 @@ def command(name: Optional[str] = None, flow: bool = False,
 def flow(s: Settings, spec, family, from_, tmax):
     """Integrate one null line; emit the trajectory as CSV."""
     p0 = parse_point(s.get("from", from_, "0,0"))
-    rec = nullflow.integrate_null_line(spec, p0, family,
-                                       t_max=s.number("tmax", tmax, 10.0),
+    t_max = s.number("tmax", tmax, 10.0)
+    if not t_max > 0:
+        raise ConfigError(f"tmax must be positive, got {t_max}")
+    rec = nullflow.integrate_null_line(spec, p0, family, t_max=t_max,
                                        tol=s.tol)
     rows = [{"t": float(t),
              "x1_cover": float(p[0]), "x2_cover": float(p[1]),

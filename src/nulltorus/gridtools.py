@@ -27,6 +27,7 @@ import numpy as np
 
 TWO_PI_I = 2j * np.pi
 PHASE_BLOCK = 1 << 16     # entries of a series' phase matrix per block
+TRIM = 1e-13              # series drop modes below TRIM * their largest
 
 
 def grid_points(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -134,11 +135,11 @@ class TrigSeries1:
         self.freqs = np.asarray(freqs)
 
     @classmethod
-    def from_samples(cls, values: np.ndarray, trim: float = 1e-13) -> "TrigSeries1":
+    def from_samples(cls, values: np.ndarray) -> "TrigSeries1":
         n = len(values)
         c = np.fft.fft(np.asarray(values, dtype=complex)) / n
         f = np.fft.fftfreq(n, 1.0 / n)
-        keep = np.abs(c) > trim * max(np.abs(c).max(), 1e-300)
+        keep = np.abs(c) > TRIM * max(np.abs(c).max(), 1e-300)
         keep[0] = True
         return cls(c[keep], f[keep])
 
@@ -183,13 +184,13 @@ class TrigSeries2:
         self.k2 = np.asarray(k2)
 
     @classmethod
-    def from_samples(cls, values: np.ndarray, trim: float = 1e-13) -> "TrigSeries2":
+    def from_samples(cls, values: np.ndarray) -> "TrigSeries2":
         n0, n1 = values.shape
         c = np.fft.fft2(np.asarray(values, dtype=complex)) / (n0 * n1)
         f0 = np.fft.fftfreq(n0, 1.0 / n0)
         f1 = np.fft.fftfreq(n1, 1.0 / n1)
         K1, K2 = np.meshgrid(f0, f1, indexing="ij")
-        keep = np.abs(c) > trim * max(np.abs(c).max(), 1e-300)
+        keep = np.abs(c) > TRIM * max(np.abs(c).max(), 1e-300)
         keep[0, 0] = True
         return cls(c[keep], K1[keep], K2[keep])
 

@@ -57,10 +57,6 @@ class RationalCertificate:
     q: int
     residual: float
 
-    @property
-    def value(self) -> float:
-        return self.p / self.q
-
 
 @dataclass(frozen=True)
 class RotationNumberEstimate:

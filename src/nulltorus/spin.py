@@ -39,7 +39,6 @@ from .tolerances import DEFAULT, Tolerances
 
 GAMMA1 = np.array([[0.0, 1.0j], [-1.0j, 0.0]])
 GAMMA2 = np.array([[0.0, 1.0j], [1.0j, 0.0]])
-OMEGA = -(GAMMA1 @ GAMMA2)       # chirality operator, diag(1, -1)
 
 STRUCTURES: tuple[tuple[int, int], ...] = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
@@ -57,22 +56,6 @@ def gamma(v, frame: Optional[geometry.Frame] = None) -> np.ndarray:
     else:
         a, b = float(v[0]), float(v[1])
     return a * GAMMA1 + b * GAMMA2
-
-
-def volume_element() -> np.ndarray:
-    """Chirality operator -gamma(s1)gamma(s2) = diag(1, -1) (indices raised)."""
-    return OMEGA.copy()
-
-
-def indefinite_product(phi, psi) -> complex:
-    """<phi, psi> = phi^dagger gamma(s1) psi  (signature-(1,1) pairing).
-
-    Hermitian, gamma-symmetric (<v.phi, psi> = <phi, v.psi>), and null on
-    each chiral line: <u1,u1> = <u2,u2> = 0 for the standard basis.
-    """
-    phi = np.asarray(phi, dtype=complex)
-    psi = np.asarray(psi, dtype=complex)
-    return complex(np.conj(phi) @ (GAMMA1 @ psi))
 
 
 # ---------------------------------------------------------------------------

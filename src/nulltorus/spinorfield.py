@@ -52,7 +52,7 @@ import numpy as np
 from . import geometry, nullflow, spin
 from .errors import (DenseFlow, NotHarmonic, NotXTrivial, UnsupportedFamily,
                      WrongFamily)
-from .gridtools import (TrigSeries2, _axis_derivative, grid_points, mollifier,
+from .gridtools import (_axis_derivative, grid_points, mollifier,
                         spectral_derivative, torus_delta, wrap_unit)
 from .spin import SpinStructure
 from .tolerances import DEFAULT, Tolerances
@@ -84,8 +84,6 @@ class HalfSpinorField:
     meta: dict = field(default_factory=dict)
     factors: Optional[geometry.PhaseFactors] = field(
         default=None, init=False, repr=False, compare=False)
-    _series: Optional[TrigSeries2] = field(default=None, repr=False,
-                                           compare=False)
 
     def __post_init__(self):
         if self.chirality not in (-1, 1):
@@ -115,15 +113,6 @@ class HalfSpinorField:
         if self.factors is not None:
             return len(self.factors.col)
         return self.values.shape[0]
-
-    def series(self) -> TrigSeries2:
-        if self._series is None:
-            self._series = TrigSeries2.from_samples(self.values)
-        return self._series
-
-    def at(self, x1, x2) -> np.ndarray:
-        """Periodic representative, trig-interpolated off the grid."""
-        return self.series()(x1, x2)
 
     def sup_norm(self) -> float:
         """max |values|; of a factored field max|u| max|col| max|row|,

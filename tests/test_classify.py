@@ -1,4 +1,4 @@
-"""Flatness certificates, mass functionals, and the dimension classification.
+"""Flatness certificates and the dimension classification.
 
 Exits of ``classify.semi_conformal_certificate`` and their witnesses:
 
@@ -50,7 +50,7 @@ import pytest
 from conftest import count_transforms, seeded_waves
 from nulltorus import (catalog, classify, geometry, nullflow, spin,
                        spinorfield)
-from nulltorus.errors import ConfigError, Inconclusive, NotHarmonic, NotSCF
+from nulltorus.errors import ConfigError, Inconclusive, NotSCF
 from nulltorus.gridtools import grid_points, mollifier, torus_delta
 from nulltorus.spin import SpinStructure, all_structures
 from nulltorus.tolerances import DEFAULT
@@ -507,8 +507,6 @@ def test_seeded_waves_are_decided_on_their_own_lines(analytic_only):
 def test_is_x_conformally_flat(analex_spec, rosatau_spec, flat_spec):
     assert classify.is_x_conformally_flat(analex_spec) is not None
     assert classify.is_x_conformally_flat(rosatau_spec) is None
-    assert classify.conformal_flatness_test(flat_spec)
-    assert not classify.conformal_flatness_test(rosatau_spec)
     with pytest.raises(ValueError):
         classify.semi_conformal_certificate(flat_spec, "Z")
 
@@ -716,77 +714,3 @@ def _recording(monkeypatch, *targets) -> list[str]:
             return _fn(*args, **kwargs)
         monkeypatch.setattr(owner, name, recording)
     return calls
-
-
-# ---------------------------------------------------------------------------
-# mass functional and associated vector field
-
-
-def test_associated_vector_field_flat(flat_spec):
-    s = SpinStructure(1, 1)
-    pos = spinorfield.constant_field(flat_spec, s, 1, 1.0, grid_n=32)
-    v1, v2 = classify.associated_vector_field(pos)
-    assert np.allclose(v1, 1.0) and np.allclose(v2, 1.0)   # V = X
-    both = spinorfield.SpinorField(
-        positive=pos, negative=spinorfield.constant_field(flat_spec, s, -1,
-                                                          1.0, grid_n=32))
-    v1, v2 = classify.associated_vector_field(both)
-    assert np.allclose(v1, 2.0) and np.allclose(v2, 0.0)   # X - Y = 2 s1
-
-
-def test_associated_vector_field_is_causal(analex_spec):
-    s = SpinStructure(1, 1)
-    n = 64
-    X1, X2 = grid_points(n)
-    pos = spinorfield.HalfSpinorField(
-        analex_spec, s, 1, np.exp(2j * np.pi * X1) * (1 + 0.3 * np.cos(
-            2 * np.pi * X2)))
-    neg = spinorfield.HalfSpinorField(
-        analex_spec, s, -1, 0.5 + 0.25 * np.sin(2 * np.pi * (X1 + X2)) + 0j)
-    psi = spinorfield.SpinorField(positive=pos, negative=neg)
-    v1, v2 = classify.associated_vector_field(psi)
-    A, B, C = geometry.coefficients(analex_spec, X1, X2)
-    norm2 = A * v1 ** 2 + 2 * B * v1 * v2 + C * v2 ** 2
-    expected = -4.0 * np.abs(pos.values) ** 2 * np.abs(neg.values) ** 2
-    assert np.max(np.abs(norm2 - expected)) < 1e-9
-
-
-def test_mass_functional_phase_field(analex_spec):
-    cert = classify.semi_conformal_certificate(analex_spec, "X")
-    sol = spinorfield.solve_closed_diagonal(analex_spec, SpinStructure(1, 1),
-                                            grid_n=256)
-    m = classify.mass_functional(analex_spec, cert, sol.fields[1])
-    # unit-modulus positive fields have mu = -2 |phi^+|^2 = -2 exactly
-    assert m.min() == pytest.approx(-2.0, abs=1e-9)
-    assert m.max() == pytest.approx(-2.0, abs=1e-9)
-    assert m.drift < 1e-6
-
-
-def test_mass_functional_gates_inputs(analex_spec):
-    cert = classify.semi_conformal_certificate(analex_spec, "X")
-    junk = spinorfield.fourier_mode_field(analex_spec, SpinStructure(1, 1),
-                                          (2, 0))
-    with pytest.raises(NotHarmonic):
-        classify.mass_functional(analex_spec, cert, junk)
-    bad_cert = classify.SCFCertificate("X", cert.field, 1.0, "analytic",
-                                       cert.grid_n)
-    good = spinorfield.solve_closed_diagonal(analex_spec, SpinStructure(1, 1),
-                                             grid_n=128).fields[0]
-    with pytest.raises(NotSCF):
-        classify.mass_functional(analex_spec, bad_cert, good)
-
-
-def test_mass_functional_refuses_nan(analex_spec):
-    """A NaN certificate residual is not below the tolerance, and a NaN
-    harmonic residual is not within its bound."""
-    cert = classify.semi_conformal_certificate(analex_spec, "X")
-    s = SpinStructure(1, 1)
-    nan_cert = classify.SCFCertificate("X", cert.field, np.nan, "analytic",
-                                       cert.grid_n)
-    good = spinorfield.constant_field(analex_spec, s, 1, 1.0, grid_n=32)
-    with pytest.raises(NotSCF):
-        classify.mass_functional(analex_spec, nan_cert, good)
-    nan_field = spinorfield.HalfSpinorField(
-        analex_spec, s, 1, np.full((32, 32), np.nan + 0j))
-    with pytest.raises(NotHarmonic):
-        classify.mass_functional(analex_spec, cert, nan_field)

@@ -45,6 +45,9 @@ def test_parse_point():
     assert parse_point((1, 2)) == (1.0, 2.0)
     with pytest.raises(ConfigError):
         parse_point("1;2")
+    for bad in ("nan,0", (0.0, float("inf"))):
+        with pytest.raises(ConfigError, match="from must be finite"):
+            parse_point(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -576,6 +579,47 @@ def test_config_errors_are_exit_one(runner, tmp_path):
              for n in ("64", "64.0")]
     assert at_64[0].exit_code == at_64[1].exit_code == 0
     assert at_64[0].output == at_64[1].output
+
+
+#: (key, invocation) of non-finite numbers, each once answered with exit 0,
+#: Inconclusive or a traceback; a dict ending the invocation is a run config, which
+#: ``json.dumps`` writes with JSON's NaN or Infinity
+NON_FINITE = [
+    ("from", ["classify-line", "--metric", "analex", "--from", "nan,0"]),
+    ("from", ["classify-line", "--metric", "left_invariant:sqrt2,1",
+              "--from", "nan,0"]),
+    ("seed_w", ["holonomy", "--metric", "analex", "--seed-w", "nan"]),
+    ("seed_w", ["holonomy", "--metric", "rosatau", "--seed-w", "inf"]),
+    ("from", ["flow", "--metric", "flat", "--from", "nan,0",
+              "--tmax", "0.01"]),
+    ("tmax", ["flow", "--metric", "flat", "--from", "0,0", "--tmax", "-1"]),
+    ("tmax", ["flow", "--metric", "flat", "--from", "0,0", "--tmax", "nan"]),
+    ("lam1", ["table", "--metric", "left_invariant:nan,1"]),
+    ("c", ["rotation", "--metric",
+           '{"family":"analex","params":{"c":Infinity}}']),
+    # an integer past the float range once ended in an OverflowError
+    ("lam1", ["rotation", "--metric", f"left_invariant:{10 ** 400},1"]),
+    ("seed_w", ["holonomy", {"seed_w": float("nan")}]),
+    ("from", ["flow", {"from": [0.5, float("-inf")]}]),
+]
+
+
+@pytest.mark.parametrize("key, args", NON_FINITE, ids=[
+    " ".join(map(str, args))[:60] for _, args in NON_FINITE])
+def test_non_finite_numbers_are_config_errors(runner, tmp_path, key, args):
+    """A NaN or infinite number, from a flag, metric shorthand, JSON metric
+    or run config, and a tmax that is not positive, are ConfigErrors that
+    name their key."""
+    argv = list(args)
+    if isinstance(argv[-1], dict):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"metric": "flat", **argv[-1]}))
+        assert "NaN" in path.read_text() or "Infinity" in path.read_text()
+        argv[-1:] = ["--config", str(path)]
+    result = runner.invoke(main, argv)
+    payload = _json_out(result)
+    assert result.exit_code == 1 and payload["error"] == "ConfigError"
+    assert payload["message"].split(": ")[-1].startswith(f"{key} must be")
 
 
 @pytest.mark.parametrize("command", ["flow", "rotation", "classify-line",

@@ -42,8 +42,6 @@ def test_gamma_frame_components(analex_spec):
 
 
 def test_chirality_splitting():
-    omega = spin.volume_element()
-    assert np.array_equal(omega, np.diag([1.0, -1.0]))
     u1 = np.array([1.0, 0.0])
     u2 = np.array([0.0, 1.0])
     # the positive half-spinor line is exactly the kernel of gamma(X)
@@ -53,25 +51,6 @@ def test_chirality_splitting():
     assert np.allclose(gY @ u2, 0.0)
     assert np.linalg.norm(gX @ u2) > 1.0
     assert np.linalg.norm(gY @ u1) > 1.0
-
-
-def test_indefinite_product(rng):
-    u1 = np.array([1.0, 0.0])
-    u2 = np.array([0.0, 1.0])
-    # both chiral lines are null for the signature-(1,1) pairing
-    assert spin.indefinite_product(u1, u1) == 0
-    assert spin.indefinite_product(u2, u2) == 0
-    for _ in range(25):
-        phi = rng.normal(size=2) + 1j * rng.normal(size=2)
-        psi = rng.normal(size=2) + 1j * rng.normal(size=2)
-        v = rng.normal(size=2)
-        # hermitian
-        assert spin.indefinite_product(phi, psi) == pytest.approx(
-            np.conj(spin.indefinite_product(psi, phi)))
-        # gamma-symmetric
-        lhs = spin.indefinite_product(spin.gamma(v) @ phi, psi)
-        rhs = spin.indefinite_product(phi, spin.gamma(v) @ psi)
-        assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 def test_structure_labels_and_characters():

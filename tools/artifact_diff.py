@@ -232,6 +232,16 @@ CASES = [
     ["rotation", "--metric", '{"family":"flat","grid_n":5000}'],
     ["rotation", "--metric", '{"family":"conformal_rescale","params":'
      '{"inner":{"family":"flat","grid_n":5000}}}'],
+    # non-finite numbers and a tmax that is not positive
+    ["classify-line", "--metric", "analex", "--from", "nan,0"],
+    ["classify-line", "--metric", "left_invariant:sqrt2,1", "--from", "nan,0"],
+    ["holonomy", "--metric", "analex", "--seed-w", "nan"],
+    ["holonomy", "--metric", "rosatau", "--seed-w", "inf"],
+    ["flow", "--metric", "flat", "--from", "nan,0", "--tmax", "0.01"],
+    ["flow", "--metric", "flat", "--from", "0,0", "--tmax", "-1"],
+    ["flow", "--metric", "flat", "--from", "0,0", "--tmax", "nan"],
+    ["table", "--metric", "left_invariant:nan,1"],
+    ["rotation", "--metric", f"left_invariant:{10 ** 400},1"],
 ] + [[command, "--metric", "flat", "--grid-n", "64"] for command in (
     "flow", "rotation", "classify-line", "decompose", "holonomy")
 ] + [["validate", "--criterion", str(k)]    # 9 takes ~26 s; Tier-1 runs it
@@ -256,6 +266,7 @@ CONFIG_CASES = [
     ("classify", {"quantity": "delta_zero"}),
     ("table", {"quantity": "delta_zero"}),
     ("rotation", {"metric": 5}),
+    ("holonomy", {"seed_w": float("nan")}),     # written as JSON's NaN
 ] + [(command, {"family": "Z"}) for command in (
     "flow", "rotation", "classify-line", "decompose", "holonomy")]
 
