@@ -187,16 +187,21 @@ def closed_diagonal_wave(base1: float, base2: float, amp: float = 0.1,
 
 @dataclass(frozen=True)
 class ExpSineFactor:
-    """The conformal factor exp(amp * sin(2*pi*(k x1 + l x2) + phase))."""
+    """exp(amp * sin(2*pi*(k x1 + l x2) + offset)), offset its phase."""
 
     amp: float
     k: int
     l: int
-    phase: float
+    offset: float
 
     def __call__(self, x1, x2):
         return np.exp(self.amp * np.sin(TWO_PI * (self.k * x1 + self.l * x2)
-                                        + self.phase))
+                                        + self.offset))
+
+    def phase(self) -> tuple[int, int]:
+        """(k, l) / gcd(k, l); (1, 0) for the constant k = l = 0."""
+        g = math.gcd(self.k, self.l)
+        return (self.k // g, self.l // g) if g else (1, 0)
 
 
 def exp_sine_factor(amp: float = 0.3, k: int = 1, l: int = 1,

@@ -69,12 +69,12 @@ class SCFCertificate:
     direction), "conformal" (inner certificate divided by the factor) or
     "rescaling" (numeric exponent f with X(f) = -div X, stored in
     ``exponent`` on the certificate grid).  ``grid_n`` is the grid or line
-    size of the check.
+    size of the check (a conformal certificate's, its inner one's).
     """
 
     family: str
     field: geometry.VectorField
-    residual: float               # sup |div(field)| on the grid or line
+    residual: float               # sup |div(field)|; conformal: its bound
     kind: str
     grid_n: int
     exponent: Optional[np.ndarray] = None
@@ -198,7 +198,10 @@ def _phase_analysis(spec, family: str, n: int, tol: Tolerances
 
 def _conformal_analysis(spec, family: str, n: int, tol: Tolerances
                         ) -> SCFCertificate:
-    """SCF is conformally invariant: divide the inner certificate by lam."""
+    """SCF is conformally invariant: divide the inner certificate V by lam.
+    In 2-D div_{lam g}(V / lam) = div_g(V) / lam, so the residual is the
+    bound inner residual times max(1/lam), lam read on the factor's phase
+    line at the inner check's size (Inconclusive where it misses)."""
     try:
         inner = semi_conformal_certificate(spec.inner, family, grid_n=n,
                                            tol=tol)
@@ -206,14 +209,21 @@ def _conformal_analysis(spec, family: str, n: int, tol: Tolerances
         raise NotSCF(f"inner metric obstructed (conformally invariant): {exc}",
                      obstruction=exc.obstruction,
                      location=exc.location) from exc
+    lam, _ = spec.factor_samples(inner.grid_n)
+    bound = inner.residual / float(np.min(lam))
+    if not bound < tol.scf_certificate:
+        raise Inconclusive(
+            f"candidate {family}-certificate missed the divergence tolerance "
+            f"({bound:.3e}, the inner residual over min lam)", measured=bound,
+            band=(0.0, tol.scf_certificate))
 
     def field(x1, x2):
         v1, v2 = inner.field.at(x1, x2)
         lam = spec.factor_at(x1, x2)
         return v1 / lam, v2 / lam
 
-    return _certify(spec, family, field, "conformal", n, tol,
-                    exponent=inner.exponent)
+    return SCFCertificate(family, geometry.VectorField(field), bound,
+                          "conformal", inner.grid_n, inner.exponent)
 
 
 # ---------------------------------------------------------------------------

@@ -415,6 +415,14 @@ class ConformalRescale(_FrameNullDirections):
                                    f"min value {float(np.min(lam)):.3e}")
         return lam
 
+    def factor_samples(self, n: int):
+        """(lam, line): lam on the n samples of the factor's phase line, or
+        on the n x n grid with line None for a factor with no ``phase()``."""
+        phase = getattr(self.factor, "phase", None)
+        line = None if phase is None else _PhaseLine(self.factor, *phase(), n)
+        points = grid_points(n) if line is None else (line.x1, line.x2)
+        return self.factor_at(*points), line
+
     def coefficients(self, x1, x2):
         A, B, C = coefficients(self.inner, x1, x2)
         lam = self.factor_at(x1, x2)

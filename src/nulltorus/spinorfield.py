@@ -14,13 +14,13 @@ operator are
 Residuals (``residual_norm``) are sup norms on the grid.  A field in
 factored form e^(2 pi i m.x) u(k x1 + l x2) (``geometry.PhaseFactors``: a
 Fourier mode, a closed diagonal kernel phase on a metric of phase (k, l),
-or a pp-wave band bump, a profile in x1) is checked on the n samples of
-its phase line instead, from one 1-D derivative of u, as an upper bound
-of the n x n spectral residual that lies within the resonance level of
-it; where the grid would alias u's modes beyond that level, and for
-every other field, the grid decides.  Such a field assembles its n x n
-values only when they are read, and its sup norm is the product of its
-factors' maxima.
+a pp-wave band bump, a profile in x1, or a twistor image of one) is checked
+on the n samples of its phase line instead, from one 1-D derivative of u,
+as an upper bound of the n x n spectral residual that lies within the
+resonance level of it; where the grid would alias u's modes beyond that
+level, and for every other field, the grid decides.  Such a field
+assembles its n x n values only when they are read, and its sup norm is
+the product of its factors' maxima.
 
 Exact solvers:
 
@@ -123,6 +123,21 @@ class HalfSpinorField:
         u = 1.0 if factors.profile is None else np.max(np.abs(factors.profile))
         return float(u * np.max(np.abs(factors.col))
                      * np.max(np.abs(factors.row)))
+
+    def times(self, w: np.ndarray, chirality: int) -> "HalfSpinorField":
+        """This field times w (n x n values, or the n samples of a function
+        of the phase on the spec's phase line, which joins a factored
+        field's profile), with ``chirality`` and a copy of its meta."""
+        factors = self.factors
+        if w.ndim == 1 and factors is not None:
+            values = geometry.PhaseFactors(
+                factors.mode, factors.col, factors.row,
+                w if factors.profile is None else factors.profile * w)
+        else:
+            values = self.values * (w if w.ndim == 2 else geometry._phase_line(
+                self.spec, self.grid_n).grid((w,))[0])
+        return HalfSpinorField(self.spec, self.structure, chirality, values,
+                               meta=dict(self.meta))
 
     def overlap(self, other: "HalfSpinorField") -> float:
         """max |self other| over the grid of two fields with factored
@@ -321,17 +336,17 @@ def residual_norm(phi: Union[SpinorField, HalfSpinorField],
     1/2 |nabla_Y psi^+| and 1/2 |nabla_X psi^-|: the components differ
     only in a sign, and halving is exact.
 
-    A half with ``factors`` (the exact solvers' fields and the pp-wave's
-    band bumps) on a spec with a phase line is read on that line
-    (``_line_residual``), with no n x n grid: the n samples of its defect
-    from one 1-D derivative, plus the factors' deviation from exact mode
-    exponentials, the modes the grid's band aliases and the grid
-    transform's rounding.  That is an upper bound of the n x n spectral
-    residual, taken only where the aliased modes stay below the resonance
-    level, so it lies within that level (and rounding) above it.  Any
-    other half (closed-diagonal bumps, conformal and harmonic <-> twistor
-    images, fields the grid aliases, specs without a phase line) is read
-    on the n x n grid from one 2-D derivative pair (``_plane_residual``).
+    A half with ``factors`` (the exact solvers' fields, the pp-wave's band
+    bumps and their twistor images) on a spec with a phase line is read on
+    that line (``_line_residual``), with no n x n grid: the n samples of
+    its defect from one 1-D derivative, plus the factors' deviation from
+    exact mode exponentials, the modes the grid's band aliases and the
+    grid transform's rounding.  That is an upper bound of the n x n
+    spectral residual, taken only where the aliased modes stay below the
+    resonance level, so it lies within that level (and rounding) above it.
+    Any other half (closed-diagonal bumps, images without factors, fields
+    the grid aliases, specs without a phase line) is read on the n x n
+    grid from one 2-D derivative pair (``_plane_residual``).
     """
     return _residual_norm(phi, operator, _half_residual)
 
@@ -626,7 +641,8 @@ def conformal_map_spinor(f: HalfSpinorField, target, kind: str = "harmonic"
 
     For target metric lambda * g the Dirac kernel maps by lambda^(-1/4) and
     the twistor kernel by lambda^(+1/4); the map also works backwards (from
-    the rescaled metric down to its base).
+    the rescaled metric down to its base).  The image holds n x n values,
+    its weight read from the factor's phase line (``_conformal_weight``).
     """
     if kind == "harmonic":
         exponent = -0.25
@@ -650,9 +666,11 @@ def conformal_map_spinor(f: HalfSpinorField, target, kind: str = "harmonic"
 
 @lru_cache(maxsize=4)
 def _conformal_weight(rescaling, n: int, power: float) -> np.ndarray:
-    """The read-only lambda^power of a rescaling on the n x n grid."""
-    lam = np.asarray(rescaling.factor_at(*grid_points(n)), dtype=float)
-    [weight] = geometry._read_only([np.broadcast_to(lam, (n, n)) ** power])
+    """The read-only lambda^power of a rescaling on the n x n grid, from
+    the n samples of its factor's phase line (n^2 with no phase)."""
+    lam, line = rescaling.factor_samples(n)
+    [weight] = (geometry._read_only([np.broadcast_to(lam, (n, n)) ** power])
+                if line is None else line.grid((lam ** power,)))
     return weight
 
 
@@ -800,33 +818,32 @@ def harmonic_twistor_iso(f: HalfSpinorField, certificate=None,
 
     Both kernels are cut out by transport along the X-family; they are
     exchanged by h -> -h / w (and its inverse h -> -w h), where w is the
-    coefficient of a divergence-free section V = w X from the
-    semi-conformal-flatness certificate.  Raises NotSCF when no certificate
-    exists and NotHarmonic when the input does not solve its own equation.
+    coefficient of a divergence-free section V = w X from the X-family's
+    semi-conformal-flatness certificate, read at the n samples of the
+    spec's phase line (a factored input has a factored image), or on the n
+    x n grid without one.  Raises WrongFamily for a Y-certificate, NotSCF
+    when no certificate exists and NotHarmonic for a non-kernel input.
     """
     if certificate is None:
         from .classify import semi_conformal_certificate
         certificate = semi_conformal_certificate(f.spec, family="X", tol=tol)
+    if certificate.family != "X":
+        raise WrongFamily("the harmonic <-> twistor map needs an X-certificate"
+                          f", not a {certificate.family}-certificate")
     res = residual_norm(f, "harmonic" if f.chirality == 1 else "twistor")
     if res > 100 * tol.differential:
         raise NotHarmonic(
             f"input field residual {res:.3e} exceeds tolerance; refusing to "
             "map a non-kernel field")
     n = f.grid_n
-    X1, X2 = grid_points(n)
-    v1, v2 = certificate.field.at(X1, X2)
-    v1 = np.broadcast_to(np.asarray(v1, dtype=float), (n, n))
-    v2 = np.broadcast_to(np.asarray(v2, dtype=float), (n, n))
-    d1, d2 = geometry.null_direction_arrays(f.spec, X1, X2, "X")
-    w = np.where(np.abs(d1) >= np.abs(d2),
-                 v1 / np.where(np.abs(d1) >= np.abs(d2), d1, 1.0),
-                 v2 / np.where(np.abs(d1) >= np.abs(d2), 1.0, d2))
-    if f.chirality == 1:
-        out = HalfSpinorField(f.spec, f.structure, -1, -f.values / w,
-                              meta=dict(f.meta))
-        out.meta["kind"] = "twistor-image"
-    else:
-        out = HalfSpinorField(f.spec, f.structure, 1, -f.values * w,
-                              meta=dict(f.meta))
-        out.meta["kind"] = "harmonic-image"
+    line = geometry._phase_line(f.spec, n)
+    x = grid_points(n) if line is None else (line.x1, line.x2)
+    _, _, v1, v2, d1, d2 = np.broadcast_arrays(
+        *x, *certificate.field.at(*x),
+        *geometry.null_direction_arrays(f.spec, *x, "X"))
+    first = np.abs(d1) >= np.abs(d2)
+    w = np.where(first, v1, v2) / np.where(first, d1, d2)
+    out = f.times(-1.0 / w if f.chirality == 1 else -w, -f.chirality)
+    out.meta["kind"] = ("twistor-image" if f.chirality == 1
+                        else "harmonic-image")
     return out

@@ -56,6 +56,27 @@ def count_operator_builds(monkeypatch) -> list[str]:
     return directions
 
 
+def count_points(monkeypatch) -> dict[str, list[int]]:
+    """Patch the catalog factor, every certificate field and
+    ``geometry.null_direction_arrays`` to record their sample counts."""
+    points = {"factor": [], "field": [], "direction": []}
+    factor, at = catalog.ExpSineFactor.__call__, geometry.VectorField.at
+    direction = geometry.null_direction_arrays
+
+    def counted(name, fn):
+        def counting(first, x1, x2, *args):
+            points[name].append(np.broadcast(x1, x2).size)
+            return fn(first, x1, x2, *args)
+        return counting
+
+    monkeypatch.setattr(catalog.ExpSineFactor, "__call__",
+                        counted("factor", factor))
+    monkeypatch.setattr(geometry.VectorField, "at", counted("field", at))
+    monkeypatch.setattr(geometry, "null_direction_arrays",
+                        counted("direction", direction))
+    return points
+
+
 def seeded_waves(seed: int, count: int) -> list[str]:
     """Waves b1, b2 in 1..9, k in {+-1, +-2, 3}, l in {0, +-1, +-2, +-3},
     gcd(k, l) = 1, with amp up to 0.9 min(b1, b2 |k|/|l|), which keeps both

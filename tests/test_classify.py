@@ -18,8 +18,9 @@ Exits of ``classify.semi_conformal_certificate`` and their witnesses:
   answer is one of these, and every NotSCF names a line of its own family
   (``test_seeded_waves_are_decided_on_their_own_lines``);
 * conformal rescalings: the inner certificate over the factor
-  (``test_certificate_conformal_invariance``) or the inner NotSCF
-  (``test_certificate_conformal_propagates_obstruction``);
+  (``test_certificate_conformal_invariance``), Inconclusive where its
+  residual bound misses (``test_conformal_certificate_misses_by_its_bound``),
+  or the inner NotSCF (``test_certificate_conformal_propagates_obstruction``);
 * a phase-less diagonal metric: closed coefficients certify by the null
   direction; otherwise the transport solve gives a rescaling certificate
   (``test_certificate_numeric_rescaling_route``), or Inconclusive when
@@ -47,7 +48,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import count_transforms, seeded_waves
+from conftest import count_points, count_transforms, seeded_waves
 from nulltorus import (catalog, classify, geometry, nullflow, spin,
                        spinorfield)
 from nulltorus.errors import ConfigError, Inconclusive, NotSCF
@@ -228,6 +229,83 @@ def test_conformal_certificate_evaluates_inner_field_once(conformal_spec,
     cert.field.at(0.41, 0.13)
     # the conformal field itself, then its inner field once
     assert len(calls) == 2 and calls[0] is cert.field
+
+
+def _partner_factors():
+    """The gate's two factors and criterion 5's five seeded ones."""
+    rng = np.random.default_rng(7)
+    factors = [catalog.exp_sine_factor(0.3958, 1, 2, 2.9308),
+               catalog.exp_sine_factor(0.3842, 2, 2, 5.8605)]
+    for _ in range(5):
+        factors.append(catalog.exp_sine_factor(
+            amp=float(0.1 + 0.3 * rng.random()), k=int(rng.integers(-2, 3)),
+            l=int(rng.integers(-2, 3)), phase=float(2 * np.pi * rng.random())))
+    return factors
+
+
+@pytest.mark.parametrize("inner", [
+    "analex", "closed_diagonal:1,2,amp=0.1,k=1,l=2", "left_invariant:1,2",
+    "analex_sanchez:c=2.5"])
+def test_conformal_bound_partners_the_plane_divergence(inner):
+    """The differential partner of the conformal certificate's bound (the
+    inner residual times max(1/lam)): the 2-D spectral divergence of the
+    certificate field on lam g's 256^2 grid, for seven factors (wavenumbers
+    (0, 2), (2, 0) and negative ones among them) and both families.  Both
+    give the same verdict (NotSCF from the inner metric or a certificate,
+    14 and 42 of the 56 cases), and they differ by at most the rounding of
+    the 2-D check's spectral derivatives, eps log2(n) pi n sup|V/lam|
+    (the bound of the phase-line residual's transform term): the bound
+    read 0 to 3.1e-13, the 2-D check 4e-14 to 1.3e-12, and their gap at
+    most 2.2 eps pi n sup|V/lam|."""
+    n = 256
+    for factor in _partner_factors():
+        spec = catalog.conformal(catalog.load_metric(inner), factor)
+        for family in "XY":
+            try:
+                cert = classify.semi_conformal_certificate(spec, family)
+            except NotSCF:
+                with pytest.raises(NotSCF):
+                    classify.semi_conformal_certificate(spec.inner, family)
+                continue
+            v = [np.broadcast_to(c, (n, n))
+                 for c in cert.field.at(*grid_points(n))]
+            plane = classify._divergence_sup(spec, *v, n)
+            floor = (np.finfo(float).eps * np.log2(n) * np.pi * n
+                     * max(float(np.max(np.abs(c))) for c in v))
+            assert cert.kind == "conformal" and cert.grid_n == n
+            assert plane < DEFAULT.scf_certificate
+            assert abs(plane - cert.residual) <= floor, (factor, family)
+
+
+def test_conformal_certificate_misses_by_its_bound(analex_spec):
+    """The conformal exit Inconclusive: with ``scf_certificate`` at twice
+    the inner residual, the inner certificate passes and its bound over a
+    factor of min lam about e^-1 does not."""
+    inner = classify.semi_conformal_certificate(analex_spec, "X")
+    spec = catalog.conformal(analex_spec, catalog.exp_sine_factor(amp=1.0))
+    lam, _ = spec.factor_samples(inner.grid_n)
+    tol = DEFAULT.with_(scf_certificate=2 * inner.residual)
+    with pytest.raises(Inconclusive) as exc:
+        classify.semi_conformal_certificate(spec, "X", tol=tol)
+    assert exc.value.measured == inner.residual / np.min(lam)
+
+
+@pytest.mark.parametrize("k,l", [(0, 0), (-2, 1)])
+def test_conformal_tables_take_no_plane_divergence(k, l, monkeypatch):
+    """A conformal table certifies without ``divergence_grids`` (the 2-D
+    check it replaced ran once per family) and evaluates its factor and
+    its certificate field on at most the 64 x 64 points of
+    ``nullflow.transversal_axis``'s coarse grid at once (the 2-D check
+    took 256^2)."""
+    spec = catalog.conformal(catalog.analex(),
+                             catalog.exp_sine_factor(0.3, k, l, 0.4))
+    divergences, points = [], count_points(monkeypatch)
+    divergence = geometry.divergence_grids
+    monkeypatch.setattr(geometry, "divergence_grids", lambda *args: (
+        divergences.append(args) or divergence(*args)))
+    table = classify.classify_table(spec, ("delta_plus", "tau_minus"))
+    assert len(table) == 4 and not divergences
+    assert max(points["factor"] + points["field"]) <= 64 * 64
 
 
 def test_certificate_conformal_propagates_obstruction(rosatau_spec):

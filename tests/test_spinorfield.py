@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import ZOO, count_operator_builds, count_transforms
+from conftest import (ZOO, count_operator_builds, count_points,
+                      count_transforms)
 from nulltorus import catalog, classify, geometry, nullflow, spin, spinorfield
 from nulltorus.errors import (DenseFlow, NotHarmonic, NotXTrivial,
                               UnsupportedFamily, WrongFamily)
@@ -661,9 +662,10 @@ def test_inadmissible_fields_fail_on_both_routes(wave12_spec):
 
 def test_factored_fields_cannot_go_stale(analex_spec):
     """A factored field's values are read-only, and neither they nor its
-    factors can be reassigned.  Its conformal and harmonic <-> twistor
-    images (which copy its meta), ``zero_like`` and ``embed``'s padding
-    carry no factors, and their residuals are the 2-D route's."""
+    factors can be reassigned.  Its conformal image, ``zero_like`` and
+    ``embed``'s padding carry no factors, and their residuals are the 2-D
+    route's; its twistor image is factored and read on its line.  Both
+    images copy its meta."""
     s = SpinStructure(1, 1)
     mode = spinorfield.fourier_mode_field(analex_spec, s, (1, 1), grid_n=64)
     kernel = spinorfield.solve_closed_diagonal(analex_spec, s, n_fields=2,
@@ -683,9 +685,13 @@ def test_factored_fields_cannot_go_stale(analex_spec):
               (spinorfield.zero_like(kernel), "harmonic"),
               (spinorfield.embed(kernel).negative, "twistor"))
     for image, operator in images:
-        assert image.factors is None and image.values.flags.writeable
-        assert (spinorfield.residual_norm(image, operator)
-                == _plane_norm(image, operator))
+        factored = image.meta.get("kind") == "twistor-image"
+        assert (image.factors is not None) == factored
+        assert image.values.flags.writeable != factored
+        residual = spinorfield.residual_norm(image, operator)
+        assert (residual == spinorfield._residual_norm(
+            image, operator, spinorfield._line_residual)) if factored else (
+            residual == _plane_norm(image, operator))
     assert all(image.meta["alpha"] == kernel.meta["alpha"]
                for image, _ in images[:2])
 
@@ -748,6 +754,48 @@ def test_conformal_map_weights(analex_spec, conformal_spec):
 
     down = spinorfield.conformal_map_spinor(up, analex_spec, "harmonic")
     assert np.allclose(down.values, f.values, rtol=1e-12)
+
+
+@pytest.mark.parametrize("n", (63, 64, 256, 512))
+def test_conformal_weights_are_the_grid_powers(n):
+    """The differential partner of the weight read on the factor's phase
+    line: within 4 ulps of ``factor_at`` on the n x n grid to the power,
+    over constant, single-axis, negative and gcd > 1 wavenumbers (measured:
+    at most 2 ulps), and a factor with no phase, read on the grid."""
+    factors = [catalog.exp_sine_factor(0.37, k, l, 1.1) for k, l in (
+        (1, 1), (0, 0), (-2, 1), (0, 2), (3, -2))] + [
+        lambda x1, x2: np.exp(0.2 * np.sin(2 * np.pi * x1)
+                              * np.cos(2 * np.pi * x2))]
+    for factor in factors:
+        spec = catalog.conformal(catalog.analex(), factor)
+        for power in (-0.25, 0.25):
+            got = spinorfield._conformal_weight(spec, n, power)
+            want = spec.factor_at(*grid_points(n)) ** power
+            assert got.shape == (n, n) and not got.flags.writeable
+            assert np.max(np.abs(got - want) / want) <= 4 * np.finfo(
+                float).eps, (factor, power)
+
+
+@pytest.mark.parametrize("k,l", [(1, 2), (0, 0), (-2, 1)])
+def test_conformal_and_twistor_maps_sample_lines_only(k, l, monkeypatch):
+    """The 512^2 conformal map reads its factor on 512 samples, and the
+    256^2 twistor image of a factored field reads its certificate field
+    and null direction on 256 each: no n^2 evaluation (the 2-D routes
+    took 512^2 and 256^2)."""
+    s = SpinStructure(1, 1)
+    base = catalog.analex(grid_n=512)
+    f = spinorfield.solve_closed_diagonal(base, s, n_fields=2).fields[1]
+    target = catalog.conformal(base, catalog.exp_sine_factor(0.3, k, l, 0.4))
+    analex = catalog.analex()
+    h = spinorfield.solve_closed_diagonal(analex, s, n_fields=2).fields[1]
+    cert = classify.semi_conformal_certificate(analex, "X")
+    spinorfield._conformal_weight.cache_clear()
+    points = count_points(monkeypatch)
+    spinorfield.conformal_map_spinor(f, target)
+    assert points == {"factor": [512], "field": [], "direction": []}
+    points["factor"].clear()
+    assert spinorfield.harmonic_twistor_iso(h, cert).factors is not None
+    assert points == {"factor": [], "field": [256], "direction": [256]}
 
 
 def test_conformal_map_requires_matching_specs(analex_spec, flat_spec):
@@ -920,6 +968,64 @@ def test_harmonic_twistor_iso_explicit_certificate(analex_spec):
                                             grid_n=256)
     psi = spinorfield.harmonic_twistor_iso(sol.fields[0], cert)
     assert spinorfield.residual_norm(psi, "twistor") < 1e-6
+
+
+def _grid_image(f, cert):
+    """The image on the 2-D route: w = V / X from the certificate field and
+    the null direction on all n^2 points."""
+    n = f.grid_n
+    X1, X2 = grid_points(n)
+    v1, v2 = (np.broadcast_to(v, (n, n)) for v in cert.field.at(X1, X2))
+    d1, d2 = geometry.null_direction_arrays(f.spec, X1, X2, "X")
+    first = np.abs(d1) >= np.abs(d2)
+    w = np.where(first, v1 / np.where(first, d1, 1.0),
+                 v2 / np.where(first, 1.0, d2))
+    return -f.values / w if f.chirality == 1 else -f.values * w
+
+
+@pytest.mark.parametrize("n", (63, 64, 256, 512))
+def test_twistor_images_of_factored_fields_partner_the_grid(analex_spec, n):
+    """The differential partner of the factored image: the 16 exact solver
+    fields of ``analex`` (four structures, both chiralities) map to
+    factored images whose values are within 4 ulps of the 2-D route's
+    -h/w (or -w h), whose line residual is never below the plane residual
+    and within [plane, plane + 1e-10] (measured: 3.2e-13 to 1.2e-11 on the
+    line, 3.0e-14 to 3.9e-12 on the plane), and whose image maps back
+    within 4 ulps (measured: exactly)."""
+    cert = classify.semi_conformal_certificate(analex_spec, "X")
+    fields = [f for a in all_structures() for chirality in (1, -1)
+              for f in spinorfield.solve_closed_diagonal(
+                  analex_spec, a, chirality, n_fields=4, grid_n=n).fields]
+    images = [spinorfield.harmonic_twistor_iso(f, cert) for f in fields]
+    assert len(images) == 16
+    eps = 4 * np.finfo(float).eps
+    for f, image in zip(fields, images):
+        assert image.factors is not None and image.chirality == -f.chirality
+        old = _grid_image(f, cert)
+        assert np.max(np.abs(image.values - old)) <= eps * np.max(np.abs(old))
+        back = spinorfield.harmonic_twistor_iso(image, cert)
+        assert np.max(np.abs(back.values - f.values)) <= eps * np.max(
+            np.abs(f.values))
+    assert _route_partners(images) == (16, 0)
+    for image in images:
+        operator = "twistor" if image.chirality == -1 else "harmonic"
+        assert (spinorfield.residual_norm(image, operator)
+                >= _plane_norm(image, operator))
+
+
+def test_harmonic_twistor_iso_refuses_a_y_certificate():
+    """A Y-certificate is not the X-section V = w X the map divides by:
+    on a closed diagonal wave at 64^2 it gave an image of twistor residual
+    0.94 (2.2e-13 with the X-certificate)."""
+    spec = catalog.load_metric("closed_diagonal:1,2,amp=0.1,k=1,l=1")
+    f = spinorfield.solve_closed_diagonal(spec, SpinStructure(1, 1),
+                                          grid_n=64).fields[1]
+    with pytest.raises(WrongFamily, match="Y-certificate"):
+        spinorfield.harmonic_twistor_iso(
+            f, classify.semi_conformal_certificate(spec, "Y"))
+    image = spinorfield.harmonic_twistor_iso(
+        f, classify.semi_conformal_certificate(spec, "X"))
+    assert spinorfield.residual_norm(image, "twistor") < 1e-10
 
 
 def test_harmonic_twistor_iso_rejects_non_kernel_input(analex_spec):

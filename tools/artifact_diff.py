@@ -39,6 +39,12 @@ CONFORMAL_1 = ('{"family":"conformal_rescale","params":{"inner":{"family":'
 CONFORMAL_2 = ('{"family":"conformal_rescale","params":{"inner":{"family":'
                '"analex"},"factor":{"amp":0.3842,"k":2,"l":2,'
                '"phase":5.8605}}}')
+CONFORMAL_LI = ('{"family":"conformal_rescale","params":{"inner":{"family":'
+                '"left_invariant","params":{"lam1":1,"lam2":2}},"factor":'
+                '{"amp":0.3,"k":-2,"l":1,"phase":0.4}}}')
+CONFORMAL_CONSTANT = ('{"family":"conformal_rescale","params":{"inner":'
+                      '{"family":"analex"},"factor":{"amp":0.3,"k":0,"l":0,'
+                      '"phase":0.4}}}')
 
 
 def _zoo_round(rosatau, conformal, w12, w32, w35, w58, point, wave_point,
@@ -156,6 +162,13 @@ CASES = [
     ["table", "--metric", CONFORMAL_1, "--quantity", Y_Q],
     ["rotation", "--metric", CONFORMAL_1],
     ["decompose", "--metric", CONFORMAL_1],
+    # conformal certificates: the inner residual times max(1/lam), with a
+    # negative wavenumber and a constant factor
+    ["classify", "--metric", CONFORMAL_1, "--quantity", "delta_plus",
+     "--structure", "1,1"],
+    *(["table", "--metric", CONFORMAL_LI, "--quantity", pair]
+      for pair in (X_Q, Y_Q)),
+    ["table", "--metric", CONFORMAL_CONSTANT],
     # exact Y rotations whose long-period convergents miss the value
     ["table", "--metric", "closed_diagonal:2,3", "--quantity", Y_Q],
     ["table", "--metric", "closed_diagonal:3,5,amp=0.2,k=2,l=1",
